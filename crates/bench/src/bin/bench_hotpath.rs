@@ -206,34 +206,26 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let blocks = 8usize;
     let long_message: Vec<u64> = (0..(t * blocks) as u64).map(|i| i % 65_537).collect();
 
+    // Fresh nonce every call: the batched weights are single-use and
+    // streamed, so a repeated nonce would time the same work.
     let mut bnonce = 0x2000u128;
-    let mut run_batched = |fresh_nonce: bool| -> f64 {
-        let fixed = client.encrypt(0xAB42, &long_message).expect("encrypt");
+    let warm_up = client.encrypt(bnonce, &long_message).expect("encrypt");
+    black_box(
+        batched
+            .transcipher_batched(&bctx, &warm_up)
+            .expect("transcipher"),
+    );
+    let batched_cold = min_of(Box::new(|| {
+        bnonce += 1;
+        let ct = client.encrypt(bnonce, &long_message).expect("encrypt");
         black_box(
             batched
-                .transcipher_batched(&bctx, &fixed)
+                .transcipher_batched(&bctx, &ct)
                 .expect("transcipher"),
         );
-        min_of(Box::new(|| {
-            let ct = if fresh_nonce {
-                bnonce += 1;
-                client.encrypt(bnonce, &long_message).expect("encrypt")
-            } else {
-                fixed.clone()
-            };
-            black_box(
-                batched
-                    .transcipher_batched(&bctx, &ct)
-                    .expect("transcipher"),
-            );
-        }))
-    };
-    let batched_cold = run_batched(true);
+    }));
     println!("transcipher/batched/8blocks/cold: {batched_cold:.0} ns/iter [{phase}]");
     report.push("transcipher/batched/8blocks/cold", phase, batched_cold);
-    let batched_warm = run_batched(false);
-    println!("transcipher/batched/8blocks/warm: {batched_warm:.0} ns/iter [{phase}]");
-    report.push("transcipher/batched/8blocks/warm", phase, batched_warm);
 
     // Steady-state pool probe, last so its passes cannot perturb the
     // timed rows above. Those rows run at whatever width the

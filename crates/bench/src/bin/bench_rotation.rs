@@ -118,7 +118,7 @@ fn bench_packed(
     let reps: u64 = if quick { 1 } else { 3 };
 
     // Cold transcipher: fresh nonce per call, so the per-block material
-    // (diagonal preparation included) is rebuilt every time.
+    // is derived and every diagonal streamed each time.
     let mut nonce = 0x4000u128;
     let warm_up = s.client.encrypt(nonce, &message).expect("encrypt");
     black_box(
@@ -140,27 +140,6 @@ fn bench_packed(
     let id = format!("packed_transcipher/{tag}/cold");
     println!("{id}: {cold:.0} ns/iter [{phase}]");
     report.push(id, phase, cold);
-
-    // Warm transcipher: repeated nonce, material served from the cache —
-    // isolates the rotation/key-switch work from preparation.
-    let fixed = s.client.encrypt(0xF00F, &message).expect("encrypt");
-    black_box(
-        s.server
-            .transcipher_packed(&s.ctx, &fixed, 0)
-            .expect("transcipher"),
-    );
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(
-            s.server
-                .transcipher_packed(&s.ctx, &fixed, 0)
-                .expect("transcipher"),
-        );
-    }
-    let warm = start.elapsed().as_nanos() as f64 / reps as f64;
-    let id = format!("packed_transcipher/{tag}/warm");
-    println!("{id}: {warm:.0} ns/iter [{phase}]");
-    report.push(id, phase, warm);
 
     // Rotation-work counts (raw counts, not nanoseconds).
     s.server.reset_key_switch_count();

@@ -19,7 +19,7 @@
 
 use crate::bigint::UBig;
 use crate::ntt::galois_slot_permutation;
-use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly, PAR_MIN_RING_DEGREE};
+use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly, ShoupRows, PAR_MIN_RING_DEGREE};
 use crate::rns_mul::RnsMulContext;
 use pasta_math::{MathError, Modulus, Zp};
 use rand::Rng;
@@ -523,16 +523,15 @@ impl BfvContext {
     #[must_use]
     pub fn add_plain(&self, ct: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let mut out = ct.clone();
-        out.polys[0].to_coeff(&self.basis);
-        out.polys[0].add_assign(&self.basis, &self.delta_times_plain(pt));
+        self.add_plain_assign(&mut out, pt);
         out
     }
 
-    /// In-place [`BfvContext::add_plain`] from a prepared plaintext: no
-    /// encode, no allocation.
-    pub fn add_plain_prepared_assign(&self, ct: &mut Ciphertext, prep: &PreparedPlaintext) {
+    /// In-place [`BfvContext::add_plain`] (`c0 += Δ·m`): a single-use
+    /// plaintext costs one lift and one scalar multiply, no NTT.
+    pub fn add_plain_assign(&self, ct: &mut Ciphertext, pt: &Plaintext) {
         ct.polys[0].to_coeff(&self.basis);
-        ct.polys[0].add_assign(&self.basis, &prep.delta_m);
+        ct.polys[0].add_assign(&self.basis, &self.delta_times_plain(pt));
     }
 
     /// Multiplies a ciphertext by a plaintext polynomial.
@@ -629,6 +628,69 @@ impl BfvContext {
         }
         for (a, c) in acc.polys.iter_mut().zip(ct.polys.iter()) {
             a.add_mul_shoup_assign(&self.basis, c, &prep.ntt, &prep.ntt_shoup);
+        }
+        Ok(())
+    }
+
+    /// Converts a ciphertext into the reused operand of streamed
+    /// plaintext multiplications: every component in NTT domain, with
+    /// the Shoup companions of its rows. Pays the companions once for
+    /// the many single-use plaintexts it will meet (the `t` rows of an
+    /// affine layer, the giant groups of a BSGS layer).
+    #[must_use]
+    pub fn prepare_ciphertext(&self, mut ct: Ciphertext) -> PreparedCiphertext {
+        self.to_ntt_ct(&mut ct);
+        let shoup = ct.polys.iter().map(|p| p.shoup_rows(&self.basis)).collect();
+        PreparedCiphertext {
+            polys: std::mem::take(&mut ct.polys),
+            shoup,
+        }
+    }
+
+    /// The all-zero two-component ciphertext in NTT domain: the seed of
+    /// a streamed multiply–accumulate.
+    #[must_use]
+    pub fn zero_ntt_ct(&self) -> Ciphertext {
+        // Zero is zero in either domain; only the flag differs.
+        let zero = || {
+            RnsPoly::from_rows(
+                crate::scratch::take_rows_zeroed(self.basis.len(), self.params.n),
+                true,
+            )
+        };
+        Ciphertext {
+            polys: vec![zero(), zero()],
+        }
+    }
+
+    /// Fused `acc += ct ∘ pt` for a plaintext used exactly once: the
+    /// plaintext is lifted to the RNS basis, forward-transformed,
+    /// multiplied into every component of the accumulator and dropped —
+    /// nothing is stored. The Shoup companions sit on the reused `ct`,
+    /// and the products are the canonical residues a prepared-plaintext
+    /// multiply ([`BfvContext::add_mul_plain_ntt_assign`]) yields, so
+    /// the result is bit-identical to preparing `pt` first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Incompatible`] on component-count mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is in coefficient domain.
+    pub fn add_mul_plain_assign(
+        &self,
+        acc: &mut Ciphertext,
+        ct: &PreparedCiphertext,
+        pt: &Plaintext,
+    ) -> Result<(), FheError> {
+        if acc.polys.len() != ct.polys.len() {
+            return Err(FheError::Incompatible("component count differs".into()));
+        }
+        let mut m = RnsPoly::from_u64_coeffs(&self.basis, &pt.coeffs);
+        m.to_ntt(&self.basis);
+        for ((a, c), c_shoup) in acc.polys.iter_mut().zip(&ct.polys).zip(&ct.shoup) {
+            a.add_mul_shoup_assign(&self.basis, &m, c, c_shoup);
         }
         Ok(())
     }
@@ -1159,9 +1221,20 @@ pub struct PreparedPlaintext {
     /// Per-prime Shoup companions of `ntt`'s rows, so repeated
     /// multiplications run the SIMD Shoup kernels (one high-half
     /// multiply per product) instead of a generic Barrett reduction.
-    ntt_shoup: Vec<Vec<u64>>,
+    ntt_shoup: ShoupRows,
     /// `Δ·m` in coefficient domain.
     delta_m: RnsPoly,
+}
+
+/// A ciphertext prepared as the reused operand of streamed plaintext
+/// multiplications (see [`BfvContext::prepare_ciphertext`]): NTT-domain
+/// components plus the Shoup companions of their rows.
+#[derive(Debug)]
+pub struct PreparedCiphertext {
+    /// Components in NTT domain.
+    polys: Vec<RnsPoly>,
+    /// `shoup[c]` — the Shoup companions of component `c`'s rows.
+    shoup: Vec<ShoupRows>,
 }
 
 /// A BFV secret key (ternary, stored in NTT domain).
@@ -1185,7 +1258,7 @@ pub struct BfvPublicKey {
 
 /// Per-component Shoup companions `(b_shoup, a_shoup)` of a key-switch
 /// key's rows: for each component, one companion row per RNS prime.
-type KeyShoupRows = Vec<(Vec<Vec<u64>>, Vec<Vec<u64>>)>;
+type KeyShoupRows = Vec<(ShoupRows, ShoupRows)>;
 
 /// A relinearization key: one `(b_j, a_j)` pair per RNS prime.
 #[derive(Debug, Clone)]
@@ -1256,6 +1329,13 @@ impl Ciphertext {
     #[must_use]
     pub fn components(&self) -> usize {
         self.polys.len()
+    }
+
+    /// The component polynomials, read-only (digests and serializers
+    /// walk their residue rows).
+    #[must_use]
+    pub fn polys(&self) -> &[RnsPoly] {
+        &self.polys
     }
 
     /// Serialized size in bytes: `components · N · Σ_i ⌈log2 q_i⌉ / 8`.
@@ -1428,9 +1508,9 @@ mod tests {
 
         // mul_plain: prepared must be bit-exact vs direct.
         assert_eq!(ctx.mul_plain_prepared(&ct, &prep), ctx.mul_plain(&ct, &pt));
-        // add_plain: prepared in-place vs direct.
+        // add_plain: in-place vs cloning.
         let mut added = ct.clone();
-        ctx.add_plain_prepared_assign(&mut added, &prep);
+        ctx.add_plain_assign(&mut added, &pt);
         assert_eq!(added, ctx.add_plain(&ct, &pt));
         // trivial encryption.
         assert_eq!(
@@ -1449,6 +1529,17 @@ mod tests {
         ctx.add_mul_plain_ntt_assign(&mut acc, &nb, &prep).unwrap();
         ctx.to_coeff_ct(&mut acc);
         assert_eq!(acc, expect);
+        // The streamed form — Shoup companions on the ciphertexts, the
+        // plaintext lifted per product — yields the same canonical
+        // products, so it is bit-identical too.
+        let mut streamed = ctx.zero_ntt_ct();
+        for c in [&ct, &ct2] {
+            let prepared = ctx.prepare_ciphertext(c.clone());
+            ctx.add_mul_plain_assign(&mut streamed, &prepared, &pt)
+                .unwrap();
+        }
+        ctx.to_coeff_ct(&mut streamed);
+        assert_eq!(streamed, expect);
     }
 
     #[test]
@@ -1648,14 +1739,31 @@ mod tests {
     fn warm_mul_relin_allocates_no_poly_rows_or_bigints() {
         let _guard = BACKEND_ENV_LOCK.lock().unwrap();
         std::env::remove_var(MUL_BACKEND_ENV);
-        let (ctx, sk, pk, rk, mut rng) = setup();
+        // A ring degree no other test in this binary uses. For some
+        // buffer shapes the pipeline's working set exceeds the
+        // thread-local bucket depth, so a warm pass re-takes part of it
+        // from the process-wide overflow bin of `crate::scratch`; a
+        // concurrently running test taking the same `(rows, len)` shapes
+        // can empty that bin between the cold and the warm pass and
+        // force fresh allocations. At N = 512 every shape this test
+        // touches — the ciphertext basis, the BEHZ auxiliary basis and
+        // the length-N chunk rows — belongs to it alone.
+        let ctx = BfvContext::new(BfvParams {
+            n: 512,
+            ..BfvParams::test_tiny()
+        })
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(2024);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let rk = ctx.generate_relin_key(&sk, &mut rng);
         let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         // Cold passes populate the scratch pool with every buffer shape
         // the multiply + relinearize pipeline needs...
         let _ = ctx.mul_relin(&a, &b, &rk).unwrap();
         let _ = ctx.mul_relin(&a, &b, &rk).unwrap();
-        // ...after which a warm pass must allocate nothing: N = 256
+        // ...after which a warm pass must allocate nothing: N = 512
         // keeps the whole pipeline on this thread, so the thread-local
         // counters see every allocation.
         let rows_before = crate::scratch::poly_alloc_count();

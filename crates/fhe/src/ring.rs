@@ -233,6 +233,33 @@ impl Drop for RnsPoly {
     }
 }
 
+/// Shoup companions of an NTT-domain polynomial's rows (see
+/// [`RnsPoly::shoup_rows`]); pooled through [`crate::scratch`] like
+/// the rows of an [`RnsPoly`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct ShoupRows {
+    rows: Vec<Vec<u64>>,
+}
+
+impl Clone for ShoupRows {
+    fn clone(&self) -> Self {
+        let row_len = self.rows.first().map_or(0, Vec::len);
+        let mut rows = crate::scratch::take_rows(self.rows.len(), row_len);
+        for (dst, src) in rows.iter_mut().zip(&self.rows) {
+            dst.copy_from_slice(src);
+        }
+        ShoupRows { rows }
+    }
+}
+
+impl Drop for ShoupRows {
+    fn drop(&mut self) {
+        if !self.rows.is_empty() {
+            crate::scratch::put_rows(std::mem::take(&mut self.rows));
+        }
+    }
+}
+
 impl RnsPoly {
     /// The zero polynomial (coefficient domain).
     #[must_use]
@@ -282,7 +309,12 @@ impl RnsPoly {
         }
     }
 
-    /// Builds from small unsigned coefficients (e.g. a plaintext poly).
+    /// Builds from small unsigned coefficients (e.g. a plaintext poly,
+    /// or one prime's residue row lifted to every prime).
+    ///
+    /// Division-free for the values these lifts see: a coefficient below
+    /// `p` is copied and one below `2p` takes a single conditional
+    /// subtraction; only larger values pay the hardware `%`.
     ///
     /// # Panics
     ///
@@ -292,9 +324,18 @@ impl RnsPoly {
         assert_eq!(values.len(), basis.n(), "coefficient count mismatch");
         let mut p = Self::zero(basis);
         for (i, row) in p.coeffs.iter_mut().enumerate() {
-            let zp = basis.zp(i);
-            for (j, &v) in values.iter().enumerate() {
-                row[j] = v % zp.p();
+            let prime = basis.zp(i).p();
+            let two_p = prime.saturating_mul(2);
+            for (r, &v) in row.iter_mut().zip(values) {
+                *r = if v < two_p {
+                    if v >= prime {
+                        v - prime
+                    } else {
+                        v
+                    }
+                } else {
+                    v % prime
+                };
             }
         }
         p
@@ -470,23 +511,25 @@ impl RnsPoly {
     }
 
     /// Per-prime Shoup companions (`⌊w·2⁶⁴/p_i⌋` for every residue) of
-    /// this polynomial's rows — precomputed once for long-lived
-    /// operands (prepared plaintexts, relinearization and Galois key
-    /// components) so the affine/key-switch inner loops can run the
-    /// SIMD Shoup kernels instead of a generic Barrett reduction.
+    /// this polynomial's rows, for the operand a multiply–accumulate
+    /// reuses: relinearization and Galois key components, prepared
+    /// plaintexts, and the NTT-domain ciphertexts an affine layer reads
+    /// once per output row. The inner loops then run the SIMD Shoup
+    /// kernels instead of a generic Barrett reduction.
     ///
     /// Residues must be canonical (they always are outside the lazy
     /// NTT interior).
     #[must_use]
-    pub fn shoup_rows(&self, basis: &RnsBasis) -> Vec<Vec<u64>> {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let zp = basis.zp(i);
-                row.iter().map(|&w| zp.shoup(w)).collect()
-            })
-            .collect()
+    pub fn shoup_rows(&self, basis: &RnsBasis) -> ShoupRows {
+        let row_len = self.coeffs.first().map_or(0, Vec::len);
+        let mut rows = crate::scratch::take_rows(self.coeffs.len(), row_len);
+        for (i, (dst, src)) in rows.iter_mut().zip(&self.coeffs).enumerate() {
+            let zp = basis.zp(i);
+            for (d, &w) in dst.iter_mut().zip(src) {
+                *d = zp.shoup(w);
+            }
+        }
+        ShoupRows { rows }
     }
 
     /// `self ∘= other` pointwise against a Shoup-prepared operand
@@ -502,7 +545,7 @@ impl RnsPoly {
         &mut self,
         basis: &RnsBasis,
         other: &RnsPoly,
-        other_shoup: &[Vec<u64>],
+        other_shoup: &ShoupRows,
     ) {
         assert!(self.is_ntt && other.is_ntt, "ring mul requires NTT domain");
         let be = simd::backend();
@@ -512,7 +555,7 @@ impl RnsPoly {
                 basis.zp(i).p(),
                 row,
                 &other.coeffs[i],
-                &other_shoup[i],
+                &other_shoup.rows[i],
             );
         }
     }
@@ -531,7 +574,7 @@ impl RnsPoly {
         basis: &RnsBasis,
         a: &RnsPoly,
         b: &RnsPoly,
-        b_shoup: &[Vec<u64>],
+        b_shoup: &ShoupRows,
     ) {
         assert!(
             self.is_ntt && a.is_ntt && b.is_ntt,
@@ -545,7 +588,7 @@ impl RnsPoly {
                 row,
                 &a.coeffs[i],
                 &b.coeffs[i],
-                &b_shoup[i],
+                &b_shoup.rows[i],
             );
         }
     }

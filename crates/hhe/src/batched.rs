@@ -26,6 +26,15 @@
 //! instead of scalar ones) but is amortized over `N` blocks — the
 //! throughput play of the original software, reproduced here.
 //!
+//! The weight and round-constant plaintexts are single-use (their slots
+//! carry per-block material of a nonce the service never accepts twice),
+//! so nothing about them is stored: each weight is batch-encoded,
+//! lifted, forward-transformed and multiplied into its row's
+//! accumulator inside the task that consumes it, then dropped — the
+//! software analogue of the paper's MatGen feeding MatMul row by row.
+//! The Shoup companions sit on the reused operand instead: each
+//! NTT-domain input ciphertext of a layer-half, which all `t` rows read.
+//!
 //! Unlike [`crate::packed`], this layout is *rotation-free*: state
 //! position `(i)` lives in its own ciphertext and slots only ever meet
 //! slot-wise, so there are no Galois key-switches for the hoisted-BSGS
@@ -33,10 +42,13 @@
 //! baby-step/giant-step machinery therefore applies only to the packed
 //! (position-in-lane) mode.
 
-use crate::cache::{BatchKey, BatchedEntry, BatchedHalf, BatchedLayer, BlockEntry, MaterialCache};
+use crate::cache::{BlockEntry, MaterialCache};
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
-use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
+use pasta_fhe::{
+    BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError,
+    PreparedCiphertext,
+};
 use std::sync::Arc;
 
 /// A transciphering server that processes up to `N` blocks per pass.
@@ -115,28 +127,6 @@ impl BatchedHheServer {
         self.encoder.slots()
     }
 
-    /// Builds the prepared plaintext material for one batch window:
-    /// per layer and half, the `t × t` slot-vector weights and `t`
-    /// round constants, batch-encoded and NTT-prepared once. The
-    /// `t × t` fan-out runs on the worker pool.
-    fn prepare_batch(
-        &self,
-        ctx: &BfvContext,
-        nonce: u128,
-        first_counter: u64,
-        blocks: usize,
-    ) -> BatchedEntry {
-        // Raw material and matrices come from the shared block section —
-        // the scalar and packed servers reuse the same entries.
-        let per_block: Vec<Arc<BlockEntry>> = (0..blocks)
-            .map(|s| {
-                self.cache
-                    .block(&self.params, nonce, first_counter + s as u64)
-            })
-            .collect();
-        prepare_slotted_material(ctx, &self.params, &self.encoder, &per_block)
-    }
-
     /// Homomorphically computes keystream blocks `first_counter ..
     /// first_counter + blocks` in one SIMD pass.
     ///
@@ -158,25 +148,19 @@ impl BatchedHheServer {
             )));
         }
         let t = self.params.t();
-
-        // Prepared plaintext material: encode + forward NTT paid once
-        // per (nonce, window), then served from the cache.
-        let key = BatchKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            nonce,
-            first_counter,
-            blocks,
-        };
-        let prepared = self.cache.batched(&key, || {
-            self.prepare_batch(ctx, nonce, first_counter, blocks)
-        });
-
+        // Slot s carries block first_counter + s.
+        let per_slot: Vec<Arc<BlockEntry>> = (0..blocks)
+            .map(|s| {
+                self.cache
+                    .block(&self.params, nonce, first_counter + s as u64)
+            })
+            .collect();
         let positions = eval_slotted_circuit(
             ctx,
             &self.params,
+            &self.encoder,
             &self.relin_key,
-            &prepared,
+            &per_slot,
             &self.encrypted_key.elements[..t],
             &self.encrypted_key.elements[t..],
         )?;
@@ -237,72 +221,13 @@ impl BatchedHheServer {
     }
 }
 
-/// Builds the prepared plaintext material for a slot-parallel pass over
-/// arbitrary per-slot block material: per layer and half, the `t × t`
-/// slot-vector weights and `t` round constants, batch-encoded and
-/// NTT-prepared once. Slot `s` carries `per_slot[s]`'s matrix entries —
-/// the slots need not share a nonce or counter window, which is what
-/// lets the cross-tenant multiplexer reuse this builder. The `t × t`
-/// fan-out runs on the worker pool.
-pub(crate) fn prepare_slotted_material(
-    ctx: &BfvContext,
-    params: &PastaParams,
-    encoder: &BatchEncoder,
-    per_slot: &[Arc<BlockEntry>],
-) -> BatchedEntry {
-    let t = params.t();
-    let layers = (0..params.affine_layers())
-        .map(|layer| {
-            let half = |is_left: bool| -> BatchedHalf {
-                let cells: Vec<usize> = (0..t * t).collect();
-                let weights = pasta_par::parallel_map(&cells, |_, &cell| {
-                    let (i, j) = (cell / t, cell % t);
-                    // Slot s carries block s's matrix entry (i, j).
-                    let slots: Vec<u64> = per_slot
-                        .iter()
-                        .map(|b| {
-                            let m = &b.matrices[layer];
-                            if is_left {
-                                m.left.get(i, j)
-                            } else {
-                                m.right.get(i, j)
-                            }
-                        })
-                        .collect();
-                    ctx.prepare_plaintext(&encoder.encode(&slots))
-                });
-                let rc = (0..t)
-                    .map(|i| {
-                        let slots: Vec<u64> = per_slot
-                            .iter()
-                            .map(|b| {
-                                let l = &b.material.layers[layer];
-                                if is_left {
-                                    l.rc_left[i]
-                                } else {
-                                    l.rc_right[i]
-                                }
-                            })
-                            .collect();
-                        ctx.prepare_plaintext(&encoder.encode(&slots))
-                    })
-                    .collect();
-                BatchedHalf { weights, rc }
-            };
-            BatchedLayer {
-                left: half(true),
-                right: half(false),
-            }
-        })
-        .collect();
-    BatchedEntry { layers }
-}
-
-/// Evaluates the slot-parallel PASTA keystream circuit from prepared
-/// material and initial key-state halves, returning the `t` left
-/// positions after the final affine layer. Shared by the homogeneous
-/// batched server and the cross-tenant multiplexer (which feeds a
-/// slot-masked composed key instead of one tenant's replicated key).
+/// Evaluates the slot-parallel PASTA keystream circuit over per-slot
+/// block material and initial key-state halves, returning the `t` left
+/// positions after the final affine layer. Slot `s` carries
+/// `per_slot[s]`'s affine material — the slots need not share a nonce or
+/// counter window, which is what lets the cross-tenant multiplexer (with
+/// a slot-masked composed key instead of one tenant's replicated key)
+/// share this evaluator with the homogeneous batched server.
 ///
 /// # Errors
 ///
@@ -311,8 +236,9 @@ pub(crate) fn prepare_slotted_material(
 pub(crate) fn eval_slotted_circuit(
     ctx: &BfvContext,
     params: &PastaParams,
+    encoder: &BatchEncoder,
     relin_key: &BfvRelinKey,
-    prepared: &BatchedEntry,
+    per_slot: &[Arc<BlockEntry>],
     initial_left: &[FheCiphertext],
     initial_right: &[FheCiphertext],
 ) -> Result<Vec<FheCiphertext>, FheError> {
@@ -321,46 +247,9 @@ pub(crate) fn eval_slotted_circuit(
     let mut left = initial_left.to_vec();
     let mut right = initial_right.to_vec();
 
-    for (layer, layer_prep) in prepared.layers.iter().enumerate() {
-        for is_left in [true, false] {
-            let half = if is_left { &left } else { &right };
-            let half_prep = if is_left {
-                &layer_prep.left
-            } else {
-                &layer_prep.right
-            };
-            if half.is_empty() {
-                return Err(FheError::Incompatible(
-                    "affine layer applied to an empty state half".into(),
-                ));
-            }
-            // Hoist the NTTs: each input ciphertext is converted
-            // once per layer instead of once per matrix entry.
-            let mut half_ntt = half.clone();
-            for ct in &mut half_ntt {
-                ctx.to_ntt_ct(ct);
-            }
-            let rows: Vec<usize> = (0..t).collect();
-            let out: Vec<FheCiphertext> =
-                pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
-                    let mut acc =
-                        ctx.mul_plain_prepared_ntt(&half_ntt[0], half_prep.weight(t, i, 0));
-                    for (j, ct) in half_ntt.iter().enumerate().skip(1) {
-                        ctx.add_mul_plain_ntt_assign(&mut acc, ct, half_prep.weight(t, i, j))?;
-                    }
-                    ctx.to_coeff_ct(&mut acc);
-                    // Batched round constant.
-                    ctx.add_plain_prepared_assign(&mut acc, &half_prep.rc[i]);
-                    Ok(acc)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            if is_left {
-                left = out;
-            } else {
-                right = out;
-            }
-        }
+    for layer in 0..params.affine_layers() {
+        left = affine_half(ctx, encoder, per_slot, layer, true, &left)?;
+        right = affine_half(ctx, encoder, per_slot, layer, false, &right)?;
 
         if layer < r {
             // Mix (slot-wise adds).
@@ -396,6 +285,55 @@ pub(crate) fn eval_slotted_circuit(
         }
     }
     Ok(left)
+}
+
+/// One slot-parallel affine layer-half: output row `i` is
+/// `Σ_j W_ij ⊙ x_j + rc_i`, where slot `s` of the plaintexts `W_ij` and
+/// `rc_i` carries block `s`'s matrix entry `(i, j)` and round constant
+/// `i`. Each input `x_j` is NTT- and Shoup-prepared once for the `t`
+/// rows that read it; each `W_ij` is encoded, multiplied once and
+/// dropped; `rc_i` enters as `Δ·m` only. The rows fan out across the
+/// worker pool.
+fn affine_half(
+    ctx: &BfvContext,
+    encoder: &BatchEncoder,
+    per_slot: &[Arc<BlockEntry>],
+    layer: usize,
+    is_left: bool,
+    half: &[FheCiphertext],
+) -> Result<Vec<FheCiphertext>, FheError> {
+    if half.is_empty() {
+        return Err(FheError::Incompatible(
+            "affine layer applied to an empty state half".into(),
+        ));
+    }
+    let inputs: Vec<PreparedCiphertext> =
+        pasta_par::parallel_map(half, |_, ct| ctx.prepare_ciphertext(ct.clone()));
+    let rows: Vec<usize> = (0..half.len()).collect();
+    pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
+        let mut slots = vec![0u64; per_slot.len()];
+        let mut acc = ctx.zero_ntt_ct();
+        for (j, x) in inputs.iter().enumerate() {
+            for (v, block) in slots.iter_mut().zip(per_slot) {
+                let m = &block.matrices[layer];
+                *v = if is_left {
+                    m.left.get(i, j)
+                } else {
+                    m.right.get(i, j)
+                };
+            }
+            ctx.add_mul_plain_assign(&mut acc, x, &encoder.encode(&slots))?;
+        }
+        ctx.to_coeff_ct(&mut acc);
+        for (v, block) in slots.iter_mut().zip(per_slot) {
+            let l = &block.material.layers[layer];
+            *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
+        }
+        ctx.add_plain_assign(&mut acc, &encoder.encode(&slots));
+        Ok(acc)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Provisions the PASTA key for the batched server: each key ciphertext
@@ -501,20 +439,16 @@ mod tests {
 
     #[test]
     fn warm_cache_pass_is_bit_exact() {
+        // Repeat-call determinism: the second call re-streams every
+        // weight plaintext (only the raw block material is cached) and
+        // must reproduce the first bit for bit.
         let w = setup();
-        let cold = w.server.keystream_batch(&w.ctx, 0xDD, 2, 3).unwrap();
-        let misses_after_cold = w.server.cache().stats().misses;
-        let warm = w.server.keystream_batch(&w.ctx, 0xDD, 2, 3).unwrap();
+        let first = w.server.keystream_batch(&w.ctx, 0xDD, 2, 3).unwrap();
+        let again = w.server.keystream_batch(&w.ctx, 0xDD, 2, 3).unwrap();
         assert_eq!(
-            cold.positions, warm.positions,
-            "cached plaintexts must be bit-exact"
+            first.positions, again.positions,
+            "streamed weights must be deterministic"
         );
-        let stats = w.server.cache().stats();
-        assert_eq!(
-            stats.misses, misses_after_cold,
-            "warm pass must not re-prepare"
-        );
-        assert!(stats.hits >= 1, "warm pass must hit the cache");
     }
 
     #[test]

@@ -2,51 +2,38 @@
 //!
 //! Everything the homomorphic PASTA evaluation consumes besides the
 //! encrypted key is *public* and a pure function of
-//! `(params, nonce, counter)`: the per-block affine matrices, the round
-//! constants, and — for the SIMD servers — their encodings as BFV
-//! plaintext polynomials. Deriving that material is not free: Keccak
-//! XOF squeezing and rejection sampling, matrix row recurrences, and
-//! (worst of all) one batch-encode plus forward NTT per plaintext
-//! operand. A server transciphering a stream re-derives identical
-//! material for every ciphertext that touches the same
-//! `(nonce, counter)` window.
+//! `(params, nonce, counter)`: the per-block affine matrices and round
+//! constants. Their BFV plaintext encodings (batch-encode, lift, forward
+//! NTT) are deliberately **not** cached: every server mode builds each
+//! such plaintext inside the task that consumes it and drops it after
+//! one multiply–accumulate, because a session nonce is never accepted
+//! twice — a cache keyed by it never hits, and keeping prepared
+//! polynomials resident cost gigabytes at the paper's parameters.
 //!
-//! [`MaterialCache`] memoizes five shapes of derived material behind
-//! small LRU sections:
+//! [`MaterialCache`] memoizes the two shapes that are small or do
+//! recur, behind small LRU sections:
 //!
 //! - **blocks** — [`BlockEntry`]: the raw [`BlockMaterial`] plus the
 //!   materialized per-layer matrices, keyed by
-//!   `(PastaParams, nonce, counter)`. Shared by all three server modes
-//!   (the SIMD builders read their matrix entries from here).
-//! - **batched** — [`BatchedEntry`]: per-layer, per-half `t × t`
-//!   [`PreparedPlaintext`] weights and `t` round-constant plaintexts for
-//!   the slot-parallel server, keyed additionally by the [`BfvParams`]
-//!   and the `(first_counter, blocks)` window.
-//! - **packed** — [`PackedEntry`]: the per-layer diagonal plaintexts
-//!   (naive per-diagonal, or plaintext-pre-rotated into baby-step/
-//!   giant-step groups — see [`PackedStrategy`]) and the concatenated
-//!   round constant for the rotation-based server.
+//!   `(PastaParams, nonce, counter)`. Shared by all server modes (the
+//!   SIMD evaluators read their per-slot matrix entries from here), and
+//!   a hit whenever one block is evaluated more than once — e.g. a
+//!   retransmitted frame transciphered again.
 //! - **composed keys** — [`ComposedKeyEntry`]: the slot-masked,
 //!   cross-tenant key ciphertexts of one multiplexing bucket
 //!   composition, keyed by [`CompositionKey`] (the ordered
-//!   `(tenant, blocks)` slot layout).
-//! - **slot material** — a [`BatchedEntry`] whose slot `s` carries an
-//!   *independent* `(nonce, counter)` coordinate, keyed by
-//!   [`SlotMaterialKey`] — the heterogeneous generalization of the
-//!   batched section used by the cross-tenant multiplexer.
+//!   `(tenant, blocks)` slot layout, which recurs under steady load).
 //!
-//! Every section is byte-budgeted: entries carry an approximate resident
-//! size (`approx_*_bytes`) and eviction fires on *either* the entry-count
-//! cap or the section's byte cap, so large prepared-plaintext shapes
-//! cannot evade a memory budget that was sized in block-entry units.
+//! Both sections are byte-budgeted: entries carry an approximate
+//! resident size (`approx_*_bytes`) and eviction fires on *either* the
+//! entry-count cap or the section's byte cap.
 //!
 //! Invalidation rules: entries never go stale — the material is a
 //! deterministic function of its key, so the only eviction is LRU
-//! capacity pressure. Keys embed the full [`PastaParams`] and (for
-//! prepared plaintexts) [`BfvParams`], so one cache instance can be
-//! shared by servers with different parameter sets, and by all three
-//! server modes at once (pass the same [`std::sync::Arc`] to each
-//! server's `with_cache`).
+//! capacity pressure. Keys embed the full [`PastaParams`] (and, for
+//! composed keys, [`BfvParams`]), so one cache instance can be shared
+//! by servers with different parameter sets, and by all server modes at
+//! once (pass the same [`std::sync::Arc`] to each server's `with_cache`).
 //!
 //! Concurrency: each section is guarded by a [`Mutex`]; a miss builds
 //! the entry while holding the section lock (deliberate — concurrent
@@ -57,7 +44,7 @@
 use pasta_core::matrix::RowGenerator;
 use pasta_core::permutation::{derive_block_material, BlockMaterial};
 use pasta_core::PastaParams;
-use pasta_fhe::{BfvParams, Ciphertext as FheCiphertext, PreparedPlaintext};
+use pasta_fhe::{BfvParams, Ciphertext as FheCiphertext};
 use pasta_math::linalg::Matrix;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -71,52 +58,6 @@ pub struct BlockKey {
     pub nonce: u128,
     /// Block counter.
     pub counter: u64,
-}
-
-/// Cache key for a batched (SIMD) window of prepared plaintexts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchKey {
-    /// The PASTA parameter set.
-    pub pasta: PastaParams,
-    /// The BFV parameters the plaintexts were encoded under (the RNS
-    /// basis and NTT tables are deterministic functions of these).
-    pub bfv: BfvParams,
-    /// Session nonce.
-    pub nonce: u128,
-    /// First block counter of the batch window.
-    pub first_counter: u64,
-    /// Number of blocks batched into the slots.
-    pub blocks: usize,
-}
-
-/// How the packed server groups the affine-layer diagonals (the choice
-/// changes what plaintext material must be prepared, so it is part of
-/// the cache key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackedStrategy {
-    /// One key-switch per nonzero diagonal: `2t − 1` rotations per
-    /// affine layer. The pre-BSGS reference path.
-    Naive,
-    /// Hoisted baby-step/giant-step grouping: `⌈√(2t)⌉ − 1` hoisted baby
-    /// rotations shared from one decomposition plus `⌈2t/⌈√(2t)⌉⌉ − 1`
-    /// giant rotations — O(√t) key-switches per layer.
-    #[default]
-    Bsgs,
-}
-
-/// Cache key for one packed (rotation-mode) block of prepared diagonals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedKey {
-    /// The PASTA parameter set.
-    pub pasta: PastaParams,
-    /// The BFV parameters the diagonals were encoded under.
-    pub bfv: BfvParams,
-    /// Session nonce.
-    pub nonce: u128,
-    /// Block counter.
-    pub counter: u64,
-    /// The diagonal grouping the material was prepared for.
-    pub strategy: PackedStrategy,
 }
 
 /// The two materialized matrices of one affine layer.
@@ -156,88 +97,6 @@ impl BlockEntry {
     }
 }
 
-/// One half of a batched affine layer, fully prepared.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchedHalf {
-    /// Row-major `t × t` weight plaintexts: slot `s` of `weights[i·t+j]`
-    /// holds block `s`'s matrix entry `(i, j)`, NTT-prepared.
-    pub weights: Vec<PreparedPlaintext>,
-    /// `rc[i]`: slot `s` holds block `s`'s round constant for row `i`.
-    pub rc: Vec<PreparedPlaintext>,
-}
-
-impl BatchedHalf {
-    /// The prepared weight for matrix entry `(i, j)` of a `t × t` layer.
-    #[must_use]
-    pub fn weight(&self, t: usize, i: usize, j: usize) -> &PreparedPlaintext {
-        &self.weights[i * t + j]
-    }
-}
-
-/// One batched affine layer: both halves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchedLayer {
-    /// Left-half weights and round constants.
-    pub left: BatchedHalf,
-    /// Right-half weights and round constants.
-    pub right: BatchedHalf,
-}
-
-/// All prepared plaintext material of one batched evaluation window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchedEntry {
-    /// `layers[l]` — the prepared material for affine layer `l`.
-    pub layers: Vec<BatchedLayer>,
-}
-
-/// One baby-step/giant-step group: every diagonal `k = shift + b` of
-/// the layer matrix, pre-rotated *in plaintext* by the group's giant
-/// shift so the homomorphic side applies one rotation for the whole
-/// group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BsgsGroup {
-    /// The giant rotation amount `g·B` applied once after the group's
-    /// multiply–accumulate.
-    pub shift: usize,
-    /// `diagonals[b]` is diagonal `shift + b` of the layer matrix,
-    /// lane-encoded at offset `shift` (the plaintext pre-rotation);
-    /// `None` marks an all-zero or out-of-range diagonal.
-    pub diagonals: Vec<Option<PreparedPlaintext>>,
-}
-
-/// The prepared affine-layer operands, shaped per [`PackedStrategy`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PackedAffine {
-    /// `diagonals[k]` for rotation amount `k ∈ 0..2t`; `None` marks an
-    /// all-zero diagonal (the evaluation skips the rotation entirely).
-    Naive(Vec<Option<PreparedPlaintext>>),
-    /// Giant-step groups over hoisted baby rotations.
-    Bsgs {
-        /// Baby-step count `B` (rotations `0..B` of the input are
-        /// produced from one hoisted decomposition).
-        baby_count: usize,
-        /// One group per giant step `g`, in ascending `g` order.
-        groups: Vec<BsgsGroup>,
-    },
-}
-
-/// One packed affine layer: the grouped diagonals of the block-diagonal
-/// matrix `diag(M_L, M_R)` plus the concatenated round constant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedLayer {
-    /// The prepared diagonal operands.
-    pub affine: PackedAffine,
-    /// `rc_left ‖ rc_right` encoded into lanes `0..2t`, prepared.
-    pub rc: PreparedPlaintext,
-}
-
-/// All prepared diagonal material of one packed block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedEntry {
-    /// `layers[l]` — the prepared material for affine layer `l`.
-    pub layers: Vec<PackedLayer>,
-}
-
 /// Cache key for one multiplexing-bucket key composition: the ordered
 /// slot layout of the bucket. Member `m` occupies `members[m].1` slots
 /// starting at the prefix sum of the earlier members' block counts.
@@ -263,21 +122,6 @@ pub struct CompositionKey {
 pub struct ComposedKeyEntry {
     /// Composed key ciphertexts `K_0 … K_{2t−1}`.
     pub elements: Vec<FheCiphertext>,
-}
-
-/// Cache key for heterogeneous per-slot batched material: slot `s`
-/// carries the affine material of coordinate `slots[s]` — unlike
-/// [`BatchKey`], the slots need not share a nonce or form a contiguous
-/// counter window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotMaterialKey {
-    /// The PASTA parameter set.
-    pub pasta: PastaParams,
-    /// The BFV parameters the plaintexts were encoded under.
-    pub bfv: BfvParams,
-    /// `(nonce, counter)` per occupied slot, in slot order (the
-    /// unoccupied tail is implicit).
-    pub slots: Vec<(u128, u64)>,
 }
 
 /// Hit/miss counters for one cache section (or the aggregate).
@@ -350,25 +194,15 @@ impl<K: PartialEq + Clone, V> Lru<K, V> {
 
 /// Default capacity of the raw block-material section.
 pub const DEFAULT_BLOCK_CAPACITY: usize = 256;
-/// Default capacity of the batched prepared-plaintext section (entries
-/// are large: `layers · 2 · (t² + t)` prepared polynomials each).
-pub const DEFAULT_BATCHED_CAPACITY: usize = 8;
-/// Default capacity of the packed prepared-diagonal section.
-pub const DEFAULT_PACKED_CAPACITY: usize = 64;
 /// Default capacity of the composed-key section (one entry per live
 /// bucket composition; compositions repeat under steady load).
 pub const DEFAULT_COMPOSED_CAPACITY: usize = 8;
-/// Default capacity of the heterogeneous slot-material section.
-pub const DEFAULT_SLOT_MATERIAL_CAPACITY: usize = 8;
 
 /// The shared plaintext-material cache (see the module docs).
 #[derive(Debug)]
 pub struct MaterialCache {
     blocks: Mutex<Lru<BlockKey, BlockEntry>>,
-    batched: Mutex<Lru<BatchKey, BatchedEntry>>,
-    packed: Mutex<Lru<PackedKey, PackedEntry>>,
     composed: Mutex<Lru<CompositionKey, ComposedKeyEntry>>,
-    slot_material: Mutex<Lru<SlotMaterialKey, BatchedEntry>>,
 }
 
 impl Default for MaterialCache {
@@ -389,44 +223,32 @@ impl MaterialCache {
     /// A cache with the default per-section capacities.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacities(
-            DEFAULT_BLOCK_CAPACITY,
-            DEFAULT_BATCHED_CAPACITY,
-            DEFAULT_PACKED_CAPACITY,
-        )
+        Self::with_capacities(DEFAULT_BLOCK_CAPACITY, DEFAULT_COMPOSED_CAPACITY)
     }
 
     /// A cache with explicit per-section entry capacities (each clamped
-    /// to at least one entry; byte caps unbounded). The multiplexer
-    /// sections get their default capacities.
+    /// to at least one entry; byte caps unbounded).
     #[must_use]
-    pub fn with_capacities(blocks: usize, batched: usize, packed: usize) -> Self {
+    pub fn with_capacities(blocks: usize, composed: usize) -> Self {
         MaterialCache {
             blocks: Mutex::new(Lru::new(blocks, usize::MAX)),
-            batched: Mutex::new(Lru::new(batched, usize::MAX)),
-            packed: Mutex::new(Lru::new(packed, usize::MAX)),
-            composed: Mutex::new(Lru::new(DEFAULT_COMPOSED_CAPACITY, usize::MAX)),
-            slot_material: Mutex::new(Lru::new(DEFAULT_SLOT_MATERIAL_CAPACITY, usize::MAX)),
+            composed: Mutex::new(Lru::new(composed, usize::MAX)),
         }
     }
 
-    /// A cache bounded by an approximate total byte budget, split across
-    /// the sections (blocks ¼, batched ¼, packed ¼, composed keys ⅛,
-    /// slot material ⅛). Entry counts are generous — the byte caps
-    /// govern — and every section keeps at least its most recent entry,
-    /// so a starved budget degrades to single-entry memoization instead
-    /// of breaking.
+    /// A cache bounded by an approximate total byte budget: blocks get
+    /// ¼, composed keys ¾ (a composed entry is `2t` ciphertexts, two
+    /// orders of magnitude larger than a block entry). Entry counts are
+    /// generous — the byte caps govern — and every section keeps at
+    /// least its most recent entry, so a starved budget degrades to
+    /// single-entry memoization instead of breaking.
     #[must_use]
     pub fn with_budget(budget_bytes: usize) -> Self {
         let budget = budget_bytes.max(1);
         let quarter = (budget / 4).max(1);
-        let eighth = (budget / 8).max(1);
         MaterialCache {
             blocks: Mutex::new(Lru::new(4096, quarter)),
-            batched: Mutex::new(Lru::new(1024, quarter)),
-            packed: Mutex::new(Lru::new(1024, quarter)),
-            composed: Mutex::new(Lru::new(1024, eighth)),
-            slot_material: Mutex::new(Lru::new(1024, eighth)),
+            composed: Mutex::new(Lru::new(1024, (budget - quarter).max(1))),
         }
     }
 
@@ -444,26 +266,6 @@ impl MaterialCache {
             .get_or_insert_with(&key, bytes, || BlockEntry::derive(params, nonce, counter))
     }
 
-    /// The batched prepared material for `key`, built by `build` on a
-    /// miss (the builder runs under the section lock; see module docs).
-    #[must_use]
-    pub fn batched(
-        &self,
-        key: &BatchKey,
-        build: impl FnOnce() -> BatchedEntry,
-    ) -> Arc<BatchedEntry> {
-        let bytes = approx_batched_entry_bytes(&key.pasta, &key.bfv);
-        lock(&self.batched).get_or_insert_with(key, bytes, build)
-    }
-
-    /// The packed prepared material for `key`, built by `build` on a
-    /// miss.
-    #[must_use]
-    pub fn packed(&self, key: &PackedKey, build: impl FnOnce() -> PackedEntry) -> Arc<PackedEntry> {
-        let bytes = approx_packed_entry_bytes(&key.pasta, &key.bfv);
-        lock(&self.packed).get_or_insert_with(key, bytes, build)
-    }
-
     /// The composed cross-tenant key for one bucket layout, built by
     /// `build` on a miss.
     #[must_use]
@@ -476,44 +278,20 @@ impl MaterialCache {
         lock(&self.composed).get_or_insert_with(key, bytes, build)
     }
 
-    /// The heterogeneous per-slot batched material for `key`, built by
-    /// `build` on a miss.
-    #[must_use]
-    pub fn slot_material(
-        &self,
-        key: &SlotMaterialKey,
-        build: impl FnOnce() -> BatchedEntry,
-    ) -> Arc<BatchedEntry> {
-        let bytes = approx_batched_entry_bytes(&key.pasta, &key.bfv);
-        lock(&self.slot_material).get_or_insert_with(key, bytes, build)
-    }
-
-    /// Aggregate hit/miss counters across all five sections.
+    /// Aggregate hit/miss counters across both sections.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let sections = [
-            lock(&self.blocks).stats(),
-            lock(&self.batched).stats(),
-            lock(&self.packed).stats(),
-            lock(&self.composed).stats(),
-            lock(&self.slot_material).stats(),
-        ];
-        let mut out = CacheStats::default();
-        for s in sections {
-            out.hits += s.hits;
-            out.misses += s.misses;
+        let (b, c) = (lock(&self.blocks).stats(), lock(&self.composed).stats());
+        CacheStats {
+            hits: b.hits + c.hits,
+            misses: b.misses + c.misses,
         }
-        out
     }
 
-    /// Approximate resident bytes across all five sections.
+    /// Approximate resident bytes across both sections.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        lock(&self.blocks).bytes
-            + lock(&self.batched).bytes
-            + lock(&self.packed).bytes
-            + lock(&self.composed).bytes
-            + lock(&self.slot_material).bytes
+        lock(&self.blocks).bytes + lock(&self.composed).bytes
     }
 }
 
@@ -530,39 +308,11 @@ pub fn approx_block_entry_bytes(params: &PastaParams) -> usize {
     layers * (2 * t * t + 4 * t) * 8
 }
 
-/// Approximate resident size (bytes) of one [`PreparedPlaintext`]: `N`
-/// coefficients across `prime_count` RNS limbs of 8 bytes each, times
-/// three resident arrays (the NTT-domain rows, their Shoup companions
-/// precomputed for the SIMD multiply kernels, and `Δ·m`).
-#[must_use]
-pub fn approx_prepared_plaintext_bytes(bfv: &BfvParams) -> usize {
-    3 * bfv.n * bfv.prime_count * 8
-}
-
 /// Approximate resident size (bytes) of one BFV ciphertext (two ring
 /// elements in RNS form).
 #[must_use]
 pub fn approx_ciphertext_bytes(bfv: &BfvParams) -> usize {
     2 * bfv.n * bfv.prime_count * 8
-}
-
-/// Approximate resident size (bytes) of one [`BatchedEntry`] (also the
-/// slot-material shape): per layer and half, `t² + t` prepared
-/// plaintexts.
-#[must_use]
-pub fn approx_batched_entry_bytes(params: &PastaParams, bfv: &BfvParams) -> usize {
-    let t = params.t();
-    let layers = params.rounds() + 1;
-    layers * 2 * (t * t + t) * approx_prepared_plaintext_bytes(bfv)
-}
-
-/// Approximate resident size (bytes) of one [`PackedEntry`]: per layer,
-/// up to `2t` prepared diagonals plus the round-constant plaintext.
-#[must_use]
-pub fn approx_packed_entry_bytes(params: &PastaParams, bfv: &BfvParams) -> usize {
-    let t = params.t();
-    let layers = params.rounds() + 1;
-    layers * (2 * t + 1) * approx_prepared_plaintext_bytes(bfv)
 }
 
 /// Approximate resident size (bytes) of one [`ComposedKeyEntry`]: `2t`
@@ -577,9 +327,9 @@ pub fn approx_composed_key_bytes(params: &PastaParams, bfv: &BfvParams) -> usize
 pub struct ShardedCacheConfig {
     /// Total memory budget (bytes) across all resident tenant shards.
     /// Each shard is a [`MaterialCache::with_budget`] of the slice
-    /// `budget_bytes / max_resident`, so *every* cache shape — raw block
-    /// entries, batched/packed prepared plaintexts, and the multiplexer's
-    /// composed keys and slot material — counts against the budget.
+    /// `budget_bytes / max_resident`, so both cache shapes — raw block
+    /// entries and the multiplexer's composed keys — count against the
+    /// budget.
     pub budget_bytes: usize,
     /// Maximum number of tenant shards kept resident; the least recently
     /// used shard beyond this is evicted whole.
@@ -733,7 +483,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let cache = MaterialCache::with_capacities(2, 1, 1);
+        let cache = MaterialCache::with_capacities(2, 1);
         let a0 = cache.block(&params(), 1, 0);
         let _ = cache.block(&params(), 1, 1);
         // Touch counter 0 so counter 1 is the LRU victim.
@@ -812,43 +562,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_entries_count_against_the_byte_budget() {
+    fn composed_keys_count_against_the_byte_budget() {
         let p = params();
         let bfv = BfvParams::test_tiny();
-        let per_batched = approx_batched_entry_bytes(&p, &bfv);
-        // A budget whose batched slice (¼) holds exactly one batched
-        // entry: a batched-heavy tenant must evict its older windows
-        // instead of accumulating them invisibly.
+        let per_composed = approx_composed_key_bytes(&p, &bfv);
+        // A budget whose composed-key slice (¾) holds exactly one
+        // entry: a new bucket layout must evict the older one instead of
+        // accumulating compositions invisibly.
         let sharded = ShardedCache::new(ShardedCacheConfig {
-            budget_bytes: per_batched * 6,
+            budget_bytes: per_composed * 4 / 3 + 4,
             max_resident: 1,
         });
         let shard = sharded.shard(3);
-        let key = |first_counter: u64| BatchKey {
+        let key = |blocks: usize| CompositionKey {
             pasta: p,
             bfv,
-            nonce: 5,
-            first_counter,
-            blocks: 2,
+            members: vec![(1, blocks), (2, 3)],
         };
-        let entry = || BatchedEntry { layers: Vec::new() };
-        let a = shard.batched(&key(0), entry);
-        let _ = shard.batched(&key(2), entry); // evicts window 0 (bytes)
-        assert!(shard.approx_bytes() <= per_batched * 6);
-        let misses = shard.stats().misses;
-        let a_again = shard.batched(&key(0), entry);
-        assert_eq!(shard.stats().misses, misses + 1, "window 0 was evicted");
-        assert!(!Arc::ptr_eq(&a, &a_again));
-        // Composed-key entries are sized too.
-        let comp = CompositionKey {
-            pasta: p,
-            bfv,
-            members: vec![(1, 2), (2, 3)],
-        };
-        let _ = shard.composed_key(&comp, || ComposedKeyEntry {
+        let entry = || ComposedKeyEntry {
             elements: Vec::new(),
-        });
-        assert!(shard.approx_bytes() >= approx_composed_key_bytes(&p, &bfv));
+        };
+        let a = shard.composed_key(&key(2), entry);
+        let _ = shard.composed_key(&key(4), entry); // evicts layout 2 (bytes)
+        assert_eq!(shard.approx_bytes(), per_composed);
+        let misses = shard.stats().misses;
+        let a_again = shard.composed_key(&key(2), entry);
+        assert_eq!(shard.stats().misses, misses + 1, "layout 2 was evicted");
+        assert!(!Arc::ptr_eq(&a, &a_again));
     }
 
     #[test]

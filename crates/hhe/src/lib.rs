@@ -16,9 +16,10 @@
 //!   rotation/diagonal method);
 //! - [`link`]: the §V communication model (ciphertext sizes, 5G
 //!   bandwidths, video frames/s) regenerating Fig. 8;
-//! - [`cache`]: the shared plaintext-material cache memoizing derived
-//!   matrices, round constants and their NTT-prepared encodings across
-//!   transciphering calls.
+//! - [`cache`]: the shared material cache memoizing derived block
+//!   matrices and round constants, and the mux's composed keys, across
+//!   transciphering calls (the single-use plaintext encodings are
+//!   streamed, never stored).
 //!
 //! # Examples
 //!
@@ -61,11 +62,11 @@ pub mod server;
 
 pub use batched::{provision_batched_key, BatchedHheServer};
 pub use cache::{
-    approx_batched_entry_bytes, approx_block_entry_bytes, approx_composed_key_bytes,
-    approx_packed_entry_bytes, MaterialCache, PackedStrategy, ShardedCache, ShardedCacheConfig,
+    approx_block_entry_bytes, approx_composed_key_bytes, MaterialCache, ShardedCache,
+    ShardedCacheConfig,
 };
 pub use client::{EncryptedPastaKey, HheClient};
 pub use link::{figure8, Fig8Point, PastaLink, Resolution, RiseReference};
 pub use mux::{retrieve_muxed, MuxHheServer, MuxMember, MuxedBlocks, SlotRange};
-pub use packed::{required_shifts, BsgsPlan, PackedHheServer};
+pub use packed::{required_shifts, BsgsPlan, PackedHheServer, PackedStrategy};
 pub use server::HheServer;

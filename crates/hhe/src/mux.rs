@@ -24,10 +24,10 @@
 //!   public functions of `(params, nonce, counter)`; the batched
 //!   plaintexts are already per-slot, so slot `s` simply takes the
 //!   material of the member block assigned to it (heterogeneous nonces
-//!   and counters are fine — see
-//!   [`crate::cache::SlotMaterialKey`]).
+//!   and counters are fine).
 //! - **One pass.** The composed key and heterogeneous material feed the
-//!   exact same slot-parallel circuit as the batched server; results
+//!   exact same slot-parallel circuit as the batched server, which
+//!   streams every weight plaintext (see [`crate::batched`]); results
 //!   demux back to members by slot range.
 //!
 //! **Trust prerequisite:** every member's key must be encrypted under
@@ -35,14 +35,19 @@
 //! are summed. The service layer enforces this by only multiplexing
 //! tenants that registered into the same *FHE domain*.
 //!
-//! Both the composed key (per bucket layout) and the per-slot material
-//! (per slot coordinate vector) are memoized in the shared
-//! [`MaterialCache`], so steady-state buckets with recurring
-//! compositions pay the masking multiplies and the encode+NTT work
-//! once.
+//! The composition runs in the NTT domain: each distinct tenant's key is
+//! forward-transformed once per pass, every member's mask (Shoup-prepared,
+//! since all `2t` key elements read it) is multiplied in and
+//! accumulated, and each composed element is transformed back once. One
+//! mask per member, not one per tenant: a tenant with two sessions in
+//! the bucket gets two masked terms, exactly as the coefficient-domain
+//! sum of per-member products would, so the composed key is
+//! bit-identical to it. The result is memoized per bucket layout in the
+//! shared [`MaterialCache`], so steady-state buckets with recurring
+//! compositions pay the masking multiplies once.
 
-use crate::batched::{eval_slotted_circuit, prepare_slotted_material};
-use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache, SlotMaterialKey};
+use crate::batched::eval_slotted_circuit;
+use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
@@ -233,15 +238,37 @@ impl MuxHheServer {
                     ctx.prepare_plaintext(&self.encoder.encode(&slots))
                 })
                 .collect();
+            // `owner[m]` indexes member m's tenant among the distinct
+            // tenants, whose keys are transformed once per element.
+            let mut tenants: Vec<(u64, &EncryptedPastaKey)> = Vec::new();
+            let owner: Vec<usize> = members
+                .iter()
+                .map(|m| {
+                    tenants
+                        .iter()
+                        .position(|&(id, _)| id == m.tenant)
+                        .unwrap_or_else(|| {
+                            tenants.push((m.tenant, m.encrypted_key));
+                            tenants.len() - 1
+                        })
+                })
+                .collect();
             let js: Vec<usize> = (0..state).collect();
             let elements =
                 pasta_par::parallel_map(&js, |_, &j| -> Result<FheCiphertext, FheError> {
-                    let mut acc =
-                        ctx.mul_plain_prepared(&members[0].encrypted_key.elements[j], &masks[0]);
-                    for (m, mask) in members.iter().zip(&masks).skip(1) {
-                        let masked = ctx.mul_plain_prepared(&m.encrypted_key.elements[j], mask);
-                        ctx.add_assign(&mut acc, &masked)?;
+                    let keys: Vec<FheCiphertext> = tenants
+                        .iter()
+                        .map(|(_, key)| {
+                            let mut ct = key.elements[j].clone();
+                            ctx.to_ntt_ct(&mut ct);
+                            ct
+                        })
+                        .collect();
+                    let mut acc = ctx.mul_plain_prepared_ntt(&keys[owner[0]], &masks[0]);
+                    for (&o, mask) in owner.iter().zip(&masks).skip(1) {
+                        ctx.add_mul_plain_ntt_assign(&mut acc, &keys[o], mask)?;
                     }
+                    ctx.to_coeff_ct(&mut acc);
                     Ok(acc)
                 })
                 .into_iter()
@@ -285,32 +312,20 @@ impl MuxHheServer {
 
         let composed = self.composed_key(ctx, members, &ranges, slots_used)?;
 
-        // Slot s of the material carries the (nonce, counter) coordinate
-        // of the member block assigned to s.
-        let mut slots: Vec<(u128, u64)> = Vec::with_capacity(slots_used);
-        for (m, r) in members.iter().zip(&ranges) {
-            for b in 0..r.blocks {
-                slots.push((m.ct.nonce(), b as u64));
-            }
-        }
-        let material_key = SlotMaterialKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            slots: slots.clone(),
-        };
-        let prepared = self.cache.slot_material(&material_key, || {
-            let per_slot: Vec<Arc<BlockEntry>> = slots
-                .iter()
-                .map(|&(nonce, counter)| self.cache.block(&self.params, nonce, counter))
-                .collect();
-            prepare_slotted_material(ctx, &self.params, &self.encoder, &per_slot)
-        });
-
+        // Slot s carries the material of the member block assigned to s.
+        let per_slot: Vec<Arc<BlockEntry>> = members
+            .iter()
+            .zip(&ranges)
+            .flat_map(|(m, r)| {
+                (0..r.blocks).map(|b| self.cache.block(&self.params, m.ct.nonce(), b as u64))
+            })
+            .collect();
         let ks = eval_slotted_circuit(
             ctx,
             &self.params,
+            &self.encoder,
             &self.relin_key,
-            &prepared,
+            &per_slot,
             &composed.elements[..t],
             &composed.elements[t..],
         )?;

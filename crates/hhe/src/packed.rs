@@ -24,9 +24,8 @@
 //! - **baby-step/giant-step**: writing `k = g·B + b` with
 //!   `B = ⌈√(2t)⌉`, `M·v = Σ_g rot_{gB}(Σ_b E_{g,b} ⊙ rot_b(dup))`
 //!   where `E_{g,b}` is diagonal `gB + b` pre-rotated *in plaintext* by
-//!   `gB` (prepared once per block in [`MaterialCache`]) — so a layer
-//!   needs `B − 1` baby plus `⌈2t/B⌉ − 1` giant rotations, O(√t)
-//!   key-switches instead of `2t − 1`;
+//!   `gB` — so a layer needs `B − 1` baby plus `⌈2t/B⌉ − 1` giant
+//!   rotations, O(√t) key-switches instead of `2t − 1`;
 //! - **hoisting**: the baby rotations all act on the *same* input, so
 //!   its key-switch digit decomposition and forward NTTs are computed
 //!   once ([`BfvContext::hoist`]) and each baby rotation degenerates to
@@ -38,6 +37,11 @@
 //! ciphertexts that decrypt identically, and each is bit-deterministic
 //! for any `PASTA_THREADS` and any cache state.
 //!
+//! The diagonal plaintexts are single-use: each is lane-encoded, lifted
+//! and forward-transformed inside the task that multiplies it, then
+//! dropped. The Shoup companions sit on the operand that is reused —
+//! each baby rotation, which every giant group reads.
+//!
 //! Correctness leans on one invariant: after every affine layer the
 //! state is **masked** (zero outside lanes `0..2t`), so the garbage that
 //! rotations drag in from other lanes/orbits is always cleared before it
@@ -45,19 +49,34 @@
 //! zero outside lanes `gB..gB+2t`, so each group's term is zero outside
 //! lanes `0..2t` after its giant rotation.
 
-use crate::cache::{
-    BsgsGroup, MaterialCache, PackedAffine, PackedEntry, PackedKey, PackedLayer, PackedStrategy,
-};
+use crate::cache::MaterialCache;
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvGaloisKey, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext,
-    FheError, Plaintext, PreparedPlaintext,
+    FheError, Plaintext, PreparedCiphertext, PreparedPlaintext,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// How the packed server groups the affine-layer diagonals into
+/// rotations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PackedStrategy {
+    /// One key-switch per nonzero diagonal: `2t − 1` rotations per
+    /// affine layer. The pre-BSGS reference path.
+    Naive,
+    /// Hoisted baby-step/giant-step grouping: `⌈√(2t)⌉ − 1` hoisted baby
+    /// rotations shared from one decomposition plus `⌈2t/⌈√(2t)⌉⌉ − 1`
+    /// giant rotations — O(√t) key-switches per layer.
+    #[default]
+    Bsgs,
+}
+
+/// The `2t × 2t` matrix of one affine layer, as an entry lookup.
+type LayerMatrix<'a> = dyn Fn(usize, usize) -> u64 + Sync + 'a;
 
 /// The lane coordinate system: consecutive positions along the orbit of
 /// slot 0 under `σ_3`.
@@ -380,113 +399,35 @@ impl PackedHheServer {
         ctx.mul_plain(ct, &pt)
     }
 
-    /// Prepares the diagonal operands of one affine layer for the given
-    /// strategy. `bd(row, col)` is the `2t × 2t` layer matrix.
-    ///
-    /// Diagonal `k` is `diag_k[j] = bd(j, (j + k) mod 2t)`. The naive
-    /// shape encodes each at lane offset 0; the BSGS shape encodes
-    /// diagonal `k = g·B + b` at lane offset `g·B` — the plaintext
-    /// pre-rotation that lets one giant rotation serve the whole group.
-    /// The per-diagonal fan-out runs on the worker pool.
-    fn prepare_affine(
-        &self,
-        ctx: &BfvContext,
-        bd: &(dyn Fn(usize, usize) -> u64 + Sync),
-        strategy: PackedStrategy,
-    ) -> PackedAffine {
+    /// The nonzero diagonals of the `2t × 2t` layer matrix `bd`:
+    /// `diag_k[j] = bd(j, (j + k) mod 2t)`, `None` where all-zero (the
+    /// evaluation then skips that rotation/product entirely).
+    fn diagonals(&self, bd: &LayerMatrix<'_>) -> Vec<Option<Vec<u64>>> {
         let width = 2 * self.params.t();
-        let diag_values =
-            |k: usize| -> Vec<u64> { (0..width).map(|j| bd(j, (j + k) % width)).collect() };
-        let prepare = |diag: &[u64], offset: usize| -> Option<PreparedPlaintext> {
-            if diag.iter().all(|&d| d == 0) {
-                None
-            } else {
-                let pt = self.layout.encode_lanes(&self.encoder, diag, offset);
-                Some(ctx.prepare_plaintext(&pt))
-            }
-        };
-        match strategy {
-            PackedStrategy::Naive => {
-                let shifts: Vec<usize> = (0..width).collect();
-                PackedAffine::Naive(pasta_par::parallel_map(&shifts, |_, &k| {
-                    prepare(&diag_values(k), 0)
-                }))
-            }
-            PackedStrategy::Bsgs => {
-                let plan = BsgsPlan::new(self.params.t());
-                let giants: Vec<usize> = (0..plan.giant).collect();
-                let groups = pasta_par::parallel_map(&giants, |_, &g| {
-                    let shift = g * plan.baby;
-                    let diagonals = (0..plan.baby)
-                        .map(|b| {
-                            let k = shift + b;
-                            if k >= width {
-                                None
-                            } else {
-                                prepare(&diag_values(k), shift)
-                            }
-                        })
-                        .collect();
-                    BsgsGroup { shift, diagonals }
-                });
-                PackedAffine::Bsgs {
-                    baby_count: plan.baby,
-                    groups,
-                }
-            }
-        }
-    }
-
-    /// Builds the prepared diagonal material for one packed block: per
-    /// layer, the (strategy-shaped) diagonals of `diag(M_L, M_R)` and
-    /// the concatenated round constant, lane-encoded and NTT-prepared.
-    fn prepare_packed(&self, ctx: &BfvContext, nonce: u128, counter: u64) -> PackedEntry {
-        let t = self.params.t();
-        let block = self.cache.block(&self.params, nonce, counter);
-        let layers = block
-            .material
-            .layers
-            .iter()
-            .zip(block.matrices.iter())
-            .map(|(layer, mats)| {
-                // Block-diagonal matrix BD = diag(M_L, M_R).
-                let bd = |row: usize, col: usize| -> u64 {
-                    if row < t && col < t {
-                        mats.left.get(row, col)
-                    } else if row >= t && col >= t {
-                        mats.right.get(row - t, col - t)
-                    } else {
-                        0
-                    }
-                };
-                let affine = self.prepare_affine(ctx, &bd, self.strategy);
-                let mut rc = layer.rc_left.clone();
-                rc.extend_from_slice(&layer.rc_right);
-                let rc = ctx.prepare_plaintext(&self.layout.encode_lanes(&self.encoder, &rc, 0));
-                PackedLayer { affine, rc }
+        (0..width)
+            .map(|k| {
+                let diag: Vec<u64> = (0..width).map(|j| bd(j, (j + k) % width)).collect();
+                diag.iter().any(|&d| d != 0).then_some(diag)
             })
-            .collect();
-        PackedEntry { layers }
+            .collect()
     }
 
     /// Evaluates one affine layer the pre-BSGS way: one key-switch per
-    /// nonzero diagonal. Returns the coefficient-domain accumulator, or
+    /// nonzero diagonal, each diagonal lane-encoded at offset 0 and
+    /// multiplied once. Returns the coefficient-domain accumulator, or
     /// `None` if every diagonal was zero.
     fn eval_affine_naive(
         &self,
         ctx: &BfvContext,
-        diagonals: &[Option<PreparedPlaintext>],
+        bd: &LayerMatrix<'_>,
         dup: &FheCiphertext,
     ) -> Result<Option<FheCiphertext>, FheError> {
         let mut acc: Option<FheCiphertext> = None;
-        for (k, diag) in diagonals.iter().enumerate() {
+        for (k, diag) in self.diagonals(bd).iter().enumerate() {
             let Some(diag) = diag else { continue };
-            let mut rotated = self.rotate(ctx, dup, k)?.into_owned();
-            ctx.to_ntt_ct(&mut rotated);
-            match acc.as_mut() {
-                None => acc = Some(ctx.mul_plain_prepared_ntt(&rotated, diag)),
-                Some(a) => ctx.add_mul_plain_ntt_assign(a, &rotated, diag)?,
-            }
+            let rotated = ctx.prepare_ciphertext(self.rotate(ctx, dup, k)?.into_owned());
+            let pt = self.layout.encode_lanes(&self.encoder, diag, 0);
+            ctx.add_mul_plain_assign(acc.get_or_insert_with(|| ctx.zero_ntt_ct()), &rotated, &pt)?;
         }
         if let Some(a) = acc.as_mut() {
             ctx.to_coeff_ct(a);
@@ -498,60 +439,69 @@ impl PackedHheServer {
     ///
     /// 1. hoist `dup` once (one digit decomposition + forward NTTs);
     /// 2. produce the `B` baby rotations from it (fanned over the worker
-    ///    pool; each is a slot permutation + multiply–accumulate);
-    /// 3. per giant group, multiply–accumulate the pre-rotated diagonal
-    ///    plaintexts against the babies and apply one giant rotation
-    ///    (groups fanned over the worker pool);
+    ///    pool; each is a slot permutation + multiply–accumulate) and
+    ///    Shoup-prepare each, since every giant group reads it;
+    /// 3. per giant group `g`, encode each diagonal `k = g·B + b` at lane
+    ///    offset `g·B` (the plaintext pre-rotation that lets one giant
+    ///    rotation serve the whole group), multiply–accumulate it against
+    ///    baby `b` and drop it, then apply the giant rotation (groups
+    ///    fanned over the worker pool);
     /// 4. sum the group terms serially in ascending group order, so the
     ///    result is bit-identical for any `PASTA_THREADS`.
     fn eval_affine_bsgs(
         &self,
         ctx: &BfvContext,
-        baby_count: usize,
-        groups: &[BsgsGroup],
+        bd: &LayerMatrix<'_>,
         dup: &FheCiphertext,
     ) -> Result<Option<FheCiphertext>, FheError> {
+        let plan = BsgsPlan::new(self.params.t());
+        let diagonals = self.diagonals(bd);
+        let diagonal =
+            |g: usize, b: usize| diagonals.get(g * plan.baby + b).and_then(Option::as_ref);
         // A baby rotation is only worth computing if some group uses it.
-        let needed: Vec<bool> = (0..baby_count)
-            .map(|b| groups.iter().any(|grp| grp.diagonals[b].is_some()))
+        let needed: Vec<bool> = (0..plan.baby)
+            .map(|b| (0..plan.giant).any(|g| diagonal(g, b).is_some()))
             .collect();
         let hoisted = ctx.hoist(dup)?;
-        let baby_shifts: Vec<usize> = (0..baby_count).collect();
-        let babies: Vec<Option<FheCiphertext>> =
+        let baby_shifts: Vec<usize> = (0..plan.baby).collect();
+        let babies: Vec<Option<PreparedCiphertext>> =
             pasta_par::parallel_map(&baby_shifts, |_, &b| -> Result<_, FheError> {
                 if !needed[b] {
                     return Ok(None);
                 }
-                if b == 0 {
-                    let mut ct = dup.clone();
-                    ctx.to_ntt_ct(&mut ct);
-                    return Ok(Some(ct));
-                }
-                self.key_switches.fetch_add(1, Ordering::Relaxed);
-                ctx.apply_galois_hoisted(&hoisted, self.rot_key(b)?)
-                    .map(Some)
+                let baby = if b == 0 {
+                    dup.clone()
+                } else {
+                    self.key_switches.fetch_add(1, Ordering::Relaxed);
+                    ctx.apply_galois_hoisted(&hoisted, self.rot_key(b)?)?
+                };
+                Ok(Some(ctx.prepare_ciphertext(baby)))
             })
             .into_iter()
             .collect::<Result<_, _>>()?;
+        let giants: Vec<usize> = (0..plan.giant).collect();
         let terms: Vec<Option<FheCiphertext>> =
-            pasta_par::parallel_map(groups, |_, grp| -> Result<_, FheError> {
+            pasta_par::parallel_map(&giants, |_, &g| -> Result<_, FheError> {
+                let shift = g * plan.baby;
                 let mut acc: Option<FheCiphertext> = None;
-                for (b, diag) in grp.diagonals.iter().enumerate() {
-                    let Some(diag) = diag else { continue };
-                    let baby = babies[b].as_ref().ok_or_else(|| {
+                for (b, baby) in babies.iter().enumerate() {
+                    let Some(diag) = diagonal(g, b) else { continue };
+                    let baby = baby.as_ref().ok_or_else(|| {
                         FheError::Incompatible(
                             "BSGS baby rotation missing for a used diagonal".into(),
                         )
                     })?;
-                    match acc.as_mut() {
-                        None => acc = Some(ctx.mul_plain_prepared_ntt(baby, diag)),
-                        Some(a) => ctx.add_mul_plain_ntt_assign(a, baby, diag)?,
-                    }
+                    let pt = self.layout.encode_lanes(&self.encoder, diag, shift);
+                    ctx.add_mul_plain_assign(
+                        acc.get_or_insert_with(|| ctx.zero_ntt_ct()),
+                        baby,
+                        &pt,
+                    )?;
                 }
                 let Some(mut acc) = acc else { return Ok(None) };
                 ctx.to_coeff_ct(&mut acc);
-                if grp.shift != 0 {
-                    acc = self.rotate(ctx, &acc, grp.shift)?.into_owned();
+                if shift != 0 {
+                    acc = self.rotate(ctx, &acc, shift)?.into_owned();
                 }
                 Ok(Some(acc))
             })
@@ -584,7 +534,6 @@ impl PackedHheServer {
     /// # Errors
     ///
     /// Propagates FHE errors.
-    #[allow(clippy::too_many_lines)]
     pub fn keystream_packed(
         &self,
         ctx: &BfvContext,
@@ -593,36 +542,42 @@ impl PackedHheServer {
     ) -> Result<FheCiphertext, FheError> {
         let t = self.params.t();
         let r = self.params.rounds();
-        let key = PackedKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            nonce,
-            counter,
-            strategy: self.strategy,
-        };
-        let prepared = self
-            .cache
-            .packed(&key, || self.prepare_packed(ctx, nonce, counter));
+        let block = self.cache.block(&self.params, nonce, counter);
 
         // The provisioned key ciphertext is already masked to lanes 0..2t.
         let mut state = self.encrypted_key.clone();
-        for (i, layer) in prepared.layers.iter().enumerate() {
+        for (i, (layer, mats)) in block
+            .material
+            .layers
+            .iter()
+            .zip(block.matrices.iter())
+            .enumerate()
+        {
             // Block-diagonal matrix BD = diag(M_L, M_R) evaluated by the
             // diagonal method over a window of 2t lanes (naive
             // per-diagonal rotations, or hoisted BSGS — see module docs).
-            let dup = self.with_duplicate(ctx, &state)?;
-            let acc = match &layer.affine {
-                PackedAffine::Naive(diagonals) => self.eval_affine_naive(ctx, diagonals, &dup)?,
-                PackedAffine::Bsgs { baby_count, groups } => {
-                    self.eval_affine_bsgs(ctx, *baby_count, groups, &dup)?
+            let bd = |row: usize, col: usize| -> u64 {
+                if row < t && col < t {
+                    mats.left.get(row, col)
+                } else if row >= t && col >= t {
+                    mats.right.get(row - t, col - t)
+                } else {
+                    0
                 }
+            };
+            let dup = self.with_duplicate(ctx, &state)?;
+            let acc = match self.strategy {
+                PackedStrategy::Naive => self.eval_affine_naive(ctx, &bd, &dup)?,
+                PackedStrategy::Bsgs => self.eval_affine_bsgs(ctx, &bd, &dup)?,
             };
             let mut acc = acc.ok_or_else(|| {
                 // Unreachable for the invertible matrices Eq. 1 generates,
                 // but an all-zero layer must not panic the server.
                 FheError::Incompatible("affine layer matrix has no nonzero diagonal".into())
             })?;
-            ctx.add_plain_prepared_assign(&mut acc, &layer.rc);
+            let mut rc = layer.rc_left.clone();
+            rc.extend_from_slice(&layer.rc_right);
+            ctx.add_plain_assign(&mut acc, &self.layout.encode_lanes(&self.encoder, &rc, 0));
             state = acc;
             // state is masked here: every diagonal plaintext is zero
             // outside lanes 0..2t.
@@ -817,17 +772,13 @@ mod tests {
 
     #[test]
     fn warm_cache_pass_is_bit_exact() {
+        // Repeat-call determinism: the second call re-streams every
+        // diagonal (only the raw block material is cached) and must
+        // reproduce the first bit for bit.
         let w = setup();
-        let cold = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();
-        let misses_after_cold = w.server.cache().stats().misses;
-        let warm = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();
-        assert_eq!(cold, warm, "cached diagonals must be bit-exact");
-        let stats = w.server.cache().stats();
-        assert_eq!(
-            stats.misses, misses_after_cold,
-            "warm pass must not re-prepare"
-        );
-        assert!(stats.hits >= 1, "warm pass must hit the cache");
+        let first = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();
+        let again = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();
+        assert_eq!(first, again, "streamed diagonals must be deterministic");
     }
 
     #[test]
@@ -913,16 +864,10 @@ mod tests {
         let dup = w.server.with_duplicate(&w.ctx, &ct).unwrap();
         let bd = |r: usize, c: usize| m[r][c];
 
-        let naive_m = w.server.prepare_affine(&w.ctx, &bd, PackedStrategy::Naive);
-        let bsgs_m = w.server.prepare_affine(&w.ctx, &bd, PackedStrategy::Bsgs);
-
         w.server.reset_key_switch_count();
-        let PackedAffine::Naive(diags) = &naive_m else {
-            panic!("naive material shape")
-        };
         let got = w
             .server
-            .eval_affine_naive(&w.ctx, diags, &dup)
+            .eval_affine_naive(&w.ctx, &bd, &dup)
             .unwrap()
             .unwrap();
         let naive_switches = w.server.key_switch_count();
@@ -933,12 +878,9 @@ mod tests {
         );
 
         w.server.reset_key_switch_count();
-        let PackedAffine::Bsgs { baby_count, groups } = &bsgs_m else {
-            panic!("bsgs material shape")
-        };
         let got = w
             .server
-            .eval_affine_bsgs(&w.ctx, *baby_count, groups, &dup)
+            .eval_affine_bsgs(&w.ctx, &bd, &dup)
             .unwrap()
             .unwrap();
         let bsgs_switches = w.server.key_switch_count();

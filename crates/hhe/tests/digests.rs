@@ -1,0 +1,180 @@
+//! Pinned output digests: FNV-1a over every residue row of every output
+//! ciphertext of fixed-seed mux, batched and packed passes. The affine
+//! material's evaluation order (what is prepared, which operand carries
+//! the Shoup companion, where the NTTs happen) may change freely, but
+//! the ciphertexts must not move by a single bit — the pinned values
+//! were recorded from the cache-prepared evaluation that preceded the
+//! streamed one.
+
+use pasta_core::PastaParams;
+use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
+use pasta_hhe::{
+    provision_batched_key, BatchedHheServer, HheClient, MuxHheServer, MuxMember, PackedHheServer,
+    PackedStrategy,
+};
+use pasta_math::Modulus;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// FNV-1a 64 over the component count, the domain flag and every
+/// residue row of every ciphertext, in order.
+fn digest(ctx: &BfvContext, cts: &[FheCiphertext]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    for ct in cts {
+        eat(&(ct.components() as u64).to_le_bytes());
+        for poly in ct.polys() {
+            eat(&[u8::from(poly.is_ntt())]);
+            for i in 0..ctx.basis().len() {
+                for v in poly.row(i) {
+                    eat(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+    h
+}
+
+/// The pinned value for the active multiplication backend: the exact
+/// big-integer oracle (`PASTA_MUL=bigint`) rounds the S-box products
+/// differently from the RNS path, so each backend has its own digest.
+fn pinned(rns: u64, bigint: u64) -> u64 {
+    if std::env::var(pasta_fhe::MUL_BACKEND_ENV).is_ok_and(|v| v == "bigint") {
+        bigint
+    } else {
+        rns
+    }
+}
+
+fn params() -> PastaParams {
+    PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap()
+}
+
+fn message(len: usize, salt: u64) -> Vec<u64> {
+    (0..len as u64)
+        .map(|i| (i * 7_919 + salt) % 65_537)
+        .collect()
+}
+
+#[test]
+fn mux_bucket_with_partial_blocks_is_pinned() {
+    let bfv = BfvParams {
+        prime_count: 6,
+        ..BfvParams::test_tiny()
+    };
+    let ctx = BfvContext::new(bfv).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xD16E57);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let clients: Vec<HheClient> = (0..3u64)
+        .map(|j| HheClient::new(params(), &j.to_le_bytes()))
+        .collect();
+    let keys: Vec<_> = clients
+        .iter()
+        .map(|c| c.provision_key(&ctx, &pk, &mut rng))
+        .collect();
+    let relin = ctx.generate_relin_key(&sk, &mut rng);
+    let mux = MuxHheServer::new(params(), &ctx, relin).unwrap();
+
+    // Tenant 0 twice (two sessions), element counts 6/4/10/1: every
+    // member but the second ends in a partial block.
+    let spec = [
+        (0usize, 6usize, 0xA1u128),
+        (1, 4, 0xB2),
+        (2, 10, 0xC3),
+        (0, 1, 0xD4),
+    ];
+    let cts: Vec<_> = spec
+        .iter()
+        .map(|&(tenant, len, nonce)| {
+            clients[tenant]
+                .encrypt(nonce, &message(len, nonce as u64))
+                .unwrap()
+        })
+        .collect();
+    let members: Vec<MuxMember<'_>> = spec
+        .iter()
+        .zip(&cts)
+        .map(|(&(tenant, _, _), ct)| MuxMember {
+            tenant: tenant as u64,
+            encrypted_key: &keys[tenant],
+            ct,
+        })
+        .collect();
+    let muxed = mux.transcipher_mux(&ctx, &members).unwrap();
+    assert_eq!(muxed.slots_used, 2 + 1 + 3 + 1);
+    assert_eq!(
+        digest(&ctx, &muxed.positions),
+        pinned(14_492_888_914_047_884_783, 12_689_717_000_444_941_670)
+    );
+}
+
+#[test]
+fn batched_transcipher_is_pinned() {
+    let bfv = BfvParams {
+        prime_count: 5,
+        ..BfvParams::test_tiny()
+    };
+    let ctx = BfvContext::new(bfv).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xBA7C4);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let relin = ctx.generate_relin_key(&sk, &mut rng);
+    let client = HheClient::new(params(), b"digest batched");
+    let ek = provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
+        .unwrap();
+    let server = BatchedHheServer::new(params(), &ctx, relin, ek).unwrap();
+    // 11 elements: three blocks, the last one partial.
+    let pasta_ct = client.encrypt(0x5EED, &message(11, 3)).unwrap();
+    let batch = server.transcipher_batched(&ctx, &pasta_ct).unwrap();
+    assert_eq!(batch.blocks, 3);
+    assert_eq!(
+        digest(&ctx, &batch.positions),
+        pinned(11_207_067_849_666_174_389, 6_261_826_652_002_460_718)
+    );
+}
+
+fn packed_digest(strategy: PackedStrategy) -> u64 {
+    let bfv = BfvParams {
+        prime_count: 8,
+        ..BfvParams::test_tiny()
+    };
+    let ctx = BfvContext::new(bfv).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x9AC4ED);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let client = HheClient::new(params(), b"digest packed");
+    let server = PackedHheServer::new_with_strategy(
+        params(),
+        &ctx,
+        &sk,
+        client.cipher().key().expose_elements(),
+        strategy,
+        &mut rng,
+    )
+    .unwrap();
+    // Two blocks; transcipher the second, partial one.
+    let pasta_ct = client.encrypt(0x7AC7, &message(7, 11)).unwrap();
+    let ct = server.transcipher_packed(&ctx, &pasta_ct, 1).unwrap();
+    digest(&ctx, &[ct])
+}
+
+#[test]
+fn packed_bsgs_block_is_pinned() {
+    assert_eq!(
+        packed_digest(PackedStrategy::Bsgs),
+        pinned(10_795_896_243_688_547_800, 4_201_232_775_848_364_896)
+    );
+}
+
+#[test]
+fn packed_naive_block_is_pinned() {
+    assert_eq!(
+        packed_digest(PackedStrategy::Naive),
+        pinned(5_104_366_906_954_987_675, 6_760_485_544_969_492_439)
+    );
+}

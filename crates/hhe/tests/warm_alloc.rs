@@ -1,24 +1,40 @@
 //! Warm-path zero-allocation invariant for transciphering: once the
-//! scratch pool (`pasta_fhe::scratch`) and the server's material cache
-//! are warm, a full transcipher pass must allocate **zero** coefficient
-//! rows and zero big integers in the kernels — the software analogue of
-//! the paper's fixed on-chip buffers.
+//! scratch pool (`pasta_fhe::scratch`) is warm, a full transcipher pass
+//! must allocate **zero** coefficient rows and zero big integers in the
+//! kernels — the software analogue of the paper's fixed on-chip
+//! buffers. For the batched server this holds on a *fresh* nonce: its
+//! single-use weight plaintexts are streamed through pooled buffers, not
+//! built into a per-nonce cache entry.
 //!
-//! Lives in its own integration-test binary: the test pins
+//! Lives in its own integration-test binary: each test pins
 //! `PASTA_THREADS=1` (the thread-local debug counters can only observe
-//! the calling thread), and mutating the process environment must not
-//! race other tests.
+//! the calling thread) and the RNS multiplication path (the exact
+//! `PASTA_MUL=bigint` oracle allocates big integers by design), and
+//! mutating the process environment must not race other tests — the
+//! tests of this binary serialize on a lock.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{HheClient, HheServer};
+use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Mutex;
+
+static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Pins the environment both tests measure under.
+fn pin_env() {
+    std::env::set_var(pasta_par::THREADS_ENV, "1");
+    std::env::remove_var(pasta_fhe::MUL_BACKEND_ENV);
+}
 
 #[test]
 fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
-    std::env::set_var(pasta_par::THREADS_ENV, "1");
+    let _guard = ENV_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    pin_env();
     let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
     let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
     let mut rng = StdRng::seed_from_u64(4242);
@@ -57,6 +73,74 @@ fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
 
     // The warm pass still transciphers correctly.
     let recovered = client.retrieve(&ctx, &fhe_sk, &fhe_cts);
+    assert_eq!(recovered, message);
+    std::env::remove_var(pasta_par::THREADS_ENV);
+}
+
+#[test]
+fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
+    let _guard = ENV_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    pin_env();
+    let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
+    let ctx = BfvContext::new(BfvParams {
+        prime_count: 5,
+        ..BfvParams::test_tiny()
+    })
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(4343);
+    let fhe_sk = ctx.generate_secret_key(&mut rng);
+    let fhe_pk = ctx.generate_public_key(&fhe_sk, &mut rng);
+    let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
+    let client = HheClient::new(params, b"warm batched");
+    let ek = provision_batched_key(
+        client.cipher().key().expose_elements(),
+        &ctx,
+        &fhe_pk,
+        &mut rng,
+    )
+    .unwrap();
+    let server = BatchedHheServer::new(params, &ctx, relin, ek).unwrap();
+    let message: Vec<u64> = (0..11u64).map(|i| (i * 6_007 + 5) % 65_537).collect();
+
+    // Cold passes on two other nonces populate the scratch pool with
+    // every buffer shape the batched circuit needs.
+    for nonce in [0xC01D, 0xC01E] {
+        let ct = client.encrypt(nonce, &message).unwrap();
+        let _ = server.transcipher_batched(&ctx, &ct).unwrap();
+    }
+
+    // Warm pass on a nonce never seen before: nothing about it can be
+    // cached, and still every polynomial buffer comes from the pool.
+    let fresh = client.encrypt(0xF4E5, &message).unwrap();
+    let rows_before = pasta_fhe::scratch::poly_alloc_count();
+    let ubig_before = pasta_fhe::bigint::ubig_alloc_count();
+    let batch = server.transcipher_batched(&ctx, &fresh).unwrap();
+    let rows_after = pasta_fhe::scratch::poly_alloc_count();
+    let ubig_after = pasta_fhe::bigint::ubig_alloc_count();
+
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            rows_after, rows_before,
+            "warm fresh-nonce batched pass allocated fresh coefficient rows"
+        );
+        assert_eq!(
+            ubig_after, ubig_before,
+            "warm fresh-nonce batched pass allocated big integers"
+        );
+    }
+
+    // The warm pass still transciphers correctly.
+    let mut recovered = vec![0u64; message.len()];
+    for position in 0..params.t() {
+        let values = server.decode_position(&ctx, &fhe_sk, &batch, position);
+        for (s, &v) in values.iter().enumerate() {
+            if let Some(slot) = recovered.get_mut(s * params.t() + position) {
+                *slot = v;
+            }
+        }
+    }
     assert_eq!(recovered, message);
     std::env::remove_var(pasta_par::THREADS_ENV);
 }
