@@ -202,6 +202,7 @@ mod tests {
     use super::*;
     use crate::params::PastaParams;
     use pasta_math::Modulus;
+    use proptest::prelude::*;
 
     fn small_params() -> PastaParams {
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap()
@@ -333,5 +334,39 @@ mod tests {
         }
         let avg = total as f64 / n as f64;
         assert!((avg - 60.0).abs() < 6.0, "average Keccak calls = {avg}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Truncation property the homomorphic evaluators rely on: the
+        /// keystream is `A_{r,L}` applied to the left half of the last
+        /// S-box output, so `X_R` after the final S-box (and `A_{r,R}`)
+        /// never reaches `KS` and need not be evaluated.
+        #[test]
+        fn prop_keystream_reads_only_the_left_half_after_the_last_sbox(
+            t in 2usize..9,
+            r in 1usize..5,
+            key_seed in any::<u64>(),
+            nonce in any::<u128>(),
+            counter in any::<u64>(),
+        ) {
+            let params = PastaParams::custom(t, r, Modulus::PASTA_17_BIT).unwrap();
+            let key: Vec<u64> = (0..2 * t as u64)
+                .map(|i| key_seed.wrapping_mul(i + 1).wrapping_add(i) % 65_537)
+                .collect();
+            let material = derive_block_material(&params, nonce, counter);
+            let trace = permute_with_trace(&params, &key, &material).unwrap();
+            let zp = params.field();
+            let last = &material.layers[r];
+            let mut left = trace.after_sbox[r - 1][..t].to_vec();
+            layers::affine_streamed(
+                &zp,
+                &mut RowGenerator::new(zp, last.seed_left.clone()),
+                &mut left,
+                &last.rc_left,
+            );
+            prop_assert_eq!(&left, &trace.keystream);
+        }
     }
 }

@@ -651,16 +651,18 @@ impl BfvContext {
     /// a streamed multiply–accumulate.
     #[must_use]
     pub fn zero_ntt_ct(&self) -> Ciphertext {
-        // Zero is zero in either domain; only the flag differs.
-        let zero = || {
-            RnsPoly::from_rows(
-                crate::scratch::take_rows_zeroed(self.basis.len(), self.params.n),
-                true,
-            )
-        };
         Ciphertext {
-            polys: vec![zero(), zero()],
+            polys: vec![self.zero_ntt_poly(), self.zero_ntt_poly()],
         }
+    }
+
+    /// A pooled all-zero polynomial in NTT domain (zero is zero in either
+    /// domain; only the flag differs).
+    fn zero_ntt_poly(&self) -> RnsPoly {
+        RnsPoly::from_rows(
+            crate::scratch::take_rows_zeroed(self.basis.len(), self.params.n),
+            true,
+        )
     }
 
     /// Fused `acc += ct ∘ pt` for a plaintext used exactly once: the
@@ -936,20 +938,13 @@ impl BfvContext {
         let mut c1 = ct.polys[1].clone();
         c0.to_ntt(&self.basis);
         c1.to_ntt(&self.basis);
-        for (j, ((b, a), (b_sh, a_sh))) in rk
-            .components
-            .iter()
-            .zip(rk.components_shoup.iter())
-            .enumerate()
-        {
-            // d_j: the j-th RNS digit of c2 as a small-coefficient poly,
-            // represented in every prime (straight from the row — no
-            // intermediate copy).
-            let mut d = RnsPoly::from_u64_coeffs(&self.basis, c2.row(j));
-            d.to_ntt(&self.basis);
-            c0.add_mul_shoup_assign(&self.basis, &d, b, b_sh);
-            c1.add_mul_shoup_assign(&self.basis, &d, a, a_sh);
-        }
+        self.key_switch_mac(
+            &rk.components,
+            &rk.components_shoup,
+            |j| RnsPoly::from_u64_coeffs(&self.basis, c2.row(j)),
+            &mut c0,
+            &mut c1,
+        );
         c0.to_coeff(&self.basis);
         c1.to_coeff(&self.basis);
         Ok(Ciphertext {
@@ -1060,24 +1055,14 @@ impl BfvContext {
             ));
         }
         let mut out0 = hoisted.c0.permute_slots(&self.basis, &gk.ntt_perm);
-        let mut out1: Option<RnsPoly> = None;
-        for (d, ((b, a), (b_sh, a_sh))) in hoisted
-            .digits
-            .iter()
-            .zip(gk.components.iter().zip(gk.components_shoup.iter()))
-        {
-            let sigma_d = d.permute_slots(&self.basis, &gk.ntt_perm);
-            out0.add_mul_shoup_assign(&self.basis, &sigma_d, b, b_sh);
-            out1 = Some(match out1 {
-                None => sigma_d.mul(&self.basis, a),
-                Some(mut acc) => {
-                    acc.add_mul_shoup_assign(&self.basis, &sigma_d, a, a_sh);
-                    acc
-                }
-            });
-        }
-        let out1 =
-            out1.ok_or_else(|| FheError::Incompatible("context has an empty RNS basis".into()))?;
+        let mut out1 = self.zero_ntt_poly();
+        self.key_switch_mac(
+            &gk.components,
+            &gk.components_shoup,
+            |j| hoisted.digits[j].permute_slots(&self.basis, &gk.ntt_perm),
+            &mut out0,
+            &mut out1,
+        );
         Ok(Ciphertext {
             polys: vec![out0, out1],
         })
@@ -1085,6 +1070,8 @@ impl BfvContext {
 
     /// Applies the automorphism `X ↦ X^g` homomorphically: the result
     /// encrypts `σ_g(m)` — a fixed permutation of the batching slots.
+    /// The digits of `σ(c1)` are key-switched through the same
+    /// Shoup-fused loop as relinearization.
     ///
     /// # Errors
     ///
@@ -1096,6 +1083,11 @@ impl BfvContext {
                 "apply_galois needs 2 components".into(),
             ));
         }
+        if gk.components.len() != self.basis.len() {
+            return Err(FheError::Incompatible(
+                "Galois key shape does not match context".into(),
+            ));
+        }
         let mut c0 = ct.polys[0].clone();
         let mut c1 = ct.polys[1].clone();
         c0.to_coeff(&self.basis);
@@ -1103,20 +1095,15 @@ impl BfvContext {
         let sigma_c1 = c1.automorphism(&self.basis, gk.g);
         let mut out0 = c0.automorphism(&self.basis, gk.g);
         out0.to_ntt(&self.basis);
-        let mut out1: Option<RnsPoly> = None;
+        let mut out1 = self.zero_ntt_poly();
         // Key-switch σ(c1)·σ(s) onto s via the RNS digits of σ(c1).
-        for (j, (b, a)) in gk.components.iter().enumerate() {
-            let mut d = RnsPoly::from_u64_coeffs(&self.basis, sigma_c1.row(j));
-            d.to_ntt(&self.basis);
-            out0 = out0.add(&self.basis, &d.mul(&self.basis, b));
-            let term = d.mul(&self.basis, a);
-            out1 = Some(match out1 {
-                None => term,
-                Some(acc) => acc.add(&self.basis, &term),
-            });
-        }
-        let mut out1 =
-            out1.ok_or_else(|| FheError::Incompatible("context has an empty RNS basis".into()))?;
+        self.key_switch_mac(
+            &gk.components,
+            &gk.components_shoup,
+            |j| RnsPoly::from_u64_coeffs(&self.basis, sigma_c1.row(j)),
+            &mut out0,
+            &mut out1,
+        );
         out0.to_coeff(&self.basis);
         out1.to_coeff(&self.basis);
         Ok(Ciphertext {
@@ -1167,6 +1154,30 @@ impl BfvContext {
             acc = self.add(&acc, &rotated)?;
         }
         Ok(acc)
+    }
+
+    /// The key-switch inner loop every entry point shares
+    /// ([`BfvContext::relinearize`], [`BfvContext::apply_galois`],
+    /// [`BfvContext::apply_galois_hoisted`]): for each RNS digit `d_j`
+    /// (`digit(j)`, forward-transformed unless already in NTT domain),
+    /// `acc0 += d_j·b_j` and `acc1 += d_j·a_j` through the SIMD Shoup MAC
+    /// against the key's precomputed companion rows. The products are
+    /// canonical residues, so seeding an accumulator with zero equals
+    /// starting it at the first product.
+    fn key_switch_mac(
+        &self,
+        components: &[(RnsPoly, RnsPoly)],
+        components_shoup: &KeyShoupRows,
+        mut digit: impl FnMut(usize) -> RnsPoly,
+        acc0: &mut RnsPoly,
+        acc1: &mut RnsPoly,
+    ) {
+        for (j, ((b, a), (b_sh, a_sh))) in components.iter().zip(components_shoup).enumerate() {
+            let mut d = digit(j);
+            d.to_ntt(&self.basis);
+            acc0.add_mul_shoup_assign(&self.basis, &d, b, b_sh);
+            acc1.add_mul_shoup_assign(&self.basis, &d, a, a_sh);
+        }
     }
 
     /// Multiplication followed by relinearization.

@@ -146,6 +146,25 @@ fn galois_rejects_bad_inputs() {
         ctx.apply_galois(&three, &gk).is_err(),
         "3-component input rejected"
     );
+    // A key from a ring with more primes has more digits than the
+    // context: both rotation paths refuse it instead of indexing past
+    // the ciphertext's rows.
+    let wide = BfvContext::new(BfvParams {
+        prime_count: ctx.params().prime_count + 1,
+        ..*ctx.params()
+    })
+    .unwrap();
+    let wide_sk = wide.generate_secret_key(&mut rng);
+    let wide_gk = wide.generate_galois_key(&wide_sk, 3, &mut rng).unwrap();
+    assert!(
+        ctx.apply_galois(&a, &wide_gk).is_err(),
+        "mismatched key rejected"
+    );
+    assert!(
+        ctx.apply_galois_hoisted(&ctx.hoist(&a).unwrap(), &wide_gk)
+            .is_err(),
+        "mismatched key rejected by the hoisted path"
+    );
 }
 
 #[test]

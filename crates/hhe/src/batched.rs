@@ -44,6 +44,7 @@
 
 use crate::cache::{BlockEntry, MaterialCache};
 use crate::client::EncryptedPastaKey;
+use crate::server;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError,
@@ -229,6 +230,11 @@ impl BatchedHheServer {
 /// a slot-masked composed key instead of one tenant's replicated key)
 /// share this evaluator with the homogeneous batched server.
 ///
+/// Mix and the S-boxes are the scalar server's ([`crate::server`]),
+/// slot-wise by construction. As there, only what the truncated output
+/// reads is evaluated: the last round cubes `X_L` alone and `A_r` runs
+/// on `X_L` alone.
+///
 /// # Errors
 ///
 /// Returns [`FheError::Incompatible`] on malformed state halves;
@@ -242,49 +248,20 @@ pub(crate) fn eval_slotted_circuit(
     initial_left: &[FheCiphertext],
     initial_right: &[FheCiphertext],
 ) -> Result<Vec<FheCiphertext>, FheError> {
-    let t = params.t();
     let r = params.rounds();
     let mut left = initial_left.to_vec();
     let mut right = initial_right.to_vec();
-
-    for layer in 0..params.affine_layers() {
+    for layer in 0..r {
         left = affine_half(ctx, encoder, per_slot, layer, true, &left)?;
         right = affine_half(ctx, encoder, per_slot, layer, false, &right)?;
-
-        if layer < r {
-            // Mix (slot-wise adds).
-            for (l, rgt) in left.iter_mut().zip(right.iter_mut()) {
-                let mut sum = l.clone();
-                ctx.add_assign(&mut sum, rgt)?;
-                ctx.add_assign(l, &sum)?;
-                ctx.add_assign(rgt, &sum)?;
-            }
-            // S-box over the concatenated state; the squarings fan
-            // out across the worker pool.
-            let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
-            if layer == r - 1 {
-                full = pasta_par::parallel_map(&full, |_, x| {
-                    let sq = ctx.square_relin(x, relin_key)?;
-                    ctx.mul_relin(&sq, x, relin_key)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            } else {
-                let squares: Vec<FheCiphertext> =
-                    pasta_par::parallel_map(&full[..2 * t - 1], |_, x| {
-                        ctx.square_relin(x, relin_key)
-                    })
-                    .into_iter()
-                    .collect::<Result<_, _>>()?;
-                for j in (1..2 * t).rev() {
-                    ctx.add_assign(&mut full[j], &squares[j - 1])?;
-                }
-            }
-            left.clone_from_slice(&full[..t]);
-            right.clone_from_slice(&full[t..]);
+        server::mix(ctx, &mut left, &mut right)?;
+        if layer < r - 1 {
+            server::feistel(ctx, relin_key, &mut left, &mut right)?;
+        } else {
+            left = server::cube(ctx, relin_key, &left)?;
         }
     }
-    Ok(left)
+    affine_half(ctx, encoder, per_slot, r, true, &left)
 }
 
 /// One slot-parallel affine layer-half: output row `i` is
@@ -499,9 +476,11 @@ mod tests {
         // measured here — assert the structural count).
         let w = setup();
         // Scalar server: muls per block = affine (t² per half per layer
-        // is scalar muls, cheap) + (2t-1)(r-1) + 2·2t relins.
+        // is scalar muls, cheap) + (2t-1)(r-1) Feistel squarings + 2t
+        // for the last round's cube, which truncation limits to X_L.
         // Batched: identical counts per *pass*, amortized over capacity.
-        let per_pass_relins = (2 * 4 - 1) + 2 * 2 * 4;
+        let (t, r) = (4, 2);
+        let per_pass_relins = (2 * t - 1) * (r - 1) + 2 * t;
         let scalar_total = per_pass_relins * w.server.capacity();
         let batched_total = per_pass_relins;
         assert!(

@@ -105,6 +105,10 @@ impl HheServer {
     /// Homomorphically computes the keystream block for
     /// `(nonce, counter)`: FHE ciphertexts of `KS_0 … KS_{t-1}`.
     ///
+    /// Only what the truncated output reads is evaluated: the last
+    /// round cubes `X_L` alone and the final affine layer `A_r` runs on
+    /// `X_L` alone (see [`cube`]).
+    ///
     /// # Errors
     ///
     /// Propagates FHE errors (relinearization on malformed keys).
@@ -119,22 +123,18 @@ impl HheServer {
         let entry = self.cache.block(&self.params, nonce, counter);
         let mut left = self.encrypted_key.elements[..t].to_vec();
         let mut right = self.encrypted_key.elements[t..].to_vec();
-        for (i, (layer, mats)) in entry
-            .material
-            .layers
-            .iter()
-            .zip(entry.matrices.iter())
-            .enumerate()
-        {
-            left = Self::affine_half(ctx, &left, &mats.left, &layer.rc_left)?;
-            right = Self::affine_half(ctx, &right, &mats.right, &layer.rc_right)?;
-            if i < r {
-                Self::mix(ctx, &mut left, &mut right)?;
-                let is_final_round = i == r - 1;
-                self.sbox(ctx, &mut left, &mut right, is_final_round)?;
+        let (layers, mats) = (&entry.material.layers, &entry.matrices);
+        for i in 0..r {
+            left = Self::affine_half(ctx, &left, &mats[i].left, &layers[i].rc_left)?;
+            right = Self::affine_half(ctx, &right, &mats[i].right, &layers[i].rc_right)?;
+            mix(ctx, &mut left, &mut right)?;
+            if i < r - 1 {
+                feistel(ctx, &self.relin_key, &mut left, &mut right)?;
+            } else {
+                left = cube(ctx, &self.relin_key, &left)?;
             }
         }
-        Ok(left) // truncation
+        Self::affine_half(ctx, &left, &mats[r].left, &layers[r].rc_left)
     }
 
     /// Transciphers one PASTA ciphertext into FHE ciphertexts of the
@@ -196,58 +196,63 @@ impl HheServer {
         .into_iter()
         .collect()
     }
+}
 
-    /// Mix: `(2L + R, 2R + L)` element-wise with additions only.
-    fn mix(
-        ctx: &BfvContext,
-        left: &mut [FheCiphertext],
-        right: &mut [FheCiphertext],
-    ) -> Result<(), FheError> {
-        for (l, r) in left.iter_mut().zip(right.iter_mut()) {
-            let mut sum = l.clone();
-            ctx.add_assign(&mut sum, r)?;
-            ctx.add_assign(l, &sum)?;
-            ctx.add_assign(r, &sum)?;
-        }
-        Ok(())
+/// Mix: `(2L + R, 2R + L)` element-wise with additions only.
+pub(crate) fn mix(
+    ctx: &BfvContext,
+    left: &mut [FheCiphertext],
+    right: &mut [FheCiphertext],
+) -> Result<(), FheError> {
+    for (l, r) in left.iter_mut().zip(right.iter_mut()) {
+        let mut sum = l.clone();
+        ctx.add_assign(&mut sum, r)?;
+        ctx.add_assign(l, &sum)?;
+        ctx.add_assign(r, &sum)?;
     }
+    Ok(())
+}
 
-    /// S-box over the concatenated state. The squarings (ciphertext ×
-    /// ciphertext multiplications — the expensive part of the circuit)
-    /// fan out across the worker pool.
-    fn sbox(
-        &self,
-        ctx: &BfvContext,
-        left: &mut [FheCiphertext],
-        right: &mut [FheCiphertext],
-        is_final_round: bool,
-    ) -> Result<(), FheError> {
-        let t = left.len();
-        let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
-        if is_final_round {
-            // Cube: x³ = relin(x²)·x, relinearized again.
-            full = pasta_par::parallel_map(&full, |_, x| {
-                let sq = ctx.square_relin(x, &self.relin_key)?;
-                ctx.mul_relin(&sq, x, &self.relin_key)
-            })
+/// Feistel S-box over the concatenated state `X_L ‖ X_R`:
+/// `y_0 = x_0`, `y_j = x_j + x_{j-1}²` on input values. The squarings
+/// (ciphertext × ciphertext products — the expensive part of the
+/// circuit) fan out across the worker pool.
+pub(crate) fn feistel(
+    ctx: &BfvContext,
+    relin_key: &BfvRelinKey,
+    left: &mut [FheCiphertext],
+    right: &mut [FheCiphertext],
+) -> Result<(), FheError> {
+    let t = left.len();
+    let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
+    let squares: Vec<FheCiphertext> =
+        pasta_par::parallel_map(&full[..2 * t - 1], |_, x| ctx.square_relin(x, relin_key))
             .into_iter()
             .collect::<Result<_, _>>()?;
-        } else {
-            // Feistel: y_0 = x_0, y_j = x_j + x_{j-1}² on input values.
-            let squares: Vec<FheCiphertext> =
-                pasta_par::parallel_map(&full[..2 * t - 1], |_, x| {
-                    ctx.square_relin(x, &self.relin_key)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?;
-            for j in (1..2 * t).rev() {
-                ctx.add_assign(&mut full[j], &squares[j - 1])?;
-            }
-        }
-        left.clone_from_slice(&full[..t]);
-        right.clone_from_slice(&full[t..]);
-        Ok(())
+    for j in (1..2 * t).rev() {
+        ctx.add_assign(&mut full[j], &squares[j - 1])?;
     }
+    left.clone_from_slice(&full[..t]);
+    right.clone_from_slice(&full[t..]);
+    Ok(())
+}
+
+/// The last round's cube S-box, `x³ = relin(x²)·x` relinearized again,
+/// on the left half only. The cube is element-wise, and truncation keeps
+/// `KS = X_L` after `A_r` (which mixes `X_L` alone), so the right half's
+/// cube never reaches the output and is not evaluated. The cubes fan out
+/// across the worker pool.
+pub(crate) fn cube(
+    ctx: &BfvContext,
+    relin_key: &BfvRelinKey,
+    left: &[FheCiphertext],
+) -> Result<Vec<FheCiphertext>, FheError> {
+    pasta_par::parallel_map(left, |_, x| {
+        let sq = ctx.square_relin(x, relin_key)?;
+        ctx.mul_relin(&sq, x, relin_key)
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

@@ -1,16 +1,20 @@
 //! Pinned output digests: FNV-1a over every residue row of every output
-//! ciphertext of fixed-seed mux, batched and packed passes. The affine
-//! material's evaluation order (what is prepared, which operand carries
-//! the Shoup companion, where the NTTs happen) may change freely, but
-//! the ciphertexts must not move by a single bit — the pinned values
-//! were recorded from the cache-prepared evaluation that preceded the
-//! streamed one.
+//! ciphertext of fixed-seed scalar, mux, batched and packed passes, and
+//! of the Galois key-switch entry points on their own. The evaluation
+//! order (what is prepared, which operand carries the Shoup companion,
+//! where the NTTs happen, which dead state elements are skipped) may change
+//! freely, but the ciphertexts must not move by a single bit. The mux,
+//! batched and packed values were recorded from the cache-prepared
+//! evaluation that preceded the streamed one; the scalar and Galois
+//! values from the full-width last round and the generic-Barrett
+//! `apply_galois` loop that preceded the truncated round and the shared
+//! Shoup key-switch kernel.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
 use pasta_hhe::{
-    provision_batched_key, BatchedHheServer, HheClient, MuxHheServer, MuxMember, PackedHheServer,
-    PackedStrategy,
+    provision_batched_key, BatchedHheServer, HheClient, HheServer, MuxHheServer, MuxMember,
+    PackedHheServer, PackedStrategy,
 };
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -59,6 +63,57 @@ fn message(len: usize, salt: u64) -> Vec<u64> {
     (0..len as u64)
         .map(|i| (i * 7_919 + salt) % 65_537)
         .collect()
+}
+
+#[test]
+fn scalar_multi_block_transcipher_is_pinned() {
+    let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5CA1A);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let relin = ctx.generate_relin_key(&sk, &mut rng);
+    let client = HheClient::new(params(), b"digest scalar");
+    let ek = client.provision_key(&ctx, &pk, &mut rng);
+    let server = HheServer::new(params(), relin, ek).unwrap();
+    // 10 elements: three blocks, the last one partial.
+    let msg = message(10, 5);
+    let pasta_ct = client.encrypt(0x5CA1, &msg).unwrap();
+    let cts = server.transcipher(&ctx, &pasta_ct).unwrap();
+    assert_eq!(client.retrieve(&ctx, &sk, &cts), msg);
+    assert_eq!(
+        digest(&ctx, &cts),
+        pinned(13_931_700_817_277_224_567, 17_512_284_889_805_411_291)
+    );
+}
+
+#[test]
+fn galois_key_switches_are_pinned() {
+    // Classic and hoisted rotations plus a full rotate-and-add tree on a
+    // 6-prime ring; no ciphertext product, so one value serves both mul
+    // backends.
+    let ctx = BfvContext::new(BfvParams {
+        prime_count: 6,
+        ..BfvParams::test_tiny()
+    })
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x6A1015);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let pt = pasta_fhe::Plaintext {
+        coeffs: message(ctx.params().n, 13),
+    };
+    let ct = ctx.encrypt(&pk, &pt, &mut rng);
+    let gk = ctx.generate_galois_key(&sk, 3, &mut rng).unwrap();
+    let sum_keys = ctx.generate_sum_keys(&sk, &mut rng).unwrap();
+    let rotated = ctx.apply_galois(&ct, &gk).unwrap();
+    let hoisted = ctx
+        .apply_galois_hoisted(&ctx.hoist(&ct).unwrap(), &gk)
+        .unwrap();
+    let summed = ctx.sum_slots(&ct, &sum_keys).unwrap();
+    assert_eq!(
+        digest(&ctx, &[rotated, hoisted, summed]),
+        3_088_098_097_145_623_676
+    );
 }
 
 #[test]

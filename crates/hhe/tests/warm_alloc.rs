@@ -2,9 +2,10 @@
 //! scratch pool (`pasta_fhe::scratch`) is warm, a full transcipher pass
 //! must allocate **zero** coefficient rows and zero big integers in the
 //! kernels — the software analogue of the paper's fixed on-chip
-//! buffers. For the batched server this holds on a *fresh* nonce: its
-//! single-use weight plaintexts are streamed through pooled buffers, not
-//! built into a per-nonce cache entry.
+//! buffers. For the batched and packed servers this holds on a *fresh*
+//! nonce: their single-use weight plaintexts are streamed through pooled
+//! buffers, not built into a per-nonce cache entry, and every Galois
+//! key-switch of the packed path accumulates into pooled rows.
 //!
 //! Lives in its own integration-test binary: each test pins
 //! `PASTA_THREADS=1` (the thread-local debug counters can only observe
@@ -15,7 +16,9 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer};
+use pasta_hhe::{
+    provision_batched_key, BatchedHheServer, HheClient, HheServer, PackedHheServer, PackedStrategy,
+};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,5 +145,61 @@ fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
         }
     }
     assert_eq!(recovered, message);
+    std::env::remove_var(pasta_par::THREADS_ENV);
+}
+
+#[test]
+fn warm_packed_bsgs_block_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
+    let _guard = ENV_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    pin_env();
+    let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
+    let ctx = BfvContext::new(BfvParams {
+        prime_count: 8,
+        ..BfvParams::test_tiny()
+    })
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(4444);
+    let fhe_sk = ctx.generate_secret_key(&mut rng);
+    let client = HheClient::new(params, b"warm packed");
+    let server = PackedHheServer::new_with_strategy(
+        params,
+        &ctx,
+        &fhe_sk,
+        client.cipher().key().expose_elements(),
+        PackedStrategy::Bsgs,
+        &mut rng,
+    )
+    .unwrap();
+    let message = vec![9u64, 99, 999, 9_999];
+
+    // Cold passes on two other nonces populate the scratch pool with
+    // every buffer shape the packed circuit needs.
+    for nonce in [0xD01D, 0xD01E] {
+        let ct = client.encrypt(nonce, &message).unwrap();
+        let _ = server.transcipher_packed(&ctx, &ct, 0).unwrap();
+    }
+
+    let fresh = client.encrypt(0xF4E6, &message).unwrap();
+    let rows_before = pasta_fhe::scratch::poly_alloc_count();
+    let ubig_before = pasta_fhe::bigint::ubig_alloc_count();
+    let out = server.transcipher_packed(&ctx, &fresh, 0).unwrap();
+    let rows_after = pasta_fhe::scratch::poly_alloc_count();
+    let ubig_after = pasta_fhe::bigint::ubig_alloc_count();
+
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            rows_after, rows_before,
+            "warm fresh-nonce packed block allocated fresh coefficient rows"
+        );
+        assert_eq!(
+            ubig_after, ubig_before,
+            "warm fresh-nonce packed block allocated big integers"
+        );
+    }
+
+    // The warm pass still transciphers correctly.
+    assert_eq!(server.decode(&ctx, &fhe_sk, &out, message.len()), message);
     std::env::remove_var(pasta_par::THREADS_ENV);
 }
