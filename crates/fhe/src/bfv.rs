@@ -697,6 +697,56 @@ impl BfvContext {
         Ok(())
     }
 
+    /// [`BfvContext::add_mul_plain_assign`] for a plaintext in the
+    /// sub-ring `Z_t[X^{N/k}]`: per RNS prime, the `k` compact
+    /// coefficients take the `k`-point [`crate::ntt::NttTable::forward_prefix`],
+    /// each value fills its run of `N/k` NTT slots, and the row is
+    /// multiplied into the accumulator against `ct`'s Shoup companions.
+    /// The expanded row is the forward transform of
+    /// [`PeriodicPlaintext::expand`], so the result is bit-identical to
+    /// [`BfvContext::add_mul_plain_assign`] on the expanded plaintext.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Incompatible`] on component-count or ring
+    /// degree mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` is in coefficient domain.
+    pub fn add_mul_periodic_assign(
+        &self,
+        acc: &mut Ciphertext,
+        ct: &PreparedCiphertext,
+        pt: &PeriodicPlaintext,
+    ) -> Result<(), FheError> {
+        if acc.polys.len() != ct.polys.len() {
+            return Err(FheError::Incompatible("component count differs".into()));
+        }
+        if pt.n != self.params.n {
+            return Err(FheError::Incompatible("plaintext degree differs".into()));
+        }
+        let run = self.params.n / pt.coeffs.len();
+        let mut compact = vec![0u64; pt.coeffs.len()];
+        let mut row = crate::scratch::take_rows(1, self.params.n);
+        for i in 0..self.basis.len() {
+            let table = self.basis.table(i);
+            let p = table.zp().p();
+            for (c, &v) in compact.iter_mut().zip(&pt.coeffs) {
+                *c = v % p;
+            }
+            table.forward_prefix(&mut compact);
+            for (slots, &v) in row[0].chunks_exact_mut(run).zip(&compact) {
+                slots.fill(v);
+            }
+            for ((a, c), c_shoup) in acc.polys.iter_mut().zip(&ct.polys).zip(&ct.shoup) {
+                a.add_mul_shoup_row_assign(&self.basis, i, &row[0], c, c_shoup);
+            }
+        }
+        crate::scratch::put_rows(row);
+        Ok(())
+    }
+
     /// Multiplies a ciphertext by a plaintext scalar (cheap: no NTT).
     #[must_use]
     pub fn mul_scalar(&self, ct: &Ciphertext, scalar: u64) -> Ciphertext {
@@ -1217,6 +1267,39 @@ impl Plaintext {
     #[must_use]
     pub fn scalar(&self) -> u64 {
         self.coeffs.first().copied().unwrap_or(0)
+    }
+}
+
+/// A plaintext in the sub-ring `Z_t[X^{N/k}]` (`k` a power of two
+/// dividing `N`), kept as its `k` compact coefficients: `coeffs[i]` is
+/// the coefficient of `X^{i·N/k}`, every other coefficient is zero. Its
+/// slots have period `k`; [`crate::BatchEncoder::encode_periodic`]
+/// builds it and [`BfvContext::add_mul_periodic_assign`] multiplies it
+/// in at `k`-point transform cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PeriodicPlaintext {
+    /// The `k` compact coefficients (values in `[0, t)`).
+    pub(crate) coeffs: Vec<u64>,
+    /// Ring degree `N`.
+    pub(crate) n: usize,
+}
+
+impl PeriodicPlaintext {
+    /// The slot period `k`.
+    #[must_use]
+    pub fn period(&self) -> usize {
+        self.coeffs.len()
+    }
+
+    /// The full-degree plaintext: coefficient `i·N/k` is `coeffs[i]`.
+    #[must_use]
+    pub fn expand(&self) -> Plaintext {
+        let stride = self.n / self.coeffs.len();
+        let mut coeffs = vec![0u64; self.n];
+        for (dst, &c) in coeffs.iter_mut().step_by(stride).zip(&self.coeffs) {
+            *dst = c;
+        }
+        Plaintext { coeffs }
     }
 }
 

@@ -9,8 +9,18 @@
 //! SEAL's `BatchEncoder`).
 //!
 //! Encoding is the inverse negacyclic NTT over `Z_t`; decoding is the
-//! forward transform. The slot order is the transform's internal
-//! (bit-reverse-twisted) order — consistent between encode and decode.
+//! forward transform. Slots are in *natural* order: slot `s` holds the
+//! evaluation at `ψ^{2s+1}`, which the transform's bit-reversed output
+//! keeps at index `bitrev(s)`.
+//!
+//! Natural order is what makes small passes cheap. A slot vector of
+//! period `k` (a power of two: slot `s` equals slot `s mod k`) encodes
+//! to a polynomial in the sub-ring `Z_t[X^{N/k}]`, since `ψ^{(2s+1)·N/k}`
+//! depends on `s mod k` only. [`BatchEncoder::encode_periodic`] builds
+//! it from `k` values with a `k`-point transform, and
+//! [`crate::BfvContext::add_mul_periodic_assign`] multiplies it in
+//! with one `k`-point forward transform per RNS prime.
+//!
 //! Galois rotations are implemented and load-bearing: homomorphic
 //! `X ↦ X^g` automorphisms ([`crate::bfv::BfvContext::apply_galois`],
 //! and the hoisted form behind [`crate::bfv::BfvContext::hoist`])
@@ -18,8 +28,8 @@
 //! affine layer through them; [`BatchEncoder::automorphism_permutation`]
 //! exposes the induced slot map.
 
-use crate::bfv::Plaintext;
-use crate::ntt::NttTable;
+use crate::bfv::{PeriodicPlaintext, Plaintext};
+use crate::ntt::{bit_reverse, NttTable};
 use pasta_math::{MathError, Modulus};
 
 /// A batch encoder mapping `N` slot values to/from plaintext polynomials.
@@ -39,6 +49,8 @@ use pasta_math::{MathError, Modulus};
 pub struct BatchEncoder {
     table: NttTable,
     n: usize,
+    /// `bitrev[s]` — the transform index of slot `s`.
+    bitrev: Vec<usize>,
 }
 
 impl BatchEncoder {
@@ -48,8 +60,10 @@ impl BatchEncoder {
     ///
     /// Returns [`MathError::NotInvertible`] if `2n ∤ t - 1`.
     pub fn new(plain_modulus: Modulus, n: usize) -> Result<Self, MathError> {
+        let table = NttTable::new(plain_modulus, n)?;
         Ok(BatchEncoder {
-            table: NttTable::new(plain_modulus, n)?,
+            bitrev: (0..n).map(|s| bit_reverse(s, n.trailing_zeros())).collect(),
+            table,
             n,
         })
     }
@@ -68,14 +82,36 @@ impl BatchEncoder {
     #[must_use]
     pub fn encode(&self, values: &[u64]) -> Plaintext {
         assert!(values.len() <= self.n, "too many slot values");
+        let mut slots = values.to_vec();
+        slots.resize(self.n, 0);
+        self.encode_periodic(&slots).expand()
+    }
+
+    /// Encodes the slot vector of period `k = values.len()` rounded up
+    /// to a power of two: slot `s` holds `values[s mod k]`, or 0 where
+    /// `s mod k ≥ values.len()`. The result lives in the sub-ring
+    /// `Z_t[X^{N/k}]` and costs a `k`-point transform; its
+    /// [`PeriodicPlaintext::expand`] equals [`BatchEncoder::encode`] of
+    /// the replicated vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `N` values are supplied or a value is `≥ t`.
+    #[must_use]
+    pub fn encode_periodic(&self, values: &[u64]) -> PeriodicPlaintext {
+        assert!(values.len() <= self.n, "too many slot values");
         let t = self.table.zp().p();
-        let mut slots = vec![0u64; self.n];
-        for (s, &v) in slots.iter_mut().zip(values.iter()) {
+        let k = values.len().next_power_of_two();
+        // Transform index i lands in run i / (N/k), whose slots are the
+        // class bitrev_k(run): the run order of the compact vector.
+        let shift = (self.n / k).trailing_zeros();
+        let mut coeffs = vec![0u64; k];
+        for (s, &v) in values.iter().enumerate() {
             assert!(v < t, "slot value {v} not canonical mod {t}");
-            *s = v;
+            coeffs[self.bitrev[s] >> shift] = v;
         }
-        self.table.inverse(&mut slots);
-        Plaintext { coeffs: slots }
+        self.table.inverse_prefix(&mut coeffs);
+        PeriodicPlaintext { coeffs, n: self.n }
     }
 
     /// Decodes a plaintext polynomial back into its `N` slot values.
@@ -86,9 +122,9 @@ impl BatchEncoder {
     #[must_use]
     pub fn decode(&self, pt: &Plaintext) -> Vec<u64> {
         assert_eq!(pt.coeffs.len(), self.n, "plaintext degree mismatch");
-        let mut slots = pt.coeffs.clone();
-        self.table.forward(&mut slots);
-        slots
+        let mut evals = pt.coeffs.clone();
+        self.table.forward(&mut evals);
+        self.bitrev.iter().map(|&i| evals[i]).collect()
     }
 
     /// Applies the Galois automorphism `X ↦ X^g` to a plaintext — the
@@ -151,7 +187,7 @@ mod tests {
     use super::*;
     use crate::bfv::{BfvContext, BfvParams};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn encoder(n: usize) -> BatchEncoder {
         BatchEncoder::new(Modulus::PASTA_17_BIT, n).unwrap()
@@ -237,6 +273,116 @@ mod tests {
             .map(|(&x, &y)| zp.add(x, y))
             .collect();
         assert_eq!(decoded, expect);
+    }
+
+    /// The test ring and the paper's `N = 1024`, 11 × 50-bit ring.
+    fn rings() -> [BfvContext; 2] {
+        [
+            BfvContext::new(BfvParams::test_tiny()).unwrap(),
+            BfvContext::new(BfvParams {
+                n: 1024,
+                prime_count: 11,
+                ..BfvParams::test_tiny()
+            })
+            .unwrap(),
+        ]
+    }
+
+    fn periods(n: usize) -> impl Iterator<Item = usize> {
+        (0..=n.trailing_zeros()).map(|b| 1usize << b)
+    }
+
+    #[test]
+    fn natural_slot_order_is_the_root_order() {
+        // Slot s evaluates at ψ^{2s+1}: X^{N/2} (value ψ^{(2s+1)N/2} =
+        // ±i, one square root of −1) alternates between the two roots
+        // with period 2 in natural order.
+        let enc = encoder(64);
+        let mut coeffs = vec![0u64; 64];
+        coeffs[32] = 1;
+        let slots = enc.decode(&Plaintext { coeffs });
+        assert_ne!(slots[0], slots[1]);
+        assert!(slots.chunks(2).all(|pair| pair == &slots[..2]));
+        let zp = pasta_math::Zp::new(Modulus::PASTA_17_BIT).unwrap();
+        assert_eq!(zp.mul(slots[0], slots[0]), 65_536, "a square root of -1");
+    }
+
+    #[test]
+    fn encode_periodic_equals_encode_of_the_replicated_vector() {
+        for n in [256usize, 1024] {
+            let enc = encoder(n);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for k in periods(n) {
+                // A full period and, where possible, a short one whose
+                // missing classes are zero.
+                for len in [k, k / 2 + 1] {
+                    let values: Vec<u64> = (0..len).map(|_| rng.gen_range(0..65_537)).collect();
+                    let replicated: Vec<u64> = (0..n)
+                        .map(|s| values.get(s % k).copied().unwrap_or(0))
+                        .collect();
+                    let periodic = enc.encode_periodic(&values);
+                    assert_eq!(periodic.period(), k);
+                    let expanded = periodic.expand();
+                    assert_eq!(expanded, enc.encode(&replicated), "n={n} k={k} len={len}");
+                    let decoded = enc.decode(&expanded);
+                    assert!(
+                        (0..n).all(|s| decoded[s] == decoded[s % k]),
+                        "decode must be {k}-periodic (n={n})"
+                    );
+                    assert_eq!(decoded, replicated);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_transform_expanded_over_runs_equals_to_ntt() {
+        for ctx in rings() {
+            let n = ctx.params().n;
+            let enc = BatchEncoder::new(Modulus::PASTA_17_BIT, n).unwrap();
+            let mut rng = StdRng::seed_from_u64(0x9F1 ^ n as u64);
+            for k in periods(n) {
+                let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..65_537)).collect();
+                let pt = enc.encode_periodic(&values);
+                let mut full =
+                    crate::ring::RnsPoly::from_u64_coeffs(ctx.basis(), &pt.expand().coeffs);
+                full.to_ntt(ctx.basis());
+                for i in 0..ctx.basis().len() {
+                    let mut compact = pt.coeffs.clone();
+                    ctx.basis().table(i).forward_prefix(&mut compact);
+                    let expanded: Vec<u64> = compact
+                        .iter()
+                        .flat_map(|&v| std::iter::repeat_n(v, n / k))
+                        .collect();
+                    assert_eq!(expanded, full.row(i), "n={n} k={k} prime {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn periodic_mac_is_bit_identical_to_the_expanded_plaintext() {
+        for ctx in rings() {
+            let n = ctx.params().n;
+            let enc = BatchEncoder::new(Modulus::PASTA_17_BIT, n).unwrap();
+            let mut rng = StdRng::seed_from_u64(0x3AC ^ n as u64);
+            let sk = ctx.generate_secret_key(&mut rng);
+            let pk = ctx.generate_public_key(&sk, &mut rng);
+            let slots: Vec<u64> = (0..n).map(|_| rng.gen_range(0..65_537)).collect();
+            let ct = ctx.prepare_ciphertext(ctx.encrypt(&pk, &enc.encode(&slots), &mut rng));
+            for k in periods(n) {
+                let (mut periodic, mut full) = (ctx.zero_ntt_ct(), ctx.zero_ntt_ct());
+                for _ in 0..2 {
+                    let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..65_537)).collect();
+                    let pt = enc.encode_periodic(&values);
+                    ctx.add_mul_periodic_assign(&mut periodic, &ct, &pt)
+                        .unwrap();
+                    ctx.add_mul_plain_assign(&mut full, &ct, &pt.expand())
+                        .unwrap();
+                }
+                assert_eq!(periodic, full, "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

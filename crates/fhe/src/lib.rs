@@ -55,7 +55,8 @@ pub mod scratch;
 
 pub use bfv::{
     BfvContext, BfvGaloisKey, BfvParams, BfvPublicKey, BfvRelinKey, BfvSecretKey, Ciphertext,
-    FheError, HoistedCiphertext, Plaintext, PreparedCiphertext, PreparedPlaintext, MUL_BACKEND_ENV,
+    FheError, HoistedCiphertext, PeriodicPlaintext, Plaintext, PreparedCiphertext,
+    PreparedPlaintext, MUL_BACKEND_ENV,
 };
 pub use encoding::BatchEncoder;
 pub use noise::{suggest_bfv_params, NoiseModel};

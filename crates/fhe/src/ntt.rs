@@ -30,10 +30,9 @@ pub struct NttTable {
     inv: Vec<u64>,
     /// Shoup companions of `inv`.
     inv_shoup: Vec<u64>,
-    /// N^{-1} mod p.
-    n_inv: u64,
-    /// Shoup companion of `n_inv`.
-    n_inv_shoup: u64,
+    /// `(2^{-i} mod p, Shoup companion)` for `i = 0 ..= log₂N`: the
+    /// final scaling of a `2^i`-point [`NttTable::inverse_prefix`].
+    pow2_inv: Vec<(u64, u64)>,
 }
 
 impl NttTable {
@@ -71,10 +70,9 @@ impl NttTable {
             *fw = powers[r];
             *iv = ipowers[r];
         }
-        let n_inv = zp.inv(n as u64 % zp.p())?;
         // Butterfly twiddles carry radix-aware Shoup companions (β = 2³²
-        // below the small-modulus bound); the N⁻¹ scaling goes through
-        // the wide-radix broadcast kernel and keeps `Zp::shoup`.
+        // below the small-modulus bound); the k⁻¹ scalings go through
+        // the wide-radix broadcast kernel and keep `Zp::shoup`.
         let fwd_shoup: Vec<u64> = fwd
             .iter()
             .map(|&w| simd::twiddle_shoup(zp.p(), w))
@@ -83,7 +81,12 @@ impl NttTable {
             .iter()
             .map(|&w| simd::twiddle_shoup(zp.p(), w))
             .collect();
-        let n_inv_shoup = zp.shoup(n_inv);
+        let half = zp.inv(2)?;
+        let mut pow2_inv = vec![(1, zp.shoup(1))];
+        for _ in 0..log_n {
+            let next = zp.mul(pow2_inv[pow2_inv.len() - 1].0, half);
+            pow2_inv.push((next, zp.shoup(next)));
+        }
         Ok(NttTable {
             zp,
             n,
@@ -91,8 +94,7 @@ impl NttTable {
             fwd_shoup,
             inv,
             inv_shoup,
-            n_inv,
-            n_inv_shoup,
+            pow2_inv,
         })
     }
 
@@ -120,19 +122,7 @@ impl NttTable {
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "NTT input length mismatch");
-        let p = self.zp.p();
-        let be = simd::backend();
-        let mut t = self.n;
-        let mut m = 1usize;
-        while m < self.n {
-            t /= 2;
-            // Stage i uses the contiguous twiddle block fwd[m..2m]; one
-            // stage-level dispatch covers all m groups (the short final
-            // stages vectorize across groups inside the kernel).
-            simd::fwd_stage_with(be, p, &self.fwd[m..2 * m], &self.fwd_shoup[m..2 * m], t, a);
-            m *= 2;
-        }
-        simd::canonicalize_with(be, p, a);
+        self.forward_prefix(a);
     }
 
     /// In-place inverse negacyclic NTT — Harvey/Shoup lazy-reduction
@@ -146,19 +136,86 @@ impl NttTable {
     /// Panics if `a.len() != n`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "NTT input length mismatch");
+        self.inverse_prefix(a);
+    }
+
+    /// The forward transform of a polynomial in the sub-ring
+    /// `Z_p[X^{N/k}]`, on its `k = a.len()` compact coefficients
+    /// (`a[i]` is the coefficient of `X^{i·N/k}`).
+    ///
+    /// Only the first `log₂k` stages of [`NttTable::forward`] touch such
+    /// a polynomial: they combine coefficients `N/k` apart, and every
+    /// later stage meets a zero upper input and copies its lower input
+    /// down. So the full transform holds `a[i]` (as left here) in each
+    /// of the `N/k` output slots `i·N/k .. (i+1)·N/k`, canonical values
+    /// bit-identical to transforming the expanded polynomial. At
+    /// `k = N` this is [`NttTable::forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a.len()` is a power of two `≤ N`.
+    pub fn forward_prefix(&self, a: &mut [u64]) {
+        let k = a.len();
+        assert!(
+            k.is_power_of_two() && k <= self.n,
+            "prefix length must be a power of two ≤ N"
+        );
         let p = self.zp.p();
         let be = simd::backend();
-        let mut t = 1usize;
-        let mut m = self.n;
-        while m > 1 {
-            let h = m / 2;
+        let mut m = 1usize;
+        while m < k {
+            // Stage i uses the contiguous twiddle block fwd[m..2m]; one
+            // stage-level dispatch covers all m groups (the short final
+            // stages vectorize across groups inside the kernel).
+            simd::fwd_stage_with(
+                be,
+                p,
+                &self.fwd[m..2 * m],
+                &self.fwd_shoup[m..2 * m],
+                k / (2 * m),
+                a,
+            );
+            m *= 2;
+        }
+        simd::canonicalize_with(be, p, a);
+    }
+
+    /// The inverse of [`NttTable::forward_prefix`]: `k = a.len()`
+    /// evaluation values, one per run of `N/k` equal slots, in, and the
+    /// `k` compact coefficients of the sub-ring polynomial out.
+    ///
+    /// On a run-constant input the first `log₂(N/k)` stages of
+    /// [`NttTable::inverse`] only fold each run into `N/k` times its
+    /// first slot, so this runs the last `log₂k` stages and scales by
+    /// `k⁻¹` in place of `N⁻¹`. At `k = N` this is [`NttTable::inverse`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a.len()` is a power of two `≤ N`.
+    pub fn inverse_prefix(&self, a: &mut [u64]) {
+        let k = a.len();
+        assert!(
+            k.is_power_of_two() && k <= self.n,
+            "prefix length must be a power of two ≤ N"
+        );
+        let p = self.zp.p();
+        let be = simd::backend();
+        let mut h = k / 2;
+        while h >= 1 {
             // Stage uses the contiguous twiddle block inv[h..2h]; one
             // stage-level dispatch covers all h groups.
-            simd::inv_stage_with(be, p, &self.inv[h..2 * h], &self.inv_shoup[h..2 * h], t, a);
-            t *= 2;
-            m = h;
+            simd::inv_stage_with(
+                be,
+                p,
+                &self.inv[h..2 * h],
+                &self.inv_shoup[h..2 * h],
+                k / (2 * h),
+                a,
+            );
+            h /= 2;
         }
-        simd::mul_const_shoup_with(be, p, self.n_inv, self.n_inv_shoup, a);
+        let (k_inv, k_inv_shoup) = self.pow2_inv[k.trailing_zeros() as usize];
+        simd::mul_const_shoup_with(be, p, k_inv, k_inv_shoup, a);
     }
 
     /// The pre-optimization forward transform (one full Barrett/add-shift
@@ -217,7 +274,7 @@ impl NttTable {
             m = h;
         }
         for x in a.iter_mut() {
-            *x = zp.mul(*x, self.n_inv);
+            *x = zp.mul(*x, self.pow2_inv[self.n.trailing_zeros() as usize].0);
         }
     }
 
@@ -247,7 +304,7 @@ impl NttTable {
     }
 }
 
-fn bit_reverse(x: usize, bits: u32) -> usize {
+pub(crate) fn bit_reverse(x: usize, bits: u32) -> usize {
     x.reverse_bits() >> (usize::BITS - bits)
 }
 

@@ -35,6 +35,20 @@
 //! The Shoup companions sit on the reused operand instead: each
 //! NTT-domain input ciphertext of a layer-half, which all `t` rows read.
 //!
+//! **Periodic layout.** A pass over `b` blocks pays for
+//! `k = b.next_power_of_two()` slots, not `N`: every plaintext of the
+//! pass (weights, round constants, the demux ciphertext slots, the
+//! mux key masks) is `k`-periodic — slot `s` carries the material of
+//! slot `s mod k`, and classes `b..k` carry zeros. Such a plaintext
+//! lives in the sub-ring `Z_t[X^{N/k}]`, so encoding it and
+//! forward-transforming it per RNS prime are `k`-point transforms
+//! ([`BatchEncoder::encode_periodic`],
+//! [`BfvContext::add_mul_periodic_assign`]). Replica slots compute
+//! exactly what their class representative computes (the key is the
+//! same in every slot of a class), and the unowned classes stay zero
+//! through every layer, so a replica slot decrypts to nothing its
+//! representative does not hold.
+//!
 //! Unlike [`crate::packed`], this layout is *rotation-free*: state
 //! position `(i)` lives in its own ciphertext and slots only ever meet
 //! slot-wise, so there are no Galois key-switches for the hoisted-BSGS
@@ -192,11 +206,13 @@ impl BatchedHheServer {
         let ks = self.keystream_batch(ctx, pasta_ct.nonce(), 0, blocks)?;
         let mut positions = Vec::with_capacity(t);
         for (i, ks_ct) in ks.positions.iter().enumerate() {
-            // Slot s holds ciphertext element s·t + i (0 past the end).
+            // Slot s holds ciphertext element s·t + i (0 past the end),
+            // replicated with the pass's period.
             let c_slots: Vec<u64> = (0..blocks)
                 .map(|s| pasta_ct.elements().get(s * t + i).copied().unwrap_or(0))
                 .collect();
-            let mut out = ctx.encrypt_trivial(&self.encoder.encode(&c_slots));
+            let c_pt = self.encoder.encode_periodic(&c_slots).expand();
+            let mut out = ctx.encrypt_trivial(&c_pt);
             ctx.sub_assign(&mut out, ks_ct)?;
             positions.push(out);
         }
@@ -229,6 +245,9 @@ impl BatchedHheServer {
 /// counter window, which is what lets the cross-tenant multiplexer (with
 /// a slot-masked composed key instead of one tenant's replicated key)
 /// share this evaluator with the homogeneous batched server.
+///
+/// Every plaintext is `per_slot.len().next_power_of_two()`-periodic
+/// (see the module docs), so each weight costs `k`-point transforms.
 ///
 /// Mix and the S-boxes are the scalar server's ([`crate::server`]),
 /// slot-wise by construction. As there, only what the truncated output
@@ -266,11 +285,11 @@ pub(crate) fn eval_slotted_circuit(
 
 /// One slot-parallel affine layer-half: output row `i` is
 /// `Σ_j W_ij ⊙ x_j + rc_i`, where slot `s` of the plaintexts `W_ij` and
-/// `rc_i` carries block `s`'s matrix entry `(i, j)` and round constant
-/// `i`. Each input `x_j` is NTT- and Shoup-prepared once for the `t`
-/// rows that read it; each `W_ij` is encoded, multiplied once and
-/// dropped; `rc_i` enters as `Δ·m` only. The rows fan out across the
-/// worker pool.
+/// `rc_i` carries block `s mod k`'s matrix entry `(i, j)` and round
+/// constant `i`. Each input `x_j` is NTT- and Shoup-prepared once for
+/// the `t` rows that read it; each `W_ij` is periodic-encoded,
+/// multiplied once and dropped; `rc_i` enters as `Δ·m` only. The rows
+/// fan out across the worker pool.
 fn affine_half(
     ctx: &BfvContext,
     encoder: &BatchEncoder,
@@ -299,14 +318,14 @@ fn affine_half(
                     m.right.get(i, j)
                 };
             }
-            ctx.add_mul_plain_assign(&mut acc, x, &encoder.encode(&slots))?;
+            ctx.add_mul_periodic_assign(&mut acc, x, &encoder.encode_periodic(&slots))?;
         }
         ctx.to_coeff_ct(&mut acc);
         for (v, block) in slots.iter_mut().zip(per_slot) {
             let l = &block.material.layers[layer];
             *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
         }
-        ctx.add_plain_assign(&mut acc, &encoder.encode(&slots));
+        ctx.add_plain_assign(&mut acc, &encoder.encode_periodic(&slots).expand());
         Ok(acc)
     })
     .into_iter()

@@ -19,7 +19,10 @@
 //!   a composed key with exactly one tenant's key per slot and `0`
 //!   elsewhere. Masking is plaintext–ciphertext only — no tenant's key
 //!   material ever meets another's except under FHE addition, and a
-//!   slot is covered by exactly one mask, so slots cannot mix.
+//!   slot is covered by exactly one mask, so slots cannot mix. Like
+//!   every plaintext of the pass, a mask is periodic with the pass's
+//!   `k = slots_used.next_power_of_two()` (see [`crate::batched`]):
+//!   it covers slot `s` iff it covers `s mod k`.
 //! - **Per-slot material.** The affine matrices and round constants are
 //!   public functions of `(params, nonce, counter)`; the batched
 //!   plaintexts are already per-slot, so slot `s` simply takes the
@@ -201,7 +204,8 @@ impl MuxHheServer {
 
     /// The composed cross-tenant key for this bucket layout: element `j`
     /// is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is the 0/1 plaintext of
-    /// member `m`'s slot range. Memoized per `(tenant, blocks)` layout.
+    /// member `m`'s slot range, repeated with the pass's period.
+    /// Memoized per `(tenant, blocks)` layout, which fixes the period.
     fn composed_key(
         &self,
         ctx: &BfvContext,
@@ -211,8 +215,8 @@ impl MuxHheServer {
     ) -> Result<Arc<ComposedKeyEntry>, FheError> {
         let state = self.params.state_size();
         // A single-member bucket needs no masking: the member's key
-        // already has its key element in every slot, and slots past the
-        // member's range are never read.
+        // already has its key element in every slot, and the slots of
+        // unused classes carry zero material, so they compute 0.
         if members.len() == 1 {
             return Ok(Arc::new(ComposedKeyEntry {
                 elements: members[0].encrypted_key.elements.clone(),
@@ -235,7 +239,7 @@ impl MuxHheServer {
                     for s in &mut slots[r.start..r.start + r.blocks] {
                         *s = 1;
                     }
-                    ctx.prepare_plaintext(&self.encoder.encode(&slots))
+                    ctx.prepare_plaintext(&self.encoder.encode_periodic(&slots).expand())
                 })
                 .collect();
             // `owner[m]` indexes member m's tenant among the distinct
@@ -331,8 +335,9 @@ impl MuxHheServer {
         )?;
 
         // Demux-side subtraction: slot s of position i carries message
-        // element (s − start)·t + i of the member owning slot s (0 where
-        // the member's last block is partial or the slot is unowned).
+        // element (s − start)·t + i of the member owning slot s mod k (0
+        // where the member's last block is partial or the class is
+        // unowned).
         let mut positions = Vec::with_capacity(t);
         for (i, ks_ct) in ks.iter().enumerate() {
             let mut c_slots = vec![0u64; slots_used];
@@ -343,7 +348,7 @@ impl MuxHheServer {
                     }
                 }
             }
-            let mut out = ctx.encrypt_trivial(&self.encoder.encode(&c_slots));
+            let mut out = ctx.encrypt_trivial(&self.encoder.encode_periodic(&c_slots).expand());
             ctx.sub_assign(&mut out, ks_ct)?;
             positions.push(out);
         }

@@ -3,18 +3,21 @@
 //! of the Galois key-switch entry points on their own. The evaluation
 //! order (what is prepared, which operand carries the Shoup companion,
 //! where the NTTs happen, which dead state elements are skipped) may change
-//! freely, but the ciphertexts must not move by a single bit. The mux,
-//! batched and packed values were recorded from the cache-prepared
-//! evaluation that preceded the streamed one; the scalar and Galois
-//! values from the full-width last round and the generic-Barrett
-//! `apply_galois` loop that preceded the truncated round and the shared
-//! Shoup key-switch kernel.
+//! freely, but the ciphertexts must not move by a single bit. The packed
+//! values were recorded from the cache-prepared evaluation that preceded
+//! the streamed one; the scalar and Galois values from the full-width
+//! last round and the generic-Barrett `apply_galois` loop that preceded
+//! the truncated round and the shared Shoup key-switch kernel. The mux
+//! and batched values were re-recorded when the encoder moved to natural
+//! slot order and slot-parallel passes to the periodic layout: both
+//! change the plaintext polynomials the pass lifts, so the ciphertexts
+//! move by design; they still decrypt to the same messages.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
 use pasta_hhe::{
-    provision_batched_key, BatchedHheServer, HheClient, HheServer, MuxHheServer, MuxMember,
-    PackedHheServer, PackedStrategy,
+    provision_batched_key, retrieve_muxed, BatchedHheServer, HheClient, HheServer, MuxHheServer,
+    MuxMember, PackedHheServer, PackedStrategy,
 };
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -163,9 +166,15 @@ fn mux_bucket_with_partial_blocks_is_pinned() {
         .collect();
     let muxed = mux.transcipher_mux(&ctx, &members).unwrap();
     assert_eq!(muxed.slots_used, 2 + 1 + 3 + 1);
+    for (&(_, len, nonce), range) in spec.iter().zip(&muxed.ranges) {
+        assert_eq!(
+            retrieve_muxed(&ctx, &sk, &muxed.positions, *range).unwrap(),
+            message(len, nonce as u64)
+        );
+    }
     assert_eq!(
         digest(&ctx, &muxed.positions),
-        pinned(14_492_888_914_047_884_783, 12_689_717_000_444_941_670)
+        pinned(12_880_480_418_547_219_228, 17_779_829_228_378_255_478)
     );
 }
 
@@ -185,12 +194,21 @@ fn batched_transcipher_is_pinned() {
         .unwrap();
     let server = BatchedHheServer::new(params(), &ctx, relin, ek).unwrap();
     // 11 elements: three blocks, the last one partial.
-    let pasta_ct = client.encrypt(0x5EED, &message(11, 3)).unwrap();
+    let msg = message(11, 3);
+    let pasta_ct = client.encrypt(0x5EED, &msg).unwrap();
     let batch = server.transcipher_batched(&ctx, &pasta_ct).unwrap();
     assert_eq!(batch.blocks, 3);
+    for position in 0..4 {
+        let values = server.decode_position(&ctx, &sk, &batch, position);
+        for (s, &v) in values.iter().enumerate() {
+            if let Some(&m) = msg.get(s * 4 + position) {
+                assert_eq!(v, m, "block {s} position {position}");
+            }
+        }
+    }
     assert_eq!(
         digest(&ctx, &batch.positions),
-        pinned(11_207_067_849_666_174_389, 6_261_826_652_002_460_718)
+        pinned(4_644_963_242_060_643_509, 804_225_375_803_952_807)
     );
 }
 
