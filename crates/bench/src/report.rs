@@ -107,7 +107,8 @@ pub struct BenchEntry {
     pub id: String,
     /// Measurement phase: `before` (pre-optimization baseline) or `after`.
     pub phase: String,
-    /// SIMD backend (`"scalar"` / `"avx2"`) the measurement ran under.
+    /// SIMD backend (`"scalar"` / `"avx2"` / `"avx512ifma"`) the
+    /// measurement ran under.
     /// Entries parsed from reports predating the backend dimension
     /// default to `"scalar"` — everything before the SIMD backend
     /// existed was scalar by construction.
@@ -227,13 +228,14 @@ impl BenchReport {
         out
     }
 
-    /// Scalar-vs-AVX2 speedup factors over the `after` phase: for every
-    /// id measured under both backends, `scalar_ns / avx2_ns`.
+    /// Vector-vs-scalar speedup factors over the `after` phase: for
+    /// every id measured under scalar and a vector backend,
+    /// `(id, backend, scalar_ns / backend_ns)`.
     #[must_use]
-    pub fn backend_speedups(&self) -> Vec<(String, f64)> {
+    pub fn backend_speedups(&self) -> Vec<(String, String, f64)> {
         let mut out = Vec::new();
         for e in &self.entries {
-            if e.phase != "after" || e.backend != "avx2" {
+            if e.phase != "after" || e.backend == "scalar" {
                 continue;
             }
             if let Some(s) = self
@@ -242,7 +244,7 @@ impl BenchReport {
                 .find(|s| s.phase == "after" && s.id == e.id && s.backend == "scalar")
             {
                 if e.ns > 0.0 {
-                    out.push((e.id.clone(), s.ns / e.ns));
+                    out.push((e.id.clone(), e.backend.clone(), s.ns / e.ns));
                 }
             }
         }
@@ -285,10 +287,10 @@ impl BenchReport {
         out.push_str("  ],\n");
         out.push_str("  \"backend_speedup\": [\n");
         let bups = self.backend_speedups();
-        for (i, (id, factor)) in bups.iter().enumerate() {
+        for (i, (id, backend, factor)) in bups.iter().enumerate() {
             let comma = if i + 1 < bups.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"id\": \"{id}\", \"factor\": {factor:.2}}}{comma}\n"
+                "    {{\"id\": \"{id}\", \"backend\": \"{backend}\", \"factor\": {factor:.2}}}{comma}\n"
             ));
         }
         out.push_str("  ]\n}\n");
@@ -381,14 +383,21 @@ mod tests {
                 ("a".to_string(), "avx2".to_string(), 5.0),
             ]
         );
-        assert_eq!(r.backend_speedups(), vec![("a".to_string(), 2.0)]);
+        r.push_backend("a", "after", "avx512ifma", 10.0);
+        assert_eq!(
+            r.backend_speedups(),
+            vec![
+                ("a".to_string(), "avx2".to_string(), 2.0),
+                ("a".to_string(), "avx512ifma".to_string(), 4.0),
+            ]
+        );
         let json = r.to_json();
         assert!(json.contains("\"backend\": \"avx2\""), "{json}");
         assert!(json.contains("\"backend_speedup\""), "{json}");
-        // push() stamps the live backend label — one of the two.
+        // push() stamps the live backend label — one of the three.
         let mut live = BenchReport::new("y", "");
         live.push("b", "after", 1.0);
-        assert!(["scalar", "avx2"].contains(&live.entries[0].backend.as_str()));
+        assert!(["scalar", "avx2", "avx512ifma"].contains(&live.entries[0].backend.as_str()));
     }
 
     #[test]

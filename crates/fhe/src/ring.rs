@@ -980,17 +980,17 @@ mod tests {
     #[test]
     fn parallel_transforms_match_serial() {
         // A ring degree above the parallel threshold, crossing the
-        // thread override with the SIMD backend override: all four
-        // (threads × backend) combinations must produce bit-identical
-        // transforms. On machines without AVX2 the forced-Avx2 legs
-        // fall back to scalar and the test degenerates to the
-        // thread-only check.
+        // thread override with the SIMD backend override: every
+        // (threads × backend) combination must produce bit-identical
+        // transforms. A backend the CPU lacks falls back to a slower
+        // one, so without AVX2 the test degenerates to the thread-only
+        // check.
         let b = RnsBasis::with_generated_primes(2048, 50, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let poly = RnsPoly::random_uniform(&b, &mut rng);
         let mut outputs = Vec::new();
         for threads in ["1", "4"] {
-            for backend in [simd::Backend::Scalar, simd::Backend::Avx2] {
+            for backend in simd::Backend::ALL {
                 std::env::set_var(pasta_par::THREADS_ENV, threads);
                 let got = simd::force_backend(Some(backend));
                 let mut fwd = poly.clone();

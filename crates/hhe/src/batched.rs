@@ -277,6 +277,8 @@ pub(crate) fn eval_slotted_circuit(
         if layer < r - 1 {
             server::feistel(ctx, relin_key, &mut left, &mut right)?;
         } else {
+            // Truncation: the output reads X_L only; free X_R first.
+            right.clear();
             left = server::cube(ctx, relin_key, &left)?;
         }
     }

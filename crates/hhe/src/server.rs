@@ -131,6 +131,9 @@ impl HheServer {
             if i < r - 1 {
                 feistel(ctx, &self.relin_key, &mut left, &mut right)?;
             } else {
+                // Truncation: the output reads X_L only, so the right
+                // half is dead from here on; free it before the cubes.
+                right.clear();
                 left = cube(ctx, &self.relin_key, &left)?;
             }
         }
@@ -223,17 +226,26 @@ pub(crate) fn feistel(
     left: &mut [FheCiphertext],
     right: &mut [FheCiphertext],
 ) -> Result<(), FheError> {
-    let t = left.len();
-    let mut full: Vec<FheCiphertext> = left.iter().chain(right.iter()).cloned().collect();
-    let squares: Vec<FheCiphertext> =
-        pasta_par::parallel_map(&full[..2 * t - 1], |_, x| ctx.square_relin(x, relin_key))
+    // Targets are taken from the top down, a few squares per worker at
+    // a time: every square reads an input no add has touched yet, and
+    // only one chunk of squares is held next to the state.
+    let chunk = 4 * pasta_par::threads();
+    let mut hi = left.len() + right.len();
+    while hi > 1 {
+        let lo = hi.saturating_sub(chunk).max(1);
+        let inputs: Vec<&FheCiphertext> = left.iter().chain(right.iter()).collect();
+        let squares: Vec<FheCiphertext> =
+            pasta_par::parallel_map(&inputs[lo - 1..hi - 1], |_, x| {
+                ctx.square_relin(x, relin_key)
+            })
             .into_iter()
             .collect::<Result<_, _>>()?;
-    for j in (1..2 * t).rev() {
-        ctx.add_assign(&mut full[j], &squares[j - 1])?;
+        let targets = left.iter_mut().chain(right.iter_mut()).skip(lo);
+        for (y, sq) in targets.zip(&squares) {
+            ctx.add_assign(y, sq)?;
+        }
+        hi = lo;
     }
-    left.clone_from_slice(&full[..t]);
-    right.clone_from_slice(&full[t..]);
     Ok(())
 }
 

@@ -1,11 +1,11 @@
 //! Thread-count and SIMD-backend determinism: the parallel fan-outs
 //! (`pasta-par`) must be bit-exact for any worker count, and the
 //! vectorized arithmetic kernels (`pasta_math::simd`) for any backend.
-//! `PASTA_THREADS=1` and `=4` — and the scalar vs AVX2 kernels — have
-//! to produce *identical* transciphered ciphertexts, not just
-//! ciphertexts that decrypt to the same message. The serial legs here
-//! force the scalar backend and the threaded legs force AVX2 (which
-//! falls back to scalar off x86), so one comparison pins both
+//! `PASTA_THREADS=1`, `=2` and `=4` — and the scalar, AVX2 and IFMA
+//! kernels — have to produce *identical* transciphered ciphertexts, not
+//! just ciphertexts that decrypt to the same message. One thread forces
+//! the scalar backend, two AVX2 and four IFMA (each falling back to the
+//! fastest slower tier the CPU has), so one comparison pins both
 //! dimensions at once.
 //!
 //! These tests live in their own integration-test binary so mutating the
@@ -20,13 +20,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Runs `f` under a forced thread count AND a forced SIMD backend:
-/// `"1"` pairs with the scalar kernels, everything else with AVX2.
+/// `"1"` pairs with the scalar kernels, `"2"` with AVX2 and everything
+/// else with IFMA.
 fn with_threads<T>(n: &str, f: impl FnOnce() -> T) -> T {
     std::env::set_var(pasta_par::THREADS_ENV, n);
-    simd::force_backend(Some(if n == "1" {
-        simd::Backend::Scalar
-    } else {
-        simd::Backend::Avx2
+    simd::force_backend(Some(match n {
+        "1" => simd::Backend::Scalar,
+        "2" => simd::Backend::Avx2,
+        _ => simd::Backend::Avx512Ifma,
     }));
     let out = f();
     simd::force_backend(None);
@@ -57,9 +58,9 @@ fn batched_transcipher_is_thread_count_invariant() {
     let pasta_ct = client.encrypt(0xD1CE, &message).unwrap();
 
     let serial = with_threads("1", || server.transcipher_batched(&ctx, &pasta_ct).unwrap());
-    // Fresh server for the threaded pass: a cache hit from the serial
+    // Fresh server for each threaded pass: a cache hit from the serial
     // pass must not mask a scheduling-dependent material build.
-    let threaded = with_threads("4", || {
+    let fresh_pass = || {
         let mut rng = StdRng::seed_from_u64(808);
         let sk2 = ctx.generate_secret_key(&mut rng);
         let pk2 = ctx.generate_public_key(&sk2, &mut rng);
@@ -74,13 +75,16 @@ fn batched_transcipher_is_thread_count_invariant() {
         .unwrap();
         let server2 = BatchedHheServer::new(params, &ctx, relin2, ek2).unwrap();
         server2.transcipher_batched(&ctx, &pasta_ct).unwrap()
-    });
+    };
 
     assert_eq!(serial.blocks, 3);
-    assert_eq!(
-        serial.positions, threaded.positions,
-        "PASTA_THREADS=1/scalar and =4/avx2 must produce identical ciphertexts"
-    );
+    for n in ["2", "4"] {
+        let threaded = with_threads(n, fresh_pass);
+        assert_eq!(
+            serial.positions, threaded.positions,
+            "PASTA_THREADS=1/scalar and ={n} must produce identical ciphertexts"
+        );
+    }
 
     // And re-running on the same (warm) server stays identical too.
     let warm = with_threads("4", || server.transcipher_batched(&ctx, &pasta_ct).unwrap());
@@ -104,8 +108,10 @@ fn scalar_transcipher_is_thread_count_invariant() {
 
     let serial: Vec<FheCiphertext> =
         with_threads("1", || server.transcipher(&ctx, &pasta_ct).unwrap());
-    let threaded = with_threads("4", || server.transcipher(&ctx, &pasta_ct).unwrap());
-    assert_eq!(serial, threaded);
+    for n in ["2", "4"] {
+        let threaded = with_threads(n, || server.transcipher(&ctx, &pasta_ct).unwrap());
+        assert_eq!(serial, threaded, "PASTA_THREADS={n}");
+    }
     assert_eq!(client.retrieve(&ctx, &sk, &serial), message);
 }
 
@@ -145,13 +151,21 @@ fn packed_bsgs_transcipher_is_thread_count_invariant() {
     let serial = with_threads("1", || {
         server1.transcipher_packed(&ctx, &pasta_ct, 0).unwrap()
     });
+    let (_, server2) = with_threads("2", build);
+    let cold2 = with_threads("2", || {
+        server2.transcipher_packed(&ctx, &pasta_ct, 0).unwrap()
+    });
     let (_, server4) = with_threads("4", build);
     let cold = with_threads("4", || {
         server4.transcipher_packed(&ctx, &pasta_ct, 0).unwrap()
     });
     assert_eq!(
+        serial, cold2,
+        "PASTA_THREADS=1/scalar and =2/avx2 must produce identical packed ciphertexts"
+    );
+    assert_eq!(
         serial, cold,
-        "PASTA_THREADS=1/scalar and =4/avx2 must produce identical packed ciphertexts"
+        "PASTA_THREADS=1/scalar and =4/avx512ifma must produce identical packed ciphertexts"
     );
 
     // Warm-cache pass: re-running on the already-populated server stays

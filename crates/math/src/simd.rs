@@ -3,16 +3,27 @@
 //! The transcipher hot path spends nearly all of its time in three inner
 //! loops: the Harvey/Shoup lazy NTT butterflies, the Shoup pointwise /
 //! fused-MAC kernels of the cached-material affine paths, and the BEHZ
-//! base-conversion dot products. This module provides one scalar and one
-//! AVX2 (`std::arch`, zero new dependencies) implementation of each,
-//! behind safe slice-taking wrappers, with the backend selected once at
-//! startup:
+//! base-conversion dot products. This module provides three tiers of
+//! each (`std::arch`, zero new dependencies) behind safe slice-taking
+//! wrappers, with the backend selected once at startup:
+//!
+//! * **scalar** — the portable reference;
+//! * **avx2** — 4×u64 lanes, the 64×64-bit Shoup products emulated from
+//!   four `pmuludq` partial products and a carry chain;
+//! * **avx512ifma** — 8×u64 lanes on the AVX-512 IFMA52 multipliers
+//!   (`vpmadd52luq` / `vpmadd52huq`, the low and high 52 bits of a
+//!   52×52-bit product) for the NTT stages and the element-wise Shoup
+//!   kernels; the standalone butterflies and the dot product run the
+//!   AVX2 kernels on this tier.
+//!
+//! Selection:
 //!
 //! * `PASTA_SIMD=scalar` forces the portable path,
-//! * `PASTA_SIMD=avx2` requests AVX2 (silently falling back to scalar if
+//! * `PASTA_SIMD=avx2` forces AVX2 (silently falling back to scalar if
 //!   the CPU lacks it),
-//! * `PASTA_SIMD=auto` (or unset) picks AVX2 when
-//!   `is_x86_feature_detected!("avx2")` reports support,
+//! * `PASTA_SIMD=auto` (or unset) picks the fastest detected tier:
+//!   avx512ifma when `avx512f` and `avx512ifma` are reported, else avx2
+//!   when `avx2` is, else scalar,
 //! * any other value panics at first dispatch — a typo must not
 //!   silently defeat a backend gate (e.g. a CI scalar leg).
 //!
@@ -23,7 +34,7 @@
 //! * The butterflies run the identical lazy recurrence (`mul_shoup_lazy`
 //!   is `a·w − ⌊a·w'/β⌋·p`, a pure function of its u64 inputs), so the
 //!   intermediate `< 2p` / `< 4p` representatives match word for word.
-//!   Both backends pick the same Shoup radix β from the modulus width:
+//!   All backends pick the same Shoup radix β from the modulus width:
 //!   β = 2⁶⁴ in general (the AVX2 path emulates the 64×64→128 high half
 //!   with four `_mm256_mul_epu32` partial products and a full carry
 //!   chain — no dropped carries, so the quotient is the same integer the
@@ -34,16 +45,50 @@
 //! * The base-conversion dot product needs the bit-exact wrapped 128-bit
 //!   sum, which leaves no lazy slack to vectorize away: the emulated
 //!   carry chain loses to the scalar MULX pipeline on every CPU
-//!   measured, so both backends run the scalar u128 accumulator behind
+//!   measured, so every backend runs the scalar u128 accumulator behind
 //!   the same dispatch seam.
 //!
 //! Four 62-bit lanes are safe under the lazy discipline because every
 //! supported modulus is ≤ 62 bits: `4p < 2⁶⁴`, so the widest transient
 //! (`u + 2p − v` with `u < 2p`) never wraps a u64 lane.
 //!
+//! **The IFMA tier and its 52-bit operand bound.** IFMA multiplies only
+//! the low 52 bits of each operand, so a lane must hold a value below
+//! 2⁵². The lazy NTT values are `< 4p`, which puts the bound at
+//! `p < 2⁵⁰`; the modulus picks the kernel inside each wrapper:
+//!
+//! * the stage kernels run on IFMA for `2³⁰ ≤ p < 2⁵⁰` (every BFV
+//!   ciphertext prime of the benchmark rings is 50 bits);
+//! * the element-wise kernels (`mul_const_shoup`, `pointwise_mul_shoup`,
+//!   `mac_shoup`) run on IFMA for `p < 2⁵⁰`, and `canonicalize`, which
+//!   multiplies nothing, for every modulus;
+//! * everything else — the narrow-radix moduli below 2³⁰ in the stages,
+//!   the 51-bit BEHZ auxiliary primes, 54- and 60-bit primes, lengths
+//!   that are not a multiple of 8 lanes and `t < 8` stages whose group
+//!   count does not fill 16 words — takes the AVX2 kernel (which hands
+//!   its own tails to the scalar one).
+//!
+//! The stage kernels keep the radix-2⁶⁴ recurrence exactly. With the
+//! twiddle companion split as `w′ = wh·2⁵² + wl` (`wh < 2¹²`,
+//! `wl < 2⁵²`) and a lazy input `y < 2⁵²`,
+//! `y·w′ = hi(y·wh)·2¹⁰⁴ + (lo(y·wh) + hi(y·wl))·2⁵² + lo(y·wl)`, where
+//! `lo`/`hi` are the low/high 52-bit halves. The last term is below 2⁵²,
+//! so adding it to a multiple of 2⁵² cannot reach the next multiple of
+//! 2⁶⁴, and `q = ⌊y·w′/2⁶⁴⌋ = (hi(y·wh) ≪ 40) + ((lo(y·wh) + hi(y·wl)) ≫ 12)`
+//! exactly — the same integer the scalar `u128` shift computes, and
+//! `q ≤ y < 2⁵²`. The remainder `y·w − q·p` lies in `[0, 2p)` and
+//! `2p < 2⁵²`, so it equals `(lo(y·w) − lo(q·p)) mod 2⁵²`. Every lazy
+//! intermediate therefore matches the scalar and AVX2 recurrence word
+//! for word. The element-wise kernels return canonical residues, so
+//! they may use the shorter radix-2⁵² companion `w_shoup ≫ 12`, which
+//! equals `⌊w·2⁵²/p⌋` because the two floor divisions compose; the
+//! Harvey bound `a ≤ 2⁵²` keeps that lazy product `< 2p`, and the
+//! canonical result is the unique residue all backends return. No table
+//! or companion layout depends on the tier.
+//!
 //! All `unsafe` stays inside this module: intrinsics are wrapped in
-//! `#[target_feature(enable = "avx2")]` functions that only the
-//! dispatcher calls, and only after AVX2 support has been verified.
+//! `#[target_feature]` functions that only the dispatcher calls, and
+//! only after the CPU reported the features they enable.
 
 #![allow(unsafe_code)]
 
@@ -60,16 +105,55 @@ pub enum Backend {
     Scalar,
     /// 4×u64-lane AVX2 path (x86-64 with runtime-detected support).
     Avx2,
+    /// 8×u64-lane AVX-512 IFMA52 path for moduli below 2⁵⁰ (x86-64 with
+    /// runtime-detected `avx512f` + `avx512ifma`); wider moduli and the
+    /// kernels without an IFMA version run the AVX2 code.
+    Avx512Ifma,
 }
 
 impl Backend {
-    /// Stable lowercase label (`"scalar"` / `"avx2"`) for telemetry and
-    /// bench JSON.
+    /// Every backend, slowest first.
+    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Avx512Ifma];
+
+    /// Stable lowercase label (`"scalar"` / `"avx2"` / `"avx512ifma"`)
+    /// for telemetry and bench JSON.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512Ifma => "avx512ifma",
+        }
+    }
+
+    /// Whether this CPU supports the backend.
+    #[must_use]
+    pub fn is_available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = std::is_x86_feature_detected!("avx2");
+            match self {
+                Backend::Scalar => true,
+                Backend::Avx2 => avx2,
+                Backend::Avx512Ifma => {
+                    avx2 && std::is_x86_feature_detected!("avx512f")
+                        && std::is_x86_feature_detected!("avx512ifma")
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Backend::Scalar
+        }
+    }
+
+    /// The fastest available backend no faster than `self`: an
+    /// unavailable IFMA request falls back to AVX2, and AVX2 to scalar.
+    fn or_fallback(self) -> Backend {
+        match self {
+            Backend::Avx512Ifma if !self.is_available() => Backend::Avx2.or_fallback(),
+            Backend::Avx2 if !self.is_available() => Backend::Scalar,
+            b => b,
         }
     }
 }
@@ -77,34 +161,17 @@ impl Backend {
 const BACKEND_UNRESOLVED: u8 = 0;
 const BACKEND_SCALAR: u8 = 1;
 const BACKEND_AVX2: u8 = 2;
+const BACKEND_AVX512IFMA: u8 = 3;
 
 /// Cached backend selection: resolved on first use, then a relaxed
 /// atomic load. `force_backend` (tests/benches) may overwrite it.
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNRESOLVED);
 
-/// Whether this CPU supports the AVX2 path.
-#[must_use]
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 fn resolve_from_env() -> Backend {
     match std::env::var(SIMD_ENV).ok().as_deref() {
         Some("scalar") => Backend::Scalar,
-        Some("avx2") | Some("auto") | None => {
-            if avx2_available() {
-                Backend::Avx2
-            } else {
-                Backend::Scalar
-            }
-        }
+        Some("avx2") => Backend::Avx2.or_fallback(),
+        Some("auto") | None => Backend::Avx512Ifma.or_fallback(),
         // audit: allow(panic, reason = "fail-fast on a misconfigured environment: a typo like PASTA_SIMD=sclar silently selecting AVX2 would defeat a CI scalar-backend gate with no diagnostic")
         Some(other) => panic!(
             "{SIMD_ENV}={other:?} is not a recognized backend \
@@ -117,6 +184,7 @@ fn store_backend(b: Backend) {
     let code = match b {
         Backend::Scalar => BACKEND_SCALAR,
         Backend::Avx2 => BACKEND_AVX2,
+        Backend::Avx512Ifma => BACKEND_AVX512IFMA,
     };
     // audit: allow(ordering, reason = "idempotent dispatch cache: racing initializers all derive the same value from CPUID, so no ordering is needed")
     BACKEND.store(code, Ordering::Relaxed);
@@ -130,6 +198,7 @@ pub fn backend() -> Backend {
     match BACKEND.load(Ordering::Relaxed) {
         BACKEND_SCALAR => Backend::Scalar,
         BACKEND_AVX2 => Backend::Avx2,
+        BACKEND_AVX512IFMA => Backend::Avx512Ifma,
         _ => {
             let b = resolve_from_env();
             store_backend(b);
@@ -138,24 +207,22 @@ pub fn backend() -> Backend {
     }
 }
 
-/// Stable label of the selected backend (`"scalar"` / `"avx2"`).
+/// Stable label of the selected backend (`"scalar"` / `"avx2"` /
+/// `"avx512ifma"`).
 #[must_use]
 pub fn backend_label() -> &'static str {
     backend().label()
 }
 
 /// Overrides the cached backend selection — a test/bench hook for
-/// exercising both paths inside one process. `None` re-resolves from
-/// the environment. Requests for an unavailable backend fall back to
-/// scalar. Returns the backend actually in effect. Safe to call at any
-/// time: both backends produce bit-identical outputs, so switching
-/// mid-run cannot change any result.
+/// exercising every path inside one process. `None` re-resolves from
+/// the environment. A request for an unavailable backend falls back to
+/// the fastest available slower one (IFMA → AVX2 → scalar). Returns the
+/// backend actually in effect. Safe to call at any time: all backends
+/// produce bit-identical outputs, so switching mid-run cannot change
+/// any result.
 pub fn force_backend(requested: Option<Backend>) -> Backend {
-    let b = match requested {
-        None => resolve_from_env(),
-        Some(Backend::Avx2) if !avx2_available() => Backend::Scalar,
-        Some(b) => b,
-    };
+    let b = requested.map_or_else(resolve_from_env, Backend::or_fallback);
     store_backend(b);
     b
 }
@@ -196,23 +263,30 @@ pub fn twiddle_shoup(p: u64, w: u64) -> u64 {
 // Dispatching wrappers (safe, slice-taking)
 // ---------------------------------------------------------------------------
 
+/// Routes a kernel call to the backend's implementation. The
+/// three-argument form sends the IFMA tier to the AVX2 kernel.
 macro_rules! dispatch {
     ($backend:expr, $scalar:expr, $avx2:expr) => {
+        dispatch!($backend, $scalar, $avx2, $avx2)
+    };
+    ($backend:expr, $scalar:expr, $avx2:expr, $ifma:expr) => {
         match $backend {
             Backend::Scalar => $scalar,
-            Backend::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Backend::Avx2` is only ever selected (by
-                // `resolve_from_env` or `force_backend`) after
-                // `is_x86_feature_detected!("avx2")` reported support,
-                // so calling the `#[target_feature(enable = "avx2")]`
-                // kernel is sound on this CPU.
-                unsafe {
-                    $avx2
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                $scalar
-            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Backend::Avx2` is only ever selected (by
+            // `resolve_from_env` or `force_backend`) after
+            // `is_x86_feature_detected!("avx2")` reported support,
+            // so calling the `#[target_feature(enable = "avx2")]`
+            // kernel is sound on this CPU.
+            Backend::Avx2 => unsafe { $avx2 },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Backend::Avx512Ifma` is only ever selected after
+            // `is_x86_feature_detected!` reported avx2, avx512f and
+            // avx512ifma, so calling a kernel with any of those target
+            // features enabled is sound on this CPU.
+            Backend::Avx512Ifma => unsafe { $ifma },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => $scalar,
         }
     };
 }
@@ -286,7 +360,8 @@ pub fn fwd_stage_with(
     dispatch!(
         backend,
         scalar::fwd_stage(p, twiddles, twiddles_shoup, t, a),
-        avx2::fwd_stage(p, twiddles, twiddles_shoup, t, a)
+        avx2::fwd_stage(p, twiddles, twiddles_shoup, t, a),
+        ifma::fwd_stage(p, twiddles, twiddles_shoup, t, a)
     );
 }
 
@@ -312,7 +387,8 @@ pub fn inv_stage_with(
     dispatch!(
         backend,
         scalar::inv_stage(p, twiddles, twiddles_shoup, t, a),
-        avx2::inv_stage(p, twiddles, twiddles_shoup, t, a)
+        avx2::inv_stage(p, twiddles, twiddles_shoup, t, a),
+        ifma::inv_stage(p, twiddles, twiddles_shoup, t, a)
     );
 }
 
@@ -327,7 +403,8 @@ pub fn canonicalize_with(backend: Backend, p: u64, a: &mut [u64]) {
     dispatch!(
         backend,
         scalar::canonicalize(p, a),
-        avx2::canonicalize(p, a)
+        avx2::canonicalize(p, a),
+        ifma::canonicalize(p, a)
     );
 }
 
@@ -338,12 +415,15 @@ pub fn canonicalize(p: u64, a: &mut [u64]) {
 
 /// Canonical Shoup product by a broadcast constant:
 /// `a[i] = a[i]·w mod p` (inverse-NTT `N⁻¹` scaling, RNS scalar
-/// multiply). Accepts any u64 inputs; `w` canonical.
+/// multiply). Inputs `< 4p` (the IFMA multipliers take 52-bit
+/// operands); `w` canonical.
 pub fn mul_const_shoup_with(backend: Backend, p: u64, w: u64, w_shoup: u64, a: &mut [u64]) {
+    debug_assert!(a.iter().all(|&x| x < 4 * p), "inputs must be < 4p");
     dispatch!(
         backend,
         scalar::mul_const_shoup(p, w, w_shoup, a),
-        avx2::mul_const_shoup(p, w, w_shoup, a)
+        avx2::mul_const_shoup(p, w, w_shoup, a),
+        ifma::mul_const_shoup(p, w, w_shoup, a)
     );
 }
 
@@ -353,7 +433,8 @@ pub fn mul_const_shoup(p: u64, w: u64, w_shoup: u64, a: &mut [u64]) {
 }
 
 /// Canonical pointwise Shoup product `a[i] = a[i]·w[i] mod p` against a
-/// Shoup-prepared operand (`w_shoup[i] = ⌊w[i]·2⁶⁴/p⌋`, `w[i] < p`).
+/// Shoup-prepared operand (`w_shoup[i] = ⌊w[i]·2⁶⁴/p⌋`, `w[i] < p`);
+/// inputs `a[i] < 4p`.
 pub fn pointwise_mul_shoup_with(
     backend: Backend,
     p: u64,
@@ -363,10 +444,12 @@ pub fn pointwise_mul_shoup_with(
 ) {
     assert_eq!(a.len(), w.len());
     assert_eq!(a.len(), w_shoup.len());
+    debug_assert!(a.iter().all(|&x| x < 4 * p), "inputs must be < 4p");
     dispatch!(
         backend,
         scalar::pointwise_mul_shoup(p, a, w, w_shoup),
-        avx2::pointwise_mul_shoup(p, a, w, w_shoup)
+        avx2::pointwise_mul_shoup(p, a, w, w_shoup),
+        ifma::pointwise_mul_shoup(p, a, w, w_shoup)
     );
 }
 
@@ -392,7 +475,8 @@ pub fn mac_shoup_with(
     dispatch!(
         backend,
         scalar::mac_shoup(p, acc, a, w, w_shoup),
-        avx2::mac_shoup(p, acc, a, w, w_shoup)
+        avx2::mac_shoup(p, acc, a, w, w_shoup),
+        ifma::mac_shoup(p, acc, a, w, w_shoup)
     );
 }
 
@@ -1188,29 +1272,367 @@ mod avx2 {
     /// every CPU measured that emulation loses to the scalar MULX
     /// pipeline (one native 64×64→128 multiply per cycle) — unlike the
     /// butterflies, there is no lazy slack to trade away, because the
-    /// BEHZ conversions need the bit-exact wrapped sum. The dispatch
-    /// seam stays so a profitable wide-multiply tier (e.g. IFMA52) can
-    /// slot in per-CPU without touching the callers in `rns_mul`.
+    /// BEHZ conversions need the bit-exact wrapped sum. The IFMA tier
+    /// delegates here too: an IFMA dot product would need its own
+    /// exactness argument for the wrapped sum and the per-column
+    /// reduction, and the conversions are not among the NTT and
+    /// Shoup-MAC hot spots the tier targets.
     #[target_feature(enable = "avx2")]
     pub(super) fn dot_mod(p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
         super::scalar::dot_mod(p, rows, weights, out, 0);
     }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-mod avx2 {
-    //! Stub so the dispatch macro compiles on non-x86 targets; never
-    //! called (the dispatcher routes `Avx2` to scalar there).
-    #![allow(dead_code)]
-    pub(super) fn fwd_butterfly(_: u64, _: u64, _: u64, _: &mut [u64], _: &mut [u64]) {}
-    pub(super) fn inv_butterfly(_: u64, _: u64, _: u64, _: &mut [u64], _: &mut [u64]) {}
-    pub(super) fn fwd_stage(_: u64, _: &[u64], _: &[u64], _: usize, _: &mut [u64]) {}
-    pub(super) fn inv_stage(_: u64, _: &[u64], _: &[u64], _: usize, _: &mut [u64]) {}
-    pub(super) fn canonicalize(_: u64, _: &mut [u64]) {}
-    pub(super) fn mul_const_shoup(_: u64, _: u64, _: u64, _: &mut [u64]) {}
-    pub(super) fn pointwise_mul_shoup(_: u64, _: &mut [u64], _: &[u64], _: &[u64]) {}
-    pub(super) fn mac_shoup(_: u64, _: &mut [u64], _: &[u64], _: &[u64], _: &[u64]) {}
-    pub(super) fn dot_mod(_: u64, _: &[&[u64]], _: &[u64], _: &mut [u64]) {}
+// ---------------------------------------------------------------------------
+// AVX-512 IFMA52 kernels — 8×u64 lanes, 52×52-bit products from
+// vpmadd52luq / vpmadd52huq. See the module doc for the exactness
+// argument and which moduli reach them.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use super::avx2;
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
+        _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_min_epu64,
+        _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
+        _mm512_sub_epi64,
+    };
+
+    const LANES: usize = 8;
+    const MASK52: u64 = (1 << 52) - 1;
+    /// The IFMA kernels take moduli below this bound: every lazy value
+    /// `< 4p` then fits the 52-bit multiplier inputs.
+    const MODULUS_BOUND: u64 = 1 << 50;
+
+    /// Whether the stage kernels' radix-2⁶⁴ twiddle companions and lazy
+    /// values `< 4p` fit this tier (below 2³⁰ the companions are
+    /// radix-2³²).
+    fn stage_fits(p: u64) -> bool {
+        (super::SMALL_MODULUS_BOUND..MODULUS_BOUND).contains(&p)
+    }
+
+    /// How many leading elements of an `n`-element slice the
+    /// element-wise kernels run on IFMA: whole 8-lane vectors for
+    /// `p < 2⁵⁰`, none otherwise.
+    fn elementwise_len(p: u64, n: usize) -> usize {
+        if p < MODULUS_BOUND {
+            n - n % LANES
+        } else {
+            0
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn splat(x: u64) -> __m512i {
+        _mm512_set1_epi64(x as i64)
+    }
+
+    /// Lane `j` holds `f(j)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn lanes(f: impl Fn(usize) -> usize) -> __m512i {
+        let v = |j: usize| f(j) as i64;
+        _mm512_set_epi64(v(7), v(6), v(5), v(4), v(3), v(2), v(1), v(0))
+    }
+
+    /// `x − m` where `x ≥ m`, else `x`: when `x < m` the wrapped
+    /// difference `x − m + 2⁶⁴` exceeds `x`, so the unsigned minimum
+    /// picks the right one.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn cond_sub(x: __m512i, m: __m512i) -> __m512i {
+        _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
+    }
+
+    /// `(lo52(y·w) − lo52(q·p)) mod 2⁵²`: the Shoup remainder
+    /// `y·w − q·p`, exact whenever it lies in `[0, 2⁵²)`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn shoup_remainder(y: __m512i, w: __m512i, q: __m512i, p: __m512i) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let diff = _mm512_sub_epi64(
+            _mm512_madd52lo_epu64(zero, y, w),
+            _mm512_madd52lo_epu64(zero, q, p),
+        );
+        _mm512_and_si512(diff, splat(MASK52))
+    }
+
+    /// A stage twiddle in lanes: `w` and its radix-2⁶⁴ companion split
+    /// as `w′ = hi·2⁵² + lo`.
+    #[derive(Clone, Copy)]
+    struct Twiddle {
+        w: __m512i,
+        hi: __m512i,
+        lo: __m512i,
+    }
+
+    impl Twiddle {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(w: __m512i, w_shoup: __m512i) -> Self {
+            Twiddle {
+                w,
+                hi: _mm512_srli_epi64::<52>(w_shoup),
+                lo: _mm512_and_si512(w_shoup, splat(MASK52)),
+            }
+        }
+    }
+
+    /// Lane-wise scalar `mul_shoup_lazy` for `y < 2⁵²`:
+    /// `y·w − ⌊y·w′/2⁶⁴⌋·p ∈ [0, 2p)`, with the radix-2⁶⁴ quotient
+    /// rebuilt from 52-bit partial products.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_shoup_lazy_vec(y: __m512i, tw: Twiddle, p: __m512i) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let top = _mm512_madd52hi_epu64(zero, y, tw.hi);
+        let mid = _mm512_madd52hi_epu64(_mm512_madd52lo_epu64(zero, y, tw.hi), y, tw.lo);
+        let q = _mm512_add_epi64(_mm512_slli_epi64::<40>(top), _mm512_srli_epi64::<12>(mid));
+        shoup_remainder(y, tw.w, q, p)
+    }
+
+    /// Canonical `a·w mod p` for `a < 2⁵²` from the radix-2⁵² companion
+    /// `w_shoup52 = ⌊w·2⁵²/p⌋`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_shoup52_vec(a: __m512i, w: __m512i, w_shoup52: __m512i, p: __m512i) -> __m512i {
+        let q = _mm512_madd52hi_epu64(_mm512_setzero_si512(), a, w_shoup52);
+        cond_sub(shoup_remainder(a, w, q, p), p)
+    }
+
+    /// One lazy butterfly on 8 lanes: Cooley–Tukey
+    /// `(x, y) → (u + v, u + 2p − v)` with `u = x cond− 2p`,
+    /// `v = lazy(y·w)`, or (`INV`) Gentleman–Sande
+    /// `(x, y) → ((x + y) cond− 2p, lazy((x + 2p − y)·w))`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn butterfly<const INV: bool>(
+        x: __m512i,
+        y: __m512i,
+        tw: Twiddle,
+        pv: __m512i,
+        two_pv: __m512i,
+    ) -> (__m512i, __m512i) {
+        if INV {
+            let s = cond_sub(_mm512_add_epi64(x, y), two_pv);
+            let d = _mm512_add_epi64(x, _mm512_sub_epi64(two_pv, y));
+            (s, mul_shoup_lazy_vec(d, tw, pv))
+        } else {
+            let u = cond_sub(x, two_pv);
+            let v = mul_shoup_lazy_vec(y, tw, pv);
+            (
+                _mm512_add_epi64(u, v),
+                _mm512_add_epi64(u, _mm512_sub_epi64(two_pv, v)),
+            )
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn fwd_stage(p: u64, w: &[u64], ws: &[u64], t: usize, a: &mut [u64]) {
+        if stage_fits(p) {
+            stage::<false>(p, w, ws, t, a);
+        } else {
+            avx2::fwd_stage(p, w, ws, t, a);
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn inv_stage(p: u64, w: &[u64], ws: &[u64], t: usize, a: &mut [u64]) {
+        if stage_fits(p) {
+            stage::<true>(p, w, ws, t, a);
+        } else {
+            avx2::inv_stage(p, w, ws, t, a);
+        }
+    }
+
+    /// One NTT stage of `w.len()` groups of `2·t` words. `t ≥ 8`
+    /// (a multiple of 8) loops groups with a plain 8-lane butterfly;
+    /// `t ∈ {1, 2, 4}` gathers `8/t` whole groups from each 16-word
+    /// window with two-source lane permutes, so the lo vector holds
+    /// their first halves and the hi vector their second halves. Groups
+    /// left over from the last full window, and every other stride, run
+    /// the AVX2 stage.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn stage<const INV: bool>(p: u64, w: &[u64], ws: &[u64], t: usize, a: &mut [u64]) {
+        let m = w.len();
+        let pv = splat(p);
+        let two_pv = splat(2 * p);
+        let done = if t >= LANES && t.is_multiple_of(LANES) {
+            let ap = a.as_mut_ptr();
+            for i in 0..m {
+                let tw = Twiddle::new(splat(w[i]), splat(ws[i]));
+                // SAFETY: group i spans a[2·t·i .. 2·t·(i+1)] (in
+                // bounds: a.len() = 2·t·m). j + 8 ≤ t keeps the lo half
+                // (offset 2·t·i + j) and the hi half (offset
+                // 2·t·i + t + j) of each 512-bit access inside it.
+                unsafe {
+                    let lp = ap.add(2 * t * i);
+                    let hp = lp.add(t);
+                    let mut j = 0;
+                    while j < t {
+                        let x = _mm512_loadu_si512(lp.add(j).cast());
+                        let y = _mm512_loadu_si512(hp.add(j).cast());
+                        let (nl, nh) = butterfly::<INV>(x, y, tw, pv, two_pv);
+                        _mm512_storeu_si512(lp.add(j).cast(), nl);
+                        _mm512_storeu_si512(hp.add(j).cast(), nh);
+                        j += LANES;
+                    }
+                }
+            }
+            m
+        } else if matches!(t, 1 | 2 | 4) {
+            let groups = LANES / t;
+            // Lane j of lo/hi is word j % t of group j / t; an output
+            // word k of the window is word k % 2t of group k / 2t.
+            let lo_idx = lanes(|j| 2 * t * (j / t) + j % t);
+            let hi_idx = lanes(|j| 2 * t * (j / t) + t + j % t);
+            let src = |k: usize| {
+                let (g, r) = (k / (2 * t), k % (2 * t));
+                if r < t {
+                    g * t + r
+                } else {
+                    LANES + g * t + r - t
+                }
+            };
+            let out0_idx = lanes(src);
+            let out1_idx = lanes(|k| src(k + LANES));
+            let w_idx = lanes(|j| j / t);
+            let w_mask = u8::MAX >> (LANES - groups);
+            let full = m - m % groups;
+            let ap = a.as_mut_ptr();
+            let mut i = 0;
+            while i < full {
+                // SAFETY: i + 8/t ≤ full ≤ m, so the 16-word window
+                // a[2·t·i .. 2·t·i + 16] lies inside a (len 2·t·m) and
+                // the masked twiddle loads read only w[i .. i + 8/t]
+                // and ws[i .. i + 8/t].
+                unsafe {
+                    let base = ap.add(2 * t * i);
+                    let v0 = _mm512_loadu_si512(base.cast());
+                    let v1 = _mm512_loadu_si512(base.add(LANES).cast());
+                    let lo = _mm512_permutex2var_epi64(v0, lo_idx, v1);
+                    let hi = _mm512_permutex2var_epi64(v0, hi_idx, v1);
+                    let wv = _mm512_maskz_loadu_epi64(w_mask, w.as_ptr().add(i).cast());
+                    let wsv = _mm512_maskz_loadu_epi64(w_mask, ws.as_ptr().add(i).cast());
+                    let tw = Twiddle::new(
+                        _mm512_permutexvar_epi64(w_idx, wv),
+                        _mm512_permutexvar_epi64(w_idx, wsv),
+                    );
+                    let (nl, nh) = butterfly::<INV>(lo, hi, tw, pv, two_pv);
+                    _mm512_storeu_si512(base.cast(), _mm512_permutex2var_epi64(nl, out0_idx, nh));
+                    _mm512_storeu_si512(
+                        base.add(LANES).cast(),
+                        _mm512_permutex2var_epi64(nl, out1_idx, nh),
+                    );
+                }
+                i += groups;
+            }
+            full
+        } else {
+            0
+        };
+        let (w, ws, a) = (&w[done..], &ws[done..], &mut a[2 * t * done..]);
+        if INV {
+            avx2::inv_stage(p, w, ws, t, a);
+        } else {
+            avx2::fwd_stage(p, w, ws, t, a);
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn canonicalize(p: u64, a: &mut [u64]) {
+        let n = a.len();
+        let vec_n = n - n % LANES;
+        let pv = splat(p);
+        let two_pv = splat(2 * p);
+        let ap = a.as_mut_ptr();
+        let mut j = 0;
+        while j < vec_n {
+            // SAFETY: j + 8 ≤ vec_n ≤ a.len(); unaligned access is fine.
+            unsafe {
+                let x = _mm512_loadu_si512(ap.add(j).cast());
+                _mm512_storeu_si512(ap.add(j).cast(), cond_sub(cond_sub(x, two_pv), pv));
+            }
+            j += LANES;
+        }
+        avx2::canonicalize(p, &mut a[vec_n..]);
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn mul_const_shoup(p: u64, w: u64, w_shoup: u64, a: &mut [u64]) {
+        let vec_n = elementwise_len(p, a.len());
+        let pv = splat(p);
+        let wv = splat(w);
+        let wsv = splat(w_shoup >> 12);
+        let ap = a.as_mut_ptr();
+        let mut j = 0;
+        while j < vec_n {
+            // SAFETY: j + 8 ≤ vec_n ≤ a.len(); unaligned access is fine.
+            unsafe {
+                let x = _mm512_loadu_si512(ap.add(j).cast());
+                _mm512_storeu_si512(ap.add(j).cast(), mul_shoup52_vec(x, wv, wsv, pv));
+            }
+            j += LANES;
+        }
+        avx2::mul_const_shoup(p, w, w_shoup, &mut a[vec_n..]);
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn pointwise_mul_shoup(p: u64, a: &mut [u64], w: &[u64], w_shoup: &[u64]) {
+        let vec_n = elementwise_len(p, a.len());
+        let pv = splat(p);
+        let ap = a.as_mut_ptr();
+        let wp = w.as_ptr();
+        let wsp = w_shoup.as_ptr();
+        let mut j = 0;
+        while j < vec_n {
+            // SAFETY: j + 8 ≤ vec_n ≤ a.len() = w.len() = w_shoup.len()
+            // (checked by the dispatcher), so all accesses are in
+            // bounds.
+            unsafe {
+                let x = _mm512_loadu_si512(ap.add(j).cast());
+                let wv = _mm512_loadu_si512(wp.add(j).cast());
+                let wsv = _mm512_srli_epi64::<12>(_mm512_loadu_si512(wsp.add(j).cast()));
+                _mm512_storeu_si512(ap.add(j).cast(), mul_shoup52_vec(x, wv, wsv, pv));
+            }
+            j += LANES;
+        }
+        avx2::pointwise_mul_shoup(p, &mut a[vec_n..], &w[vec_n..], &w_shoup[vec_n..]);
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn mac_shoup(p: u64, acc: &mut [u64], a: &[u64], w: &[u64], w_shoup: &[u64]) {
+        let vec_n = elementwise_len(p, acc.len());
+        let pv = splat(p);
+        let op = acc.as_mut_ptr();
+        let ap = a.as_ptr();
+        let wp = w.as_ptr();
+        let wsp = w_shoup.as_ptr();
+        let mut j = 0;
+        while j < vec_n {
+            // SAFETY: j + 8 ≤ vec_n ≤ acc.len() = a.len() = w.len() =
+            // w_shoup.len() (checked by the dispatcher).
+            unsafe {
+                let x = _mm512_loadu_si512(ap.add(j).cast());
+                let wv = _mm512_loadu_si512(wp.add(j).cast());
+                let wsv = _mm512_srli_epi64::<12>(_mm512_loadu_si512(wsp.add(j).cast()));
+                let m = mul_shoup52_vec(x, wv, wsv, pv);
+                let o = _mm512_loadu_si512(op.add(j).cast());
+                _mm512_storeu_si512(op.add(j).cast(), cond_sub(_mm512_add_epi64(o, m), pv));
+            }
+            j += LANES;
+        }
+        avx2::mac_shoup(
+            p,
+            &mut acc[vec_n..],
+            &a[vec_n..],
+            &w[vec_n..],
+            &w_shoup[vec_n..],
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1220,13 +1642,33 @@ mod tests {
     use crate::zp::Zp;
     use proptest::prelude::*;
 
+    /// The narrow-radix plaintext width, the IFMA range (33 bits, the
+    /// 50-bit NTT width of the benchmark rings and the largest prime
+    /// below 2⁵⁰, whose lazy values reach the 52-bit operand bound) and
+    /// the AVX2-only widths above it.
     fn moduli() -> Vec<u64> {
         vec![
             Modulus::PASTA_17_BIT.value(),
             Modulus::PASTA_33_BIT.value(),
+            Modulus::find_ntt_prime(50, 11).unwrap().value(),
+            (1 << 50) - 27,
             Modulus::PASTA_54_BIT.value(),
             Modulus::NTT_60_BIT.value(),
         ]
+    }
+
+    /// The backends this CPU can run, scalar first.
+    fn available_backends() -> Vec<Backend> {
+        Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
+    }
+
+    /// The vector backends this CPU can run (none on scalar-only
+    /// hardware, where there is nothing to cross-check).
+    fn vector_backends() -> Vec<Backend> {
+        available_backends()[1..].to_vec()
     }
 
     fn zp_for(p: u64) -> Zp {
@@ -1255,38 +1697,45 @@ mod tests {
 
     #[test]
     fn backend_label_is_stable() {
-        assert!(matches!(backend_label(), "scalar" | "avx2"));
+        assert!(matches!(backend_label(), "scalar" | "avx2" | "avx512ifma"));
         assert_eq!(Backend::Scalar.label(), "scalar");
         assert_eq!(Backend::Avx2.label(), "avx2");
+        assert_eq!(Backend::Avx512Ifma.label(), "avx512ifma");
     }
 
     #[test]
     fn force_backend_falls_back_when_unavailable() {
         let prev = backend();
-        if !avx2_available() {
-            assert_eq!(force_backend(Some(Backend::Avx2)), Backend::Scalar);
+        let avx2 = if Backend::Avx2.is_available() {
+            Backend::Avx2
         } else {
-            assert_eq!(force_backend(Some(Backend::Avx2)), Backend::Avx2);
-        }
+            Backend::Scalar
+        };
+        let ifma = if Backend::Avx512Ifma.is_available() {
+            Backend::Avx512Ifma
+        } else {
+            avx2
+        };
+        assert_eq!(force_backend(Some(Backend::Avx512Ifma)), ifma);
+        assert_eq!(force_backend(Some(Backend::Avx2)), avx2);
         assert_eq!(force_backend(Some(Backend::Scalar)), Backend::Scalar);
         force_backend(Some(prev));
     }
 
     /// Every wrapper must agree across backends for every length
-    /// (including tails shorter than one 4-lane vector) and for inputs
-    /// at the lazy bounds.
+    /// (including tails shorter than one 4- or 8-lane vector) and for
+    /// inputs at the lazy bounds.
     #[test]
     fn backends_agree_on_every_kernel_and_length() {
-        if !avx2_available() {
-            return; // Scalar-only hardware: nothing to cross-check.
+        for backend in vector_backends() {
+            check_backends_agree(backend);
         }
-        check_backends_agree();
     }
 
-    fn check_backends_agree() {
+    fn check_backends_agree(vector: Backend) {
         for p in moduli() {
             let zp = zp_for(p);
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 11, 16, 33, 64, 1024] {
+            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 33, 64, 1024] {
                 for seed in 0..3u64 {
                     let w = fill(len.max(1), p, seed)[0];
                     let ws = zp.shoup(w);
@@ -1297,41 +1746,41 @@ mod tests {
                     let (mut ls, mut hs) = (lo0.clone(), hi0.clone());
                     let (mut lv, mut hv) = (lo0, hi0);
                     fwd_butterfly_with(Backend::Scalar, p, w, tws, &mut ls, &mut hs);
-                    fwd_butterfly_with(Backend::Avx2, p, w, tws, &mut lv, &mut hv);
-                    assert_eq!((ls, hs), (lv, hv), "fwd p={p} len={len}");
+                    fwd_butterfly_with(vector, p, w, tws, &mut lv, &mut hv);
+                    assert_eq!((ls, hs), (lv, hv), "fwd p={p} len={len} {vector:?}");
                     // Inverse butterfly: inputs < 2p.
                     let lo0 = fill(len, 2 * p, seed);
                     let hi0 = fill(len, 2 * p, seed + 31);
                     let (mut ls, mut hs) = (lo0.clone(), hi0.clone());
                     let (mut lv, mut hv) = (lo0, hi0);
                     inv_butterfly_with(Backend::Scalar, p, w, tws, &mut ls, &mut hs);
-                    inv_butterfly_with(Backend::Avx2, p, w, tws, &mut lv, &mut hv);
-                    assert_eq!((ls, hs), (lv, hv), "inv p={p} len={len}");
+                    inv_butterfly_with(vector, p, w, tws, &mut lv, &mut hv);
+                    assert_eq!((ls, hs), (lv, hv), "inv p={p} len={len} {vector:?}");
                     // Canonicalization sweep: inputs < 4p.
                     let a0 = fill(len, 4 * p, seed + 5);
                     let (mut s, mut v) = (a0.clone(), a0);
                     canonicalize_with(Backend::Scalar, p, &mut s);
-                    canonicalize_with(Backend::Avx2, p, &mut v);
-                    assert_eq!(s, v, "canon p={p} len={len}");
-                    // Broadcast-constant product: any u64 input.
-                    let a0 = fill(len, u64::MAX, seed + 7);
+                    canonicalize_with(vector, p, &mut v);
+                    assert_eq!(s, v, "canon p={p} len={len} {vector:?}");
+                    // Broadcast-constant product: inputs < 4p.
+                    let a0 = fill(len, 4 * p, seed + 7);
                     let (mut s, mut v) = (a0.clone(), a0);
                     mul_const_shoup_with(Backend::Scalar, p, w, ws, &mut s);
-                    mul_const_shoup_with(Backend::Avx2, p, w, ws, &mut v);
-                    assert_eq!(s, v, "mul_const p={p} len={len}");
+                    mul_const_shoup_with(vector, p, w, ws, &mut v);
+                    assert_eq!(s, v, "mul_const p={p} len={len} {vector:?}");
                     // Pointwise + MAC: canonical inputs, prepared rows.
                     let wr = fill(len, p, seed + 11);
                     let wsr: Vec<u64> = wr.iter().map(|&x| zp.shoup(x)).collect();
                     let a0 = fill(len, p, seed + 13);
                     let (mut s, mut v) = (a0.clone(), a0.clone());
                     pointwise_mul_shoup_with(Backend::Scalar, p, &mut s, &wr, &wsr);
-                    pointwise_mul_shoup_with(Backend::Avx2, p, &mut v, &wr, &wsr);
-                    assert_eq!(s, v, "pointwise p={p} len={len}");
+                    pointwise_mul_shoup_with(vector, p, &mut v, &wr, &wsr);
+                    assert_eq!(s, v, "pointwise p={p} len={len} {vector:?}");
                     let acc0 = fill(len, p, seed + 19);
                     let (mut s, mut v) = (acc0.clone(), acc0);
                     mac_shoup_with(Backend::Scalar, p, &mut s, &a0, &wr, &wsr);
-                    mac_shoup_with(Backend::Avx2, p, &mut v, &a0, &wr, &wsr);
-                    assert_eq!(s, v, "mac p={p} len={len}");
+                    mac_shoup_with(vector, p, &mut v, &a0, &wr, &wsr);
+                    assert_eq!(s, v, "mac p={p} len={len} {vector:?}");
                     // Base-conversion dot product: 1..=8 rows below 2⁶⁰
                     // (the BEHZ accumulator guard keeps the true sum
                     // under 2¹²⁶).
@@ -1344,74 +1793,87 @@ mod tests {
                     let mut s = vec![0u64; len];
                     let mut v = vec![0u64; len];
                     dot_mod_with(Backend::Scalar, p, &refs, &weights, &mut s);
-                    dot_mod_with(Backend::Avx2, p, &refs, &weights, &mut v);
-                    assert_eq!(s, v, "dot p={p} len={len} rows={n_rows}");
+                    dot_mod_with(vector, p, &refs, &weights, &mut v);
+                    assert_eq!(s, v, "dot p={p} len={len} rows={n_rows} {vector:?}");
                 }
             }
         }
     }
 
     /// The stage kernels must agree across backends for every stride,
-    /// including the lane-permuted `t = 1` / `t = 2` paths, odd group
-    /// counts (partial permute windows plus scalar remainders), and the
-    /// non-power-of-two strides that fall back to the scalar stage.
+    /// including the lane-permuted `t ≤ 4` paths, odd group counts
+    /// (partial permute windows plus AVX2/scalar remainders), and the
+    /// strides that fall back to a narrower stage.
     #[test]
     fn stage_kernels_agree_across_backends() {
-        if !avx2_available() {
-            return; // Scalar-only hardware: nothing to cross-check.
+        for backend in vector_backends() {
+            check_stages_agree(backend);
         }
-        check_stages_agree();
     }
 
-    fn check_stages_agree() {
+    fn check_stages_agree(vector: Backend) {
         for p in moduli() {
-            for t in [1usize, 2, 3, 4, 5, 8, 16, 128] {
-                for m in [1usize, 2, 3, 4, 5, 7, 8, 16, 64] {
+            for t in [1usize, 2, 3, 4, 5, 8, 12, 16, 128] {
+                for m in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 64] {
                     let w = fill(m, p, (t + m) as u64);
                     let ws: Vec<u64> = w.iter().map(|&x| twiddle_shoup(p, x)).collect();
                     // Forward stage: inputs < 4p.
                     let a0 = fill(2 * t * m, 4 * p, (3 * t + m) as u64);
                     let (mut s, mut v) = (a0.clone(), a0);
                     fwd_stage_with(Backend::Scalar, p, &w, &ws, t, &mut s);
-                    fwd_stage_with(Backend::Avx2, p, &w, &ws, t, &mut v);
-                    assert_eq!(s, v, "fwd_stage p={p} t={t} m={m}");
+                    fwd_stage_with(vector, p, &w, &ws, t, &mut v);
+                    assert_eq!(s, v, "fwd_stage p={p} t={t} m={m} {vector:?}");
                     // Inverse stage: inputs < 2p.
                     let a0 = fill(2 * t * m, 2 * p, (5 * t + m) as u64);
                     let (mut s, mut v) = (a0.clone(), a0);
                     inv_stage_with(Backend::Scalar, p, &w, &ws, t, &mut s);
-                    inv_stage_with(Backend::Avx2, p, &w, &ws, t, &mut v);
-                    assert_eq!(s, v, "inv_stage p={p} t={t} m={m}");
+                    inv_stage_with(vector, p, &w, &ws, t, &mut v);
+                    assert_eq!(s, v, "inv_stage p={p} t={t} m={m} {vector:?}");
                 }
             }
         }
     }
 
-    /// A stage call must equal the per-group butterfly loop it replaces.
+    /// A stage call must equal the per-group butterfly loop it replaces,
+    /// on every backend this CPU runs — including group counts that
+    /// leave a partial 16-word window.
     #[test]
     fn stage_kernels_match_per_group_butterflies() {
-        for p in moduli() {
-            for (t, m) in [(1usize, 8usize), (2, 4), (4, 2), (8, 1), (2, 5)] {
-                let w = fill(m, p, 77);
-                let ws: Vec<u64> = w.iter().map(|&x| twiddle_shoup(p, x)).collect();
-                let a0 = fill(2 * t * m, 4 * p, 91);
-                let mut staged = a0.clone();
-                fwd_stage_with(backend(), p, &w, &ws, t, &mut staged);
-                let mut grouped = a0;
-                for i in 0..m {
-                    let (lo, hi) = grouped[2 * t * i..2 * t * (i + 1)].split_at_mut(t);
-                    fwd_butterfly_with(backend(), p, w[i], ws[i], lo, hi);
-                }
-                assert_eq!(staged, grouped, "fwd stage-vs-groups p={p} t={t} m={m}");
+        for backend in available_backends() {
+            for p in moduli() {
+                for (t, m) in [
+                    (1usize, 8usize),
+                    (2, 4),
+                    (4, 2),
+                    (8, 1),
+                    (2, 5),
+                    (1, 11),
+                    (4, 3),
+                    (16, 2),
+                ] {
+                    let w = fill(m, p, 77);
+                    let ws: Vec<u64> = w.iter().map(|&x| twiddle_shoup(p, x)).collect();
+                    let a0 = fill(2 * t * m, 4 * p, 91);
+                    let mut staged = a0.clone();
+                    fwd_stage_with(backend, p, &w, &ws, t, &mut staged);
+                    let mut grouped = a0;
+                    for i in 0..m {
+                        let (lo, hi) = grouped[2 * t * i..2 * t * (i + 1)].split_at_mut(t);
+                        fwd_butterfly_with(backend, p, w[i], ws[i], lo, hi);
+                    }
+                    let tag = backend.label();
+                    assert_eq!(staged, grouped, "fwd {tag} p={p} t={t} m={m}");
 
-                let a0 = fill(2 * t * m, 2 * p, 113);
-                let mut staged = a0.clone();
-                inv_stage_with(backend(), p, &w, &ws, t, &mut staged);
-                let mut grouped = a0;
-                for i in 0..m {
-                    let (lo, hi) = grouped[2 * t * i..2 * t * (i + 1)].split_at_mut(t);
-                    inv_butterfly_with(backend(), p, w[i], ws[i], lo, hi);
+                    let a0 = fill(2 * t * m, 2 * p, 113);
+                    let mut staged = a0.clone();
+                    inv_stage_with(backend, p, &w, &ws, t, &mut staged);
+                    let mut grouped = a0;
+                    for i in 0..m {
+                        let (lo, hi) = grouped[2 * t * i..2 * t * (i + 1)].split_at_mut(t);
+                        inv_butterfly_with(backend, p, w[i], ws[i], lo, hi);
+                    }
+                    assert_eq!(staged, grouped, "inv {tag} p={p} t={t} m={m}");
                 }
-                assert_eq!(staged, grouped, "inv stage-vs-groups p={p} t={t} m={m}");
             }
         }
     }
@@ -1426,17 +1888,13 @@ mod tests {
         assert!(p < SMALL_MODULUS_BOUND);
         let zp = zp_for(p);
         let len = 23;
-        let backends: &[Backend] = if avx2_available() {
-            &[Backend::Scalar, Backend::Avx2]
-        } else {
-            &[Backend::Scalar]
-        };
+        let backends = available_backends();
         for seed in 0..4u64 {
             let w = fill(1, p, seed + 41)[0];
             let tws = twiddle_shoup(p, w);
             let lo0 = fill(len, 4 * p, seed);
             let hi0 = fill(len, 4 * p, seed + 9);
-            for &backend in backends {
+            for &backend in &backends {
                 let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
                 fwd_butterfly_with(backend, p, w, tws, &mut lo, &mut hi);
                 for i in 0..len {
@@ -1449,7 +1907,7 @@ mod tests {
             }
             let lo0 = fill(len, 2 * p, seed + 3);
             let hi0 = fill(len, 2 * p, seed + 7);
-            for &backend in backends {
+            for &backend in &backends {
                 let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
                 inv_butterfly_with(backend, p, w, tws, &mut lo, &mut hi);
                 for i in 0..len {
@@ -1508,7 +1966,7 @@ mod tests {
         /// inverse), biased to include non-multiple-of-4 tails.
         #[test]
         fn prop_butterflies_bit_identical(seed in any::<u64>(), len in 0usize..21, wsel in any::<u64>()) {
-            if avx2_available() {
+            for vector in vector_backends() {
                 for p in moduli() {
                     let w = wsel % p;
                     let ws = twiddle_shoup(p, w);
@@ -1517,17 +1975,17 @@ mod tests {
                     let (mut ls, mut hs) = (lo0.clone(), hi0.clone());
                     let (mut lv, mut hv) = (lo0, hi0);
                     fwd_butterfly_with(Backend::Scalar, p, w, ws, &mut ls, &mut hs);
-                    fwd_butterfly_with(Backend::Avx2, p, w, ws, &mut lv, &mut hv);
-                    prop_assert_eq!(&ls, &lv, "fwd lo p={}", p);
-                    prop_assert_eq!(&hs, &hv, "fwd hi p={}", p);
+                    fwd_butterfly_with(vector, p, w, ws, &mut lv, &mut hv);
+                    prop_assert_eq!(&ls, &lv, "fwd lo p={} {:?}", p, vector);
+                    prop_assert_eq!(&hs, &hv, "fwd hi p={} {:?}", p, vector);
                     let lo0 = fill(len, 2 * p, seed ^ 0x1234);
                     let hi0 = fill(len, 2 * p, seed ^ 0x5678);
                     let (mut ls, mut hs) = (lo0.clone(), hi0.clone());
                     let (mut lv, mut hv) = (lo0, hi0);
                     inv_butterfly_with(Backend::Scalar, p, w, ws, &mut ls, &mut hs);
-                    inv_butterfly_with(Backend::Avx2, p, w, ws, &mut lv, &mut hv);
-                    prop_assert_eq!(&ls, &lv, "inv lo p={}", p);
-                    prop_assert_eq!(&hs, &hv, "inv hi p={}", p);
+                    inv_butterfly_with(vector, p, w, ws, &mut lv, &mut hv);
+                    prop_assert_eq!(&ls, &lv, "inv lo p={} {:?}", p, vector);
+                    prop_assert_eq!(&hs, &hv, "inv hi p={} {:?}", p, vector);
                 }
             }
         }
@@ -1536,7 +1994,7 @@ mod tests {
         /// every backend, row count and tail length.
         #[test]
         fn prop_dot_mod_bit_identical(seed in any::<u64>(), len in 0usize..19, n_rows in 1usize..9) {
-            if avx2_available() {
+            for vector in vector_backends() {
                 for p in moduli() {
                     let rows: Vec<Vec<u64>> = (0..n_rows)
                         .map(|r| fill(len, 1u64 << 60, seed.wrapping_add(r as u64)))
@@ -1546,8 +2004,8 @@ mod tests {
                     let mut s = vec![0u64; len];
                     let mut v = vec![0u64; len];
                     dot_mod_with(Backend::Scalar, p, &refs, &weights, &mut s);
-                    dot_mod_with(Backend::Avx2, p, &refs, &weights, &mut v);
-                    prop_assert_eq!(&s, &v, "p={}", p);
+                    dot_mod_with(vector, p, &refs, &weights, &mut v);
+                    prop_assert_eq!(&s, &v, "p={} {:?}", p, vector);
                 }
             }
         }
@@ -1556,7 +2014,7 @@ mod tests {
         /// canonical inputs, every modulus, including edge values.
         #[test]
         fn prop_shoup_kernels_bit_identical(seed in any::<u64>(), len in 0usize..19) {
-            if avx2_available() {
+            for vector in vector_backends() {
                 for p in moduli() {
                     let zp = zp_for(p);
                     let wr = fill(len, p, seed ^ 0x9A);
@@ -1564,20 +2022,20 @@ mod tests {
                     let a0 = fill(len, p, seed ^ 0xBC);
                     let (mut s, mut v) = (a0.clone(), a0.clone());
                     pointwise_mul_shoup_with(Backend::Scalar, p, &mut s, &wr, &wsr);
-                    pointwise_mul_shoup_with(Backend::Avx2, p, &mut v, &wr, &wsr);
-                    prop_assert_eq!(&s, &v, "pointwise p={}", p);
+                    pointwise_mul_shoup_with(vector, p, &mut v, &wr, &wsr);
+                    prop_assert_eq!(&s, &v, "pointwise p={} {:?}", p, vector);
                     let acc0 = fill(len, p, seed ^ 0xDE);
                     let (mut s, mut v) = (acc0.clone(), acc0);
                     mac_shoup_with(Backend::Scalar, p, &mut s, &a0, &wr, &wsr);
-                    mac_shoup_with(Backend::Avx2, p, &mut v, &a0, &wr, &wsr);
-                    prop_assert_eq!(&s, &v, "mac p={}", p);
+                    mac_shoup_with(vector, p, &mut v, &a0, &wr, &wsr);
+                    prop_assert_eq!(&s, &v, "mac p={} {:?}", p, vector);
                     let w = fill(1, p, seed)[0];
                     let ws = zp.shoup(w);
-                    let b0 = fill(len, u64::MAX, seed ^ 0xF0);
+                    let b0 = fill(len, 4 * p, seed ^ 0xF0);
                     let (mut s, mut v) = (b0.clone(), b0);
                     mul_const_shoup_with(Backend::Scalar, p, w, ws, &mut s);
-                    mul_const_shoup_with(Backend::Avx2, p, w, ws, &mut v);
-                    prop_assert_eq!(&s, &v, "mul_const p={}", p);
+                    mul_const_shoup_with(vector, p, w, ws, &mut v);
+                    prop_assert_eq!(&s, &v, "mul_const p={} {:?}", p, vector);
                 }
             }
         }

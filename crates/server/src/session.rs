@@ -83,17 +83,12 @@ impl SessionTable {
     /// were expired.
     pub fn expire_idle(&mut self, now_us: u64) -> usize {
         let timeout = self.idle_timeout_us;
-        let stale: Vec<u128> = self
-            .active
-            .iter()
-            .filter(|(_, s)| now_us.saturating_sub(s.last_active_us) > timeout)
-            .map(|(&nonce, _)| nonce)
-            .collect();
-        for nonce in &stale {
-            self.active.remove(nonce);
-        }
-        self.expired += stale.len() as u64;
-        stale.len()
+        let before = self.active.len();
+        self.active
+            .retain(|_, s| now_us.saturating_sub(s.last_active_us) <= timeout);
+        let removed = before - self.active.len();
+        self.expired += removed as u64;
+        removed
     }
 
     /// Virtual time a session has been open, if it is still active.
