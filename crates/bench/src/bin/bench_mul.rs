@@ -5,9 +5,10 @@
 //! via [`pasta_bench::report::BenchReport`]:
 //!
 //! - `--phase before` measures the **bigint oracle** (the retained
-//!   exact CRT-reconstruct / big-integer scaled-rounding path, selected
-//!   at runtime with `PASTA_MUL=bigint`);
-//! - `--phase after` measures the **full-RNS** BEHZ path (the default),
+//!   exact CRT-reconstruct / big-integer scaled-rounding path,
+//!   [`BfvContext::mul_exact_bigint`], called directly);
+//! - `--phase after` measures the **full-RNS** BEHZ path (what
+//!   [`BfvContext::mul`] runs),
 //!   merging any committed `before` entries so the JSON holds
 //!   before/after pairs plus speedup factors.
 //!
@@ -21,7 +22,7 @@
 //! ```
 
 use pasta_bench::report::BenchReport;
-use pasta_fhe::{BfvContext, BfvParams, Ciphertext, MUL_BACKEND_ENV};
+use pasta_fhe::{BfvContext, BfvParams, Ciphertext};
 use pasta_math::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,11 +77,11 @@ fn time_op(reps: u64, mut f: impl FnMut() -> Ciphertext) -> f64 {
 /// Benchmarks mul / square / mul_relin on one parameter set, pushing
 /// wall times under `tag` (e.g. `N=1024/k=6`).
 fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams, tag: &str) {
-    let ctx = BfvContext::new(bfv).expect("context");
+    let ctx = &BfvContext::new(bfv).expect("context");
     let mut rng = StdRng::seed_from_u64(0xA11CE);
     let sk = ctx.generate_secret_key(&mut rng);
     let pk = ctx.generate_public_key(&sk, &mut rng);
-    let rk = ctx.generate_relin_key(&sk, &mut rng);
+    let rk = &ctx.generate_relin_key(&sk, &mut rng);
     let t = ctx.params().plain_modulus.value();
     let random_ct = |rng: &mut StdRng| {
         let pt = pasta_fhe::Plaintext {
@@ -88,8 +89,7 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
         };
         ctx.encrypt(&pk, &pt, rng)
     };
-    let a = random_ct(&mut rng);
-    let b = random_ct(&mut rng);
+    let (a, b) = (&random_ct(&mut rng), &random_ct(&mut rng));
     let reps: u64 = if quick { 2 } else { 20 };
 
     // Measure every available SIMD backend in-process; a backend the
@@ -99,14 +99,27 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
             continue;
         }
         type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
-        let ops: [(&str, Op); 3] = [
-            ("mul", Box::new(|| ctx.mul(&a, &b).expect("mul"))),
-            ("square", Box::new(|| ctx.square(&a).expect("square"))),
-            (
-                "mul_relin",
-                Box::new(|| ctx.mul_relin(&a, &b, &rk).expect("mul_relin")),
-            ),
-        ];
+        let ops: [(&str, Op); 3] = if phase == "before" {
+            let oracle = |x, y| ctx.mul_exact_bigint(x, y).expect("mul");
+            [
+                ("mul", Box::new(move || oracle(a, b))),
+                // Aliased operands take the oracle's squaring path.
+                ("square", Box::new(move || oracle(a, a))),
+                (
+                    "mul_relin",
+                    Box::new(move || ctx.relinearize(&oracle(a, b), rk).expect("relin")),
+                ),
+            ]
+        } else {
+            [
+                ("mul", Box::new(|| ctx.mul(a, b).expect("mul"))),
+                ("square", Box::new(|| ctx.square(a).expect("square"))),
+                (
+                    "mul_relin",
+                    Box::new(|| ctx.mul_relin(a, b, rk).expect("mul_relin")),
+                ),
+            ]
+        };
         for (op, f) in ops {
             let ns = time_op(reps, f);
             let id = format!("{op}/{tag}");
@@ -120,15 +133,6 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
 fn main() {
     let opts = parse_args();
     let path = format!("{}/BENCH_mul.json", opts.out_dir);
-
-    // The phase *is* the backend: force the dispatch in `BfvContext::mul`
-    // rather than calling internal entry points, so the measured path is
-    // exactly what library users hit.
-    if opts.phase == "before" {
-        std::env::set_var(MUL_BACKEND_ENV, "bigint");
-    } else {
-        std::env::remove_var(MUL_BACKEND_ENV);
-    }
 
     let mut report = BenchReport::new(
         "mul",

@@ -1,15 +1,11 @@
 //! Machine-readable perf record for the packed-mode rotation work.
 //!
-//! Measures the packed (one-block-per-ciphertext) transciphering server
-//! under its two affine-layer strategies and renders
-//! `BENCH_rotation.json` via [`pasta_bench::report::BenchReport`]:
-//!
-//! - `--phase before` measures the **naive** one-rotation-per-diagonal
-//!   evaluation (the pre-optimization path, kept in-tree as the
-//!   reference strategy);
-//! - `--phase after` measures the **hoisted baby-step/giant-step**
-//!   evaluation (the default), merging any committed `before` entries so
-//!   the JSON holds before/after pairs plus speedup factors.
+//! Measures the packed (one-block-per-ciphertext) transciphering server's
+//! **hoisted baby-step/giant-step** evaluation as the `after` phase and
+//! renders `BENCH_rotation.json` via [`pasta_bench::report::BenchReport`].
+//! The committed `before` rows — the naive one-rotation-per-diagonal
+//! evaluation this path replaced — are merged in, so the JSON holds
+//! before/after pairs plus speedup factors.
 //!
 //! Besides wall times, the report records the per-keystream Galois
 //! key-switch counts and the provisioned rotation-key counts under the
@@ -19,38 +15,37 @@
 //! Usage:
 //!
 //! ```text
-//! bench_rotation --phase before           # naive-strategy baseline
-//! bench_rotation --phase after            # BSGS, merge committed baseline
-//! bench_rotation --phase after --quick    # CI smoke mode (short windows)
+//! bench_rotation                          # BSGS, merge committed baseline
+//! bench_rotation --quick                  # CI smoke mode (short windows)
 //! bench_rotation --out-dir target/bench   # write JSON elsewhere (default .)
 //! ```
 
 use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, BfvSecretKey};
-use pasta_hhe::{HheClient, PackedHheServer, PackedStrategy};
+use pasta_hhe::{HheClient, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// The phase this binary measures.
+const PHASE: &str = "after";
+
 struct Options {
-    phase: String,
     quick: bool,
     out_dir: String,
 }
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        phase: "after".to_string(),
         quick: false,
         out_dir: ".".to_string(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--phase" => opts.phase = args.next().unwrap_or_else(|| "after".to_string()),
             "--quick" => opts.quick = true,
             "--out-dir" => {
                 if let Some(d) = args.next() {
@@ -63,10 +58,6 @@ fn parse_args() -> Options {
             }
         }
     }
-    if opts.phase != "before" && opts.phase != "after" {
-        eprintln!("--phase must be 'before' or 'after', got '{}'", opts.phase);
-        std::process::exit(2);
-    }
     opts
 }
 
@@ -78,18 +69,17 @@ struct Setup {
     server: PackedHheServer,
 }
 
-/// Builds a packed server for the given PASTA/BFV sizes and strategy.
-fn build(pasta: PastaParams, bfv: BfvParams, strategy: PackedStrategy, seed: u64) -> Setup {
+/// Builds a packed server for the given PASTA/BFV sizes.
+fn build(pasta: PastaParams, bfv: BfvParams, seed: u64) -> Setup {
     let ctx = BfvContext::new(bfv).expect("context");
     let mut rng = StdRng::seed_from_u64(seed);
     let sk = ctx.generate_secret_key(&mut rng);
     let client = HheClient::new(pasta, b"bench rotation");
-    let server = PackedHheServer::new_with_strategy(
+    let server = PackedHheServer::new(
         pasta,
         &ctx,
         &sk,
         client.cipher().key().expose_elements(),
-        strategy,
         &mut rng,
     )
     .expect("packed server");
@@ -101,18 +91,16 @@ fn build(pasta: PastaParams, bfv: BfvParams, strategy: PackedStrategy, seed: u64
     }
 }
 
-/// Benchmarks one parameter set under `strategy`, pushing wall times and
-/// rotation-work counts under `tag` (e.g. `t=4/N=256`).
+/// Benchmarks one parameter set, pushing wall times and rotation-work
+/// counts under `tag` (e.g. `t=4/N=256`).
 fn bench_packed(
     report: &mut BenchReport,
-    phase: &str,
     quick: bool,
     pasta: PastaParams,
     bfv: BfvParams,
-    strategy: PackedStrategy,
     tag: &str,
 ) {
-    let s = build(pasta, bfv, strategy, 0xB0B0);
+    let s = build(pasta, bfv, 0xB0B0);
     let t = pasta.t();
     let message: Vec<u64> = (0..t as u64).map(|i| (i * 7_177 + 13) % 65_537).collect();
     let reps: u64 = if quick { 1 } else { 3 };
@@ -138,8 +126,8 @@ fn bench_packed(
     }
     let cold = start.elapsed().as_nanos() as f64 / reps as f64;
     let id = format!("packed_transcipher/{tag}/cold");
-    println!("{id}: {cold:.0} ns/iter [{phase}]");
-    report.push(id, phase, cold);
+    println!("{id}: {cold:.0} ns/iter [{PHASE}]");
+    report.push(id, PHASE, cold);
 
     // Rotation-work counts (raw counts, not nanoseconds).
     s.server.reset_key_switch_count();
@@ -150,12 +138,12 @@ fn bench_packed(
     );
     let switches = s.server.key_switch_count();
     let id = format!("key_switches/keystream/{tag}");
-    println!("{id}: {switches} [{phase}]");
-    report.push(id, phase, switches as f64);
+    println!("{id}: {switches} [{PHASE}]");
+    report.push(id, PHASE, switches as f64);
     let keys = s.server.rotation_key_count();
     let id = format!("rotation_keys/{tag}");
-    println!("{id}: {keys} [{phase}]");
-    report.push(id, phase, keys as f64);
+    println!("{id}: {keys} [{PHASE}]");
+    report.push(id, PHASE, keys as f64);
 }
 
 fn main() {
@@ -167,28 +155,19 @@ fn main() {
         "packed transcipher: naive diagonal rotations (before) vs hoisted BSGS (after); \
          ns per call, except key_switches/* and rotation_keys/* entries which are raw counts",
     );
-    if opts.phase == "after" {
-        if let Ok(prev) = std::fs::read_to_string(&path) {
-            report.merge_phase_from(&prev, "before");
-        }
+    if let Ok(prev) = std::fs::read_to_string(&path) {
+        report.merge_phase_from(&prev, "before");
     }
-    let strategy = if opts.phase == "before" {
-        PackedStrategy::Naive
-    } else {
-        PackedStrategy::Bsgs
-    };
 
     // Scaled-down set (the unit-test sizes): PASTA t=4, r=2 on N=256.
     bench_packed(
         &mut report,
-        &opts.phase,
         opts.quick,
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("params"),
         BfvParams {
             prime_count: 8,
             ..BfvParams::test_tiny()
         },
-        strategy,
         "t=4/N=256",
     );
 
@@ -196,7 +175,6 @@ fn main() {
     // gives a 512-lane orbit — exactly the 4t the packed layout needs.
     bench_packed(
         &mut report,
-        &opts.phase,
         opts.quick,
         PastaParams::pasta3_17bit(),
         BfvParams {
@@ -204,7 +182,6 @@ fn main() {
             prime_count: 8,
             ..BfvParams::test_tiny()
         },
-        strategy,
         "t=128/N=1024",
     );
 

@@ -13,9 +13,9 @@
 //! | `analysis_mulcount`    | §I.A multiplication-count analysis    |
 //! | `analysis_keccak`      | §IV.B Keccak-budget analysis          |
 //!
-//! The Criterion benches (`benches/`) measure the host wall-clock of the
-//! substrates themselves (modular reduction, Keccak, cipher, simulator,
-//! BFV, SoC) to complement the cycle models.
+//! The `bench_*` binaries record host wall-clock of the software hot
+//! paths as `BENCH_*.json` through [`report`]; the end-to-end service
+//! benchmark is the separate `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

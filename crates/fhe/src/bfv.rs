@@ -3,11 +3,10 @@
 //! RNS-decomposition relinearization).
 //!
 //! Ciphertext multiplication runs the BEHZ fast-base-conversion path of
-//! [`crate::rns_mul`] by default — per-prime 64-bit arithmetic end to
+//! [`crate::rns_mul`] — per-prime 64-bit arithmetic end to
 //! end. The original exact big-integer tensor path is retained as
-//! [`BfvContext::mul_exact_bigint`], an oracle the tests check
-//! decrypt-equality against; set [`MUL_BACKEND_ENV`]
-//! (`PASTA_MUL=bigint`) to route `mul`/`square` through it at runtime.
+//! [`BfvContext::mul_exact_bigint`], the reference implementation the
+//! tests check decrypt-equality against by calling it directly.
 //!
 //! This is the server-side substrate of the HHE workflow (paper Fig. 1):
 //! the client FHE-encrypts the PASTA key once; the server homomorphically
@@ -25,18 +24,6 @@ use pasta_math::{MathError, Modulus, Zp};
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
-
-/// Environment variable selecting the ciphertext-multiplication backend.
-/// Unset (or any value other than `bigint`): the full-RNS BEHZ fast
-/// path. `bigint`: the exact big-integer oracle
-/// ([`BfvContext::mul_exact_bigint`]). Re-read on every multiplication,
-/// like [`pasta_par::THREADS_ENV`], so tests can toggle it.
-pub const MUL_BACKEND_ENV: &str = "PASTA_MUL";
-
-/// Whether `PASTA_MUL=bigint` routes multiplications to the oracle.
-fn use_bigint_backend() -> bool {
-    std::env::var(MUL_BACKEND_ENV).is_ok_and(|v| v == "bigint")
-}
 
 /// Errors from the FHE substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +114,7 @@ pub struct BfvContext {
     basis: RnsBasis,
     /// Extended basis for the exact bigint tensor-product oracle.
     ext_basis: RnsBasis,
-    /// Fast base conversion for full-RNS multiplication (default path).
+    /// Fast base conversion for full-RNS multiplication.
     rns_mul: RnsMulContext,
     plain: Zp,
     /// `Δ = ⌊q/t⌋`.
@@ -763,12 +750,12 @@ impl BfvContext {
     /// Homomorphic multiplication (tensor + `t/q` scaled rounding),
     /// *without* relinearization: the result has three components.
     ///
-    /// Runs the full-RNS BEHZ path by default (no big-integer work);
-    /// `PASTA_MUL=bigint` routes through the exact oracle
-    /// ([`BfvContext::mul_exact_bigint`]) instead. The two backends are
-    /// decrypt-equal but not byte-identical: the RNS path floors with a
-    /// bounded fast-conversion slack where the oracle rounds half-up —
-    /// the difference lands in noise far below the decryption threshold.
+    /// Runs the full-RNS BEHZ path (no big-integer work). It is
+    /// decrypt-equal to the exact oracle
+    /// ([`BfvContext::mul_exact_bigint`]) but not byte-identical: the RNS
+    /// path floors with a bounded fast-conversion slack where the oracle
+    /// rounds half-up — the difference lands in noise far below the
+    /// decryption threshold.
     ///
     /// Aliased operands (`mul(ct, ct)`) are detected by pointer and
     /// dispatched to the squaring specialization; use
@@ -789,17 +776,12 @@ impl BfvContext {
         if std::ptr::eq(a, b) {
             return self.square(a);
         }
-        if use_bigint_backend() {
-            self.mul_exact_bigint(a, b)
-        } else {
-            Ok(self.mul_rns(a, Some(b)))
-        }
+        Ok(self.mul_rns(a, Some(b)))
     }
 
     /// Squares a ciphertext *without* relinearization — the Feistel/cube
     /// S-box hot case. Reuses each lifted operand: two lifts instead of
-    /// four and three products per basis instead of four. Same backend
-    /// dispatch as [`BfvContext::mul`].
+    /// four and three products per basis instead of four.
     ///
     /// # Errors
     ///
@@ -811,13 +793,7 @@ impl BfvContext {
                 "square requires a 2-component input".into(),
             ));
         }
-        if use_bigint_backend() {
-            // `mul_exact_bigint` sees the aliased pointer and takes its
-            // own squaring specialization.
-            self.mul_exact_bigint(a, a)
-        } else {
-            Ok(self.mul_rns(a, None))
-        }
+        Ok(self.mul_rns(a, None))
     }
 
     /// The full-RNS multiply: each operand component is lifted once into
@@ -886,8 +862,8 @@ impl BfvContext {
     }
 
     /// Homomorphic multiplication via the exact big-integer tensor
-    /// product — the oracle the full-RNS path is validated against, and
-    /// the backend `PASTA_MUL=bigint` selects. Every coefficient is
+    /// product — the reference the full-RNS path is validated against.
+    /// Aliased operands take a squaring specialization. Every coefficient is
     /// CRT-reconstructed into the extended basis for the tensor and the
     /// `t/q` rounding is done with exact half-up big-integer division;
     /// both per-coefficient sweeps are chunked across threads
@@ -1449,10 +1425,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Serializes tests that twiddle the `PASTA_MUL` backend override
-    /// so the allocation-counter assertions cannot race it.
-    static BACKEND_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Serializes tests that twiddle `PASTA_THREADS`.
     static THREADS_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -1744,10 +1716,67 @@ mod tests {
         );
     }
 
+    /// Chains the transcipher circuit's multiply depth on one ring — a
+    /// Feistel square plus add, then the cube `relin(y²)·y` — and checks
+    /// at each depth that the RNS path (`square_relin`/`mul_relin`) and
+    /// the relinearized oracle (`relinearize(mul_exact_bigint(..))`)
+    /// decrypt equal, with noise budgets within 1 bit.
+    fn sbox_chain_matches_oracle(params: BfvParams, seed: u64) {
+        let ctx = BfvContext::new(params).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let rk = ctx.generate_relin_key(&sk, &mut rng);
+        let x = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+        let prev = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+        let oracle = |a: &Ciphertext, b: &Ciphertext| {
+            ctx.relinearize(&ctx.mul_exact_bigint(a, b).unwrap(), &rk)
+                .unwrap()
+        };
+        let agree = |depth: &str, fast: &Ciphertext, exact: &Ciphertext| {
+            assert_eq!(
+                ctx.decrypt(&sk, fast),
+                ctx.decrypt(&sk, exact),
+                "{depth}: RNS and oracle decrypt differently"
+            );
+            let (f, e) = (ctx.noise_budget(&sk, fast), ctx.noise_budget(&sk, exact));
+            assert!(f > 0, "{depth}: budget exhausted");
+            assert!(f.abs_diff(e) <= 1, "{depth}: budgets rns {f} vs bigint {e}");
+        };
+        // Feistel: y = x + prev².
+        let sq = ctx.square_relin(&prev, &rk).unwrap();
+        let sq_exact = oracle(&prev, &prev);
+        agree("feistel square", &sq, &sq_exact);
+        let y = ctx.add(&x, &sq).unwrap();
+        let y_exact = ctx.add(&x, &sq_exact).unwrap();
+        agree("feistel add", &y, &y_exact);
+        // Cube: y³ = relin(y²)·y.
+        let y2 = ctx.square_relin(&y, &rk).unwrap();
+        let y2_exact = oracle(&y_exact, &y_exact);
+        agree("cube square", &y2, &y2_exact);
+        let y3 = ctx.mul_relin(&y2, &y, &rk).unwrap();
+        let y3_exact = oracle(&y2_exact, &y_exact);
+        agree("cube", &y3, &y3_exact);
+    }
+
+    #[test]
+    fn sbox_chain_matches_oracle_on_test_tiny() {
+        sbox_chain_matches_oracle(BfvParams::test_tiny(), 0x5B0C);
+    }
+
+    #[test]
+    fn sbox_chain_matches_oracle_at_n_1024() {
+        sbox_chain_matches_oracle(
+            BfvParams {
+                n: 1_024,
+                ..BfvParams::test_tiny()
+            },
+            0x5B0D,
+        );
+    }
+
     #[test]
     fn default_mul_path_allocates_no_bigints() {
-        let _guard = BACKEND_ENV_LOCK.lock().unwrap();
-        std::env::remove_var(MUL_BACKEND_ENV);
         let (ctx, _, pk, rk, mut rng) = setup();
         let a = ctx.encrypt(&pk, &ctx.encode_scalar(300), &mut rng);
         let b = ctx.encrypt(&pk, &ctx.encode_scalar(500), &mut rng);
@@ -1764,12 +1793,10 @@ mod tests {
                 "UBig allocation leaked into the RNS mul path"
             );
         }
-        // The oracle, selected via the env override, must register.
-        std::env::set_var(MUL_BACKEND_ENV, "bigint");
+        // The oracle, called directly, must register.
         let before = crate::bigint::ubig_alloc_count();
-        let oracle = ctx.mul(&a, &b).unwrap();
+        let oracle = ctx.mul_exact_bigint(&a, &b).unwrap();
         let after = crate::bigint::ubig_alloc_count();
-        std::env::remove_var(MUL_BACKEND_ENV);
         assert_eq!(oracle.components(), 3);
         if cfg!(debug_assertions) {
             assert!(after > before, "bigint oracle did not allocate");
@@ -1831,8 +1858,6 @@ mod tests {
 
     #[test]
     fn warm_mul_relin_allocates_no_poly_rows_or_bigints() {
-        let _guard = BACKEND_ENV_LOCK.lock().unwrap();
-        std::env::remove_var(MUL_BACKEND_ENV);
         // A ring degree no other test in this binary uses. For some
         // buffer shapes the pipeline's working set exceeds the
         // thread-local bucket depth, so a warm pass re-takes part of it

@@ -12,8 +12,8 @@
 //! - [`ntt`]: the negacyclic number-theoretic transform;
 //! - [`ring`]: RNS polynomials over `Z_q[X]/(X^N + 1)`;
 //! - [`rns_mul`]: BEHZ-style fast base conversion so ciphertext
-//!   multiplication never leaves RNS (the `PASTA_MUL=bigint` escape
-//!   hatch selects the retained exact big-integer oracle);
+//!   multiplication never leaves RNS (the exact big-integer oracle,
+//!   `BfvContext::mul_exact_bigint`, stays as the reference tests call);
 //! - [`bfv`]: key generation, encryption, decryption, addition,
 //!   plaintext/scalar multiplication, tensor-product ciphertext
 //!   multiplication and RNS-decomposition relinearization, with an exact
@@ -56,7 +56,7 @@ pub mod scratch;
 pub use bfv::{
     BfvContext, BfvGaloisKey, BfvParams, BfvPublicKey, BfvRelinKey, BfvSecretKey, Ciphertext,
     FheError, HoistedCiphertext, PeriodicPlaintext, Plaintext, PreparedCiphertext,
-    PreparedPlaintext, MUL_BACKEND_ENV,
+    PreparedPlaintext,
 };
 pub use encoding::BatchEncoder;
 pub use noise::{suggest_bfv_params, NoiseModel};

@@ -249,10 +249,11 @@ impl BatchedHheServer {
 /// Every plaintext is `per_slot.len().next_power_of_two()`-periodic
 /// (see the module docs), so each weight costs `k`-point transforms.
 ///
-/// Mix and the S-boxes are the scalar server's ([`crate::server`]),
-/// slot-wise by construction. As there, only what the truncated output
-/// reads is evaluated: the last round cubes `X_L` alone and `A_r` runs
-/// on `X_L` alone.
+/// The round schedule, Mix and the S-boxes are the scalar server's
+/// (`server::eval_rounds`), slot-wise by construction; only the affine
+/// half is slotted. As there, only what the truncated output reads is
+/// evaluated: the last round cubes `X_L` alone and `A_r` runs on `X_L`
+/// alone.
 ///
 /// # Errors
 ///
@@ -267,22 +268,14 @@ pub(crate) fn eval_slotted_circuit(
     initial_left: &[FheCiphertext],
     initial_right: &[FheCiphertext],
 ) -> Result<Vec<FheCiphertext>, FheError> {
-    let r = params.rounds();
-    let mut left = initial_left.to_vec();
-    let mut right = initial_right.to_vec();
-    for layer in 0..r {
-        left = affine_half(ctx, encoder, per_slot, layer, true, &left)?;
-        right = affine_half(ctx, encoder, per_slot, layer, false, &right)?;
-        server::mix(ctx, &mut left, &mut right)?;
-        if layer < r - 1 {
-            server::feistel(ctx, relin_key, &mut left, &mut right)?;
-        } else {
-            // Truncation: the output reads X_L only; free X_R first.
-            right.clear();
-            left = server::cube(ctx, relin_key, &left)?;
-        }
-    }
-    affine_half(ctx, encoder, per_slot, r, true, &left)
+    server::eval_rounds(
+        ctx,
+        relin_key,
+        params.rounds(),
+        initial_left,
+        initial_right,
+        |layer, is_left, half| affine_half(ctx, encoder, per_slot, layer, is_left, half),
+    )
 }
 
 /// One slot-parallel affine layer-half: output row `i` is

@@ -68,5 +68,5 @@ pub use cache::{
 pub use client::{EncryptedPastaKey, HheClient};
 pub use link::{figure8, Fig8Point, PastaLink, Resolution, RiseReference};
 pub use mux::{retrieve_muxed, MuxHheServer, MuxMember, MuxedBlocks, SlotRange};
-pub use packed::{required_shifts, BsgsPlan, PackedHheServer, PackedStrategy};
+pub use packed::{required_shifts, BsgsPlan, PackedHheServer};
 pub use server::HheServer;

@@ -18,8 +18,8 @@
 //!   squarings ride the full-RNS multiplication of
 //!   [`pasta_fhe::rns_mul`] like every server mode.
 //!
-//! The rotations are where the server time goes, and the default
-//! [`PackedStrategy::Bsgs`] evaluation restructures them twice over:
+//! The rotations are where the server time goes, and the evaluation
+//! restructures them twice over:
 //!
 //! - **baby-step/giant-step**: writing `k = g·B + b` with
 //!   `B = ⌈√(2t)⌉`, `M·v = Σ_g rot_{gB}(Σ_b E_{g,b} ⊙ rot_b(dup))`
@@ -32,10 +32,9 @@
 //!   a slot permutation plus multiply–accumulate
 //!   ([`BfvContext::apply_galois_hoisted`]).
 //!
-//! [`PackedStrategy::Naive`] keeps the one-rotation-per-diagonal path as
-//! the reference (and benchmark baseline); both strategies produce
-//! ciphertexts that decrypt identically, and each is bit-deterministic
-//! for any `PASTA_THREADS` and any cache state.
+//! A pass is bit-deterministic for any `PASTA_THREADS` and any cache
+//! state. The tests keep the one-rotation-per-diagonal loop as the
+//! oracle the BSGS product is checked against.
 //!
 //! The diagonal plaintexts are single-use: each is lane-encoded, lifted
 //! and forward-transformed inside the task that multiplies it, then
@@ -50,7 +49,6 @@
 //! lanes `0..2t` after its giant rotation.
 
 use crate::cache::MaterialCache;
-use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvGaloisKey, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext,
@@ -60,20 +58,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How the packed server groups the affine-layer diagonals into
-/// rotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackedStrategy {
-    /// One key-switch per nonzero diagonal: `2t − 1` rotations per
-    /// affine layer. The pre-BSGS reference path.
-    Naive,
-    /// Hoisted baby-step/giant-step grouping: `⌈√(2t)⌉ − 1` hoisted baby
-    /// rotations shared from one decomposition plus `⌈2t/⌈√(2t)⌉⌉ − 1`
-    /// giant rotations — O(√t) key-switches per layer.
-    #[default]
-    Bsgs,
-}
 
 /// The `2t × 2t` matrix of one affine layer, as an entry lookup.
 type LayerMatrix<'a> = dyn Fn(usize, usize) -> u64 + Sync + 'a;
@@ -139,20 +123,29 @@ impl LaneLayout {
 #[derive(Debug)]
 pub struct PackedHheServer {
     params: PastaParams,
-    strategy: PackedStrategy,
     relin_key: BfvRelinKey,
     rot_keys: HashMap<usize, BfvGaloisKey>,
     encrypted_key: FheCiphertext,
     layout: LaneLayout,
     encoder: BatchEncoder,
-    /// Indicator plaintexts for the fixed mask windows the evaluation
-    /// uses, NTT-prepared once at setup.
-    masks: HashMap<(usize, usize), PreparedPlaintext>,
+    masks: Masks,
     cache: Arc<MaterialCache>,
     /// Key-switches performed since construction (or the last
     /// [`PackedHheServer::reset_key_switch_count`]) — every
     /// [`BfvContext::apply_galois`] / hoisted rotation counts one.
     key_switches: AtomicU64,
+}
+
+/// Indicator plaintexts for the three lane windows the evaluation masks,
+/// NTT-prepared once at setup.
+#[derive(Debug)]
+struct Masks {
+    /// Lanes `0..2t`: clears the garbage Mix drags in.
+    state: PreparedPlaintext,
+    /// Lanes `1..2t`: the Feistel square skips lane 0.
+    feistel: PreparedPlaintext,
+    /// Lanes `0..t`: the final truncation.
+    truncate: PreparedPlaintext,
 }
 
 /// The baby-step/giant-step split of a `2t`-diagonal matrix–vector
@@ -201,34 +194,32 @@ impl BsgsPlan {
 /// The lane shifts (realized as Galois elements `3^k mod 2N`) the packed
 /// evaluation needs for block size `t` on an orbit of `orbit_len` lanes.
 ///
-/// Every strategy needs the Mix shift `t`, the Feistel shift `2t − 1`
-/// and the duplicate-refresh shift `orbit_len − 2t`. On top of those,
-/// [`PackedStrategy::Naive`] needs every diagonal shift `1..2t`, while
-/// [`PackedStrategy::Bsgs`] needs only the baby shifts `1..B` and the
-/// giant shifts `{g·B : 0 < g < G}` — the provisioned rotation-key set
-/// shrinks from `2t` keys to O(√t).
+/// These are the baby shifts `1..B`, the giant shifts
+/// `{g·B : 0 < g < G}`, the Mix shift `t`, the Feistel shift `2t − 1` and
+/// the duplicate-refresh shift `orbit_len − 2t` — O(√t) keys, where one
+/// rotation per diagonal would need `2t`.
 #[must_use]
-pub fn required_shifts(t: usize, orbit_len: usize, strategy: PackedStrategy) -> Vec<usize> {
-    let mut shifts: Vec<usize> = match strategy {
-        PackedStrategy::Naive => (1..2 * t).collect(),
-        PackedStrategy::Bsgs => {
-            let plan = BsgsPlan::new(t);
-            (1..plan.baby.min(plan.width))
-                .chain((1..plan.giant).map(|g| g * plan.baby))
-                .chain([t, 2 * t - 1])
-                .collect()
-        }
-    };
-    shifts.push(orbit_len - 2 * t);
+pub fn required_shifts(t: usize, orbit_len: usize) -> Vec<usize> {
+    let plan = BsgsPlan::new(t);
+    let mut shifts: Vec<usize> = (1..plan.baby.min(plan.width))
+        .chain((1..plan.giant).map(|g| g * plan.baby))
+        .chain([t, 2 * t - 1, orbit_len - 2 * t])
+        .collect();
     shifts.sort_unstable();
     shifts.dedup();
     shifts
 }
 
+/// The Galois element `3^k mod 2N` that shifts the lanes by `k`.
+fn shift_element(ctx: &BfvContext, k: usize) -> usize {
+    let two_n = 2 * ctx.params().n;
+    (0..k).fold(1, |g, _| (g * 3) % two_n)
+}
+
 impl PackedHheServer {
-    /// Sets up the packed server with the default (BSGS) evaluation
-    /// strategy: provisions the packed key ciphertext and generates the
-    /// O(√t) rotation key set.
+    /// Sets up the packed server: provisions the packed key ciphertext
+    /// and generates the O(√t) rotation key set, exactly
+    /// [`required_shifts`].
     ///
     /// # Errors
     ///
@@ -239,34 +230,6 @@ impl PackedHheServer {
         ctx: &BfvContext,
         fhe_sk: &BfvSecretKey,
         key_elements: &[u64],
-        rng: &mut R,
-    ) -> Result<Self, FheError> {
-        Self::new_with_strategy(
-            params,
-            ctx,
-            fhe_sk,
-            key_elements,
-            PackedStrategy::default(),
-            rng,
-        )
-    }
-
-    /// Sets up the packed server with an explicit affine-layer
-    /// evaluation strategy. The rotation-key set provisioned here is
-    /// exactly [`required_shifts`] for that strategy, so a
-    /// [`PackedStrategy::Naive`] server carries `2t` keys where a
-    /// [`PackedStrategy::Bsgs`] one carries O(√t).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Incompatible`] if `4t` exceeds the lane orbit
-    /// (the duplicate would not fit), or propagates key errors.
-    pub fn new_with_strategy<R: rand::Rng>(
-        params: PastaParams,
-        ctx: &BfvContext,
-        fhe_sk: &BfvSecretKey,
-        key_elements: &[u64],
-        strategy: PackedStrategy,
         rng: &mut R,
     ) -> Result<Self, FheError> {
         let encoder = BatchEncoder::new(ctx.params().plain_modulus, ctx.params().n)
@@ -287,26 +250,24 @@ impl PackedHheServer {
         let pk = ctx.generate_public_key(fhe_sk, rng);
         let packed = layout.encode_lanes(&encoder, key_elements, 0);
         let encrypted_key = ctx.encrypt(&pk, &packed, rng);
-        let two_n = 2 * ctx.params().n;
         let mut rot_keys = HashMap::new();
-        for k in required_shifts(t, layout.lanes(), strategy) {
-            let mut g = 1usize;
-            for _ in 0..k {
-                g = (g * 3) % two_n;
-            }
-            rot_keys.insert(k, ctx.generate_galois_key(fhe_sk, g, rng)?);
+        for k in required_shifts(t, layout.lanes()) {
+            rot_keys.insert(
+                k,
+                ctx.generate_galois_key(fhe_sk, shift_element(ctx, k), rng)?,
+            );
         }
-        // The evaluation masks only ever these three windows; prepare
-        // their indicator plaintexts once.
-        let mut masks = HashMap::new();
-        for (from, range) in [(0, 2 * t), (1, 2 * t), (0, t)] {
+        let window = |from: usize, range: usize| {
             let ones = vec![1u64; range - from];
-            let pt = layout.encode_lanes(&encoder, &ones, from);
-            masks.insert((from, range), ctx.prepare_plaintext(&pt));
-        }
+            ctx.prepare_plaintext(&layout.encode_lanes(&encoder, &ones, from))
+        };
+        let masks = Masks {
+            state: window(0, 2 * t),
+            feistel: window(1, 2 * t),
+            truncate: window(0, t),
+        };
         Ok(PackedHheServer {
             params,
-            strategy,
             relin_key,
             rot_keys,
             encrypted_key,
@@ -375,30 +336,6 @@ impl PackedHheServer {
         self.key_switches.store(0, Ordering::Relaxed);
     }
 
-    /// The affine-layer evaluation strategy this server was provisioned
-    /// for.
-    #[must_use]
-    pub fn strategy(&self) -> PackedStrategy {
-        self.strategy
-    }
-
-    /// Mask to lanes `from..range` (indicator plaintext, prepared at
-    /// setup for the windows the evaluation uses).
-    fn mask(
-        &self,
-        ctx: &BfvContext,
-        ct: &FheCiphertext,
-        from: usize,
-        range: usize,
-    ) -> FheCiphertext {
-        if let Some(prep) = self.masks.get(&(from, range)) {
-            return ctx.mul_plain_prepared(ct, prep);
-        }
-        let ones = vec![1u64; range - from];
-        let pt = self.layout.encode_lanes(&self.encoder, &ones, from);
-        ctx.mul_plain(ct, &pt)
-    }
-
     /// The nonzero diagonals of the `2t × 2t` layer matrix `bd`:
     /// `diag_k[j] = bd(j, (j + k) mod 2t)`, `None` where all-zero (the
     /// evaluation then skips that rotation/product entirely).
@@ -415,7 +352,9 @@ impl PackedHheServer {
     /// Evaluates one affine layer the pre-BSGS way: one key-switch per
     /// nonzero diagonal, each diagonal lane-encoded at offset 0 and
     /// multiplied once. Returns the coefficient-domain accumulator, or
-    /// `None` if every diagonal was zero.
+    /// `None` if every diagonal was zero. The BSGS product's test oracle;
+    /// it needs a rotation key for every diagonal shift `1..2t`.
+    #[cfg(test)]
     fn eval_affine_naive(
         &self,
         ctx: &BfvContext,
@@ -554,8 +493,8 @@ impl PackedHheServer {
             .enumerate()
         {
             // Block-diagonal matrix BD = diag(M_L, M_R) evaluated by the
-            // diagonal method over a window of 2t lanes (naive
-            // per-diagonal rotations, or hoisted BSGS — see module docs).
+            // diagonal method over a window of 2t lanes (hoisted BSGS —
+            // see module docs).
             let bd = |row: usize, col: usize| -> u64 {
                 if row < t && col < t {
                     mats.left.get(row, col)
@@ -566,11 +505,7 @@ impl PackedHheServer {
                 }
             };
             let dup = self.with_duplicate(ctx, &state)?;
-            let acc = match self.strategy {
-                PackedStrategy::Naive => self.eval_affine_naive(ctx, &bd, &dup)?,
-                PackedStrategy::Bsgs => self.eval_affine_bsgs(ctx, &bd, &dup)?,
-            };
-            let mut acc = acc.ok_or_else(|| {
+            let mut acc = self.eval_affine_bsgs(ctx, &bd, &dup)?.ok_or_else(|| {
                 // Unreachable for the invertible matrices Eq. 1 generates,
                 // but an all-zero layer must not panic the server.
                 FheError::Incompatible("affine layer matrix has no nonzero diagonal".into())
@@ -591,7 +526,7 @@ impl PackedHheServer {
                 ctx.add_assign(&mut state, &swapped)?;
                 // Mix dragged garbage into lanes >= 2t: re-mask before
                 // the shift-dependent S-box.
-                state = self.mask(ctx, &state, 0, 2 * t);
+                state = ctx.mul_plain_prepared(&state, &self.masks.state);
                 if i < r - 1 {
                     // Feistel: y_j = x_j + x_{j-1}² (y_0 = x_0): shift
                     // the duplicate by 2t - 1 so lane j holds x_{j-1},
@@ -599,7 +534,7 @@ impl PackedHheServer {
                     let dup = self.with_duplicate(ctx, &state)?;
                     let shifted = self.rotate(ctx, &dup, 2 * t - 1)?;
                     let squared = ctx.square_relin(&shifted, &self.relin_key)?;
-                    let masked_sq = self.mask(ctx, &squared, 1, 2 * t);
+                    let masked_sq = ctx.mul_plain_prepared(&squared, &self.masks.feistel);
                     ctx.add_assign(&mut state, &masked_sq)?;
                 } else {
                     // Cube on all lanes (garbage outside 0..2t is
@@ -610,7 +545,7 @@ impl PackedHheServer {
             }
         }
         // Truncation: keep lanes 0..t.
-        Ok(self.mask(ctx, &state, 0, t))
+        Ok(ctx.mul_plain_prepared(&state, &self.masks.truncate))
     }
 
     /// Transciphers one PASTA block: returns a single FHE ciphertext
@@ -655,14 +590,6 @@ impl PackedHheServer {
     }
 }
 
-/// Provisions nothing extra: the packed server carries its own key
-/// ciphertext. This helper exists so callers can compare provisioning
-/// sizes against the scalar mode's `2t` ciphertexts.
-#[must_use]
-pub fn scalar_provisioning_size(ctx: &BfvContext, key: &EncryptedPastaKey) -> usize {
-    key.size_bytes(ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,10 +607,6 @@ mod tests {
     }
 
     fn setup() -> World {
-        setup_with_strategy(PackedStrategy::default())
-    }
-
-    fn setup_with_strategy(strategy: PackedStrategy) -> World {
         let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
         // Generous modulus: rotations add key-switch noise and the
         // packed S-boxes spend extra plaintext masks.
@@ -695,12 +618,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xACED);
         let sk = ctx.generate_secret_key(&mut rng);
         let client = HheClient::new(params, b"packed");
-        let server = PackedHheServer::new_with_strategy(
+        let server = PackedHheServer::new(
             params,
             &ctx,
             &sk,
             client.cipher().key().expose_elements(),
-            strategy,
             &mut rng,
         )
         .unwrap();
@@ -710,6 +632,23 @@ mod tests {
             client,
             server,
         }
+    }
+
+    /// [`setup`] plus the rotation key of every diagonal shift `1..2t`,
+    /// which the naive oracle needs beyond the BSGS key set.
+    fn setup_with_diagonal_keys() -> World {
+        let mut w = setup();
+        let mut rng = StdRng::seed_from_u64(0xD1A6);
+        for k in 1..2 * w.server.params.t() {
+            if !w.server.rot_keys.contains_key(&k) {
+                let key = w
+                    .ctx
+                    .generate_galois_key(&w.sk, shift_element(&w.ctx, k), &mut rng)
+                    .unwrap();
+                w.server.rot_keys.insert(k, key);
+            }
+        }
+        w
     }
 
     #[test]
@@ -748,7 +687,14 @@ mod tests {
     #[test]
     fn packed_keystream_matches_plain() {
         let w = setup();
+        w.server.reset_key_switch_count();
         let ks = w.server.keystream_packed(&w.ctx, 0xFEED, 0).unwrap();
+        // t = 4, r = 2: three affine layers (each with one
+        // duplicate-refresh rotation), two Mix (refresh + shift) and one
+        // Feistel (refresh + shift). The block-diagonal layer matrix has
+        // diag_t ≡ 0, so each layer spends (B - 1) + (G - 1) = 4 BSGS
+        // switches.
+        assert_eq!(w.server.key_switch_count(), 3 * (4 + 1) + 2 * 2 + 2);
         let decoded = w.server.decode(&w.ctx, &w.sk, &ks, 4);
         let expect = w.client.cipher().keystream_block(0xFEED, 0).unwrap();
         assert_eq!(
@@ -810,13 +756,9 @@ mod tests {
     #[test]
     fn rotation_key_budget() {
         // BSGS at t = 4 (orbit 128): babies {1, 2}, giants {3, 6}, Mix 4,
-        // Feistel 7, duplicate refresh 120 — 7 keys.
-        let bsgs = setup();
-        assert_eq!(bsgs.server.strategy(), PackedStrategy::Bsgs);
-        assert_eq!(bsgs.server.rotation_key_count(), 7);
-        // Naive needs every diagonal shift 1..2t plus the refresh = 2t.
-        let naive = setup_with_strategy(PackedStrategy::Naive);
-        assert_eq!(naive.server.rotation_key_count(), 2 * 4);
+        // Feistel 7, duplicate refresh 120 — 7 keys, where one rotation
+        // per diagonal would need 2t = 8.
+        assert_eq!(setup().server.rotation_key_count(), 7);
     }
 
     #[test]
@@ -840,16 +782,16 @@ mod tests {
     fn required_shifts_shrink_under_bsgs() {
         // t = 128 on the N = 1024 orbit (512 lanes): 15 babies + 15
         // giants (128 = 8·16 is already a giant) + Feistel 255 + refresh
-        // 256 = 32 keys, vs 256 for the naive strategy.
-        let bsgs = required_shifts(128, 512, PackedStrategy::Bsgs);
-        let naive = required_shifts(128, 512, PackedStrategy::Naive);
-        assert_eq!(bsgs.len(), 32);
-        assert_eq!(naive.len(), 256);
-        // Everything BSGS needs beyond the shared shifts is O(√t).
-        assert!(bsgs.iter().all(|s| naive.contains(s) || *s == 512 - 256));
+        // 256 = 32 keys, vs 256 for one rotation per diagonal.
+        let shifts = required_shifts(128, 512);
+        assert_eq!(shifts.len(), 32);
+        // Every shift but the refresh is a diagonal shift 1..2t.
+        assert!(shifts
+            .iter()
+            .all(|&s| (1..256).contains(&s) || s == 512 - 256));
     }
 
-    /// Evaluates `M·v` through both affine strategies and checks each
+    /// Evaluates `M·v` through the naive oracle and BSGS and checks each
     /// against the plaintext product; returns the key-switch counts.
     fn matvec_both_ways(w: &World, m: &[Vec<u64>], v: &[u64]) -> (u64, u64) {
         let zp = pasta_math::Zp::new(Modulus::PASTA_17_BIT).unwrap();
@@ -895,10 +837,7 @@ mod tests {
 
     #[test]
     fn bsgs_matmul_matches_naive_with_sqrt_key_switches() {
-        // A naive server's key set (shifts 1..2t) is a superset of what
-        // BSGS needs at t = 4 (babies {1, 2}, giants {3, 6}), so one
-        // server can drive both paths.
-        let w = setup_with_strategy(PackedStrategy::Naive);
+        let w = setup_with_diagonal_keys();
         let width = 2 * w.server.params.t();
         let mut rng = StdRng::seed_from_u64(0xB59);
         let m: Vec<Vec<u64>> = (0..width)
@@ -914,34 +853,6 @@ mod tests {
         assert!(bsgs_switches < naive_switches);
     }
 
-    #[test]
-    fn bsgs_and_naive_keystreams_agree() {
-        let bsgs = setup();
-        let naive = setup_with_strategy(PackedStrategy::Naive);
-        let expect = bsgs.client.cipher().keystream_block(0xC0DE, 0).unwrap();
-
-        bsgs.server.reset_key_switch_count();
-        let ks_b = bsgs.server.keystream_packed(&bsgs.ctx, 0xC0DE, 0).unwrap();
-        let bsgs_switches = bsgs.server.key_switch_count();
-        assert_eq!(bsgs.server.decode(&bsgs.ctx, &bsgs.sk, &ks_b, 4), expect);
-
-        naive.server.reset_key_switch_count();
-        let ks_n = naive
-            .server
-            .keystream_packed(&naive.ctx, 0xC0DE, 0)
-            .unwrap();
-        let naive_switches = naive.server.key_switch_count();
-        assert_eq!(naive.server.decode(&naive.ctx, &naive.sk, &ks_n, 4), expect);
-
-        // t = 4, r = 2: three affine layers (each with one
-        // duplicate-refresh rotation), two Mix (refresh + shift) and one
-        // Feistel (refresh + shift). The block-diagonal layer matrix has
-        // diag_t ≡ 0, so the naive loop spends 2t - 2 = 6 switches per
-        // layer and BSGS (B - 1) + (G - 1) = 4.
-        assert_eq!(naive_switches, 3 * (6 + 1) + 2 * 2 + 2);
-        assert_eq!(bsgs_switches, 3 * (4 + 1) + 2 * 2 + 2);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
@@ -953,7 +864,7 @@ mod tests {
             seed in 0u64..1_000_000,
             density in 1usize..=4,
         ) {
-            let w = setup_with_strategy(PackedStrategy::Naive);
+            let w = setup_with_diagonal_keys();
             let width = 2 * w.server.params.t();
             let mut rng = StdRng::seed_from_u64(seed);
             let m: Vec<Vec<u64>> = (0..width)

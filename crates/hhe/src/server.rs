@@ -10,8 +10,7 @@
 //! - Mix is additions;
 //! - the Feistel/cube S-boxes are the expensive part — each squaring is a
 //!   ciphertext–ciphertext multiplication plus relinearization, riding
-//!   the full-RNS path of [`pasta_fhe::rns_mul`] (`PASTA_MUL=bigint`
-//!   swaps in the exact bigint oracle);
+//!   the full-RNS path of [`pasta_fhe::rns_mul`];
 //! - finally `Enc(m) = Δ·c − Enc(KS)`: the symmetric ciphertext enters as
 //!   a public constant.
 //!
@@ -23,8 +22,8 @@
 //! server ships `2t` key ciphertexts and zero rotation keys; the batched
 //! server ships `2t` (slot-replicated) key ciphertexts and zero rotation
 //! keys; the packed server ships ONE key ciphertext plus its rotation
-//! keys — `2t` of them naive, O(√t) under the default hoisted-BSGS
-//! strategy (see [`crate::packed::required_shifts`]).
+//! keys — O(√t) of them under hoisted BSGS (see
+//! [`crate::packed::required_shifts`]).
 
 use crate::cache::MaterialCache;
 use crate::client::EncryptedPastaKey;
@@ -118,26 +117,23 @@ impl HheServer {
         nonce: u128,
         counter: u64,
     ) -> Result<Vec<FheCiphertext>, FheError> {
-        let t = self.params.t();
-        let r = self.params.rounds();
         let entry = self.cache.block(&self.params, nonce, counter);
-        let mut left = self.encrypted_key.elements[..t].to_vec();
-        let mut right = self.encrypted_key.elements[t..].to_vec();
         let (layers, mats) = (&entry.material.layers, &entry.matrices);
-        for i in 0..r {
-            left = Self::affine_half(ctx, &left, &mats[i].left, &layers[i].rc_left)?;
-            right = Self::affine_half(ctx, &right, &mats[i].right, &layers[i].rc_right)?;
-            mix(ctx, &mut left, &mut right)?;
-            if i < r - 1 {
-                feistel(ctx, &self.relin_key, &mut left, &mut right)?;
-            } else {
-                // Truncation: the output reads X_L only, so the right
-                // half is dead from here on; free it before the cubes.
-                right.clear();
-                left = cube(ctx, &self.relin_key, &left)?;
-            }
-        }
-        Self::affine_half(ctx, &left, &mats[r].left, &layers[r].rc_left)
+        let (left, right) = self.encrypted_key.elements.split_at(self.params.t());
+        eval_rounds(
+            ctx,
+            &self.relin_key,
+            self.params.rounds(),
+            left,
+            right,
+            |i, is_left, half| {
+                if is_left {
+                    Self::affine_half(ctx, half, &mats[i].left, &layers[i].rc_left)
+                } else {
+                    Self::affine_half(ctx, half, &mats[i].right, &layers[i].rc_right)
+                }
+            },
+        )
     }
 
     /// Transciphers one PASTA ciphertext into FHE ciphertexts of the
@@ -201,8 +197,42 @@ impl HheServer {
     }
 }
 
+/// The round schedule of the PASTA decryption circuit, shared by the
+/// scalar and the slotted (batched, mux) evaluators: per round `i < r`, the affine layer `A_i` on both halves,
+/// Mix, then the Feistel S-box — or, in the last round, drop `X_R`
+/// (truncation keeps `X_L` only) and [`cube`] `X_L`. Finally `A_r` on
+/// `X_L`. `affine(i, is_left, half)` evaluates layer `i` on one half.
+pub(crate) fn eval_rounds<F>(
+    ctx: &BfvContext,
+    relin_key: &BfvRelinKey,
+    rounds: usize,
+    initial_left: &[FheCiphertext],
+    initial_right: &[FheCiphertext],
+    affine: F,
+) -> Result<Vec<FheCiphertext>, FheError>
+where
+    F: Fn(usize, bool, &[FheCiphertext]) -> Result<Vec<FheCiphertext>, FheError>,
+{
+    let mut left = initial_left.to_vec();
+    let mut right = initial_right.to_vec();
+    for i in 0..rounds {
+        left = affine(i, true, &left)?;
+        right = affine(i, false, &right)?;
+        mix(ctx, &mut left, &mut right)?;
+        if i < rounds - 1 {
+            feistel(ctx, relin_key, &mut left, &mut right)?;
+        } else {
+            // The right half is dead from here on; free it before the
+            // cubes.
+            right.clear();
+            left = cube(ctx, relin_key, &left)?;
+        }
+    }
+    affine(rounds, true, &left)
+}
+
 /// Mix: `(2L + R, 2R + L)` element-wise with additions only.
-pub(crate) fn mix(
+fn mix(
     ctx: &BfvContext,
     left: &mut [FheCiphertext],
     right: &mut [FheCiphertext],
@@ -220,7 +250,7 @@ pub(crate) fn mix(
 /// `y_0 = x_0`, `y_j = x_j + x_{j-1}²` on input values. The squarings
 /// (ciphertext × ciphertext products — the expensive part of the
 /// circuit) fan out across the worker pool.
-pub(crate) fn feistel(
+fn feistel(
     ctx: &BfvContext,
     relin_key: &BfvRelinKey,
     left: &mut [FheCiphertext],
@@ -254,7 +284,7 @@ pub(crate) fn feistel(
 /// `KS = X_L` after `A_r` (which mixes `X_L` alone), so the right half's
 /// cube never reaches the output and is not evaluated. The cubes fan out
 /// across the worker pool.
-pub(crate) fn cube(
+fn cube(
     ctx: &BfvContext,
     relin_key: &BfvRelinKey,
     left: &[FheCiphertext],

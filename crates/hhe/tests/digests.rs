@@ -4,7 +4,7 @@
 //! order (what is prepared, which operand carries the Shoup companion,
 //! where the NTTs happen, which dead state elements are skipped) may change
 //! freely, but the ciphertexts must not move by a single bit. The packed
-//! values were recorded from the cache-prepared evaluation that preceded
+//! value was recorded from the cache-prepared evaluation that preceded
 //! the streamed one; the scalar and Galois values from the full-width
 //! last round and the generic-Barrett `apply_galois` loop that preceded
 //! the truncated round and the shared Shoup key-switch kernel. The mux
@@ -17,7 +17,7 @@ use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
 use pasta_hhe::{
     provision_batched_key, retrieve_muxed, BatchedHheServer, HheClient, HheServer, MuxHheServer,
-    MuxMember, PackedHheServer, PackedStrategy,
+    MuxMember, PackedHheServer,
 };
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -47,17 +47,6 @@ fn digest(ctx: &BfvContext, cts: &[FheCiphertext]) -> u64 {
     h
 }
 
-/// The pinned value for the active multiplication backend: the exact
-/// big-integer oracle (`PASTA_MUL=bigint`) rounds the S-box products
-/// differently from the RNS path, so each backend has its own digest.
-fn pinned(rns: u64, bigint: u64) -> u64 {
-    if std::env::var(pasta_fhe::MUL_BACKEND_ENV).is_ok_and(|v| v == "bigint") {
-        bigint
-    } else {
-        rns
-    }
-}
-
 fn params() -> PastaParams {
     PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap()
 }
@@ -83,17 +72,13 @@ fn scalar_multi_block_transcipher_is_pinned() {
     let pasta_ct = client.encrypt(0x5CA1, &msg).unwrap();
     let cts = server.transcipher(&ctx, &pasta_ct).unwrap();
     assert_eq!(client.retrieve(&ctx, &sk, &cts), msg);
-    assert_eq!(
-        digest(&ctx, &cts),
-        pinned(13_931_700_817_277_224_567, 17_512_284_889_805_411_291)
-    );
+    assert_eq!(digest(&ctx, &cts), 13_931_700_817_277_224_567);
 }
 
 #[test]
 fn galois_key_switches_are_pinned() {
     // Classic and hoisted rotations plus a full rotate-and-add tree on a
-    // 6-prime ring; no ciphertext product, so one value serves both mul
-    // backends.
+    // 6-prime ring; no ciphertext product.
     let ctx = BfvContext::new(BfvParams {
         prime_count: 6,
         ..BfvParams::test_tiny()
@@ -172,10 +157,7 @@ fn mux_bucket_with_partial_blocks_is_pinned() {
             message(len, nonce as u64)
         );
     }
-    assert_eq!(
-        digest(&ctx, &muxed.positions),
-        pinned(12_880_480_418_547_219_228, 17_779_829_228_378_255_478)
-    );
+    assert_eq!(digest(&ctx, &muxed.positions), 12_880_480_418_547_219_228);
 }
 
 #[test]
@@ -206,13 +188,11 @@ fn batched_transcipher_is_pinned() {
             }
         }
     }
-    assert_eq!(
-        digest(&ctx, &batch.positions),
-        pinned(4_644_963_242_060_643_509, 804_225_375_803_952_807)
-    );
+    assert_eq!(digest(&ctx, &batch.positions), 4_644_963_242_060_643_509);
 }
 
-fn packed_digest(strategy: PackedStrategy) -> u64 {
+#[test]
+fn packed_bsgs_block_is_pinned() {
     let bfv = BfvParams {
         prime_count: 8,
         ..BfvParams::test_tiny()
@@ -221,33 +201,16 @@ fn packed_digest(strategy: PackedStrategy) -> u64 {
     let mut rng = StdRng::seed_from_u64(0x9AC4ED);
     let sk = ctx.generate_secret_key(&mut rng);
     let client = HheClient::new(params(), b"digest packed");
-    let server = PackedHheServer::new_with_strategy(
+    let server = PackedHheServer::new(
         params(),
         &ctx,
         &sk,
         client.cipher().key().expose_elements(),
-        strategy,
         &mut rng,
     )
     .unwrap();
     // Two blocks; transcipher the second, partial one.
     let pasta_ct = client.encrypt(0x7AC7, &message(7, 11)).unwrap();
     let ct = server.transcipher_packed(&ctx, &pasta_ct, 1).unwrap();
-    digest(&ctx, &[ct])
-}
-
-#[test]
-fn packed_bsgs_block_is_pinned() {
-    assert_eq!(
-        packed_digest(PackedStrategy::Bsgs),
-        pinned(10_795_896_243_688_547_800, 4_201_232_775_848_364_896)
-    );
-}
-
-#[test]
-fn packed_naive_block_is_pinned() {
-    assert_eq!(
-        packed_digest(PackedStrategy::Naive),
-        pinned(5_104_366_906_954_987_675, 6_760_485_544_969_492_439)
-    );
+    assert_eq!(digest(&ctx, &[ct]), 10_795_896_243_688_547_800);
 }

@@ -9,16 +9,12 @@
 //!
 //! Lives in its own integration-test binary: each test pins
 //! `PASTA_THREADS=1` (the thread-local debug counters can only observe
-//! the calling thread) and the RNS multiplication path (the exact
-//! `PASTA_MUL=bigint` oracle allocates big integers by design), and
-//! mutating the process environment must not race other tests — the
-//! tests of this binary serialize on a lock.
+//! the calling thread), and mutating the process environment must not
+//! race other tests — the tests of this binary serialize on a lock.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{
-    provision_batched_key, BatchedHheServer, HheClient, HheServer, PackedHheServer, PackedStrategy,
-};
+use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,10 +22,9 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Pins the environment both tests measure under.
+/// Pins the environment the tests measure under.
 fn pin_env() {
     std::env::set_var(pasta_par::THREADS_ENV, "1");
-    std::env::remove_var(pasta_fhe::MUL_BACKEND_ENV);
 }
 
 #[test]
@@ -163,12 +158,11 @@ fn warm_packed_bsgs_block_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
     let mut rng = StdRng::seed_from_u64(4444);
     let fhe_sk = ctx.generate_secret_key(&mut rng);
     let client = HheClient::new(params, b"warm packed");
-    let server = PackedHheServer::new_with_strategy(
+    let server = PackedHheServer::new(
         params,
         &ctx,
         &fhe_sk,
         client.cipher().key().expose_elements(),
-        PackedStrategy::Bsgs,
         &mut rng,
     )
     .unwrap();

@@ -95,7 +95,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable selecting the SIMD backend
-/// (`auto` | `scalar` | `avx2`), mirroring `PASTA_MUL` / `PASTA_THREADS`.
+/// (`auto` | `scalar` | `avx2`), mirroring `PASTA_THREADS`.
 pub const SIMD_ENV: &str = "PASTA_SIMD";
 
 /// A SIMD backend for the modular kernels.
