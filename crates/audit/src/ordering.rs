@@ -14,11 +14,11 @@
 //! already needs a `// SAFETY:` comment (check 3). This pass goes one
 //! step further: when the stated precondition is about data shape —
 //! slice lengths, alignment, bounds — the enclosing function or one of
-//! its (same-file, ≤ [`CALLER_DEPTH`]-hop) callers must contain an
+//! its (same-file, ≤ `CALLER_DEPTH`-hop) callers must contain an
 //! `assert!`/`debug_assert!` family guard, so the comment is backed by
 //! an executable check. `SAFETY:` comments that argue CPU capability
 //! (the AVX2 feature was runtime-detected before dispatch) are
-//! recognized by [`CAPABILITY_WORDS`] and exempt — there is nothing to
+//! recognized by `CAPABILITY_WORDS` and exempt — there is nothing to
 //! assert about data in them.
 
 use crate::analyze::{Check, Finding, SourceFile};

@@ -4,7 +4,8 @@
 //!
 //! - **scalar**: one ciphertext per state element — simplest, largest
 //!   ciphertext count;
-//! - **batched**: `N` blocks per ciphertext — throughput mode;
+//! - **batched**: `N` blocks per ciphertext — throughput mode (a
+//!   one-member [`MuxHheServer`] bucket);
 //! - **packed**: one block per ciphertext via the rotation/diagonal
 //!   method — latency/bandwidth mode.
 
@@ -12,7 +13,7 @@ use pasta_bench::report::{fmt_f64, TextTable};
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
 use pasta_hhe::packed::PackedHheServer;
-use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,24 +71,29 @@ fn main() {
         format!("{:.2} s", scalar_time),
     ]);
 
-    // Batched (amortize over 8 blocks).
-    let batched = BatchedHheServer::new(
-        pasta,
-        &ctx,
-        relin.clone(),
-        provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
-            .expect("provision batched key"),
-    )
-    .expect("batched server");
+    // Batched (amortize over 8 blocks): one tenant, one bucket.
+    let batched = MuxHheServer::new(pasta, &ctx, relin.clone()).expect("mux server");
+    let batched_key = client.provision_key(&ctx, &pk, &mut rng);
     let blocks = 8usize;
     let long_message: Vec<u64> = (0..(4 * blocks) as u64).map(|i| i % 65_537).collect();
     let long_ct = client.encrypt(0x30DE5, &long_message).expect("encrypt");
     let t1 = Instant::now();
     let batch = batched
-        .transcipher_batched(&ctx, &long_ct)
+        .transcipher_mux(
+            &ctx,
+            &[MuxMember {
+                tenant: 0,
+                encrypted_key: &batched_key,
+                ct: &long_ct,
+            }],
+        )
         .expect("batched transcipher");
     let batched_time = t1.elapsed().as_secs_f64();
     let batched_budget = ctx.noise_budget(&sk, &batch.positions[0]);
+    assert_eq!(
+        retrieve_muxed(&ctx, &sk, &batch.positions, batch.ranges[0]).expect("retrieve"),
+        long_message
+    );
     table.row(vec![
         "batched".to_string(),
         "t = 4 (shared across batch)".to_string(),
@@ -124,8 +130,8 @@ fn main() {
     println!("{}", table.render());
 
     println!(
-        "Setup costs: scalar provisions 2t = 8 key ciphertexts; batched the same with\n\
-         replicated slots; packed provisions ONE key ciphertext ({} bytes) plus {} rotation\n\
+        "Setup costs: scalar provisions 2t = 8 key ciphertexts; batched reads the same\n\
+         ones (every slot holds the key element); packed provisions ONE key ciphertext ({} bytes) plus {} rotation\n\
          keys (O(\u{221a}t) under the default hoisted-BSGS strategy, vs 2t naive).\n\
          Result bandwidth: packed returns one ciphertext per block, scalar returns t.",
         packed.encrypted_key_size_bytes(&ctx),

@@ -1,8 +1,9 @@
 //! Machine-readable perf baseline for the transciphering hot path.
 //!
-//! Measures the NTT forward+inverse kernel and the scalar/batched
-//! transciphering servers, then renders `BENCH_ntt.json` and
-//! `BENCH_transcipher.json` via [`pasta_bench::report::BenchReport`].
+//! Measures the NTT forward+inverse kernel and scalar and batched
+//! (one-member mux bucket) transciphering, then renders
+//! `BENCH_ntt.json` and `BENCH_transcipher.json` via
+//! [`pasta_bench::report::BenchReport`].
 //!
 //! Usage:
 //!
@@ -21,7 +22,7 @@ use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
 use pasta_fhe::ntt::NttTable;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer};
+use pasta_hhe::{HheClient, HheServer, MuxHheServer, MuxMember};
 use pasta_math::{simd, Modulus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -184,8 +185,9 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     report.set_meta("warm_allocs", warm_allocs.to_string());
     report.set_meta("warm_spawn_events", warm_spawns.to_string());
 
-    // Batched server: 8 blocks per SIMD pass (extra prime for the
-    // batched noise growth, mirroring the batched server tests).
+    // Batched pass: 8 blocks of one tenant in a one-member mux bucket
+    // (extra prime for the slotted noise growth, mirroring the mux
+    // tests).
     let bctx = BfvContext::new(BfvParams {
         prime_count: 5,
         ..BfvParams::test_tiny()
@@ -194,39 +196,30 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let bsk = bctx.generate_secret_key(&mut rng);
     let bpk = bctx.generate_public_key(&bsk, &mut rng);
     let brelin = bctx.generate_relin_key(&bsk, &mut rng);
-    let batched = BatchedHheServer::new(
-        pasta,
-        &bctx,
-        brelin,
-        provision_batched_key(
-            client.cipher().key().expose_elements(),
-            &bctx,
-            &bpk,
-            &mut rng,
-        )
-        .expect("provision batched key"),
-    )
-    .expect("batched server");
+    let bkey = client.provision_key(&bctx, &bpk, &mut rng);
+    let batched = MuxHheServer::new(pasta, &bctx, brelin).expect("mux server");
+    let batched_pass = |ct: &pasta_core::Ciphertext| {
+        let member = MuxMember {
+            tenant: 0,
+            encrypted_key: &bkey,
+            ct,
+        };
+        black_box(
+            batched
+                .transcipher_mux(&bctx, &[member])
+                .expect("transcipher"),
+        );
+    };
     let blocks = 8usize;
     let long_message: Vec<u64> = (0..(t * blocks) as u64).map(|i| i % 65_537).collect();
 
     // Fresh nonce every call: the batched weights are single-use and
     // streamed, so a repeated nonce would time the same work.
     let mut bnonce = 0x2000u128;
-    let warm_up = client.encrypt(bnonce, &long_message).expect("encrypt");
-    black_box(
-        batched
-            .transcipher_batched(&bctx, &warm_up)
-            .expect("transcipher"),
-    );
+    batched_pass(&client.encrypt(bnonce, &long_message).expect("encrypt"));
     let batched_cold = min_of(Box::new(|| {
         bnonce += 1;
-        let ct = client.encrypt(bnonce, &long_message).expect("encrypt");
-        black_box(
-            batched
-                .transcipher_batched(&bctx, &ct)
-                .expect("transcipher"),
-        );
+        batched_pass(&client.encrypt(bnonce, &long_message).expect("encrypt"));
     }));
     println!("transcipher/batched/8blocks/cold: {batched_cold:.0} ns/iter [{phase}]");
     report.push("transcipher/batched/8blocks/cold", phase, batched_cold);

@@ -34,7 +34,7 @@
 //! # Determinism and accounting
 //!
 //! Pooling is invisible to the math: a recycled buffer is either
-//! zeroed ([`take_rows_zeroed`]) or fully overwritten by its taker
+//! zeroed (`take_rows_zeroed`) or fully overwritten by its taker
 //! before any read, so values never depend on pool state. What *is*
 //! observable is the allocation count: mirroring
 //! [`ubig_alloc_count`](crate::bigint::ubig_alloc_count), debug builds

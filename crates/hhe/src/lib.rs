@@ -8,10 +8,9 @@
 //! - [`server`]: homomorphic evaluation of the PASTA decryption circuit —
 //!   the *transciphering* step that turns compact symmetric ciphertexts
 //!   into FHE ciphertexts the cloud can compute on;
-//! - [`batched`]: the SIMD throughput mode (`N` blocks per ciphertext);
-//! - [`mux`]: cross-tenant slot multiplexing — blocks from *different*
-//!   sessions packed into one shared batched pass via slot-masked key
-//!   composition;
+//! - [`mux`]: the SIMD throughput mode (`N` blocks per ciphertext) —
+//!   blocks from one session, or from *different* sessions and tenants
+//!   via slot-masked key composition, packed into one shared pass;
 //! - [`packed`]: the latency mode (one block per ciphertext via the
 //!   rotation/diagonal method);
 //! - [`link`]: the §V communication model (ciphertext sizes, 5G
@@ -52,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batched;
 pub mod cache;
 pub mod client;
 pub mod link;
@@ -60,7 +58,6 @@ pub mod mux;
 pub mod packed;
 pub mod server;
 
-pub use batched::{provision_batched_key, BatchedHheServer};
 pub use cache::{
     approx_block_entry_bytes, approx_composed_key_bytes, MaterialCache, ShardedCache,
     ShardedCacheConfig,

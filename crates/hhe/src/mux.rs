@@ -1,14 +1,19 @@
-//! Cross-tenant slot multiplexing: blocks from *different* sessions and
-//! tenants packed into one SIMD transciphering pass.
+//! Slot-parallel transciphering: blocks from one or many sessions and
+//! tenants packed into one SIMD pass.
 //!
-//! The batched server ([`crate::batched`]) already amortizes the PASTA
-//! decryption circuit over `N` slots — but only for one stream: a
-//! request carrying a single block still occupies all `N` slots, so at
-//! small payloads the cloud does up to `N×` more slot-work than it
-//! sells. This module closes that gap by composing one *shared*
-//! evaluation over the slots of many tenants at once:
+//! The scalar server ([`crate::server::HheServer`]) spends one BFV
+//! ciphertext per PASTA state element and transciphers one block at a
+//! time. The original PASTA software instead exploits BFV *batching*
+//! (SEAL's `BatchEncoder`): with `t_plain = 65537` and `2N | t_plain − 1`,
+//! one ciphertext holds `N` independent `F_p` slots, and all ring
+//! operations act slot-wise. Slot `s` of a pass evaluates one PASTA
+//! block; the `N` slots need not belong to one stream. Batched mode —
+//! every slot of the pass serving one tenant's ciphertext — is the
+//! one-member bucket of this server; the service fills a bucket across
+//! tenants so that a request carrying a single block does not occupy
+//! all `N` slots:
 //!
-//! - **Key composition.** The batched circuit consumes `2t` key
+//! - **Key composition.** The slotted circuit consumes `2t` key
 //!   ciphertexts whose slot `s` must hold the key of whichever stream
 //!   owns slot `s`. Each member's provisioned key encrypts its key
 //!   element in *every* slot (a scalar `encode_scalar(k)` is the
@@ -21,17 +26,55 @@
 //!   material ever meets another's except under FHE addition, and a
 //!   slot is covered by exactly one mask, so slots cannot mix. Like
 //!   every plaintext of the pass, a mask is periodic with the pass's
-//!   `k = slots_used.next_power_of_two()` (see [`crate::batched`]):
-//!   it covers slot `s` iff it covers `s mod k`.
+//!   `k = slots_used.next_power_of_two()` (see *Periodic layout*
+//!   below): it covers slot `s` iff it covers `s mod k`.
 //! - **Per-slot material.** The affine matrices and round constants are
-//!   public functions of `(params, nonce, counter)`; the batched
-//!   plaintexts are already per-slot, so slot `s` simply takes the
-//!   material of the member block assigned to it (heterogeneous nonces
-//!   and counters are fine).
-//! - **One pass.** The composed key and heterogeneous material feed the
-//!   exact same slot-parallel circuit as the batched server, which
-//!   streams every weight plaintext (see [`crate::batched`]); results
-//!   demux back to members by slot range.
+//!   public functions of `(params, nonce, counter)`; the slotted
+//!   plaintexts are per-slot, so slot `s` simply takes the material of
+//!   the member block assigned to it (heterogeneous nonces and counters
+//!   are fine). The affine layer's matrix entry for position `(i, j)`
+//!   becomes a plaintext whose slot `s` holds `M^{(s)}_{i,j}` — one
+//!   plaintext–ciphertext multiplication handles that entry for every
+//!   block of the pass at once. Mix and the S-boxes are slot-wise by
+//!   construction; the S-box squarings use the same full-RNS ciphertext
+//!   multiplication as every server mode (see [`pasta_fhe::rns_mul`]).
+//! - **One pass.** The composed key and heterogeneous material feed one
+//!   slot-parallel circuit; results demux back to members by slot
+//!   range.
+//!
+//! Per-ciphertext work rises (full `N log N` plaintext multiplications
+//! instead of scalar ones) but is amortized over the blocks of the pass
+//! — the throughput play of the original software, reproduced here.
+//!
+//! The weight and round-constant plaintexts are single-use (their slots
+//! carry per-block material of a nonce the service never accepts twice),
+//! so nothing about them is stored: each weight is batch-encoded,
+//! lifted, forward-transformed and multiplied into its row's
+//! accumulator inside the task that consumes it, then dropped — the
+//! software analogue of the paper's MatGen feeding MatMul row by row.
+//! The Shoup companions sit on the reused operand instead: each
+//! NTT-domain input ciphertext of a layer-half, which all `t` rows read.
+//!
+//! **Periodic layout.** A pass over `b` blocks pays for
+//! `k = b.next_power_of_two()` slots, not `N`: every plaintext of the
+//! pass (weights, round constants, the demux ciphertext slots, the
+//! key masks) is `k`-periodic — slot `s` carries the material of
+//! slot `s mod k`, and classes `b..k` carry zeros. Such a plaintext
+//! lives in the sub-ring `Z_t[X^{N/k}]`, so encoding it and
+//! forward-transforming it per RNS prime are `k`-point transforms
+//! ([`BatchEncoder::encode_periodic`],
+//! [`BfvContext::add_mul_periodic_assign`]). Replica slots compute
+//! exactly what their class representative computes (the key is the
+//! same in every slot of a class), and the unowned classes stay zero
+//! through every layer, so a replica slot decrypts to nothing its
+//! representative does not hold.
+//!
+//! Unlike [`crate::packed`], this layout is *rotation-free*: state
+//! position `(i)` lives in its own ciphertext and slots only ever meet
+//! slot-wise, so there are no Galois key-switches for the hoisted-BSGS
+//! optimization to save, and no rotation keys to provision at all. The
+//! baby-step/giant-step machinery therefore applies only to the packed
+//! (position-in-lane) mode.
 //!
 //! **Trust prerequisite:** every member's key must be encrypted under
 //! the *same* FHE secret key (the analyst's), since their ciphertexts
@@ -49,12 +92,13 @@
 //! shared [`MaterialCache`], so steady-state buckets with recurring
 //! compositions pay the masking multiplies once.
 
-use crate::batched::eval_slotted_circuit;
 use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::client::EncryptedPastaKey;
+use crate::server;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
+    PreparedCiphertext,
 };
 use std::sync::Arc;
 
@@ -279,7 +323,8 @@ impl MuxHheServer {
                 .collect::<Result<Vec<_>, _>>();
             // The adds can only fail on cross-context dimension
             // mismatches, which domain registration rules out; an empty
-            // entry is rejected (and rebuilt) below rather than panicking.
+            // entry is rejected below rather than panicking, and stays
+            // cached (failing every bucket of this layout) until evicted.
             ComposedKeyEntry {
                 elements: elements.unwrap_or_default(),
             }
@@ -297,8 +342,9 @@ impl MuxHheServer {
     /// then one trivial-encrypt + subtract per state position.
     ///
     /// Every member's blocks start at counter `0` within its own
-    /// ciphertext (matching [`crate::HheServer::transcipher`] and
-    /// [`crate::BatchedHheServer::transcipher_batched`]).
+    /// ciphertext (matching [`crate::HheServer::transcipher`]). A
+    /// one-member bucket is the batched mode: one tenant's blocks in one
+    /// pass, its provisioned key used unmasked.
     ///
     /// # Errors
     ///
@@ -360,6 +406,94 @@ impl MuxHheServer {
     }
 }
 
+/// Evaluates the slot-parallel PASTA keystream circuit over per-slot
+/// block material and initial key-state halves, returning the `t` left
+/// positions after the final affine layer. Slot `s` carries
+/// `per_slot[s]`'s affine material — the slots need not share a nonce or
+/// counter window, which is what lets one pass serve many tenants (with
+/// a slot-masked composed key instead of one tenant's replicated key).
+///
+/// Every plaintext is `per_slot.len().next_power_of_two()`-periodic
+/// (see the module docs), so each weight costs `k`-point transforms.
+///
+/// The round schedule, Mix and the S-boxes are the scalar server's
+/// (`server::eval_rounds`), slot-wise by construction; only the affine
+/// half is slotted. As there, only what the truncated output reads is
+/// evaluated: the last round cubes `X_L` alone and `A_r` runs on `X_L`
+/// alone.
+///
+/// # Errors
+///
+/// Returns [`FheError::Incompatible`] on malformed state halves;
+/// propagates FHE errors from the squarings.
+fn eval_slotted_circuit(
+    ctx: &BfvContext,
+    params: &PastaParams,
+    encoder: &BatchEncoder,
+    relin_key: &BfvRelinKey,
+    per_slot: &[Arc<BlockEntry>],
+    initial_left: &[FheCiphertext],
+    initial_right: &[FheCiphertext],
+) -> Result<Vec<FheCiphertext>, FheError> {
+    server::eval_rounds(
+        ctx,
+        relin_key,
+        params.rounds(),
+        initial_left,
+        initial_right,
+        |layer, is_left, half| affine_half(ctx, encoder, per_slot, layer, is_left, half),
+    )
+}
+
+/// One slot-parallel affine layer-half: output row `i` is
+/// `Σ_j W_ij ⊙ x_j + rc_i`, where slot `s` of the plaintexts `W_ij` and
+/// `rc_i` carries block `s mod k`'s matrix entry `(i, j)` and round
+/// constant `i`. Each input `x_j` is NTT- and Shoup-prepared once for
+/// the `t` rows that read it; each `W_ij` is periodic-encoded,
+/// multiplied once and dropped; `rc_i` enters as `Δ·m` only. The rows
+/// fan out across the worker pool.
+fn affine_half(
+    ctx: &BfvContext,
+    encoder: &BatchEncoder,
+    per_slot: &[Arc<BlockEntry>],
+    layer: usize,
+    is_left: bool,
+    half: &[FheCiphertext],
+) -> Result<Vec<FheCiphertext>, FheError> {
+    if half.is_empty() {
+        return Err(FheError::Incompatible(
+            "affine layer applied to an empty state half".into(),
+        ));
+    }
+    let inputs: Vec<PreparedCiphertext> =
+        pasta_par::parallel_map(half, |_, ct| ctx.prepare_ciphertext(ct.clone()));
+    let rows: Vec<usize> = (0..half.len()).collect();
+    pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
+        let mut slots = vec![0u64; per_slot.len()];
+        let mut acc = ctx.zero_ntt_ct();
+        for (j, x) in inputs.iter().enumerate() {
+            for (v, block) in slots.iter_mut().zip(per_slot) {
+                let m = &block.matrices[layer];
+                *v = if is_left {
+                    m.left.get(i, j)
+                } else {
+                    m.right.get(i, j)
+                };
+            }
+            ctx.add_mul_periodic_assign(&mut acc, x, &encoder.encode_periodic(&slots))?;
+        }
+        ctx.to_coeff_ct(&mut acc);
+        for (v, block) in slots.iter_mut().zip(per_slot) {
+            let l = &block.material.layers[layer];
+            *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
+        }
+        ctx.add_plain_assign(&mut acc, &encoder.encode_periodic(&slots).expand());
+        Ok(acc)
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Decrypts one member's message out of a muxed pass (requires the
 /// domain's FHE secret key — analyst side): reads slots
 /// `range.start .. range.start + range.blocks` of every position
@@ -394,4 +528,138 @@ pub fn retrieve_muxed(
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::HheClient;
+    use pasta_fhe::BfvParams;
+    use pasta_math::Modulus;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// One tenant and a one-member-bucket (batched) server.
+    struct World {
+        ctx: BfvContext,
+        sk: BfvSecretKey,
+        client: HheClient,
+        key: EncryptedPastaKey,
+        server: MuxHheServer,
+    }
+
+    fn setup() -> World {
+        let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
+        // One extra prime vs test_tiny: the slotted plaintext
+        // multiplications grow noise by an extra log2(N) per layer.
+        let bfv = BfvParams {
+            prime_count: 5,
+            ..BfvParams::test_tiny()
+        };
+        let ctx = BfvContext::new(bfv).unwrap();
+        let mut rng = StdRng::seed_from_u64(808);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let relin = ctx.generate_relin_key(&sk, &mut rng);
+        let client = HheClient::new(params, b"batched");
+        let key = client.provision_key(&ctx, &pk, &mut rng);
+        let server = MuxHheServer::new(params, &ctx, relin).unwrap();
+        World {
+            ctx,
+            sk,
+            client,
+            key,
+            server,
+        }
+    }
+
+    impl World {
+        /// Transciphers `ct` in a one-member bucket.
+        fn batched(&self, ct: &PastaCiphertext) -> Result<MuxedBlocks, FheError> {
+            let member = MuxMember {
+                tenant: 0,
+                encrypted_key: &self.key,
+                ct,
+            };
+            self.server.transcipher_mux(&self.ctx, &[member])
+        }
+    }
+
+    #[test]
+    fn batched_keystream_matches_plain_for_each_block() {
+        let w = setup();
+        let params = w.server.params;
+        let per_slot: Vec<Arc<BlockEntry>> = (0..5u64)
+            .map(|b| w.server.cache.block(&params, 0xAA, b))
+            .collect();
+        let t = params.t();
+        let ks = eval_slotted_circuit(
+            &w.ctx,
+            &params,
+            &w.server.encoder,
+            &w.server.relin_key,
+            &per_slot,
+            &w.key.elements[..t],
+            &w.key.elements[t..],
+        )
+        .unwrap();
+        for (position, ct) in ks.iter().enumerate() {
+            let values = w.server.encoder.decode(&w.ctx.decrypt(&w.sk, ct));
+            for (s, &v) in values[..per_slot.len()].iter().enumerate() {
+                let expect = w.client.cipher().keystream_block(0xAA, s as u64).unwrap();
+                assert_eq!(v, expect[position], "block {s} position {position}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_transcipher_recovers_multi_block_message() {
+        let w = setup();
+        let message: Vec<u64> = (0..12u64).map(|i| (i * 4_321 + 9) % 65_537).collect();
+        let batch = w
+            .batched(&w.client.encrypt(0xBB, &message).unwrap())
+            .unwrap();
+        assert_eq!(batch.ranges[0].blocks, 3);
+        let recovered = retrieve_muxed(&w.ctx, &w.sk, &batch.positions, batch.ranges[0]).unwrap();
+        assert_eq!(recovered, message);
+    }
+
+    #[test]
+    fn warm_cache_pass_is_bit_exact() {
+        // Repeat-call determinism: the second call re-streams every
+        // weight plaintext (only the raw block material is cached) and
+        // must reproduce the first bit for bit.
+        let w = setup();
+        let ct = w.client.encrypt(0xDD, &[7; 12]).unwrap();
+        let first = w.batched(&ct).unwrap();
+        let again = w.batched(&ct).unwrap();
+        assert_eq!(
+            first.positions, again.positions,
+            "streamed weights must be deterministic"
+        );
+    }
+
+    #[test]
+    fn batch_capacity_enforced() {
+        let w = setup();
+        let cap = w.server.capacity();
+        assert_eq!(cap, 256);
+        let oversized = w.client.encrypt(0, &vec![1; (cap + 1) * 4]).unwrap();
+        assert!(matches!(
+            w.batched(&oversized),
+            Err(FheError::Incompatible(_))
+        ));
+        let empty = w.client.encrypt(0, &[]).unwrap();
+        assert!(matches!(w.batched(&empty), Err(FheError::Incompatible(_))));
+    }
+
+    #[test]
+    fn noise_budget_survives_batched_circuit() {
+        let w = setup();
+        let batch = w.batched(&w.client.encrypt(1, &[3; 12]).unwrap()).unwrap();
+        for (i, ct) in batch.positions.iter().enumerate() {
+            let budget = w.ctx.noise_budget(&w.sk, ct);
+            assert!(budget > 5, "position {i}: {budget} bits left");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Packed transciphering: one PASTA block in a *single* BFV ciphertext,
 //! with the affine layers evaluated by the rotation/diagonal method.
 //!
-//! Where [`crate::batched`] spreads `N` blocks across the slots
+//! Where [`crate::mux`] spreads `N` blocks across the slots
 //! (throughput), this module packs the `2t` state elements of **one**
 //! block into `2t` *lanes* of one ciphertext (latency/minimum ciphertext
 //! count — the original PASTA-SEAL evaluation strategy):
@@ -548,12 +548,14 @@ impl PackedHheServer {
         Ok(ctx.mul_plain_prepared(&state, &self.masks.truncate))
     }
 
-    /// Transciphers one PASTA block: returns a single FHE ciphertext
-    /// whose lanes `0..len` hold the message elements.
+    /// Transciphers block `counter` of a PASTA ciphertext: returns a
+    /// single FHE ciphertext whose lanes `0..len` hold the block's
+    /// message elements.
     ///
     /// # Errors
     ///
-    /// Propagates FHE errors.
+    /// Returns [`FheError::Incompatible`] if the ciphertext has no block
+    /// `counter`; propagates FHE errors.
     pub fn transcipher_packed(
         &self,
         ctx: &BfvContext,
@@ -561,10 +563,19 @@ impl PackedHheServer {
         counter: u64,
     ) -> Result<FheCiphertext, FheError> {
         let t = self.params.t();
-        let start = counter as usize * t;
-        let block: Vec<u64> = pasta_ct.elements()[start..(start + t).min(pasta_ct.len())].to_vec();
+        let len = pasta_ct.len();
+        let start = usize::try_from(counter)
+            .ok()
+            .and_then(|c| c.checked_mul(t))
+            .filter(|&start| start < len)
+            .ok_or_else(|| {
+                FheError::Incompatible(format!(
+                    "block {counter} is past the end of a {len}-element ciphertext"
+                ))
+            })?;
+        let block = &pasta_ct.elements()[start..(start + t).min(len)];
         let ks = self.keystream_packed(ctx, pasta_ct.nonce(), counter)?;
-        let mut out = ctx.encrypt_trivial(&self.layout.encode_lanes(&self.encoder, &block, 0));
+        let mut out = ctx.encrypt_trivial(&self.layout.encode_lanes(&self.encoder, block, 0));
         ctx.sub_assign(&mut out, &ks)?;
         Ok(out)
     }
@@ -714,6 +725,23 @@ mod tests {
         assert_eq!(w.server.decode(&w.ctx, &w.sk, &fhe_ct, 4), message);
         // The whole block is ONE ciphertext (vs t in scalar mode).
         assert_eq!(fhe_ct.components(), 2);
+    }
+
+    #[test]
+    fn out_of_range_counter_is_refused() {
+        let w = setup();
+        // Two blocks of t = 4: counter 2 starts exactly at the end,
+        // counter 3 past it.
+        let ct = w.client.encrypt(0x0B, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        for counter in [2, 3, u64::MAX] {
+            assert!(
+                matches!(
+                    w.server.transcipher_packed(&w.ctx, &ct, counter),
+                    Err(FheError::Incompatible(_))
+                ),
+                "counter {counter}"
+            );
+        }
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! entirely.
 //!
 //! Provisioning footprint across the three server modes: this scalar
-//! server ships `2t` key ciphertexts and zero rotation keys; the batched
-//! server ships `2t` (slot-replicated) key ciphertexts and zero rotation
-//! keys; the packed server ships ONE key ciphertext plus its rotation
-//! keys — O(√t) of them under hoisted BSGS (see
-//! [`crate::packed::required_shifts`]).
+//! server ships `2t` key ciphertexts and zero rotation keys; the slotted
+//! [`crate::MuxHheServer`] reads the same `2t` key ciphertexts, every
+//! slot of which holds the key element, and zero rotation keys; the
+//! packed server ships ONE key ciphertext plus its rotation keys — O(√t)
+//! of them under hoisted BSGS (see [`crate::packed::required_shifts`]).
 
 use crate::cache::MaterialCache;
 use crate::client::EncryptedPastaKey;
@@ -106,7 +106,7 @@ impl HheServer {
     ///
     /// Only what the truncated output reads is evaluated: the last
     /// round cubes `X_L` alone and the final affine layer `A_r` runs on
-    /// `X_L` alone (see [`cube`]).
+    /// `X_L` alone (see `cube`).
     ///
     /// # Errors
     ///
@@ -198,10 +198,11 @@ impl HheServer {
 }
 
 /// The round schedule of the PASTA decryption circuit, shared by the
-/// scalar and the slotted (batched, mux) evaluators: per round `i < r`, the affine layer `A_i` on both halves,
-/// Mix, then the Feistel S-box — or, in the last round, drop `X_R`
-/// (truncation keeps `X_L` only) and [`cube`] `X_L`. Finally `A_r` on
-/// `X_L`. `affine(i, is_left, half)` evaluates layer `i` on one half.
+/// scalar and the slotted (mux) evaluators: per round `i < r`, the
+/// affine layer `A_i` on both halves, Mix, then the Feistel S-box — or,
+/// in the last round, drop `X_R` (truncation keeps `X_L` only) and
+/// [`cube`] `X_L`. Finally `A_r` on `X_L`. `affine(i, is_left, half)`
+/// evaluates layer `i` on one half.
 pub(crate) fn eval_rounds<F>(
     ctx: &BfvContext,
     relin_key: &BfvRelinKey,

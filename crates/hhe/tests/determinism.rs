@@ -14,7 +14,10 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
-use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer, PackedHheServer};
+use pasta_hhe::{
+    retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxHheServer, MuxMember,
+    PackedHheServer,
+};
 use pasta_math::{simd, Modulus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,58 +40,100 @@ fn with_threads<T>(n: &str, f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn batched_transcipher_is_thread_count_invariant() {
+    // A one-member bucket (the batched pass: the tenant's key unmasked)
+    // and a multi-member one (two tenants, tenant 0 with two sessions:
+    // the masked, NTT-domain key composition) must both be bit-exact.
     let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
     let bfv = BfvParams {
         prime_count: 5,
         ..BfvParams::test_tiny()
     };
     let ctx = BfvContext::new(bfv).unwrap();
-    let mut rng = StdRng::seed_from_u64(808);
-    let sk = ctx.generate_secret_key(&mut rng);
-    let pk = ctx.generate_public_key(&sk, &mut rng);
-    let relin = ctx.generate_relin_key(&sk, &mut rng);
-    let client = HheClient::new(params, b"determinism");
-    let ek = provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
-        .unwrap();
-    let server = BatchedHheServer::new(params, &ctx, relin, ek).unwrap();
+    let clients = [
+        HheClient::new(params, b"determinism"),
+        HheClient::new(params, b"determinism 2"),
+    ];
 
     // Three blocks (12 elements / t = 4) so the batch genuinely spans
     // multiple counters.
     let message: Vec<u64> = (0..12u64).map(|i| (i * 3_141 + 59) % 65_537).collect();
-    let pasta_ct = client.encrypt(0xD1CE, &message).unwrap();
+    let batched_ct = clients[0].encrypt(0xD1CE, &message).unwrap();
+    let bucket_cts = [
+        clients[0].encrypt(0xD1CF, &message[..6]).unwrap(),
+        clients[1].encrypt(0xD1D0, &message[..9]).unwrap(),
+        clients[0].encrypt(0xD1D1, &message[..1]).unwrap(),
+    ];
+    let bucket_tenants = [0usize, 1, 0];
 
-    let serial = with_threads("1", || server.transcipher_batched(&ctx, &pasta_ct).unwrap());
-    // Fresh server for each threaded pass: a cache hit from the serial
-    // pass must not mask a scheduling-dependent material build.
-    let fresh_pass = || {
+    // Fresh server for each thread count: a cache hit (block material
+    // or composed key) from the serial pass must not mask a
+    // scheduling-dependent build.
+    let build = || {
         let mut rng = StdRng::seed_from_u64(808);
-        let sk2 = ctx.generate_secret_key(&mut rng);
-        let pk2 = ctx.generate_public_key(&sk2, &mut rng);
-        let relin2 = ctx.generate_relin_key(&sk2, &mut rng);
-        let client2 = HheClient::new(params, b"determinism");
-        let ek2 = provision_batched_key(
-            client2.cipher().key().expose_elements(),
-            &ctx,
-            &pk2,
-            &mut rng,
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let relin = ctx.generate_relin_key(&sk, &mut rng);
+        let keys: Vec<EncryptedPastaKey> = clients
+            .iter()
+            .map(|c| c.provision_key(&ctx, &pk, &mut rng))
+            .collect();
+        let server = MuxHheServer::new(params, &ctx, relin).unwrap();
+        (sk, keys, server)
+    };
+    let passes = |keys: &[EncryptedPastaKey], server: &MuxHheServer| {
+        let batched = MuxMember {
+            tenant: 0,
+            encrypted_key: &keys[0],
+            ct: &batched_ct,
+        };
+        let bucket: Vec<MuxMember<'_>> = bucket_tenants
+            .iter()
+            .zip(&bucket_cts)
+            .map(|(&tenant, ct)| MuxMember {
+                tenant: tenant as u64,
+                encrypted_key: &keys[tenant],
+                ct,
+            })
+            .collect();
+        (
+            server.transcipher_mux(&ctx, &[batched]).unwrap(),
+            server.transcipher_mux(&ctx, &bucket).unwrap(),
         )
-        .unwrap();
-        let server2 = BatchedHheServer::new(params, &ctx, relin2, ek2).unwrap();
-        server2.transcipher_batched(&ctx, &pasta_ct).unwrap()
     };
 
-    assert_eq!(serial.blocks, 3);
+    let (sk, keys, server) = build();
+    let (serial, serial_bucket) = with_threads("1", || passes(&keys, &server));
+    assert_eq!(serial.slots_used, 3);
+    assert_eq!(
+        retrieve_muxed(&ctx, &sk, &serial.positions, serial.ranges[0]).unwrap(),
+        message
+    );
+    for (range, ct) in serial_bucket.ranges.iter().zip(&bucket_cts) {
+        assert_eq!(
+            retrieve_muxed(&ctx, &sk, &serial_bucket.positions, *range).unwrap(),
+            message[..ct.len()]
+        );
+    }
+
     for n in ["2", "4"] {
-        let threaded = with_threads(n, fresh_pass);
+        let (threaded, threaded_bucket) = with_threads(n, || {
+            let (_, keys, server) = build();
+            passes(&keys, &server)
+        });
         assert_eq!(
             serial.positions, threaded.positions,
             "PASTA_THREADS=1/scalar and ={n} must produce identical ciphertexts"
         );
+        assert_eq!(
+            serial_bucket.positions, threaded_bucket.positions,
+            "PASTA_THREADS=1/scalar and ={n} must compose identical bucket keys"
+        );
     }
 
     // And re-running on the same (warm) server stays identical too.
-    let warm = with_threads("4", || server.transcipher_batched(&ctx, &pasta_ct).unwrap());
+    let (warm, warm_bucket) = with_threads("4", || passes(&keys, &server));
     assert_eq!(serial.positions, warm.positions);
+    assert_eq!(serial_bucket.positions, warm_bucket.positions);
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Pinned output digests: FNV-1a over every residue row of every output
-//! ciphertext of fixed-seed scalar, mux, batched and packed passes, and
-//! of the Galois key-switch entry points on their own. The evaluation
-//! order (what is prepared, which operand carries the Shoup companion,
-//! where the NTTs happen, which dead state elements are skipped) may change
-//! freely, but the ciphertexts must not move by a single bit. The packed
+//! ciphertext of fixed-seed scalar, mux, batched (a one-member mux
+//! bucket) and packed passes, and of the Galois key-switch entry points
+//! on their own. The evaluation order (what is prepared, which operand
+//! carries the Shoup companion, where the NTTs happen, which dead state
+//! elements are skipped) may change freely, but the ciphertexts must not move by a single bit. The packed
 //! value was recorded from the cache-prepared evaluation that preceded
 //! the streamed one; the scalar and Galois values from the full-width
 //! last round and the generic-Barrett `apply_galois` loop that preceded
@@ -11,14 +11,14 @@
 //! and batched values were re-recorded when the encoder moved to natural
 //! slot order and slot-parallel passes to the periodic layout: both
 //! change the plaintext polynomials the pass lifts, so the ciphertexts
-//! move by design; they still decrypt to the same messages.
+//! move by design; they still decrypt to the same messages. The batched
+//! value was recorded on a dedicated batched server, whose slot-replicated
+//! key ciphertexts equal the scalar-provisioned ones bit for bit; the
+//! one-member bucket runs the same circuit on them and reproduces it.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
-use pasta_hhe::{
-    provision_batched_key, retrieve_muxed, BatchedHheServer, HheClient, HheServer, MuxHheServer,
-    MuxMember, PackedHheServer,
-};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -172,22 +172,22 @@ fn batched_transcipher_is_pinned() {
     let pk = ctx.generate_public_key(&sk, &mut rng);
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params(), b"digest batched");
-    let ek = provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
-        .unwrap();
-    let server = BatchedHheServer::new(params(), &ctx, relin, ek).unwrap();
+    let ek = client.provision_key(&ctx, &pk, &mut rng);
+    let server = MuxHheServer::new(params(), &ctx, relin).unwrap();
     // 11 elements: three blocks, the last one partial.
     let msg = message(11, 3);
     let pasta_ct = client.encrypt(0x5EED, &msg).unwrap();
-    let batch = server.transcipher_batched(&ctx, &pasta_ct).unwrap();
-    assert_eq!(batch.blocks, 3);
-    for position in 0..4 {
-        let values = server.decode_position(&ctx, &sk, &batch, position);
-        for (s, &v) in values.iter().enumerate() {
-            if let Some(&m) = msg.get(s * 4 + position) {
-                assert_eq!(v, m, "block {s} position {position}");
-            }
-        }
-    }
+    let member = MuxMember {
+        tenant: 0,
+        encrypted_key: &ek,
+        ct: &pasta_ct,
+    };
+    let batch = server.transcipher_mux(&ctx, &[member]).unwrap();
+    assert_eq!(batch.slots_used, 3);
+    assert_eq!(
+        retrieve_muxed(&ctx, &sk, &batch.positions, batch.ranges[0]).unwrap(),
+        msg
+    );
     assert_eq!(digest(&ctx, &batch.positions), 4_644_963_242_060_643_509);
 }
 

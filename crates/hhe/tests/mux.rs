@@ -30,7 +30,7 @@ fn world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| {
         let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
-        // One extra prime vs the batched tests: the composed key costs
+        // One extra prime vs a one-member (batched) bucket: the composed key costs
         // one more plaintext multiplication (the slot mask).
         let bfv = BfvParams {
             prime_count: 6,

@@ -5,7 +5,8 @@
 //! to 0 — no replica slot may carry a value the representatives do not.
 //! Smaller periods also mean smaller plaintext norms, so the measured
 //! noise budget may only grow as `k` shrinks, and it must stay above
-//! the full-width batched prediction that admission relies on.
+//! the full-width batched prediction that admission relies on. A
+//! batched pass is a one-member bucket: one tenant's key, unmasked.
 
 use pasta_core::PastaParams;
 use pasta_fhe::noise::transcipher_noise;
@@ -13,7 +14,7 @@ use pasta_fhe::{
     BatchEncoder, BfvContext, BfvParams, BfvSecretKey, Ciphertext as FheCiphertext, NoiseModel,
 };
 use pasta_hhe::{
-    provision_batched_key, retrieve_muxed, BatchedHheServer, HheClient, MuxHheServer, MuxMember,
+    retrieve_muxed, EncryptedPastaKey, HheClient, MuxHheServer, MuxMember, MuxedBlocks,
 };
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -103,67 +104,92 @@ fn every_slot_of_a_five_block_mux_pass_repeats_its_class() {
     assert_periodic(&ctx, &sk, &muxed.positions, 8, 5);
 }
 
-fn batched_world(prime_count: usize, seed: u64) -> (BfvContext, BfvSecretKey, BatchedHheServer) {
-    let ctx = BfvContext::new(BfvParams {
-        prime_count,
-        ..BfvParams::test_tiny()
-    })
-    .unwrap();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sk = ctx.generate_secret_key(&mut rng);
-    let pk = ctx.generate_public_key(&sk, &mut rng);
-    let relin = ctx.generate_relin_key(&sk, &mut rng);
-    let client = HheClient::new(params(), b"periodic batched");
-    let ek = provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
+/// A one-member (batched) world: the domain's secret key, the tenant's
+/// client and provisioned key, and the server.
+struct BatchedWorld {
+    ctx: BfvContext,
+    sk: BfvSecretKey,
+    client: HheClient,
+    key: EncryptedPastaKey,
+    server: MuxHheServer,
+}
+
+impl BatchedWorld {
+    fn new(prime_count: usize, seed: u64) -> Self {
+        let ctx = BfvContext::new(BfvParams {
+            prime_count,
+            ..BfvParams::test_tiny()
+        })
         .unwrap();
-    let server = BatchedHheServer::new(params(), &ctx, relin, ek).unwrap();
-    (ctx, sk, server)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let relin = ctx.generate_relin_key(&sk, &mut rng);
+        let client = HheClient::new(params(), b"periodic batched");
+        let key = client.provision_key(&ctx, &pk, &mut rng);
+        let server = MuxHheServer::new(params(), &ctx, relin).unwrap();
+        BatchedWorld {
+            ctx,
+            sk,
+            client,
+            key,
+            server,
+        }
+    }
+
+    /// Transciphers `msg` under `nonce` in a one-member bucket.
+    fn pass(&self, nonce: u128, msg: &[u64]) -> MuxedBlocks {
+        let ct = self.client.encrypt(nonce, msg).unwrap();
+        let member = MuxMember {
+            tenant: 0,
+            encrypted_key: &self.key,
+            ct: &ct,
+        };
+        self.server.transcipher_mux(&self.ctx, &[member]).unwrap()
+    }
 }
 
 #[test]
 fn every_slot_of_a_three_block_batched_pass_repeats_its_class() {
-    let (ctx, sk, server) = batched_world(5, 0xBA73);
-    let client = HheClient::new(params(), b"periodic batched");
+    let w = BatchedWorld::new(5, 0xBA73);
     let msg = message(12, 7);
-    let batch = server
-        .transcipher_batched(&ctx, &client.encrypt(0x3B, &msg).unwrap())
-        .unwrap();
-    assert_eq!(batch.blocks, 3);
-    for position in 0..4 {
-        let values = server.decode_position(&ctx, &sk, &batch, position);
-        for (s, &v) in values.iter().enumerate() {
-            assert_eq!(v, msg[s * 4 + position]);
-        }
-    }
-    assert_periodic(&ctx, &sk, &batch.positions, 4, 3);
+    let batch = w.pass(0x3B, &msg);
+    assert_eq!(batch.slots_used, 3);
+    assert_eq!(
+        retrieve_muxed(&w.ctx, &w.sk, &batch.positions, batch.ranges[0]).unwrap(),
+        msg
+    );
+    assert_periodic(&w.ctx, &w.sk, &batch.positions, 4, 3);
 }
 
 #[test]
 fn noise_budget_does_not_shrink_with_the_period_and_beats_the_prediction() {
-    let (ctx, sk, server) = batched_world(5, 0x0B0D);
-    let n = ctx.params().n;
+    let w = BatchedWorld::new(5, 0x0B0D);
+    let n = w.ctx.params().n;
     let predicted = transcipher_noise(
         4,
         2,
         true,
         NoiseModel::fresh_for(
             n,
-            ctx.params().plain_modulus,
-            ctx.q_bits(),
-            ctx.params().prime_bits,
-            ctx.params().prime_count,
+            w.ctx.params().plain_modulus,
+            w.ctx.q_bits(),
+            w.ctx.params().prime_bits,
+            w.ctx.params().prime_count,
         ),
     )
     .predicted_budget();
     assert!(predicted > 0.0, "the ring must admit the batched circuit");
-    let budgets: Vec<u32> = [1usize, 8, n]
+    // Full blocks only: subtracting the trivially encrypted ciphertext
+    // from the keystream adds no noise, so the budget is the circuit's.
+    let budgets: Vec<u32> = [1usize, 8, w.server.capacity()]
         .iter()
         .map(|&blocks| {
-            let batch = server.keystream_batch(&ctx, 0xB0D6E7, 0, blocks).unwrap();
+            let batch = w.pass(0xB0D6E7, &message(blocks * 4, 1));
             batch
                 .positions
                 .iter()
-                .map(|ct| ctx.noise_budget(&sk, ct))
+                .map(|ct| w.ctx.noise_budget(&w.sk, ct))
                 .min()
                 .unwrap()
         })

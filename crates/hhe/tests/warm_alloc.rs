@@ -2,10 +2,11 @@
 //! scratch pool (`pasta_fhe::scratch`) is warm, a full transcipher pass
 //! must allocate **zero** coefficient rows and zero big integers in the
 //! kernels — the software analogue of the paper's fixed on-chip
-//! buffers. For the batched and packed servers this holds on a *fresh*
-//! nonce: their single-use weight plaintexts are streamed through pooled
-//! buffers, not built into a per-nonce cache entry, and every Galois
-//! key-switch of the packed path accumulates into pooled rows.
+//! buffers. For the batched (one-member mux bucket) and packed passes
+//! this holds on a *fresh* nonce: their single-use weight plaintexts are
+//! streamed through pooled buffers, not built into a per-nonce cache
+//! entry, and every Galois key-switch of the packed path accumulates
+//! into pooled rows.
 //!
 //! Lives in its own integration-test binary: each test pins
 //! `PASTA_THREADS=1` (the thread-local debug counters can only observe
@@ -14,7 +15,7 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{provision_batched_key, BatchedHheServer, HheClient, HheServer, PackedHheServer};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,21 +93,22 @@ fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
     let fhe_pk = ctx.generate_public_key(&fhe_sk, &mut rng);
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
     let client = HheClient::new(params, b"warm batched");
-    let ek = provision_batched_key(
-        client.cipher().key().expose_elements(),
-        &ctx,
-        &fhe_pk,
-        &mut rng,
-    )
-    .unwrap();
-    let server = BatchedHheServer::new(params, &ctx, relin, ek).unwrap();
+    let ek = client.provision_key(&ctx, &fhe_pk, &mut rng);
+    let server = MuxHheServer::new(params, &ctx, relin).unwrap();
     let message: Vec<u64> = (0..11u64).map(|i| (i * 6_007 + 5) % 65_537).collect();
+    let pass = |ct: &pasta_core::Ciphertext| {
+        let member = MuxMember {
+            tenant: 0,
+            encrypted_key: &ek,
+            ct,
+        };
+        server.transcipher_mux(&ctx, &[member]).unwrap()
+    };
 
     // Cold passes on two other nonces populate the scratch pool with
     // every buffer shape the batched circuit needs.
     for nonce in [0xC01D, 0xC01E] {
-        let ct = client.encrypt(nonce, &message).unwrap();
-        let _ = server.transcipher_batched(&ctx, &ct).unwrap();
+        let _ = pass(&client.encrypt(nonce, &message).unwrap());
     }
 
     // Warm pass on a nonce never seen before: nothing about it can be
@@ -114,7 +116,7 @@ fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
     let fresh = client.encrypt(0xF4E5, &message).unwrap();
     let rows_before = pasta_fhe::scratch::poly_alloc_count();
     let ubig_before = pasta_fhe::bigint::ubig_alloc_count();
-    let batch = server.transcipher_batched(&ctx, &fresh).unwrap();
+    let batch = pass(&fresh);
     let rows_after = pasta_fhe::scratch::poly_alloc_count();
     let ubig_after = pasta_fhe::bigint::ubig_alloc_count();
 
@@ -130,15 +132,7 @@ fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
     }
 
     // The warm pass still transciphers correctly.
-    let mut recovered = vec![0u64; message.len()];
-    for position in 0..params.t() {
-        let values = server.decode_position(&ctx, &fhe_sk, &batch, position);
-        for (s, &v) in values.iter().enumerate() {
-            if let Some(slot) = recovered.get_mut(s * params.t() + position) {
-                *slot = v;
-            }
-        }
-    }
+    let recovered = retrieve_muxed(&ctx, &fhe_sk, &batch.positions, batch.ranges[0]).unwrap();
     assert_eq!(recovered, message);
     std::env::remove_var(pasta_par::THREADS_ENV);
 }

@@ -28,7 +28,7 @@
 //! argument of the `maybe_*` variants.
 //!
 //! Determinism: chunk boundaries are a pure function of `len` and the
-//! resolved thread count ([`chunk_range`] is closed-form — no per-call
+//! resolved thread count (`chunk_range` is closed-form — no per-call
 //! allocation), every item is processed exactly once, and results are
 //! written back into the item's own slot — so outputs are bit-identical
 //! for any thread count and any schedule, including the pool's serial

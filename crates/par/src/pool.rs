@@ -35,10 +35,10 @@
 //! Job closures borrow the caller's stack (slices, captured state), so
 //! their references are *not* `'static`. The pool erases the lifetime
 //! when placing a task in a worker slot, which is sound because
-//! [`dispatch`] blocks on a completion latch until every chunk has
+//! `dispatch` blocks on a completion latch until every chunk has
 //! finished (or panicked) before returning — the borrowed frame
 //! provably outlives every use. Worker panics are caught, the first
-//! payload is stored, and [`dispatch`] re-raises it on the calling
+//! payload is stored, and `dispatch` re-raises it on the calling
 //! thread after the latch clears, matching `std::thread::scope`
 //! semantics.
 

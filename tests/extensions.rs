@@ -1,11 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: batched
-//! transciphering, streaming encryption, fault countermeasures, the
+//! (one-member mux bucket) transciphering, streaming encryption, fault countermeasures, the
 //! noise-model parameter picker, and the seekable keystream — all
 //! exercised across crate boundaries.
 
 use pasta_edge::cipher::{Keystream, PastaCipher, PastaParams, SecretKey};
 use pasta_edge::fhe::{suggest_bfv_params, BfvContext};
-use pasta_edge::hhe::{provision_batched_key, BatchedHheServer, HheClient};
+use pasta_edge::hhe::{retrieve_muxed, HheClient, MuxHheServer, MuxMember};
 use pasta_edge::hw::fault::{Countermeasure, FaultSpec, FaultTarget};
 use pasta_edge::hw::PastaProcessor;
 use pasta_edge::math::Modulus;
@@ -26,9 +26,8 @@ fn noise_model_sized_batched_pipeline() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
 
     let client = HheClient::new(pasta, b"ext");
-    let ek = provision_batched_key(client.cipher().key().expose_elements(), &ctx, &pk, &mut rng)
-        .unwrap();
-    let server = BatchedHheServer::new(pasta, &ctx, relin, ek).unwrap();
+    let ek = client.provision_key(&ctx, &pk, &mut rng);
+    let server = MuxHheServer::new(pasta, &ctx, relin).unwrap();
 
     // Encrypt 3 blocks on the hardware model (streaming mode).
     let message: Vec<u64> = (0..12u64).map(|i| (i * 5_000 + 3) % 65_537).collect();
@@ -43,17 +42,14 @@ fn noise_model_sized_batched_pipeline() {
         assert_eq!(stream.ciphertext, sw.elements());
         sw
     };
-    let batch = server.transcipher_batched(&ctx, &pasta_ct).unwrap();
-    let mut recovered = vec![0u64; message.len()];
-    for position in 0..4 {
-        let vals = server.decode_position(&ctx, &sk, &batch, position);
-        for (s, &v) in vals.iter().enumerate() {
-            let idx = s * 4 + position;
-            if idx < recovered.len() {
-                recovered[idx] = v;
-            }
-        }
-    }
+    let member = MuxMember {
+        tenant: 0,
+        encrypted_key: &ek,
+        ct: &pasta_ct,
+    };
+    let batch = server.transcipher_mux(&ctx, &[member]).unwrap();
+    assert_eq!(batch.ranges[0].blocks, 3);
+    let recovered = retrieve_muxed(&ctx, &sk, &batch.positions, batch.ranges[0]).unwrap();
     assert_eq!(recovered, message);
 }
 
