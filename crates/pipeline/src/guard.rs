@@ -21,7 +21,9 @@ pub struct NoiseBudgetGuard {
     /// Bits of predicted budget that must remain after the circuit.
     pub margin_bits: f64,
     /// Whether the server evaluates the batched (SIMD) circuit, whose
-    /// plaintext-polynomial multiplications grow noise faster.
+    /// plaintext-polynomial multiplications grow noise faster. The
+    /// batched prediction is an envelope covering both slotted layouts
+    /// (see [`pasta_fhe::noise::transcipher_round_noise`]).
     pub batched: bool,
 }
 
@@ -128,8 +130,28 @@ mod tests {
             batched: true,
             ..NoiseBudgetGuard::default()
         };
-        let bfv = BfvParams::test_tiny();
-        let pasta = tiny_pasta();
-        assert!(batched.predicted_budget(&pasta, &bfv) <= scalar.predicted_budget(&pasta, &bfv));
+        // The tiny test circuit, then both paper parameter sets on the
+        // N = 1024, 50-bit ring at the scalar guard's suggested count.
+        let paper = |prime_count| BfvParams {
+            n: 1_024,
+            prime_count,
+            ..BfvParams::test_tiny()
+        };
+        for (pasta, bfv) in [
+            (tiny_pasta(), BfvParams::test_tiny()),
+            (PastaParams::pasta4_17bit(), paper(7)),
+            (PastaParams::pasta3_17bit(), paper(6)),
+        ] {
+            let (b, s) = (
+                batched.predicted_budget(&pasta, &bfv),
+                scalar.predicted_budget(&pasta, &bfv),
+            );
+            assert!(
+                b < s,
+                "t = {}: batched {b:.1} vs scalar {s:.1} bits",
+                pasta.t()
+            );
+            assert!(scalar.check(&pasta, &bfv).is_ok());
+        }
     }
 }
