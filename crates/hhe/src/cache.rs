@@ -1,45 +1,34 @@
-//! Plaintext-material caching for the transciphering hot path.
+//! Block material and the mux's composed-key cache.
 //!
 //! Everything the homomorphic PASTA evaluation consumes besides the
 //! encrypted key is *public* and a pure function of
 //! `(params, nonce, counter)`: the per-block affine matrices and round
-//! constants. Their BFV plaintext encodings (batch-encode, lift, forward
-//! NTT) are deliberately **not** cached: every server mode builds each
-//! such plaintext inside the task that consumes it and drops it after
-//! one multiply–accumulate, because a session nonce is never accepted
-//! twice — a cache keyed by it never hits, and keeping prepared
-//! polynomials resident cost gigabytes at the paper's parameters.
+//! constants. None of it is cached. Every server mode derives a block's
+//! [`BlockEntry`] from the XOF in the pass that reads it, and builds
+//! each BFV plaintext encoding (batch-encode, lift, forward NTT) inside
+//! the task that consumes it, dropping both after use — the paper's
+//! MatGen feeds MatMul the same way (Fig. 3). A session nonce is never
+//! accepted twice, so a cache keyed by it would never hit.
 //!
-//! [`MaterialCache`] memoizes the two shapes that are small or do
-//! recur, behind small LRU sections:
+//! [`MaterialCache`] memoizes the one shape that does recur: the
+//! **composed keys** — [`ComposedKeyEntry`]: the slot-masked,
+//! cross-tenant key ciphertexts of one multiplexing bucket composition,
+//! keyed by [`CompositionKey`] (the ordered `(tenant, blocks)` slot
+//! layout). It is byte-budgeted: entries carry an approximate resident
+//! size ([`approx_composed_key_bytes`]) and eviction fires on *either*
+//! the entry-count cap or the byte cap.
 //!
-//! - **blocks** — [`BlockEntry`]: the raw [`BlockMaterial`] plus the
-//!   materialized per-layer matrices, keyed by
-//!   `(PastaParams, nonce, counter)`. Shared by all server modes (the
-//!   SIMD evaluators read their per-slot matrix entries from here), and
-//!   a hit whenever one block is evaluated more than once — e.g. a
-//!   retransmitted frame transciphered again.
-//! - **composed keys** — [`ComposedKeyEntry`]: the slot-masked,
-//!   cross-tenant key ciphertexts of one multiplexing bucket
-//!   composition, keyed by [`CompositionKey`] (the ordered
-//!   `(tenant, blocks)` slot layout, which recurs under steady load).
-//!
-//! Both sections are byte-budgeted: entries carry an approximate
-//! resident size (`approx_*_bytes`) and eviction fires on *either* the
-//! entry-count cap or the section's byte cap.
-//!
-//! Invalidation rules: entries never go stale — the material is a
+//! Invalidation rules: entries never go stale — a composition is a
 //! deterministic function of its key, so the only eviction is LRU
-//! capacity pressure. Keys embed the full [`PastaParams`] (and, for
-//! composed keys, [`BfvParams`]), so one cache instance can be shared
-//! by servers with different parameter sets, and by all server modes at
-//! once (pass the same [`std::sync::Arc`] to each server's `with_cache`).
+//! capacity pressure. Keys embed the full [`PastaParams`] and
+//! [`BfvParams`], so one cache instance can be shared by servers with
+//! different parameter sets.
 //!
-//! Concurrency: each section is guarded by a [`Mutex`]; a miss builds
-//! the entry while holding the section lock (deliberate — concurrent
-//! callers for the same key would otherwise duplicate an expensive
-//! derivation). Entries are returned as [`Arc`]s so evaluation proceeds
-//! lock-free after lookup.
+//! Concurrency: the cache is guarded by a [`Mutex`]; a miss builds the
+//! entry while holding the lock (deliberate — concurrent callers for the
+//! same key would otherwise duplicate an expensive composition). Entries
+//! are returned as [`Arc`]s so evaluation proceeds lock-free after
+//! lookup.
 
 use pasta_core::matrix::RowGenerator;
 use pasta_core::permutation::{derive_block_material, BlockMaterial};
@@ -47,18 +36,6 @@ use pasta_core::PastaParams;
 use pasta_fhe::{BfvParams, Ciphertext as FheCiphertext};
 use pasta_math::linalg::Matrix;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Cache key for raw block material: the PASTA instance plus the block
-/// coordinates. (The material does not depend on any FHE parameter.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockKey {
-    /// The PASTA parameter set the material was derived for.
-    pub pasta: PastaParams,
-    /// Session nonce.
-    pub nonce: u128,
-    /// Block counter.
-    pub counter: u64,
-}
 
 /// The two materialized matrices of one affine layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +46,7 @@ pub struct LayerMatrices {
     pub right: Matrix,
 }
 
-/// Cached per-block public material: the XOF output plus the per-layer
+/// One block's public material: the XOF output plus the per-layer
 /// matrices materialized from the seed rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockEntry {
@@ -124,7 +101,7 @@ pub struct ComposedKeyEntry {
     pub elements: Vec<FheCiphertext>,
 }
 
-/// Hit/miss counters for one cache section (or the aggregate).
+/// Hit/miss counters for one cache (or the aggregate over shards).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -192,16 +169,13 @@ impl<K: PartialEq + Clone, V> Lru<K, V> {
     }
 }
 
-/// Default capacity of the raw block-material section.
-pub const DEFAULT_BLOCK_CAPACITY: usize = 256;
-/// Default capacity of the composed-key section (one entry per live
-/// bucket composition; compositions repeat under steady load).
+/// Default capacity of [`MaterialCache::new`] (one entry per live
+/// bucket composition).
 pub const DEFAULT_COMPOSED_CAPACITY: usize = 8;
 
-/// The shared plaintext-material cache (see the module docs).
+/// The composed-key cache (see the module docs).
 #[derive(Debug)]
 pub struct MaterialCache {
-    blocks: Mutex<Lru<BlockKey, BlockEntry>>,
     composed: Mutex<Lru<CompositionKey, ComposedKeyEntry>>,
 }
 
@@ -220,50 +194,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl MaterialCache {
-    /// A cache with the default per-section capacities.
+    /// A cache of [`DEFAULT_COMPOSED_CAPACITY`] entries (byte cap
+    /// unbounded).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacities(DEFAULT_BLOCK_CAPACITY, DEFAULT_COMPOSED_CAPACITY)
-    }
-
-    /// A cache with explicit per-section entry capacities (each clamped
-    /// to at least one entry; byte caps unbounded).
-    #[must_use]
-    pub fn with_capacities(blocks: usize, composed: usize) -> Self {
         MaterialCache {
-            blocks: Mutex::new(Lru::new(blocks, usize::MAX)),
-            composed: Mutex::new(Lru::new(composed, usize::MAX)),
+            composed: Mutex::new(Lru::new(DEFAULT_COMPOSED_CAPACITY, usize::MAX)),
         }
     }
 
-    /// A cache bounded by an approximate total byte budget: blocks get
-    /// ¼, composed keys ¾ (a composed entry is `2t` ciphertexts, two
-    /// orders of magnitude larger than a block entry). Entry counts are
-    /// generous — the byte caps govern — and every section keeps at
-    /// least its most recent entry, so a starved budget degrades to
-    /// single-entry memoization instead of breaking.
+    /// A cache bounded by an approximate byte budget. The entry count is
+    /// generous — the byte cap governs — and the most recent entry is
+    /// always kept, so a starved budget degrades to single-entry
+    /// memoization instead of breaking.
     #[must_use]
     pub fn with_budget(budget_bytes: usize) -> Self {
-        let budget = budget_bytes.max(1);
-        let quarter = (budget / 4).max(1);
         MaterialCache {
-            blocks: Mutex::new(Lru::new(4096, quarter)),
-            composed: Mutex::new(Lru::new(1024, (budget - quarter).max(1))),
+            composed: Mutex::new(Lru::new(1024, budget_bytes)),
         }
-    }
-
-    /// The block material (and materialized matrices) for
-    /// `(params, nonce, counter)`, derived on first use.
-    #[must_use]
-    pub fn block(&self, params: &PastaParams, nonce: u128, counter: u64) -> Arc<BlockEntry> {
-        let key = BlockKey {
-            pasta: *params,
-            nonce,
-            counter,
-        };
-        let bytes = approx_block_entry_bytes(params);
-        lock(&self.blocks)
-            .get_or_insert_with(&key, bytes, || BlockEntry::derive(params, nonce, counter))
     }
 
     /// The composed cross-tenant key for one bucket layout, built by
@@ -278,34 +226,17 @@ impl MaterialCache {
         lock(&self.composed).get_or_insert_with(key, bytes, build)
     }
 
-    /// Aggregate hit/miss counters across both sections.
+    /// Hit/miss counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let (b, c) = (lock(&self.blocks).stats(), lock(&self.composed).stats());
-        CacheStats {
-            hits: b.hits + c.hits,
-            misses: b.misses + c.misses,
-        }
+        lock(&self.composed).stats()
     }
 
-    /// Approximate resident bytes across both sections.
+    /// Approximate resident bytes.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        lock(&self.blocks).bytes + lock(&self.composed).bytes
+        lock(&self.composed).bytes
     }
-}
-
-/// Approximate resident size (bytes) of one cached [`BlockEntry`] for a
-/// parameter set: the materialized `2 · t × t` matrix rows per layer
-/// dominate; seeds and round constants add `4t` words per layer.
-///
-/// This is the unit the sharded cache's memory budget is divided by, so
-/// it only needs to be proportionally right, not byte-exact.
-#[must_use]
-pub fn approx_block_entry_bytes(params: &PastaParams) -> usize {
-    let t = params.t();
-    let layers = params.rounds() + 1;
-    layers * (2 * t * t + 4 * t) * 8
 }
 
 /// Approximate resident size (bytes) of one BFV ciphertext (two ring
@@ -325,13 +256,11 @@ pub fn approx_composed_key_bytes(params: &PastaParams, bfv: &BfvParams) -> usize
 /// Configuration of a [`ShardedCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedCacheConfig {
-    /// Total memory budget (bytes) across all resident tenant shards.
+    /// Total memory budget (bytes) across all resident domain shards.
     /// Each shard is a [`MaterialCache::with_budget`] of the slice
-    /// `budget_bytes / max_resident`, so both cache shapes — raw block
-    /// entries and the multiplexer's composed keys — count against the
-    /// budget.
+    /// `budget_bytes / max_resident`.
     pub budget_bytes: usize,
-    /// Maximum number of tenant shards kept resident; the least recently
+    /// Maximum number of domain shards kept resident; the least recently
     /// used shard beyond this is evicted whole.
     pub max_resident: usize,
 }
@@ -345,26 +274,29 @@ impl Default for ShardedCacheConfig {
     }
 }
 
-/// A per-tenant sharding layer over [`MaterialCache`].
+/// A per-domain sharding layer over [`MaterialCache`].
 ///
-/// A multi-tenant transciphering server cannot share one flat LRU: a
-/// single tenant streaming fresh `(nonce, counter)` windows would evict
-/// everyone else's material. Instead each tenant gets its *own*
-/// [`MaterialCache`] shard whose capacity is a fixed slice of the
-/// configured memory budget, and whole shards are LRU-evicted when more
-/// than [`ShardedCacheConfig::max_resident`] tenants have resident
-/// material. A tenant can therefore thrash only its own slice.
+/// Each FHE domain (one analyst keypair, one [`crate::MuxHheServer`])
+/// gets its *own* [`MaterialCache`] shard of composed keys whose
+/// capacity is a fixed slice of the configured memory budget, and whole
+/// shards are LRU-evicted when more than
+/// [`ShardedCacheConfig::max_resident`] domains have resident keys. A
+/// domain can therefore thrash only its own slice.
+///
+/// Resident bound: at most `max_resident` shards, each holding at most
+/// `max(budget_bytes / max_resident, one composed key)` bytes.
 ///
 /// Shards are handed out as [`Arc`]s; an evicted shard's memory is
-/// released once its last holder (e.g. an [`crate::HheServer`] that
-/// swaps caches via [`crate::HheServer::set_cache`]) drops the `Arc`.
+/// released once its last holder (a [`crate::MuxHheServer`], which the
+/// service re-attaches to its domain's shard every round) drops the
+/// `Arc`.
 #[derive(Debug)]
 pub struct ShardedCache {
     cfg: ShardedCacheConfig,
     shards: Mutex<ShardTable>,
 }
 
-/// MRU-ordered `(tenant, shard)` pairs plus the eviction counter.
+/// MRU-ordered `(domain, shard)` pairs plus the eviction counter.
 #[derive(Debug, Default)]
 struct ShardTable {
     entries: Vec<(u64, Arc<MaterialCache>)>,
@@ -390,23 +322,23 @@ impl ShardedCache {
         &self.cfg
     }
 
-    /// The tenant's shard, created on first use as a byte-budgeted
-    /// [`MaterialCache`] over the per-tenant budget slice. Touching a
+    /// The domain's shard, created on first use as a byte-budgeted
+    /// [`MaterialCache`] over the per-domain budget slice. Touching a
     /// shard moves it to the front of the eviction order; the least
     /// recently used shard beyond `max_resident` is evicted whole.
     #[must_use]
-    pub fn shard(&self, tenant: u64) -> Arc<MaterialCache> {
+    pub fn shard(&self, domain: u64) -> Arc<MaterialCache> {
         let mut guard = lock(&self.shards);
         let table = &mut *guard;
-        if let Some(pos) = table.entries.iter().position(|(id, _)| *id == tenant) {
+        if let Some(pos) = table.entries.iter().position(|(id, _)| *id == domain) {
             let entry = table.entries.remove(pos);
             let shard = Arc::clone(&entry.1);
             table.entries.insert(0, entry);
             return shard;
         }
-        let per_tenant = (self.cfg.budget_bytes / self.cfg.max_resident).max(1);
-        let shard = Arc::new(MaterialCache::with_budget(per_tenant));
-        table.entries.insert(0, (tenant, Arc::clone(&shard)));
+        let per_domain = self.cfg.budget_bytes / self.cfg.max_resident;
+        let shard = Arc::new(MaterialCache::with_budget(per_domain));
+        table.entries.insert(0, (domain, Arc::clone(&shard)));
         if table.entries.len() > self.cfg.max_resident {
             table.entries.truncate(self.cfg.max_resident);
             table.evictions += 1;
@@ -414,7 +346,7 @@ impl ShardedCache {
         shard
     }
 
-    /// Number of tenant shards currently resident.
+    /// Number of domain shards currently resident.
     #[must_use]
     pub fn resident(&self) -> usize {
         lock(&self.shards).entries.len()
@@ -450,67 +382,56 @@ mod tests {
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap()
     }
 
-    #[test]
-    fn block_entries_are_memoized_and_bit_exact() {
-        let cache = MaterialCache::new();
-        let a = cache.block(&params(), 7, 3);
-        let b = cache.block(&params(), 7, 3);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the entry");
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        // A fresh derivation agrees exactly.
-        assert_eq!(*a, BlockEntry::derive(&params(), 7, 3));
+    /// A composition key whose first member spans `blocks` slots.
+    fn key(blocks: usize) -> CompositionKey {
+        CompositionKey {
+            pasta: params(),
+            bfv: BfvParams::test_tiny(),
+            members: vec![(1, blocks), (2, 3)],
+        }
     }
 
-    #[test]
-    fn distinct_keys_do_not_collide() {
-        let cache = MaterialCache::new();
-        let a = cache.block(&params(), 7, 3);
-        let b = cache.block(&params(), 7, 4);
-        let c = cache.block(
-            &PastaParams::custom(4, 3, Modulus::PASTA_17_BIT).unwrap(),
-            7,
-            3,
-        );
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(*a, *b);
-        assert_ne!(
-            a.matrices.len(),
-            c.matrices.len(),
-            "different rounds, different layers"
-        );
-        assert_eq!(cache.stats().misses, 3);
+    fn entry() -> ComposedKeyEntry {
+        ComposedKeyEntry {
+            elements: Vec::new(),
+        }
+    }
+
+    fn per_composed() -> usize {
+        approx_composed_key_bytes(&params(), &BfvParams::test_tiny())
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let cache = MaterialCache::with_capacities(2, 1);
-        let a0 = cache.block(&params(), 1, 0);
-        let _ = cache.block(&params(), 1, 1);
-        // Touch counter 0 so counter 1 is the LRU victim.
-        let _ = cache.block(&params(), 1, 0);
-        let _ = cache.block(&params(), 1, 2); // evicts counter 1
-        let a0_again = cache.block(&params(), 1, 0);
+        let cache = MaterialCache::with_budget(2 * per_composed());
+        let a0 = cache.composed_key(&key(0), entry);
+        let _ = cache.composed_key(&key(1), entry);
+        // Touch layout 0 so layout 1 is the LRU victim.
+        let _ = cache.composed_key(&key(0), entry);
+        let _ = cache.composed_key(&key(2), entry); // evicts layout 1
+        let a0_again = cache.composed_key(&key(0), entry);
         assert!(Arc::ptr_eq(&a0, &a0_again), "survivor must still be cached");
         let before = cache.stats().misses;
-        let _ = cache.block(&params(), 1, 1); // was evicted: a miss
+        let _ = cache.composed_key(&key(1), entry); // was evicted: a miss
         assert_eq!(cache.stats().misses, before + 1);
     }
 
     #[test]
     fn shards_are_per_tenant_and_reused() {
+        // Shard ids are FHE domains.
         let sharded = ShardedCache::new(ShardedCacheConfig {
             budget_bytes: 1 << 20,
             max_resident: 4,
         });
         let a = sharded.shard(1);
         let a_again = sharded.shard(1);
-        assert!(Arc::ptr_eq(&a, &a_again), "same tenant, same shard");
+        assert!(Arc::ptr_eq(&a, &a_again), "same domain, same shard");
         let b = sharded.shard(2);
-        assert!(!Arc::ptr_eq(&a, &b), "tenants must not share a shard");
+        assert!(!Arc::ptr_eq(&a, &b), "domains must not share a shard");
         assert_eq!(sharded.resident(), 2);
-        // Entries populated through one tenant's shard stay invisible to
-        // the other tenant.
-        let _ = a.block(&params(), 9, 0);
+        // Keys composed through one domain's shard stay invisible to the
+        // other domain.
+        let _ = a.composed_key(&key(2), entry);
         assert_eq!(b.stats(), CacheStats::default());
         assert_eq!(sharded.stats().misses, 1);
     }
@@ -524,32 +445,31 @@ mod tests {
         let one = sharded.shard(1);
         let _ = sharded.shard(2);
         let _ = sharded.shard(1); // touch: 2 becomes LRU
-        let _ = sharded.shard(3); // evicts tenant 2
+        let _ = sharded.shard(3); // evicts domain 2
         assert_eq!(sharded.resident(), 2);
         assert_eq!(sharded.evictions(), 1);
         let one_again = sharded.shard(1);
         assert!(Arc::ptr_eq(&one, &one_again), "survivor keeps its shard");
-        // Tenant 2 comes back as a *fresh* shard.
+        // Domain 2 comes back as a *fresh* shard.
         let two = sharded.shard(2);
         assert_eq!(two.stats(), CacheStats::default());
     }
 
     #[test]
     fn shard_capacity_tracks_the_budget_slice() {
-        let per_entry = approx_block_entry_bytes(&params());
-        // Blocks get ¼ of the per-tenant slice; budget 24 entries across
-        // 2 shards → 12 per tenant → cap 3 block entries.
+        // Budget 6 composed keys across 2 shards → cap 3 per domain.
         let sharded = ShardedCache::new(ShardedCacheConfig {
-            budget_bytes: per_entry * 24,
+            budget_bytes: per_composed() * 6,
             max_resident: 2,
         });
         let shard = sharded.shard(7);
-        for counter in 0..4 {
-            let _ = shard.block(&params(), 1, counter);
+        for blocks in 0..4 {
+            let _ = shard.composed_key(&key(blocks), entry);
         }
-        // Counter 0 must have been evicted by byte pressure (cap 3).
+        assert_eq!(shard.approx_bytes(), 3 * per_composed());
+        // Layout 0 must have been evicted by byte pressure (cap 3).
         let before = shard.stats().misses;
-        let _ = shard.block(&params(), 1, 0);
+        let _ = shard.composed_key(&key(0), entry);
         assert_eq!(shard.stats().misses, before + 1, "cap must be 3");
         // A starved budget still yields a working 1-entry shard.
         let tiny = ShardedCache::new(ShardedCacheConfig {
@@ -557,34 +477,26 @@ mod tests {
             max_resident: 1,
         });
         let s = tiny.shard(1);
-        let _ = s.block(&params(), 1, 0);
-        assert_eq!(s.stats().misses, 1);
+        let first = s.composed_key(&key(1), entry);
+        let again = s.composed_key(&key(1), entry);
+        assert!(Arc::ptr_eq(&first, &again), "one entry must stay resident");
+        assert_eq!(s.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(s.approx_bytes(), per_composed());
     }
 
     #[test]
     fn composed_keys_count_against_the_byte_budget() {
-        let p = params();
-        let bfv = BfvParams::test_tiny();
-        let per_composed = approx_composed_key_bytes(&p, &bfv);
-        // A budget whose composed-key slice (¾) holds exactly one
-        // entry: a new bucket layout must evict the older one instead of
-        // accumulating compositions invisibly.
+        // A budget that holds exactly one composed key: a new bucket
+        // layout must evict the older one instead of accumulating
+        // compositions invisibly.
         let sharded = ShardedCache::new(ShardedCacheConfig {
-            budget_bytes: per_composed * 4 / 3 + 4,
+            budget_bytes: per_composed() * 3 / 2,
             max_resident: 1,
         });
         let shard = sharded.shard(3);
-        let key = |blocks: usize| CompositionKey {
-            pasta: p,
-            bfv,
-            members: vec![(1, blocks), (2, 3)],
-        };
-        let entry = || ComposedKeyEntry {
-            elements: Vec::new(),
-        };
         let a = shard.composed_key(&key(2), entry);
         let _ = shard.composed_key(&key(4), entry); // evicts layout 2 (bytes)
-        assert_eq!(shard.approx_bytes(), per_composed);
+        assert_eq!(shard.approx_bytes(), per_composed());
         let misses = shard.stats().misses;
         let a_again = shard.composed_key(&key(2), entry);
         assert_eq!(shard.stats().misses, misses + 1, "layout 2 was evicted");

@@ -15,10 +15,10 @@
 //!   rotation/diagonal method);
 //! - [`link`]: the §V communication model (ciphertext sizes, 5G
 //!   bandwidths, video frames/s) regenerating Fig. 8;
-//! - [`cache`]: the shared material cache memoizing derived block
-//!   matrices and round constants, and the mux's composed keys, across
-//!   transciphering calls (the single-use plaintext encodings are
-//!   streamed, never stored).
+//! - [`cache`]: [`cache::BlockEntry`], one block's matrices and round
+//!   constants, derived in the pass that reads them and never stored
+//!   (no session nonce recurs); and the per-domain cache of the mux's
+//!   composed keys, the one piece of material kept across passes.
 //!
 //! # Examples
 //!
@@ -58,10 +58,7 @@ pub mod mux;
 pub mod packed;
 pub mod server;
 
-pub use cache::{
-    approx_block_entry_bytes, approx_composed_key_bytes, MaterialCache, ShardedCache,
-    ShardedCacheConfig,
-};
+pub use cache::{approx_composed_key_bytes, MaterialCache, ShardedCache, ShardedCacheConfig};
 pub use client::{EncryptedPastaKey, HheClient};
 pub use link::{figure8, Fig8Point, PastaLink, Resolution, RiseReference};
 pub use mux::{retrieve_muxed, MuxHheServer, MuxMember, MuxedBlocks, SlotRange};

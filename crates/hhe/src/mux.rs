@@ -89,8 +89,11 @@
 //! the bucket gets two masked terms, exactly as the coefficient-domain
 //! sum of per-member products would, so the composed key is
 //! bit-identical to it. The result is memoized per bucket layout in the
-//! shared [`MaterialCache`], so steady-state buckets with recurring
-//! compositions pay the masking multiplies once.
+//! domain's [`MaterialCache`], so buckets with a recurring composition
+//! pay the masking multiplies once. The per-slot block material is not
+//! memoized: each slot's matrices and round constants are derived from
+//! the XOF inside the pass that reads them, because a session nonce is
+//! never accepted twice.
 
 use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::client::EncryptedPastaKey;
@@ -172,7 +175,7 @@ impl MuxHheServer {
         })
     }
 
-    /// Replaces the material cache (e.g. with a domain shard of a
+    /// Replaces the composed-key cache (e.g. with a domain shard of a
     /// [`crate::cache::ShardedCache`]).
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<MaterialCache>) -> Self {
@@ -180,13 +183,15 @@ impl MuxHheServer {
         self
     }
 
-    /// Swaps the material cache in place (see
-    /// [`crate::HheServer::set_cache`]).
+    /// Swaps the composed-key cache in place. The service re-attaches
+    /// the domain's shard before each round, so that shard eviction in
+    /// [`crate::cache::ShardedCache`] releases the memory instead of
+    /// keeping it alive through the server handle.
     pub fn set_cache(&mut self, cache: Arc<MaterialCache>) {
         self.cache = cache;
     }
 
-    /// The material cache in use.
+    /// The composed-key cache in use.
     #[must_use]
     pub fn cache(&self) -> &Arc<MaterialCache> {
         &self.cache
@@ -363,11 +368,11 @@ impl MuxHheServer {
         let composed = self.composed_key(ctx, members, &ranges, slots_used)?;
 
         // Slot s carries the material of the member block assigned to s.
-        let per_slot: Vec<Arc<BlockEntry>> = members
+        let per_slot: Vec<BlockEntry> = members
             .iter()
             .zip(&ranges)
             .flat_map(|(m, r)| {
-                (0..r.blocks).map(|b| self.cache.block(&self.params, m.ct.nonce(), b as u64))
+                (0..r.blocks).map(|b| BlockEntry::derive(&self.params, m.ct.nonce(), b as u64))
             })
             .collect();
         let ks = eval_slotted_circuit(
@@ -431,7 +436,7 @@ fn eval_slotted_circuit(
     params: &PastaParams,
     encoder: &BatchEncoder,
     relin_key: &BfvRelinKey,
-    per_slot: &[Arc<BlockEntry>],
+    per_slot: &[BlockEntry],
     initial_left: &[FheCiphertext],
     initial_right: &[FheCiphertext],
 ) -> Result<Vec<FheCiphertext>, FheError> {
@@ -455,7 +460,7 @@ fn eval_slotted_circuit(
 fn affine_half(
     ctx: &BfvContext,
     encoder: &BatchEncoder,
-    per_slot: &[Arc<BlockEntry>],
+    per_slot: &[BlockEntry],
     layer: usize,
     is_left: bool,
     half: &[FheCiphertext],
@@ -589,8 +594,8 @@ mod tests {
     fn batched_keystream_matches_plain_for_each_block() {
         let w = setup();
         let params = w.server.params;
-        let per_slot: Vec<Arc<BlockEntry>> = (0..5u64)
-            .map(|b| w.server.cache.block(&params, 0xAA, b))
+        let per_slot: Vec<BlockEntry> = (0..5u64)
+            .map(|b| BlockEntry::derive(&params, 0xAA, b))
             .collect();
         let t = params.t();
         let ks = eval_slotted_circuit(
@@ -626,9 +631,9 @@ mod tests {
 
     #[test]
     fn warm_cache_pass_is_bit_exact() {
-        // Repeat-call determinism: the second call re-streams every
-        // weight plaintext (only the raw block material is cached) and
-        // must reproduce the first bit for bit.
+        // Repeat-call determinism: the second call re-derives every
+        // block and re-streams every weight plaintext, and must
+        // reproduce the first bit for bit.
         let w = setup();
         let ct = w.client.encrypt(0xDD, &[7; 12]).unwrap();
         let first = w.batched(&ct).unwrap();

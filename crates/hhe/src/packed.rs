@@ -32,14 +32,15 @@
 //!   a slot permutation plus multiply–accumulate
 //!   ([`BfvContext::apply_galois_hoisted`]).
 //!
-//! A pass is bit-deterministic for any `PASTA_THREADS` and any cache
-//! state. The tests keep the one-rotation-per-diagonal loop as the
-//! oracle the BSGS product is checked against.
+//! A pass is bit-deterministic for any `PASTA_THREADS`. The tests keep
+//! the one-rotation-per-diagonal loop as the oracle the BSGS product is
+//! checked against.
 //!
-//! The diagonal plaintexts are single-use: each is lane-encoded, lifted
-//! and forward-transformed inside the task that multiplies it, then
-//! dropped. The Shoup companions sit on the operand that is reused —
-//! each baby rotation, which every giant group reads.
+//! The block's matrices are derived from the XOF in the pass that reads
+//! them, and the diagonal plaintexts are single-use: each is
+//! lane-encoded, lifted and forward-transformed inside the task that
+//! multiplies it, then dropped. The Shoup companions sit on the operand
+//! that is reused — each baby rotation, which every giant group reads.
 //!
 //! Correctness leans on one invariant: after every affine layer the
 //! state is **masked** (zero outside lanes `0..2t`), so the garbage that
@@ -48,7 +49,7 @@
 //! zero outside lanes `gB..gB+2t`, so each group's term is zero outside
 //! lanes `0..2t` after its giant rotation.
 
-use crate::cache::MaterialCache;
+use crate::cache::{BlockEntry, MaterialCache};
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvGaloisKey, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext,
@@ -129,7 +130,6 @@ pub struct PackedHheServer {
     layout: LaneLayout,
     encoder: BatchEncoder,
     masks: Masks,
-    cache: Arc<MaterialCache>,
     /// Key-switches performed since construction (or the last
     /// [`PackedHheServer::reset_key_switch_count`]) — every
     /// [`BfvContext::apply_galois`] / hoisted rotation counts one.
@@ -274,23 +274,16 @@ impl PackedHheServer {
             layout,
             encoder,
             masks,
-            cache: Arc::new(MaterialCache::new()),
             key_switches: AtomicU64::new(0),
         })
     }
 
-    /// Replaces the material cache (e.g. with one shared by several
-    /// servers or server modes).
+    /// Returns the server unchanged and drops `cache`: a packed pass
+    /// derives its block material and reads no cache. Kept only because
+    /// the wall-clock benchmark (`perfbench`) builds against it.
     #[must_use]
-    pub fn with_cache(mut self, cache: Arc<MaterialCache>) -> Self {
-        self.cache = cache;
+    pub fn with_cache(self, _cache: Arc<MaterialCache>) -> Self {
         self
-    }
-
-    /// The material cache in use (shareable via [`Arc::clone`]).
-    #[must_use]
-    pub fn cache(&self) -> &Arc<MaterialCache> {
-        &self.cache
     }
 
     /// The packed, FHE-encrypted key as shipped by the client (exposed
@@ -481,7 +474,7 @@ impl PackedHheServer {
     ) -> Result<FheCiphertext, FheError> {
         let t = self.params.t();
         let r = self.params.rounds();
-        let block = self.cache.block(&self.params, nonce, counter);
+        let block = BlockEntry::derive(&self.params, nonce, counter);
 
         // The provisioned key ciphertext is already masked to lanes 0..2t.
         let mut state = self.encrypted_key.clone();
@@ -746,9 +739,9 @@ mod tests {
 
     #[test]
     fn warm_cache_pass_is_bit_exact() {
-        // Repeat-call determinism: the second call re-streams every
-        // diagonal (only the raw block material is cached) and must
-        // reproduce the first bit for bit.
+        // Repeat-call determinism: the second call re-derives the block
+        // and re-streams every diagonal, and must reproduce the first
+        // bit for bit.
         let w = setup();
         let first = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();
         let again = w.server.keystream_packed(&w.ctx, 0xF00D, 0).unwrap();

@@ -25,26 +25,23 @@
 //! packed server ships ONE key ciphertext plus its rotation keys — O(√t)
 //! of them under hoisted BSGS (see [`crate::packed::required_shifts`]).
 
-use crate::cache::MaterialCache;
+use crate::cache::BlockEntry;
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
 use pasta_math::linalg::Matrix;
-use std::sync::Arc;
 
-/// The HHE server state: FHE context, relinearization key, the client's
-/// encrypted PASTA key, and the shared material cache.
+/// The HHE server state: the PASTA instance, relinearization key and the
+/// client's encrypted PASTA key.
 #[derive(Debug)]
 pub struct HheServer {
     params: PastaParams,
     relin_key: BfvRelinKey,
     encrypted_key: EncryptedPastaKey,
-    cache: Arc<MaterialCache>,
 }
 
 impl HheServer {
-    /// Sets up a server for one client (with a private material cache;
-    /// use [`HheServer::with_cache`] to share one across servers).
+    /// Sets up a server for one client.
     ///
     /// # Errors
     ///
@@ -66,30 +63,7 @@ impl HheServer {
             params,
             relin_key,
             encrypted_key,
-            cache: Arc::new(MaterialCache::new()),
         })
-    }
-
-    /// Replaces the material cache (e.g. with one shared by several
-    /// servers or server modes).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<MaterialCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Swaps the material cache in place. The multi-tenant service layer
-    /// re-attaches a tenant's shard before each scheduling round, so that
-    /// shard eviction in [`crate::cache::ShardedCache`] actually releases
-    /// the memory instead of keeping it alive through the server handle.
-    pub fn set_cache(&mut self, cache: Arc<MaterialCache>) {
-        self.cache = cache;
-    }
-
-    /// The material cache in use (shareable via [`Arc::clone`]).
-    #[must_use]
-    pub fn cache(&self) -> &Arc<MaterialCache> {
-        &self.cache
     }
 
     /// The provisioned encrypted PASTA key. The multiplexing layer reads
@@ -104,9 +78,11 @@ impl HheServer {
     /// Homomorphically computes the keystream block for
     /// `(nonce, counter)`: FHE ciphertexts of `KS_0 … KS_{t-1}`.
     ///
-    /// Only what the truncated output reads is evaluated: the last
-    /// round cubes `X_L` alone and the final affine layer `A_r` runs on
-    /// `X_L` alone (see `cube`).
+    /// The block's matrices and round constants are derived from the XOF
+    /// for this call and dropped after it: a session nonce is never
+    /// accepted twice, so no block recurs. Only what the truncated output
+    /// reads is evaluated: the last round cubes `X_L` alone and the final
+    /// affine layer `A_r` runs on `X_L` alone (see `cube`).
     ///
     /// # Errors
     ///
@@ -117,7 +93,7 @@ impl HheServer {
         nonce: u128,
         counter: u64,
     ) -> Result<Vec<FheCiphertext>, FheError> {
-        let entry = self.cache.block(&self.params, nonce, counter);
+        let entry = BlockEntry::derive(&self.params, nonce, counter);
         let (layers, mats) = (&entry.material.layers, &entry.matrices);
         let (left, right) = self.encrypted_key.elements.split_at(self.params.t());
         eval_rounds(
@@ -166,7 +142,7 @@ impl HheServer {
 
     /// One affine layer on one half: `out_i = Σ_j M_ij·ct_j + rc_i`.
     ///
-    /// The matrix comes from the material cache; output rows are
+    /// The matrix comes from the block's derived material; output rows are
     /// independent, so the `t`-ciphertext fan-out runs on the worker
     /// pool (`PASTA_THREADS`) — bit-exact for any thread count.
     fn affine_half(
@@ -369,42 +345,12 @@ mod tests {
 
     #[test]
     fn warm_cache_pass_is_bit_exact() {
+        // Every call derives the block afresh; a repeat call must give
+        // the same ciphertexts bit for bit.
         let w = setup();
-        let cold = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
-        let misses_after_cold = w.server.cache().stats().misses;
-        let warm = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
-        assert_eq!(
-            cold, warm,
-            "cached material must not change the ciphertexts"
-        );
-        let stats = w.server.cache().stats();
-        assert_eq!(
-            stats.misses, misses_after_cold,
-            "warm pass must not re-derive"
-        );
-        assert!(stats.hits >= 1, "warm pass must hit the cache");
-    }
-
-    #[test]
-    fn servers_can_share_one_cache() {
-        let w = setup();
-        let shared = std::sync::Arc::clone(w.server.cache());
-        let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
-        let fhe_pk = w.ctx.generate_public_key(&w.fhe_sk, &mut rng);
-        let relin = w.ctx.generate_relin_key(&w.fhe_sk, &mut rng);
-        let ek = w.client.provision_key(&w.ctx, &fhe_pk, &mut rng);
-        let second = HheServer::new(params, relin, ek)
-            .unwrap()
-            .with_cache(shared);
-        let _ = w.server.keystream_encrypted(&w.ctx, 99, 0).unwrap();
-        let misses = second.cache().stats().misses;
-        let _ = second.keystream_encrypted(&w.ctx, 99, 0).unwrap();
-        assert_eq!(
-            second.cache().stats().misses,
-            misses,
-            "shared entry must be reused"
-        );
+        let first = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
+        let again = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
+        assert_eq!(first, again, "a repeat call must be bit-exact");
     }
 
     #[test]

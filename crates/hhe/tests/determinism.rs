@@ -65,9 +65,8 @@ fn batched_transcipher_is_thread_count_invariant() {
     ];
     let bucket_tenants = [0usize, 1, 0];
 
-    // Fresh server for each thread count: a cache hit (block material
-    // or composed key) from the serial pass must not mask a
-    // scheduling-dependent build.
+    // Fresh server for each thread count: a composed-key cache hit from
+    // the serial pass must not mask a scheduling-dependent build.
     let build = || {
         let mut rng = StdRng::seed_from_u64(808);
         let sk = ctx.generate_secret_key(&mut rng);
@@ -165,7 +164,8 @@ fn packed_bsgs_transcipher_is_thread_count_invariant() {
     // The BSGS affine evaluation fans its baby rotations and giant
     // groups over the worker pool; the group terms are summed serially
     // in group order, so the packed (default BSGS) transcipher must be
-    // bit-identical for any PASTA_THREADS — cold cache and warm.
+    // bit-identical for any PASTA_THREADS — on a fresh server and on a
+    // repeat call.
     let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
     let bfv = BfvParams {
         prime_count: 8,
@@ -190,8 +190,7 @@ fn packed_bsgs_transcipher_is_thread_count_invariant() {
         (sk, server)
     };
 
-    // Cold-cache passes: a fresh server per thread count, so a cache hit
-    // cannot mask a scheduling-dependent material build.
+    // First passes: a fresh server per thread count.
     let (sk, server1) = with_threads("1", build);
     let serial = with_threads("1", || {
         server1.transcipher_packed(&ctx, &pasta_ct, 0).unwrap()
@@ -213,8 +212,7 @@ fn packed_bsgs_transcipher_is_thread_count_invariant() {
         "PASTA_THREADS=1/scalar and =4/avx512ifma must produce identical packed ciphertexts"
     );
 
-    // Warm-cache pass: re-running on the already-populated server stays
-    // identical too.
+    // Repeat pass: re-running on the same server stays identical too.
     let warm = with_threads("4", || {
         server4.transcipher_packed(&ctx, &pasta_ct, 0).unwrap()
     });

@@ -140,12 +140,12 @@ fn repeated_bucket_replays_bit_exact_from_the_cache() {
     let warm = w.mux.transcipher_mux(&w.ctx, &members).unwrap();
     assert_eq!(
         cold.positions, warm.positions,
-        "memoized composition and material must be bit-exact"
+        "memoized composition must be bit-exact"
     );
     assert_eq!(
         w.mux.cache().stats().misses,
         misses,
-        "the warm pass must not rebuild the composed key or material"
+        "the warm pass must not rebuild the composed key"
     );
 }
 

@@ -47,8 +47,8 @@ fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
     let message = vec![5u64, 17, 4096, 65_000];
     let pasta_ct = client.encrypt(0xBEEF, &message).unwrap();
 
-    // Cold passes: build the cached keystream material and populate the
-    // scratch pool with every buffer shape the pipeline needs.
+    // Cold passes populate the scratch pool with every buffer shape the
+    // pipeline needs.
     let _ = server.transcipher(&ctx, &pasta_ct).unwrap();
     let _ = server.transcipher(&ctx, &pasta_ct).unwrap();
 

@@ -14,8 +14,6 @@
 //!   blocks packed into shared SIMD bucket passes with deadline-driven
 //!   flushing;
 //! - [`session`] — the nonce-keyed session registry;
-//! - [`clock`] — deterministic virtual time (no wall-clock reads; the
-//!   crate is enrolled in `pasta-audit`'s determinism sweep);
 //! - [`loadgen`] — a seeded, fault-injected load generator that verifies
 //!   every completed response by decryption and reports p50/p99 latency,
 //!   throughput and shed/refused/retried counts.
@@ -28,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod loadgen;
 pub mod server;
 pub mod session;
 
-pub use clock::VirtualClock;
 pub use loadgen::{run as run_loadgen, LoadReport, LoadgenConfig};
 pub use server::{
     Completion, CompletionResult, MultiplexConfig, PastaServer, ServerConfig, ServerEvent,

@@ -18,9 +18,10 @@
 //!   with a `Deadline` NACK;
 //! - **fault containment** — worker panics (injected or real) are caught
 //!   inside the `pasta_par` pool and converted to `WorkerFault` NACKs;
-//! - **isolation** — per-tenant [`ShardedCache`] shards evict under a
-//!   global memory budget, so one tenant cannot starve the others of
-//!   cached plaintext material;
+//! - **isolation** — each FHE domain's composed multiplexing keys live
+//!   in its own [`ShardedCache`] shard, evicted under a global memory
+//!   budget, so one domain cannot starve the others; block material is
+//!   derived per pass and never cached (no session nonce recurs);
 //! - **cross-tenant slot multiplexing** — tenants that registered into
 //!   the same *FHE domain* (one analyst keypair) opt into having their
 //!   queued blocks packed together into the slots of one shared
@@ -28,11 +29,12 @@
 //!   when the oldest member's deadline nears, or when a linger timeout
 //!   says no more compatible work is coming (see [`MultiplexConfig`]).
 //!
-//! All time is virtual (see [`crate::clock`]): the caller stamps every
-//! `submit`/`poll` with a `u64` microsecond instant, and the scheduler's
-//! round structure — including bucket membership and flush causes — is a
-//! pure function of those stamps — bit-identical across runs and
-//! `PASTA_THREADS` settings.
+//! All time is virtual: the service never reads a wall clock (the crate
+//! is enrolled in `pasta-audit`'s determinism sweep). The caller stamps
+//! every `submit`/`poll` with a `u64` microsecond instant, and the
+//! scheduler's round structure — including bucket membership and flush
+//! causes — is a pure function of those stamps — bit-identical across
+//! runs and `PASTA_THREADS` settings.
 
 use crate::session::SessionTable;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
@@ -53,10 +55,6 @@ use std::sync::Arc;
 
 /// Tenant handle: assigned by [`PastaServer::register_tenant`].
 pub type TenantId = u64;
-
-/// Cache-shard id namespace for FHE domains (disjoint from tenant ids,
-/// which stay below the bit).
-const DOMAIN_SHARD_BIT: u64 = 1 << 63;
 
 /// Cross-tenant slot-multiplexing policy.
 #[derive(Debug, Clone, Copy)]
@@ -111,7 +109,7 @@ pub struct ServerConfig {
     pub service_us_per_block: u64,
     /// Noise-budget admission policy applied at tenant registration.
     pub admission: NoiseBudgetGuard,
-    /// Memory budget for the per-tenant material-cache shards.
+    /// Memory budget for the per-domain composed-key cache shards.
     pub cache: ShardedCacheConfig,
     /// Cross-tenant slot-multiplexing policy.
     pub multiplex: MultiplexConfig,
@@ -474,7 +472,8 @@ impl PastaServer {
         stats
     }
 
-    /// The shared material cache (for inspection of shard eviction).
+    /// The per-domain composed-key cache (for inspection of shard
+    /// eviction).
     #[must_use]
     pub fn cache(&self) -> &ShardedCache {
         &self.cache
@@ -597,6 +596,12 @@ impl PastaServer {
     /// explicit: either the request is queued (ACK) or it is refused
     /// with a typed NACK — hostile bytes can make the server *refuse*,
     /// never panic.
+    ///
+    /// A request is one whole session payload: its blocks are
+    /// transciphered from counter `0`. A data frame whose
+    /// `counter_base` is not `0` is refused as
+    /// [`RefusalReason::Malformed`] (counted in `refused_malformed`)
+    /// rather than transciphered under the wrong counters.
     pub fn submit(&mut self, now_us: u64, tenant: TenantId, bytes: &[u8]) -> SubmitOutcome {
         self.stats.submitted += 1;
         let Ok(frame) = WireFrame::decode(bytes) else {
@@ -604,7 +609,7 @@ impl PastaServer {
             // session layer's blind NACK convention.
             return self.refuse(0, 0, RefusalReason::Malformed);
         };
-        if frame.kind != FrameKind::Data {
+        if frame.kind != FrameKind::Data || frame.counter_base != 0 {
             return self.refuse(frame.frame_id, frame.counter_base, RefusalReason::Malformed);
         }
         let deadline_us = now_us.saturating_add(self.cfg.deadline_us);
@@ -728,20 +733,12 @@ impl PastaServer {
                     None => continue,
                 }
             }
-            // Re-attach the involved cache shards so shard eviction
-            // between rounds actually frees memory.
+            // Re-attach the involved domains' cache shards so shard
+            // eviction between rounds actually frees memory.
             for unit in &units {
-                match unit {
-                    RoundUnit::Scalar(req) => {
-                        if let Some(t) = self.tenants.get_mut(&req.tenant) {
-                            t.hhe.set_cache(self.cache.shard(req.tenant));
-                        }
-                    }
-                    RoundUnit::Bucket(plan) => {
-                        if let Some(d) = self.domains.get_mut(&plan.domain) {
-                            d.mux
-                                .set_cache(self.cache.shard(DOMAIN_SHARD_BIT | plan.domain));
-                        }
+                if let RoundUnit::Bucket(plan) = unit {
+                    if let Some(d) = self.domains.get_mut(&plan.domain) {
+                        d.mux.set_cache(self.cache.shard(plan.domain));
                     }
                 }
             }

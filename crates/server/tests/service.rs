@@ -1,14 +1,17 @@
 //! Service-level behavior: the transciphering roundtrip, backpressure,
 //! session lifecycle, deadline shedding, worker-fault containment,
-//! admission control, cache isolation, and the quick acceptance
-//! scenario from the loadgen.
+//! admission control, frame validation, per-domain cache isolation, and
+//! the quick acceptance scenario from the loadgen.
 
 mod common;
 
 use pasta_fhe::BfvParams;
 use pasta_hhe::ShardedCacheConfig;
-use pasta_pipeline::{PipelineError, RefusalReason, WireFrame};
-use pasta_server::{run_loadgen, LoadgenConfig, ServerConfig, ServerEvent, SubmitOutcome};
+use pasta_pipeline::{pack, PipelineError, RefusalReason, WireFrame};
+use pasta_server::{
+    run_loadgen, CompletionResult, LoadgenConfig, MultiplexConfig, PastaServer, ServerConfig,
+    ServerEvent, SubmitOutcome,
+};
 
 fn expect_accept(outcome: SubmitOutcome) -> u64 {
     match outcome {
@@ -270,51 +273,90 @@ fn admission_control_refuses_with_a_suggestion() {
 }
 
 #[test]
+fn nonzero_counter_base_is_refused_as_malformed() {
+    // A request is transciphered from block 0, so a frame carrying a
+    // later block (here block 1, `counter_base = 1`) would complete with
+    // a wrong plaintext; it must be refused instead.
+    let mut fx = common::fixture(ServerConfig::default());
+    let t = fx.side.params.t();
+    let msg: Vec<u64> = [fx.side.message(8), fx.side.message(9)].concat();
+    fx.server.open_session(0, fx.side.tenant, 31).unwrap();
+    let ct = fx.side.client.encrypt(31, &msg).unwrap();
+    let bits = fx.side.params.modulus().bits();
+    let block_one = pack::pack_bits(&ct.elements()[t..], bits);
+    let frame = WireFrame::data(31, 2, 1, block_one).encode();
+    assert_eq!(
+        expect_refusal(fx.server.submit(10, fx.side.tenant, &frame)),
+        RefusalReason::Malformed
+    );
+    assert_eq!(fx.server.stats().refused_malformed, 1);
+    assert_eq!(fx.server.backlog(), 0);
+    assert!(fx.server.poll(u64::MAX / 2).is_empty());
+}
+
+#[test]
 fn tenant_shards_evict_under_memory_pressure() {
-    // A one-shard-resident, near-zero-budget cache: serving two tenants
-    // forces shard eviction, and both must still transcipher correctly.
-    let mut fx = common::fixture(ServerConfig {
+    // Cache shards are per FHE domain. A one-shard-resident,
+    // near-zero-budget cache: two domains' buckets force shard
+    // eviction, and every member must still transcipher correctly.
+    let mut server = PastaServer::new(ServerConfig {
         cache: ShardedCacheConfig {
             budget_bytes: 1,
             max_resident: 1,
         },
+        multiplex: MultiplexConfig {
+            enabled: true,
+            max_bucket_blocks: 2,
+            flush_margin_us: 1_000,
+            linger_us: 0,
+            ..MultiplexConfig::default()
+        },
         ..ServerConfig::default()
     });
-    let second = common::register(&mut fx.server, 777, b"tenant two");
-    fx.server.open_session(0, fx.side.tenant, 11).unwrap();
-    fx.server.open_session(0, second.tenant, 12).unwrap();
-    let msg_one = fx.side.message(1);
-    let msg_two = second.message(2);
-    expect_accept(
-        fx.server
-            .submit(5, fx.side.tenant, &fx.side.data_frame(11, 1, &msg_one)),
-    );
-    expect_accept(
-        fx.server
-            .submit(5, second.tenant, &second.data_frame(12, 1, &msg_two)),
-    );
-    let events = fx.server.poll(u64::MAX / 2);
+    // One extra prime over the scalar baseline pays for the key mask.
+    let bfv = BfvParams {
+        prime_count: 6,
+        ..BfvParams::test_tiny()
+    };
+    let sides: Vec<_> = [(1, 71), (2, 72)]
+        .into_iter()
+        .flat_map(|(domain, seed)| common::register_domain(&mut server, 2, domain, bfv, seed))
+        .collect();
+    let messages: Vec<Vec<u64>> = sides.iter().map(|s| s.message(s.tenant)).collect();
+    for (i, (side, msg)) in sides.iter().zip(&messages).enumerate() {
+        let nonce = 11 + i as u128;
+        server.open_session(0, side.tenant, nonce).unwrap();
+        let frame = side.data_frame(nonce, 1, msg);
+        expect_accept(server.submit(5, side.tenant, &frame));
+    }
+    let events = server.poll(u64::MAX / 2);
     let mut served = 0;
     for event in events {
         match event {
             ServerEvent::Completed(c) => {
-                let (side, msg) = if c.tenant == fx.side.tenant {
-                    (&fx.side, &msg_one)
-                } else {
-                    (&second, &msg_two)
-                };
-                assert_eq!(&c.result.retrieve(&side.ctx, &side.sk).unwrap(), msg);
+                assert!(matches!(c.result, CompletionResult::Muxed { .. }));
+                let idx = sides.iter().position(|s| s.tenant == c.tenant).unwrap();
+                let side = &sides[idx];
+                assert_eq!(
+                    c.result.retrieve(&side.ctx, &side.sk).unwrap(),
+                    messages[idx]
+                );
                 served += 1;
             }
             other => panic!("no refusals expected, got {other:?}"),
         }
     }
-    assert_eq!(served, 2);
+    assert_eq!(served, sides.len());
     assert!(
-        fx.server.cache().evictions() >= 1,
+        server.cache().evictions() >= 1,
         "the starved budget must have evicted a shard"
     );
-    assert_eq!(fx.server.cache().resident(), 1);
+    assert_eq!(server.cache().resident(), 1);
+    assert_eq!(
+        server.cache().stats().misses,
+        1,
+        "the resident shard composed its domain's key"
+    );
 }
 
 #[test]
