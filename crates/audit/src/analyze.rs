@@ -52,6 +52,7 @@ pub const CAST_FILES: &[&str] = &[
     "crates/fhe/src/ntt.rs",
     "crates/fhe/src/rns_mul.rs",
     "crates/fhe/src/scratch.rs",
+    "crates/hhe/src/circuit.rs",
     "crates/hhe/src/mux.rs",
     "crates/math/src/simd.rs",
     "crates/par/src/pool.rs",

@@ -51,6 +51,7 @@ fn main() {
     // Scalar.
     let scalar = HheServer::new(
         pasta,
+        &ctx,
         relin.clone(),
         client.provision_key(&ctx, &pk, &mut rng),
     )

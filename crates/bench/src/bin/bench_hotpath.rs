@@ -128,6 +128,7 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let client = HheClient::new(pasta, b"bench hotpath");
     let scalar = HheServer::new(
         pasta,
+        &ctx,
         relin.clone(),
         client.provision_key(&ctx, &pk, &mut rng),
     )

@@ -308,32 +308,18 @@ impl BfvContext {
         m
     }
 
-    /// Pre-encodes a plaintext for repeated homomorphic use: the
-    /// NTT-domain polynomial (for multiplications) and `Δ·m` in
-    /// coefficient domain (for additions and trivial encryptions).
+    /// Pre-encodes a plaintext for repeated multiplication: the
+    /// NTT-domain polynomial and the Shoup companions of its rows.
     ///
     /// The encode + forward-NTT cost is paid once here instead of on
-    /// every [`BfvContext::mul_plain`]/[`BfvContext::add_plain`] call —
-    /// the contract the `pasta-hhe` material cache is built on.
+    /// every [`BfvContext::mul_plain`] call — what the mux key masks and
+    /// the packed lane masks, each multiplied many times, rely on.
     #[must_use]
     pub fn prepare_plaintext(&self, pt: &Plaintext) -> PreparedPlaintext {
         let mut ntt = RnsPoly::from_u64_coeffs(&self.basis, &pt.coeffs);
         ntt.to_ntt(&self.basis);
         let ntt_shoup = ntt.shoup_rows(&self.basis);
-        PreparedPlaintext {
-            ntt,
-            ntt_shoup,
-            delta_m: self.delta_times_plain(pt),
-        }
-    }
-
-    /// [`BfvContext::encrypt_trivial`] from a prepared plaintext (no
-    /// re-encoding).
-    #[must_use]
-    pub fn encrypt_trivial_prepared(&self, prep: &PreparedPlaintext) -> Ciphertext {
-        Ciphertext {
-            polys: vec![prep.delta_m.clone(), RnsPoly::zero(&self.basis)],
-        }
+        PreparedPlaintext { ntt, ntt_shoup }
     }
 
     /// Decrypts a ciphertext (2 or 3 components).
@@ -1279,11 +1265,10 @@ impl PeriodicPlaintext {
     }
 }
 
-/// A plaintext pre-encoded for repeated homomorphic use (see
-/// [`BfvContext::prepare_plaintext`]): the NTT-domain polynomial feeds
-/// multiplications, the coefficient-domain `Δ·m` feeds additions and
-/// trivial encryptions. Both are context-specific — a prepared
-/// plaintext must only be used with the context that produced it.
+/// A plaintext pre-encoded for repeated multiplication (see
+/// [`BfvContext::prepare_plaintext`]): the NTT-domain polynomial and its
+/// Shoup companions. Both are context-specific — a prepared plaintext
+/// must only be used with the context that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedPlaintext {
     /// Encoded plaintext in NTT domain.
@@ -1292,8 +1277,6 @@ pub struct PreparedPlaintext {
     /// multiplications run the SIMD Shoup kernels (one high-half
     /// multiply per product) instead of a generic Barrett reduction.
     ntt_shoup: ShoupRows,
-    /// `Δ·m` in coefficient domain.
-    delta_m: RnsPoly,
 }
 
 /// A ciphertext prepared as the reused operand of streamed plaintext
@@ -1578,11 +1561,6 @@ mod tests {
         let mut added = ct.clone();
         ctx.add_plain_assign(&mut added, &pt);
         assert_eq!(added, ctx.add_plain(&ct, &pt));
-        // trivial encryption.
-        assert_eq!(
-            ctx.encrypt_trivial_prepared(&prep),
-            ctx.encrypt_trivial(&pt)
-        );
         // NTT-resident fused accumulate vs add(mul_plain(..)).
         let ct2 = ctx.encrypt(&pk, &ctx.encode_scalar(123), &mut rng);
         let expect = ctx

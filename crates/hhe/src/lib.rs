@@ -7,7 +7,7 @@
 //!   symmetric data encryption, and FHE result retrieval;
 //! - [`server`]: homomorphic evaluation of the PASTA decryption circuit —
 //!   the *transciphering* step that turns compact symmetric ciphertexts
-//!   into FHE ciphertexts the cloud can compute on;
+//!   into FHE ciphertexts the cloud can compute on — one block per pass;
 //! - [`mux`]: the SIMD throughput mode (`N` blocks per ciphertext) —
 //!   blocks from one session, or from *different* sessions and tenants
 //!   via slot-masked key composition, packed into one shared pass;
@@ -39,7 +39,8 @@
 //! let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 //!
 //! let client = HheClient::new(params, b"seed");
-//! let server = HheServer::new(params, relin, client.provision_key(&ctx, &fhe_pk, &mut rng))?;
+//! let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
+//! let server = HheServer::new(params, &ctx, relin, encrypted_key)?;
 //!
 //! let message = vec![1u64, 2, 3, 4];
 //! let pasta_ct = client.encrypt(42, &message)?;          // tiny, fast
@@ -52,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod circuit;
 pub mod client;
 pub mod link;
 pub mod mux;

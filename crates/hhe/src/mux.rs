@@ -3,7 +3,9 @@
 //!
 //! The scalar server ([`crate::server::HheServer`]) spends one BFV
 //! ciphertext per PASTA state element and transciphers one block at a
-//! time. The original PASTA software instead exploits BFV *batching*
+//! time: it runs the circuit of this module's passes with one slot
+//! (period `k = 1`, every plaintext a constant polynomial). The
+//! original PASTA software instead exploits BFV *batching*
 //! (SEAL's `BatchEncoder`): with `t_plain = 65537` and `2N | t_plain − 1`,
 //! one ciphertext holds `N` independent `F_p` slots, and all ring
 //! operations act slot-wise. Slot `s` of a pass evaluates one PASTA
@@ -96,12 +98,11 @@
 //! never accepted twice.
 
 use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
+use crate::circuit;
 use crate::client::EncryptedPastaKey;
-use crate::server;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
-    PreparedCiphertext,
 };
 use std::sync::Arc;
 
@@ -375,14 +376,13 @@ impl MuxHheServer {
                 (0..r.blocks).map(|b| BlockEntry::derive(&self.params, m.ct.nonce(), b as u64))
             })
             .collect();
-        let ks = eval_slotted_circuit(
+        let ks = circuit::keystream(
             ctx,
             &self.params,
             &self.encoder,
             &self.relin_key,
             &per_slot,
-            &composed.elements[..t],
-            &composed.elements[t..],
+            &composed.elements,
         )?;
 
         // Demux-side subtraction: slot s of position i carries message
@@ -409,94 +409,6 @@ impl MuxHheServer {
             slots_used,
         })
     }
-}
-
-/// Evaluates the slot-parallel PASTA keystream circuit over per-slot
-/// block material and initial key-state halves, returning the `t` left
-/// positions after the final affine layer. Slot `s` carries
-/// `per_slot[s]`'s affine material — the slots need not share a nonce or
-/// counter window, which is what lets one pass serve many tenants (with
-/// a slot-masked composed key instead of one tenant's replicated key).
-///
-/// Every plaintext is `per_slot.len().next_power_of_two()`-periodic
-/// (see the module docs), so each weight costs `k`-point transforms.
-///
-/// The round schedule, Mix and the S-boxes are the scalar server's
-/// (`server::eval_rounds`), slot-wise by construction; only the affine
-/// half is slotted. As there, only what the truncated output reads is
-/// evaluated: the last round cubes `X_L` alone and `A_r` runs on `X_L`
-/// alone.
-///
-/// # Errors
-///
-/// Returns [`FheError::Incompatible`] on malformed state halves;
-/// propagates FHE errors from the squarings.
-fn eval_slotted_circuit(
-    ctx: &BfvContext,
-    params: &PastaParams,
-    encoder: &BatchEncoder,
-    relin_key: &BfvRelinKey,
-    per_slot: &[BlockEntry],
-    initial_left: &[FheCiphertext],
-    initial_right: &[FheCiphertext],
-) -> Result<Vec<FheCiphertext>, FheError> {
-    server::eval_rounds(
-        ctx,
-        relin_key,
-        params.rounds(),
-        initial_left,
-        initial_right,
-        |layer, is_left, half| affine_half(ctx, encoder, per_slot, layer, is_left, half),
-    )
-}
-
-/// One slot-parallel affine layer-half: output row `i` is
-/// `Σ_j W_ij ⊙ x_j + rc_i`, where slot `s` of the plaintexts `W_ij` and
-/// `rc_i` carries block `s mod k`'s matrix entry `(i, j)` and round
-/// constant `i`. Each input `x_j` is NTT- and Shoup-prepared once for
-/// the `t` rows that read it; each `W_ij` is periodic-encoded,
-/// multiplied once and dropped; `rc_i` enters as `Δ·m` only. The rows
-/// fan out across the worker pool.
-fn affine_half(
-    ctx: &BfvContext,
-    encoder: &BatchEncoder,
-    per_slot: &[BlockEntry],
-    layer: usize,
-    is_left: bool,
-    half: &[FheCiphertext],
-) -> Result<Vec<FheCiphertext>, FheError> {
-    if half.is_empty() {
-        return Err(FheError::Incompatible(
-            "affine layer applied to an empty state half".into(),
-        ));
-    }
-    let inputs: Vec<PreparedCiphertext> =
-        pasta_par::parallel_map(half, |_, ct| ctx.prepare_ciphertext(ct.clone()));
-    let rows: Vec<usize> = (0..half.len()).collect();
-    pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
-        let mut slots = vec![0u64; per_slot.len()];
-        let mut acc = ctx.zero_ntt_ct();
-        for (j, x) in inputs.iter().enumerate() {
-            for (v, block) in slots.iter_mut().zip(per_slot) {
-                let m = &block.matrices[layer];
-                *v = if is_left {
-                    m.left.get(i, j)
-                } else {
-                    m.right.get(i, j)
-                };
-            }
-            ctx.add_mul_periodic_assign(&mut acc, x, &encoder.encode_periodic(&slots))?;
-        }
-        ctx.to_coeff_ct(&mut acc);
-        for (v, block) in slots.iter_mut().zip(per_slot) {
-            let l = &block.material.layers[layer];
-            *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
-        }
-        ctx.add_plain_assign(&mut acc, &encoder.encode_periodic(&slots).expand());
-        Ok(acc)
-    })
-    .into_iter()
-    .collect()
 }
 
 /// Decrypts one member's message out of a muxed pass (requires the
@@ -597,15 +509,13 @@ mod tests {
         let per_slot: Vec<BlockEntry> = (0..5u64)
             .map(|b| BlockEntry::derive(&params, 0xAA, b))
             .collect();
-        let t = params.t();
-        let ks = eval_slotted_circuit(
+        let ks = circuit::keystream(
             &w.ctx,
             &params,
             &w.server.encoder,
             &w.server.relin_key,
             &per_slot,
-            &w.key.elements[..t],
-            &w.key.elements[t..],
+            &w.key.elements,
         )
         .unwrap();
         for (position, ct) in ks.iter().enumerate() {

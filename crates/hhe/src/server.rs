@@ -3,16 +3,22 @@
 //! Given the FHE-encrypted PASTA key and a symmetric PASTA ciphertext,
 //! the server recomputes the *public* per-block randomness (matrices and
 //! round constants are functions of the nonce/counter only) and evaluates
-//! the PASTA decryption circuit under FHE:
+//! the PASTA decryption circuit under FHE, one block per pass:
 //!
-//! - affine layers become plaintext-scalar multiplications and additions
-//!   on key ciphertexts;
+//! - affine layers multiply the key-state ciphertexts by the block's
+//!   matrix entries, each a constant plaintext polynomial (a one-slot
+//!   pass of the slot-parallel circuit, period `k = 1`), and add the
+//!   round constants;
 //! - Mix is additions;
 //! - the Feistel/cube S-boxes are the expensive part — each squaring is a
 //!   ciphertext–ciphertext multiplication plus relinearization, riding
 //!   the full-RNS path of [`pasta_fhe::rns_mul`];
 //! - finally `Enc(m) = Δ·c − Enc(KS)`: the symmetric ciphertext enters as
 //!   a public constant.
+//!
+//! The circuit is the one [`crate::MuxHheServer`] runs over a whole
+//! bucket; this server runs it once per block, so each output
+//! ciphertext carries one message element.
 //!
 //! The result is a vector of FHE ciphertexts of the client's message —
 //! the transciphering step that lets the client avoid FHE encryption
@@ -26,29 +32,33 @@
 //! of them under hoisted BSGS (see [`crate::packed::required_shifts`]).
 
 use crate::cache::BlockEntry;
+use crate::circuit;
 use crate::client::EncryptedPastaKey;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
-use pasta_fhe::{BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
-use pasta_math::linalg::Matrix;
+use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
 
-/// The HHE server state: the PASTA instance, relinearization key and the
-/// client's encrypted PASTA key.
+/// The HHE server state: the PASTA instance, the slot encoder of the
+/// circuit's plaintexts, the relinearization key and the client's
+/// encrypted PASTA key.
 #[derive(Debug)]
 pub struct HheServer {
     params: PastaParams,
+    encoder: BatchEncoder,
     relin_key: BfvRelinKey,
     encrypted_key: EncryptedPastaKey,
 }
 
 impl HheServer {
-    /// Sets up a server for one client.
+    /// Sets up a server for one client under the ring of `ctx`.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::Incompatible`] if the encrypted key length is
-    /// not `2t`.
+    /// not `2t`; propagates encoder construction errors
+    /// (`2N ∤ t_plain − 1`).
     pub fn new(
         params: PastaParams,
+        ctx: &BfvContext,
         relin_key: BfvRelinKey,
         encrypted_key: EncryptedPastaKey,
     ) -> Result<Self, FheError> {
@@ -59,8 +69,11 @@ impl HheServer {
                 params.state_size()
             )));
         }
+        let encoder = BatchEncoder::new(ctx.params().plain_modulus, ctx.params().n)
+            .map_err(FheError::from)?;
         Ok(HheServer {
             params,
+            encoder,
             relin_key,
             encrypted_key,
         })
@@ -82,7 +95,7 @@ impl HheServer {
     /// for this call and dropped after it: a session nonce is never
     /// accepted twice, so no block recurs. Only what the truncated output
     /// reads is evaluated: the last round cubes `X_L` alone and the final
-    /// affine layer `A_r` runs on `X_L` alone (see `cube`).
+    /// affine layer `A_r` runs on `X_L` alone.
     ///
     /// # Errors
     ///
@@ -93,22 +106,13 @@ impl HheServer {
         nonce: u128,
         counter: u64,
     ) -> Result<Vec<FheCiphertext>, FheError> {
-        let entry = BlockEntry::derive(&self.params, nonce, counter);
-        let (layers, mats) = (&entry.material.layers, &entry.matrices);
-        let (left, right) = self.encrypted_key.elements.split_at(self.params.t());
-        eval_rounds(
+        circuit::keystream(
             ctx,
+            &self.params,
+            &self.encoder,
             &self.relin_key,
-            self.params.rounds(),
-            left,
-            right,
-            |i, is_left, half| {
-                if is_left {
-                    Self::affine_half(ctx, half, &mats[i].left, &layers[i].rc_left)
-                } else {
-                    Self::affine_half(ctx, half, &mats[i].right, &layers[i].rc_right)
-                }
-            },
+            &[BlockEntry::derive(&self.params, nonce, counter)],
+            &self.encrypted_key.elements,
         )
     }
 
@@ -139,139 +143,6 @@ impl HheServer {
         }
         Ok(out)
     }
-
-    /// One affine layer on one half: `out_i = Σ_j M_ij·ct_j + rc_i`.
-    ///
-    /// The matrix comes from the block's derived material; output rows are
-    /// independent, so the `t`-ciphertext fan-out runs on the worker
-    /// pool (`PASTA_THREADS`) — bit-exact for any thread count.
-    fn affine_half(
-        ctx: &BfvContext,
-        half: &[FheCiphertext],
-        matrix: &Matrix,
-        rc: &[u64],
-    ) -> Result<Vec<FheCiphertext>, FheError> {
-        let t = half.len();
-        if half.is_empty() {
-            return Err(FheError::Incompatible(
-                "affine layer applied to an empty state half".into(),
-            ));
-        }
-        let rows: Vec<usize> = (0..t.min(rc.len())).collect();
-        pasta_par::parallel_map(&rows, |_, &i| {
-            let row = matrix.row(i);
-            let mut acc = ctx.mul_scalar(&half[0], row[0]);
-            for (j, ct) in half.iter().enumerate().skip(1) {
-                let term = ctx.mul_scalar(ct, row[j]);
-                ctx.add_assign(&mut acc, &term)?;
-            }
-            ctx.add_scalar_assign(&mut acc, rc[i]);
-            Ok(acc)
-        })
-        .into_iter()
-        .collect()
-    }
-}
-
-/// The round schedule of the PASTA decryption circuit, shared by the
-/// scalar and the slotted (mux) evaluators: per round `i < r`, the
-/// affine layer `A_i` on both halves, Mix, then the Feistel S-box — or,
-/// in the last round, drop `X_R` (truncation keeps `X_L` only) and
-/// [`cube`] `X_L`. Finally `A_r` on `X_L`. `affine(i, is_left, half)`
-/// evaluates layer `i` on one half.
-pub(crate) fn eval_rounds<F>(
-    ctx: &BfvContext,
-    relin_key: &BfvRelinKey,
-    rounds: usize,
-    initial_left: &[FheCiphertext],
-    initial_right: &[FheCiphertext],
-    affine: F,
-) -> Result<Vec<FheCiphertext>, FheError>
-where
-    F: Fn(usize, bool, &[FheCiphertext]) -> Result<Vec<FheCiphertext>, FheError>,
-{
-    let mut left = initial_left.to_vec();
-    let mut right = initial_right.to_vec();
-    for i in 0..rounds {
-        left = affine(i, true, &left)?;
-        right = affine(i, false, &right)?;
-        mix(ctx, &mut left, &mut right)?;
-        if i < rounds - 1 {
-            feistel(ctx, relin_key, &mut left, &mut right)?;
-        } else {
-            // The right half is dead from here on; free it before the
-            // cubes.
-            right.clear();
-            left = cube(ctx, relin_key, &left)?;
-        }
-    }
-    affine(rounds, true, &left)
-}
-
-/// Mix: `(2L + R, 2R + L)` element-wise with additions only.
-fn mix(
-    ctx: &BfvContext,
-    left: &mut [FheCiphertext],
-    right: &mut [FheCiphertext],
-) -> Result<(), FheError> {
-    for (l, r) in left.iter_mut().zip(right.iter_mut()) {
-        let mut sum = l.clone();
-        ctx.add_assign(&mut sum, r)?;
-        ctx.add_assign(l, &sum)?;
-        ctx.add_assign(r, &sum)?;
-    }
-    Ok(())
-}
-
-/// Feistel S-box over the concatenated state `X_L ‖ X_R`:
-/// `y_0 = x_0`, `y_j = x_j + x_{j-1}²` on input values. The squarings
-/// (ciphertext × ciphertext products — the expensive part of the
-/// circuit) fan out across the worker pool.
-fn feistel(
-    ctx: &BfvContext,
-    relin_key: &BfvRelinKey,
-    left: &mut [FheCiphertext],
-    right: &mut [FheCiphertext],
-) -> Result<(), FheError> {
-    // Targets are taken from the top down, a few squares per worker at
-    // a time: every square reads an input no add has touched yet, and
-    // only one chunk of squares is held next to the state.
-    let chunk = 4 * pasta_par::threads();
-    let mut hi = left.len() + right.len();
-    while hi > 1 {
-        let lo = hi.saturating_sub(chunk).max(1);
-        let inputs: Vec<&FheCiphertext> = left.iter().chain(right.iter()).collect();
-        let squares: Vec<FheCiphertext> =
-            pasta_par::parallel_map(&inputs[lo - 1..hi - 1], |_, x| {
-                ctx.square_relin(x, relin_key)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        let targets = left.iter_mut().chain(right.iter_mut()).skip(lo);
-        for (y, sq) in targets.zip(&squares) {
-            ctx.add_assign(y, sq)?;
-        }
-        hi = lo;
-    }
-    Ok(())
-}
-
-/// The last round's cube S-box, `x³ = relin(x²)·x` relinearized again,
-/// on the left half only. The cube is element-wise, and truncation keeps
-/// `KS = X_L` after `A_r` (which mixes `X_L` alone), so the right half's
-/// cube never reaches the output and is not evaluated. The cubes fan out
-/// across the worker pool.
-fn cube(
-    ctx: &BfvContext,
-    relin_key: &BfvRelinKey,
-    left: &[FheCiphertext],
-) -> Result<Vec<FheCiphertext>, FheError> {
-    pasta_par::parallel_map(left, |_, x| {
-        let sq = ctx.square_relin(x, relin_key)?;
-        ctx.mul_relin(&sq, x, relin_key)
-    })
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]
@@ -299,7 +170,7 @@ mod tests {
         let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
         let client = HheClient::new(params, b"hhe test");
         let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
-        let server = HheServer::new(params, relin, encrypted_key).unwrap();
+        let server = HheServer::new(params, &ctx, relin, encrypted_key).unwrap();
         World {
             ctx,
             fhe_sk,
@@ -393,7 +264,7 @@ mod tests {
         let sk = w.ctx.generate_secret_key(&mut rng);
         let rk = w.ctx.generate_relin_key(&sk, &mut rng);
         assert!(matches!(
-            HheServer::new(params, rk, short),
+            HheServer::new(params, &w.ctx, rk, short),
             Err(FheError::Incompatible(_))
         ));
     }

@@ -145,7 +145,7 @@ fn scalar_transcipher_is_thread_count_invariant() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params, b"determinism");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = HheServer::new(params, relin, ek).unwrap();
+    let server = HheServer::new(params, &ctx, relin, ek).unwrap();
 
     let message: Vec<u64> = (0..8u64).map(|i| i * 999 + 1).collect();
     let pasta_ct = client.encrypt(7, &message).unwrap();

@@ -15,6 +15,10 @@
 //! value was recorded on a dedicated batched server, whose slot-replicated
 //! key ciphertexts equal the scalar-provisioned ones bit for bit; the
 //! one-member bucket runs the same circuit on them and reproduces it.
+//! The scalar value also survived the scalar server's move onto the
+//! slot-parallel evaluator (one block per pass, period `k = 1`): its
+//! constant weight plaintexts multiply exactly as the coefficient-domain
+//! scalar multiplies they replaced, so it was not re-recorded.
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
@@ -66,7 +70,7 @@ fn scalar_multi_block_transcipher_is_pinned() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params(), b"digest scalar");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = HheServer::new(params(), relin, ek).unwrap();
+    let server = HheServer::new(params(), &ctx, relin, ek).unwrap();
     // 10 elements: three blocks, the last one partial.
     let msg = message(10, 5);
     let pasta_ct = client.encrypt(0x5CA1, &msg).unwrap();

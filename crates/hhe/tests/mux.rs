@@ -46,7 +46,7 @@ fn world() -> &'static World {
             let client = HheClient::new(params, &(j as u64).to_le_bytes());
             let ek = client.provision_key(&ctx, &pk, &mut rng);
             let relin = ctx.generate_relin_key(&sk, &mut rng);
-            scalars.push(HheServer::new(params, relin, ek).unwrap());
+            scalars.push(HheServer::new(params, &ctx, relin, ek).unwrap());
             clients.push(client);
         }
         let relin = ctx.generate_relin_key(&sk, &mut rng);

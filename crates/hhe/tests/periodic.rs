@@ -7,6 +7,8 @@
 //! noise budget may only grow as `k` shrinks, and it must stay above
 //! the full-width batched prediction that admission relies on. A
 //! batched pass is a one-member bucket: one tenant's key, unmasked.
+//! At the bottom of the scale, `k = 1`, a one-block pass is the scalar
+//! server's circuit: every plaintext is a constant polynomial.
 
 use pasta_core::PastaParams;
 use pasta_fhe::noise::transcipher_noise;
@@ -14,7 +16,7 @@ use pasta_fhe::{
     BatchEncoder, BfvContext, BfvParams, BfvSecretKey, Ciphertext as FheCiphertext, NoiseModel,
 };
 use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheClient, MuxHheServer, MuxMember, MuxedBlocks,
+    retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxHheServer, MuxMember, MuxedBlocks,
 };
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -202,4 +204,32 @@ fn noise_budget_does_not_shrink_with_the_period_and_beats_the_prediction() {
         f64::from(budgets[2]) >= predicted,
         "measured {budgets:?} bits vs {predicted:.1} predicted"
     );
+}
+
+#[test]
+fn a_one_block_pass_at_period_one_is_the_scalar_transcipher_bit_for_bit() {
+    let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x0001);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let relin = ctx.generate_relin_key(&sk, &mut rng);
+    let client = HheClient::new(params(), b"period one");
+    let key = client.provision_key(&ctx, &pk, &mut rng);
+    let scalar = HheServer::new(params(), &ctx, relin.clone(), key.clone()).unwrap();
+    let mux = MuxHheServer::new(params(), &ctx, relin).unwrap();
+    // One partial block: the scalar output has one ciphertext per
+    // element, the pass one per state position.
+    let msg = message(3, 11);
+    let ct = client.encrypt(0x0E, &msg).unwrap();
+    let member = MuxMember {
+        tenant: 0,
+        encrypted_key: &key,
+        ct: &ct,
+    };
+    let mut pass = mux.transcipher_mux(&ctx, &[member]).unwrap();
+    assert_eq!(pass.slots_used, 1);
+    pass.positions.truncate(msg.len());
+    let cts = scalar.transcipher(&ctx, &ct).unwrap();
+    assert!(cts == pass.positions, "k = 1 must be the scalar circuit");
+    assert_eq!(client.retrieve(&ctx, &sk, &cts), msg);
 }

@@ -7,8 +7,12 @@
 //! per-round prediction ([`transcipher_round_noise`]) to the measured
 //! budget: never above it, and not more than [`SLACK_BITS`] below it.
 //!
-//! The rounds are replayed through the public `BfvContext` ops in the
-//! server's op order. The replay's output must equal
+//! The rounds are replayed through the public `BfvContext` ops of the
+//! coefficient-domain circuit: each affine row is a chain of
+//! `mul_scalar` + `add_assign`. The server no longer runs that code: it
+//! evaluates the slot-parallel circuit with one slot, whose constant
+//! weight plaintexts it multiplies in the NTT domain. The replay is
+//! therefore an independent oracle. Its output must equal
 //! [`HheServer::keystream_encrypted`] bit for bit, so the per-round
 //! measurements are those of the server's own circuit.
 
@@ -36,8 +40,8 @@ const SLACK_BITS: f64 = 64.0;
 
 const NONCE: u128 = 0x5CA1_AB1E;
 
-/// `out_i = Σ_j M_ij·ct_j + rc_i`, exactly as the scalar server's
-/// affine half evaluates it.
+/// `out_i = Σ_j M_ij·ct_j + rc_i` in the coefficient domain: scalar
+/// multiplies, chained adds, then `Δ·rc_i` on the constant coefficient.
 fn affine(ctx: &BfvContext, half: &[Ciphertext], m: &Matrix, rc: &[u64]) -> Vec<Ciphertext> {
     let rows: Vec<usize> = (0..half.len().min(rc.len())).collect();
     pasta_par::parallel_map(&rows, |_, &i| {
@@ -171,7 +175,7 @@ fn scalar_block_is_sound(pasta: PastaParams, against_server: bool) {
     let last = &entry.material.layers[rounds];
     let output = affine(&ctx, &state, &entry.matrices[rounds].left, &last.rc_left);
     if against_server {
-        let server = HheServer::new(pasta, rk, key).unwrap();
+        let server = HheServer::new(pasta, &ctx, rk, key).unwrap();
         assert!(
             server.keystream_encrypted(&ctx, NONCE, 0).unwrap() == output,
             "t = {t}: the replay must be the server's circuit"

@@ -42,7 +42,7 @@ fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
     let client = HheClient::new(params, b"warm alloc");
     let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
-    let server = HheServer::new(params, relin, encrypted_key).unwrap();
+    let server = HheServer::new(params, &ctx, relin, encrypted_key).unwrap();
 
     let message = vec![5u64, 17, 4096, 65_000];
     let pasta_ct = client.encrypt(0xBEEF, &message).unwrap();

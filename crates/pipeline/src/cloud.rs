@@ -57,7 +57,7 @@ impl CloudReceiver {
             .iter()
             .map(|&k| ctx.encrypt(&fhe_pk, &ctx.encode_scalar(k), &mut rng))
             .collect();
-        let server = HheServer::new(params, relin, EncryptedPastaKey { elements })?;
+        let server = HheServer::new(params, &ctx, relin, EncryptedPastaKey { elements })?;
         Ok(CloudReceiver {
             params,
             ctx,

@@ -42,8 +42,8 @@ use pasta_fhe::{
     BfvContext, BfvParams, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
 };
 use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheServer, MuxHheServer, MuxMember, MuxedBlocks,
-    ShardedCache, ShardedCacheConfig, SlotRange,
+    retrieve_muxed, EncryptedPastaKey, HheServer, MuxHheServer, MuxMember, ShardedCache,
+    ShardedCacheConfig, SlotRange,
 };
 use pasta_pipeline::guard::NoiseBudgetGuard;
 use pasta_pipeline::pack;
@@ -175,29 +175,32 @@ enum FlushCause {
     Drain,
 }
 
-/// One planned multiplexed pass: the members it serves, their slot
-/// layout, and why it flushed.
-struct BucketPlan {
+/// What makes a unit one shared multiplexed pass: the domain, the
+/// members' slot layout, and why it flushed.
+struct Bucket {
     domain: u64,
     cause: FlushCause,
-    members: Vec<QueuedRequest>,
     assignments: Vec<SlotAssignment>,
     total_blocks: usize,
     capacity: usize,
 }
 
-/// One unit of work a scheduling round hands to a worker slot.
-enum RoundUnit {
-    /// A private per-tenant transcipher pass.
-    Scalar(QueuedRequest),
-    /// A shared cross-tenant multiplexed pass.
-    Bucket(BucketPlan),
+/// One unit of work a scheduling round hands to a worker slot: the
+/// requests it serves, plus the bucket they share if it is a
+/// multiplexed pass. A unit without a bucket is one request's private
+/// scalar pass.
+struct RoundUnit {
+    members: Vec<QueuedRequest>,
+    bucket: Option<Bucket>,
 }
 
-/// What one worker slot produced, mirrored to the unit shape.
-enum UnitOutcome {
-    Scalar(Result<Vec<FheCiphertext>, RefusalReason>),
-    Bucket(Result<MuxedBlocks, RefusalReason>),
+impl RoundUnit {
+    fn scalar(req: QueuedRequest) -> Self {
+        RoundUnit {
+            members: vec![req],
+            bucket: None,
+        }
+    }
 }
 
 /// Per-tenant server-side state.
@@ -552,7 +555,7 @@ impl PastaServer {
                 );
             }
         }
-        let hhe = HheServer::new(prov.pasta, prov.relin_key, prov.encrypted_key)
+        let hhe = HheServer::new(prov.pasta, &ctx, prov.relin_key, prov.encrypted_key)
             .map_err(PipelineError::Fhe)?;
         let id = self.next_tenant;
         self.next_tenant += 1;
@@ -735,11 +738,9 @@ impl PastaServer {
             }
             // Re-attach the involved domains' cache shards so shard
             // eviction between rounds actually frees memory.
-            for unit in &units {
-                if let RoundUnit::Bucket(plan) = unit {
-                    if let Some(d) = self.domains.get_mut(&plan.domain) {
-                        d.mux.set_cache(self.cache.shard(plan.domain));
-                    }
+            for bucket in units.iter().filter_map(|u| u.bucket.as_ref()) {
+                if let Some(d) = self.domains.get_mut(&bucket.domain) {
+                    d.mux.set_cache(self.cache.shard(bucket.domain));
                 }
             }
             let tenants = &self.tenants;
@@ -751,167 +752,69 @@ impl PastaServer {
             // would take the whole service down). A faulting bucket
             // takes all its members down together — they shared one
             // pass — and each gets a retryable WorkerFault NACK.
-            let results: Vec<UnitOutcome> = pasta_par::parallel_map(&units, |_, unit| {
-                catch_unwind(AssertUnwindSafe(|| match unit {
-                    RoundUnit::Scalar(req) => {
-                        if fault_plan.contains(&req.seq) {
-                            // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the surrounding catch_unwind and surfaced as a typed WorkerFault NACK")
-                            panic!("injected worker fault on request {}", req.seq);
-                        }
-                        let Some(t) = tenants.get(&req.tenant) else {
-                            return UnitOutcome::Scalar(Err(RefusalReason::WorkerFault));
-                        };
-                        UnitOutcome::Scalar(
-                            t.hhe
-                                .transcipher(&t.ctx, &req.ct)
-                                .map_err(|_| RefusalReason::WorkerFault),
-                        )
-                    }
-                    RoundUnit::Bucket(plan) => {
-                        if let Some(req) = plan
-                            .members
-                            .iter()
-                            .find(|req| fault_plan.contains(&req.seq))
-                        {
-                            // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the surrounding catch_unwind and surfaced as typed WorkerFault NACKs for every bucket member")
-                            panic!("injected worker fault on request {}", req.seq);
-                        }
-                        let Some(d) = domains.get(&plan.domain) else {
-                            return UnitOutcome::Bucket(Err(RefusalReason::WorkerFault));
-                        };
-                        let mut members = Vec::with_capacity(plan.members.len());
-                        for req in &plan.members {
-                            let Some(t) = tenants.get(&req.tenant) else {
-                                return UnitOutcome::Bucket(Err(RefusalReason::WorkerFault));
-                            };
-                            members.push(MuxMember {
-                                tenant: req.tenant,
-                                encrypted_key: t.hhe.encrypted_key(),
-                                ct: &req.ct,
-                            });
-                        }
-                        UnitOutcome::Bucket(
-                            d.mux
-                                .transcipher_mux(&d.ctx, &members)
-                                .map_err(|_| RefusalReason::WorkerFault),
-                        )
-                    }
+            let results = pasta_par::parallel_map(&units, |_, unit| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    serve(unit, tenants, domains, fault_plan)
                 }))
-                .unwrap_or(match unit {
-                    RoundUnit::Scalar(_) => UnitOutcome::Scalar(Err(RefusalReason::WorkerFault)),
-                    RoundUnit::Bucket(_) => UnitOutcome::Bucket(Err(RefusalReason::WorkerFault)),
-                })
+                .unwrap_or(Err(RefusalReason::WorkerFault))
             });
             let mut round_len_us = 1;
             for (unit, outcome) in units.into_iter().zip(results) {
-                match unit {
-                    RoundUnit::Scalar(req) => {
-                        let block_size = self
-                            .tenants
-                            .get(&req.tenant)
-                            .map_or(1, |t| t.params.t().max(1));
-                        let blocks = req.ct.len().div_ceil(block_size).max(1) as u64;
-                        let service_us = blocks * self.cfg.service_us_per_block.max(1);
-                        round_len_us = round_len_us.max(service_us);
-                        let completed_us = round_start + service_us;
-                        self.fault_plan.remove(&req.seq);
-                        // A mismatched outcome cannot happen (the pool
-                        // preserves order) but must still NACK, never
-                        // drop: fold it into the fault path.
-                        let result = match outcome {
-                            UnitOutcome::Scalar(result) => result,
-                            UnitOutcome::Bucket(_) => Err(RefusalReason::WorkerFault),
-                        };
-                        match result {
-                            Ok(result) => {
-                                self.stats.completed += 1;
-                                events.push(ServerEvent::Completed(Completion {
-                                    seq: req.seq,
-                                    tenant: req.tenant,
-                                    nonce: req.nonce,
-                                    frame_id: req.frame_id,
-                                    counter_base: req.counter_base,
-                                    result: CompletionResult::Scalar(result),
-                                    accepted_us: req.enqueued_us,
-                                    completed_us,
-                                }));
+                let service_us = match &unit.bucket {
+                    Some(_) => self.cfg.multiplex.service_us_per_pass.max(1),
+                    None => {
+                        let blocks: usize = unit
+                            .members
+                            .iter()
+                            .map(|req| {
+                                let block_size = self
+                                    .tenants
+                                    .get(&req.tenant)
+                                    .map_or(1, |t| t.params.t().max(1));
+                                req.ct.len().div_ceil(block_size).max(1)
+                            })
+                            .sum();
+                        blocks as u64 * self.cfg.service_us_per_block.max(1)
+                    }
+                };
+                round_len_us = round_len_us.max(service_us);
+                let completed_us = round_start + service_us;
+                for req in &unit.members {
+                    self.fault_plan.remove(&req.seq);
+                }
+                match outcome {
+                    Ok(results) => {
+                        if let Some(bucket) = &unit.bucket {
+                            self.stats.mux_buckets += 1;
+                            match bucket.cause {
+                                FlushCause::Full => self.stats.flush_full += 1,
+                                FlushCause::Deadline => self.stats.flush_deadline += 1,
+                                FlushCause::Drain => self.stats.flush_drain += 1,
                             }
-                            Err(reason) => {
-                                self.stats.worker_faults += 1;
-                                events.push(ServerEvent::Refused {
-                                    seq: req.seq,
-                                    tenant: req.tenant,
-                                    reason,
-                                    nack: WireFrame::nack_with_reason(
-                                        req.frame_id,
-                                        req.counter_base,
-                                        reason,
-                                    ),
-                                    at_us: completed_us,
-                                });
-                            }
+                            self.stats.mux_blocks += bucket.total_blocks as u64;
+                            self.stats.mux_requests += unit.members.len() as u64;
+                            let fill = (bucket.total_blocks * 1000) / bucket.capacity.max(1);
+                            self.bucket_fill_permille
+                                .push(u32::try_from(fill).unwrap_or(0));
+                        }
+                        for (req, result) in unit.members.into_iter().zip(results) {
+                            self.stats.completed += 1;
+                            events.push(ServerEvent::Completed(Completion {
+                                seq: req.seq,
+                                tenant: req.tenant,
+                                nonce: req.nonce,
+                                frame_id: req.frame_id,
+                                counter_base: req.counter_base,
+                                result,
+                                accepted_us: req.enqueued_us,
+                                completed_us,
+                            }));
                         }
                     }
-                    RoundUnit::Bucket(plan) => {
-                        let service_us = self.cfg.multiplex.service_us_per_pass.max(1);
-                        round_len_us = round_len_us.max(service_us);
-                        let completed_us = round_start + service_us;
-                        for req in &plan.members {
-                            self.fault_plan.remove(&req.seq);
-                        }
-                        let result = match outcome {
-                            UnitOutcome::Bucket(result) => result,
-                            UnitOutcome::Scalar(_) => Err(RefusalReason::WorkerFault),
-                        };
-                        match result {
-                            Ok(muxed) => {
-                                self.stats.mux_buckets += 1;
-                                match plan.cause {
-                                    FlushCause::Full => self.stats.flush_full += 1,
-                                    FlushCause::Deadline => self.stats.flush_deadline += 1,
-                                    FlushCause::Drain => self.stats.flush_drain += 1,
-                                }
-                                self.stats.mux_blocks += plan.total_blocks as u64;
-                                let fill = (plan.total_blocks * 1000) / plan.capacity.max(1);
-                                self.bucket_fill_permille
-                                    .push(u32::try_from(fill).unwrap_or(0));
-                                let positions = Arc::new(muxed.positions);
-                                for (req, assignment) in
-                                    plan.members.into_iter().zip(plan.assignments)
-                                {
-                                    self.stats.completed += 1;
-                                    self.stats.mux_requests += 1;
-                                    events.push(ServerEvent::Completed(Completion {
-                                        seq: req.seq,
-                                        tenant: req.tenant,
-                                        nonce: req.nonce,
-                                        frame_id: req.frame_id,
-                                        counter_base: req.counter_base,
-                                        result: CompletionResult::Muxed {
-                                            positions: Arc::clone(&positions),
-                                            assignment,
-                                        },
-                                        accepted_us: req.enqueued_us,
-                                        completed_us,
-                                    }));
-                                }
-                            }
-                            Err(reason) => {
-                                for req in plan.members {
-                                    self.stats.worker_faults += 1;
-                                    events.push(ServerEvent::Refused {
-                                        seq: req.seq,
-                                        tenant: req.tenant,
-                                        reason,
-                                        nack: WireFrame::nack_with_reason(
-                                            req.frame_id,
-                                            req.counter_base,
-                                            reason,
-                                        ),
-                                        at_us: completed_us,
-                                    });
-                                }
-                            }
+                    Err(reason) => {
+                        for req in &unit.members {
+                            self.stats.worker_faults += 1;
+                            events.push(refused(req, reason, completed_us));
                         }
                     }
                 }
@@ -938,19 +841,9 @@ impl PastaServer {
             t.queue = keep;
         }
         shed.sort_by_key(|r| (r.deadline_us, r.seq));
-        for req in shed {
+        for req in &shed {
             self.stats.shed_deadline += 1;
-            events.push(ServerEvent::Refused {
-                seq: req.seq,
-                tenant: req.tenant,
-                reason: RefusalReason::Deadline,
-                nack: WireFrame::nack_with_reason(
-                    req.frame_id,
-                    req.counter_base,
-                    RefusalReason::Deadline,
-                ),
-                at_us: round_start,
-            });
+            events.push(refused(req, RefusalReason::Deadline, round_start));
         }
     }
 
@@ -971,9 +864,11 @@ impl PastaServer {
             }
         }
         let remaining = workers.saturating_sub(units.len());
-        for req in self.select_scalar(round_start, remaining, mux_on) {
-            units.push(RoundUnit::Scalar(req));
-        }
+        units.extend(
+            self.select_scalar(round_start, remaining, mux_on)
+                .into_iter()
+                .map(RoundUnit::scalar),
+        );
         (units, next_decision)
     }
 
@@ -1171,18 +1066,20 @@ impl PastaServer {
                         start += c.blocks;
                         members.push(req);
                     }
-                    units.push(RoundUnit::Bucket(BucketPlan {
-                        domain,
-                        cause,
+                    units.push(RoundUnit {
                         members,
-                        assignments,
-                        total_blocks,
-                        capacity: cap,
-                    }));
+                        bucket: Some(Bucket {
+                            domain,
+                            cause,
+                            assignments,
+                            total_blocks,
+                            capacity: cap,
+                        }),
+                    });
                 }
                 Group::Oversized(c) => {
                     if let Some(req) = popped.get_mut(&c.tenant).and_then(VecDeque::pop_front) {
-                        units.push(RoundUnit::Scalar(req));
+                        units.push(RoundUnit::scalar(req));
                     }
                 }
             }
@@ -1228,4 +1125,70 @@ impl PastaServer {
             }
         }
     }
+}
+
+/// The `Refused` event (and its NACK) for an accepted request.
+fn refused(req: &QueuedRequest, reason: RefusalReason, at_us: u64) -> ServerEvent {
+    ServerEvent::Refused {
+        seq: req.seq,
+        tenant: req.tenant,
+        reason,
+        nack: WireFrame::nack_with_reason(req.frame_id, req.counter_base, reason),
+        at_us,
+    }
+}
+
+/// Serves one round unit on a worker: one result per member, in member
+/// order, or the refusal every member gets.
+fn serve(
+    unit: &RoundUnit,
+    tenants: &BTreeMap<TenantId, Tenant>,
+    domains: &BTreeMap<u64, MuxDomain>,
+    fault_plan: &BTreeSet<u64>,
+) -> Result<Vec<CompletionResult>, RefusalReason> {
+    if let Some(req) = unit.members.iter().find(|r| fault_plan.contains(&r.seq)) {
+        // audit: allow(panic, reason = "fault-injection hook: the panic is contained by the caller's catch_unwind and surfaced as a typed WorkerFault NACK for every member of the unit")
+        panic!("injected worker fault on request {}", req.seq);
+    }
+    let fault = |_| RefusalReason::WorkerFault;
+    let tenant = |req: &QueuedRequest| tenants.get(&req.tenant).ok_or(RefusalReason::WorkerFault);
+    let Some(bucket) = &unit.bucket else {
+        return unit
+            .members
+            .iter()
+            .map(|req| {
+                let t = tenant(req)?;
+                let cts = t.hhe.transcipher(&t.ctx, &req.ct).map_err(fault)?;
+                Ok(CompletionResult::Scalar(cts))
+            })
+            .collect();
+    };
+    let d = domains
+        .get(&bucket.domain)
+        .ok_or(RefusalReason::WorkerFault)?;
+    let members = unit
+        .members
+        .iter()
+        .map(|req| {
+            Ok(MuxMember {
+                tenant: req.tenant,
+                encrypted_key: tenant(req)?.hhe.encrypted_key(),
+                ct: &req.ct,
+            })
+        })
+        .collect::<Result<Vec<_>, RefusalReason>>()?;
+    let positions = Arc::new(
+        d.mux
+            .transcipher_mux(&d.ctx, &members)
+            .map_err(fault)?
+            .positions,
+    );
+    Ok(bucket
+        .assignments
+        .iter()
+        .map(|&assignment| CompletionResult::Muxed {
+            positions: Arc::clone(&positions),
+            assignment,
+        })
+        .collect())
 }

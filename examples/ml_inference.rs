@@ -56,7 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"ml client");
-    let server = HheServer::new(params, relin, client.provision_key(&ctx, &fhe_pk, &mut rng))?;
+    let server = HheServer::new(
+        params,
+        &ctx,
+        relin,
+        client.provision_key(&ctx, &fhe_pk, &mut rng),
+    )?;
 
     // A quantized linear classifier: score = Σ w_i·x_i + b (mod p; the
     // weights are quantized to small integers so the score stays

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         encrypted_key.size_bytes(&ctx),
         t0.elapsed().as_secs_f64() * 1e3
     );
-    let server = HheServer::new(pasta, relin, encrypted_key)?;
+    let server = HheServer::new(pasta, &ctx, relin, encrypted_key)?;
 
     // --- client: symmetric encryption (the accelerated hot path) ---
     let message = vec![120u64, 7, 65_000, 42, 9, 10, 11, 12];

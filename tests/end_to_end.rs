@@ -75,8 +75,13 @@ fn hhe_with_hardware_client() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"hw client");
-    let server =
-        HheServer::new(params, relin, client.provision_key(&ctx, &fhe_pk, &mut rng)).unwrap();
+    let server = HheServer::new(
+        params,
+        &ctx,
+        relin,
+        client.provision_key(&ctx, &fhe_pk, &mut rng),
+    )
+    .unwrap();
 
     // Encrypt on the modelled cryptoprocessor instead of in software.
     let message = vec![111u64, 222, 333, 444];
@@ -126,8 +131,13 @@ fn soc_to_server_pipeline() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"soc pipeline");
-    let server =
-        HheServer::new(params, relin, client.provision_key(&ctx, &fhe_pk, &mut rng)).unwrap();
+    let server = HheServer::new(
+        params,
+        &ctx,
+        relin,
+        client.provision_key(&ctx, &fhe_pk, &mut rng),
+    )
+    .unwrap();
 
     let message = vec![9u64, 8, 7, 6, 5, 4]; // 1.5 blocks
     let soc_run = encrypt_on_soc(params, client.cipher().key(), 77, &message).unwrap();
