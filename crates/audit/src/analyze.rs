@@ -54,6 +54,7 @@ pub const CAST_FILES: &[&str] = &[
     "crates/fhe/src/scratch.rs",
     "crates/hhe/src/circuit.rs",
     "crates/hhe/src/mux.rs",
+    "crates/hhe/src/server.rs",
     "crates/math/src/simd.rs",
     "crates/par/src/pool.rs",
 ];

@@ -5,7 +5,7 @@
 //! - **scalar**: one ciphertext per state element — simplest, largest
 //!   ciphertext count;
 //! - **batched**: `N` blocks per ciphertext — throughput mode (a
-//!   one-member [`MuxHheServer`] bucket);
+//!   one-member bucket through [`HheServer::transcipher_mux`]);
 //! - **packed**: one block per ciphertext via the rotation/diagonal
 //!   method — latency/bandwidth mode.
 
@@ -13,7 +13,7 @@ use pasta_bench::report::{fmt_f64, TextTable};
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
 use pasta_hhe::packed::PackedHheServer;
-use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxMember};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,17 +48,14 @@ fn main() {
         "per-block time",
     ]);
 
+    // Scalar and batched passes run on one evaluator.
+    let server = HheServer::new(pasta, &ctx, relin).expect("server");
+
     // Scalar.
-    let scalar = HheServer::new(
-        pasta,
-        &ctx,
-        relin.clone(),
-        client.provision_key(&ctx, &pk, &mut rng),
-    )
-    .expect("scalar server");
+    let scalar_key = client.provision_key(&ctx, &pk, &mut rng);
     let t0 = Instant::now();
-    let outs = scalar
-        .transcipher(&ctx, &pasta_ct)
+    let outs = server
+        .transcipher(&ctx, &scalar_key, &pasta_ct)
         .expect("scalar transcipher");
     let scalar_time = t0.elapsed().as_secs_f64();
     let scalar_budget = ctx.noise_budget(&sk, &outs[0]);
@@ -73,13 +70,12 @@ fn main() {
     ]);
 
     // Batched (amortize over 8 blocks): one tenant, one bucket.
-    let batched = MuxHheServer::new(pasta, &ctx, relin.clone()).expect("mux server");
     let batched_key = client.provision_key(&ctx, &pk, &mut rng);
     let blocks = 8usize;
     let long_message: Vec<u64> = (0..(4 * blocks) as u64).map(|i| i % 65_537).collect();
     let long_ct = client.encrypt(0x30DE5, &long_message).expect("encrypt");
     let t1 = Instant::now();
-    let batch = batched
+    let batch = server
         .transcipher_mux(
             &ctx,
             &[MuxMember {
@@ -98,7 +94,7 @@ fn main() {
     table.row(vec![
         "batched".to_string(),
         "t = 4 (shared across batch)".to_string(),
-        format!("{blocks} (up to {})", batched.capacity()),
+        format!("{blocks} (up to {})", server.capacity()),
         format!("{:.2} s", batched_time),
         batched_budget.to_string(),
         format!("{:.3} s", batched_time / blocks as f64),

@@ -22,7 +22,7 @@ use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
 use pasta_fhe::ntt::NttTable;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{HheClient, HheServer, MuxHheServer, MuxMember};
+use pasta_hhe::{HheClient, HheServer, MuxMember};
 use pasta_math::{simd, Modulus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,13 +126,8 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let pk = ctx.generate_public_key(&sk, &mut rng);
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(pasta, b"bench hotpath");
-    let scalar = HheServer::new(
-        pasta,
-        &ctx,
-        relin.clone(),
-        client.provision_key(&ctx, &pk, &mut rng),
-    )
-    .expect("scalar server");
+    let scalar = HheServer::new(pasta, &ctx, relin).expect("scalar server");
+    let key = client.provision_key(&ctx, &pk, &mut rng);
     let message: Vec<u64> = (0..(2 * t) as u64)
         .map(|i| (i * 991 + 5) % 65_537)
         .collect();
@@ -154,11 +149,15 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     // reused across iterations.
     let mut nonce = 0x1000u128;
     let warm_up = client.encrypt(nonce, &message).expect("encrypt");
-    black_box(scalar.transcipher(&ctx, &warm_up).expect("transcipher"));
+    black_box(
+        scalar
+            .transcipher(&ctx, &key, &warm_up)
+            .expect("transcipher"),
+    );
     let scalar_cold = min_of(Box::new(|| {
         nonce += 1;
         let ct = client.encrypt(nonce, &message).expect("encrypt");
-        black_box(scalar.transcipher(&ctx, &ct).expect("transcipher"));
+        black_box(scalar.transcipher(&ctx, &key, &ct).expect("transcipher"));
     }));
     println!("transcipher/scalar/2blocks/cold: {scalar_cold:.0} ns/iter [{phase}]");
     report.push("transcipher/scalar/2blocks/cold", phase, scalar_cold);
@@ -171,12 +170,20 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     // spawn-free probe for the report's `meta` counters.
     let warm_ct = client.encrypt(0xF1F1, &message).expect("encrypt");
     for _ in 0..4 {
-        black_box(scalar.transcipher(&ctx, &warm_ct).expect("transcipher"));
+        black_box(
+            scalar
+                .transcipher(&ctx, &key, &warm_ct)
+                .expect("transcipher"),
+        );
     }
     let misses_before = pasta_fhe::scratch::stats().misses;
     let spawns_before = pasta_par::pool::stats().spawn_events;
     let scalar_warm = min_of(Box::new(|| {
-        black_box(scalar.transcipher(&ctx, &warm_ct).expect("transcipher"));
+        black_box(
+            scalar
+                .transcipher(&ctx, &key, &warm_ct)
+                .expect("transcipher"),
+        );
     }));
     let warm_allocs = pasta_fhe::scratch::stats().misses - misses_before;
     let warm_spawns = pasta_par::pool::stats().spawn_events - spawns_before;
@@ -198,7 +205,7 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let bpk = bctx.generate_public_key(&bsk, &mut rng);
     let brelin = bctx.generate_relin_key(&bsk, &mut rng);
     let bkey = client.provision_key(&bctx, &bpk, &mut rng);
-    let batched = MuxHheServer::new(pasta, &bctx, brelin).expect("mux server");
+    let batched = HheServer::new(pasta, &bctx, brelin).expect("mux server");
     let batched_pass = |ct: &pasta_core::Ciphertext| {
         let member = MuxMember {
             tenant: 0,
@@ -236,7 +243,11 @@ fn bench_transcipher(report: &mut BenchReport, phase: &str, quick: bool) {
     let pool_width = pasta_par::threads().max(2);
     std::env::set_var(pasta_par::THREADS_ENV, pool_width.to_string());
     for _ in 0..4 {
-        black_box(scalar.transcipher(&ctx, &warm_ct).expect("transcipher"));
+        black_box(
+            scalar
+                .transcipher(&ctx, &key, &warm_ct)
+                .expect("transcipher"),
+        );
     }
     match prev {
         Some(v) => std::env::set_var(pasta_par::THREADS_ENV, v),

@@ -6,7 +6,7 @@
 //!
 //! - `--phase before` measures the **bigint oracle** (the retained
 //!   exact CRT-reconstruct / big-integer scaled-rounding path,
-//!   [`BfvContext::mul_exact_bigint`], called directly);
+//!   [`MulOracle::mul`], called directly);
 //! - `--phase after` measures the **full-RNS** BEHZ path (what
 //!   [`BfvContext::mul`] runs),
 //!   merging any committed `before` entries so the JSON holds
@@ -22,6 +22,7 @@
 //! ```
 
 use pasta_bench::report::BenchReport;
+use pasta_fhe::oracle::MulOracle;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext};
 use pasta_math::simd;
 use rand::rngs::StdRng;
@@ -90,6 +91,7 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
         ctx.encrypt(&pk, &pt, rng)
     };
     let (a, b) = (&random_ct(&mut rng), &random_ct(&mut rng));
+    let exact = &MulOracle::new(ctx).expect("oracle");
     let reps: u64 = if quick { 2 } else { 20 };
 
     // Measure every available SIMD backend in-process; a backend the
@@ -100,7 +102,7 @@ fn bench_set(report: &mut BenchReport, phase: &str, quick: bool, bfv: BfvParams,
         }
         type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
         let ops: [(&str, Op); 3] = if phase == "before" {
-            let oracle = |x, y| ctx.mul_exact_bigint(x, y).expect("mul");
+            let oracle = |x, y| exact.mul(x, y).expect("mul");
             [
                 ("mul", Box::new(move || oracle(a, b))),
                 // Aliased operands take the oracle's squaring path.

@@ -5,8 +5,8 @@
 //! Ciphertext multiplication runs the BEHZ fast-base-conversion path of
 //! [`crate::rns_mul`] — per-prime 64-bit arithmetic end to
 //! end. The original exact big-integer tensor path is retained as
-//! [`BfvContext::mul_exact_bigint`], the reference implementation the
-//! tests check decrypt-equality against by calling it directly.
+//! [`crate::oracle::MulOracle`], the reference implementation the tests
+//! check decrypt-equality against by calling it directly.
 //!
 //! This is the server-side substrate of the HHE workflow (paper Fig. 1):
 //! the client FHE-encrypts the PASTA key once; the server homomorphically
@@ -18,7 +18,7 @@
 
 use crate::bigint::UBig;
 use crate::ntt::galois_slot_permutation;
-use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly, ShoupRows, PAR_MIN_RING_DEGREE};
+use crate::ring::{RnsBasis, RnsPoly, ShoupRows};
 use crate::rns_mul::RnsMulContext;
 use pasta_math::{MathError, Modulus, Zp};
 use rand::Rng;
@@ -112,8 +112,6 @@ impl BfvParams {
 pub struct BfvContext {
     params: BfvParams,
     basis: RnsBasis,
-    /// Extended basis for the exact bigint tensor-product oracle.
-    ext_basis: RnsBasis,
     /// Fast base conversion for full-RNS multiplication.
     rns_mul: RnsMulContext,
     plain: Zp,
@@ -123,10 +121,6 @@ pub struct BfvContext {
     delta_rns: Vec<u64>,
     /// `γ_j mod q_i` where `γ_j = q̂_j·[q̂_j^{-1}]_{q_j}` (relin bases).
     gamma_rns: Vec<Vec<u64>>,
-    /// `q/2` for centering.
-    half_q: UBig,
-    /// `Q_ext/2` for centering tensor results.
-    half_ext: UBig,
 }
 
 impl BfvContext {
@@ -147,15 +141,6 @@ impl BfvContext {
         let basis =
             RnsBasis::with_generated_primes(params.n, params.prime_bits, params.prime_count)
                 .map_err(FheError::from)?;
-        // Extended basis: enough extra primes (disjoint from the main
-        // ones, one bit wider so values never collide) to hold the exact
-        // tensor product: 2·bits(q) + log2(N) + 2 bits.
-        let needed_bits = 2 * basis.q().bits() + params.n.trailing_zeros() as usize + 2;
-        let ext_bits = (params.prime_bits + 1).min(60);
-        let ext_count = needed_bits.div_ceil(ext_bits as usize - 1) + 1;
-        let ext_primes = generate_ntt_primes(ext_bits, (2 * params.n).trailing_zeros(), ext_count)
-            .map_err(FheError::from)?;
-        let ext_basis = RnsBasis::new(params.n, ext_primes).map_err(FheError::from)?;
         let rns_mul =
             RnsMulContext::new(&basis, params.plain_modulus.value()).map_err(FheError::from)?;
 
@@ -172,19 +157,14 @@ impl BfvContext {
             let gamma = basis.crt_reconstruct(&unit);
             gamma_rns.push(basis.reduce_bigint(&gamma));
         }
-        let half_q = basis.q().shr(1);
-        let half_ext = ext_basis.q().shr(1);
         Ok(BfvContext {
             params,
             basis,
-            ext_basis,
             rns_mul,
             plain,
             delta,
             delta_rns,
             gamma_rns,
-            half_q,
-            half_ext,
         })
     }
 
@@ -738,7 +718,7 @@ impl BfvContext {
     ///
     /// Runs the full-RNS BEHZ path (no big-integer work). It is
     /// decrypt-equal to the exact oracle
-    /// ([`BfvContext::mul_exact_bigint`]) but not byte-identical: the RNS
+    /// ([`crate::oracle::MulOracle::mul`]) but not byte-identical: the RNS
     /// path floors with a bounded fast-conversion slack where the oracle
     /// rounds half-up — the difference lands in noise far below the
     /// decryption threshold.
@@ -845,91 +825,6 @@ impl BfvContext {
         Ciphertext {
             polys: vec![scale(t00q, t00x), scale(t01q, t01x), scale(t11q, t11x)],
         }
-    }
-
-    /// Homomorphic multiplication via the exact big-integer tensor
-    /// product — the reference the full-RNS path is validated against.
-    /// Aliased operands take a squaring specialization. Every coefficient is
-    /// CRT-reconstructed into the extended basis for the tensor and the
-    /// `t/q` rounding is done with exact half-up big-integer division;
-    /// both per-coefficient sweeps are chunked across threads
-    /// (`PASTA_THREADS`, bit-identical for any count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Incompatible`] unless both inputs have two
-    /// components.
-    pub fn mul_exact_bigint(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, FheError> {
-        if a.polys.len() != 2 || b.polys.len() != 2 {
-            return Err(FheError::Incompatible(
-                "mul requires 2-component inputs".into(),
-            ));
-        }
-        let parallel = self.params.n >= PAR_MIN_RING_DEGREE;
-        // Lift all four polys (centered) into the extended basis, NTT there.
-        let lift = |p: &RnsPoly| -> RnsPoly {
-            let mut p = p.clone();
-            p.to_coeff(&self.basis);
-            let big = p.to_bigint_coeffs(&self.basis);
-            let values: Vec<UBig> = pasta_par::maybe_parallel_map(parallel, &big, |_, v| {
-                if v.cmp_big(&self.half_q) == std::cmp::Ordering::Greater {
-                    // negative: Q_ext - (q - v)
-                    self.ext_basis.q().sub(&self.basis.q().sub(v))
-                } else {
-                    v.clone()
-                }
-            });
-            let mut ext = RnsPoly::from_bigint_coeffs(&self.ext_basis, &values);
-            ext.to_ntt(&self.ext_basis);
-            ext
-        };
-        let a0 = lift(&a.polys[0]);
-        let a1 = lift(&a.polys[1]);
-        // Squaring reuses the lifted operand: two lifts instead of four
-        // and three extended-basis products instead of four. Aliasing is
-        // detected by pointer only (`square` routes here with a == b).
-        let (t00, t01, t11) = if std::ptr::eq(a, b) {
-            let cross = a0.mul(&self.ext_basis, &a1);
-            (
-                a0.mul(&self.ext_basis, &a0),
-                cross.add(&self.ext_basis, &cross),
-                a1.mul(&self.ext_basis, &a1),
-            )
-        } else {
-            let b0 = lift(&b.polys[0]);
-            let b1 = lift(&b.polys[1]);
-            (
-                a0.mul(&self.ext_basis, &b0),
-                a0.mul(&self.ext_basis, &b1)
-                    .add(&self.ext_basis, &a1.mul(&self.ext_basis, &b0)),
-                a1.mul(&self.ext_basis, &b1),
-            )
-        };
-        let scale = |mut p: RnsPoly| -> RnsPoly {
-            p.to_coeff(&self.ext_basis);
-            let big = p.to_bigint_coeffs(&self.ext_basis);
-            let t = self.plain.p();
-            let values: Vec<UBig> = pasta_par::maybe_parallel_map(parallel, &big, |_, w| {
-                // Center in the extended basis, scale by t/q with
-                // rounding, then map back into [0, q).
-                let (mag, negative) = if w.cmp_big(&self.half_ext) == std::cmp::Ordering::Greater {
-                    (self.ext_basis.q().sub(w), true)
-                } else {
-                    (w.clone(), false)
-                };
-                let rounded = mag.mul_u64(t).div_round(self.basis.q());
-                let reduced = rounded.div_rem(self.basis.q()).1;
-                if negative && !reduced.is_zero() {
-                    self.basis.q().sub(&reduced)
-                } else {
-                    reduced
-                }
-            });
-            RnsPoly::from_bigint_coeffs(&self.basis, &values)
-        };
-        Ok(Ciphertext {
-            polys: vec![scale(t00), scale(t01), scale(t11)],
-        })
     }
 
     /// Relinearizes a 3-component ciphertext back to 2 components.
@@ -1374,7 +1269,7 @@ pub struct HoistedCiphertext {
 /// rely on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
-    polys: Vec<RnsPoly>,
+    pub(crate) polys: Vec<RnsPoly>,
 }
 
 impl Ciphertext {
@@ -1405,6 +1300,7 @@ impl Ciphertext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::MulOracle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1663,16 +1559,17 @@ mod tests {
         // byte-identical: the near-centered lift may differ by q in a
         // 2^-15-wide band, which the noise absorbs.
         let (ctx, sk, pk, rk, mut rng) = setup();
+        let exact = MulOracle::new(&ctx).unwrap();
         for _ in 0..3 {
             let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
             let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
 
             let fast = ctx.mul_rns(&a, Some(&b));
-            let oracle = ctx.mul_exact_bigint(&a, &b).unwrap();
+            let oracle = exact.mul(&a, &b).unwrap();
             assert_eq!(ctx.decrypt(&sk, &fast), ctx.decrypt(&sk, &oracle));
 
             let fast_sq = ctx.mul_rns(&a, None);
-            let oracle_sq = ctx.mul_exact_bigint(&a, &a).unwrap();
+            let oracle_sq = exact.mul(&a, &a).unwrap();
             assert_eq!(ctx.decrypt(&sk, &fast_sq), ctx.decrypt(&sk, &oracle_sq));
 
             let fast_rl = ctx.relinearize(&fast, &rk).unwrap();
@@ -1687,7 +1584,8 @@ mod tests {
         let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         let fast = ctx.noise_budget(&sk, &ctx.mul_rns(&a, Some(&b)));
-        let oracle = ctx.noise_budget(&sk, &ctx.mul_exact_bigint(&a, &b).unwrap());
+        let exact = MulOracle::new(&ctx).unwrap();
+        let oracle = ctx.noise_budget(&sk, &exact.mul(&a, &b).unwrap());
         assert!(
             fast.abs_diff(oracle) <= 1,
             "post-mul budgets diverged: rns {fast} vs bigint {oracle}"
@@ -1697,7 +1595,7 @@ mod tests {
     /// Chains the transcipher circuit's multiply depth on one ring — a
     /// Feistel square plus add, then the cube `relin(y²)·y` — and checks
     /// at each depth that the RNS path (`square_relin`/`mul_relin`) and
-    /// the relinearized oracle (`relinearize(mul_exact_bigint(..))`)
+    /// the relinearized oracle (`relinearize(MulOracle::mul(..))`)
     /// decrypt equal, with noise budgets within 1 bit.
     fn sbox_chain_matches_oracle(params: BfvParams, seed: u64) {
         let ctx = BfvContext::new(params).unwrap();
@@ -1707,9 +1605,9 @@ mod tests {
         let rk = ctx.generate_relin_key(&sk, &mut rng);
         let x = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         let prev = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+        let exact = MulOracle::new(&ctx).unwrap();
         let oracle = |a: &Ciphertext, b: &Ciphertext| {
-            ctx.relinearize(&ctx.mul_exact_bigint(a, b).unwrap(), &rk)
-                .unwrap()
+            ctx.relinearize(&exact.mul(a, b).unwrap(), &rk).unwrap()
         };
         let agree = |depth: &str, fast: &Ciphertext, exact: &Ciphertext| {
             assert_eq!(
@@ -1772,8 +1670,9 @@ mod tests {
             );
         }
         // The oracle, called directly, must register.
+        let exact = MulOracle::new(&ctx).unwrap();
         let before = crate::bigint::ubig_alloc_count();
-        let oracle = ctx.mul_exact_bigint(&a, &b).unwrap();
+        let oracle = exact.mul(&a, &b).unwrap();
         let after = crate::bigint::ubig_alloc_count();
         assert_eq!(oracle.components(), 3);
         if cfg!(debug_assertions) {
@@ -1796,10 +1695,11 @@ mod tests {
         let pk = ctx.generate_public_key(&sk, &mut rng);
         let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
         let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+        let exact = MulOracle::new(&ctx).unwrap();
         std::env::set_var(pasta_par::THREADS_ENV, "1");
-        let serial = ctx.mul_exact_bigint(&a, &b).unwrap();
+        let serial = exact.mul(&a, &b).unwrap();
         std::env::set_var(pasta_par::THREADS_ENV, "4");
-        let parallel = ctx.mul_exact_bigint(&a, &b).unwrap();
+        let parallel = exact.mul(&a, &b).unwrap();
         std::env::remove_var(pasta_par::THREADS_ENV);
         assert_eq!(serial, parallel, "oracle output depends on thread count");
     }
@@ -1930,18 +1830,17 @@ mod tests {
             #[test]
             fn prop_rns_mul_decrypt_equals_oracle(seed in any::<u64>()) {
                 with_world(|ctx, sk, pk, rk, _| {
+                    let exact = MulOracle::new(ctx).unwrap();
                     let mut rng = StdRng::seed_from_u64(seed);
                     let a = ctx.encrypt(pk, &random_plaintext(ctx, &mut rng), &mut rng);
                     let b = ctx.encrypt(pk, &random_plaintext(ctx, &mut rng), &mut rng);
                     let fast = ctx
                         .relinearize(&ctx.mul_rns(&a, Some(&b)), rk)
                         .unwrap();
-                    let oracle = ctx
-                        .relinearize(&ctx.mul_exact_bigint(&a, &b).unwrap(), rk)
-                        .unwrap();
+                    let oracle = ctx.relinearize(&exact.mul(&a, &b).unwrap(), rk).unwrap();
                     assert_eq!(ctx.decrypt(sk, &fast), ctx.decrypt(sk, &oracle));
                     let fast_sq = ctx.mul_rns(&a, None);
-                    let oracle_sq = ctx.mul_exact_bigint(&a, &a).unwrap();
+                    let oracle_sq = exact.mul(&a, &a).unwrap();
                     assert_eq!(ctx.decrypt(sk, &fast_sq), ctx.decrypt(sk, &oracle_sq));
                 });
             }

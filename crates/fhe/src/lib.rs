@@ -9,11 +9,13 @@
 //! - [`bigint`]: minimal multi-limb unsigned integers for decryption
 //!   scaling, setup-time precomputation, and the bigint multiplication
 //!   oracle;
+//! - [`oracle`]: the exact big-integer multiplication, the reference
+//!   the full-RNS path is checked against. Tests and benches build it
+//!   from a context and call it directly; a context does not carry it;
 //! - [`ntt`]: the negacyclic number-theoretic transform;
 //! - [`ring`]: RNS polynomials over `Z_q[X]/(X^N + 1)`;
 //! - [`rns_mul`]: BEHZ-style fast base conversion so ciphertext
-//!   multiplication never leaves RNS (the exact big-integer oracle,
-//!   `BfvContext::mul_exact_bigint`, stays as the reference tests call);
+//!   multiplication never leaves RNS;
 //! - [`bfv`]: key generation, encryption, decryption, addition,
 //!   plaintext/scalar multiplication, tensor-product ciphertext
 //!   multiplication and RNS-decomposition relinearization, with an exact
@@ -49,6 +51,7 @@ pub mod encoding;
 mod galois_tests;
 pub mod noise;
 pub mod ntt;
+pub mod oracle;
 pub mod ring;
 pub mod rns_mul;
 pub mod scratch;

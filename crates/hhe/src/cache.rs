@@ -276,7 +276,7 @@ impl Default for ShardedCacheConfig {
 
 /// A per-domain sharding layer over [`MaterialCache`].
 ///
-/// Each FHE domain (one analyst keypair, one [`crate::MuxHheServer`])
+/// Each FHE domain (one analyst keypair, one [`crate::HheServer`])
 /// gets its *own* [`MaterialCache`] shard of composed keys whose
 /// capacity is a fixed slice of the configured memory budget, and whole
 /// shards are LRU-evicted when more than
@@ -287,7 +287,7 @@ impl Default for ShardedCacheConfig {
 /// `max(budget_bytes / max_resident, one composed key)` bytes.
 ///
 /// Shards are handed out as [`Arc`]s; an evicted shard's memory is
-/// released once its last holder (a [`crate::MuxHheServer`], which the
+/// released once its last holder (a [`crate::HheServer`], which the
 /// service re-attaches to its domain's shard every round) drops the
 /// `Arc`.
 #[derive(Debug)]

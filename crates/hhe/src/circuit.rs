@@ -3,11 +3,12 @@
 //!
 //! Slot `s` of a pass evaluates the block `per_slot[s mod k]`, with
 //! `k = per_slot.len().next_power_of_two()` (see [`crate::mux`],
-//! *Periodic layout*). The scalar server ([`crate::HheServer`]) runs one
-//! block per pass: at `k = 1` every plaintext is a constant polynomial,
-//! so a weight multiply is a scalar multiply and the pass is the
-//! per-element circuit, bit for bit. The mux server runs a whole bucket
-//! per pass over its composed key.
+//! *Periodic layout*). The scalar pass ([`crate::HheServer::transcipher`])
+//! runs one block per pass: at `k = 1` every plaintext is a constant
+//! polynomial, so a weight multiply is a scalar multiply and the pass is
+//! the per-element circuit, bit for bit. The mux pass
+//! ([`crate::HheServer::transcipher_mux`]) runs a whole bucket per pass
+//! over its composed key.
 
 use crate::cache::BlockEntry;
 use pasta_core::PastaParams;

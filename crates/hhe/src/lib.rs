@@ -7,7 +7,10 @@
 //!   symmetric data encryption, and FHE result retrieval;
 //! - [`server`]: homomorphic evaluation of the PASTA decryption circuit —
 //!   the *transciphering* step that turns compact symmetric ciphertexts
-//!   into FHE ciphertexts the cloud can compute on — one block per pass;
+//!   into FHE ciphertexts the cloud can compute on. One [`HheServer`]
+//!   serves one FHE domain (one analyst keypair and its relinearization
+//!   key); each call passes the client's encrypted PASTA key, and a pass
+//!   carries either one block or a whole bucket;
 //! - [`mux`]: the SIMD throughput mode (`N` blocks per ciphertext) —
 //!   blocks from one session, or from *different* sessions and tenants
 //!   via slot-masked key composition, packed into one shared pass;
@@ -40,11 +43,11 @@
 //!
 //! let client = HheClient::new(params, b"seed");
 //! let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
-//! let server = HheServer::new(params, &ctx, relin, encrypted_key)?;
+//! let server = HheServer::new(params, &ctx, relin)?;
 //!
 //! let message = vec![1u64, 2, 3, 4];
-//! let pasta_ct = client.encrypt(42, &message)?;          // tiny, fast
-//! let fhe_cts = server.transcipher(&ctx, &pasta_ct)?;    // heavy, on the server
+//! let pasta_ct = client.encrypt(42, &message)?;                        // tiny, fast
+//! let fhe_cts = server.transcipher(&ctx, &encrypted_key, &pasta_ct)?;  // heavy, on the server
 //! assert_eq!(client.retrieve(&ctx, &fhe_sk, &fhe_cts), message);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

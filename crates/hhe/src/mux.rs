@@ -1,10 +1,11 @@
 //! Slot-parallel transciphering: blocks from one or many sessions and
 //! tenants packed into one SIMD pass.
 //!
-//! The scalar server ([`crate::server::HheServer`]) spends one BFV
+//! The scalar pass ([`HheServer::transcipher`]) spends one BFV
 //! ciphertext per PASTA state element and transciphers one block at a
 //! time: it runs the circuit of this module's passes with one slot
-//! (period `k = 1`, every plaintext a constant polynomial). The
+//! (period `k = 1`, every plaintext a constant polynomial). The mux
+//! pass is [`HheServer::transcipher_mux`], on the same evaluator. The
 //! original PASTA software instead exploits BFV *batching*
 //! (SEAL's `BatchEncoder`): with `t_plain = 65537` and `2N | t_plain − 1`,
 //! one ciphertext holds `N` independent `F_p` slots, and all ring
@@ -80,8 +81,10 @@
 //!
 //! **Trust prerequisite:** every member's key must be encrypted under
 //! the *same* FHE secret key (the analyst's), since their ciphertexts
-//! are summed. The service layer enforces this by only multiplexing
-//! tenants that registered into the same *FHE domain*.
+//! are summed and the pass relinearizes under that keypair's one
+//! relinearization key, the one the [`HheServer`] holds. The service
+//! layer enforces this by only multiplexing tenants that registered
+//! into the same *FHE domain*, which owns one evaluator.
 //!
 //! The composition runs in the NTT domain: each distinct tenant's key is
 //! forward-transformed once per pass, every member's mask (Shoup-prepared,
@@ -91,20 +94,22 @@
 //! the bucket gets two masked terms, exactly as the coefficient-domain
 //! sum of per-member products would, so the composed key is
 //! bit-identical to it. The result is memoized per bucket layout in the
-//! domain's [`MaterialCache`], so buckets with a recurring composition
-//! pay the masking multiplies once. The per-slot block material is not
-//! memoized: each slot's matrices and round constants are derived from
-//! the XOF inside the pass that reads them, because a session nonce is
-//! never accepted twice.
+//! domain's [`crate::MaterialCache`], so buckets with a recurring
+//! composition pay the masking multiplies once. The per-slot block
+//! material is not memoized: each slot's matrices and round constants
+//! are derived from the XOF inside the pass that reads them, because a
+//! session nonce is never accepted twice.
 
-use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
-use crate::circuit;
 use crate::client::EncryptedPastaKey;
-use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
-use pasta_fhe::{
-    BatchEncoder, BfvContext, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
-};
-use std::sync::Arc;
+use crate::server::HheServer;
+use pasta_core::Ciphertext as PastaCiphertext;
+use pasta_fhe::{BatchEncoder, BfvContext, BfvSecretKey, Ciphertext as FheCiphertext, FheError};
+
+/// The mux pass is [`HheServer::transcipher_mux`]: one domain's
+/// evaluator runs both the scalar and the slotted pass. Kept only
+/// because the wall-clock benchmark (`perfbench`) builds against this
+/// name.
+pub type MuxHheServer = HheServer;
 
 /// One member of a multiplexing bucket: a tenant's PASTA ciphertext plus
 /// the tenant's (domain-shared-FHE-key) encrypted PASTA key.
@@ -142,273 +147,6 @@ pub struct MuxedBlocks {
     pub ranges: Vec<SlotRange>,
     /// Total slots occupied (`≤ N`).
     pub slots_used: usize,
-}
-
-/// A transciphering server that packs blocks from many tenants into the
-/// slots of one shared SIMD pass.
-#[derive(Debug)]
-pub struct MuxHheServer {
-    params: PastaParams,
-    relin_key: BfvRelinKey,
-    encoder: BatchEncoder,
-    cache: Arc<MaterialCache>,
-}
-
-impl MuxHheServer {
-    /// Builds a multiplexing server for one FHE domain (one analyst
-    /// keypair; `relin_key` belongs to that keypair).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder construction errors (`2N ∤ t_plain − 1`).
-    pub fn new(
-        params: PastaParams,
-        ctx: &BfvContext,
-        relin_key: BfvRelinKey,
-    ) -> Result<Self, FheError> {
-        let encoder = BatchEncoder::new(ctx.params().plain_modulus, ctx.params().n)
-            .map_err(FheError::from)?;
-        Ok(MuxHheServer {
-            params,
-            relin_key,
-            encoder,
-            cache: Arc::new(MaterialCache::new()),
-        })
-    }
-
-    /// Replaces the composed-key cache (e.g. with a domain shard of a
-    /// [`crate::cache::ShardedCache`]).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<MaterialCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Swaps the composed-key cache in place. The service re-attaches
-    /// the domain's shard before each round, so that shard eviction in
-    /// [`crate::cache::ShardedCache`] releases the memory instead of
-    /// keeping it alive through the server handle.
-    pub fn set_cache(&mut self, cache: Arc<MaterialCache>) {
-        self.cache = cache;
-    }
-
-    /// The composed-key cache in use.
-    #[must_use]
-    pub fn cache(&self) -> &Arc<MaterialCache> {
-        &self.cache
-    }
-
-    /// The number of blocks one pass can carry across all members
-    /// (`N` slots).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.encoder.slots()
-    }
-
-    /// The slot layout for `members`, assigned greedily in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Incompatible`] if the members are empty,
-    /// a key has the wrong length, or the total block count exceeds the
-    /// slot capacity.
-    fn layout(&self, members: &[MuxMember<'_>]) -> Result<Vec<SlotRange>, FheError> {
-        if members.is_empty() {
-            return Err(FheError::Incompatible("empty multiplexing bucket".into()));
-        }
-        let t = self.params.t();
-        let mut ranges = Vec::with_capacity(members.len());
-        let mut next = 0usize;
-        for m in members {
-            if m.encrypted_key.elements.len() != self.params.state_size() {
-                return Err(FheError::Incompatible(format!(
-                    "tenant {} key has {} elements, expected {}",
-                    m.tenant,
-                    m.encrypted_key.elements.len(),
-                    self.params.state_size()
-                )));
-            }
-            let elements = m.ct.len();
-            if elements == 0 {
-                return Err(FheError::Incompatible(format!(
-                    "tenant {} submitted an empty ciphertext",
-                    m.tenant
-                )));
-            }
-            let blocks = elements.div_ceil(t);
-            ranges.push(SlotRange {
-                start: next,
-                blocks,
-                elements,
-            });
-            next += blocks;
-        }
-        if next > self.capacity() {
-            return Err(FheError::Incompatible(format!(
-                "bucket of {next} blocks exceeds the {}-slot capacity",
-                self.capacity()
-            )));
-        }
-        Ok(ranges)
-    }
-
-    /// The composed cross-tenant key for this bucket layout: element `j`
-    /// is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is the 0/1 plaintext of
-    /// member `m`'s slot range, repeated with the pass's period.
-    /// Memoized per `(tenant, blocks)` layout, which fixes the period.
-    fn composed_key(
-        &self,
-        ctx: &BfvContext,
-        members: &[MuxMember<'_>],
-        ranges: &[SlotRange],
-        slots_used: usize,
-    ) -> Result<Arc<ComposedKeyEntry>, FheError> {
-        let state = self.params.state_size();
-        // A single-member bucket needs no masking: the member's key
-        // already has its key element in every slot, and the slots of
-        // unused classes carry zero material, so they compute 0.
-        if members.len() == 1 {
-            return Ok(Arc::new(ComposedKeyEntry {
-                elements: members[0].encrypted_key.elements.clone(),
-            }));
-        }
-        let key = CompositionKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            members: members
-                .iter()
-                .zip(ranges)
-                .map(|(m, r)| (m.tenant, r.blocks))
-                .collect(),
-        };
-        let entry = self.cache.composed_key(&key, || {
-            let masks: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let mut slots = vec![0u64; slots_used];
-                    for s in &mut slots[r.start..r.start + r.blocks] {
-                        *s = 1;
-                    }
-                    ctx.prepare_plaintext(&self.encoder.encode_periodic(&slots).expand())
-                })
-                .collect();
-            // `owner[m]` indexes member m's tenant among the distinct
-            // tenants, whose keys are transformed once per element.
-            let mut tenants: Vec<(u64, &EncryptedPastaKey)> = Vec::new();
-            let owner: Vec<usize> = members
-                .iter()
-                .map(|m| {
-                    tenants
-                        .iter()
-                        .position(|&(id, _)| id == m.tenant)
-                        .unwrap_or_else(|| {
-                            tenants.push((m.tenant, m.encrypted_key));
-                            tenants.len() - 1
-                        })
-                })
-                .collect();
-            let js: Vec<usize> = (0..state).collect();
-            let elements =
-                pasta_par::parallel_map(&js, |_, &j| -> Result<FheCiphertext, FheError> {
-                    let keys: Vec<FheCiphertext> = tenants
-                        .iter()
-                        .map(|(_, key)| {
-                            let mut ct = key.elements[j].clone();
-                            ctx.to_ntt_ct(&mut ct);
-                            ct
-                        })
-                        .collect();
-                    let mut acc = ctx.mul_plain_prepared_ntt(&keys[owner[0]], &masks[0]);
-                    for (&o, mask) in owner.iter().zip(&masks).skip(1) {
-                        ctx.add_mul_plain_ntt_assign(&mut acc, &keys[o], mask)?;
-                    }
-                    ctx.to_coeff_ct(&mut acc);
-                    Ok(acc)
-                })
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>();
-            // The adds can only fail on cross-context dimension
-            // mismatches, which domain registration rules out; an empty
-            // entry is rejected below rather than panicking, and stays
-            // cached (failing every bucket of this layout) until evicted.
-            ComposedKeyEntry {
-                elements: elements.unwrap_or_default(),
-            }
-        });
-        if entry.elements.len() != state {
-            return Err(FheError::Incompatible(
-                "bucket members span incompatible FHE contexts".into(),
-            ));
-        }
-        Ok(entry)
-    }
-
-    /// Transciphers a whole bucket in one slot-parallel pass: one shared
-    /// keystream evaluation over the composed key and per-slot material,
-    /// then one trivial-encrypt + subtract per state position.
-    ///
-    /// Every member's blocks start at counter `0` within its own
-    /// ciphertext (matching [`crate::HheServer::transcipher`]). A
-    /// one-member bucket is the batched mode: one tenant's blocks in one
-    /// pass, its provisioned key used unmasked.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Incompatible`] on an empty bucket, a
-    /// key-length mismatch, or slot-capacity overflow; propagates FHE
-    /// errors from the circuit.
-    pub fn transcipher_mux(
-        &self,
-        ctx: &BfvContext,
-        members: &[MuxMember<'_>],
-    ) -> Result<MuxedBlocks, FheError> {
-        let t = self.params.t();
-        let ranges = self.layout(members)?;
-        let slots_used = ranges.last().map_or(0, |r| r.start + r.blocks);
-
-        let composed = self.composed_key(ctx, members, &ranges, slots_used)?;
-
-        // Slot s carries the material of the member block assigned to s.
-        let per_slot: Vec<BlockEntry> = members
-            .iter()
-            .zip(&ranges)
-            .flat_map(|(m, r)| {
-                (0..r.blocks).map(|b| BlockEntry::derive(&self.params, m.ct.nonce(), b as u64))
-            })
-            .collect();
-        let ks = circuit::keystream(
-            ctx,
-            &self.params,
-            &self.encoder,
-            &self.relin_key,
-            &per_slot,
-            &composed.elements,
-        )?;
-
-        // Demux-side subtraction: slot s of position i carries message
-        // element (s − start)·t + i of the member owning slot s mod k (0
-        // where the member's last block is partial or the class is
-        // unowned).
-        let mut positions = Vec::with_capacity(t);
-        for (i, ks_ct) in ks.iter().enumerate() {
-            let mut c_slots = vec![0u64; slots_used];
-            for (m, r) in members.iter().zip(&ranges) {
-                for b in 0..r.blocks {
-                    if let Some(&e) = m.ct.elements().get(b * t + i) {
-                        c_slots[r.start + b] = e;
-                    }
-                }
-            }
-            let mut out = ctx.encrypt_trivial(&self.encoder.encode_periodic(&c_slots).expand());
-            ctx.sub_assign(&mut out, ks_ct)?;
-            positions.push(out);
-        }
-        Ok(MuxedBlocks {
-            positions,
-            ranges,
-            slots_used,
-        })
-    }
 }
 
 /// Decrypts one member's message out of a muxed pass (requires the
@@ -450,19 +188,24 @@ pub fn retrieve_muxed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BlockEntry;
+    use crate::circuit;
     use crate::client::HheClient;
-    use pasta_fhe::BfvParams;
+    use pasta_core::PastaParams;
+    use pasta_fhe::{BfvParams, BfvRelinKey};
     use pasta_math::Modulus;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// One tenant and a one-member-bucket (batched) server.
     struct World {
+        params: PastaParams,
         ctx: BfvContext,
         sk: BfvSecretKey,
+        relin: BfvRelinKey,
         client: HheClient,
         key: EncryptedPastaKey,
-        server: MuxHheServer,
+        server: HheServer,
     }
 
     fn setup() -> World {
@@ -480,10 +223,12 @@ mod tests {
         let relin = ctx.generate_relin_key(&sk, &mut rng);
         let client = HheClient::new(params, b"batched");
         let key = client.provision_key(&ctx, &pk, &mut rng);
-        let server = MuxHheServer::new(params, &ctx, relin).unwrap();
+        let server = HheServer::new(params, &ctx, relin.clone()).unwrap();
         World {
+            params,
             ctx,
             sk,
+            relin,
             client,
             key,
             server,
@@ -505,21 +250,22 @@ mod tests {
     #[test]
     fn batched_keystream_matches_plain_for_each_block() {
         let w = setup();
-        let params = w.server.params;
+        let bfv = w.ctx.params();
+        let encoder = BatchEncoder::new(bfv.plain_modulus, bfv.n).unwrap();
         let per_slot: Vec<BlockEntry> = (0..5u64)
-            .map(|b| BlockEntry::derive(&params, 0xAA, b))
+            .map(|b| BlockEntry::derive(&w.params, 0xAA, b))
             .collect();
         let ks = circuit::keystream(
             &w.ctx,
-            &params,
-            &w.server.encoder,
-            &w.server.relin_key,
+            &w.params,
+            &encoder,
+            &w.relin,
             &per_slot,
             &w.key.elements,
         )
         .unwrap();
         for (position, ct) in ks.iter().enumerate() {
-            let values = w.server.encoder.decode(&w.ctx.decrypt(&w.sk, ct));
+            let values = encoder.decode(&w.ctx.decrypt(&w.sk, ct));
             for (s, &v) in values[..per_slot.len()].iter().enumerate() {
                 let expect = w.client.cipher().keystream_block(0xAA, s as u64).unwrap();
                 assert_eq!(v, expect[position], "block {s} position {position}");

@@ -1,14 +1,13 @@
 //! The HHE server: homomorphic PASTA decryption (paper Fig. 1, right).
 //!
-//! Given the FHE-encrypted PASTA key and a symmetric PASTA ciphertext,
-//! the server recomputes the *public* per-block randomness (matrices and
-//! round constants are functions of the nonce/counter only) and evaluates
-//! the PASTA decryption circuit under FHE, one block per pass:
+//! Given a client's FHE-encrypted PASTA key and a symmetric PASTA
+//! ciphertext, the server recomputes the *public* per-block randomness
+//! (matrices and round constants are functions of the nonce/counter
+//! only) and evaluates the PASTA decryption circuit under FHE:
 //!
 //! - affine layers multiply the key-state ciphertexts by the block's
-//!   matrix entries, each a constant plaintext polynomial (a one-slot
-//!   pass of the slot-parallel circuit, period `k = 1`), and add the
-//!   round constants;
+//!   matrix entries, each a plaintext polynomial, and add the round
+//!   constants;
 //! - Mix is additions;
 //! - the Feistel/cube S-boxes are the expensive part — each squaring is a
 //!   ciphertext–ciphertext multiplication plus relinearization, riding
@@ -16,80 +15,89 @@
 //! - finally `Enc(m) = Δ·c − Enc(KS)`: the symmetric ciphertext enters as
 //!   a public constant.
 //!
-//! The circuit is the one [`crate::MuxHheServer`] runs over a whole
-//! bucket; this server runs it once per block, so each output
-//! ciphertext carries one message element.
+//! One [`HheServer`] serves one FHE domain (one analyst keypair): it
+//! holds the domain's relinearization key and evaluator state, and every
+//! call names the client key it runs under. Two passes share the one
+//! circuit: [`HheServer::transcipher`] runs one block per pass (a
+//! one-slot pass, period `k = 1`, every plaintext a constant
+//! polynomial), so each output ciphertext carries one message element;
+//! [`HheServer::transcipher_mux`] runs a whole bucket of blocks from one
+//! or many clients in the slots of one pass (see [`crate::mux`]).
 //!
 //! The result is a vector of FHE ciphertexts of the client's message —
 //! the transciphering step that lets the client avoid FHE encryption
 //! entirely.
 //!
-//! Provisioning footprint across the three server modes: this scalar
-//! server ships `2t` key ciphertexts and zero rotation keys; the slotted
-//! [`crate::MuxHheServer`] reads the same `2t` key ciphertexts, every
-//! slot of which holds the key element, and zero rotation keys; the
-//! packed server ships ONE key ciphertext plus its rotation keys — O(√t)
-//! of them under hoisted BSGS (see [`crate::packed::required_shifts`]).
+//! Provisioning footprint across the server modes. A client of this
+//! server ships `2t` key ciphertexts and zero rotation keys. The server
+//! keeps those per client, and one relinearization key per domain. A
+//! slotted pass reads the same `2t` key ciphertexts, every slot of which
+//! holds the key element. The packed server ships ONE key ciphertext
+//! plus its rotation keys — O(√t) of them under hoisted BSGS (see
+//! [`crate::packed::required_shifts`]).
 
-use crate::cache::BlockEntry;
+use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
 use crate::circuit;
 use crate::client::EncryptedPastaKey;
+use crate::mux::{MuxMember, MuxedBlocks, SlotRange};
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
+use std::sync::Arc;
 
-/// The HHE server state: the PASTA instance, the slot encoder of the
-/// circuit's plaintexts, the relinearization key and the client's
-/// encrypted PASTA key.
+/// The evaluator of one FHE domain: the PASTA instance, the slot encoder
+/// of the circuit's plaintexts, the domain's relinearization key and the
+/// cache of its mux passes' composed keys. Client keys are not kept:
+/// each call passes the key it runs under.
 #[derive(Debug)]
 pub struct HheServer {
     params: PastaParams,
     encoder: BatchEncoder,
     relin_key: BfvRelinKey,
-    encrypted_key: EncryptedPastaKey,
+    cache: Arc<MaterialCache>,
 }
 
 impl HheServer {
-    /// Sets up a server for one client under the ring of `ctx`.
+    /// Sets up the evaluator of one FHE domain under the ring of `ctx`;
+    /// `relin_key` belongs to the domain's analyst keypair.
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Incompatible`] if the encrypted key length is
-    /// not `2t`; propagates encoder construction errors
-    /// (`2N ∤ t_plain − 1`).
+    /// Propagates encoder construction errors (`2N ∤ t_plain − 1`).
     pub fn new(
         params: PastaParams,
         ctx: &BfvContext,
         relin_key: BfvRelinKey,
-        encrypted_key: EncryptedPastaKey,
     ) -> Result<Self, FheError> {
-        if encrypted_key.elements.len() != params.state_size() {
-            return Err(FheError::Incompatible(format!(
-                "encrypted key has {} elements, expected {}",
-                encrypted_key.elements.len(),
-                params.state_size()
-            )));
-        }
         let encoder = BatchEncoder::new(ctx.params().plain_modulus, ctx.params().n)
             .map_err(FheError::from)?;
         Ok(HheServer {
             params,
             encoder,
             relin_key,
-            encrypted_key,
+            cache: Arc::new(MaterialCache::new()),
         })
     }
 
-    /// The provisioned encrypted PASTA key. The multiplexing layer reads
-    /// it to slot-mask tenants' keys into a shared bucket key (a scalar
-    /// provisioned key already holds its element in every slot — the
-    /// constant polynomial evaluates equally at every root).
-    #[must_use]
-    pub fn encrypted_key(&self) -> &EncryptedPastaKey {
-        &self.encrypted_key
+    /// Checks that `key` is `2t` ciphertexts: the circuit splits the key
+    /// into its two halves at `t` and would silently mis-split a short
+    /// one. Every pass runs this check on the keys it is given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Incompatible`] for any other length.
+    pub fn check_key(&self, key: &EncryptedPastaKey) -> Result<(), FheError> {
+        let (got, want) = (key.elements.len(), self.params.state_size());
+        if got == want {
+            return Ok(());
+        }
+        Err(FheError::Incompatible(format!(
+            "encrypted key has {got} elements, expected {want}"
+        )))
     }
 
     /// Homomorphically computes the keystream block for
-    /// `(nonce, counter)`: FHE ciphertexts of `KS_0 … KS_{t-1}`.
+    /// `(nonce, counter)` under the client key `key`: FHE ciphertexts of
+    /// `KS_0 … KS_{t-1}`.
     ///
     /// The block's matrices and round constants are derived from the XOF
     /// for this call and dropped after it: a session nonce is never
@@ -99,38 +107,45 @@ impl HheServer {
     ///
     /// # Errors
     ///
-    /// Propagates FHE errors (relinearization on malformed keys).
+    /// Returns [`FheError::Incompatible`] if `key` is not `2t`
+    /// ciphertexts; propagates FHE errors (relinearization on malformed
+    /// keys).
     pub fn keystream_encrypted(
         &self,
         ctx: &BfvContext,
+        key: &EncryptedPastaKey,
         nonce: u128,
         counter: u64,
     ) -> Result<Vec<FheCiphertext>, FheError> {
+        self.check_key(key)?;
         circuit::keystream(
             ctx,
             &self.params,
             &self.encoder,
             &self.relin_key,
             &[BlockEntry::derive(&self.params, nonce, counter)],
-            &self.encrypted_key.elements,
+            &key.elements,
         )
     }
 
     /// Transciphers one PASTA ciphertext into FHE ciphertexts of the
-    /// message: `Enc(m_i) = Δ·c_i − Enc(KS_i)`.
+    /// message under the client key `key`: `Enc(m_i) = Δ·c_i − Enc(KS_i)`.
     ///
     /// # Errors
     ///
-    /// Propagates FHE errors from the keystream evaluation.
+    /// Returns [`FheError::Incompatible`] if `key` is not `2t`
+    /// ciphertexts; propagates FHE errors from the keystream evaluation.
     pub fn transcipher(
         &self,
         ctx: &BfvContext,
+        key: &EncryptedPastaKey,
         pasta_ct: &PastaCiphertext,
     ) -> Result<Vec<FheCiphertext>, FheError> {
+        self.check_key(key)?;
         let t = self.params.t();
         let mut out = Vec::with_capacity(pasta_ct.len());
         for (counter, block) in pasta_ct.elements().chunks(t).enumerate() {
-            let mut ks = self.keystream_encrypted(ctx, pasta_ct.nonce(), counter as u64)?;
+            let mut ks = self.keystream_encrypted(ctx, key, pasta_ct.nonce(), counter as u64)?;
             // `Δ·c − Enc(KS)` without re-encoding c: consume the
             // keystream ciphertext, negate it in place, and inject the
             // public symmetric element as a constant coefficient.
@@ -142,6 +157,225 @@ impl HheServer {
             out.append(&mut ks);
         }
         Ok(out)
+    }
+
+    /// Swaps the composed-key cache in place. The service re-attaches
+    /// the domain's shard before each round, so that shard eviction in
+    /// [`crate::cache::ShardedCache`] releases the memory instead of
+    /// keeping it alive through the server handle.
+    pub fn set_cache(&mut self, cache: Arc<MaterialCache>) {
+        self.cache = cache;
+    }
+
+    /// The composed-key cache in use.
+    #[must_use]
+    pub fn cache(&self) -> &Arc<MaterialCache> {
+        &self.cache
+    }
+
+    /// The number of blocks one pass can carry across all members
+    /// (`N` slots).
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.encoder.slots()
+    }
+
+    /// The slot layout for `members`, assigned greedily in input order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Incompatible`] if the members are empty,
+    /// a key has the wrong length, or the total block count exceeds the
+    /// slot capacity.
+    fn layout(&self, members: &[MuxMember<'_>]) -> Result<Vec<SlotRange>, FheError> {
+        if members.is_empty() {
+            return Err(FheError::Incompatible("empty multiplexing bucket".into()));
+        }
+        let t = self.params.t();
+        let mut ranges = Vec::with_capacity(members.len());
+        let mut next = 0usize;
+        for m in members {
+            self.check_key(m.encrypted_key)?;
+            let elements = m.ct.len();
+            if elements == 0 {
+                return Err(FheError::Incompatible(format!(
+                    "tenant {} submitted an empty ciphertext",
+                    m.tenant
+                )));
+            }
+            let blocks = elements.div_ceil(t);
+            ranges.push(SlotRange {
+                start: next,
+                blocks,
+                elements,
+            });
+            next += blocks;
+        }
+        if next > self.capacity() {
+            return Err(FheError::Incompatible(format!(
+                "bucket of {next} blocks exceeds the {}-slot capacity",
+                self.capacity()
+            )));
+        }
+        Ok(ranges)
+    }
+
+    /// The composed cross-tenant key for this bucket layout: element `j`
+    /// is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is the 0/1 plaintext of
+    /// member `m`'s slot range, repeated with the pass's period.
+    /// Memoized per `(tenant, blocks)` layout, which fixes the period.
+    fn composed_key(
+        &self,
+        ctx: &BfvContext,
+        members: &[MuxMember<'_>],
+        ranges: &[SlotRange],
+        slots_used: usize,
+    ) -> Result<Arc<ComposedKeyEntry>, FheError> {
+        let state = self.params.state_size();
+        // A single-member bucket needs no masking: the member's key
+        // already has its key element in every slot, and the slots of
+        // unused classes carry zero material, so they compute 0.
+        if members.len() == 1 {
+            return Ok(Arc::new(ComposedKeyEntry {
+                elements: members[0].encrypted_key.elements.clone(),
+            }));
+        }
+        let key = CompositionKey {
+            pasta: self.params,
+            bfv: *ctx.params(),
+            members: members
+                .iter()
+                .zip(ranges)
+                .map(|(m, r)| (m.tenant, r.blocks))
+                .collect(),
+        };
+        let entry = self.cache.composed_key(&key, || {
+            let masks: Vec<_> = ranges
+                .iter()
+                .map(|r| {
+                    let mut slots = vec![0u64; slots_used];
+                    for s in &mut slots[r.start..r.start + r.blocks] {
+                        *s = 1;
+                    }
+                    ctx.prepare_plaintext(&self.encoder.encode_periodic(&slots).expand())
+                })
+                .collect();
+            // `owner[m]` indexes member m's tenant among the distinct
+            // tenants, whose keys are transformed once per element.
+            let mut tenants: Vec<(u64, &EncryptedPastaKey)> = Vec::new();
+            let owner: Vec<usize> = members
+                .iter()
+                .map(|m| {
+                    tenants
+                        .iter()
+                        .position(|&(id, _)| id == m.tenant)
+                        .unwrap_or_else(|| {
+                            tenants.push((m.tenant, m.encrypted_key));
+                            tenants.len() - 1
+                        })
+                })
+                .collect();
+            let js: Vec<usize> = (0..state).collect();
+            let elements =
+                pasta_par::parallel_map(&js, |_, &j| -> Result<FheCiphertext, FheError> {
+                    let keys: Vec<FheCiphertext> = tenants
+                        .iter()
+                        .map(|(_, key)| {
+                            let mut ct = key.elements[j].clone();
+                            ctx.to_ntt_ct(&mut ct);
+                            ct
+                        })
+                        .collect();
+                    let mut acc = ctx.mul_plain_prepared_ntt(&keys[owner[0]], &masks[0]);
+                    for (&o, mask) in owner.iter().zip(&masks).skip(1) {
+                        ctx.add_mul_plain_ntt_assign(&mut acc, &keys[o], mask)?;
+                    }
+                    ctx.to_coeff_ct(&mut acc);
+                    Ok(acc)
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>();
+            // The adds can only fail on cross-context dimension
+            // mismatches, which domain registration rules out; an empty
+            // entry is rejected below rather than panicking, and stays
+            // cached (failing every bucket of this layout) until evicted.
+            ComposedKeyEntry {
+                elements: elements.unwrap_or_default(),
+            }
+        });
+        if entry.elements.len() != state {
+            return Err(FheError::Incompatible(
+                "bucket members span incompatible FHE contexts".into(),
+            ));
+        }
+        Ok(entry)
+    }
+
+    /// Transciphers a whole bucket in one slot-parallel pass: one shared
+    /// keystream evaluation over the composed key and per-slot material,
+    /// then one trivial-encrypt + subtract per state position.
+    ///
+    /// Every member's blocks start at counter `0` within its own
+    /// ciphertext (matching [`HheServer::transcipher`]). A
+    /// one-member bucket is the batched mode: one tenant's blocks in one
+    /// pass, its provisioned key used unmasked.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FheError::Incompatible`] on an empty bucket, a
+    /// key-length mismatch, or slot-capacity overflow; propagates FHE
+    /// errors from the circuit.
+    pub fn transcipher_mux(
+        &self,
+        ctx: &BfvContext,
+        members: &[MuxMember<'_>],
+    ) -> Result<MuxedBlocks, FheError> {
+        let t = self.params.t();
+        let ranges = self.layout(members)?;
+        let slots_used = ranges.last().map_or(0, |r| r.start + r.blocks);
+
+        let composed = self.composed_key(ctx, members, &ranges, slots_used)?;
+
+        // Slot s carries the material of the member block assigned to s.
+        let per_slot: Vec<BlockEntry> = members
+            .iter()
+            .zip(&ranges)
+            .flat_map(|(m, r)| {
+                (0..r.blocks).map(|b| BlockEntry::derive(&self.params, m.ct.nonce(), b as u64))
+            })
+            .collect();
+        let ks = circuit::keystream(
+            ctx,
+            &self.params,
+            &self.encoder,
+            &self.relin_key,
+            &per_slot,
+            &composed.elements,
+        )?;
+
+        // Demux-side subtraction: slot s of position i carries message
+        // element (s − start)·t + i of the member owning slot s mod k (0
+        // where the member's last block is partial or the class is
+        // unowned).
+        let mut positions = Vec::with_capacity(t);
+        for (i, ks_ct) in ks.iter().enumerate() {
+            let mut c_slots = vec![0u64; slots_used];
+            for (m, r) in members.iter().zip(&ranges) {
+                for b in 0..r.blocks {
+                    if let Some(&e) = m.ct.elements().get(b * t + i) {
+                        c_slots[r.start + b] = e;
+                    }
+                }
+            }
+            let mut out = ctx.encrypt_trivial(&self.encoder.encode_periodic(&c_slots).expand());
+            ctx.sub_assign(&mut out, ks_ct)?;
+            positions.push(out);
+        }
+        Ok(MuxedBlocks {
+            positions,
+            ranges,
+            slots_used,
+        })
     }
 }
 
@@ -158,6 +392,7 @@ mod tests {
         ctx: BfvContext,
         fhe_sk: BfvSecretKey,
         client: HheClient,
+        key: EncryptedPastaKey,
         server: HheServer,
     }
 
@@ -169,12 +404,13 @@ mod tests {
         let fhe_pk = ctx.generate_public_key(&fhe_sk, &mut rng);
         let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
         let client = HheClient::new(params, b"hhe test");
-        let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
-        let server = HheServer::new(params, &ctx, relin, encrypted_key).unwrap();
+        let key = client.provision_key(&ctx, &fhe_pk, &mut rng);
+        let server = HheServer::new(params, &ctx, relin).unwrap();
         World {
             ctx,
             fhe_sk,
             client,
+            key,
             server,
         }
     }
@@ -183,7 +419,7 @@ mod tests {
     fn homomorphic_keystream_matches_plain_keystream() {
         let w = setup();
         let expected = w.client.cipher().keystream_block(99, 0).unwrap();
-        let encrypted = w.server.keystream_encrypted(&w.ctx, 99, 0).unwrap();
+        let encrypted = w.server.keystream_encrypted(&w.ctx, &w.key, 99, 0).unwrap();
         let decrypted: Vec<u64> = encrypted
             .iter()
             .map(|ct| w.ctx.decrypt(&w.fhe_sk, ct).scalar())
@@ -199,7 +435,7 @@ mod tests {
         let w = setup();
         let message = vec![11u64, 22, 33, 44];
         let pasta_ct = w.client.encrypt(1234, &message).unwrap();
-        let fhe_cts = w.server.transcipher(&w.ctx, &pasta_ct).unwrap();
+        let fhe_cts = w.server.transcipher(&w.ctx, &w.key, &pasta_ct).unwrap();
         let recovered = w.client.retrieve(&w.ctx, &w.fhe_sk, &fhe_cts);
         assert_eq!(recovered, message);
     }
@@ -209,7 +445,7 @@ mod tests {
         let w = setup();
         let message: Vec<u64> = (0..10u64).map(|i| i * 1000 + 7).collect();
         let pasta_ct = w.client.encrypt(5, &message).unwrap();
-        let fhe_cts = w.server.transcipher(&w.ctx, &pasta_ct).unwrap();
+        let fhe_cts = w.server.transcipher(&w.ctx, &w.key, &pasta_ct).unwrap();
         assert_eq!(fhe_cts.len(), 10);
         assert_eq!(w.client.retrieve(&w.ctx, &w.fhe_sk, &fhe_cts), message);
     }
@@ -219,15 +455,21 @@ mod tests {
         // Every call derives the block afresh; a repeat call must give
         // the same ciphertexts bit for bit.
         let w = setup();
-        let first = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
-        let again = w.server.keystream_encrypted(&w.ctx, 4242, 1).unwrap();
+        let first = w
+            .server
+            .keystream_encrypted(&w.ctx, &w.key, 4242, 1)
+            .unwrap();
+        let again = w
+            .server
+            .keystream_encrypted(&w.ctx, &w.key, 4242, 1)
+            .unwrap();
         assert_eq!(first, again, "a repeat call must be bit-exact");
     }
 
     #[test]
     fn noise_budget_survives_the_whole_circuit() {
         let w = setup();
-        let encrypted = w.server.keystream_encrypted(&w.ctx, 3, 0).unwrap();
+        let encrypted = w.server.keystream_encrypted(&w.ctx, &w.key, 3, 0).unwrap();
         for (i, ct) in encrypted.iter().enumerate() {
             let budget = w.ctx.noise_budget(&w.fhe_sk, ct);
             assert!(
@@ -244,7 +486,7 @@ mod tests {
         let w = setup();
         let message = vec![100u64, 200, 300, 400];
         let pasta_ct = w.client.encrypt(8, &message).unwrap();
-        let fhe_cts = w.server.transcipher(&w.ctx, &pasta_ct).unwrap();
+        let fhe_cts = w.server.transcipher(&w.ctx, &w.key, &pasta_ct).unwrap();
         // Server-side: sum all elements homomorphically.
         let mut acc = fhe_cts[0].clone();
         for ct in &fhe_cts[1..] {
@@ -257,14 +499,15 @@ mod tests {
     fn wrong_key_length_rejected() {
         let w = setup();
         let short = EncryptedPastaKey {
-            elements: w.server.encrypted_key.elements[..3].to_vec(),
+            elements: w.key.elements[..3].to_vec(),
         };
-        let params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let sk = w.ctx.generate_secret_key(&mut rng);
-        let rk = w.ctx.generate_relin_key(&sk, &mut rng);
         assert!(matches!(
-            HheServer::new(params, &w.ctx, rk, short),
+            w.server.keystream_encrypted(&w.ctx, &short, 1, 0),
+            Err(FheError::Incompatible(_))
+        ));
+        let pasta_ct = w.client.encrypt(1, &[1, 2, 3, 4]).unwrap();
+        assert!(matches!(
+            w.server.transcipher(&w.ctx, &short, &pasta_ct),
             Err(FheError::Incompatible(_))
         ));
     }

@@ -15,8 +15,7 @@
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
 use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxHheServer, MuxMember,
-    PackedHheServer,
+    retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxMember, PackedHheServer,
 };
 use pasta_math::{simd, Modulus};
 use rand::rngs::StdRng;
@@ -76,10 +75,10 @@ fn batched_transcipher_is_thread_count_invariant() {
             .iter()
             .map(|c| c.provision_key(&ctx, &pk, &mut rng))
             .collect();
-        let server = MuxHheServer::new(params, &ctx, relin).unwrap();
+        let server = HheServer::new(params, &ctx, relin).unwrap();
         (sk, keys, server)
     };
-    let passes = |keys: &[EncryptedPastaKey], server: &MuxHheServer| {
+    let passes = |keys: &[EncryptedPastaKey], server: &HheServer| {
         let batched = MuxMember {
             tenant: 0,
             encrypted_key: &keys[0],
@@ -145,15 +144,15 @@ fn scalar_transcipher_is_thread_count_invariant() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params, b"determinism");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = HheServer::new(params, &ctx, relin, ek).unwrap();
+    let server = HheServer::new(params, &ctx, relin).unwrap();
 
     let message: Vec<u64> = (0..8u64).map(|i| i * 999 + 1).collect();
     let pasta_ct = client.encrypt(7, &message).unwrap();
 
     let serial: Vec<FheCiphertext> =
-        with_threads("1", || server.transcipher(&ctx, &pasta_ct).unwrap());
+        with_threads("1", || server.transcipher(&ctx, &ek, &pasta_ct).unwrap());
     for n in ["2", "4"] {
-        let threaded = with_threads(n, || server.transcipher(&ctx, &pasta_ct).unwrap());
+        let threaded = with_threads(n, || server.transcipher(&ctx, &ek, &pasta_ct).unwrap());
         assert_eq!(serial, threaded, "PASTA_THREADS={n}");
     }
     assert_eq!(client.retrieve(&ctx, &sk, &serial), message);

@@ -22,7 +22,7 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, Ciphertext as FheCiphertext};
-use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember, PackedHheServer};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxMember, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,11 +70,11 @@ fn scalar_multi_block_transcipher_is_pinned() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params(), b"digest scalar");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = HheServer::new(params(), &ctx, relin, ek).unwrap();
+    let server = HheServer::new(params(), &ctx, relin).unwrap();
     // 10 elements: three blocks, the last one partial.
     let msg = message(10, 5);
     let pasta_ct = client.encrypt(0x5CA1, &msg).unwrap();
-    let cts = server.transcipher(&ctx, &pasta_ct).unwrap();
+    let cts = server.transcipher(&ctx, &ek, &pasta_ct).unwrap();
     assert_eq!(client.retrieve(&ctx, &sk, &cts), msg);
     assert_eq!(digest(&ctx, &cts), 13_931_700_817_277_224_567);
 }
@@ -126,7 +126,7 @@ fn mux_bucket_with_partial_blocks_is_pinned() {
         .map(|c| c.provision_key(&ctx, &pk, &mut rng))
         .collect();
     let relin = ctx.generate_relin_key(&sk, &mut rng);
-    let mux = MuxHheServer::new(params(), &ctx, relin).unwrap();
+    let mux = HheServer::new(params(), &ctx, relin).unwrap();
 
     // Tenant 0 twice (two sessions), element counts 6/4/10/1: every
     // member but the second ends in a partial block.
@@ -177,7 +177,7 @@ fn batched_transcipher_is_pinned() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params(), b"digest batched");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = MuxHheServer::new(params(), &ctx, relin).unwrap();
+    let server = HheServer::new(params(), &ctx, relin).unwrap();
     // 11 elements: three blocks, the last one partial.
     let msg = message(11, 3);
     let pasta_ct = client.encrypt(0x5EED, &msg).unwrap();

@@ -5,7 +5,7 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams, BfvSecretKey, FheError};
-use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember};
+use pasta_hhe::{retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxMember};
 use pasta_math::Modulus;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,16 +14,16 @@ use std::sync::OnceLock;
 
 const TENANTS: usize = 4;
 
-/// One analyst FHE keypair (the domain), several tenants provisioned
-/// under it — each with its own PASTA key and a private scalar server to
-/// compare against.
+/// One analyst FHE keypair (the domain) and its one evaluator, several
+/// tenants provisioned under it — each with its own PASTA key, whose
+/// scalar transcipher the mux pass is compared against.
 struct World {
     params: PastaParams,
     ctx: BfvContext,
     sk: BfvSecretKey,
     clients: Vec<HheClient>,
-    scalars: Vec<HheServer>,
-    mux: MuxHheServer,
+    keys: Vec<EncryptedPastaKey>,
+    hhe: HheServer,
 }
 
 fn world() -> &'static World {
@@ -40,24 +40,22 @@ fn world() -> &'static World {
         let mut rng = StdRng::seed_from_u64(0x3A7);
         let sk = ctx.generate_secret_key(&mut rng);
         let pk = ctx.generate_public_key(&sk, &mut rng);
-        let mut clients = Vec::new();
-        let mut scalars = Vec::new();
-        for j in 0..TENANTS {
-            let client = HheClient::new(params, &(j as u64).to_le_bytes());
-            let ek = client.provision_key(&ctx, &pk, &mut rng);
-            let relin = ctx.generate_relin_key(&sk, &mut rng);
-            scalars.push(HheServer::new(params, &ctx, relin, ek).unwrap());
-            clients.push(client);
-        }
+        let clients: Vec<HheClient> = (0..TENANTS)
+            .map(|j| HheClient::new(params, &(j as u64).to_le_bytes()))
+            .collect();
+        let keys = clients
+            .iter()
+            .map(|client| client.provision_key(&ctx, &pk, &mut rng))
+            .collect();
         let relin = ctx.generate_relin_key(&sk, &mut rng);
-        let mux = MuxHheServer::new(params, &ctx, relin).unwrap();
+        let hhe = HheServer::new(params, &ctx, relin).unwrap();
         World {
             params,
             ctx,
             sk,
             clients,
-            scalars,
-            mux,
+            keys,
+            hhe,
         }
     })
 }
@@ -75,7 +73,7 @@ proptest! {
     /// Any bucket of 1–4 members (possibly the same tenant twice, each
     /// with its own session nonce; 1–10 elements each, so final blocks
     /// are usually partial) demuxes member-exactly, and every demuxed
-    /// message equals what the member's *private scalar* transcipher
+    /// message equals what the member's *scalar* transcipher
     /// recovers for the same ciphertext.
     #[test]
     fn random_buckets_demux_to_the_scalar_result(
@@ -100,16 +98,16 @@ proptest! {
             .iter()
             .map(|(tenant, _, ct)| MuxMember {
                 tenant: *tenant as u64,
-                encrypted_key: w.scalars[*tenant].encrypted_key(),
+                encrypted_key: &w.keys[*tenant],
                 ct,
             })
             .collect();
-        let muxed = w.mux.transcipher_mux(&w.ctx, &members).unwrap();
+        let muxed = w.hhe.transcipher_mux(&w.ctx, &members).unwrap();
         prop_assert_eq!(muxed.ranges.len(), members.len());
         for ((tenant, msg, ct), range) in encrypted.iter().zip(&muxed.ranges) {
             let demuxed = retrieve_muxed(&w.ctx, &w.sk, &muxed.positions, *range).unwrap();
             prop_assert_eq!(&demuxed, msg, "muxed slot range must decrypt to the message");
-            let scalar_cts = w.scalars[*tenant].transcipher(&w.ctx, ct).unwrap();
+            let scalar_cts = w.hhe.transcipher(&w.ctx, &w.keys[*tenant], ct).unwrap();
             let scalar = w.clients[*tenant].retrieve(&w.ctx, &w.sk, &scalar_cts);
             prop_assert_eq!(&demuxed, &scalar, "mux and scalar paths must agree");
         }
@@ -126,24 +124,24 @@ fn repeated_bucket_replays_bit_exact_from_the_cache() {
     let members = [
         MuxMember {
             tenant: 0,
-            encrypted_key: w.scalars[0].encrypted_key(),
+            encrypted_key: &w.keys[0],
             ct: &ct_a,
         },
         MuxMember {
             tenant: 1,
-            encrypted_key: w.scalars[1].encrypted_key(),
+            encrypted_key: &w.keys[1],
             ct: &ct_b,
         },
     ];
-    let cold = w.mux.transcipher_mux(&w.ctx, &members).unwrap();
-    let misses = w.mux.cache().stats().misses;
-    let warm = w.mux.transcipher_mux(&w.ctx, &members).unwrap();
+    let cold = w.hhe.transcipher_mux(&w.ctx, &members).unwrap();
+    let misses = w.hhe.cache().stats().misses;
+    let warm = w.hhe.transcipher_mux(&w.ctx, &members).unwrap();
     assert_eq!(
         cold.positions, warm.positions,
         "memoized composition must be bit-exact"
     );
     assert_eq!(
-        w.mux.cache().stats().misses,
+        w.hhe.cache().stats().misses,
         misses,
         "the warm pass must not rebuild the composed key"
     );
@@ -153,23 +151,23 @@ fn repeated_bucket_replays_bit_exact_from_the_cache() {
 fn oversized_bucket_is_refused() {
     let w = world();
     let msg = message(5, 4);
-    let cts: Vec<_> = (0..w.mux.capacity() + 1)
+    let cts: Vec<_> = (0..w.hhe.capacity() + 1)
         .map(|i| w.clients[0].encrypt(0x1000 + i as u128, &msg).unwrap())
         .collect();
     let members: Vec<MuxMember<'_>> = cts
         .iter()
         .map(|ct| MuxMember {
             tenant: 0,
-            encrypted_key: w.scalars[0].encrypted_key(),
+            encrypted_key: &w.keys[0],
             ct,
         })
         .collect();
     assert!(matches!(
-        w.mux.transcipher_mux(&w.ctx, &members),
+        w.hhe.transcipher_mux(&w.ctx, &members),
         Err(FheError::Incompatible(_))
     ));
     assert!(matches!(
-        w.mux.transcipher_mux(&w.ctx, &[]),
+        w.hhe.transcipher_mux(&w.ctx, &[]),
         Err(FheError::Incompatible(_))
     ));
 }

@@ -15,9 +15,7 @@ use pasta_fhe::noise::transcipher_noise;
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvParams, BfvSecretKey, Ciphertext as FheCiphertext, NoiseModel,
 };
-use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxHheServer, MuxMember, MuxedBlocks,
-};
+use pasta_hhe::{retrieve_muxed, EncryptedPastaKey, HheClient, HheServer, MuxMember, MuxedBlocks};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +73,7 @@ fn every_slot_of_a_five_block_mux_pass_repeats_its_class() {
         .map(|c| c.provision_key(&ctx, &pk, &mut rng))
         .collect();
     let relin = ctx.generate_relin_key(&sk, &mut rng);
-    let mux = MuxHheServer::new(params(), &ctx, relin).unwrap();
+    let mux = HheServer::new(params(), &ctx, relin).unwrap();
     // 2 + 1 + 2 = 5 blocks: period 8, classes 5..8 unowned.
     let spec = [(0usize, 8usize, 0x51u128), (1, 3, 0x52), (2, 5, 0x53)];
     let cts: Vec<_> = spec
@@ -113,7 +111,7 @@ struct BatchedWorld {
     sk: BfvSecretKey,
     client: HheClient,
     key: EncryptedPastaKey,
-    server: MuxHheServer,
+    server: HheServer,
 }
 
 impl BatchedWorld {
@@ -129,7 +127,7 @@ impl BatchedWorld {
         let relin = ctx.generate_relin_key(&sk, &mut rng);
         let client = HheClient::new(params(), b"periodic batched");
         let key = client.provision_key(&ctx, &pk, &mut rng);
-        let server = MuxHheServer::new(params(), &ctx, relin).unwrap();
+        let server = HheServer::new(params(), &ctx, relin).unwrap();
         BatchedWorld {
             ctx,
             sk,
@@ -215,8 +213,7 @@ fn a_one_block_pass_at_period_one_is_the_scalar_transcipher_bit_for_bit() {
     let relin = ctx.generate_relin_key(&sk, &mut rng);
     let client = HheClient::new(params(), b"period one");
     let key = client.provision_key(&ctx, &pk, &mut rng);
-    let scalar = HheServer::new(params(), &ctx, relin.clone(), key.clone()).unwrap();
-    let mux = MuxHheServer::new(params(), &ctx, relin).unwrap();
+    let server = HheServer::new(params(), &ctx, relin).unwrap();
     // One partial block: the scalar output has one ciphertext per
     // element, the pass one per state position.
     let msg = message(3, 11);
@@ -226,10 +223,10 @@ fn a_one_block_pass_at_period_one_is_the_scalar_transcipher_bit_for_bit() {
         encrypted_key: &key,
         ct: &ct,
     };
-    let mut pass = mux.transcipher_mux(&ctx, &[member]).unwrap();
+    let mut pass = server.transcipher_mux(&ctx, &[member]).unwrap();
     assert_eq!(pass.slots_used, 1);
     pass.positions.truncate(msg.len());
-    let cts = scalar.transcipher(&ctx, &ct).unwrap();
+    let cts = server.transcipher(&ctx, &key, &ct).unwrap();
     assert!(cts == pass.positions, "k = 1 must be the scalar circuit");
     assert_eq!(client.retrieve(&ctx, &sk, &cts), msg);
 }

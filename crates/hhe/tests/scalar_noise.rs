@@ -175,9 +175,9 @@ fn scalar_block_is_sound(pasta: PastaParams, against_server: bool) {
     let last = &entry.material.layers[rounds];
     let output = affine(&ctx, &state, &entry.matrices[rounds].left, &last.rc_left);
     if against_server {
-        let server = HheServer::new(pasta, &ctx, rk, key).unwrap();
+        let server = HheServer::new(pasta, &ctx, rk).unwrap();
         assert!(
-            server.keystream_encrypted(&ctx, NONCE, 0).unwrap() == output,
+            server.keystream_encrypted(&ctx, &key, NONCE, 0).unwrap() == output,
             "t = {t}: the replay must be the server's circuit"
         );
     }

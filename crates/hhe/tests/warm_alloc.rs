@@ -15,7 +15,7 @@
 
 use pasta_core::PastaParams;
 use pasta_fhe::{BfvContext, BfvParams};
-use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxHheServer, MuxMember, PackedHheServer};
+use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxMember, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,20 +42,20 @@ fn warm_transcipher_allocates_no_poly_rows_or_bigints() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
     let client = HheClient::new(params, b"warm alloc");
     let encrypted_key = client.provision_key(&ctx, &fhe_pk, &mut rng);
-    let server = HheServer::new(params, &ctx, relin, encrypted_key).unwrap();
+    let server = HheServer::new(params, &ctx, relin).unwrap();
 
     let message = vec![5u64, 17, 4096, 65_000];
     let pasta_ct = client.encrypt(0xBEEF, &message).unwrap();
 
     // Cold passes populate the scratch pool with every buffer shape the
     // pipeline needs.
-    let _ = server.transcipher(&ctx, &pasta_ct).unwrap();
-    let _ = server.transcipher(&ctx, &pasta_ct).unwrap();
+    let _ = server.transcipher(&ctx, &encrypted_key, &pasta_ct).unwrap();
+    let _ = server.transcipher(&ctx, &encrypted_key, &pasta_ct).unwrap();
 
     // Warm pass: every polynomial buffer must come from the pool.
     let rows_before = pasta_fhe::scratch::poly_alloc_count();
     let ubig_before = pasta_fhe::bigint::ubig_alloc_count();
-    let fhe_cts = server.transcipher(&ctx, &pasta_ct).unwrap();
+    let fhe_cts = server.transcipher(&ctx, &encrypted_key, &pasta_ct).unwrap();
     let rows_after = pasta_fhe::scratch::poly_alloc_count();
     let ubig_after = pasta_fhe::bigint::ubig_alloc_count();
 
@@ -94,7 +94,7 @@ fn warm_batched_pass_on_a_fresh_nonce_allocates_no_poly_rows_or_bigints() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
     let client = HheClient::new(params, b"warm batched");
     let ek = client.provision_key(&ctx, &fhe_pk, &mut rng);
-    let server = MuxHheServer::new(params, &ctx, relin).unwrap();
+    let server = HheServer::new(params, &ctx, relin).unwrap();
     let message: Vec<u64> = (0..11u64).map(|i| (i * 6_007 + 5) % 65_537).collect();
     let pass = |ct: &pasta_core::Ciphertext| {
         let member = MuxMember {

@@ -28,6 +28,7 @@ pub struct CloudReceiver {
     ctx: BfvContext,
     fhe_sk: BfvSecretKey,
     server: HheServer,
+    key: EncryptedPastaKey,
     admitted_budget_bits: f64,
 }
 
@@ -57,12 +58,13 @@ impl CloudReceiver {
             .iter()
             .map(|&k| ctx.encrypt(&fhe_pk, &ctx.encode_scalar(k), &mut rng))
             .collect();
-        let server = HheServer::new(params, &ctx, relin, EncryptedPastaKey { elements })?;
+        let server = HheServer::new(params, &ctx, relin)?;
         Ok(CloudReceiver {
             params,
             ctx,
             fhe_sk,
             server,
+            key: EncryptedPastaKey { elements },
             admitted_budget_bits,
         })
     }
@@ -88,7 +90,7 @@ impl CloudReceiver {
         elements: &[u64],
     ) -> Result<Vec<u64>, PipelineError> {
         let pasta_ct = ciphertext_from_elements(&self.params, nonce, elements)?;
-        let fhe_cts = self.server.transcipher(&self.ctx, &pasta_ct)?;
+        let fhe_cts = self.server.transcipher(&self.ctx, &self.key, &pasta_ct)?;
         Ok(fhe_cts
             .iter()
             .map(|ct| self.ctx.decrypt(&self.fhe_sk, ct).scalar())

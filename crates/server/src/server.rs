@@ -1,11 +1,15 @@
 //! The multi-tenant transciphering service core.
 //!
 //! A [`PastaServer`] owns a set of tenants, each with its own PASTA key
-//! (provisioned FHE-encrypted, as in Fig. 1), its own BFV context, a
-//! bounded request queue, and a session registry. Requests arrive as PR 1
-//! wire frames; every path that cannot serve a request answers with a
-//! typed NACK ([`pasta_pipeline::RefusalReason`]) — the service never
-//! drops work silently and never panics on hostile input:
+//! (provisioned FHE-encrypted, as in Fig. 1), a bounded request queue,
+//! and a session registry. The evaluation state — one BFV context and
+//! one [`HheServer`] holding one relinearization key — belongs to the
+//! tenant's FHE domain (the analyst's keypair), built once when the
+//! domain's first tenant registers; a tenant outside any domain gets a
+//! private one. Requests arrive as wire frames; every path that cannot
+//! serve a request answers with a typed NACK
+//! ([`pasta_pipeline::RefusalReason`]) — the service never drops work
+//! silently and never panics on hostile input:
 //!
 //! - **admission control** — tenant registration pre-flights the
 //!   transciphering circuit through [`NoiseBudgetGuard`] and refuses
@@ -25,7 +29,7 @@
 //! - **cross-tenant slot multiplexing** — tenants that registered into
 //!   the same *FHE domain* (one analyst keypair) opt into having their
 //!   queued blocks packed together into the slots of one shared
-//!   [`pasta_hhe::MuxHheServer`] pass; buckets flush when they fill,
+//!   [`HheServer::transcipher_mux`] pass; buckets flush when they fill,
 //!   when the oldest member's deadline nears, or when a linger timeout
 //!   says no more compatible work is coming (see [`MultiplexConfig`]).
 //!
@@ -42,8 +46,8 @@ use pasta_fhe::{
     BfvContext, BfvParams, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
 };
 use pasta_hhe::{
-    retrieve_muxed, EncryptedPastaKey, HheServer, MuxHheServer, MuxMember, ShardedCache,
-    ShardedCacheConfig, SlotRange,
+    retrieve_muxed, EncryptedPastaKey, HheServer, MuxMember, ShardedCache, ShardedCacheConfig,
+    SlotRange,
 };
 use pasta_pipeline::guard::NoiseBudgetGuard;
 use pasta_pipeline::pack;
@@ -138,7 +142,11 @@ pub struct TenantProvision {
     pub pasta: PastaParams,
     /// The BFV parameters the tenant asks the service to evaluate under.
     pub bfv: BfvParams,
-    /// Relinearization key for the S-box squarings.
+    /// Relinearization key for the S-box squarings. Only a domain's
+    /// first registrant's key is kept: the domain evaluates every
+    /// member's requests under it, so a joining member's key is dropped
+    /// (every key of one analyst keypair relinearizes alike). A tenant
+    /// outside any domain keeps its own.
     pub relin_key: BfvRelinKey,
     /// The tenant's PASTA key, FHE-encrypted (`2t` ciphertexts).
     pub encrypted_key: EncryptedPastaKey,
@@ -203,31 +211,39 @@ impl RoundUnit {
     }
 }
 
-/// Per-tenant server-side state.
+/// Which evaluator a tenant reaches: the one of the FHE domain it
+/// registered into (shared with every other member, and the only kind
+/// that multiplexes), or a private one keyed by its own id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum DomainId {
+    Shared(u64),
+    Private(TenantId),
+}
+
+/// Per-tenant server-side state: what the tenant alone owns.
 struct Tenant {
     params: PastaParams,
-    ctx: BfvContext,
-    hhe: HheServer,
-    domain: Option<u64>,
+    key: EncryptedPastaKey,
+    domain: DomainId,
     sessions: SessionTable,
     queue: VecDeque<QueuedRequest>,
 }
 
-/// Per-FHE-domain multiplexing state: the shared parameter pair every
-/// registrant must match, plus the mux evaluator (which carries the
-/// domain's relinearization key — one analyst keypair per domain).
-struct MuxDomain {
+/// Per-FHE-domain evaluation state: the PASTA instance every registrant
+/// must match (the BFV parameters are the context's), the ring, and the
+/// one evaluator, which carries the domain's relinearization key — one
+/// analyst keypair per domain.
+struct Domain {
     pasta: PastaParams,
-    bfv: BfvParams,
     ctx: BfvContext,
-    mux: MuxHheServer,
+    hhe: HheServer,
 }
 
-impl std::fmt::Debug for MuxDomain {
+impl std::fmt::Debug for Domain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MuxDomain")
+        f.debug_struct("Domain")
             .field("pasta", &self.pasta)
-            .field("bfv", &self.bfv)
+            .field("bfv", self.ctx.params())
             .finish_non_exhaustive()
     }
 }
@@ -418,7 +434,7 @@ pub struct ServerStats {
 pub struct PastaServer {
     cfg: ServerConfig,
     tenants: BTreeMap<TenantId, Tenant>,
-    domains: BTreeMap<u64, MuxDomain>,
+    domains: BTreeMap<DomainId, Domain>,
     cache: ShardedCache,
     next_tenant: TenantId,
     next_seq: u64,
@@ -502,8 +518,11 @@ impl PastaServer {
         self.fault_plan.insert(seq);
     }
 
-    /// Registers a tenant: noise-budget admission first, then FHE
-    /// context construction and key-shape validation.
+    /// Registers a tenant: noise-budget admission, then key-shape and
+    /// domain-match validation, and only then any state change. A new
+    /// domain (or a tenant outside any domain) gets its BFV context and
+    /// evaluator built here; a tenant joining an existing domain builds
+    /// neither.
     ///
     /// # Errors
     ///
@@ -531,41 +550,40 @@ impl PastaServer {
                 suggested_primes: suggested,
             }));
         }
-        let ctx = BfvContext::new(prov.bfv).map_err(PipelineError::Fhe)?;
-        if let Some(domain) = prov.fhe_domain {
-            if let Some(existing) = self.domains.get(&domain) {
-                if existing.pasta != prov.pasta || existing.bfv != prov.bfv {
-                    return Err(PipelineError::Fhe(FheError::Incompatible(format!(
-                        "FHE domain {domain} is parameter-homogeneous: registrant's \
-                         (pasta, bfv) differ from the domain's"
-                    ))));
-                }
-            } else {
-                let domain_ctx = BfvContext::new(prov.bfv).map_err(PipelineError::Fhe)?;
-                let mux = MuxHheServer::new(prov.pasta, &domain_ctx, prov.relin_key.clone())
-                    .map_err(PipelineError::Fhe)?;
-                self.domains.insert(
-                    domain,
-                    MuxDomain {
-                        pasta: prov.pasta,
-                        bfv: prov.bfv,
-                        ctx: domain_ctx,
-                        mux,
-                    },
-                );
+        let domain = match prov.fhe_domain {
+            Some(id) => DomainId::Shared(id),
+            None => DomainId::Private(self.next_tenant),
+        };
+        if let Some(existing) = self.domains.get(&domain) {
+            if existing.pasta != prov.pasta || *existing.ctx.params() != prov.bfv {
+                return Err(PipelineError::Fhe(FheError::Incompatible(
+                    "FHE domains are parameter-homogeneous: registrant's (pasta, bfv) \
+                     differ from the domain's"
+                        .into(),
+                )));
             }
+            existing.hhe.check_key(&prov.encrypted_key)?;
+        } else {
+            let ctx = BfvContext::new(prov.bfv)?;
+            let hhe = HheServer::new(prov.pasta, &ctx, prov.relin_key)?;
+            hhe.check_key(&prov.encrypted_key)?;
+            self.domains.insert(
+                domain,
+                Domain {
+                    pasta: prov.pasta,
+                    ctx,
+                    hhe,
+                },
+            );
         }
-        let hhe = HheServer::new(prov.pasta, &ctx, prov.relin_key, prov.encrypted_key)
-            .map_err(PipelineError::Fhe)?;
         let id = self.next_tenant;
         self.next_tenant += 1;
         self.tenants.insert(
             id,
             Tenant {
                 params: prov.pasta,
-                ctx,
-                hhe,
-                domain: prov.fhe_domain,
+                key: prov.encrypted_key,
+                domain,
                 sessions: SessionTable::new(self.cfg.idle_timeout_us),
                 queue: VecDeque::new(),
             },
@@ -739,8 +757,8 @@ impl PastaServer {
             // Re-attach the involved domains' cache shards so shard
             // eviction between rounds actually frees memory.
             for bucket in units.iter().filter_map(|u| u.bucket.as_ref()) {
-                if let Some(d) = self.domains.get_mut(&bucket.domain) {
-                    d.mux.set_cache(self.cache.shard(bucket.domain));
+                if let Some(d) = self.domains.get_mut(&DomainId::Shared(bucket.domain)) {
+                    d.hhe.set_cache(self.cache.shard(bucket.domain));
                 }
             }
             let tenants = &self.tenants;
@@ -858,7 +876,7 @@ impl PastaServer {
         let mut units: Vec<RoundUnit> = Vec::new();
         let mut next_decision: Option<u64> = None;
         if mux_on {
-            let domain_ids: Vec<u64> = self.domains.keys().copied().collect();
+            let domain_ids: Vec<DomainId> = self.domains.keys().copied().collect();
             for domain in domain_ids {
                 self.plan_domain(domain, round_start, workers, &mut units, &mut next_decision);
             }
@@ -888,7 +906,7 @@ impl PastaServer {
     /// unit so it cannot starve the queue behind it.
     fn plan_domain(
         &mut self,
-        domain: u64,
+        domain: DomainId,
         round_start: u64,
         workers: usize,
         units: &mut Vec<RoundUnit>,
@@ -909,7 +927,7 @@ impl PastaServer {
             },
             Oversized(Cand),
         }
-        let Some(d) = self.domains.get(&domain) else {
+        let (DomainId::Shared(id), Some(d)) = (domain, self.domains.get(&domain)) else {
             return;
         };
         let t = d.pasta.t().max(1);
@@ -918,10 +936,10 @@ impl PastaServer {
             .multiplex
             .max_bucket_blocks
             .max(1)
-            .min(d.mux.capacity().max(1));
+            .min(d.hhe.capacity().max(1));
         let mut cands: Vec<Cand> = Vec::new();
         for (&id, tenant) in &self.tenants {
-            if tenant.domain != Some(domain) {
+            if tenant.domain != domain {
                 continue;
             }
             for req in tenant
@@ -1069,7 +1087,7 @@ impl PastaServer {
                     units.push(RoundUnit {
                         members,
                         bucket: Some(Bucket {
-                            domain,
+                            domain: id,
                             cause,
                             assignments,
                             total_blocks,
@@ -1106,7 +1124,7 @@ impl PastaServer {
                 if batch.len() >= limit {
                     return batch;
                 }
-                if skip_domains && t.domain.is_some() {
+                if skip_domains && matches!(t.domain, DomainId::Shared(_)) {
                     continue;
                 }
                 let runnable = t
@@ -1143,7 +1161,7 @@ fn refused(req: &QueuedRequest, reason: RefusalReason, at_us: u64) -> ServerEven
 fn serve(
     unit: &RoundUnit,
     tenants: &BTreeMap<TenantId, Tenant>,
-    domains: &BTreeMap<u64, MuxDomain>,
+    domains: &BTreeMap<DomainId, Domain>,
     fault_plan: &BTreeSet<u64>,
 ) -> Result<Vec<CompletionResult>, RefusalReason> {
     if let Some(req) = unit.members.iter().find(|r| fault_plan.contains(&r.seq)) {
@@ -1152,33 +1170,33 @@ fn serve(
     }
     let fault = |_| RefusalReason::WorkerFault;
     let tenant = |req: &QueuedRequest| tenants.get(&req.tenant).ok_or(RefusalReason::WorkerFault);
+    let domain = |id: DomainId| domains.get(&id).ok_or(RefusalReason::WorkerFault);
     let Some(bucket) = &unit.bucket else {
         return unit
             .members
             .iter()
             .map(|req| {
                 let t = tenant(req)?;
-                let cts = t.hhe.transcipher(&t.ctx, &req.ct).map_err(fault)?;
+                let d = domain(t.domain)?;
+                let cts = d.hhe.transcipher(&d.ctx, &t.key, &req.ct).map_err(fault)?;
                 Ok(CompletionResult::Scalar(cts))
             })
             .collect();
     };
-    let d = domains
-        .get(&bucket.domain)
-        .ok_or(RefusalReason::WorkerFault)?;
+    let d = domain(DomainId::Shared(bucket.domain))?;
     let members = unit
         .members
         .iter()
         .map(|req| {
             Ok(MuxMember {
                 tenant: req.tenant,
-                encrypted_key: tenant(req)?.hhe.encrypted_key(),
+                encrypted_key: &tenant(req)?.key,
                 ct: &req.ct,
             })
         })
         .collect::<Result<Vec<_>, RefusalReason>>()?;
     let positions = Arc::new(
-        d.mux
+        d.hhe
             .transcipher_mux(&d.ctx, &members)
             .map_err(fault)?
             .positions,

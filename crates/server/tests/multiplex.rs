@@ -1,10 +1,11 @@
 //! Cross-tenant slot multiplexing at the service layer: bucket packing,
-//! the three flush causes, demux correctness, scalar coexistence, and
-//! whole-bucket fault containment.
+//! the three flush causes, demux correctness, scalar coexistence,
+//! whole-bucket fault containment, and domain registration.
 
 mod common;
 
 use pasta_fhe::BfvParams;
+use pasta_pipeline::PipelineError;
 use pasta_server::{
     CompletionResult, MultiplexConfig, PastaServer, ServerConfig, ServerEvent, SubmitOutcome,
 };
@@ -258,8 +259,11 @@ fn oversized_request_falls_back_to_the_scalar_path() {
         linger_us: 0,
         ..MultiplexConfig::default()
     }));
-    let sides = common::register_domain(&mut server, 1, 1, mux_bfv(), 31);
-    let side = &sides[0];
+    // The request comes from the domain's second member, whose own
+    // relinearization key the service does not keep: the scalar pass
+    // runs on the domain's evaluator.
+    let sides = common::register_domain(&mut server, 2, 1, mux_bfv(), 31);
+    let side = &sides[1];
     // Two blocks (t = 4, 8 elements) against a 1-block bucket cap.
     let msg: Vec<u64> = (0..8).map(|i| (i * 1_234 + 5) % 65_537).collect();
     server.open_session(0, side.tenant, 33).unwrap();
@@ -274,4 +278,63 @@ fn oversized_request_falls_back_to_the_scalar_path() {
     );
     assert_eq!(c.result.retrieve(&side.ctx, &side.sk).unwrap(), msg);
     assert_eq!(server.stats().mux_buckets, 0);
+}
+
+/// One prime more than [`mux_bfv`]: a ring the domain's members do not
+/// share.
+fn other_bfv() -> BfvParams {
+    BfvParams {
+        prime_count: 7,
+        ..BfvParams::test_tiny()
+    }
+}
+
+#[test]
+fn a_refused_first_registrant_founds_no_domain() {
+    let mut server = PastaServer::new(mux_config(MultiplexConfig::default()));
+    let pasta = common::tiny_pasta();
+    let (mut short, ..) = common::make_provision(pasta, mux_bfv(), mux_bfv(), 51, b"short key");
+    short.encrypted_key.elements.truncate(3);
+    short.fhe_domain = Some(5);
+    assert!(matches!(
+        server.register_tenant(short),
+        Err(PipelineError::Fhe(_))
+    ));
+    // Domain 5 has no members, so a registrant with other parameters
+    // founds it.
+    let (mut valid, ..) = common::make_provision(pasta, other_bfv(), other_bfv(), 52, b"valid");
+    valid.fhe_domain = Some(5);
+    server
+        .register_tenant(valid)
+        .expect("a refused registrant must leave no domain behind");
+}
+
+#[test]
+fn a_registrant_on_another_ring_is_refused_and_the_domain_still_serves() {
+    let mut server = PastaServer::new(mux_config(MultiplexConfig {
+        linger_us: 0,
+        ..MultiplexConfig::default()
+    }));
+    let sides = common::register_domain(&mut server, 1, 1, mux_bfv(), 61);
+    let (mut other, ..) = common::make_provision(
+        common::tiny_pasta(),
+        other_bfv(),
+        other_bfv(),
+        62,
+        b"other ring",
+    );
+    other.fhe_domain = Some(1);
+    assert!(matches!(
+        server.register_tenant(other),
+        Err(PipelineError::Fhe(_))
+    ));
+    let side = &sides[0];
+    let msg = side.message(63);
+    server.open_session(0, side.tenant, 64).unwrap();
+    expect_accept(server.submit(0, side.tenant, &side.data_frame(64, 0, &msg)));
+    let events = server.poll(u64::MAX / 2);
+    let [ServerEvent::Completed(c)] = events.as_slice() else {
+        panic!("expected one completion, got {events:?}");
+    };
+    assert_eq!(c.result.retrieve(&side.ctx, &side.sk).unwrap(), msg);
 }

@@ -56,12 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"ml client");
-    let server = HheServer::new(
-        params,
-        &ctx,
-        relin,
-        client.provision_key(&ctx, &fhe_pk, &mut rng),
-    )?;
+    let key = client.provision_key(&ctx, &fhe_pk, &mut rng);
+    let server = HheServer::new(params, &ctx, relin)?;
 
     // A quantized linear classifier: score = Σ w_i·x_i + b (mod p; the
     // weights are quantized to small integers so the score stays
@@ -80,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Server: transcipher, then evaluate the classifier under FHE.
     let t0 = Instant::now();
-    let xs = server.transcipher(&ctx, &pasta_ct)?;
+    let xs = server.transcipher(&ctx, &key, &pasta_ct)?;
     let mut score = ctx.encrypt_trivial(&ctx.encode_scalar(bias));
     for (x, &w) in xs.iter().zip(weights.iter()) {
         if w != 0 {

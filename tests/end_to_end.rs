@@ -75,13 +75,8 @@ fn hhe_with_hardware_client() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"hw client");
-    let server = HheServer::new(
-        params,
-        &ctx,
-        relin,
-        client.provision_key(&ctx, &fhe_pk, &mut rng),
-    )
-    .unwrap();
+    let key = client.provision_key(&ctx, &fhe_pk, &mut rng);
+    let server = HheServer::new(params, &ctx, relin).unwrap();
 
     // Encrypt on the modelled cryptoprocessor instead of in software.
     let message = vec![111u64, 222, 333, 444];
@@ -99,7 +94,7 @@ fn hhe_with_hardware_client() {
         hw.len(),
     )
     .unwrap();
-    let fhe_cts = server.transcipher(&ctx, &pasta_ct).unwrap();
+    let fhe_cts = server.transcipher(&ctx, &key, &pasta_ct).unwrap();
     assert_eq!(client.retrieve(&ctx, &fhe_sk, &fhe_cts), message);
 }
 
@@ -131,20 +126,15 @@ fn soc_to_server_pipeline() {
     let relin = ctx.generate_relin_key(&fhe_sk, &mut rng);
 
     let client = HheClient::new(params, b"soc pipeline");
-    let server = HheServer::new(
-        params,
-        &ctx,
-        relin,
-        client.provision_key(&ctx, &fhe_pk, &mut rng),
-    )
-    .unwrap();
+    let key = client.provision_key(&ctx, &fhe_pk, &mut rng);
+    let server = HheServer::new(params, &ctx, relin).unwrap();
 
     let message = vec![9u64, 8, 7, 6, 5, 4]; // 1.5 blocks
     let soc_run = encrypt_on_soc(params, client.cipher().key(), 77, &message).unwrap();
     let sw_ct = client.encrypt(77, &message).unwrap();
     assert_eq!(soc_run.ciphertext, sw_ct.elements());
 
-    let fhe_cts = server.transcipher(&ctx, &sw_ct).unwrap();
+    let fhe_cts = server.transcipher(&ctx, &key, &sw_ct).unwrap();
     assert_eq!(client.retrieve(&ctx, &fhe_sk, &fhe_cts), message);
 }
 

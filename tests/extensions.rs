@@ -5,7 +5,7 @@
 
 use pasta_edge::cipher::{Keystream, PastaCipher, PastaParams, SecretKey};
 use pasta_edge::fhe::{suggest_bfv_params, BfvContext};
-use pasta_edge::hhe::{retrieve_muxed, HheClient, MuxHheServer, MuxMember};
+use pasta_edge::hhe::{retrieve_muxed, HheClient, HheServer, MuxMember};
 use pasta_edge::hw::fault::{Countermeasure, FaultSpec, FaultTarget};
 use pasta_edge::hw::PastaProcessor;
 use pasta_edge::math::Modulus;
@@ -27,7 +27,7 @@ fn noise_model_sized_batched_pipeline() {
 
     let client = HheClient::new(pasta, b"ext");
     let ek = client.provision_key(&ctx, &pk, &mut rng);
-    let server = MuxHheServer::new(pasta, &ctx, relin).unwrap();
+    let server = HheServer::new(pasta, &ctx, relin).unwrap();
 
     // Encrypt 3 blocks on the hardware model (streaming mode).
     let message: Vec<u64> = (0..12u64).map(|i| (i * 5_000 + 3) % 65_537).collect();
