@@ -108,6 +108,17 @@ impl BfvParams {
 
 /// The BFV context: basis, plaintext field, Δ, relinearization and
 /// multiplication precomputation.
+///
+/// A ciphertext's **level** is the number of primes it is held over: a
+/// prefix `q_0 … q_{ℓ−1}` of the basis. Every ciphertext starts at the
+/// top level `k`; [`BfvContext::mod_switch_to`] divides and rounds it
+/// down to a shorter prefix, which shrinks it by `k/ℓ` without moving its
+/// noise budget while the noise stays above the rounding floor (see
+/// [`crate::noise::NoiseModel::after_mod_switch`]). Decryption, the
+/// noise budget and the public-constant adds work at any level; the
+/// multiplicative operations (tensor, relinearization, Galois
+/// key-switching) need the top level, and binary operations refuse
+/// operands at different levels.
 #[derive(Debug, Clone)]
 pub struct BfvContext {
     params: BfvParams,
@@ -115,12 +126,26 @@ pub struct BfvContext {
     /// Fast base conversion for full-RNS multiplication.
     rns_mul: RnsMulContext,
     plain: Zp,
-    /// `Δ = ⌊q/t⌋`.
-    delta: UBig,
-    /// `Δ mod q_i`.
-    delta_rns: Vec<u64>,
     /// `γ_j mod q_i` where `γ_j = q̂_j·[q̂_j^{-1}]_{q_j}` (relin bases).
     gamma_rns: Vec<Vec<u64>>,
+    /// Levels `1 … k`, index `ℓ − 1`; the last is the top level.
+    levels: Vec<Level>,
+}
+
+/// The constants of one level `ℓ`: what decryption, the constant adds
+/// and the switch down to it need.
+#[derive(Debug, Clone)]
+struct Level {
+    /// The prefix basis `q_0 … q_{ℓ−1}` (NTT tables shared).
+    basis: RnsBasis,
+    /// `Δ_ℓ = ⌊Q_ℓ/t⌋` for the prefix product `Q_ℓ`.
+    delta: UBig,
+    /// `Δ_ℓ mod q_i`.
+    delta_rns: Vec<u64>,
+    /// `[q_ℓ^{-1}]_{q_i}` for the prime dropped to reach this level,
+    /// with Shoup companions (empty at the top level).
+    dropped_inv: Vec<u64>,
+    dropped_inv_shoup: Vec<u64>,
 }
 
 impl BfvContext {
@@ -145,8 +170,6 @@ impl BfvContext {
             RnsMulContext::new(&basis, params.plain_modulus.value()).map_err(FheError::from)?;
 
         let plain = Zp::new(params.plain_modulus).map_err(FheError::from)?;
-        let (delta, _) = basis.q().div_rem(&UBig::from_u64(plain.p()));
-        let delta_rns = basis.reduce_bigint(&delta);
         // γ_j = q̂_j · [q̂_j^{-1}]_{q_j}: reconstruct via CRT of the unit
         // vector e_j.
         let k = basis.len();
@@ -157,15 +180,139 @@ impl BfvContext {
             let gamma = basis.crt_reconstruct(&unit);
             gamma_rns.push(basis.reduce_bigint(&gamma));
         }
+        let levels = (1..=k)
+            .map(|len| -> Result<Level, FheError> {
+                let prefix = basis.prefix(len)?;
+                let (delta, _) = prefix.q().div_rem(&UBig::from_u64(plain.p()));
+                let delta_rns = prefix.reduce_bigint(&delta);
+                let mut dropped_inv = Vec::with_capacity(len);
+                let mut dropped_inv_shoup = Vec::with_capacity(len);
+                if let Some(dropped) = basis.primes().get(len) {
+                    for i in 0..len {
+                        let zp = basis.zp(i);
+                        let inv = zp.inv(zp.from_u64(dropped.value()))?;
+                        dropped_inv.push(inv);
+                        dropped_inv_shoup.push(zp.shoup(inv));
+                    }
+                }
+                Ok(Level {
+                    basis: prefix,
+                    delta,
+                    delta_rns,
+                    dropped_inv,
+                    dropped_inv_shoup,
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(BfvContext {
             params,
             basis,
             rns_mul,
             plain,
-            delta,
-            delta_rns,
             gamma_rns,
+            levels,
         })
+    }
+
+    /// The constants of `level`, or `None` outside `1..=k`.
+    fn level(&self, level: usize) -> Option<&Level> {
+        self.levels.get(level.checked_sub(1)?)
+    }
+
+    /// The constants of the top level.
+    fn top(&self) -> &Level {
+        &self.levels[self.levels.len() - 1]
+    }
+
+    /// The constants of `ct`'s level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ct` was not produced under this context's basis.
+    fn level_of(&self, ct: &Ciphertext) -> &Level {
+        self.level(ct.level()).unwrap_or_else(|| {
+            // audit: allow(panic, reason = "a ciphertext of another context's basis is a caller bug; the row indexing of every kernel would panic on it anyway")
+            panic!(
+                "ciphertext level {} is not a prefix of the basis",
+                ct.level()
+            )
+        })
+    }
+
+    /// Bits of the level-`level` modulus `q_0 · … · q_{level−1}` (`0`
+    /// outside `1..=k`) — what the noise model's level step needs.
+    #[must_use]
+    pub fn level_q_bits(&self, level: usize) -> usize {
+        self.level(level).map_or(0, |l| l.basis.q().bits())
+    }
+
+    /// Divides and rounds `ct` down to `level` primes — SEAL's
+    /// `mod_switch_to_next` repeated: each step maps every component
+    /// `c ↦ ⌊(c + ⌊q_last/2⌋)/q_last⌋` over the remaining primes and drops
+    /// the last prime's row. The result decrypts to the same plaintext
+    /// while its noise stays above the rounding floor
+    /// ([`crate::noise::NoiseModel::after_mod_switch`]), and is `k/level`
+    /// times smaller. Components end in coefficient domain.
+    ///
+    /// # Errors
+    ///
+    /// [`FheError::Incompatible`] unless `1 ≤ level ≤ ct.level()`.
+    pub fn mod_switch_to(&self, ct: &mut Ciphertext, level: usize) -> Result<(), FheError> {
+        if level == 0 || level > ct.level() {
+            return Err(FheError::Incompatible(format!(
+                "cannot switch a level-{} ciphertext to level {level}",
+                ct.level()
+            )));
+        }
+        for poly in &mut ct.polys {
+            poly.to_coeff(&self.basis);
+            while poly.level() > level {
+                let to = &self.levels[poly.level() - 2];
+                poly.divide_round_last(&self.basis, &to.dropped_inv, &to.dropped_inv_shoup);
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses operands at different levels.
+    fn same_level(a: &Ciphertext, b: &Ciphertext) -> Result<(), FheError> {
+        if a.level() == b.level() {
+            return Ok(());
+        }
+        Err(FheError::Incompatible(format!(
+            "operands at levels {} and {}",
+            a.level(),
+            b.level()
+        )))
+    }
+
+    /// Refuses an accumulator or prepared operand below the top level
+    /// (the single-use plaintexts are lifted to every prime).
+    fn top_level_prepared(
+        &self,
+        acc: &Ciphertext,
+        ct: &PreparedCiphertext,
+    ) -> Result<(), FheError> {
+        self.top_level(acc, "a plaintext multiply-accumulate")?;
+        if ct.polys.iter().all(|p| p.level() == acc.level()) {
+            return Ok(());
+        }
+        Err(FheError::Incompatible(
+            "prepared operand is not at the accumulator's level".into(),
+        ))
+    }
+
+    /// Refuses a ciphertext below the top level (the multiplicative
+    /// operations' keys and base conversions live there).
+    fn top_level(&self, ct: &Ciphertext, op: &str) -> Result<(), FheError> {
+        if ct.level() == self.basis.len() {
+            return Ok(());
+        }
+        Err(FheError::Incompatible(format!(
+            "{op} needs a top-level ciphertext ({} primes), got level {}",
+            self.basis.len(),
+            ct.level()
+        )))
     }
 
     /// The parameter set.
@@ -283,8 +430,13 @@ impl BfvContext {
     }
 
     fn delta_times_plain(&self, pt: &Plaintext) -> RnsPoly {
-        let mut m = RnsPoly::from_u64_coeffs(&self.basis, &pt.coeffs);
-        m.mul_scalar_rns_assign(&self.basis, &self.delta_rns);
+        self.delta_times_plain_at(pt, self.top())
+    }
+
+    /// `Δ_ℓ·m` over the level's primes.
+    fn delta_times_plain_at(&self, pt: &Plaintext, level: &Level) -> RnsPoly {
+        let mut m = RnsPoly::from_u64_coeffs(&level.basis, &pt.coeffs);
+        m.mul_scalar_rns_assign(&level.basis, &level.delta_rns);
         m
     }
 
@@ -302,65 +454,73 @@ impl BfvContext {
         PreparedPlaintext { ntt, ntt_shoup }
     }
 
-    /// Decrypts a ciphertext (2 or 3 components).
+    /// Decrypts a ciphertext (2 or 3 components) at any level.
     #[must_use]
     pub fn decrypt(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> Plaintext {
+        let q = self.level_of(ct).basis.q();
         let phase = self.phase(sk, ct);
         let t = self.plain.p();
         let coeffs = phase
             .iter()
             .map(|x| {
                 // m = round(t·x / q) mod t
-                let scaled = x.mul_u64(t).div_round(self.basis.q());
+                let scaled = x.mul_u64(t).div_round(q);
                 scaled.rem_u64(t)
             })
             .collect();
         Plaintext { coeffs }
     }
 
-    /// The decryption phase `[c0 + c1·s (+ c2·s²)]_q` as big integers.
+    /// The decryption phase `[c0 + c1·s (+ c2·s²)]_q` as big integers,
+    /// over the ciphertext's level (the key's rows are a superset).
     fn phase(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> Vec<UBig> {
         assert!(
             (2..=3).contains(&ct.polys.len()),
             "ciphertext must have 2 or 3 components"
         );
+        let basis = &self.level_of(ct).basis;
         let mut acc = ct.polys[0].clone();
-        acc.to_ntt(&self.basis);
+        acc.to_ntt(basis);
         let mut c1 = ct.polys[1].clone();
-        c1.to_ntt(&self.basis);
-        acc = acc.add(&self.basis, &c1.mul(&self.basis, &sk.s));
+        c1.to_ntt(basis);
+        acc = acc.add(basis, &c1.mul(basis, &sk.s));
         if ct.polys.len() == 3 {
             let mut c2 = ct.polys[2].clone();
-            c2.to_ntt(&self.basis);
+            c2.to_ntt(basis);
             let s2 = sk.s.mul(&self.basis, &sk.s);
-            acc = acc.add(&self.basis, &c2.mul(&self.basis, &s2));
+            acc = acc.add(basis, &c2.mul(basis, &s2));
         }
-        acc.to_coeff(&self.basis);
-        acc.to_bigint_coeffs(&self.basis)
+        acc.to_coeff(basis);
+        acc.to_bigint_coeffs(basis)
     }
 
-    /// Remaining noise budget in bits (0 = decryption about to fail).
+    /// Remaining noise budget in bits (0 = decryption about to fail), at
+    /// the ciphertext's level.
     ///
     /// Computed exactly: `log2(q / (2·‖v‖∞)) - 1` where `v` is the
-    /// centered distance of the phase from `Δ·m`.
+    /// centered distance of the phase from `Δ·m`. Decryption is right
+    /// only while `‖v‖∞ < Δ/2 ≈ q/2t`, so a reading up to about `log₂ t`
+    /// bits (16 for `t = 65537`) can belong to a wrong decryption;
+    /// [`crate::noise::NoiseModel::predicted_budget`] subtracts `log₂ t`.
     #[must_use]
     pub fn noise_budget(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> u32 {
+        let level = self.level_of(ct);
         let phase = self.phase(sk, ct);
         let pt = self.decrypt(sk, ct);
         let mut worst = 0usize;
         for (x, &m) in phase.iter().zip(pt.coeffs.iter()) {
-            let dm = self.delta.mul_u64(m);
+            let dm = level.delta.mul_u64(m);
             let diff = if x.cmp_big(&dm) == std::cmp::Ordering::Less {
                 dm.sub(x)
             } else {
                 x.sub(&dm)
             };
-            let mag = self
+            let mag = level
                 .basis
-                .centered_magnitude(&diff.div_rem(self.basis.q()).1);
+                .centered_magnitude(&diff.div_rem(level.basis.q()).1);
             worst = worst.max(mag.bits());
         }
-        let q_bits = self.basis.q().bits();
+        let q_bits = level.basis.q().bits();
         (q_bits.saturating_sub(worst + 2)) as u32
     }
 
@@ -373,6 +533,7 @@ impl BfvContext {
         if a.polys.len() != b.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        Self::same_level(a, b)?;
         let polys = a
             .polys
             .iter()
@@ -410,6 +571,7 @@ impl BfvContext {
         if a.polys.len() != b.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        Self::same_level(a, b)?;
         for (x, y) in a.polys.iter_mut().zip(b.polys.iter()) {
             x.to_coeff(&self.basis);
             if y.is_ntt() {
@@ -433,6 +595,7 @@ impl BfvContext {
         if a.polys.len() != b.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        Self::same_level(a, b)?;
         for (x, y) in a.polys.iter_mut().zip(b.polys.iter()) {
             x.to_coeff(&self.basis);
             if y.is_ntt() {
@@ -459,7 +622,8 @@ impl BfvContext {
     /// enters `Enc(m) = Δ·c − Enc(KS)`.
     pub fn add_scalar_assign(&self, ct: &mut Ciphertext, value: u64) {
         let v = value % self.plain.p();
-        let dv: Vec<u64> = self
+        let level = self.level_of(ct);
+        let dv: Vec<u64> = level
             .delta_rns
             .iter()
             .enumerate()
@@ -469,7 +633,7 @@ impl BfvContext {
             })
             .collect();
         ct.polys[0].to_coeff(&self.basis);
-        ct.polys[0].add_assign_coeff0(&self.basis, &dv);
+        ct.polys[0].add_assign_coeff0(&level.basis, &dv);
     }
 
     /// Adds a plaintext to a ciphertext (`c0 += Δ·m`).
@@ -483,8 +647,9 @@ impl BfvContext {
     /// In-place [`BfvContext::add_plain`] (`c0 += Δ·m`): a single-use
     /// plaintext costs one lift and one scalar multiply, no NTT.
     pub fn add_plain_assign(&self, ct: &mut Ciphertext, pt: &Plaintext) {
+        let dm = self.delta_times_plain_at(pt, self.level_of(ct));
         ct.polys[0].to_coeff(&self.basis);
-        ct.polys[0].add_assign(&self.basis, &self.delta_times_plain(pt));
+        ct.polys[0].add_assign(&self.basis, &dm);
     }
 
     /// Multiplies a ciphertext by a plaintext polynomial.
@@ -579,6 +744,7 @@ impl BfvContext {
         if acc.polys.len() != ct.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        Self::same_level(acc, ct)?;
         for (a, c) in acc.polys.iter_mut().zip(ct.polys.iter()) {
             a.add_mul_shoup_assign(&self.basis, c, &prep.ntt, &prep.ntt_shoup);
         }
@@ -642,6 +808,7 @@ impl BfvContext {
         if acc.polys.len() != ct.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        self.top_level_prepared(acc, ct)?;
         let mut m = RnsPoly::from_u64_coeffs(&self.basis, &pt.coeffs);
         m.to_ntt(&self.basis);
         for ((a, c), c_shoup) in acc.polys.iter_mut().zip(&ct.polys).zip(&ct.shoup) {
@@ -676,6 +843,7 @@ impl BfvContext {
         if acc.polys.len() != ct.polys.len() {
             return Err(FheError::Incompatible("component count differs".into()));
         }
+        self.top_level_prepared(acc, ct)?;
         if pt.n != self.params.n {
             return Err(FheError::Incompatible("plaintext degree differs".into()));
         }
@@ -739,6 +907,8 @@ impl BfvContext {
                 "mul requires 2-component inputs".into(),
             ));
         }
+        self.top_level(a, "mul")?;
+        self.top_level(b, "mul")?;
         if std::ptr::eq(a, b) {
             return self.square(a);
         }
@@ -759,6 +929,7 @@ impl BfvContext {
                 "square requires a 2-component input".into(),
             ));
         }
+        self.top_level(a, "square")?;
         Ok(self.mul_rns(a, None))
     }
 
@@ -839,23 +1010,36 @@ impl BfvContext {
                 "relinearization needs 3 components".into(),
             ));
         }
+        self.top_level(ct, "relinearize")?;
         let mut c2 = ct.polys[2].clone();
         c2.to_coeff(&self.basis);
-        let mut c0 = ct.polys[0].clone();
-        let mut c1 = ct.polys[1].clone();
-        c0.to_ntt(&self.basis);
-        c1.to_ntt(&self.basis);
+        // The key switch accumulates in NTT domain from zero; only its two
+        // accumulators return to coefficients, where `c0` and `c1` (the
+        // scaled tensor's coefficient-domain output) are added. The
+        // transforms are linear and every residue canonical, so this
+        // equals transforming `c0`, `c1` forward and back around the MAC.
+        let mut out0 = self.zero_ntt_poly();
+        let mut out1 = self.zero_ntt_poly();
         self.key_switch_mac(
             &rk.components,
             &rk.components_shoup,
             |j| RnsPoly::from_u64_coeffs(&self.basis, c2.row(j)),
-            &mut c0,
-            &mut c1,
+            &mut out0,
+            &mut out1,
         );
-        c0.to_coeff(&self.basis);
-        c1.to_coeff(&self.basis);
+        drop(c2);
+        for (out, c) in [(&mut out0, &ct.polys[0]), (&mut out1, &ct.polys[1])] {
+            out.to_coeff(&self.basis);
+            if c.is_ntt() {
+                let mut c = c.clone();
+                c.to_coeff(&self.basis);
+                out.add_assign(&self.basis, &c);
+            } else {
+                out.add_assign(&self.basis, c);
+            }
+        }
         Ok(Ciphertext {
-            polys: vec![c0, c1],
+            polys: vec![out0, out1],
         })
     }
 
@@ -920,6 +1104,7 @@ impl BfvContext {
         if ct.polys.len() != 2 {
             return Err(FheError::Incompatible("hoist needs 2 components".into()));
         }
+        self.top_level(ct, "hoist")?;
         let mut c0 = ct.polys[0].clone();
         let mut c1 = ct.polys[1].clone();
         c0.to_ntt(&self.basis);
@@ -990,6 +1175,7 @@ impl BfvContext {
                 "apply_galois needs 2 components".into(),
             ));
         }
+        self.top_level(ct, "apply_galois")?;
         if gk.components.len() != self.basis.len() {
             return Err(FheError::Incompatible(
                 "Galois key shape does not match context".into(),
@@ -1279,6 +1465,14 @@ impl Ciphertext {
         self.polys.len()
     }
 
+    /// The level: how many primes `q_0 … q_{level−1}` the ciphertext is
+    /// held over (the context's prime count until
+    /// [`BfvContext::mod_switch_to`] drops some).
+    #[must_use]
+    pub fn level(&self) -> usize {
+        self.polys.first().map_or(0, RnsPoly::level)
+    }
+
     /// The component polynomials, read-only (digests and serializers
     /// walk their residue rows).
     #[must_use]
@@ -1286,13 +1480,17 @@ impl Ciphertext {
         &self.polys
     }
 
-    /// Serialized size in bytes: `components · N · Σ_i ⌈log2 q_i⌉ / 8`.
+    /// Serialized size in bytes: `components · N · Σ_i ⌈log2 q_i⌉ / 8`
+    /// over the primes of the ciphertext's level.
     ///
     /// This is the quantity the paper's §V communication analysis uses
     /// (e.g. RISE's `2 · 2^14 · 390` bits = 1.5 MB per ciphertext).
     #[must_use]
     pub fn size_bytes(&self, ctx: &BfvContext) -> usize {
-        let bits_per_coeff: usize = ctx.basis().primes().iter().map(|p| p.bits() as usize).sum();
+        let bits_per_coeff: usize = ctx.basis().primes()[..self.level()]
+            .iter()
+            .map(|p| p.bits() as usize)
+            .sum();
         (self.polys.len() * ctx.params().n * bits_per_coeff).div_ceil(8)
     }
 }
@@ -1531,6 +1729,81 @@ mod tests {
             ),
             Err(FheError::Incompatible(_))
         ));
+    }
+
+    #[test]
+    fn mod_switch_keeps_the_plaintext_at_every_level() {
+        let (ctx, sk, pk, rk, mut rng) = setup();
+        let pt = random_plaintext(&ctx, &mut rng);
+        let fresh = ctx.encrypt(&pk, &pt, &mut rng);
+        let sq = ctx.square_relin(&fresh, &rk).unwrap();
+        let want = ctx.decrypt(&sk, &sq);
+        let top = ctx.basis().len();
+        for level in (1..=top).rev() {
+            let mut ct = sq.clone();
+            ctx.mod_switch_to(&mut ct, level).unwrap();
+            assert_eq!(ct.level(), level);
+            assert_eq!(ctx.decrypt(&sk, &ct), want, "level {level}");
+            assert_eq!(ct.size_bytes(&ctx) * top, sq.size_bytes(&ctx) * level);
+            // Stepping down one prime at a time lands on the same bits.
+            let mut stepped = sq.clone();
+            for l in (level..top).rev() {
+                ctx.mod_switch_to(&mut stepped, l).unwrap();
+            }
+            assert_eq!(stepped, ct, "level {level}");
+        }
+        let mut low = sq.clone();
+        ctx.mod_switch_to(&mut low, 1).unwrap();
+        assert!(matches!(
+            ctx.mod_switch_to(&mut low, 2),
+            Err(FheError::Incompatible(_))
+        ));
+        assert!(matches!(
+            ctx.mod_switch_to(&mut low, 0),
+            Err(FheError::Incompatible(_))
+        ));
+    }
+
+    #[test]
+    fn lower_levels_allow_only_same_level_and_constant_ops() {
+        let (ctx, sk, pk, rk, mut rng) = setup();
+        let a = ctx.encrypt(&pk, &ctx.encode_scalar(5), &mut rng);
+        let mut low = a.clone();
+        ctx.mod_switch_to(&mut low, 2).unwrap();
+        // Mixed levels are refused by every binary op.
+        assert!(matches!(ctx.add(&a, &low), Err(FheError::Incompatible(_))));
+        assert!(matches!(ctx.sub(&low, &a), Err(FheError::Incompatible(_))));
+        let mut acc = a.clone();
+        assert!(matches!(
+            ctx.add_assign(&mut acc, &low),
+            Err(FheError::Incompatible(_))
+        ));
+        assert!(matches!(
+            ctx.sub_assign(&mut acc, &low),
+            Err(FheError::Incompatible(_))
+        ));
+        // The multiplicative operations need the top level.
+        assert!(matches!(ctx.square(&low), Err(FheError::Incompatible(_))));
+        assert!(matches!(
+            ctx.mul(&low, &low),
+            Err(FheError::Incompatible(_))
+        ));
+        let three = ctx.square(&a).unwrap();
+        let mut three_low = three.clone();
+        ctx.mod_switch_to(&mut three_low, 2).unwrap();
+        assert!(matches!(
+            ctx.relinearize(&three_low, &rk),
+            Err(FheError::Incompatible(_))
+        ));
+        // Same-level adds, constants and plaintexts work at any level.
+        let sum = ctx.add(&low, &low).unwrap();
+        assert_eq!(ctx.decrypt(&sk, &sum).scalar(), 10);
+        let mut shifted = low.clone();
+        ctx.add_scalar_assign(&mut shifted, 7);
+        assert_eq!(ctx.decrypt(&sk, &shifted).scalar(), 12);
+        let plus = ctx.add_plain(&low, &ctx.encode_scalar(3));
+        assert_eq!(ctx.decrypt(&sk, &plus).scalar(), 8);
+        assert!(ctx.noise_budget(&sk, &low) > 0);
     }
 
     #[test]

@@ -112,6 +112,31 @@ impl NoiseModel {
         self
     }
 
+    /// After [`BfvContext::mod_switch_to`] down to a level whose modulus
+    /// has `q_bits_after` bits (no change unless that is below the
+    /// current modulus).
+    ///
+    /// Dropping a prime `p` maps the noise `v ↦ v/p + ε`. The rounding of
+    /// `c0 + c1·s` contributes at most `(1 + ‖s‖₁)/2 ≤ (N + 1)/2`, and
+    /// rescaling `Δ` contributes `m·(ρ′ − ρ/p)/t` with `ρ = q mod t`,
+    /// below `t`. Over several drops each earlier `ε` is divided by the
+    /// later primes, so the sum stays below the floor `2t + N + 1`.
+    /// The scaled part uses `q′/q < 2^(bits(q′) − bits(q) + 1)`. The
+    /// budget is kept while `v·q′/q` is above the floor and lost once the
+    /// floor dominates.
+    #[must_use]
+    pub fn after_mod_switch(mut self, q_bits_after: usize) -> Self {
+        let q_bits_after = q_bits_after as f64;
+        if q_bits_after >= self.q_bits {
+            return self;
+        }
+        let scaled = self.log2_noise + q_bits_after - self.q_bits + 1.0;
+        let floor = 2.0 * self.t + self.n + 1.0;
+        self.log2_noise = (scaled.exp2() + floor).log2();
+        self.q_bits = q_bits_after;
+        self
+    }
+
     /// Predicted remaining budget in bits (`0` = decryption at risk).
     #[must_use]
     pub fn predicted_budget(&self) -> f64 {
@@ -134,12 +159,20 @@ impl NoiseModel {
 /// **Batched** (`batched = true`) is an envelope, not a derivation. It
 /// charges each affine row a full-plaintext multiply and `t_pasta − 1`
 /// chained additions, far more than the sum rule would. One guard
-/// covers both slotted layouts — mux slots and packed lanes — and the
-/// packed path's Galois key-switches and mask multiplies are not
-/// modelled; this surplus is what covers them. Under the sum rule the
-/// PASTA-3 envelope would shrink to 6 primes at N = 1024, where the
-/// packed path fails to decrypt; forced to 9 and 10 primes it kept only
-/// 53 and 101 bits, against 405 bits at the envelope's 16 primes.
+/// serves both slotted layouts — mux slots and packed lanes — although
+/// the packed path's Galois key-switches and mask multiplies are not
+/// modelled, and the surplus does **not** cover them everywhere:
+///
+/// * packed PASTA-3 holds: under the sum rule the envelope would
+///   shrink to 6 primes at N = 1024, where the packed path fails to
+///   decrypt; forced to 9 and 10 primes it kept only 53 and 101 bits,
+///   against 405 bits at the envelope's 16 primes;
+/// * packed PASTA-4 does not: at the envelope's 10 primes (and at 8
+///   and 9) `keystream_packed` decrypts wrong, and at 11 primes it
+///   keeps 51–53 bits. `BfvContext::noise_budget` read about 15 bits on
+///   the wrong results, because its reading does not subtract `log₂ t`.
+///
+/// Mux domains run on the envelope plus one mask prime.
 #[must_use]
 pub fn transcipher_round_noise(
     t_pasta: usize,
@@ -187,6 +220,22 @@ pub fn transcipher_noise(
 ) -> NoiseModel {
     let per_round = transcipher_round_noise(t_pasta, rounds, batched, start);
     per_round[per_round.len() - 1]
+}
+
+/// The fewest primes a finished result can be switched down to
+/// ([`BfvContext::mod_switch_to`]) with `margin_bits` of predicted
+/// budget left: the lowest level whose [`NoiseModel::after_mod_switch`]
+/// prediction from `end` meets the margin, else the top level.
+#[must_use]
+pub fn compact_level(ctx: &BfvContext, end: NoiseModel, margin_bits: f64) -> usize {
+    let top = ctx.basis().len();
+    (1..top)
+        .find(|&level| {
+            end.after_mod_switch(ctx.level_q_bits(level))
+                .predicted_budget()
+                >= margin_bits
+        })
+        .unwrap_or(top)
 }
 
 /// Sizes the RNS prime count so the transciphering circuit retains at
@@ -309,6 +358,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mod_switch_prediction_bounds_measurement() {
+        // A squared-and-relinearized ciphertext at the paper ring,
+        // switched to every lower level: the model's budget is never
+        // above the measured one, and it keeps the budget until the
+        // rounding floor takes over.
+        let (ctx, sk, pk, rk, mut rng) = setup(paper_ring());
+        let ct = ctx.encrypt(&pk, &ctx.encode_scalar(3), &mut rng);
+        let sq = ctx.square_relin(&ct, &rk).unwrap();
+        let model = NoiseModel::fresh(&ctx).after_mul_relin(&NoiseModel::fresh(&ctx));
+        let top = ctx.basis().len();
+        for level in 1..top {
+            let mut low = sq.clone();
+            ctx.mod_switch_to(&mut low, level).unwrap();
+            assert_eq!(ctx.decrypt(&sk, &low).scalar(), 9);
+            let predicted = model
+                .after_mod_switch(ctx.level_q_bits(level))
+                .predicted_budget();
+            let measured = f64::from(ctx.noise_budget(&sk, &low));
+            assert!(
+                predicted <= measured,
+                "level {level}: predicted {predicted:.1} exceeds measured {measured}"
+            );
+        }
+        // A lower level never predicts more budget, and switching to the
+        // top level is no switch.
+        let at = |level| {
+            model
+                .after_mod_switch(ctx.level_q_bits(level))
+                .predicted_budget()
+        };
+        assert!((1..top).all(|level| at(level) <= at(level + 1)));
+        assert_eq!(model.after_mod_switch(ctx.q_bits()), model);
+        let end = model;
+        let level = compact_level(&ctx, end, 12.0);
+        assert!(at(level) >= 12.0);
+        assert!(level == 1 || at(level - 1) < 12.0);
     }
 
     #[test]

@@ -285,9 +285,7 @@ impl NttTable {
     /// Panics on length mismatch.
     pub fn pointwise_mul_assign(&self, a: &mut [u64], b: &[u64]) {
         assert_eq!(a.len(), b.len(), "pointwise length mismatch");
-        for (x, &y) in a.iter_mut().zip(b.iter()) {
-            *x = self.zp.mul(*x, y);
-        }
+        simd::pointwise_mul_mod(self.zp.p(), a, b);
     }
 
     /// Full negacyclic polynomial product (convenience; transforms both

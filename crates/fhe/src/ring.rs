@@ -10,6 +10,7 @@ use crate::bigint::UBig;
 use crate::ntt::NttTable;
 use pasta_math::{is_prime_u64, simd, MathError, Modulus, Zp};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Minimum ring degree before the per-prime transforms fan out across
 /// threads: below this a row's NTT is far cheaper than a thread spawn
@@ -17,11 +18,14 @@ use rand::Rng;
 pub(crate) const PAR_MIN_RING_DEGREE: usize = 1024;
 
 /// The RNS basis: primes, NTT tables and CRT precomputation.
+///
+/// A [`RnsBasis::prefix`] shares its parent's NTT tables; only the CRT
+/// constants of the shorter product are its own.
 #[derive(Debug, Clone)]
 pub struct RnsBasis {
     n: usize,
     primes: Vec<Modulus>,
-    tables: Vec<NttTable>,
+    tables: Arc<[NttTable]>,
     /// `q = Π q_i`.
     q: UBig,
     /// `q̂_i = q / q_i`.
@@ -45,6 +49,34 @@ impl RnsBasis {
             }
             tables.push(NttTable::new(p, n)?);
         }
+        Self::with_tables(n, primes, tables.into())
+    }
+
+    /// The basis of the first `len` primes (`1 ≤ len ≤ k`): a BFV level.
+    /// The NTT tables are shared with `self`; the CRT constants are
+    /// those of `q_0 · … · q_{len−1}`.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::UnsupportedWidth`] for `len` outside `1..=k`.
+    pub fn prefix(&self, len: usize) -> Result<Self, MathError> {
+        if !(1..=self.len()).contains(&len) {
+            return Err(MathError::UnsupportedWidth(len as u32));
+        }
+        Self::with_tables(
+            self.n,
+            self.primes[..len].to_vec(),
+            Arc::clone(&self.tables),
+        )
+    }
+
+    /// CRT precomputation over `primes`, whose tables are the first
+    /// `primes.len()` of `tables`.
+    fn with_tables(
+        n: usize,
+        primes: Vec<Modulus>,
+        tables: Arc<[NttTable]>,
+    ) -> Result<Self, MathError> {
         let mut q = UBig::one();
         for p in &primes {
             q = q.mul_u64(p.value());
@@ -404,6 +436,46 @@ impl RnsPoly {
         &self.coeffs[i]
     }
 
+    /// Number of residue rows: the polynomial lives over the basis
+    /// prefix `q_0 … q_{level−1}`.
+    #[must_use]
+    pub fn level(&self) -> usize {
+        self.coeffs.len()
+    }
+
+    /// Divides by the last prime `q_ℓ` of the polynomial's level with
+    /// rounding and drops its row: the remaining rows hold
+    /// `⌊(x + ⌊q_ℓ/2⌋)/q_ℓ⌋` for the integer `x` the rows represented.
+    /// `inv_last[i]` is `[q_ℓ^{-1}]_{q_i}` with its Shoup companion in
+    /// `inv_last_shoup[i]` — the SEAL `divide_and_round_q_last` step.
+    ///
+    /// # Panics
+    ///
+    /// Panics in NTT domain or on a one-row polynomial.
+    pub(crate) fn divide_round_last(
+        &mut self,
+        basis: &RnsBasis,
+        inv_last: &[u64],
+        inv_last_shoup: &[u64],
+    ) {
+        assert!(!self.is_ntt, "rescaling requires coefficient domain");
+        assert!(self.coeffs.len() > 1, "cannot drop the only prime");
+        let mut last = self.coeffs.pop().unwrap_or_default();
+        let last_zp = basis.zp(self.coeffs.len());
+        let half = last_zp.p() >> 1;
+        for x in &mut last {
+            *x = last_zp.add(*x, half);
+        }
+        for (i, row) in self.coeffs.iter_mut().enumerate() {
+            let zp = basis.zp(i);
+            let half_i = zp.from_u64(half);
+            for (x, &l) in row.iter_mut().zip(&last) {
+                let excess = zp.sub(zp.from_u64(l), half_i);
+                *x = zp.mul_shoup(zp.sub(*x, excess), inv_last[i], inv_last_shoup[i]);
+            }
+        }
+    }
+
     /// Converts to NTT domain in place (no-op if already there).
     ///
     /// Prime rows are independent, so for rings large enough to amortize
@@ -498,15 +570,9 @@ impl RnsPoly {
             self.is_ntt && a.is_ntt && b.is_ntt,
             "fused multiply-accumulate requires NTT domain"
         );
+        let be = simd::backend();
         for (i, row) in self.coeffs.iter_mut().enumerate() {
-            let zp = basis.zp(i);
-            for ((acc, &x), &y) in row
-                .iter_mut()
-                .zip(a.coeffs[i].iter())
-                .zip(b.coeffs[i].iter())
-            {
-                *acc = zp.add(*acc, zp.mul(x, y));
-            }
+            simd::mac_mod_with(be, basis.zp(i).p(), row, &a.coeffs[i], &b.coeffs[i]);
         }
     }
 

@@ -51,6 +51,11 @@ const MTILDE_BITS: u32 = 16;
 const MTILDE: u64 = 1 << MTILDE_BITS;
 const MTILDE_MASK: u64 = MTILDE - 1;
 
+/// Width of the auxiliary primes: they lie below 2⁵⁰, the IFMA tier's
+/// modulus bound, like the 50-bit ciphertext primes of the benchmark
+/// rings.
+const AUX_PRIME_BITS: u32 = 50;
+
 /// Coefficients per parallel work item. Fixed (not derived from the
 /// thread count) so the task decomposition — and therefore the output —
 /// is identical for any `PASTA_THREADS`.
@@ -79,7 +84,13 @@ fn ceil_log2(x: usize) -> u32 {
 /// Shenoy–Kumaresan modulus `m_sk` stored as the **last** auxiliary
 /// prime. This is roughly *half* the size of the extended basis the
 /// bigint oracle needs (`P ≳ t·N·q` instead of `Q_ext ≳ N·q²`), so the
-/// fast path also runs fewer NTTs per product.
+/// fast path also runs fewer NTTs per product. Every auxiliary prime
+/// lies below 2⁵⁰, so its NTT rows, tensor products and conversions run
+/// on the IFMA tier of [`pasta_math::simd`] like the ciphertext primes.
+///
+/// Every per-coefficient correction of the lift and the scale is folded
+/// into the weights of one base-conversion dot product per output row
+/// ([`simd::dot_mod`]), so no output row runs a scalar fix-up loop.
 #[derive(Debug, Clone)]
 pub struct RnsMulContext {
     /// `B ∪ {m_sk}` with NTT tables; `m_sk` is the last prime.
@@ -90,42 +101,30 @@ pub struct RnsMulContext {
     /// `[m̃·q̃_i]_{q_i}` with Shoup precomputation.
     lift_w: Vec<u64>,
     lift_w_shoup: Vec<u64>,
-    /// `[q̂_i]_{p_j}`, indexed `[j][i]` (row per auxiliary prime).
-    conv_q_to_aux: Vec<Vec<u64>>,
     /// `[q̂_i] mod m̃`.
     conv_q_to_mtilde: Vec<u64>,
     /// `[−q^{-1}] mod m̃`.
     neg_q_inv_mtilde: u64,
-    /// `[q]_{p_j}` with Shoup precomputation.
-    q_mod_aux: Vec<u64>,
-    q_mod_aux_shoup: Vec<u64>,
-    /// `[m̃^{-1}]_{p_j}` with Shoup precomputation.
-    mtilde_inv_aux: Vec<u64>,
-    mtilde_inv_aux_shoup: Vec<u64>,
+    /// Per auxiliary prime `p_j`, the weights over the rows
+    /// `(ξ_0 … ξ_{k−1}, r̃, [r̃ > m̃/2])`: `[q̂_i·m̃^{-1}]_{p_j}`,
+    /// `[q·m̃^{-1}]_{p_j}` and `[−q]_{p_j}`.
+    lift_dot: Vec<Vec<u64>>,
     // ---- scale (⌊t·c/q⌋ in aux) ----
     /// `[t·q̃_i]_{q_i}` with Shoup precomputation.
     tq_inv: Vec<u64>,
     tq_inv_shoup: Vec<u64>,
-    /// `[t]_{p_j}` with Shoup precomputation.
-    t_mod_aux: Vec<u64>,
-    t_mod_aux_shoup: Vec<u64>,
-    /// `[q^{-1}]_{p_j}` with Shoup precomputation.
-    q_inv_aux: Vec<u64>,
-    q_inv_aux_shoup: Vec<u64>,
+    /// Per auxiliary prime `p_j`, the weights over the rows
+    /// `(ξ_0 … ξ_{k−1}, c_j)`: `[−q̂_i·q^{-1}·s_j]_{p_j}` and
+    /// `[t·q^{-1}·s_j]_{p_j}`, with `s_j = [(P/p_j)^{-1}]_{p_j}` for
+    /// `j < l` and `s_l = 1`.
+    scale_dot: Vec<Vec<u64>>,
     // ---- Shenoy–Kumaresan exact conversion (B → q via m_sk) ----
-    /// `[(P/p_j)^{-1}]_{p_j}` with Shoup precomputation, `j < l`.
-    p_tilde: Vec<u64>,
-    p_tilde_shoup: Vec<u64>,
-    /// `[P/p_j]_{q_i}`, indexed `[i][j]` (row per ciphertext prime).
-    conv_b_to_q: Vec<Vec<u64>>,
-    /// `[P/p_j]_{m_sk}`.
-    conv_b_to_msk: Vec<u64>,
-    /// `[P^{-1}]_{m_sk}` with Shoup precomputation.
-    p_inv_msk: u64,
-    p_inv_msk_shoup: u64,
-    /// `[P]_{q_i}` with Shoup precomputation.
-    p_mod_q: Vec<u64>,
-    p_mod_q_shoup: Vec<u64>,
+    /// Weights over `(η_0 … η_{l−1}, η_l)` giving the S-K correction
+    /// `α` mod `m_sk`: `[(P/p_j)·P^{-1}]_{m_sk}` and `[−P^{-1}]_{m_sk}`.
+    alpha_dot: Vec<u64>,
+    /// Per ciphertext prime `q_i`, the weights over `(η_0 … η_{l−1}, α)`:
+    /// `[P/p_j]_{q_i}` and `[−P]_{q_i}`.
+    sk_dot: Vec<Vec<u64>>,
 }
 
 impl RnsMulContext {
@@ -149,17 +148,19 @@ impl RnsMulContext {
             .map(pasta_math::Modulus::bits)
             .max()
             .unwrap_or(0);
-        // P must hold ⌊t·c/q⌋ − α for |c| ≤ N·q²/2 (the worst tensor
-        // coefficient): bits(P) ≥ bits(q) + bits(t) + log2(N) + margin.
+        // P = Π_{j<l} p_j must hold ⌊t·c/q⌋ − α for |c| ≤ N·q²/2 (the
+        // worst tensor coefficient), and every aux prime is above 2⁴⁹:
+        // bits(P) ≥ bits(q) + bits(t) + log2(N) + margin.
+        let aux_bits = AUX_PRIME_BITS;
         let t_bits = (64 - t.leading_zeros()) as usize;
         let needed_p_bits = basis.q().bits() + t_bits + ceil_log2(n) as usize + 4;
-        let aux_bits = (max_q_bits + 1).min(60);
         let l = needed_p_bits.div_ceil(aux_bits as usize - 1);
-        // u128 accumulator guard for the conversion inner loops:
-        // Σ over max(k, l) terms of (q-prime × aux-prime) products.
-        let acc_bits = max_q_bits as usize + aux_bits as usize + ceil_log2(k.max(l + 1)) as usize;
+        // u128 accumulator guard for the conversion inner loops: Σ over
+        // the widest dot (k + 2 or l + 1 rows) of (q-prime × aux-prime)
+        // products.
+        let acc_bits = max_q_bits as usize + aux_bits as usize + ceil_log2(k.max(l) + 2) as usize;
         if acc_bits > 126 {
-            return Err(MathError::UnsupportedWidth(aux_bits));
+            return Err(MathError::UnsupportedWidth(max_q_bits));
         }
         // l + 1 auxiliary primes (m_sk last), disjoint from the q
         // primes: generate slack and filter collisions away.
@@ -193,95 +194,66 @@ impl RnsMulContext {
         }
         let neg_q_inv_mtilde = MTILDE - inv_mod_mtilde(q.low_u64() & MTILDE_MASK);
 
-        let mut conv_q_to_aux = Vec::with_capacity(l + 1);
-        let mut q_mod_aux = Vec::with_capacity(l + 1);
-        let mut q_mod_aux_shoup = Vec::with_capacity(l + 1);
-        let mut mtilde_inv_aux = Vec::with_capacity(l + 1);
-        let mut mtilde_inv_aux_shoup = Vec::with_capacity(l + 1);
-        let mut t_mod_aux = Vec::with_capacity(l + 1);
-        let mut t_mod_aux_shoup = Vec::with_capacity(l + 1);
-        let mut q_inv_aux = Vec::with_capacity(l + 1);
-        let mut q_inv_aux_shoup = Vec::with_capacity(l + 1);
-        for j in 0..=l {
-            let zp = aux.zp(j);
-            conv_q_to_aux.push((0..k).map(|i| basis.q_hat(i).rem_u64(zp.p())).collect());
-            let qm = q.rem_u64(zp.p());
-            q_mod_aux.push(qm);
-            q_mod_aux_shoup.push(zp.shoup(qm));
-            let mi = zp.inv(MTILDE % zp.p())?;
-            mtilde_inv_aux.push(mi);
-            mtilde_inv_aux_shoup.push(zp.shoup(mi));
-            let tm = t % zp.p();
-            t_mod_aux.push(tm);
-            t_mod_aux_shoup.push(zp.shoup(tm));
-            let qi = zp.inv(qm)?;
-            q_inv_aux.push(qi);
-            q_inv_aux_shoup.push(zp.shoup(qi));
-        }
-
         // P = Π_{j<l} p_j — the Shenoy–Kumaresan modulus excludes m_sk.
         let mut p_big = UBig::one();
         for j in 0..l {
             p_big = p_big.mul_u64(aux.primes()[j].value());
         }
-        let msk = aux.primes()[l].value();
-        let msk_zp = aux.zp(l);
-        let mut p_tilde = Vec::with_capacity(l);
-        let mut p_tilde_shoup = Vec::with_capacity(l);
-        let mut p_hats = Vec::with_capacity(l);
-        for j in 0..l {
+        let p_hats: Vec<UBig> = (0..l)
+            .map(|j| p_big.div_rem(&UBig::from_u64(aux.zp(j).p())).0)
+            .collect();
+
+        let mut lift_dot = Vec::with_capacity(l + 1);
+        let mut scale_dot = Vec::with_capacity(l + 1);
+        for j in 0..=l {
             let zp = aux.zp(j);
-            let (p_hat, rem) = p_big.div_rem(&UBig::from_u64(zp.p()));
-            debug_assert!(rem.is_zero());
-            let inv = zp.inv(p_hat.rem_u64(zp.p()))?;
-            p_tilde.push(inv);
-            p_tilde_shoup.push(zp.shoup(inv));
-            p_hats.push(p_hat);
+            let qm = q.rem_u64(zp.p());
+            let q_inv = zp.inv(qm)?;
+            let mtilde_inv = zp.inv(MTILDE % zp.p())?;
+            let q_hats: Vec<u64> = (0..k).map(|i| basis.q_hat(i).rem_u64(zp.p())).collect();
+            let mut lift: Vec<u64> = q_hats.iter().map(|&h| zp.mul(h, mtilde_inv)).collect();
+            lift.push(zp.mul(qm, mtilde_inv));
+            lift.push(zp.neg(qm));
+            lift_dot.push(lift);
+            let s_j = match p_hats.get(j) {
+                Some(h) => zp.inv(h.rem_u64(zp.p()))?,
+                None => 1,
+            };
+            let q_inv_s = zp.mul(q_inv, s_j);
+            let mut scale: Vec<u64> = q_hats.iter().map(|&h| zp.neg(zp.mul(h, q_inv_s))).collect();
+            scale.push(zp.mul(t % zp.p(), q_inv_s));
+            scale_dot.push(scale);
         }
-        let conv_b_to_q = (0..k)
+
+        let msk_zp = aux.zp(l);
+        let p_inv_msk = msk_zp.inv(p_big.rem_u64(msk_zp.p()))?;
+        let mut alpha_dot: Vec<u64> = p_hats
+            .iter()
+            .map(|h| msk_zp.mul(h.rem_u64(msk_zp.p()), p_inv_msk))
+            .collect();
+        alpha_dot.push(msk_zp.neg(p_inv_msk));
+        let sk_dot = (0..k)
             .map(|i| {
-                let p = basis.zp(i).p();
-                p_hats.iter().map(|h| h.rem_u64(p)).collect()
+                let zp = basis.zp(i);
+                let mut row: Vec<u64> = p_hats.iter().map(|h| h.rem_u64(zp.p())).collect();
+                row.push(zp.neg(p_big.rem_u64(zp.p())));
+                row
             })
             .collect();
-        let conv_b_to_msk = p_hats.iter().map(|h| h.rem_u64(msk)).collect();
-        let p_inv_msk = msk_zp.inv(p_big.rem_u64(msk))?;
-        let p_inv_msk_shoup = msk_zp.shoup(p_inv_msk);
-        let mut p_mod_q = Vec::with_capacity(k);
-        let mut p_mod_q_shoup = Vec::with_capacity(k);
-        for i in 0..k {
-            let zp = basis.zp(i);
-            let pm = p_big.rem_u64(zp.p());
-            p_mod_q.push(pm);
-            p_mod_q_shoup.push(zp.shoup(pm));
-        }
 
         Ok(RnsMulContext {
             aux,
             l,
             lift_w,
             lift_w_shoup,
-            conv_q_to_aux,
             conv_q_to_mtilde,
             neg_q_inv_mtilde,
-            q_mod_aux,
-            q_mod_aux_shoup,
-            mtilde_inv_aux,
-            mtilde_inv_aux_shoup,
+            lift_dot,
             tq_inv,
             tq_inv_shoup,
-            t_mod_aux,
-            t_mod_aux_shoup,
-            q_inv_aux,
-            q_inv_aux_shoup,
-            p_tilde,
-            p_tilde_shoup,
-            conv_b_to_q,
-            conv_b_to_msk,
-            p_inv_msk,
-            p_inv_msk_shoup,
-            p_mod_q,
-            p_mod_q_shoup,
+            scale_dot,
+            alpha_dot,
+            sk_dot,
         })
     }
 
@@ -321,12 +293,54 @@ impl RnsMulContext {
         rows
     }
 
+    /// `ξ_i = [x_i·w_i]_{q_i}` for every prime row of `poly`,
+    /// prime-row parallel — the first half of a fast base conversion.
+    fn xi_rows(
+        basis: &RnsBasis,
+        poly: &RnsPoly,
+        w: &[u64],
+        w_shoup: &[u64],
+        parallel: bool,
+    ) -> Vec<scratch::ChunkBuf> {
+        let be = simd::backend();
+        let row_idx: Vec<usize> = (0..basis.len()).collect();
+        pasta_par::maybe_parallel_map(parallel, &row_idx, |_, &i| {
+            let mut row = scratch::take_chunk(basis.n());
+            row.copy_from_slice(poly.row(i));
+            simd::mul_const_shoup_with(be, basis.zp(i).p(), w[i], w_shoup[i], &mut row);
+            row
+        })
+    }
+
+    /// One whole-length row per chunk-parallel `f(start, end, buf)`.
+    fn chunked_row<F>(n: usize, parallel: bool, f: F) -> scratch::ChunkBuf
+    where
+        F: Fn(usize, usize, &mut [u64]) + Sync,
+    {
+        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
+        let chunks = pasta_par::maybe_parallel_map(parallel, &starts, |_, &s| {
+            let end = (s + CHUNK).min(n);
+            let mut buf = scratch::take_chunk(end - s);
+            f(s, end, &mut buf);
+            buf
+        });
+        let mut row = scratch::take_chunk(n);
+        for (chunk, &s) in chunks.iter().zip(&starts) {
+            row[s..s + chunk.len()].copy_from_slice(chunk);
+        }
+        row
+    }
+
     /// Lifts a coefficient-domain polynomial from the `q` basis into the
     /// auxiliary basis: the output residues represent a signed integer
     /// `x̃ ≡ x (mod q)` with `|x̃| ≤ (q/2)·(1 + 2(k+1)/m̃)` — the
     /// near-centered representative of the SmMRq reduction with a
     /// centered correction term. No approximation beyond that bound:
     /// the `m̃` channel pins the multiple of `q` exactly.
+    ///
+    /// Each output residue is one dot product,
+    /// `x̃_p = [Σ_i ξ_i·q̂_i·m̃^{-1} + r̃·q·m̃^{-1} − [r̃ > m̃/2]·q]_p`:
+    /// the correction `(y ± r·q)·m̃^{-1}` distributed over the sum.
     ///
     /// # Panics
     ///
@@ -335,72 +349,39 @@ impl RnsMulContext {
     pub fn lift_to_aux(&self, basis: &RnsBasis, poly: &RnsPoly) -> RnsPoly {
         assert!(!poly.is_ntt(), "lift requires coefficient domain");
         let n = basis.n();
-        let k = basis.len();
         let parallel = n >= PAR_MIN_RING_DEGREE;
-
-        // ξ_i = [x_i·m̃·q̃_i]_{q_i}, prime-row parallel.
-        let row_idx: Vec<usize> = (0..k).collect();
-        let xi: Vec<scratch::ChunkBuf> =
-            pasta_par::maybe_parallel_map(parallel, &row_idx, |_, &i| {
-                let zp = basis.zp(i);
-                let (w, ws) = (self.lift_w[i], self.lift_w_shoup[i]);
-                let mut row = scratch::take_chunk(n);
-                for (dst, &x) in row.iter_mut().zip(poly.row(i)) {
-                    *dst = zp.mul_shoup(x, w, ws);
-                }
-                row
-            });
+        let xi = Self::xi_rows(basis, poly, &self.lift_w, &self.lift_w_shoup, parallel);
 
         // Correction r̃ = [−y_m̃·q^{-1}]_{m̃} per coefficient from the
-        // power-of-two channel: wrapping u64 arithmetic + masks. Taken
-        // centered (r̃ ≤ m̃/2 adds, else subtracts m̃ − r̃) so the
-        // result lands on the near-centered representative.
-        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
-        let r_chunks = pasta_par::maybe_parallel_map(parallel, &starts, |_, &s| {
-            let end = (s + CHUNK).min(n);
-            let mut buf = scratch::take_chunk(end - s);
-            for (idx, c) in (s..end).enumerate() {
-                let mut acc = 0u64;
-                for (row, &conv) in xi.iter().zip(self.conv_q_to_mtilde.iter()) {
-                    acc = acc.wrapping_add(row[c].wrapping_mul(conv));
+        // power-of-two channel (wrapping u64 arithmetic and masks), and
+        // its sign bit [r̃ > m̃/2]: taken centered, so the result lands
+        // on the near-centered representative.
+        let r_tilde = Self::chunked_row(n, parallel, |s, end, buf| {
+            buf.fill(0);
+            for (row, &conv) in xi.iter().zip(&self.conv_q_to_mtilde) {
+                for (acc, &x) in buf.iter_mut().zip(&row[s..end]) {
+                    *acc = acc.wrapping_add(x.wrapping_mul(conv));
                 }
-                buf[idx] = (acc & MTILDE_MASK).wrapping_mul(self.neg_q_inv_mtilde) & MTILDE_MASK;
             }
-            buf
+            for r in buf.iter_mut() {
+                *r = (*r & MTILDE_MASK).wrapping_mul(self.neg_q_inv_mtilde) & MTILDE_MASK;
+            }
         });
-        let mut r_tilde = scratch::take_chunk(n);
-        for (chunk, &s) in r_chunks.iter().zip(&starts) {
-            r_tilde[s..s + chunk.len()].copy_from_slice(chunk);
+        let mut negative = scratch::take_chunk(n);
+        for (b, &r) in negative.iter_mut().zip(r_tilde.iter()) {
+            *b = u64::from(r > MTILDE / 2);
         }
-        drop(r_chunks);
 
-        // y_p = Σ_i ξ_i·[q̂_i]_p; x̃_p = [(y_p ± r·q)·m̃^{-1}]_p.
         let be = simd::backend();
         let rows = Self::par_chunked(self.aux.len(), n, parallel, |j, start, end| {
-            let zp = self.aux.zp(j);
-            let conv = &self.conv_q_to_aux[j];
-            let xi_chunk: Vec<&[u64]> = xi.iter().map(|row| &row[start..end]).collect();
-            // `dot_mod_with` fully overwrites `ys`, so the recycled
-            // scratch row needs no zeroing.
-            let mut ys = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, zp.p(), &xi_chunk, conv, &mut ys);
+            let src: Vec<&[u64]> = xi
+                .iter()
+                .chain([&r_tilde, &negative])
+                .map(|row| &row[start..end])
+                .collect();
+            // `dot_mod_with` fully overwrites the recycled chunk.
             let mut buf = scratch::take_chunk(end - start);
-            for (idx, c) in (start..end).enumerate() {
-                let y = ys[idx];
-                let r = r_tilde[c];
-                let v = if r <= MTILDE / 2 {
-                    zp.add(
-                        y,
-                        zp.mul_shoup(r, self.q_mod_aux[j], self.q_mod_aux_shoup[j]),
-                    )
-                } else {
-                    zp.sub(
-                        y,
-                        zp.mul_shoup(MTILDE - r, self.q_mod_aux[j], self.q_mod_aux_shoup[j]),
-                    )
-                };
-                buf[idx] = zp.mul_shoup(v, self.mtilde_inv_aux[j], self.mtilde_inv_aux_shoup[j]);
-            }
+            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.lift_dot[j], &mut buf);
             buf
         });
         RnsPoly::from_rows(rows, false)
@@ -414,6 +395,13 @@ impl RnsMulContext {
     /// most `k` per coefficient — orders of magnitude below the
     /// ciphertext noise this operation rounds off.
     ///
+    /// Three dot products per coefficient carry it: per auxiliary prime,
+    /// `η_j = [(t·c_j − y_j)·q^{-1}·s_j]_{p_j}` with `y` the fast base
+    /// conversion of `ξ_i = [c_i·t·q̃_i]_{q_i}` (`s_j` readies rows
+    /// `j < l` for Shenoy–Kumaresan; row `l` holds `d` at `m_sk`
+    /// itself); then the correction `α = [(Σ_j η_j·P/p_j − d)·P^{-1}]`
+    /// at `m_sk`; then `[Σ_j η_j·P/p_j − α·P]_{q_i}`.
+    ///
     /// # Panics
     ///
     /// Panics if either input is in NTT domain.
@@ -424,88 +412,44 @@ impl RnsMulContext {
             "scale requires coefficient domain"
         );
         let n = basis.n();
-        let k = basis.len();
         let l = self.l;
         let parallel = n >= PAR_MIN_RING_DEGREE;
+        let xi = Self::xi_rows(basis, c_q, &self.tq_inv, &self.tq_inv_shoup, parallel);
 
-        // ξ_i = [c_i·t·q̃_i]_{q_i}, prime-row parallel.
-        let row_idx: Vec<usize> = (0..k).collect();
-        let xi: Vec<scratch::ChunkBuf> =
-            pasta_par::maybe_parallel_map(parallel, &row_idx, |_, &i| {
-                let zp = basis.zp(i);
-                let (w, ws) = (self.tq_inv[i], self.tq_inv_shoup[i]);
-                let mut row = scratch::take_chunk(n);
-                for (dst, &x) in row.iter_mut().zip(c_q.row(i)) {
-                    *dst = zp.mul_shoup(x, w, ws);
-                }
-                row
-            });
-
-        // Per auxiliary prime: d = [(t·c − y)·q^{-1}]_p with y the fast
-        // base conversion of ξ. Rows j < l store η_j = [d·(P/p_j)^{-1}]
-        // (ready for Shenoy–Kumaresan); row l (m_sk) stores d itself.
         let be = simd::backend();
         let eta = Self::par_chunked(l + 1, n, parallel, |j, start, end| {
-            let zp = self.aux.zp(j);
-            let conv = &self.conv_q_to_aux[j];
-            let aux_row = c_aux.row(j);
-            let xi_chunk: Vec<&[u64]> = xi.iter().map(|row| &row[start..end]).collect();
-            let mut ys = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, zp.p(), &xi_chunk, conv, &mut ys);
+            let src: Vec<&[u64]> = xi
+                .iter()
+                .map(|row| &row[start..end])
+                .chain([&c_aux.row(j)[start..end]])
+                .collect();
             let mut buf = scratch::take_chunk(end - start);
-            for (idx, c) in (start..end).enumerate() {
-                let y = ys[idx];
-                let tc = zp.mul_shoup(aux_row[c], self.t_mod_aux[j], self.t_mod_aux_shoup[j]);
-                let d = zp.mul_shoup(zp.sub(tc, y), self.q_inv_aux[j], self.q_inv_aux_shoup[j]);
-                buf[idx] = if j < l {
-                    zp.mul_shoup(d, self.p_tilde[j], self.p_tilde_shoup[j])
-                } else {
-                    d
-                };
-            }
+            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.scale_dot[j], &mut buf);
             buf
         });
+        drop(xi);
 
         // Shenoy–Kumaresan: the m_sk channel yields the exact multiple
-        // of P to subtract, α_sk = [(z_sk − d_sk)·P^{-1}]_{m_sk} ≤ l.
-        let msk_zp = self.aux.zp(l);
-        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
-        let alpha_chunks = pasta_par::maybe_parallel_map(parallel, &starts, |_, &s| {
-            let end = (s + CHUNK).min(n);
-            let eta_chunk: Vec<&[u64]> = eta[..l].iter().map(|row| &row[s..end]).collect();
-            let mut zs = scratch::take_chunk(end - s);
-            simd::dot_mod_with(be, msk_zp.p(), &eta_chunk, &self.conv_b_to_msk, &mut zs);
-            let mut buf = scratch::take_chunk(end - s);
-            for (idx, c) in (s..end).enumerate() {
-                let a = msk_zp.mul_shoup(
-                    msk_zp.sub(zs[idx], eta[l][c]),
-                    self.p_inv_msk,
-                    self.p_inv_msk_shoup,
-                );
-                debug_assert!(a <= l as u64, "S-K correction must stay below l + 1");
-                buf[idx] = a;
-            }
-            buf
+        // of P to subtract, α_sk ≤ l.
+        let msk = self.aux.zp(l).p();
+        let alpha = Self::chunked_row(n, parallel, |s, end, buf| {
+            let src: Vec<&[u64]> = eta.iter().map(|row| &row[s..end]).collect();
+            simd::dot_mod_with(be, msk, &src, &self.alpha_dot, buf);
+            debug_assert!(
+                buf.iter().all(|&a| a <= l as u64),
+                "S-K correction must stay below l + 1"
+            );
         });
-        let mut alpha = scratch::take_chunk(n);
-        for (chunk, &s) in alpha_chunks.iter().zip(&starts) {
-            alpha[s..s + chunk.len()].copy_from_slice(chunk);
-        }
-        drop(alpha_chunks);
 
-        let rows = Self::par_chunked(k, n, parallel, |i, start, end| {
-            let zp = basis.zp(i);
-            let conv = &self.conv_b_to_q[i];
-            let eta_chunk: Vec<&[u64]> = eta[..l].iter().map(|row| &row[start..end]).collect();
-            let mut zs = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, zp.p(), &eta_chunk, conv, &mut zs);
+        let rows = Self::par_chunked(basis.len(), n, parallel, |i, start, end| {
+            let src: Vec<&[u64]> = eta[..l]
+                .iter()
+                .map(Vec::as_slice)
+                .chain([&alpha[..]])
+                .map(|row| &row[start..end])
+                .collect();
             let mut buf = scratch::take_chunk(end - start);
-            for (idx, c) in (start..end).enumerate() {
-                buf[idx] = zp.sub(
-                    zs[idx],
-                    zp.mul_shoup(alpha[c], self.p_mod_q[i], self.p_mod_q_shoup[i]),
-                );
-            }
+            simd::dot_mod_with(be, basis.zp(i).p(), &src, &self.sk_dot[i], &mut buf);
             buf
         });
         scratch::put_rows(eta);
@@ -702,6 +646,30 @@ mod tests {
             .map(|p| p.bits() as usize - 1)
             .sum();
         assert!(p_bits >= needed, "P too small: {p_bits} < {needed}");
+    }
+
+    #[test]
+    fn aux_primes_fit_ifma_and_meet_the_behz_bound_at_benchmark_rings() {
+        for k in [7usize, 11, 16] {
+            let basis = RnsBasis::with_generated_primes(1_024, 50, k).unwrap();
+            let ctx = RnsMulContext::new(&basis, T).unwrap();
+            for p in ctx.aux().primes() {
+                assert!(p.value() < 1 << 50, "k = {k}: aux prime {p:?} ≥ 2⁵⁰");
+                assert!(!basis.primes().contains(p), "k = {k}: aux prime collides");
+            }
+            // P = Π_{j<l} p_j must exceed t·N·q·2⁴ (the worst scaled
+            // tensor coefficient with margin); m_sk is not part of P.
+            let mut p_big = UBig::one();
+            for p in &ctx.aux().primes()[..ctx.aux_b_len()] {
+                p_big = p_big.mul_u64(p.value());
+            }
+            let bound = basis.q().mul_u64(T).mul_u64(1_024 << 4);
+            assert_eq!(
+                p_big.cmp_big(&bound),
+                std::cmp::Ordering::Greater,
+                "k = {k}: P below the BEHZ bound"
+            );
+        }
     }
 
     mod properties {

@@ -220,10 +220,11 @@ impl HheServer {
         Ok(ranges)
     }
 
-    /// The composed cross-tenant key for this bucket layout: element `j`
-    /// is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is the 0/1 plaintext of
-    /// member `m`'s slot range, repeated with the pass's period.
-    /// Memoized per `(tenant, blocks)` layout, which fixes the period.
+    /// The composed cross-tenant key for a bucket of two or more
+    /// members: element `j` is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is
+    /// the 0/1 plaintext of member `m`'s slot range, repeated with the
+    /// pass's period. Memoized per `(tenant, blocks)` layout, which
+    /// fixes the period.
     fn composed_key(
         &self,
         ctx: &BfvContext,
@@ -232,14 +233,6 @@ impl HheServer {
         slots_used: usize,
     ) -> Result<Arc<ComposedKeyEntry>, FheError> {
         let state = self.params.state_size();
-        // A single-member bucket needs no masking: the member's key
-        // already has its key element in every slot, and the slots of
-        // unused classes carry zero material, so they compute 0.
-        if members.len() == 1 {
-            return Ok(Arc::new(ComposedKeyEntry {
-                elements: members[0].encrypted_key.elements.clone(),
-            }));
-        }
         let key = CompositionKey {
             pasta: self.params,
             bfv: *ctx.params(),
@@ -334,7 +327,17 @@ impl HheServer {
         let ranges = self.layout(members)?;
         let slots_used = ranges.last().map_or(0, |r| r.start + r.blocks);
 
-        let composed = self.composed_key(ctx, members, &ranges, slots_used)?;
+        // A one-member bucket needs no masking: the member's key already
+        // has its key element in every slot, and the slots of unused
+        // classes carry zero material, so they compute 0. Its key is
+        // borrowed as provisioned.
+        let composed;
+        let key: &[FheCiphertext] = if let [member] = members {
+            &member.encrypted_key.elements
+        } else {
+            composed = self.composed_key(ctx, members, &ranges, slots_used)?;
+            &composed.elements
+        };
 
         // Slot s carries the material of the member block assigned to s.
         let per_slot: Vec<BlockEntry> = members
@@ -350,7 +353,7 @@ impl HheServer {
             &self.encoder,
             &self.relin_key,
             &per_slot,
-            &composed.elements,
+            key,
         )?;
 
         // Demux-side subtraction: slot s of position i carries message

@@ -1,20 +1,23 @@
 //! Runtime-dispatched SIMD backend for the modular u64 kernels.
 //!
-//! The transcipher hot path spends nearly all of its time in three inner
+//! The transcipher hot path spends nearly all of its time in four inner
 //! loops: the Harvey/Shoup lazy NTT butterflies, the Shoup pointwise /
-//! fused-MAC kernels of the cached-material affine paths, and the BEHZ
-//! base-conversion dot products. This module provides three tiers of
-//! each (`std::arch`, zero new dependencies) behind safe slice-taking
-//! wrappers, with the backend selected once at startup:
+//! fused-MAC kernels of the cached-material affine paths, the
+//! companion-free pointwise products of the ciphertext × ciphertext
+//! tensor, and the BEHZ base-conversion dot products. This module
+//! provides three tiers of each (`std::arch`, zero new dependencies)
+//! behind safe slice-taking wrappers, with the backend selected once at
+//! startup:
 //!
 //! * **scalar** — the portable reference;
 //! * **avx2** — 4×u64 lanes, the 64×64-bit Shoup products emulated from
-//!   four `pmuludq` partial products and a carry chain;
+//!   four `pmuludq` partial products and a carry chain; the dot product
+//!   and the companion-free products run the scalar loops on this tier;
 //! * **avx512ifma** — 8×u64 lanes on the AVX-512 IFMA52 multipliers
 //!   (`vpmadd52luq` / `vpmadd52huq`, the low and high 52 bits of a
-//!   52×52-bit product) for the NTT stages and the element-wise Shoup
-//!   kernels; the standalone butterflies and the dot product run the
-//!   AVX2 kernels on this tier.
+//!   52×52-bit product) for the NTT stages, the element-wise kernels
+//!   and the dot product; the standalone butterflies run the AVX2
+//!   kernels on this tier.
 //!
 //! Selection:
 //!
@@ -42,11 +45,14 @@
 //!   [`SMALL_MODULUS_BOUND`], where every operand fits 32 bits and the
 //!   whole lazy product collapses to three single-width multiplies.
 //!   Twiddle companions must therefore come from [`twiddle_shoup`].
-//! * The base-conversion dot product needs the bit-exact wrapped 128-bit
-//!   sum, which leaves no lazy slack to vectorize away: the emulated
-//!   carry chain loses to the scalar MULX pipeline on every CPU
-//!   measured, so every backend runs the scalar u128 accumulator behind
-//!   the same dispatch seam.
+//! * The base-conversion dot product and the companion-free products
+//!   return canonical residues, the unique values every backend agrees
+//!   on. The scalar dot product keeps its wrapped `u128` accumulator and
+//!   reduces it without a division (two lazy Shoup products, by
+//!   `[2⁶⁴]_p` and by one); the companion-free product is a binary
+//!   Barrett reduction. On AVX2 the emulated 64×64-bit products lose to
+//!   the scalar MULX pipeline, so that tier runs the scalar loops; the
+//!   IFMA tier has its own kernels (below).
 //!
 //! Four 62-bit lanes are safe under the lazy discipline because every
 //! supported modulus is ≤ 62 bits: `4p < 2⁶⁴`, so the widest transient
@@ -60,13 +66,16 @@
 //! * the stage kernels run on IFMA for `2³⁰ ≤ p < 2⁵⁰` (every BFV
 //!   ciphertext prime of the benchmark rings is 50 bits);
 //! * the element-wise kernels (`mul_const_shoup`, `pointwise_mul_shoup`,
-//!   `mac_shoup`) run on IFMA for `p < 2⁵⁰`, and `canonicalize`, which
-//!   multiplies nothing, for every modulus;
+//!   `mac_shoup`, `pointwise_mul_mod`, `mac_mod`) and the dot product
+//!   (up to 2¹¹ rows) run on IFMA for `p < 2⁵⁰`, and `canonicalize`,
+//!   which multiplies nothing, for every modulus — the BFV ciphertext
+//!   primes of the benchmark rings and the BEHZ auxiliary primes, which
+//!   are drawn below 2⁵⁰ for this reason;
 //! * everything else — the narrow-radix moduli below 2³⁰ in the stages,
-//!   the 51-bit BEHZ auxiliary primes, 54- and 60-bit primes, lengths
-//!   that are not a multiple of 8 lanes and `t < 8` stages whose group
-//!   count does not fill 16 words — takes the AVX2 kernel (which hands
-//!   its own tails to the scalar one).
+//!   54- and 60-bit primes, lengths that are not a multiple of 8 lanes
+//!   and `t < 8` stages whose group count does not fill 16 words —
+//!   takes the AVX2 kernel (which hands its own tails to the scalar
+//!   one).
 //!
 //! The stage kernels keep the radix-2⁶⁴ recurrence exactly. With the
 //! twiddle companion split as `w′ = wh·2⁵² + wl` (`wh < 2¹²`,
@@ -85,6 +94,14 @@
 //! Harvey bound `a ≤ 2⁵²` keeps that lazy product `< 2p`, and the
 //! canonical result is the unique residue all backends return. No table
 //! or companion layout depends on the tier.
+//!
+//! The companion-free product `a·b mod p` (canonical `a, b`) is a
+//! radix-2⁵² Barrett reduction: with `n = bits(p)`, the quotient
+//! estimate `hi52(⌊a·b/2ⁿ⁻¹⌋·⌊2ⁿ⁺⁵¹/p⌋)` undershoots by at most 2, so
+//! the remainder is below `3p < 2⁵²` and exact as a low-52-bit
+//! difference. The dot product splits each row value at bit 52 and
+//! keeps three 52-bit-column lane accumulators, then reduces them with
+//! one radix-2⁵² Shoup product per column (see `ifma::dot_mod`).
 //!
 //! All `unsafe` stays inside this module: intrinsics are wrapped in
 //! `#[target_feature]` functions that only the dispatcher calls, and
@@ -485,19 +502,68 @@ pub fn mac_shoup(p: u64, acc: &mut [u64], a: &[u64], w: &[u64], w_shoup: &[u64])
     mac_shoup_with(backend(), p, acc, a, w, w_shoup);
 }
 
+/// Canonical pointwise product `a[i] = a[i]·b[i] mod p` of two
+/// canonical operands with no precomputed companion — the
+/// ciphertext × ciphertext tensor and the decryption phase, where
+/// neither operand is reused enough to pay for Shoup rows.
+pub fn pointwise_mul_mod_with(backend: Backend, p: u64, a: &mut [u64], b: &[u64]) {
+    assert_eq!(a.len(), b.len());
+    debug_assert!(
+        a.iter().chain(b).all(|&x| x < p),
+        "inputs must be canonical"
+    );
+    dispatch!(
+        backend,
+        scalar::pointwise_mul_mod(p, a, b),
+        avx2::pointwise_mul_mod(p, a, b),
+        ifma::pointwise_mul_mod(p, a, b)
+    );
+}
+
+/// Companion-free pointwise product on the cached global backend.
+pub fn pointwise_mul_mod(p: u64, a: &mut [u64], b: &[u64]) {
+    pointwise_mul_mod_with(backend(), p, a, b);
+}
+
+/// Fused multiply–accumulate `acc[i] = acc[i] + a[i]·b[i] mod p` of
+/// canonical operands with no precomputed companion. Bit-identical to
+/// `zp.add(acc, zp.mul(a, b))`.
+pub fn mac_mod_with(backend: Backend, p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+    assert_eq!(acc.len(), a.len());
+    assert_eq!(acc.len(), b.len());
+    debug_assert!(
+        acc.iter().chain(a).chain(b).all(|&x| x < p),
+        "inputs must be canonical"
+    );
+    dispatch!(
+        backend,
+        scalar::mac_mod(p, acc, a, b),
+        avx2::mac_mod(p, acc, a, b),
+        ifma::mac_mod(p, acc, a, b)
+    );
+}
+
+/// Companion-free fused MAC on the cached global backend.
+pub fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+    mac_mod_with(backend(), p, acc, a, b);
+}
+
 /// BEHZ base-conversion dot product:
 /// `out[c] = (Σ_i rows[i][c]·weights[i]) mod p` with the sum taken in
 /// 128 bits (wrapping mod 2¹²⁸ exactly like the scalar `u128`
-/// accumulator; callers bound the true sum below 2¹²⁶).
+/// accumulator; callers bound the true sum below 2¹²⁶). Weights must be
+/// canonical (`< p`); rows may hold any `u64`.
 ///
 /// Each `rows[i]` must have at least `out.len()` elements.
 pub fn dot_mod_with(backend: Backend, p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
     assert_eq!(rows.len(), weights.len());
     assert!(rows.iter().all(|r| r.len() >= out.len()));
+    debug_assert!(weights.iter().all(|&w| w < p), "weights must be canonical");
     dispatch!(
         backend,
         scalar::dot_mod(p, rows, weights, out, 0),
-        avx2::dot_mod(p, rows, weights, out)
+        avx2::dot_mod(p, rows, weights, out),
+        ifma::dot_mod(p, rows, weights, out)
     );
 }
 
@@ -658,8 +724,104 @@ mod scalar {
         }
     }
 
-    /// Dot product mod `p` over columns `offset..offset + out.len()` —
-    /// byte-for-byte the accumulator loop of the BEHZ conversions.
+    /// `x − p` when `x ≥ p`, else `x`.
+    #[inline]
+    fn cond_sub(x: u64, p: u64) -> u64 {
+        if x >= p {
+            x - p
+        } else {
+            x
+        }
+    }
+
+    /// Division-free `x mod p` for any `u128` `x` (`p < 2⁶³`): with
+    /// `x = hi·2⁶⁴ + lo`, both halves take one lazy Shoup product — `hi`
+    /// by `[2⁶⁴]_p`, `lo` by one — whose results lie in `[0, 2p)` for
+    /// every `u64` input, so two conditional subtractions and one modular
+    /// addition give the canonical residue `%` would.
+    #[derive(Clone, Copy)]
+    pub(super) struct WideReducer {
+        p: u64,
+        two64: u64,
+        two64_shoup: u64,
+        one_shoup: u64,
+    }
+
+    impl WideReducer {
+        pub(super) fn new(p: u64) -> Self {
+            let pw = u128::from(p);
+            let two64 = ((1u128 << 64) % pw) as u64;
+            WideReducer {
+                p,
+                two64,
+                two64_shoup: ((u128::from(two64) << 64) / pw) as u64,
+                one_shoup: ((1u128 << 64) / pw) as u64,
+            }
+        }
+
+        #[inline]
+        pub(super) fn reduce(&self, x: u128) -> u64 {
+            let p = self.p;
+            let hi = cond_sub(
+                mul_shoup_lazy(p, (x >> 64) as u64, self.two64, self.two64_shoup),
+                p,
+            );
+            let lo = cond_sub(mul_shoup_lazy(p, x as u64, 1, self.one_shoup), p);
+            cond_sub(hi + lo, p)
+        }
+    }
+
+    /// Binary Barrett product `a·b mod p` for canonical `a, b` and
+    /// `p < 2⁶²`. With `n = bits(p)` and `x = a·b < 2²ⁿ`, the estimate
+    /// `q̂ = ⌊⌊x/2ⁿ⁻¹⌋·μ/2ⁿ⁺¹⌋` (`μ = ⌊2²ⁿ/p⌋`) undershoots `⌊x/p⌋` by at
+    /// most 2, so `x − q̂·p < 3p` fits a u64 and two conditional
+    /// subtractions make it canonical.
+    #[derive(Clone, Copy)]
+    pub(super) struct Barrett {
+        p: u64,
+        n: u32,
+        mu: u64,
+    }
+
+    impl Barrett {
+        pub(super) fn new(p: u64) -> Self {
+            let n = 64 - p.leading_zeros();
+            Barrett {
+                p,
+                n,
+                mu: ((1u128 << (2 * n)) / u128::from(p)) as u64,
+            }
+        }
+
+        #[inline]
+        pub(super) fn mul(&self, a: u64, b: u64) -> u64 {
+            let x = u128::from(a) * u128::from(b);
+            let c1 = (x >> (self.n - 1)) as u64;
+            let q = ((u128::from(c1) * u128::from(self.mu)) >> (self.n + 1)) as u64;
+            let r = (x as u64).wrapping_sub(q.wrapping_mul(self.p));
+            cond_sub(cond_sub(r, 2 * self.p), self.p)
+        }
+    }
+
+    #[inline]
+    pub(super) fn pointwise_mul_mod(p: u64, a: &mut [u64], b: &[u64]) {
+        let bar = Barrett::new(p);
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = bar.mul(*x, y);
+        }
+    }
+
+    #[inline]
+    pub(super) fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        let bar = Barrett::new(p);
+        for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+            *o = cond_sub(*o + bar.mul(x, y), p);
+        }
+    }
+
+    /// Dot product mod `p` over columns `offset..offset + out.len()`:
+    /// the wrapped `u128` accumulator of the BEHZ conversions, reduced
+    /// by [`WideReducer`] instead of a `u128 %`.
     #[inline]
     pub(super) fn dot_mod(
         p: u64,
@@ -668,13 +830,13 @@ mod scalar {
         out: &mut [u64],
         offset: usize,
     ) {
-        let pw = u128::from(p);
+        let red = WideReducer::new(p);
         for (c, o) in out.iter_mut().enumerate() {
             let mut acc = 0u128;
             for (row, &m) in rows.iter().zip(weights.iter()) {
                 acc = acc.wrapping_add(u128::from(row[offset + c]) * u128::from(m));
             }
-            *o = (acc % pw) as u64;
+            *o = red.reduce(acc);
         }
     }
 }
@@ -1273,13 +1435,27 @@ mod avx2 {
     /// pipeline (one native 64×64→128 multiply per cycle) — unlike the
     /// butterflies, there is no lazy slack to trade away, because the
     /// BEHZ conversions need the bit-exact wrapped sum. The IFMA tier
-    /// delegates here too: an IFMA dot product would need its own
-    /// exactness argument for the wrapped sum and the per-column
-    /// reduction, and the conversions are not among the NTT and
-    /// Shoup-MAC hot spots the tier targets.
+    /// runs its own kernel for moduli below 2⁵⁰ and delegates the rest
+    /// here.
     #[target_feature(enable = "avx2")]
     pub(super) fn dot_mod(p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
         super::scalar::dot_mod(p, rows, weights, out, 0);
+    }
+
+    /// Companion-free pointwise product: delegates to the scalar Barrett
+    /// loop for the same reason as [`dot_mod`] — a 64×64-bit product per
+    /// lane costs four `pmuludq` and a carry chain, and nothing is
+    /// reused to amortize it.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn pointwise_mul_mod(p: u64, a: &mut [u64], b: &[u64]) {
+        super::scalar::pointwise_mul_mod(p, a, b);
+    }
+
+    /// Companion-free MAC: delegates to the scalar loop (see
+    /// [`pointwise_mul_mod`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        super::scalar::mac_mod(p, acc, a, b);
     }
 }
 
@@ -1294,10 +1470,10 @@ mod ifma {
     use super::avx2;
     use core::arch::x86_64::{
         __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
-        _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_min_epu64,
+        _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_min_epu64, _mm512_or_si512,
         _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
-        _mm512_sub_epi64,
+        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64,
+        _mm512_srlv_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
     };
 
     const LANES: usize = 8;
@@ -1633,6 +1809,195 @@ mod ifma {
             &w_shoup[vec_n..],
         );
     }
+
+    /// The lane constants of the radix-2⁵² Barrett product for one
+    /// modulus `p < 2⁵⁰` of `n` bits: `μ = ⌊2ⁿ⁺⁵¹/p⌋ < 2⁵²` and the
+    /// shift counts that cut `⌊x/2ⁿ⁻¹⌋` out of the product's 52-bit
+    /// halves.
+    #[derive(Clone, Copy)]
+    struct Barrett {
+        p: __m512i,
+        two_p: __m512i,
+        mu: __m512i,
+        lo_shift: __m512i,
+        hi_shift: __m512i,
+    }
+
+    impl Barrett {
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(p: u64) -> Self {
+            let n = u64::from(64 - p.leading_zeros());
+            Barrett {
+                p: splat(p),
+                two_p: splat(2 * p),
+                mu: splat(((1u128 << (n + 51)) / u128::from(p)) as u64),
+                lo_shift: splat(n - 1),
+                hi_shift: splat(53 - n),
+            }
+        }
+
+        /// Canonical `a·b mod p` for canonical `a, b`. The product
+        /// `x = a·b < 2²ⁿ` arrives as its 52-bit halves; `c = ⌊x/2ⁿ⁻¹⌋`
+        /// is below 2ⁿ⁺¹ ≤ 2⁵¹, and `q̂ = hi52(c·μ)` undershoots
+        /// `⌊x/p⌋` by at most 2 (`x/2ⁿ⁺⁵¹ < ½` and `2ⁿ⁻¹/p < 1`). The
+        /// remainder `x − q̂·p < 3p < 2⁵²` is therefore exact as the
+        /// low-52-bit difference, and two conditional subtractions make it
+        /// canonical.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn mul(&self, a: __m512i, b: __m512i) -> __m512i {
+            let zero = _mm512_setzero_si512();
+            let lo = _mm512_madd52lo_epu64(zero, a, b);
+            let hi = _mm512_madd52hi_epu64(zero, a, b);
+            let c = _mm512_or_si512(
+                _mm512_sllv_epi64(hi, self.hi_shift),
+                _mm512_srlv_epi64(lo, self.lo_shift),
+            );
+            let q = _mm512_madd52hi_epu64(zero, c, self.mu);
+            let r = _mm512_and_si512(
+                _mm512_sub_epi64(lo, _mm512_madd52lo_epu64(zero, q, self.p)),
+                splat(MASK52),
+            );
+            cond_sub(cond_sub(r, self.two_p), self.p)
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn pointwise_mul_mod(p: u64, a: &mut [u64], b: &[u64]) {
+        let vec_n = elementwise_len(p, a.len());
+        if vec_n > 0 {
+            let bar = Barrett::new(p);
+            let ap = a.as_mut_ptr();
+            let bp = b.as_ptr();
+            let mut j = 0;
+            while j < vec_n {
+                // SAFETY: j + 8 ≤ vec_n ≤ a.len() = b.len() (checked by
+                // the dispatcher).
+                unsafe {
+                    let x = _mm512_loadu_si512(ap.add(j).cast());
+                    let y = _mm512_loadu_si512(bp.add(j).cast());
+                    _mm512_storeu_si512(ap.add(j).cast(), bar.mul(x, y));
+                }
+                j += LANES;
+            }
+        }
+        avx2::pointwise_mul_mod(p, &mut a[vec_n..], &b[vec_n..]);
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        let vec_n = elementwise_len(p, acc.len());
+        if vec_n > 0 {
+            let bar = Barrett::new(p);
+            let op = acc.as_mut_ptr();
+            let ap = a.as_ptr();
+            let bp = b.as_ptr();
+            let mut j = 0;
+            while j < vec_n {
+                // SAFETY: j + 8 ≤ vec_n ≤ acc.len() = a.len() = b.len()
+                // (checked by the dispatcher).
+                unsafe {
+                    let x = _mm512_loadu_si512(ap.add(j).cast());
+                    let y = _mm512_loadu_si512(bp.add(j).cast());
+                    let o = _mm512_loadu_si512(op.add(j).cast());
+                    let s = _mm512_add_epi64(o, bar.mul(x, y));
+                    _mm512_storeu_si512(op.add(j).cast(), cond_sub(s, bar.p));
+                }
+                j += LANES;
+            }
+        }
+        avx2::mac_mod(p, &mut acc[vec_n..], &a[vec_n..], &b[vec_n..]);
+    }
+
+    /// Row count up to which the dot product's 52-bit lane sums cannot
+    /// overflow a u64 lane (see [`dot_mod`]).
+    const DOT_MAX_ROWS: usize = 1 << 11;
+
+    /// Base-conversion dot product for `p < 2⁵⁰` and at most
+    /// [`DOT_MAX_ROWS`] rows, exact for any u64 row value.
+    ///
+    /// A row value `x = xh·2⁵² + xl` times a weight `w < p < 2⁵⁰` is
+    /// `lo(xl·w) + (hi(xl·w) + lo(xh·w))·2⁵² + hi(xh·w)·2¹⁰⁴`, where
+    /// `lo`/`hi` are the 52-bit halves IFMA returns (it reads only the
+    /// low 52 bits of `x`, which is `xl`). Three u64 lane accumulators
+    /// collect the three columns: at most 2¹¹ terms below 2⁵² and 2⁵³
+    /// stay below 2⁶⁴. Rows are canonical residues in every BEHZ call,
+    /// so `xh = 0`: the first pass adds only the `xl` terms and ORs the
+    /// row values together, and a second pass over the `xh` terms runs
+    /// only when some value reached 2⁵². The true sum is below
+    /// 2¹¹·2⁶⁴·2⁵⁰ < 2¹²⁸, so it is the scalar accumulator's wrapped sum.
+    ///
+    /// The reduction first propagates the carries, leaving
+    /// `V = a₀ + a₁·2⁵² + a₂·2¹⁰⁴` with `a₀, a₁ < 2⁵²` and `a₂ < 2²³`,
+    /// then takes one canonical radix-2⁵² Shoup product per column —
+    /// by 1, `[2⁵²]_p` and `[2¹⁰⁴]_p` — and adds the three residues mod
+    /// `p`: the canonical `V mod p`, the value every backend returns.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn dot_mod(p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
+        let vec_n = if rows.len() <= DOT_MAX_ROWS {
+            elementwise_len(p, out.len())
+        } else {
+            0
+        };
+        if vec_n > 0 {
+            let pw = u128::from(p);
+            let column = |radix: u128| {
+                let w = (radix % pw) as u64;
+                (splat(w), splat(((u128::from(w) << 52) / pw) as u64))
+            };
+            let (c0, c0s) = column(1);
+            let (c1, c1s) = column(1 << 52);
+            let (c2, c2s) = column(1 << 104);
+            let pv = splat(p);
+            let two_pv = splat(2 * p);
+            let mask = splat(MASK52);
+            let mut c = 0;
+            while c < vec_n {
+                let zero = _mm512_setzero_si512();
+                let (mut a0, mut a1, mut a2, mut seen) = (zero, zero, zero, zero);
+                for (row, &w) in rows.iter().zip(weights) {
+                    // SAFETY: c + 8 ≤ vec_n ≤ out.len() ≤ row.len()
+                    // (checked by the dispatcher).
+                    let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c).cast()) };
+                    let wv = splat(w);
+                    a0 = _mm512_madd52lo_epu64(a0, x, wv);
+                    a1 = _mm512_madd52hi_epu64(a1, x, wv);
+                    seen = _mm512_or_si512(seen, x);
+                }
+                if _mm512_test_epi64_mask(seen, splat(!MASK52)) != 0 {
+                    for (row, &w) in rows.iter().zip(weights) {
+                        // SAFETY: as above.
+                        let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c).cast()) };
+                        let xh = _mm512_srli_epi64::<52>(x);
+                        let wv = splat(w);
+                        a1 = _mm512_madd52lo_epu64(a1, xh, wv);
+                        a2 = _mm512_madd52hi_epu64(a2, xh, wv);
+                    }
+                }
+                a1 = _mm512_add_epi64(a1, _mm512_srli_epi64::<52>(a0));
+                a0 = _mm512_and_si512(a0, mask);
+                a2 = _mm512_add_epi64(a2, _mm512_srli_epi64::<52>(a1));
+                a1 = _mm512_and_si512(a1, mask);
+                let r = _mm512_add_epi64(
+                    _mm512_add_epi64(
+                        mul_shoup52_vec(a0, c0, c0s, pv),
+                        mul_shoup52_vec(a1, c1, c1s, pv),
+                    ),
+                    mul_shoup52_vec(a2, c2, c2s, pv),
+                );
+                // SAFETY: c + 8 ≤ vec_n ≤ out.len().
+                unsafe {
+                    _mm512_storeu_si512(
+                        out.as_mut_ptr().add(c).cast(),
+                        cond_sub(cond_sub(r, two_pv), pv),
+                    );
+                }
+                c += LANES;
+            }
+        }
+        super::scalar::dot_mod(p, rows, weights, &mut out[vec_n..], vec_n);
+    }
 }
 
 #[cfg(test)]
@@ -1781,6 +2146,16 @@ mod tests {
                     mac_shoup_with(Backend::Scalar, p, &mut s, &a0, &wr, &wsr);
                     mac_shoup_with(vector, p, &mut v, &a0, &wr, &wsr);
                     assert_eq!(s, v, "mac p={p} len={len} {vector:?}");
+                    // Companion-free pointwise + MAC: canonical inputs.
+                    let (mut s, mut v) = (a0.clone(), a0.clone());
+                    pointwise_mul_mod_with(Backend::Scalar, p, &mut s, &wr);
+                    pointwise_mul_mod_with(vector, p, &mut v, &wr);
+                    assert_eq!(s, v, "pointwise_mod p={p} len={len} {vector:?}");
+                    let acc0 = fill(len, p, seed + 37);
+                    let (mut s, mut v) = (acc0.clone(), acc0);
+                    mac_mod_with(Backend::Scalar, p, &mut s, &a0, &wr);
+                    mac_mod_with(vector, p, &mut v, &a0, &wr);
+                    assert_eq!(s, v, "mac_mod p={p} len={len} {vector:?}");
                     // Base-conversion dot product: 1..=8 rows below 2⁶⁰
                     // (the BEHZ accumulator guard keeps the true sum
                     // under 2¹²⁶).
@@ -1955,6 +2330,42 @@ mod tests {
             mul_const_shoup_with(Backend::Scalar, p, w, ws, &mut got);
             let want: Vec<u64> = a.iter().map(|&x| zp.mul_shoup(x, w, ws)).collect();
             assert_eq!(got, want, "mul_const vs zp.mul_shoup p={p}");
+            let mut got = a.clone();
+            pointwise_mul_mod_with(Backend::Scalar, p, &mut got, &b);
+            let want: Vec<u64> = a
+                .iter()
+                .zip(b.iter())
+                .map(|(&x, &y)| zp.mul(x, y))
+                .collect();
+            assert_eq!(got, want, "pointwise_mod vs zp.mul p={p}");
+            let mut got = acc.clone();
+            mac_mod_with(Backend::Scalar, p, &mut got, &a, &b);
+            let want: Vec<u64> = acc
+                .iter()
+                .zip(a.iter().zip(b.iter()))
+                .map(|(&o, (&x, &y))| zp.add(o, zp.mul(x, y)))
+                .collect();
+            assert_eq!(got, want, "mac_mod vs zp p={p}");
+            // The dot product against the `u128 %` it replaced, with
+            // rows at the top of the u64 range.
+            let rows: Vec<Vec<u64>> = (0..5).map(|r| fill(len, u64::MAX, 40 + r)).collect();
+            let refs: Vec<&[u64]> = rows.iter().map(Vec::as_slice).collect();
+            let weights = fill(5, p, 45);
+            let want: Vec<u64> = (0..len)
+                .map(|c| {
+                    let sum: u128 = refs
+                        .iter()
+                        .zip(&weights)
+                        .map(|(row, &w)| u128::from(row[c]) * u128::from(w))
+                        .sum();
+                    (sum % u128::from(p)) as u64
+                })
+                .collect();
+            for backend in available_backends() {
+                let mut got = vec![0u64; len];
+                dot_mod_with(backend, p, &refs, &weights, &mut got);
+                assert_eq!(got, want, "dot vs u128 % p={p} {backend:?}");
+            }
         }
     }
 
@@ -2036,6 +2447,15 @@ mod tests {
                     mul_const_shoup_with(Backend::Scalar, p, w, ws, &mut s);
                     mul_const_shoup_with(vector, p, w, ws, &mut v);
                     prop_assert_eq!(&s, &v, "mul_const p={} {:?}", p, vector);
+                    let (mut s, mut v) = (a0.clone(), a0.clone());
+                    pointwise_mul_mod_with(Backend::Scalar, p, &mut s, &wr);
+                    pointwise_mul_mod_with(vector, p, &mut v, &wr);
+                    prop_assert_eq!(&s, &v, "pointwise_mod p={} {:?}", p, vector);
+                    let acc0 = fill(len, p, seed ^ 0x3C);
+                    let (mut s, mut v) = (acc0.clone(), acc0);
+                    mac_mod_with(Backend::Scalar, p, &mut s, &a0, &wr);
+                    mac_mod_with(vector, p, &mut v, &a0, &wr);
+                    prop_assert_eq!(&s, &v, "mac_mod p={} {:?}", p, vector);
                 }
             }
         }

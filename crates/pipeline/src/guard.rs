@@ -22,8 +22,10 @@ pub struct NoiseBudgetGuard {
     pub margin_bits: f64,
     /// Whether the server evaluates the batched (SIMD) circuit, whose
     /// plaintext-polynomial multiplications grow noise faster. The
-    /// batched prediction is an envelope covering both slotted layouts
-    /// (see [`pasta_fhe::noise::transcipher_round_noise`]).
+    /// batched prediction is an envelope, not a derivation: it covers
+    /// mux slots (with one added mask prime) and packed PASTA-3, but
+    /// **not** packed PASTA-4, which decrypts wrong at the envelope's
+    /// 10 primes (see [`pasta_fhe::noise::transcipher_round_noise`]).
     pub batched: bool,
 }
 

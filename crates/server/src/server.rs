@@ -42,6 +42,7 @@
 
 use crate::session::SessionTable;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
+use pasta_fhe::noise::{compact_level, transcipher_noise, NoiseModel};
 use pasta_fhe::{
     BfvContext, BfvParams, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
 };
@@ -230,13 +231,58 @@ struct Tenant {
 }
 
 /// Per-FHE-domain evaluation state: the PASTA instance every registrant
-/// must match (the BFV parameters are the context's), the ring, and the
-/// one evaluator, which carries the domain's relinearization key — one
-/// analyst keypair per domain.
+/// must match (the BFV parameters are the context's), the ring, the one
+/// evaluator, which carries the domain's relinearization key — one
+/// analyst keypair per domain — and the levels its results are
+/// compacted to.
 struct Domain {
     pasta: PastaParams,
     ctx: BfvContext,
     hhe: HheServer,
+    /// Primes kept on a scalar pass's results.
+    scalar_level: usize,
+    /// Primes kept on a multiplexed pass's shared positions.
+    mux_level: usize,
+}
+
+impl Domain {
+    /// Builds the domain's evaluation state and sizes its compact
+    /// results: each finished ciphertext is switched down to the fewest
+    /// primes whose predicted budget still meets the admission margin
+    /// ([`compact_level`]). A scalar pass is the scalar circuit from a
+    /// fresh key; a multiplexed pass starts from the composed key, each
+    /// member's key times its 0/1 slot mask (a full plaintext multiply)
+    /// summed over at most `N` members, and runs the slotted circuit,
+    /// which the batched model bounds.
+    fn new(
+        pasta: PastaParams,
+        bfv: BfvParams,
+        relin_key: BfvRelinKey,
+        margin_bits: f64,
+    ) -> Result<Self, FheError> {
+        let ctx = BfvContext::new(bfv)?;
+        let hhe = HheServer::new(pasta, &ctx, relin_key)?;
+        let fresh = NoiseModel::fresh(&ctx);
+        let level = |batched: bool, start: NoiseModel| {
+            let end = transcipher_noise(pasta.t(), pasta.rounds(), batched, start);
+            compact_level(&ctx, end, margin_bits)
+        };
+        let scalar_level = level(false, fresh);
+        let mux_level = level(true, fresh.after_mul_plain().after_sum(bfv.n));
+        Ok(Domain {
+            pasta,
+            ctx,
+            hhe,
+            scalar_level,
+            mux_level,
+        })
+    }
+
+    /// Switches a finished result down to `level` primes.
+    fn compact(&self, cts: &mut [FheCiphertext], level: usize) -> Result<(), FheError> {
+        cts.iter_mut()
+            .try_for_each(|ct| self.ctx.mod_switch_to(ct, level))
+    }
 }
 
 impl std::fmt::Debug for Domain {
@@ -292,7 +338,10 @@ pub struct SlotAssignment {
 }
 
 /// The transciphered payload of a completion: either a private scalar
-/// pass or one slot range of a shared multiplexed pass.
+/// pass or one slot range of a shared multiplexed pass. Its ciphertexts
+/// are compact: switched down to the fewest primes whose predicted
+/// noise budget keeps the admission margin, which decryption accepts
+/// as-is (see [`BfvContext::mod_switch_to`]).
 #[derive(Debug)]
 pub enum CompletionResult {
     /// One FHE ciphertext per message element (scalar pass).
@@ -564,17 +613,14 @@ impl PastaServer {
             }
             existing.hhe.check_key(&prov.encrypted_key)?;
         } else {
-            let ctx = BfvContext::new(prov.bfv)?;
-            let hhe = HheServer::new(prov.pasta, &ctx, prov.relin_key)?;
-            hhe.check_key(&prov.encrypted_key)?;
-            self.domains.insert(
-                domain,
-                Domain {
-                    pasta: prov.pasta,
-                    ctx,
-                    hhe,
-                },
-            );
+            let d = Domain::new(
+                prov.pasta,
+                prov.bfv,
+                prov.relin_key,
+                self.cfg.admission.margin_bits,
+            )?;
+            d.hhe.check_key(&prov.encrypted_key)?;
+            self.domains.insert(domain, d);
         }
         let id = self.next_tenant;
         self.next_tenant += 1;
@@ -1178,7 +1224,8 @@ fn serve(
             .map(|req| {
                 let t = tenant(req)?;
                 let d = domain(t.domain)?;
-                let cts = d.hhe.transcipher(&d.ctx, &t.key, &req.ct).map_err(fault)?;
+                let mut cts = d.hhe.transcipher(&d.ctx, &t.key, &req.ct).map_err(fault)?;
+                d.compact(&mut cts, d.scalar_level).map_err(fault)?;
                 Ok(CompletionResult::Scalar(cts))
             })
             .collect();
@@ -1195,12 +1242,13 @@ fn serve(
             })
         })
         .collect::<Result<Vec<_>, RefusalReason>>()?;
-    let positions = Arc::new(
-        d.hhe
-            .transcipher_mux(&d.ctx, &members)
-            .map_err(fault)?
-            .positions,
-    );
+    let mut positions = d
+        .hhe
+        .transcipher_mux(&d.ctx, &members)
+        .map_err(fault)?
+        .positions;
+    d.compact(&mut positions, d.mux_level).map_err(fault)?;
+    let positions = Arc::new(positions);
     Ok(bucket
         .assignments
         .iter()

@@ -64,6 +64,12 @@ fn full_bucket_flush_demuxes_each_member() {
         let idx = sides.iter().position(|s| s.tenant == c.tenant).unwrap();
         let recovered = c.result.retrieve(&sides[idx].ctx, &sides[idx].sk).unwrap();
         assert_eq!(recovered, messages[idx], "demux must recover tenant {idx}");
+        // The shared positions are compacted below the top level.
+        let CompletionResult::Muxed { positions, .. } = &c.result else {
+            unreachable!()
+        };
+        let top = sides[idx].ctx.basis().len();
+        assert!(positions.iter().all(|ct| ct.level() < top));
     }
     let stats = server.stats();
     assert_eq!((stats.mux_buckets, stats.mux_requests), (1, 2));

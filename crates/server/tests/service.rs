@@ -5,6 +5,7 @@
 
 mod common;
 
+use pasta_fhe::noise::{compact_level, transcipher_noise, NoiseModel};
 use pasta_fhe::BfvParams;
 use pasta_hhe::ShardedCacheConfig;
 use pasta_pipeline::{pack, PipelineError, RefusalReason, WireFrame};
@@ -58,6 +59,60 @@ fn transciphers_end_to_end() {
     }
     let stats = fx.server.stats();
     assert_eq!((stats.accepted, stats.completed), (1, 1));
+}
+
+#[test]
+fn scalar_results_are_switched_to_the_fewest_primes_the_margin_allows() {
+    let cfg = ServerConfig::default();
+    let margin = cfg.admission.margin_bits;
+    let mut fx = common::fixture(cfg);
+    let (ctx, sk) = (&fx.side.ctx, &fx.side.sk);
+    let msg = fx.side.message(3);
+    fx.server.open_session(0, fx.side.tenant, 91).unwrap();
+    expect_accept(
+        fx.server
+            .submit(10, fx.side.tenant, &fx.side.data_frame(91, 1, &msg)),
+    );
+    let events = fx.server.poll(1_000_000);
+    let [ServerEvent::Completed(c)] = &events[..] else {
+        panic!("expected one completion, got {events:?}");
+    };
+    let CompletionResult::Scalar(cts) = &c.result else {
+        panic!("a domainless tenant's result is scalar");
+    };
+    // The level the model picks for the scalar circuit.
+    let params = fx.side.params;
+    let end = transcipher_noise(params.t(), params.rounds(), false, NoiseModel::fresh(ctx));
+    let level = compact_level(ctx, end, margin);
+    let top = ctx.basis().len();
+    assert!(level < top, "the tiny circuit leaves primes to drop");
+    let predicted = end
+        .after_mod_switch(ctx.level_q_bits(level))
+        .predicted_budget();
+    assert!(predicted >= margin, "{predicted:.1} bits predicted");
+    let full_bytes = ctx.encrypt_trivial(&ctx.encode_scalar(0)).size_bytes(ctx);
+    for ct in cts {
+        assert_eq!(ct.level(), level);
+        let measured = f64::from(ctx.noise_budget(sk, ct));
+        assert!(
+            measured >= predicted,
+            "measured {measured} bits below the predicted {predicted:.1}"
+        );
+        assert_eq!(
+            ct.size_bytes(ctx) * top,
+            full_bytes * level,
+            "bytes fall by L/ℓ"
+        );
+    }
+    assert_eq!(c.result.retrieve(ctx, sk).unwrap(), msg);
+    // A compact result still takes the public-constant add the
+    // benchmark's tamper check applies.
+    let mut tampered = cts[0].clone();
+    ctx.add_scalar_assign(&mut tampered, 1);
+    assert_eq!(
+        ctx.decrypt(sk, &tampered).scalar(),
+        (msg[0] + 1) % params.modulus().value()
+    );
 }
 
 #[test]
