@@ -10,7 +10,8 @@
 
 use pasta_core::PastaParams;
 use pasta_hhe::link::{PastaLink, Resolution, MIN_5G_BPS};
-use pasta_pipeline::{run_session, ChannelConfig, SessionConfig};
+use pasta_pipeline::ChannelConfig;
+use pasta_server::{run_session, SessionConfig};
 
 const LOSS_RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
 

@@ -129,7 +129,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             pixels,
             mtu,
         } => {
-            let cfg = pasta_pipeline::SessionConfig {
+            let cfg = pasta_server::SessionConfig {
                 params: *params,
                 resolution: *resolution,
                 frames: *frames,
@@ -143,9 +143,9 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     ..pasta_pipeline::ChannelConfig::default()
                 },
                 pixels_override: *pixels,
-                ..pasta_pipeline::SessionConfig::default()
+                ..pasta_server::SessionConfig::default()
             };
-            let report = pasta_pipeline::run_session(&cfg).map_err(|e| e.to_string())?;
+            let report = pasta_server::run_session(&cfg).map_err(|e| e.to_string())?;
             let mut out = String::new();
             let _ = writeln!(out, "{params}");
             let _ = writeln!(

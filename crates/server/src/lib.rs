@@ -16,7 +16,11 @@
 //! - [`session`] — the nonce-keyed session registry;
 //! - [`loadgen`] — a seeded, fault-injected load generator that verifies
 //!   every completed response by decryption and reports p50/p99 latency,
-//!   throughput and shed/refused/retried counts.
+//!   throughput and shed/refused/retried counts;
+//! - [`uplink`] — one edge camera's session over a lossy link
+//!   (stop-and-wait ARQ, backoff, resolution degradation), verifying
+//!   every delivered frame symmetrically or by transciphering it on a
+//!   [`PastaServer`].
 //!
 //! The contract throughout: hostile or unlucky input (truncated frames,
 //! flipped bits, replayed sessions, full queues, blown deadlines,
@@ -29,6 +33,7 @@
 pub mod loadgen;
 pub mod server;
 pub mod session;
+pub mod uplink;
 
 pub use loadgen::{run as run_loadgen, LoadReport, LoadgenConfig};
 pub use server::{
@@ -36,3 +41,4 @@ pub use server::{
     ServerStats, SlotAssignment, SubmitOutcome, TenantId, TenantProvision,
 };
 pub use session::SessionTable;
+pub use uplink::{run_session, Downshift, SessionConfig, SessionReport};

@@ -7,7 +7,7 @@
 //! retransmission and exponential backoff + jitter, reassembled on the
 //! far side, and verified pixel-exact — either by symmetric decryption
 //! or, when BFV parameters are supplied, by actual FHE transciphering on
-//! a guarded [`CloudReceiver`].
+//! a [`PastaServer`], the same service [`crate::loadgen`] drives.
 //!
 //! When the link can no longer carry the frame deadline, the sender
 //! degrades gracefully instead of stalling: it walks the
@@ -16,17 +16,19 @@
 
 use std::collections::BTreeMap;
 
-use crate::channel::{ChannelConfig, LossyChannel};
-use crate::cloud::CloudReceiver;
-use crate::edge::{EdgeEncryptor, ScheduledFault};
-use crate::error::PipelineError;
-use crate::guard::NoiseBudgetGuard;
-use crate::pack::{elements_in, pack_bits, unpack_bits};
-use crate::wire::{WireFrame, CRC_LEN, HEADER_LEN};
+use crate::server::{
+    PastaServer, ServerConfig, ServerEvent, SubmitOutcome, TenantId, TenantProvision,
+};
 use pasta_core::{PastaCipher, PastaParams, SecretKey};
-use pasta_fhe::BfvParams;
+use pasta_fhe::{BfvContext, BfvParams, BfvSecretKey};
 use pasta_hhe::link::Resolution;
+use pasta_hhe::HheClient;
 use pasta_hw::fault::Countermeasure;
+use pasta_pipeline::pack::{ciphertext_from_elements, elements_in, pack_bits, unpack_bits};
+use pasta_pipeline::wire::{CRC_LEN, HEADER_LEN};
+use pasta_pipeline::{
+    ChannelConfig, EdgeEncryptor, LossyChannel, PipelineError, ScheduledFault, WireFrame,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,12 +58,11 @@ pub struct SessionConfig {
     /// Transient datapath faults to inject.
     pub faults: Vec<ScheduledFault>,
     /// When set, delivered frames are verified by real FHE
-    /// transciphering on a [`CloudReceiver`] (expensive — use small
-    /// frames via [`SessionConfig::pixels_override`]). When `None`,
+    /// transciphering on a [`PastaServer`] (expensive — use small
+    /// frames via [`SessionConfig::pixels_override`]), whose admission
+    /// guard refuses parameters the circuit would exhaust. When `None`,
     /// verification decrypts symmetrically with the shared key.
     pub bfv: Option<BfvParams>,
-    /// Noise-budget guard for the cloud receiver.
-    pub guard: NoiseBudgetGuard,
     /// Overrides the per-frame pixel count (tests use tiny frames).
     pub pixels_override: Option<usize>,
     /// Whether deadline misses may downshift/shed (off for benchmarks
@@ -84,7 +85,6 @@ impl Default for SessionConfig {
             countermeasure: Countermeasure::MaterialRedundancy,
             faults: Vec::new(),
             bfv: None,
-            guard: NoiseBudgetGuard::default(),
             pixels_override: None,
             degrade: true,
         }
@@ -101,7 +101,7 @@ pub struct Downshift {
 }
 
 /// What happened over one session.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Frames the camera offered.
     pub frames_offered: u32,
@@ -136,8 +136,6 @@ pub struct SessionReport {
     /// Delivered frames whose pixels did NOT match (should stay 0 —
     /// every corruption path is supposed to be caught earlier).
     pub verify_failures: u32,
-    /// Post-circuit noise budget the guard admitted (FHE mode only).
-    pub noise_budget_bits: Option<f64>,
     /// Ciphertext payload bytes that reached the cloud (unique, not
     /// counting retransmissions).
     pub payload_bytes_delivered: u64,
@@ -162,7 +160,6 @@ impl SessionReport {
             elapsed_ms: 0.0,
             verified_frames: 0,
             verify_failures: 0,
-            noise_budget_bits: None,
             payload_bytes_delivered: 0,
         }
     }
@@ -223,11 +220,6 @@ impl SessionReport {
                 ));
             }
         }
-        if let Some(bits) = self.noise_budget_bits {
-            s.push_str(&format!(
-                "noise     {bits:.1} bits of budget admitted by guard\n"
-            ));
-        }
         s.push_str(&format!(
             "timing    {:.1} ms virtual, {:.2} fps effective, {:.2} Mbit/s goodput",
             self.elapsed_ms,
@@ -246,9 +238,10 @@ const MISSES_BEFORE_DEGRADE: u32 = 2;
 /// # Errors
 ///
 /// [`PipelineError::Config`] for an unusable configuration,
-/// [`PipelineError::NoiseBudget`] when FHE verification is requested and
-/// the guard refuses the parameters, and edge/cloud errors from the
-/// crypto layers.
+/// [`PipelineError::Refused`] when FHE verification is requested and the
+/// service refuses the tenant (`BudgetRefused` names the prime count
+/// that would work) or a frame, and edge/cloud errors from the crypto
+/// layers.
 pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, PipelineError> {
     let block_bytes = cfg.params.ciphertext_block_bytes();
     let usable = cfg.mtu.saturating_sub(HEADER_LEN + CRC_LEN);
@@ -288,14 +281,8 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, PipelineError> 
     for fault in &cfg.faults {
         edge.schedule_fault(*fault);
     }
-    let cloud = match cfg.bfv {
-        Some(bfv) => Some(CloudReceiver::new(
-            cfg.params,
-            bfv,
-            cfg.guard,
-            &key,
-            cfg.channel.seed ^ 0x1F0_C10D,
-        )?),
+    let mut cloud = match cfg.bfv {
+        Some(bfv) => Some(Cloud::register(cfg, bfv)?),
         None => None,
     };
     let verifier = PastaCipher::new(cfg.params, key);
@@ -312,7 +299,6 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, PipelineError> 
     let deadline_ms = 1_000.0 / cfg.target_fps;
 
     let mut report = SessionReport::new(cfg.resolution);
-    report.noise_budget_bits = cloud.as_ref().map(CloudReceiver::admitted_budget_bits);
 
     let mut resolution = cfg.resolution;
     let mut consecutive_misses = 0u32;
@@ -369,11 +355,10 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, PipelineError> 
 
         if delivered_all {
             let elements: Vec<u64> = assembly.into_values().flatten().collect();
-            let recovered = match &cloud {
-                Some(c) => c.transcipher_frame(nonce, &elements)?,
+            let recovered = match &mut cloud {
+                Some(c) => c.transcipher(now_ms, frame_id, nonce, pack_bits(&elements, bits))?,
                 None => {
-                    let ct = crate::pack::ciphertext_from_elements(&cfg.params, nonce, &elements)?;
-                    verifier.decrypt(&ct)?
+                    verifier.decrypt(&ciphertext_from_elements(&cfg.params, nonce, &elements)?)?
                 }
             };
             if recovered == pixels {
@@ -418,6 +403,82 @@ pub fn run_session(cfg: &SessionConfig) -> Result<SessionReport, PipelineError> 
     report.final_resolution = resolution;
     report.elapsed_ms = now_ms;
     Ok(report)
+}
+
+/// The cloud half of an FHE-verified session: one domainless tenant on
+/// a [`PastaServer`], plus the analyst's FHE secret key so delivered
+/// frames can be checked pixel-exact.
+struct Cloud {
+    server: PastaServer,
+    tenant: TenantId,
+    ctx: BfvContext,
+    sk: BfvSecretKey,
+    /// When the service finished its last request (µs of virtual
+    /// time). A frame that arrives earlier waits for it, so a busy
+    /// service delays the frame instead of shedding it at its deadline.
+    free_us: u64,
+}
+
+impl Cloud {
+    /// Generates the analyst's FHE keypair, provisions the edge's PASTA
+    /// key under it and registers the tenant, which the service's
+    /// admission guard refuses when the circuit would exhaust `bfv`.
+    fn register(cfg: &SessionConfig, bfv: BfvParams) -> Result<Self, PipelineError> {
+        let ctx = BfvContext::new(bfv)?;
+        let mut rng = StdRng::seed_from_u64(cfg.channel.seed ^ 0x1F0_C10D);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let relin_key = ctx.generate_relin_key(&sk, &mut rng);
+        let encrypted_key =
+            HheClient::new(cfg.params, &cfg.key_seed).provision_key(&ctx, &pk, &mut rng);
+        let mut server = PastaServer::new(ServerConfig::default());
+        let tenant = server.register_tenant(TenantProvision {
+            pasta: cfg.params,
+            bfv,
+            relin_key,
+            encrypted_key,
+            fhe_domain: None,
+        })?;
+        Ok(Cloud {
+            server,
+            tenant,
+            ctx,
+            sk,
+            free_us: 0,
+        })
+    }
+
+    /// Transciphers one reassembled frame as a single request under the
+    /// frame's nonce as its session, then decrypts the result.
+    fn transcipher(
+        &mut self,
+        now_ms: f64,
+        frame_id: u32,
+        nonce: u128,
+        payload: Vec<u8>,
+    ) -> Result<Vec<u64>, PipelineError> {
+        let now_us = ((now_ms * 1_000.0) as u64).max(self.free_us);
+        self.server
+            .open_session(now_us, self.tenant, nonce)
+            .map_err(PipelineError::Refused)?;
+        let frame = WireFrame::data(nonce, frame_id, 0, payload).encode();
+        if let SubmitOutcome::Refused { reason, .. } =
+            self.server.submit(now_us, self.tenant, &frame)
+        {
+            return Err(PipelineError::Refused(reason));
+        }
+        // Draining the queue answers the one accepted request.
+        match self.server.poll(u64::MAX).pop() {
+            Some(ServerEvent::Completed(done)) => {
+                self.free_us = done.completed_us;
+                Ok(done.result.retrieve(&self.ctx, &self.sk)?)
+            }
+            Some(ServerEvent::Refused { reason, .. }) => Err(PipelineError::Refused(reason)),
+            None => Err(PipelineError::Config(
+                "the service answered no event for an accepted frame".into(),
+            )),
+        }
+    }
 }
 
 /// Stop-and-wait ARQ for one wire frame. Returns `true` once the chunk
@@ -608,6 +669,19 @@ mod tests {
             "masked fault must never corrupt output"
         );
         assert_eq!(report.verified_frames, 8);
+    }
+
+    #[test]
+    fn busy_service_delays_frames_instead_of_shedding() {
+        // 100 blocks a frame cost 200 ms of modelled service, four
+        // 50 ms frame slots: stamped with the link's clock alone, the
+        // third frame would pass its 200 ms deadline in the queue.
+        let mut cfg = tiny_session(1);
+        cfg.frames = 3;
+        cfg.pixels_override = Some(400);
+        cfg.bfv = Some(BfvParams::test_tiny());
+        let report = run_session(&cfg).unwrap();
+        assert_eq!(report.verified_frames, 3, "{report:?}");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! A QQVGA camera streams PASTA-encrypted frames over a 12.5 MB/s
 //! mid-band 5G link with 1% packet loss and a 1e-6 bit-error rate. The
 //! ARQ recovers every corrupted or dropped wire frame, and every frame
-//! that reaches the cloud decrypts pixel-exact.
+//! that reaches the cloud decrypts pixel-exact. The example exits
+//! non-zero when a delivered frame mismatches or the session is refused.
 //!
 //! Run with: `cargo run --release --example lossy_surveillance`
 
 use pasta_edge::cipher::PastaParams;
 use pasta_edge::hhe::link::Resolution;
-use pasta_edge::pipeline::{run_session, ChannelConfig, SessionConfig};
+use pasta_edge::pipeline::ChannelConfig;
+use pasta_edge::server::{run_session, SessionConfig};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let cfg = SessionConfig {
         params: PastaParams::pasta4_17bit(),
         resolution: Resolution::Qqvga,
@@ -45,11 +48,18 @@ fn main() {
     match run_session(&cfg) {
         Ok(report) => {
             println!("{}", report.summary());
-            println!(
-                "\nEvery delivered frame verified pixel-exact: {}",
-                report.verify_failures == 0 && report.verified_frames == report.frames_delivered
-            );
+            let exact =
+                report.verify_failures == 0 && report.verified_frames == report.frames_delivered;
+            println!("\nEvery delivered frame verified pixel-exact: {exact}");
+            if exact {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
         }
-        Err(e) => eprintln!("session refused: {e}"),
+        Err(e) => {
+            eprintln!("session refused: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

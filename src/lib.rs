@@ -16,7 +16,10 @@
 //! - [`soc`] — an RV32IM SoC simulator with the PASTA peripheral;
 //! - [`rasta`] — a binary HHE cipher for the binary-vs-integer study;
 //! - [`pipeline`] — the fault-tolerant edge→cloud transciphering
-//!   pipeline over a simulated lossy link.
+//!   protocol over a simulated lossy link;
+//! - [`server`] — the multi-tenant transciphering service, its load
+//!   generator, and the edge uplink session that transciphers through
+//!   it.
 //!
 //! # Examples
 //!
@@ -41,4 +44,5 @@ pub use pasta_keccak as keccak;
 pub use pasta_math as math;
 pub use pasta_pipeline as pipeline;
 pub use pasta_rasta as rasta;
+pub use pasta_server as server;
 pub use pasta_soc as soc;

@@ -5,12 +5,12 @@
 //! through the whole edge→cloud flow, and every frame that reaches the
 //! cloud must still transcipher pixel-exact under real FHE.
 
+use pasta_edge::fhe::noise::suggest_prime_count;
 use pasta_edge::fhe::BfvParams;
 use pasta_edge::hw::fault::{FaultSpec, FaultTarget};
 use pasta_edge::math::Modulus;
-use pasta_edge::pipeline::{
-    run_session, ChannelConfig, PipelineError, ScheduledFault, SessionConfig,
-};
+use pasta_edge::pipeline::{ChannelConfig, PipelineError, RefusalReason, ScheduledFault};
+use pasta_edge::server::{run_session, SessionConfig};
 
 fn tiny_params() -> pasta_edge::cipher::PastaParams {
     pasta_edge::cipher::PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap()
@@ -62,9 +62,6 @@ fn lossy_faulty_session_transciphers_exactly() {
     assert_eq!(report.faults_detected, 1);
     assert_eq!(report.faults_escaped, 0);
 
-    // The guard admitted the session and reported its budget.
-    assert!(report.noise_budget_bits.unwrap() >= 12.0);
-
     // The lossy link actually did something: the ARQ had to work.
     assert!(
         report.drops + report.corrupt_rejected + report.acks_lost > 0,
@@ -78,8 +75,8 @@ fn lossy_faulty_session_transciphers_exactly() {
     assert!((again.elapsed_ms - report.elapsed_ms).abs() < 1e-9);
 }
 
-/// The noise-budget guard refuses an under-provisioned cloud with a
-/// structured error that names the prime count that would work.
+/// The service's admission guard refuses an under-provisioned tenant
+/// with a structured error that names the prime count that would work.
 #[test]
 fn noise_guard_names_the_fix() {
     let cfg = SessionConfig {
@@ -95,21 +92,54 @@ fn noise_guard_names_the_fix() {
     };
     let err = run_session(&cfg).unwrap_err();
     match &err {
-        PipelineError::NoiseBudget {
-            prime_count,
-            suggested_prime_count,
-            ..
-        } => {
-            assert_eq!(*prime_count, 2);
-            let suggested = suggested_prime_count.expect("tiny circuit has a workable RNS size");
-            assert!(suggested > 2);
+        PipelineError::Refused(RefusalReason::BudgetRefused { suggested_primes }) => {
+            let expected = suggest_prime_count(4, 2, false, 256, Modulus::PASTA_17_BIT, 50, 12.0)
+                .expect("tiny circuit has a workable RNS size");
+            let suggested = suggested_primes.expect("the refusal names a prime count");
+            assert_eq!(suggested as usize, expected);
             let msg = err.to_string();
             assert!(
                 msg.contains(&format!("use at least {suggested}")),
                 "error must name the fix: {msg}"
             );
         }
-        other => panic!("expected NoiseBudget, got {other:?}"),
+        other => panic!("expected BudgetRefused, got {other:?}"),
+    }
+}
+
+/// A frame spanning several wire frames reaches the service as one
+/// reassembled request. At a 45-byte MTU each wire frame carries one
+/// 9-byte tiny-PASTA block plus 36 bytes of framing, so every 8-pixel
+/// frame takes two. Verifying through the service tells the same story,
+/// field for field, as verifying by symmetric decryption.
+#[test]
+fn multi_chunk_frames_transcipher_through_the_service() {
+    for mtu in [256, 45] {
+        let fhe = SessionConfig {
+            params: tiny_params(),
+            frames: 4,
+            target_fps: 20.0,
+            pixels_override: Some(8),
+            mtu,
+            channel: ChannelConfig {
+                drop_prob: 0.2,
+                bit_error_rate: 1e-4,
+                reorder_prob: 0.05,
+                seed: 5,
+                ..ChannelConfig::default()
+            },
+            bfv: Some(BfvParams::test_tiny()),
+            ..SessionConfig::default()
+        };
+        let report = run_session(&fhe).unwrap();
+        assert_eq!(report.frames_delivered, 4, "mtu {mtu}: {report:?}");
+        assert_eq!(report.verified_frames, report.frames_delivered);
+        assert_eq!(report.verify_failures, 0);
+        if mtu == 45 {
+            assert!(report.chunks_sent >= 2 * u64::from(report.frames_delivered));
+        }
+        let symmetric = run_session(&SessionConfig { bfv: None, ..fhe }).unwrap();
+        assert_eq!(report, symmetric, "mtu {mtu}");
     }
 }
 
