@@ -1451,8 +1451,7 @@ pub struct HoistedCiphertext {
 /// A BFV ciphertext (2 components; 3 transiently after multiplication).
 ///
 /// `PartialEq` compares raw component polynomials (residues + domain) —
-/// the bit-exactness predicate the threaded-vs-serial determinism tests
-/// rely on.
+/// the bit-exactness predicate the determinism tests rely on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     pub(crate) polys: Vec<RnsPoly>,
@@ -1501,9 +1500,6 @@ mod tests {
     use crate::oracle::MulOracle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Serializes tests that twiddle `PASTA_THREADS`.
-    static THREADS_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// A plaintext with every coefficient drawn uniformly from `Z_t`.
     fn random_plaintext(ctx: &BfvContext, rng: &mut StdRng) -> Plaintext {
@@ -1929,8 +1925,8 @@ mod tests {
         let (ctx, _, pk, rk, mut rng) = setup();
         let a = ctx.encrypt(&pk, &ctx.encode_scalar(300), &mut rng);
         let b = ctx.encrypt(&pk, &ctx.encode_scalar(500), &mut rng);
-        // N = 256 keeps the whole pipeline on this thread, so the
-        // thread-local counter sees every allocation.
+        // The kernels run on the calling thread, so the thread-local
+        // counter sees every allocation.
         let before = crate::bigint::ubig_alloc_count();
         let prod = ctx.mul(&a, &b).unwrap();
         let _ = ctx.square(&a).unwrap();
@@ -1954,60 +1950,6 @@ mod tests {
     }
 
     #[test]
-    fn bigint_oracle_is_thread_count_invariant() {
-        let _guard = THREADS_ENV_LOCK.lock().unwrap();
-        // N = 1024 crosses the parallel threshold, so the oracle's
-        // chunked lift/scale loops actually fan out.
-        let params = BfvParams {
-            n: 1_024,
-            ..BfvParams::test_tiny()
-        };
-        let ctx = BfvContext::new(params).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let sk = ctx.generate_secret_key(&mut rng);
-        let pk = ctx.generate_public_key(&sk, &mut rng);
-        let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
-        let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
-        let exact = MulOracle::new(&ctx).unwrap();
-        std::env::set_var(pasta_par::THREADS_ENV, "1");
-        let serial = exact.mul(&a, &b).unwrap();
-        std::env::set_var(pasta_par::THREADS_ENV, "4");
-        let parallel = exact.mul(&a, &b).unwrap();
-        std::env::remove_var(pasta_par::THREADS_ENV);
-        assert_eq!(serial, parallel, "oracle output depends on thread count");
-    }
-
-    #[test]
-    fn rns_mul_is_thread_count_invariant() {
-        let _guard = THREADS_ENV_LOCK.lock().unwrap();
-        // The fast BEHZ path through the persistent worker pool: serial,
-        // moderately parallel, and oversubscribed (16 threads) runs must
-        // be bit-identical — chunk boundaries are a pure function of
-        // (len, resolved threads), never of scheduling.
-        let params = BfvParams {
-            n: 1_024,
-            ..BfvParams::test_tiny()
-        };
-        let ctx = BfvContext::new(params).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let sk = ctx.generate_secret_key(&mut rng);
-        let pk = ctx.generate_public_key(&sk, &mut rng);
-        let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
-        let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
-        std::env::set_var(pasta_par::THREADS_ENV, "1");
-        let serial = ctx.mul_rns(&a, Some(&b));
-        for threads in ["4", "16"] {
-            std::env::set_var(pasta_par::THREADS_ENV, threads);
-            let parallel = ctx.mul_rns(&a, Some(&b));
-            assert_eq!(
-                serial, parallel,
-                "RNS mul output depends on thread count ({threads})"
-            );
-        }
-        std::env::remove_var(pasta_par::THREADS_ENV);
-    }
-
-    #[test]
     fn warm_mul_relin_allocates_no_poly_rows_or_bigints() {
         // A ring degree no other test in this binary uses. For some
         // buffer shapes the pipeline's working set exceeds the
@@ -2017,7 +1959,7 @@ mod tests {
         // can empty that bin between the cold and the warm pass and
         // force fresh allocations. At N = 512 every shape this test
         // touches — the ciphertext basis, the BEHZ auxiliary basis and
-        // the length-N chunk rows — belongs to it alone.
+        // the BEHZ row temporaries — belongs to it alone.
         let ctx = BfvContext::new(BfvParams {
             n: 512,
             ..BfvParams::test_tiny()
@@ -2033,9 +1975,9 @@ mod tests {
         // the multiply + relinearize pipeline needs...
         let _ = ctx.mul_relin(&a, &b, &rk).unwrap();
         let _ = ctx.mul_relin(&a, &b, &rk).unwrap();
-        // ...after which a warm pass must allocate nothing: N = 512
-        // keeps the whole pipeline on this thread, so the thread-local
-        // counters see every allocation.
+        // ...after which a warm pass must allocate nothing: the kernels
+        // run on the calling thread, so the thread-local counters see
+        // every allocation.
         let rows_before = crate::scratch::poly_alloc_count();
         let ubig_before = crate::bigint::ubig_alloc_count();
         let prod = ctx.mul_relin(&a, &b, &rk).unwrap();

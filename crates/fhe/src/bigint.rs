@@ -19,8 +19,8 @@ thread_local! {
 /// on the **current thread** since it started. Release builds always
 /// return 0. Tests use the delta across a code region to prove the RNS
 /// multiplication fast path allocates no big integers; the counter is
-/// thread-local so `pasta-par` worker threads and unrelated test threads
-/// cannot pollute the measurement.
+/// thread-local so the worker threads of a caller's fan-out and
+/// unrelated test threads cannot pollute the measurement.
 #[must_use]
 pub fn ubig_alloc_count() -> u64 {
     #[cfg(debug_assertions)]

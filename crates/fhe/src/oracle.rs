@@ -6,7 +6,7 @@
 
 use crate::bfv::{BfvContext, Ciphertext, FheError};
 use crate::bigint::UBig;
-use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly, PAR_MIN_RING_DEGREE};
+use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly};
 
 /// The exact bigint multiplication of one context's ciphertexts.
 #[derive(Debug, Clone)]
@@ -48,8 +48,7 @@ impl<'a> MulOracle<'a> {
     /// product. Aliased operands take a squaring specialization. Every
     /// coefficient is CRT-reconstructed into the extended basis for the
     /// tensor and the `t/q` rounding is done with exact half-up
-    /// big-integer division; both per-coefficient sweeps are chunked
-    /// across threads (`PASTA_THREADS`, bit-identical for any count).
+    /// big-integer division.
     ///
     /// # Errors
     ///
@@ -63,20 +62,22 @@ impl<'a> MulOracle<'a> {
         }
         let basis = self.ctx.basis();
         let half_q = basis.q().shr(1);
-        let parallel = basis.n() >= PAR_MIN_RING_DEGREE;
         // Lift all four polys (centered) into the extended basis, NTT there.
         let lift = |p: &RnsPoly| -> RnsPoly {
             let mut p = p.clone();
             p.to_coeff(basis);
             let big = p.to_bigint_coeffs(basis);
-            let values: Vec<UBig> = pasta_par::maybe_parallel_map(parallel, &big, |_, v| {
-                if v.cmp_big(&half_q) == std::cmp::Ordering::Greater {
-                    // negative: Q_ext - (q - v)
-                    self.ext_basis.q().sub(&basis.q().sub(v))
-                } else {
-                    v.clone()
-                }
-            });
+            let values: Vec<UBig> = big
+                .into_iter()
+                .map(|v| {
+                    if v.cmp_big(&half_q) == std::cmp::Ordering::Greater {
+                        // negative: Q_ext - (q - v)
+                        self.ext_basis.q().sub(&basis.q().sub(&v))
+                    } else {
+                        v
+                    }
+                })
+                .collect();
             let mut ext = RnsPoly::from_bigint_coeffs(&self.ext_basis, &values);
             ext.to_ntt(&self.ext_basis);
             ext
@@ -107,22 +108,26 @@ impl<'a> MulOracle<'a> {
             p.to_coeff(&self.ext_basis);
             let big = p.to_bigint_coeffs(&self.ext_basis);
             let t = self.ctx.params().plain_modulus.value();
-            let values: Vec<UBig> = pasta_par::maybe_parallel_map(parallel, &big, |_, w| {
-                // Center in the extended basis, scale by t/q with
-                // rounding, then map back into [0, q).
-                let (mag, negative) = if w.cmp_big(&self.half_ext) == std::cmp::Ordering::Greater {
-                    (self.ext_basis.q().sub(w), true)
-                } else {
-                    (w.clone(), false)
-                };
-                let rounded = mag.mul_u64(t).div_round(basis.q());
-                let reduced = rounded.div_rem(basis.q()).1;
-                if negative && !reduced.is_zero() {
-                    basis.q().sub(&reduced)
-                } else {
-                    reduced
-                }
-            });
+            let values: Vec<UBig> = big
+                .into_iter()
+                .map(|w| {
+                    // Center in the extended basis, scale by t/q with
+                    // rounding, then map back into [0, q).
+                    let (mag, negative) =
+                        if w.cmp_big(&self.half_ext) == std::cmp::Ordering::Greater {
+                            (self.ext_basis.q().sub(&w), true)
+                        } else {
+                            (w, false)
+                        };
+                    let rounded = mag.mul_u64(t).div_round(basis.q());
+                    let reduced = rounded.div_rem(basis.q()).1;
+                    if negative && !reduced.is_zero() {
+                        basis.q().sub(&reduced)
+                    } else {
+                        reduced
+                    }
+                })
+                .collect();
             RnsPoly::from_bigint_coeffs(basis, &values)
         };
         Ok(Ciphertext {

@@ -12,11 +12,6 @@ use pasta_math::{is_prime_u64, simd, MathError, Modulus, Zp};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Minimum ring degree before the per-prime transforms fan out across
-/// threads: below this a row's NTT is far cheaper than a thread spawn
-/// (`pasta-par` has no persistent pool).
-pub(crate) const PAR_MIN_RING_DEGREE: usize = 1024;
-
 /// The RNS basis: primes, NTT tables and CRT precomputation.
 ///
 /// A [`RnsBasis::prefix`] shares its parent's NTT tables; only the CRT
@@ -321,13 +316,11 @@ impl RnsPoly {
     pub fn from_bigint_coeffs(basis: &RnsBasis, values: &[UBig]) -> Self {
         assert_eq!(values.len(), basis.n(), "coefficient count mismatch");
         let mut p = Self::zero(basis);
-        let parallel = basis.n() >= PAR_MIN_RING_DEGREE;
-        pasta_par::maybe_parallel_for_each_mut(parallel, &mut p.coeffs, |i, row| {
-            let prime = basis.primes()[i].value();
-            for (j, v) in values.iter().enumerate() {
-                row[j] = v.rem_u64(prime);
+        for (row, prime) in p.coeffs.iter_mut().zip(basis.primes()) {
+            for (x, v) in row.iter_mut().zip(values) {
+                *x = v.rem_u64(prime.value());
             }
-        });
+        }
         p
     }
 
@@ -477,31 +470,24 @@ impl RnsPoly {
     }
 
     /// Converts to NTT domain in place (no-op if already there).
-    ///
-    /// Prime rows are independent, so for rings large enough to amortize
-    /// a thread spawn the transforms run prime-parallel (see
-    /// [`pasta_par`]; `PASTA_THREADS=1` forces serial, bit-identical).
     pub fn to_ntt(&mut self, basis: &RnsBasis) {
         if self.is_ntt {
             return;
         }
-        let parallel = basis.n() >= PAR_MIN_RING_DEGREE;
-        pasta_par::maybe_parallel_for_each_mut(parallel, &mut self.coeffs, |i, row| {
+        for (i, row) in self.coeffs.iter_mut().enumerate() {
             basis.table(i).forward(row);
-        });
+        }
         self.is_ntt = true;
     }
 
     /// Converts to coefficient domain in place (no-op if already there).
-    /// Prime-parallel like [`RnsPoly::to_ntt`].
     pub fn to_coeff(&mut self, basis: &RnsBasis) {
         if !self.is_ntt {
             return;
         }
-        let parallel = basis.n() >= PAR_MIN_RING_DEGREE;
-        pasta_par::maybe_parallel_for_each_mut(parallel, &mut self.coeffs, |i, row| {
+        for (i, row) in self.coeffs.iter_mut().enumerate() {
             basis.table(i).inverse(row);
-        });
+        }
         self.is_ntt = false;
     }
 
@@ -860,12 +846,12 @@ impl RnsPoly {
             !self.is_ntt,
             "CRT reconstruction requires coefficient domain"
         );
-        let indices: Vec<usize> = (0..basis.n()).collect();
-        let parallel = basis.n() >= PAR_MIN_RING_DEGREE;
-        pasta_par::maybe_parallel_map(parallel, &indices, |_, &j| {
-            let residues: Vec<u64> = (0..basis.len()).map(|i| self.coeffs[i][j]).collect();
-            basis.crt_reconstruct(&residues)
-        })
+        (0..basis.n())
+            .map(|j| {
+                let residues: Vec<u64> = (0..basis.len()).map(|i| self.coeffs[i][j]).collect();
+                basis.crt_reconstruct(&residues)
+            })
+            .collect()
     }
 }
 
@@ -1041,45 +1027,6 @@ mod tests {
         let mut fused = acc.clone();
         fused.add_mul_assign(&b, &x, &y);
         assert_eq!(fused, expect);
-    }
-
-    #[test]
-    fn parallel_transforms_match_serial() {
-        // A ring degree above the parallel threshold, crossing the
-        // thread override with the SIMD backend override: every
-        // (threads × backend) combination must produce bit-identical
-        // transforms. A backend the CPU lacks falls back to a slower
-        // one, so without AVX2 the test degenerates to the thread-only
-        // check.
-        let b = RnsBasis::with_generated_primes(2048, 50, 3).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let poly = RnsPoly::random_uniform(&b, &mut rng);
-        let mut outputs = Vec::new();
-        for threads in ["1", "4"] {
-            for backend in simd::Backend::ALL {
-                std::env::set_var(pasta_par::THREADS_ENV, threads);
-                let got = simd::force_backend(Some(backend));
-                let mut fwd = poly.clone();
-                fwd.to_ntt(&b);
-                let mut round = fwd.clone();
-                round.to_coeff(&b);
-                outputs.push((threads, got.label(), fwd, round));
-            }
-        }
-        simd::force_backend(None);
-        std::env::remove_var(pasta_par::THREADS_ENV);
-        let (_, _, fwd0, round0) = &outputs[0];
-        assert_eq!(round0, &poly, "NTT round-trip must be the identity");
-        for (threads, backend, fwd, round) in &outputs[1..] {
-            assert_eq!(
-                fwd, fwd0,
-                "forward NTT differs for threads={threads}, backend={backend}"
-            );
-            assert_eq!(
-                round, round0,
-                "inverse NTT differs for threads={threads}, backend={backend}"
-            );
-        }
     }
 
     #[test]

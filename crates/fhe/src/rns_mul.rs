@@ -34,15 +34,14 @@
 //! All conversion matrices (`[q̂_i]_{p_j}`, `[P/p_j]_{q_i}`) and scalar
 //! constants (with Shoup precomputation where they multiply vectors)
 //! are built once in [`RnsMulContext::new`]; the per-call kernels
-//! allocate no big integers, and every row/chunk temporary is a
-//! recycled [`crate::scratch`] buffer — a warm multiplication performs
-//! zero heap allocations here. Base conversion parallelizes over *both*
-//! primes and fixed-size coefficient chunks via [`pasta_par`] — every
-//! output element is a pure function of the inputs, so results are
-//! bit-identical for any `PASTA_THREADS` setting.
+//! allocate no big integers, and every row temporary is a recycled
+//! [`crate::scratch`] bundle — a warm multiplication performs zero heap
+//! allocations here. The kernels run serially on the calling thread and
+//! write each output row with one dot product; any fan-out across
+//! ciphertexts belongs to the caller.
 
 use crate::bigint::UBig;
-use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly, PAR_MIN_RING_DEGREE};
+use crate::ring::{generate_ntt_primes, RnsBasis, RnsPoly};
 use crate::scratch;
 use pasta_math::{simd, MathError};
 
@@ -55,11 +54,6 @@ const MTILDE_MASK: u64 = MTILDE - 1;
 /// modulus bound, like the 50-bit ciphertext primes of the benchmark
 /// rings.
 const AUX_PRIME_BITS: u32 = 50;
-
-/// Coefficients per parallel work item. Fixed (not derived from the
-/// thread count) so the task decomposition — and therefore the output —
-/// is identical for any `PASTA_THREADS`.
-const CHUNK: usize = 1024;
 
 /// `a^{-1} mod 2^16` for odd `a`, by Newton iteration (each step
 /// doubles the number of correct low bits; 5 steps ≥ 32 bits).
@@ -270,65 +264,24 @@ impl RnsMulContext {
         self.l
     }
 
-    /// Runs `f(row, chunk_start, chunk_end) -> ChunkBuf` over every
-    /// (row, coefficient-chunk) pair — possibly in parallel — and
-    /// stitches the chunk buffers back into `n_rows` pooled rows of
-    /// length `n` (the caller recycles them, typically via
-    /// `RnsPoly::drop`). Tasks are independent pure functions, so the
-    /// result is identical for any thread count.
-    fn par_chunked<F>(n_rows: usize, n: usize, parallel: bool, f: F) -> Vec<Vec<u64>>
-    where
-        F: Fn(usize, usize, usize) -> scratch::ChunkBuf + Sync,
-    {
-        let tasks: Vec<(usize, usize)> = (0..n_rows)
-            .flat_map(|r| (0..n).step_by(CHUNK).map(move |s| (r, s)))
-            .collect();
-        let bufs = pasta_par::maybe_parallel_map(parallel, &tasks, |_, &(r, start)| {
-            f(r, start, (start + CHUNK).min(n))
-        });
-        let mut rows = scratch::take_rows(n_rows, n);
-        for (&(r, start), buf) in tasks.iter().zip(&bufs) {
-            rows[r][start..start + buf.len()].copy_from_slice(buf);
-        }
-        rows
-    }
-
-    /// `ξ_i = [x_i·w_i]_{q_i}` for every prime row of `poly`,
-    /// prime-row parallel — the first half of a fast base conversion.
+    /// A pooled bundle of `basis.len() + extra` rows whose first rows
+    /// are `ξ_i = [x_i·w_i]_{q_i}` for every prime row of `poly` — the
+    /// first half of a fast base conversion. The `extra` trailing rows
+    /// are unspecified; the caller fills them.
     fn xi_rows(
         basis: &RnsBasis,
         poly: &RnsPoly,
         w: &[u64],
         w_shoup: &[u64],
-        parallel: bool,
-    ) -> Vec<scratch::ChunkBuf> {
+        extra: usize,
+    ) -> Vec<Vec<u64>> {
         let be = simd::backend();
-        let row_idx: Vec<usize> = (0..basis.len()).collect();
-        pasta_par::maybe_parallel_map(parallel, &row_idx, |_, &i| {
-            let mut row = scratch::take_chunk(basis.n());
+        let mut rows = scratch::take_rows(basis.len() + extra, basis.n());
+        for (i, row) in rows.iter_mut().take(basis.len()).enumerate() {
             row.copy_from_slice(poly.row(i));
-            simd::mul_const_shoup_with(be, basis.zp(i).p(), w[i], w_shoup[i], &mut row);
-            row
-        })
-    }
-
-    /// One whole-length row per chunk-parallel `f(start, end, buf)`.
-    fn chunked_row<F>(n: usize, parallel: bool, f: F) -> scratch::ChunkBuf
-    where
-        F: Fn(usize, usize, &mut [u64]) + Sync,
-    {
-        let starts: Vec<usize> = (0..n).step_by(CHUNK).collect();
-        let chunks = pasta_par::maybe_parallel_map(parallel, &starts, |_, &s| {
-            let end = (s + CHUNK).min(n);
-            let mut buf = scratch::take_chunk(end - s);
-            f(s, end, &mut buf);
-            buf
-        });
-        let mut row = scratch::take_chunk(n);
-        for (chunk, &s) in chunks.iter().zip(&starts) {
-            row[s..s + chunk.len()].copy_from_slice(chunk);
+            simd::mul_const_shoup_with(be, basis.zp(i).p(), w[i], w_shoup[i], row);
         }
-        row
+        rows
     }
 
     /// Lifts a coefficient-domain polynomial from the `q` basis into the
@@ -348,42 +301,37 @@ impl RnsMulContext {
     #[must_use]
     pub fn lift_to_aux(&self, basis: &RnsBasis, poly: &RnsPoly) -> RnsPoly {
         assert!(!poly.is_ntt(), "lift requires coefficient domain");
-        let n = basis.n();
-        let parallel = n >= PAR_MIN_RING_DEGREE;
-        let xi = Self::xi_rows(basis, poly, &self.lift_w, &self.lift_w_shoup, parallel);
+        let k = basis.len();
+        // Rows (ξ_0 … ξ_{k−1}, r̃, [r̃ > m̃/2]): the operands of every
+        // output row's dot product.
+        let mut src_rows = Self::xi_rows(basis, poly, &self.lift_w, &self.lift_w_shoup, 2);
+        let (xi, corr) = src_rows.split_at_mut(k);
+        let (r_tilde, negative) = corr.split_at_mut(1);
+        let (r_tilde, negative) = (&mut r_tilde[0], &mut negative[0]);
 
         // Correction r̃ = [−y_m̃·q^{-1}]_{m̃} per coefficient from the
         // power-of-two channel (wrapping u64 arithmetic and masks), and
         // its sign bit [r̃ > m̃/2]: taken centered, so the result lands
         // on the near-centered representative.
-        let r_tilde = Self::chunked_row(n, parallel, |s, end, buf| {
-            buf.fill(0);
-            for (row, &conv) in xi.iter().zip(&self.conv_q_to_mtilde) {
-                for (acc, &x) in buf.iter_mut().zip(&row[s..end]) {
-                    *acc = acc.wrapping_add(x.wrapping_mul(conv));
-                }
+        r_tilde.fill(0);
+        for (row, &conv) in xi.iter().zip(&self.conv_q_to_mtilde) {
+            for (acc, &x) in r_tilde.iter_mut().zip(row) {
+                *acc = acc.wrapping_add(x.wrapping_mul(conv));
             }
-            for r in buf.iter_mut() {
-                *r = (*r & MTILDE_MASK).wrapping_mul(self.neg_q_inv_mtilde) & MTILDE_MASK;
-            }
-        });
-        let mut negative = scratch::take_chunk(n);
-        for (b, &r) in negative.iter_mut().zip(r_tilde.iter()) {
-            *b = u64::from(r > MTILDE / 2);
+        }
+        for (r, b) in r_tilde.iter_mut().zip(negative.iter_mut()) {
+            *r = (*r & MTILDE_MASK).wrapping_mul(self.neg_q_inv_mtilde) & MTILDE_MASK;
+            *b = u64::from(*r > MTILDE / 2);
         }
 
         let be = simd::backend();
-        let rows = Self::par_chunked(self.aux.len(), n, parallel, |j, start, end| {
-            let src: Vec<&[u64]> = xi
-                .iter()
-                .chain([&r_tilde, &negative])
-                .map(|row| &row[start..end])
-                .collect();
-            // `dot_mod_with` fully overwrites the recycled chunk.
-            let mut buf = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.lift_dot[j], &mut buf);
-            buf
-        });
+        let src: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
+        // `dot_mod_with` fully overwrites each recycled row.
+        let mut rows = scratch::take_rows(self.aux.len(), basis.n());
+        for (j, row) in rows.iter_mut().enumerate() {
+            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.lift_dot[j], row);
+        }
+        scratch::put_rows(src_rows);
         RnsPoly::from_rows(rows, false)
     }
 
@@ -413,46 +361,33 @@ impl RnsMulContext {
         );
         let n = basis.n();
         let l = self.l;
-        let parallel = n >= PAR_MIN_RING_DEGREE;
-        let xi = Self::xi_rows(basis, c_q, &self.tq_inv, &self.tq_inv_shoup, parallel);
+        let xi = Self::xi_rows(basis, c_q, &self.tq_inv, &self.tq_inv_shoup, 0);
 
         let be = simd::backend();
-        let eta = Self::par_chunked(l + 1, n, parallel, |j, start, end| {
-            let src: Vec<&[u64]> = xi
-                .iter()
-                .map(|row| &row[start..end])
-                .chain([&c_aux.row(j)[start..end]])
-                .collect();
-            let mut buf = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.scale_dot[j], &mut buf);
-            buf
-        });
-        drop(xi);
+        // Rows η_0 … η_l, then α.
+        let mut eta_alpha = scratch::take_rows(l + 2, n);
+        for (j, row) in eta_alpha.iter_mut().take(l + 1).enumerate() {
+            let src: Vec<&[u64]> = xi.iter().map(Vec::as_slice).chain([c_aux.row(j)]).collect();
+            simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.scale_dot[j], row);
+        }
+        scratch::put_rows(xi);
 
         // Shenoy–Kumaresan: the m_sk channel yields the exact multiple
         // of P to subtract, α_sk ≤ l.
-        let msk = self.aux.zp(l).p();
-        let alpha = Self::chunked_row(n, parallel, |s, end, buf| {
-            let src: Vec<&[u64]> = eta.iter().map(|row| &row[s..end]).collect();
-            simd::dot_mod_with(be, msk, &src, &self.alpha_dot, buf);
-            debug_assert!(
-                buf.iter().all(|&a| a <= l as u64),
-                "S-K correction must stay below l + 1"
-            );
-        });
+        let (eta, alpha) = eta_alpha.split_at_mut(l + 1);
+        let src: Vec<&[u64]> = eta.iter().map(Vec::as_slice).collect();
+        simd::dot_mod_with(be, self.aux.zp(l).p(), &src, &self.alpha_dot, &mut alpha[0]);
+        debug_assert!(
+            alpha[0].iter().all(|&a| a <= l as u64),
+            "S-K correction must stay below l + 1"
+        );
 
-        let rows = Self::par_chunked(basis.len(), n, parallel, |i, start, end| {
-            let src: Vec<&[u64]> = eta[..l]
-                .iter()
-                .map(Vec::as_slice)
-                .chain([&alpha[..]])
-                .map(|row| &row[start..end])
-                .collect();
-            let mut buf = scratch::take_chunk(end - start);
-            simd::dot_mod_with(be, basis.zp(i).p(), &src, &self.sk_dot[i], &mut buf);
-            buf
-        });
-        scratch::put_rows(eta);
+        let src: Vec<&[u64]> = eta[..l].iter().chain(&*alpha).map(Vec::as_slice).collect();
+        let mut rows = scratch::take_rows(basis.len(), n);
+        for (i, row) in rows.iter_mut().enumerate() {
+            simd::dot_mod_with(be, basis.zp(i).p(), &src, &self.sk_dot[i], row);
+        }
+        scratch::put_rows(eta_alpha);
         RnsPoly::from_rows(rows, false)
     }
 }

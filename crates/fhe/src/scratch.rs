@@ -5,8 +5,8 @@
 //! `row_len` coefficients each. This module recycles those bundles so
 //! a warm transcipher or ciphertext-multiply pass performs **zero**
 //! heap allocations in the kernels: `RnsPoly::drop` returns its rows
-//! here, and the pooled constructors (`zero`, `Clone`, the BEHZ chunk
-//! buffers) take them back.
+//! here, and the pooled constructors (`zero`, `Clone`, the BEHZ row
+//! temporaries) take them back.
 //!
 //! # Structure
 //!
@@ -16,9 +16,10 @@
 //! - a **thread-local** pool (lock-free fast path) serving takes and
 //!   puts on the owning thread;
 //! - a **global overflow bin** (one `Mutex`) that receives local
-//!   excess and serves local misses, so bundles allocated on a
-//!   `pasta-par` worker but dropped on the dispatching thread (or vice
-//!   versa) still recirculate instead of being reallocated each pass.
+//!   excess and serves local misses, so bundles allocated on a worker
+//!   of the circuit's or the service's fan-out but dropped on the
+//!   dispatching thread (or vice versa) still recirculate instead of
+//!   being reallocated each pass.
 //!
 //! Both levels are bounded ([`LOCAL_CAP_U64S`] per thread,
 //! [`GLOBAL_CAP_U64S`] shared); over-cap local buckets spill to the
@@ -330,52 +331,6 @@ fn spill_lru(pool: &mut LocalPool) {
     }
 }
 
-/// A pooled single-row scratch buffer for BEHZ chunk temporaries;
-/// derefs to `[u64]` and recycles itself on drop.
-///
-/// Contents on take are unspecified — fully overwrite before reading.
-pub(crate) struct ChunkBuf {
-    bundle: Bundle,
-}
-
-impl ChunkBuf {
-    fn row(&self) -> &Vec<u64> {
-        // `take_chunk` always builds a 1-row bundle; the fallback keeps
-        // the accessor panic-free even if that invariant ever broke.
-        static EMPTY: Vec<u64> = Vec::new();
-        self.bundle.first().unwrap_or(&EMPTY)
-    }
-}
-
-/// Takes a pooled scratch row of length `len`.
-pub(crate) fn take_chunk(len: usize) -> ChunkBuf {
-    ChunkBuf {
-        bundle: take_rows(1, len),
-    }
-}
-
-impl std::ops::Deref for ChunkBuf {
-    type Target = [u64];
-    fn deref(&self) -> &[u64] {
-        self.row()
-    }
-}
-
-impl std::ops::DerefMut for ChunkBuf {
-    fn deref_mut(&mut self) -> &mut [u64] {
-        match self.bundle.first_mut() {
-            Some(row) => row,
-            None => &mut [],
-        }
-    }
-}
-
-impl Drop for ChunkBuf {
-    fn drop(&mut self) {
-        put_rows(std::mem::take(&mut self.bundle));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,17 +406,6 @@ mod tests {
         put_rows(vec![Vec::new()]);
         // Nothing to assert beyond "no panic": ragged input must not
         // poison a bucket whose key it doesn't match.
-    }
-
-    #[test]
-    fn chunk_buf_roundtrip() {
-        let mut chunk = take_chunk(33);
-        assert_eq!(chunk.len(), 33);
-        chunk[0] = 7;
-        chunk[32] = 9;
-        drop(chunk);
-        let chunk = take_chunk(33);
-        assert_eq!(chunk.len(), 33);
     }
 
     #[test]

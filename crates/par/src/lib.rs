@@ -1,5 +1,5 @@
-//! Minimal parallel-for for the FHE/HHE hot paths, backed by a
-//! persistent worker pool.
+//! Minimal parallel-for for the HHE circuit and the service, backed by
+//! a persistent worker pool.
 //!
 //! The build environment is offline, so instead of `rayon` this crate
 //! vendors the few hundred lines the workspace actually needs: chunked
@@ -23,9 +23,9 @@
 //! work-stealing queues). `PASTA_THREADS` growing mid-run spawns the
 //! missing workers; shrinking simply masks the surplus — parked workers
 //! cost nothing. [`pool::stats`] exposes dispatch/spawn/reuse counters.
-//! Spawn-per-call is gone, but per-item work in the ≳1µs range is still
-//! the sweet spot; gate smaller items with the `parallel: bool`
-//! argument of the `maybe_*` variants.
+//! Per-item work in the ≳1µs range is the sweet spot, so callers fan
+//! out over whole ciphertexts or blocks; the `pasta-fhe` kernels under
+//! them run serially on whichever thread calls them.
 //!
 //! Determinism: chunk boundaries are a pure function of `len` and the
 //! resolved thread count (`chunk_range` is closed-form — no per-call
@@ -79,9 +79,9 @@ fn chunk_range(len: usize, workers: usize, w: usize) -> (usize, usize) {
 }
 
 /// Resolved chunk/worker count for one call: 1 (serial) unless
-/// parallelism is requested, available, and there are ≥ 2 items.
-fn resolved_workers(parallel: bool, len: usize) -> usize {
-    if !parallel || len < 2 {
+/// parallelism is available and there are ≥ 2 items.
+fn resolved_workers(len: usize) -> usize {
+    if len < 2 {
         return 1;
     }
     threads().min(len)
@@ -107,15 +107,15 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// Applies `f(index, &mut item)` to every item, splitting the slice
-/// across pooled worker threads when `parallel` is true and more than
-/// one thread is available. Serial fallback otherwise — same iteration
-/// order, same results.
-pub fn maybe_parallel_for_each_mut<T, F>(parallel: bool, items: &mut [T], f: F)
+/// across pooled worker threads when more than one thread is
+/// available. Serial fallback otherwise — same iteration order, same
+/// results.
+pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let workers = resolved_workers(parallel, items.len());
+    let workers = resolved_workers(items.len());
     if workers <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
@@ -139,18 +139,18 @@ where
 }
 
 /// Maps `f(index, &item)` over the slice, preserving order in the
-/// returned vector. Parallel across pooled worker threads when
-/// `parallel` is true and more than one thread is available.
+/// returned vector. Parallel across pooled worker threads when more
+/// than one thread is available.
 ///
 /// Workers write directly into the result vector's spare capacity, so
 /// there is no per-item `Option` wrapper and no unwrap on collection.
-pub fn maybe_parallel_map<T, R, F>(parallel: bool, items: &[T], f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = resolved_workers(parallel, items.len());
+    let workers = resolved_workers(items.len());
     if workers <= 1 {
         return items
             .iter()
@@ -181,25 +181,6 @@ where
     // dropped uninitialized.
     unsafe { results.set_len(len) };
     results
-}
-
-/// Unconditionally-gated variants: parallel whenever ≥2 threads resolve.
-pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    maybe_parallel_for_each_mut(true, items, f);
-}
-
-/// Order-preserving map, parallel whenever ≥2 threads resolve.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    maybe_parallel_map(true, items, f)
 }
 
 #[cfg(test)]
@@ -245,17 +226,16 @@ mod tests {
 
     #[test]
     fn for_each_mut_matches_serial() {
-        let mut serial: Vec<u64> = (0..37).collect();
+        let serial: Vec<u64> = (0..37).map(|i| i * 3 + i).collect();
         let mut par: Vec<u64> = (0..37).collect();
-        maybe_parallel_for_each_mut(false, &mut serial, |i, x| *x = *x * 3 + i as u64);
-        maybe_parallel_for_each_mut(true, &mut par, |i, x| *x = *x * 3 + i as u64);
+        parallel_for_each_mut(&mut par, |i, x| *x = *x * 3 + i as u64);
         assert_eq!(serial, par);
     }
 
     #[test]
     fn map_preserves_order() {
         let items: Vec<u64> = (0..53).collect();
-        let out = maybe_parallel_map(true, &items, |i, &x| x * 2 + i as u64);
+        let out = parallel_map(&items, |i, &x| x * 2 + i as u64);
         let expect: Vec<u64> = items
             .iter()
             .enumerate()

@@ -567,6 +567,37 @@ impl PastaServer {
         self.fault_plan.insert(seq);
     }
 
+    /// The noise-budget admission check of [`Self::register_tenant`],
+    /// callable on its own so a registrant can be refused before it pays
+    /// for key generation. A refusal counts in `refused_budget`.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::Refused`] with [`RefusalReason::BudgetRefused`]
+    /// when the admission guard predicts the transciphering circuit
+    /// would exhaust the noise budget under `bfv`; the refusal names the
+    /// prime count that would work.
+    pub(crate) fn admit(
+        &mut self,
+        pasta: &PastaParams,
+        bfv: &BfvParams,
+    ) -> Result<(), PipelineError> {
+        let Err(err) = self.cfg.admission.check(pasta, bfv) else {
+            return Ok(());
+        };
+        self.stats.refused_budget += 1;
+        let suggested = match err {
+            PipelineError::NoiseBudget {
+                suggested_prime_count,
+                ..
+            } => suggested_prime_count.and_then(|c| u32::try_from(c).ok()),
+            _ => None,
+        };
+        Err(PipelineError::Refused(RefusalReason::BudgetRefused {
+            suggested_primes: suggested,
+        }))
+    }
+
     /// Registers a tenant: noise-budget admission, then key-shape and
     /// domain-match validation, and only then any state change. A new
     /// domain (or a tenant outside any domain) gets its BFV context and
@@ -586,19 +617,7 @@ impl PastaServer {
     ///   (domains must be parameter-homogeneous — bucket members share
     ///   one slot layout and one evaluation circuit).
     pub fn register_tenant(&mut self, prov: TenantProvision) -> Result<TenantId, PipelineError> {
-        if let Err(err) = self.cfg.admission.check(&prov.pasta, &prov.bfv) {
-            self.stats.refused_budget += 1;
-            let suggested = match err {
-                PipelineError::NoiseBudget {
-                    suggested_prime_count,
-                    ..
-                } => suggested_prime_count.and_then(|c| u32::try_from(c).ok()),
-                _ => None,
-            };
-            return Err(PipelineError::Refused(RefusalReason::BudgetRefused {
-                suggested_primes: suggested,
-            }));
-        }
+        self.admit(&prov.pasta, &prov.bfv)?;
         let domain = match prov.fhe_domain {
             Some(id) => DomainId::Shared(id),
             None => DomainId::Private(self.next_tenant),

@@ -420,10 +420,13 @@ struct Cloud {
 }
 
 impl Cloud {
-    /// Generates the analyst's FHE keypair, provisions the edge's PASTA
-    /// key under it and registers the tenant, which the service's
-    /// admission guard refuses when the circuit would exhaust `bfv`.
+    /// Runs the service's admission guard, which refuses `bfv` when the
+    /// circuit would exhaust it, and only then generates the analyst's
+    /// FHE keypair, provisions the edge's PASTA key under it and
+    /// registers the tenant.
     fn register(cfg: &SessionConfig, bfv: BfvParams) -> Result<Self, PipelineError> {
+        let mut server = PastaServer::new(ServerConfig::default());
+        server.admit(&cfg.params, &bfv)?;
         let ctx = BfvContext::new(bfv)?;
         let mut rng = StdRng::seed_from_u64(cfg.channel.seed ^ 0x1F0_C10D);
         let sk = ctx.generate_secret_key(&mut rng);
@@ -431,7 +434,6 @@ impl Cloud {
         let relin_key = ctx.generate_relin_key(&sk, &mut rng);
         let encrypted_key =
             HheClient::new(cfg.params, &cfg.key_seed).provision_key(&ctx, &pk, &mut rng);
-        let mut server = PastaServer::new(ServerConfig::default());
         let tenant = server.register_tenant(TenantProvision {
             pasta: cfg.params,
             bfv,

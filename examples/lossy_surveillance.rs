@@ -5,7 +5,8 @@
 //! mid-band 5G link with 1% packet loss and a 1e-6 bit-error rate. The
 //! ARQ recovers every corrupted or dropped wire frame, and every frame
 //! that reaches the cloud decrypts pixel-exact. The example exits
-//! non-zero when a delivered frame mismatches or the session is refused.
+//! non-zero when no frame is delivered, a delivered frame mismatches or
+//! the session is refused.
 //!
 //! Run with: `cargo run --release --example lossy_surveillance`
 
@@ -51,7 +52,10 @@ fn main() -> ExitCode {
             let exact =
                 report.verify_failures == 0 && report.verified_frames == report.frames_delivered;
             println!("\nEvery delivered frame verified pixel-exact: {exact}");
-            if exact {
+            if report.frames_delivered == 0 {
+                eprintln!("no frame reached the cloud");
+            }
+            if exact && report.frames_delivered > 0 {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
