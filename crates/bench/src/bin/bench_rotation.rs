@@ -12,6 +12,11 @@
 //! same before/after ids — for those entries the `ns` field holds a raw
 //! count and the `speedup` factor is the reduction factor.
 //!
+//! Every timed transcipher is decrypted after its timing window and
+//! compared with the message; the binary prints the smallest noise
+//! budget it read and exits 1, writing no report, if any result
+//! decrypts wrong.
+//!
 //! Usage:
 //!
 //! ```text
@@ -63,7 +68,6 @@ fn parse_args() -> Options {
 
 struct Setup {
     ctx: BfvContext,
-    #[allow(dead_code)]
     sk: BfvSecretKey,
     client: HheClient,
     server: PackedHheServer,
@@ -92,42 +96,57 @@ fn build(pasta: PastaParams, bfv: BfvParams, seed: u64) -> Setup {
 }
 
 /// Benchmarks one parameter set, pushing wall times and rotation-work
-/// counts under `tag` (e.g. `t=4/N=256`).
+/// counts under `tag` (e.g. `t=4/N=256`). Returns whether every
+/// transcipher decrypted to its message.
 fn bench_packed(
     report: &mut BenchReport,
     quick: bool,
     pasta: PastaParams,
     bfv: BfvParams,
     tag: &str,
-) {
+) -> bool {
     let s = build(pasta, bfv, 0xB0B0);
     let t = pasta.t();
     let message: Vec<u64> = (0..t as u64).map(|i| (i * 7_177 + 13) % 65_537).collect();
     let reps: u64 = if quick { 1 } else { 3 };
 
     // Cold transcipher: fresh nonce per call, so the per-block material
-    // is derived and every diagonal streamed each time.
+    // is derived and every diagonal streamed each time. The results are
+    // kept and decrypted after the timing window.
     let mut nonce = 0x4000u128;
     let warm_up = s.client.encrypt(nonce, &message).expect("encrypt");
-    black_box(
-        s.server
-            .transcipher_packed(&s.ctx, &warm_up, 0)
-            .expect("transcipher"),
-    );
+    let mut results = vec![s
+        .server
+        .transcipher_packed(&s.ctx, &warm_up, 0)
+        .expect("transcipher")];
     let start = Instant::now();
     for _ in 0..reps {
         nonce += 1;
         let ct = s.client.encrypt(nonce, &message).expect("encrypt");
-        black_box(
+        results.push(black_box(
             s.server
                 .transcipher_packed(&s.ctx, &ct, 0)
                 .expect("transcipher"),
-        );
+        ));
     }
     let cold = start.elapsed().as_nanos() as f64 / reps as f64;
     let id = format!("packed_transcipher/{tag}/cold");
     println!("{id}: {cold:.0} ns/iter [{PHASE}]");
     report.push(id, PHASE, cold);
+    let wrong = results
+        .iter()
+        .filter(|ct| s.server.decode(&s.ctx, &s.sk, ct, t) != message)
+        .count();
+    let budget = results
+        .iter()
+        .map(|ct| s.ctx.noise_budget(&s.sk, ct))
+        .min()
+        .unwrap_or(0);
+    println!(
+        "verify {tag}: {} of {} decrypted right, min noise budget {budget} bits",
+        results.len() - wrong,
+        results.len()
+    );
 
     // Rotation-work counts (raw counts, not nanoseconds).
     s.server.reset_key_switch_count();
@@ -144,6 +163,7 @@ fn bench_packed(
     let id = format!("rotation_keys/{tag}");
     println!("{id}: {keys} [{PHASE}]");
     report.push(id, PHASE, keys as f64);
+    wrong == 0
 }
 
 fn main() {
@@ -160,7 +180,7 @@ fn main() {
     }
 
     // Scaled-down set (the unit-test sizes): PASTA t=4, r=2 on N=256.
-    bench_packed(
+    let small_ok = bench_packed(
         &mut report,
         opts.quick,
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("params"),
@@ -172,8 +192,8 @@ fn main() {
     );
 
     // The paper's PASTA-3 parameter set: t = 128, 3 rounds. N = 1024
-    // gives a 512-lane orbit — exactly the 4t the packed layout needs.
-    bench_packed(
+    // gives a 512-lane orbit, which the 2t = 256-lane state divides.
+    let paper_ok = bench_packed(
         &mut report,
         opts.quick,
         PastaParams::pasta3_17bit(),
@@ -184,6 +204,10 @@ fn main() {
         },
         "t=128/N=1024",
     );
+    if !(small_ok && paper_ok) {
+        eprintln!("a packed transcipher decrypted wrong; no report written");
+        std::process::exit(1);
+    }
 
     std::fs::write(&path, report.to_json()).expect("write bench report");
     println!("wrote {path}");

@@ -161,16 +161,10 @@ impl NoiseModel {
 /// chained additions, far more than the sum rule would. One guard
 /// serves both slotted layouts — mux slots and packed lanes — although
 /// the packed path's Galois key-switches and mask multiplies are not
-/// modelled, and the surplus does **not** cover them everywhere:
-///
-/// * packed PASTA-3 holds: under the sum rule the envelope would
-///   shrink to 6 primes at N = 1024, where the packed path fails to
-///   decrypt; forced to 9 and 10 primes it kept only 53 and 101 bits,
-///   against 405 bits at the envelope's 16 primes;
-/// * packed PASTA-4 does not: at the envelope's 10 primes (and at 8
-///   and 9) `keystream_packed` decrypts wrong, and at 11 primes it
-///   keeps 51–53 bits. `BfvContext::noise_budget` read about 15 bits on
-///   the wrong results, because its reading does not subtract `log₂ t`.
+/// modelled; the envelope's surplus covers them. At N = 1024 the packed
+/// path keeps about 125 bits for PASTA-4 at the envelope's 10 primes
+/// and about 480 bits for PASTA-3 at its 16 (`noise_budget` readings,
+/// which do not subtract `log₂ t`).
 ///
 /// Mux domains run on the envelope plus one mask prime.
 #[must_use]

@@ -3,18 +3,20 @@
 //!
 //! Where [`crate::mux`] spreads `N` blocks across the slots
 //! (throughput), this module packs the `2t` state elements of **one**
-//! block into `2t` *lanes* of one ciphertext (latency/minimum ciphertext
+//! block into the *lanes* of one ciphertext (latency/minimum ciphertext
 //! count — the original PASTA-SEAL evaluation strategy):
 //!
 //! - lanes are consecutive positions along one orbit of the Galois
 //!   element `g = 3` on the batching slots, so `σ_{3^k}` acts as a
 //!   cyclic lane shift by `k`;
+//! - every lane plaintext and the state repeat with period `2t` along
+//!   the orbit (lane `ℓ` holds state element `ℓ mod 2t`), so a lane
+//!   shift by `k` *is* the cyclic shift mod `2t` of the state;
 //! - a matrix–vector product becomes the **diagonal method**:
 //!   `M·v = Σ_k diag_k ⊙ rot_k(v)` — `2t` plaintext multiplications per
 //!   affine layer (vs `(2t)²` scalar multiplications in scalar mode);
-//! - Mix and the Feistel shift are lane rotations against a maintained
-//!   *duplicate* copy of the state at lanes `2t..4t`;
-//! - the Feistel S-box masks lane 0 with an indicator plaintext; its
+//! - Mix is `2·s + rot_t(s)`, and the Feistel S-box squares
+//!   `rot_{2t−1}(s)` and masks lane 0 with an indicator plaintext; its
 //!   squarings ride the full-RNS multiplication of
 //!   [`pasta_fhe::rns_mul`] like every server mode.
 //!
@@ -22,10 +24,11 @@
 //! restructures them twice over:
 //!
 //! - **baby-step/giant-step**: writing `k = g·B + b` with
-//!   `B = ⌈√(2t)⌉`, `M·v = Σ_g rot_{gB}(Σ_b E_{g,b} ⊙ rot_b(dup))`
+//!   `B = ⌈√(2t)⌉`, `M·v = Σ_g rot_{gB}(Σ_b E_{g,b} ⊙ rot_b(v))`
 //!   where `E_{g,b}` is diagonal `gB + b` pre-rotated *in plaintext* by
-//!   `gB` — so a layer needs `B − 1` baby plus `⌈2t/B⌉ − 1` giant
-//!   rotations, O(√t) key-switches instead of `2t − 1`;
+//!   `gB` (mod `2t`) — so a layer needs `B − 1` baby plus
+//!   `⌈2t/B⌉ − 1` giant rotations, O(√t) key-switches instead of
+//!   `2t − 1`;
 //! - **hoisting**: the baby rotations all act on the *same* input, so
 //!   its key-switch digit decomposition and forward NTTs are computed
 //!   once ([`BfvContext::hoist`]) and each baby rotation degenerates to
@@ -42,12 +45,13 @@
 //! multiplies it, then dropped. The Shoup companions sit on the operand
 //! that is reused — each baby rotation, which every giant group reads.
 //!
-//! Correctness leans on one invariant: after every affine layer the
-//! state is **masked** (zero outside lanes `0..2t`), so the garbage that
-//! rotations drag in from other lanes/orbits is always cleared before it
-//! can reach the output. The BSGS regrouping preserves it: `E_{g,b}` is
-//! zero outside lanes `gB..gB+2t`, so each group's term is zero outside
-//! lanes `0..2t` after its giant rotation.
+//! Correctness leans on one invariant: the state is **`2t`-periodic**
+//! along the orbit. It holds for the provisioned key, and every step
+//! keeps it: each plaintext (diagonal, round constant, mask) is encoded
+//! `2t`-periodically, slot-wise products and sums of periodic operands
+//! are periodic, and a rotation of a periodic state is periodic because
+//! `2t` divides the orbit length. Nothing outside the state's period
+//! ever enters a lane, so no copy of the state and no re-mask is needed.
 
 use crate::cache::{BlockEntry, MaterialCache};
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
@@ -55,8 +59,8 @@ use pasta_fhe::{
     BatchEncoder, BfvContext, BfvGaloisKey, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext,
     FheError, Plaintext, PreparedCiphertext, PreparedPlaintext,
 };
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -93,21 +97,24 @@ impl LaneLayout {
         self.orbit_len
     }
 
-    /// Encodes values into lanes `offset..offset+values.len()`
-    /// (all other slots zero).
+    /// Encodes `values` periodically along the whole orbit, shifted by
+    /// `offset`: lane `ℓ` holds `values[(ℓ − offset) mod p]` for the
+    /// period `p = values.len()` (slots off the orbit are zero).
     ///
     /// # Panics
     ///
-    /// Panics if the values run past the orbit.
+    /// Panics if the period is zero or does not divide the orbit length.
     #[must_use]
     pub fn encode_lanes(&self, encoder: &BatchEncoder, values: &[u64], offset: usize) -> Plaintext {
+        let period = values.len();
         assert!(
-            offset + values.len() <= self.orbit_len,
-            "values exceed the lane orbit"
+            self.orbit_len.is_multiple_of(period),
+            "the period must divide the lane orbit"
         );
+        let start = period - offset % period;
         let mut slots = vec![0u64; encoder.slots()];
-        for (j, &v) in values.iter().enumerate() {
-            slots[self.order[offset + j]] = v;
+        for (lane, &slot) in self.order.iter().enumerate() {
+            slots[slot] = values[(lane + start) % period];
         }
         encoder.encode(&slots)
     }
@@ -136,12 +143,10 @@ pub struct PackedHheServer {
     key_switches: AtomicU64,
 }
 
-/// Indicator plaintexts for the three lane windows the evaluation masks,
-/// NTT-prepared once at setup.
+/// Indicator plaintexts for the two lane windows the evaluation masks
+/// (each repeated with period `2t`), NTT-prepared once at setup.
 #[derive(Debug)]
 struct Masks {
-    /// Lanes `0..2t`: clears the garbage Mix drags in.
-    state: PreparedPlaintext,
     /// Lanes `1..2t`: the Feistel square skips lane 0.
     feistel: PreparedPlaintext,
     /// Lanes `0..t`: the final truncation.
@@ -192,18 +197,18 @@ impl BsgsPlan {
 }
 
 /// The lane shifts (realized as Galois elements `3^k mod 2N`) the packed
-/// evaluation needs for block size `t` on an orbit of `orbit_len` lanes.
+/// evaluation needs for block size `t`.
 ///
 /// These are the baby shifts `1..B`, the giant shifts
-/// `{g·B : 0 < g < G}`, the Mix shift `t`, the Feistel shift `2t − 1` and
-/// the duplicate-refresh shift `orbit_len − 2t` — O(√t) keys, where one
-/// rotation per diagonal would need `2t`.
+/// `{g·B : 0 < g < G}`, the Mix shift `t` and the Feistel shift
+/// `2t − 1` — O(√t) keys, where one rotation per diagonal would need
+/// `2t`.
 #[must_use]
-pub fn required_shifts(t: usize, orbit_len: usize) -> Vec<usize> {
+pub fn required_shifts(t: usize) -> Vec<usize> {
     let plan = BsgsPlan::new(t);
     let mut shifts: Vec<usize> = (1..plan.baby.min(plan.width))
         .chain((1..plan.giant).map(|g| g * plan.baby))
-        .chain([t, 2 * t - 1, orbit_len - 2 * t])
+        .chain([t, 2 * t - 1])
         .collect();
     shifts.sort_unstable();
     shifts.dedup();
@@ -223,8 +228,9 @@ impl PackedHheServer {
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Incompatible`] if `4t` exceeds the lane orbit
-    /// (the duplicate would not fit), or propagates key errors.
+    /// Returns [`FheError::Incompatible`] if `2t` does not divide the
+    /// lane orbit (the state could not repeat along it), or propagates
+    /// key errors.
     pub fn new<R: rand::Rng>(
         params: PastaParams,
         ctx: &BfvContext,
@@ -236,9 +242,9 @@ impl PackedHheServer {
             .map_err(FheError::from)?;
         let layout = LaneLayout::new(&encoder);
         let t = params.t();
-        if 4 * t > layout.lanes() {
+        if !layout.lanes().is_multiple_of(2 * t) {
             return Err(FheError::Incompatible(format!(
-                "state 2t = {} needs 4t lanes but the orbit has only {}",
+                "state 2t = {} does not divide the {}-lane orbit",
                 2 * t,
                 layout.lanes()
             )));
@@ -251,20 +257,19 @@ impl PackedHheServer {
         let packed = layout.encode_lanes(&encoder, key_elements, 0);
         let encrypted_key = ctx.encrypt(&pk, &packed, rng);
         let mut rot_keys = HashMap::new();
-        for k in required_shifts(t, layout.lanes()) {
+        for k in required_shifts(t) {
             rot_keys.insert(
                 k,
                 ctx.generate_galois_key(fhe_sk, shift_element(ctx, k), rng)?,
             );
         }
-        let window = |from: usize, range: usize| {
-            let ones = vec![1u64; range - from];
-            ctx.prepare_plaintext(&layout.encode_lanes(&encoder, &ones, from))
+        let window = |lanes: Range<usize>| {
+            let pattern: Vec<u64> = (0..2 * t).map(|j| u64::from(lanes.contains(&j))).collect();
+            ctx.prepare_plaintext(&layout.encode_lanes(&encoder, &pattern, 0))
         };
         let masks = Masks {
-            state: window(0, 2 * t),
-            feistel: window(1, 2 * t),
-            truncate: window(0, t),
+            feistel: window(1..2 * t),
+            truncate: window(0..t),
         };
         Ok(PackedHheServer {
             params,
@@ -300,20 +305,15 @@ impl PackedHheServer {
             .ok_or_else(|| FheError::Incompatible(format!("no rotation key for shift {k}")))
     }
 
-    /// Lane rotation by `k`. The identity rotation is free: it returns a
-    /// borrowed handle instead of cloning the `2·k·N` residue words of
-    /// the ciphertext, so `rot_0` call sites cost nothing.
-    fn rotate<'a>(
+    /// Lane rotation by `k` (one key-switch).
+    fn rotate(
         &self,
         ctx: &BfvContext,
-        ct: &'a FheCiphertext,
+        ct: &FheCiphertext,
         k: usize,
-    ) -> Result<Cow<'a, FheCiphertext>, FheError> {
-        if k == 0 {
-            return Ok(Cow::Borrowed(ct));
-        }
+    ) -> Result<FheCiphertext, FheError> {
         self.key_switches.fetch_add(1, Ordering::Relaxed);
-        ctx.apply_galois(ct, self.rot_key(k)?).map(Cow::Owned)
+        ctx.apply_galois(ct, self.rot_key(k)?)
     }
 
     /// Key-switches (classic and hoisted rotations) performed since
@@ -352,12 +352,17 @@ impl PackedHheServer {
         &self,
         ctx: &BfvContext,
         bd: &LayerMatrix<'_>,
-        dup: &FheCiphertext,
+        state: &FheCiphertext,
     ) -> Result<Option<FheCiphertext>, FheError> {
         let mut acc: Option<FheCiphertext> = None;
         for (k, diag) in self.diagonals(bd).iter().enumerate() {
             let Some(diag) = diag else { continue };
-            let rotated = ctx.prepare_ciphertext(self.rotate(ctx, dup, k)?.into_owned());
+            let rotated = if k == 0 {
+                state.clone()
+            } else {
+                self.rotate(ctx, state, k)?
+            };
+            let rotated = ctx.prepare_ciphertext(rotated);
             let pt = self.layout.encode_lanes(&self.encoder, diag, 0);
             ctx.add_mul_plain_assign(acc.get_or_insert_with(|| ctx.zero_ntt_ct()), &rotated, &pt)?;
         }
@@ -369,22 +374,22 @@ impl PackedHheServer {
 
     /// Evaluates one affine layer by hoisted baby-step/giant-step:
     ///
-    /// 1. hoist `dup` once (one digit decomposition + forward NTTs);
+    /// 1. hoist `state` once (one digit decomposition + forward NTTs);
     /// 2. produce the `B` baby rotations from it (fanned over the worker
     ///    pool; each is a slot permutation + multiply–accumulate) and
     ///    Shoup-prepare each, since every giant group reads it;
     /// 3. per giant group `g`, encode each diagonal `k = g·B + b` at lane
     ///    offset `g·B` (the plaintext pre-rotation that lets one giant
-    ///    rotation serve the whole group), multiply–accumulate it against
-    ///    baby `b` and drop it, then apply the giant rotation (groups
-    ///    fanned over the worker pool);
+    ///    rotation serve the whole group; it wraps mod `2t`),
+    ///    multiply–accumulate it against baby `b` and drop it, then apply
+    ///    the giant rotation (groups fanned over the worker pool);
     /// 4. sum the group terms serially in ascending group order, so the
     ///    result is bit-identical for any `PASTA_THREADS`.
     fn eval_affine_bsgs(
         &self,
         ctx: &BfvContext,
         bd: &LayerMatrix<'_>,
-        dup: &FheCiphertext,
+        state: &FheCiphertext,
     ) -> Result<Option<FheCiphertext>, FheError> {
         let plan = BsgsPlan::new(self.params.t());
         let diagonals = self.diagonals(bd);
@@ -394,7 +399,7 @@ impl PackedHheServer {
         let needed: Vec<bool> = (0..plan.baby)
             .map(|b| (0..plan.giant).any(|g| diagonal(g, b).is_some()))
             .collect();
-        let hoisted = ctx.hoist(dup)?;
+        let hoisted = ctx.hoist(state)?;
         let baby_shifts: Vec<usize> = (0..plan.baby).collect();
         let babies: Vec<Option<PreparedCiphertext>> =
             pasta_par::parallel_map(&baby_shifts, |_, &b| -> Result<_, FheError> {
@@ -402,7 +407,7 @@ impl PackedHheServer {
                     return Ok(None);
                 }
                 let baby = if b == 0 {
-                    dup.clone()
+                    state.clone()
                 } else {
                     self.key_switches.fetch_add(1, Ordering::Relaxed);
                     ctx.apply_galois_hoisted(&hoisted, self.rot_key(b)?)?
@@ -433,7 +438,7 @@ impl PackedHheServer {
                 let Some(mut acc) = acc else { return Ok(None) };
                 ctx.to_coeff_ct(&mut acc);
                 if shift != 0 {
-                    acc = self.rotate(ctx, &acc, shift)?.into_owned();
+                    acc = self.rotate(ctx, &acc, shift)?;
                 }
                 Ok(Some(acc))
             })
@@ -449,19 +454,9 @@ impl PackedHheServer {
         Ok(total)
     }
 
-    /// `state + rot_{-(2t)}(state)`: refresh the duplicate copy at lanes
-    /// `2t..4t` (valid only for a masked state).
-    fn with_duplicate(
-        &self,
-        ctx: &BfvContext,
-        masked: &FheCiphertext,
-    ) -> Result<FheCiphertext, FheError> {
-        let neg = self.layout.lanes() - 2 * self.params.t();
-        ctx.add(masked, self.rotate(ctx, masked, neg)?.as_ref())
-    }
-
     /// Homomorphically computes the keystream of one block, packed into
-    /// lanes `0..t` of a single ciphertext.
+    /// lanes `0..t` of a single ciphertext (and of every later period
+    /// `2t`; lanes `t..2t` of each period are zero).
     ///
     /// # Errors
     ///
@@ -476,7 +471,7 @@ impl PackedHheServer {
         let r = self.params.rounds();
         let block = BlockEntry::derive(&self.params, nonce, counter);
 
-        // The provisioned key ciphertext is already masked to lanes 0..2t.
+        // The provisioned key ciphertext is already 2t-periodic.
         let mut state = self.encrypted_key.clone();
         for (i, (layer, mats)) in block
             .material
@@ -486,7 +481,7 @@ impl PackedHheServer {
             .enumerate()
         {
             // Block-diagonal matrix BD = diag(M_L, M_R) evaluated by the
-            // diagonal method over a window of 2t lanes (hoisted BSGS —
+            // diagonal method on the 2t-periodic lanes (hoisted BSGS —
             // see module docs).
             let bd = |row: usize, col: usize| -> u64 {
                 if row < t && col < t {
@@ -497,8 +492,7 @@ impl PackedHheServer {
                     0
                 }
             };
-            let dup = self.with_duplicate(ctx, &state)?;
-            let mut acc = self.eval_affine_bsgs(ctx, &bd, &dup)?.ok_or_else(|| {
+            let mut acc = self.eval_affine_bsgs(ctx, &bd, &state)?.ok_or_else(|| {
                 // Unreachable for the invertible matrices Eq. 1 generates,
                 // but an all-zero layer must not panic the server.
                 FheError::Incompatible("affine layer matrix has no nonzero diagonal".into())
@@ -507,31 +501,22 @@ impl PackedHheServer {
             rc.extend_from_slice(&layer.rc_right);
             ctx.add_plain_assign(&mut acc, &self.layout.encode_lanes(&self.encoder, &rc, 0));
             state = acc;
-            // state is masked here: every diagonal plaintext is zero
-            // outside lanes 0..2t.
 
             if i < r {
-                // Mix: (2L + R, 2R + L) = 2·state + rot_t(dup(state)).
-                let dup = self.with_duplicate(ctx, &state)?;
-                let swapped = self.rotate(ctx, &dup, t)?;
-                let doubled = state.clone();
-                ctx.add_assign(&mut state, &doubled)?;
+                // Mix: (2L + R, 2R + L) = 2·state + rot_t(state).
+                let swapped = self.rotate(ctx, &state, t)?;
+                state = ctx.add(&state, &state)?;
                 ctx.add_assign(&mut state, &swapped)?;
-                // Mix dragged garbage into lanes >= 2t: re-mask before
-                // the shift-dependent S-box.
-                state = ctx.mul_plain_prepared(&state, &self.masks.state);
                 if i < r - 1 {
                     // Feistel: y_j = x_j + x_{j-1}² (y_0 = x_0): shift
-                    // the duplicate by 2t - 1 so lane j holds x_{j-1},
-                    // square it, mask off lane 0, add.
-                    let dup = self.with_duplicate(ctx, &state)?;
-                    let shifted = self.rotate(ctx, &dup, 2 * t - 1)?;
+                    // by 2t - 1 so lane j holds x_{j-1}, square it, mask
+                    // off lane 0, add.
+                    let shifted = self.rotate(ctx, &state, 2 * t - 1)?;
                     let squared = ctx.square_relin(&shifted, &self.relin_key)?;
                     let masked_sq = ctx.mul_plain_prepared(&squared, &self.masks.feistel);
                     ctx.add_assign(&mut state, &masked_sq)?;
                 } else {
-                    // Cube on all lanes (garbage outside 0..2t is
-                    // cleared by the next affine layer's diagonals).
+                    // Cube, lane by lane.
                     let sq = ctx.square_relin(&state, &self.relin_key)?;
                     state = ctx.mul_relin(&sq, &state, &self.relin_key)?;
                 }
@@ -566,9 +551,10 @@ impl PackedHheServer {
                     "block {counter} is past the end of a {len}-element ciphertext"
                 ))
             })?;
-        let block = &pasta_ct.elements()[start..(start + t).min(len)];
+        let mut block = pasta_ct.elements()[start..(start + t).min(len)].to_vec();
+        block.resize(2 * t, 0);
         let ks = self.keystream_packed(ctx, pasta_ct.nonce(), counter)?;
-        let mut out = ctx.encrypt_trivial(&self.layout.encode_lanes(&self.encoder, block, 0));
+        let mut out = ctx.encrypt_trivial(&self.layout.encode_lanes(&self.encoder, &block, 0));
         ctx.sub_assign(&mut out, &ks)?;
         Ok(out)
     }
@@ -665,13 +651,18 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), layout.lanes());
-        // encode/decode round-trip through lanes.
+        // A pattern repeats along the whole orbit, shifted by its
+        // offset; the slots off the orbit stay zero.
         let values = vec![5u64, 6, 7, 8];
         let pt = layout.encode_lanes(&encoder, &values, 2);
         let decoded = encoder.decode(&pt);
-        assert_eq!(layout.decode_lanes(&decoded, 2), vec![0, 0]);
-        let got: Vec<u64> = (2..6).map(|j| decoded[layout.order[j]]).collect();
-        assert_eq!(got, values);
+        assert_eq!(layout.decode_lanes(&decoded, 6), vec![7, 8, 5, 6, 7, 8]);
+        let lanes = layout.decode_lanes(&decoded, layout.lanes());
+        for (j, &v) in lanes.iter().enumerate() {
+            assert_eq!(v, values[(j + 2) % 4], "lane {j}");
+        }
+        let on_orbit: u64 = lanes.iter().sum();
+        assert_eq!(decoded.iter().sum::<u64>(), on_orbit);
     }
 
     #[test]
@@ -693,12 +684,11 @@ mod tests {
         let w = setup();
         w.server.reset_key_switch_count();
         let ks = w.server.keystream_packed(&w.ctx, 0xFEED, 0).unwrap();
-        // t = 4, r = 2: three affine layers (each with one
-        // duplicate-refresh rotation), two Mix (refresh + shift) and one
-        // Feistel (refresh + shift). The block-diagonal layer matrix has
-        // diag_t ≡ 0, so each layer spends (B - 1) + (G - 1) = 4 BSGS
-        // switches.
-        assert_eq!(w.server.key_switch_count(), 3 * (4 + 1) + 2 * 2 + 2);
+        // t = 4, r = 2: three affine layers, two Mix shifts and one
+        // Feistel shift. The block-diagonal layer matrix has diag_t ≡ 0,
+        // but no BSGS group or baby is empty, so each layer spends
+        // (B - 1) + (G - 1) = 4 switches.
+        assert_eq!(w.server.key_switch_count(), 3 * 4 + 2 + 1);
         let decoded = w.server.decode(&w.ctx, &w.sk, &ks, 4);
         let expect = w.client.cipher().keystream_block(0xFEED, 0).unwrap();
         assert_eq!(
@@ -751,8 +741,9 @@ mod tests {
     #[test]
     fn setup_validates_capacity() {
         // The orbit of 3 in (Z/2N)* has length 2^(log2(2N) - 2) = N/2,
-        // so N = 256 gives 128 lanes: t = 64 (needs 4t = 256) must be
-        // rejected, while PASTA-4's t = 32 (exactly 128) just fits.
+        // so N = 256 gives 128 lanes: t = 64 (2t = 128) just fits, while
+        // t = 128 (2t = 256) and t = 3 (2t = 6 does not divide 128) must
+        // be rejected.
         let bfv = BfvParams {
             prime_count: 4,
             ..BfvParams::test_tiny()
@@ -760,12 +751,20 @@ mod tests {
         let ctx = BfvContext::new(bfv).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let sk = ctx.generate_secret_key(&mut rng);
-        let too_big = PastaParams::custom(64, 4, Modulus::PASTA_17_BIT).unwrap();
-        let key = vec![0u64; too_big.state_size()];
-        assert!(matches!(
-            PackedHheServer::new(too_big, &ctx, &sk, &key, &mut rng),
-            Err(FheError::Incompatible(_))
-        ));
+        let fits = PastaParams::custom(64, 1, Modulus::PASTA_17_BIT).unwrap();
+        let key = vec![0u64; fits.state_size()];
+        assert!(PackedHheServer::new(fits, &ctx, &sk, &key, &mut rng).is_ok());
+        for t in [128, 3] {
+            let refused = PastaParams::custom(t, 1, Modulus::PASTA_17_BIT).unwrap();
+            let key = vec![0u64; refused.state_size()];
+            assert!(
+                matches!(
+                    PackedHheServer::new(refused, &ctx, &sk, &key, &mut rng),
+                    Err(FheError::Incompatible(_))
+                ),
+                "t = {t}"
+            );
+        }
         // And a key-length mismatch is caught too.
         let ok_params = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).unwrap();
         assert!(matches!(
@@ -776,10 +775,9 @@ mod tests {
 
     #[test]
     fn rotation_key_budget() {
-        // BSGS at t = 4 (orbit 128): babies {1, 2}, giants {3, 6}, Mix 4,
-        // Feistel 7, duplicate refresh 120 — 7 keys, where one rotation
-        // per diagonal would need 2t = 8.
-        assert_eq!(setup().server.rotation_key_count(), 7);
+        // BSGS at t = 4: babies {1, 2}, giants {3, 6}, Mix 4, Feistel 7
+        // — 6 keys, where one rotation per diagonal would need 2t = 8.
+        assert_eq!(setup().server.rotation_key_count(), 6);
     }
 
     #[test]
@@ -801,15 +799,13 @@ mod tests {
 
     #[test]
     fn required_shifts_shrink_under_bsgs() {
-        // t = 128 on the N = 1024 orbit (512 lanes): 15 babies + 15
-        // giants (128 = 8·16 is already a giant) + Feistel 255 + refresh
-        // 256 = 32 keys, vs 256 for one rotation per diagonal.
-        let shifts = required_shifts(128, 512);
-        assert_eq!(shifts.len(), 32);
-        // Every shift but the refresh is a diagonal shift 1..2t.
-        assert!(shifts
-            .iter()
-            .all(|&s| (1..256).contains(&s) || s == 512 - 256));
+        // t = 128: 15 babies + 15 giants (the Mix shift 128 = 8·16 is
+        // already a giant) + Feistel 255 = 31 keys, vs 256 for one
+        // rotation per diagonal.
+        let shifts = required_shifts(128);
+        assert_eq!(shifts.len(), 31);
+        // Every shift is a diagonal shift 1..2t.
+        assert!(shifts.iter().all(|&s| (1..256).contains(&s)));
     }
 
     /// Evaluates `M·v` through the naive oracle and BSGS and checks each
@@ -824,13 +820,12 @@ mod tests {
         let pk = w.ctx.generate_public_key(&w.sk, &mut rng);
         let pt = w.server.layout.encode_lanes(&w.server.encoder, v, 0);
         let ct = w.ctx.encrypt(&pk, &pt, &mut rng);
-        let dup = w.server.with_duplicate(&w.ctx, &ct).unwrap();
         let bd = |r: usize, c: usize| m[r][c];
 
         w.server.reset_key_switch_count();
         let got = w
             .server
-            .eval_affine_naive(&w.ctx, &bd, &dup)
+            .eval_affine_naive(&w.ctx, &bd, &ct)
             .unwrap()
             .unwrap();
         let naive_switches = w.server.key_switch_count();
@@ -843,7 +838,7 @@ mod tests {
         w.server.reset_key_switch_count();
         let got = w
             .server
-            .eval_affine_bsgs(&w.ctx, &bd, &dup)
+            .eval_affine_bsgs(&w.ctx, &bd, &ct)
             .unwrap()
             .unwrap();
         let bsgs_switches = w.server.key_switch_count();

@@ -23,9 +23,8 @@ pub struct NoiseBudgetGuard {
     /// Whether the server evaluates the batched (SIMD) circuit, whose
     /// plaintext-polynomial multiplications grow noise faster. The
     /// batched prediction is an envelope, not a derivation: it covers
-    /// mux slots (with one added mask prime) and packed PASTA-3, but
-    /// **not** packed PASTA-4, which decrypts wrong at the envelope's
-    /// 10 primes (see [`pasta_fhe::noise::transcipher_round_noise`]).
+    /// mux slots (with one added mask prime) and packed lanes (see
+    /// [`pasta_fhe::noise::transcipher_round_noise`]).
     pub batched: bool,
 }
 
