@@ -11,7 +11,7 @@
 
 use pasta_bench::report::{fmt_f64, TextTable};
 use pasta_core::PastaParams;
-use pasta_fhe::{BfvContext, BfvParams};
+use pasta_fhe::{suggest_bfv_params, BfvContext};
 use pasta_hhe::packed::PackedHheServer;
 use pasta_hhe::{retrieve_muxed, HheClient, HheServer, MuxMember};
 use pasta_math::Modulus;
@@ -21,10 +21,11 @@ use std::time::Instant;
 
 fn main() {
     let pasta = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("valid params");
-    let bfv = BfvParams {
-        prime_count: 8,
-        ..BfvParams::test_tiny()
-    };
+    // The batched admission guard's ring covers all three modes: it is
+    // sized for the slotted and packed layouts, which outgrow the scalar
+    // pass.
+    let bfv = suggest_bfv_params(pasta.t(), pasta.rounds(), true, 256, 50)
+        .expect("the batched guard sizes the ring");
     let ctx = BfvContext::new(bfv).expect("context");
     let mut rng = StdRng::seed_from_u64(0x703E5);
     let sk = ctx.generate_secret_key(&mut rng);

@@ -27,7 +27,7 @@
 
 use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
-use pasta_fhe::{BfvContext, BfvParams, BfvSecretKey};
+use pasta_fhe::{suggest_bfv_params, BfvContext, BfvParams, BfvSecretKey};
 use pasta_hhe::{HheClient, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -192,16 +192,17 @@ fn main() {
     );
 
     // The paper's PASTA-3 parameter set: t = 128, 3 rounds. N = 1024
-    // gives a 512-lane orbit, which the 2t = 256-lane state divides.
+    // gives a 512-lane orbit, which the 2t = 256-lane state divides. The
+    // ring is the batched admission guard's (8 × 50-bit primes), so the
+    // decryption check below runs the packed path on the guard's own
+    // count.
+    let pasta3 = PastaParams::pasta3_17bit();
     let paper_ok = bench_packed(
         &mut report,
         opts.quick,
-        PastaParams::pasta3_17bit(),
-        BfvParams {
-            n: 1024,
-            prime_count: 8,
-            ..BfvParams::test_tiny()
-        },
+        pasta3,
+        suggest_bfv_params(pasta3.t(), pasta3.rounds(), true, 1024, 50)
+            .expect("the batched guard sizes the paper ring"),
         "t=128/N=1024",
     );
     if !(small_ok && paper_ok) {

@@ -113,8 +113,12 @@ pub struct BenchEntry {
     /// default to `"scalar"` — everything before the SIMD backend
     /// existed was scalar by construction.
     pub backend: String,
-    /// Nanoseconds per iteration.
+    /// Nanoseconds per iteration (the median over timing windows, where
+    /// the bench times several).
     pub ns: f64,
+    /// The fastest timing window's nanoseconds per iteration, for benches
+    /// that time several windows ([`BenchReport::push_windows`]).
+    pub min_ns: Option<f64>,
 }
 
 /// A machine-readable benchmark report (`BENCH_*.json` trajectory files).
@@ -176,15 +180,52 @@ impl BenchReport {
         backend: impl Into<String>,
         ns: f64,
     ) {
-        let (id, phase, backend) = (id.into(), phase.into(), backend.into());
-        self.entries
-            .retain(|e| !(e.id == id && e.phase == phase && e.backend == backend));
-        self.entries.push(BenchEntry {
-            id,
-            phase,
-            backend,
+        self.push_entry(BenchEntry {
+            id: id.into(),
+            phase: phase.into(),
+            backend: backend.into(),
             ns,
+            min_ns: None,
         });
+    }
+
+    /// Appends one measurement timed over several windows (ns per
+    /// iteration in each): `ns` is their median and `min_ns` their
+    /// minimum. Replaces any entry with the same `(id, phase, backend)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is empty.
+    pub fn push_windows(
+        &mut self,
+        id: impl Into<String>,
+        phase: impl Into<String>,
+        backend: impl Into<String>,
+        windows: &[f64],
+    ) {
+        let mut sorted = windows.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        let median = if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        };
+        self.push_entry(BenchEntry {
+            id: id.into(),
+            phase: phase.into(),
+            backend: backend.into(),
+            ns: median,
+            min_ns: Some(sorted[0]),
+        });
+    }
+
+    /// Appends `entry`, replacing any with the same `(id, phase, backend)`.
+    fn push_entry(&mut self, entry: BenchEntry) {
+        self.entries.retain(|e| {
+            !(e.id == entry.id && e.phase == entry.phase && e.backend == entry.backend)
+        });
+        self.entries.push(entry);
     }
 
     /// Imports all entries of `phase` from a previously rendered report
@@ -193,7 +234,7 @@ impl BenchReport {
     pub fn merge_phase_from(&mut self, json: &str, phase: &str) {
         for e in Self::parse_entries(json) {
             if e.phase == phase {
-                self.push_backend(e.id, e.phase, e.backend, e.ns);
+                self.push_entry(e);
             }
         }
     }
@@ -270,8 +311,11 @@ impl BenchReport {
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
+            let min = e
+                .min_ns
+                .map_or(String::new(), |m| format!(", \"min_ns\": {m:.1}"));
             out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"phase\": \"{}\", \"backend\": \"{}\", \"ns\": {:.1}}}{comma}\n",
+                "    {{\"id\": \"{}\", \"phase\": \"{}\", \"backend\": \"{}\", \"ns\": {:.1}{min}}}{comma}\n",
                 e.id, e.phase, e.backend, e.ns
             ));
         }
@@ -298,7 +342,7 @@ impl BenchReport {
     }
 
     /// Extracts the `entries` objects from a rendered report. Tolerant:
-    /// scans line by line for the three known keys.
+    /// scans line by line for the known keys.
     #[must_use]
     pub fn parse_entries(json: &str) -> Vec<BenchEntry> {
         fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -318,6 +362,7 @@ impl BenchReport {
                     // backend key; those measurements were scalar.
                     backend: field(l, "backend").unwrap_or("scalar").to_string(),
                     ns: field(l, "ns")?.parse().ok()?,
+                    min_ns: field(l, "min_ns").and_then(|m| m.parse().ok()),
                 })
             })
             .collect()
@@ -338,6 +383,22 @@ mod tests {
         let parsed = BenchReport::parse_entries(&json);
         assert_eq!(parsed, r.entries);
         assert!(json.contains("\"factor\": 3.09"), "{json}");
+    }
+
+    #[test]
+    fn windowed_entries_keep_median_and_min_through_json() {
+        let mut r = BenchReport::new("mul", "");
+        r.push_windows("a", "before", "scalar", &[130.0, 100.0, 120.0]);
+        r.push_windows("a", "after", "scalar", &[40.0, 60.0, 50.0, 45.0]);
+        assert_eq!((r.entries[0].ns, r.entries[0].min_ns), (120.0, Some(100.0)));
+        assert_eq!((r.entries[1].ns, r.entries[1].min_ns), (47.5, Some(40.0)));
+        let json = r.to_json();
+        assert_eq!(BenchReport::parse_entries(&json), r.entries);
+        // The factor divides medians.
+        assert!(json.contains("\"factor\": 2.53"), "{json}");
+        let mut fresh = BenchReport::new("mul", "");
+        fresh.merge_phase_from(&json, "before");
+        assert_eq!(fresh.entries, r.entries[..1]);
     }
 
     #[test]

@@ -138,9 +138,7 @@ pub struct BfvContext {
 struct Level {
     /// The prefix basis `q_0 … q_{ℓ−1}` (NTT tables shared).
     basis: RnsBasis,
-    /// `Δ_ℓ = ⌊Q_ℓ/t⌋` for the prefix product `Q_ℓ`.
-    delta: UBig,
-    /// `Δ_ℓ mod q_i`.
+    /// `Δ_ℓ mod q_i`, with `Δ_ℓ = ⌊Q_ℓ/t⌋` for the prefix product `Q_ℓ`.
     delta_rns: Vec<u64>,
     /// `[q_ℓ^{-1}]_{q_i}` for the prime dropped to reach this level,
     /// with Shoup companions (empty at the top level).
@@ -197,7 +195,6 @@ impl BfvContext {
                 }
                 Ok(Level {
                     basis: prefix,
-                    delta,
                     delta_rns,
                     dropped_inv,
                     dropped_inv_shoup,
@@ -494,34 +491,32 @@ impl BfvContext {
         acc.to_bigint_coeffs(basis)
     }
 
-    /// Remaining noise budget in bits (0 = decryption about to fail), at
-    /// the ciphertext's level.
+    /// The invariant noise budget in bits, at the ciphertext's level:
+    /// `log₂ q − log₂‖[t·(c₀ + c₁s)]_q‖∞ − 1`, clamped at `0` (SEAL's
+    /// `invariant_noise_budget`; Chen–Laine–Player, "Simple Encrypted
+    /// Arithmetic Library 2.1", 2017).
     ///
-    /// Computed exactly: `log2(q / (2·‖v‖∞)) - 1` where `v` is the
-    /// centered distance of the phase from `Δ·m`. Decryption is right
-    /// only while `‖v‖∞ < Δ/2 ≈ q/2t`, so a reading up to about `log₂ t`
-    /// bits (16 for `t = 65537`) can belong to a wrong decryption;
-    /// [`crate::noise::NoiseModel::predicted_budget`] subtracts `log₂ t`.
+    /// `[t·phase]_q = q·v` for the invariant noise `v`, which includes
+    /// the `Δ = ⌊q/t⌋` rounding term `−(q mod t)·m`, and decryption is
+    /// right exactly while `‖v‖∞ < 1/2`. The reading is therefore `0` from
+    /// the point where the noise passes `Δ/2`, so a wrong decryption
+    /// reads `0`. Computed exactly, from the bit lengths of `q` and of the
+    /// worst coefficient; [`crate::noise::NoiseModel::predicted_budget`]
+    /// is a lower bound on it.
     #[must_use]
     pub fn noise_budget(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> u32 {
-        let level = self.level_of(ct);
-        let phase = self.phase(sk, ct);
-        let pt = self.decrypt(sk, ct);
-        let mut worst = 0usize;
-        for (x, &m) in phase.iter().zip(pt.coeffs.iter()) {
-            let dm = level.delta.mul_u64(m);
-            let diff = if x.cmp_big(&dm) == std::cmp::Ordering::Less {
-                dm.sub(x)
-            } else {
-                x.sub(&dm)
-            };
-            let mag = level
-                .basis
-                .centered_magnitude(&diff.div_rem(level.basis.q()).1);
-            worst = worst.max(mag.bits());
-        }
-        let q_bits = level.basis.q().bits();
-        (q_bits.saturating_sub(worst + 2)) as u32
+        let basis = &self.level_of(ct).basis;
+        let t = self.plain.p();
+        let worst = self
+            .phase(sk, ct)
+            .iter()
+            .map(|x| {
+                let scaled = x.mul_u64(t).div_rem(basis.q()).1;
+                basis.centered_magnitude(&scaled).bits()
+            })
+            .max()
+            .unwrap_or(0);
+        (basis.q().bits().saturating_sub(worst + 1)) as u32
     }
 
     /// Homomorphic addition.
@@ -1542,6 +1537,46 @@ mod tests {
         let ct = ctx.encrypt_trivial(&ctx.encode_scalar(123));
         assert_eq!(ctx.decrypt(&sk, &ct).scalar(), 123);
         assert!(ctx.noise_budget(&sk, &ct) > ctx.q_bits() as u32 - 25);
+    }
+
+    #[test]
+    fn noise_budget_reads_zero_once_the_noise_passes_half_delta() {
+        // A trivial encryption of 0 plus a chosen noise `e` on one
+        // coefficient: the phase is `e` itself, so the invariant noise is
+        // `t·e/q` and decryption is right exactly while `e < Δ/2`.
+        let (ctx, sk, _, _, _) = setup();
+        let q = ctx.basis().q();
+        let delta = q.div_rem(&UBig::from_u64(ctx.plain().p())).0;
+        let with_noise = |e: &UBig| {
+            let mut ct = ctx.encrypt_trivial(&ctx.encode_scalar(0));
+            let mut coeffs = vec![UBig::zero(); ctx.params().n];
+            coeffs[0] = e.clone();
+            ct.polys[0].add_assign(
+                &ctx.basis,
+                &RnsPoly::from_bigint_coeffs(&ctx.basis, &coeffs),
+            );
+            ct
+        };
+        let past = with_noise(&delta.shr(1).add(&UBig::one()));
+        assert_eq!(
+            ctx.decrypt(&sk, &past).scalar(),
+            1,
+            "noise past Δ/2 decrypts wrong"
+        );
+        assert_eq!(ctx.noise_budget(&sk, &past), 0);
+        // Below Δ/2 each halving of the noise buys one bit.
+        let readings: Vec<u32> = (2..8)
+            .map(|j| {
+                let ct = with_noise(&delta.shr(j));
+                assert_eq!(ctx.decrypt(&sk, &ct).scalar(), 0, "noise Δ/2^{j}");
+                ctx.noise_budget(&sk, &ct)
+            })
+            .collect();
+        assert!(readings[0] <= 1, "noise Δ/4 reads {}", readings[0]);
+        assert!(
+            readings.windows(2).all(|w| w[1] == w[0] + 1),
+            "readings {readings:?}"
+        );
     }
 
     #[test]

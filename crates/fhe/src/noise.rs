@@ -1,13 +1,35 @@
 //! Static noise-growth prediction and BFV parameter sizing.
 //!
 //! The HHE server must finish the whole PASTA decryption circuit with
-//! noise budget to spare. This module provides a conservative symbolic
-//! tracker ([`NoiseModel`]) mirroring each homomorphic operation's
-//! worst-case `log2` noise growth, and [`suggest_prime_count`], which
-//! sizes the RNS modulus for a given transciphering circuit the way
-//! SEAL users size `coeff_modulus` — but derived from the model instead
-//! of trial and error. Predictions are validated against the *measured*
-//! noise budget (`BfvContext::noise_budget`) in the tests.
+//! noise budget to spare. This module provides a symbolic tracker
+//! ([`NoiseModel`]) that bounds each homomorphic operation's `log2`
+//! noise growth, one derived count per ciphertext layout
+//! ([`transcipher_round_noise`]), and [`suggest_prime_count`], which
+//! sizes the RNS modulus for a transciphering circuit the way SEAL users
+//! size `coeff_modulus`, but from the model instead of trial and error.
+//!
+//! The model and the measurement share one definition of noise: the
+//! invariant noise `v` of a ciphertext, with `q·v = [t·(c₀ + c₁s)]_q`.
+//! [`NoiseModel::log2_noise`] bounds `‖q·v‖∞ / t`, which is the phase
+//! noise `e` of `Δ·m + e` plus the `Δ = ⌊q/t⌋` rounding term
+//! `(q mod t)·m / t`, and [`NoiseModel::predicted_budget`] is a lower
+//! bound on the measured [`BfvContext::noise_budget`]. The tests hold
+//! the two against each other.
+//!
+//! **Ring products.** Every product of two ring elements is bounded
+//! with one expansion factor, `‖a·b‖∞ ≤ δ_R·‖a‖∞·‖b‖∞` with
+//! `δ_R = 2√N`. Each coefficient of `a·b` in `Z[X]/(X^N + 1)` is a
+//! signed sum of `N` products; when one factor's coefficients are
+//! independent and zero-mean, a central-limit argument keeps that sum
+//! below `2√N·‖a‖∞‖b‖∞` except with negligible probability. This is
+//! the high-probability bound of Kim–Polyakov–Zucca ("Revisiting
+//! Homomorphic Encryption Schemes for Finite Fields", ASIACRYPT 2021)
+//! and of OpenFHE's BFV parameter generation (`delta(n) = 2√n`), in the
+//! average-case style of Costache–Smart ("Which Ring Based Somewhat
+//! Homomorphic Encryption Scheme is Best?", CT-RSA 2016). Its assumption
+//! holds here: one factor of every product is a secret, an error, a
+//! uniform ciphertext polynomial, a key-switch digit or a pseudorandom
+//! plaintext (the affine weights, the masks). The worst case is `N`.
 
 use crate::bfv::{BfvContext, BfvParams};
 use pasta_math::Modulus;
@@ -15,15 +37,29 @@ use pasta_math::Modulus;
 /// Upper bound on fresh error magnitude (centered binomial, parameter 4).
 const ERROR_BOUND: f64 = 4.0;
 
-/// A symbolic worst-case noise tracker for one ciphertext.
+/// `log₂(2^a + 2^b)`, without leaving the log domain (budgets reach
+/// 1 600 bits, past `f64`'s exponent range).
+fn log2_sum(a: f64, b: f64) -> f64 {
+    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+    hi + (lo - hi).exp2().ln_1p() / std::f64::consts::LN_2
+}
+
+/// A symbolic noise bound for one ciphertext.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
-    /// `log2` of the worst-case noise magnitude.
+    /// `log2` of the bound on `‖[t·(c₀ + c₁s)]_q‖∞ / t`.
     pub log2_noise: f64,
     n: f64,
     t: f64,
     q_bits: f64,
-    relin_floor: f64,
+    /// `log2 δ_R`.
+    log2_delta: f64,
+    /// `log2` of the noise one key-switch adds (relinearization or a
+    /// Galois rotation).
+    key_switch: f64,
+    /// `log2` of what a multiplication adds on top of its tensor terms:
+    /// the scale's rounding and the relinearization key-switch.
+    mul_floor: f64,
 }
 
 impl NoiseModel {
@@ -50,41 +86,49 @@ impl NoiseModel {
         prime_count: usize,
     ) -> Self {
         let n = n as f64;
-        // pk encryption: e1 + u·e + s·e2 → ≈ B(2N + 1).
-        let log2_noise = (ERROR_BOUND * (2.0 * n + 1.0)).log2();
-        // RNS relinearization adds Σ_j d_j e_j ≈ k·q_j·B·N.
-        let relin_floor =
-            (prime_count as f64).log2() + f64::from(prime_bits) + ERROR_BOUND.log2() + n.log2();
+        let t = plain_modulus.value() as f64;
+        let delta = 2.0 * n.sqrt();
+        let k = prime_count as f64;
+        // pk encryption: phase noise e₁ − e·u + e₂·s ≤ B(1 + 2δ_R), plus
+        // the Δ rounding term (q mod t)·m/t < t.
+        let log2_noise = (ERROR_BOUND * (1.0 + 2.0 * delta) + t).log2();
+        // RNS key-switch: Σ_j d_j·e_j over k digits d_j < q_j.
+        let key_switch = k.log2() + f64::from(prime_bits) + (delta * ERROR_BOUND).log2();
+        // The scale ⌊t·c/q⌋ − α (α < k, see `rns_mul`) rounds each of
+        // (c₀, c₁, c₂) by less than k + 1, weighted by (1, s, s²).
+        let rounding = ((k + 1.0) * (1.0 + delta + delta * delta)).log2();
         NoiseModel {
             log2_noise,
             n,
-            t: plain_modulus.value() as f64,
+            t,
             q_bits: q_bits as f64,
-            relin_floor,
+            log2_delta: delta.log2(),
+            key_switch,
+            mul_floor: log2_sum(key_switch, rounding),
         }
     }
 
-    /// After a ciphertext–ciphertext addition.
+    /// After a ciphertext–ciphertext addition: the noises add.
     #[must_use]
     pub fn after_add(mut self, other: &NoiseModel) -> Self {
-        self.log2_noise = self.log2_noise.max(other.log2_noise) + 1.0;
+        self.log2_noise = log2_sum(self.log2_noise, other.log2_noise);
         self
     }
 
     /// After summing `k` ciphertexts whose noise each obeys this model's
     /// bound `B`: by the triangle inequality the sum's noise is at most
-    /// `k·B`, so `log2 k` bits — not the `k − 1` bits of `k − 1` chained
-    /// [`NoiseModel::after_add`]s.
+    /// `k·B`, so `log2 k` bits.
     #[must_use]
     pub fn after_sum(mut self, k: usize) -> Self {
         self.log2_noise += (k.max(1) as f64).log2();
         self
     }
 
-    /// After adding a plaintext (noise unchanged up to rounding slack).
+    /// After adding a plaintext `p` (as `Δ·p`): the invariant noise moves
+    /// by the rounding term `(q mod t)·p`, below `t` in these units.
     #[must_use]
     pub fn after_add_plain(mut self) -> Self {
-        self.log2_noise += 0.1;
+        self.log2_noise = log2_sum(self.log2_noise, self.t.log2());
         self
     }
 
@@ -95,20 +139,40 @@ impl NoiseModel {
         self
     }
 
-    /// After multiplying by a full plaintext polynomial (batched
-    /// material): worst case `t · N` amplification.
+    /// After multiplying by a full plaintext polynomial (coefficients in
+    /// `[0, t)`, one ring product): `δ_R·t` amplification.
     #[must_use]
     pub fn after_mul_plain(mut self) -> Self {
-        self.log2_noise += self.t.log2() + self.n.log2();
+        self.log2_noise += self.log2_delta + self.t.log2();
+        self
+    }
+
+    /// After a key-switch (a Galois rotation, classic or hoisted): the
+    /// automorphism keeps `‖·‖∞`, and the switch adds its digit noise.
+    #[must_use]
+    pub fn after_key_switch(mut self) -> Self {
+        self.log2_noise = log2_sum(self.log2_noise, self.key_switch);
         self
     }
 
     /// After a ciphertext multiplication plus relinearization.
+    ///
+    /// Write `(t/q)·(c₀ + c₁s) = m + v + t·I` for each operand, with
+    /// `m < t`, the invariant noise `v` and an integer polynomial `I`;
+    /// for `c` centered in `(−q/2, q/2]` and a ternary `s`,
+    /// `‖I‖∞ < (δ_R + 4)/2`. The scaled tensor's invariant noise is
+    /// `m₁v₂ + m₂v₁ + t·(I₁v₂ + I₂v₁) + v₁v₂` plus the scale's rounding,
+    /// one `δ_R` per product, so in this model's units
+    /// `ν ≤ δ_R·t·(δ_R + 6)/2·(ν₁ + ν₂) + δ_R·t·ν₁ν₂/q`, plus the
+    /// rounding and the relinearization key-switch.
     #[must_use]
     pub fn after_mul_relin(mut self, other: &NoiseModel) -> Self {
-        // BFV tensor: ν ≈ t·N·(ν1 + ν2) (+ small terms).
-        let tensor = self.log2_noise.max(other.log2_noise) + self.t.log2() + self.n.log2() + 2.0;
-        self.log2_noise = tensor.max(self.relin_floor) + 1.0;
+        let gain = self.log2_delta + self.t.log2() + ((self.log2_delta.exp2() + 6.0) / 2.0).log2();
+        let linear = gain + log2_sum(self.log2_noise, other.log2_noise);
+        // 1/q < 2^(1 − q_bits).
+        let quadratic = self.log2_delta + self.t.log2() + self.log2_noise + other.log2_noise + 1.0
+            - self.q_bits;
+        self.log2_noise = log2_sum(log2_sum(linear, quadratic), self.mul_floor);
         self
     }
 
@@ -116,14 +180,14 @@ impl NoiseModel {
     /// has `q_bits_after` bits (no change unless that is below the
     /// current modulus).
     ///
-    /// Dropping a prime `p` maps the noise `v ↦ v/p + ε`. The rounding of
-    /// `c0 + c1·s` contributes at most `(1 + ‖s‖₁)/2 ≤ (N + 1)/2`, and
-    /// rescaling `Δ` contributes `m·(ρ′ − ρ/p)/t` with `ρ = q mod t`,
-    /// below `t`. Over several drops each earlier `ε` is divided by the
-    /// later primes, so the sum stays below the floor `2t + N + 1`.
-    /// The scaled part uses `q′/q < 2^(bits(q′) − bits(q) + 1)`. The
-    /// budget is kept while `v·q′/q` is above the floor and lost once the
-    /// floor dominates.
+    /// Dropping a prime `p` maps `c ↦ c/p + ε` with `‖ε‖∞ ≤ 1/2` per
+    /// component, so the invariant noise maps `q·v ↦ q′·v + t·(ε₀ + ε₁s)`:
+    /// the scaled part plus a floor of `(1 + δ_R)/2` in these units. The
+    /// scaled part uses `q′/q < 2^(bits(q′) − bits(q) + 1)`. Over
+    /// several drops each earlier `ε` is divided by the later primes, so
+    /// the floor holds for the whole switch. The budget is kept while
+    /// the scaled part is above the floor and lost once the floor
+    /// dominates.
     #[must_use]
     pub fn after_mod_switch(mut self, q_bits_after: usize) -> Self {
         let q_bits_after = q_bits_after as f64;
@@ -131,75 +195,130 @@ impl NoiseModel {
             return self;
         }
         let scaled = self.log2_noise + q_bits_after - self.q_bits + 1.0;
-        let floor = 2.0 * self.t + self.n + 1.0;
-        self.log2_noise = (scaled.exp2() + floor).log2();
+        let floor = ((1.0 + self.log2_delta.exp2()) / 2.0).log2();
+        self.log2_noise = log2_sum(scaled, floor);
         self.q_bits = q_bits_after;
         self
     }
 
-    /// Predicted remaining budget in bits (`0` = decryption at risk).
+    /// Predicted remaining budget in bits (`0` = decryption at risk): a
+    /// lower bound on [`BfvContext::noise_budget`], which reads
+    /// `bits(q) − bits(‖q·v‖∞) − 1 ≥ q_bits − log₂(t·ν) − 2`.
     #[must_use]
     pub fn predicted_budget(&self) -> f64 {
         (self.q_bits - self.log2_noise - self.t.log2() - 2.0).max(0.0)
     }
 }
 
+/// How a server lays the PASTA state out in its ciphertexts. The
+/// layouts evaluate the same circuit with different operations, so each
+/// has its own derived noise count ([`transcipher_round_noise`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One ciphertext per state element, one block per pass: the
+    /// affine weights are scalars (the scalar pass).
+    Scalar,
+    /// One ciphertext per state element, blocks across the slots: the
+    /// affine weights are plaintext polynomials (a one-member bucket).
+    Slotted,
+    /// [`Layout::Slotted`] over a composed key: each member's key times
+    /// its 0/1 slot mask, summed over up to `N` members (a mux pass of
+    /// two or more members).
+    Mux,
+    /// The whole state in the lanes of one ciphertext: affine layers by
+    /// the rotation/diagonal method, the Feistel square and the
+    /// truncation masked by plaintexts (the packed server).
+    Packed,
+}
+
+impl Layout {
+    /// The layouts an admission guard holds a session to: the scalar
+    /// pass, or, for a batched server, the one-member bucket and the
+    /// packed server, whichever needs more.
+    #[must_use]
+    pub fn guarded(batched: bool) -> &'static [Layout] {
+        if batched {
+            &[Layout::Slotted, Layout::Packed]
+        } else {
+            &[Layout::Scalar]
+        }
+    }
+}
+
 /// Symbolically executes the transciphering circuit for a PASTA-style
-/// cipher with block size `t_pasta` and `rounds`, returning the noise
-/// model after each round — affine layer, Mix and S-box, for rounds
-/// `0..rounds` — and, last, after the final affine layer: `rounds + 1`
-/// entries.
+/// cipher with block size `t_pasta` and `rounds` under `layout`,
+/// returning the noise model after each round — affine layer, Mix and
+/// S-box, for rounds `0..rounds` — and, last, after the final affine
+/// layer (and, packed, the truncation mask): `rounds + 1` entries.
 ///
-/// **Scalar** (`batched = false`) is a derivation. Each affine row sums
-/// `t_pasta` scalar multiples of state ciphertexts, so it costs
-/// `log2 t_pasta` bits on top of the scalar factor
-/// ([`NoiseModel::after_sum`]); Mix and the S-boxes follow the circuit
-/// op by op.
+/// Every count is a derivation from the op-by-op rules of
+/// [`NoiseModel`]:
 ///
-/// **Batched** (`batched = true`) is an envelope, not a derivation. It
-/// charges each affine row a full-plaintext multiply and `t_pasta − 1`
-/// chained additions, far more than the sum rule would. One guard
-/// serves both slotted layouts — mux slots and packed lanes — although
-/// the packed path's Galois key-switches and mask multiplies are not
-/// modelled; the envelope's surplus covers them. At N = 1024 the packed
-/// path keeps about 125 bits for PASTA-4 at the envelope's 10 primes
-/// and about 480 bits for PASTA-3 at its 16 (`noise_budget` readings,
-/// which do not subtract `log₂ t`).
+/// - **Scalar**: each affine row sums `t_pasta` scalar multiples of
+///   state ciphertexts ([`NoiseModel::after_sum`]).
+/// - **Slotted** and **Mux**: each affine row sums `t_pasta` plaintext
+///   multiplies; Mux starts from the composed key, a plaintext multiply
+///   summed over up to `N` members.
+/// - **Packed**: each of the `2t_pasta` diagonals of a layer costs its
+///   hoisted baby rotation (a key-switch), its plaintext multiply and a
+///   share of a giant rotation (a key-switch after the multiply); Mix
+///   reads its swapped half through a rotation; the Feistel square reads
+///   a rotated state and is masked by a plaintext; the output is masked
+///   by the truncation plaintext.
 ///
-/// Mux domains run on the envelope plus one mask prime.
+/// Mix is `2·x + y` and every S-box follows the circuit op by op.
 #[must_use]
 pub fn transcipher_round_noise(
     t_pasta: usize,
     rounds: usize,
-    batched: bool,
+    layout: Layout,
     start: NoiseModel,
 ) -> Vec<NoiseModel> {
-    let affine = |state: NoiseModel| {
-        let sum = if batched {
-            let term = state.after_mul_plain();
-            (1..t_pasta).fold(term, |acc, _| acc.after_add(&term))
+    let packed = layout == Layout::Packed;
+    let rotated = |state: NoiseModel| {
+        if packed {
+            state.after_key_switch()
         } else {
-            state.after_mul_scalar(state.t as u64).after_sum(t_pasta)
-        };
-        sum.after_add_plain()
+            state
+        }
     };
-    let mut state = start;
+    let affine = |state: NoiseModel| {
+        match layout {
+            Layout::Scalar => state.after_mul_scalar(state.t as u64).after_sum(t_pasta),
+            Layout::Slotted | Layout::Mux => state.after_mul_plain().after_sum(t_pasta),
+            Layout::Packed => state
+                .after_key_switch()
+                .after_mul_plain()
+                .after_key_switch()
+                .after_sum(2 * t_pasta),
+        }
+        .after_add_plain()
+    };
+    let mut state = if layout == Layout::Mux {
+        start.after_mul_plain().after_sum(start.n as usize)
+    } else {
+        start
+    };
     let mut per_round = Vec::with_capacity(rounds + 1);
     for round in 0..rounds {
-        state = affine(state);
-        // Mix: two adds.
-        state = state.after_add(&state).after_add(&state);
-        // S-box: one squaring (Feistel) or two chained multiplications
-        // (cube, last round) + the Feistel addition.
-        let sq = state.after_mul_relin(&state);
+        state = rotated(affine(state)).after_sum(3);
         state = if round == rounds - 1 {
-            sq.after_mul_relin(&state)
+            // The cube: relin(x²)·x.
+            state.after_mul_relin(&state).after_mul_relin(&state)
         } else {
-            state.after_add(&sq)
+            // Feistel: x_j + x_{j−1}², the packed square masked.
+            let shifted = rotated(state);
+            let square = shifted.after_mul_relin(&shifted);
+            state.after_add(&if packed {
+                square.after_mul_plain()
+            } else {
+                square
+            })
         };
         per_round.push(state);
     }
-    per_round.push(affine(state));
+    let last = affine(state);
+    per_round.push(if packed { last.after_mul_plain() } else { last });
     per_round
 }
 
@@ -209,10 +328,10 @@ pub fn transcipher_round_noise(
 pub fn transcipher_noise(
     t_pasta: usize,
     rounds: usize,
-    batched: bool,
+    layout: Layout,
     start: NoiseModel,
 ) -> NoiseModel {
-    let per_round = transcipher_round_noise(t_pasta, rounds, batched, start);
+    let per_round = transcipher_round_noise(t_pasta, rounds, layout, start);
     per_round[per_round.len() - 1]
 }
 
@@ -233,7 +352,8 @@ pub fn compact_level(ctx: &BfvContext, end: NoiseModel, margin_bits: f64) -> usi
 }
 
 /// Sizes the RNS prime count so the transciphering circuit retains at
-/// least `margin_bits` of predicted budget.
+/// least `margin_bits` of predicted budget under every layout of
+/// [`Layout::guarded`]`(batched)`.
 ///
 /// Returns `None` when no count up to 32 primes suffices (degenerate
 /// inputs — e.g. a ring dimension far too small for the circuit).
@@ -247,11 +367,37 @@ pub fn suggest_prime_count(
     prime_bits: u32,
     margin_bits: f64,
 ) -> Option<usize> {
+    let layouts = Layout::guarded(batched);
+    suggest_prime_count_for(
+        layouts,
+        t_pasta,
+        rounds,
+        n,
+        plain_modulus,
+        prime_bits,
+        margin_bits,
+    )
+}
+
+/// [`suggest_prime_count`] for an explicit set of layouts: the fewest
+/// primes (up to 32) under which every one of `layouts` keeps
+/// `margin_bits` of predicted budget.
+#[must_use]
+pub fn suggest_prime_count_for(
+    layouts: &[Layout],
+    t_pasta: usize,
+    rounds: usize,
+    n: usize,
+    plain_modulus: Modulus,
+    prime_bits: u32,
+    margin_bits: f64,
+) -> Option<usize> {
     (2..=32).find(|&count| {
         let q_bits = count * prime_bits as usize;
         let start = NoiseModel::fresh_for(n, plain_modulus, q_bits, prime_bits, count);
-        let end = transcipher_noise(t_pasta, rounds, batched, start);
-        end.predicted_budget() >= margin_bits
+        layouts.iter().all(|&layout| {
+            transcipher_noise(t_pasta, rounds, layout, start).predicted_budget() >= margin_bits
+        })
     })
 }
 
@@ -453,18 +599,28 @@ mod tests {
 
     #[test]
     fn paper_ring_suggestions_are_pinned() {
-        // N = 1024, 50-bit primes, 12-bit margin: the rings the scalar
-        // path and the two slotted layouts run on. The scalar counts
-        // follow from the sum rule; the batched envelope must not move,
-        // because it is what covers the packed path's unmodelled
-        // Galois key-switches (mux domains add one mask prime on top).
-        let suggest = |t, rounds, batched| {
+        // N = 1024, 50-bit primes, 12-bit margin: the rings each layout's
+        // derived count sizes. The batched guard takes the larger of the
+        // slotted and packed counts; a shared domain adds the mux count.
+        let suggest = |t, rounds, layouts: &[Layout]| {
+            suggest_prime_count_for(layouts, t, rounds, 1_024, Modulus::PASTA_17_BIT, 50, 12.0)
+        };
+        let pasta4 = |layout| suggest(32, 4, &[layout]);
+        let pasta3 = |layout| suggest(128, 3, &[layout]);
+        assert_eq!(pasta4(Layout::Scalar), Some(6), "PASTA-4 scalar");
+        assert_eq!(pasta4(Layout::Slotted), Some(7), "PASTA-4 slotted");
+        assert_eq!(pasta4(Layout::Mux), Some(8), "PASTA-4 mux");
+        assert_eq!(pasta4(Layout::Packed), Some(10), "PASTA-4 packed");
+        assert_eq!(pasta3(Layout::Scalar), Some(6), "PASTA-3 scalar");
+        assert_eq!(pasta3(Layout::Slotted), Some(6), "PASTA-3 slotted");
+        assert_eq!(pasta3(Layout::Mux), Some(7), "PASTA-3 mux");
+        assert_eq!(pasta3(Layout::Packed), Some(8), "PASTA-3 packed");
+        let guarded = |t, rounds, batched| {
             suggest_prime_count(t, rounds, batched, 1_024, Modulus::PASTA_17_BIT, 50, 12.0)
         };
-        assert_eq!(suggest(32, 4, false), Some(7), "PASTA-4 scalar");
-        assert_eq!(suggest(128, 3, false), Some(6), "PASTA-3 scalar");
-        assert_eq!(suggest(32, 4, true), Some(10), "PASTA-4 batched");
-        assert_eq!(suggest(128, 3, true), Some(16), "PASTA-3 batched");
+        assert_eq!(guarded(32, 4, true), Some(10), "PASTA-4 batched");
+        assert_eq!(guarded(128, 3, true), Some(8), "PASTA-3 batched");
+        assert_eq!(guarded(32, 4, false), pasta4(Layout::Scalar));
     }
 
     #[test]
@@ -519,7 +675,7 @@ mod tests {
     #[test]
     fn budget_never_negative() {
         let m = NoiseModel::fresh_for(256, Modulus::PASTA_17_BIT, 60, 50, 1);
-        let end = transcipher_noise(8, 4, true, m);
+        let end = transcipher_noise(8, 4, Layout::Packed, m);
         assert_eq!(end.predicted_budget(), 0.0);
     }
 }

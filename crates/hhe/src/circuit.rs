@@ -17,13 +17,18 @@ use pasta_fhe::{
     PreparedCiphertext,
 };
 
+/// Observes the state after each round's S-box: `(round, X_L, X_R)`,
+/// with `X_R` empty after the last round.
+pub(crate) type RoundHook<'a> = dyn FnMut(usize, &[FheCiphertext], &[FheCiphertext]) + 'a;
+
 /// Evaluates the keystream circuit over the `2t` key ciphertexts `key`
 /// and returns the `t` ciphertexts of `KS = X_L` after the final affine
 /// layer.
 ///
 /// Per round `i < r`: the affine layer `A_i` on both halves, Mix, then
 /// the Feistel S-box; in the last round, drop `X_R` (truncation keeps
-/// `X_L` only) and cube `X_L`. Finally `A_r` on `X_L`.
+/// `X_L` only) and cube `X_L`. Finally `A_r` on `X_L`. `on_round` sees
+/// the state after every round.
 ///
 /// # Errors
 ///
@@ -36,6 +41,7 @@ pub(crate) fn keystream(
     relin_key: &BfvRelinKey,
     per_slot: &[BlockEntry],
     key: &[FheCiphertext],
+    on_round: &mut RoundHook<'_>,
 ) -> Result<Vec<FheCiphertext>, FheError> {
     let rounds = params.rounds();
     let (left, right) = key.split_at(params.t().min(key.len()));
@@ -53,6 +59,7 @@ pub(crate) fn keystream(
             right.clear();
             left = cube(ctx, relin_key, &left)?;
         }
+        on_round(i, &left, &right);
     }
     affine_half(ctx, encoder, per_slot, rounds, true, left)
 }

@@ -60,6 +60,7 @@ mod circuit;
 pub mod client;
 pub mod link;
 pub mod mux;
+mod noise_proof;
 pub mod packed;
 pub mod server;
 

@@ -262,6 +262,7 @@ mod tests {
             &w.relin,
             &per_slot,
             &w.key.elements,
+            &mut |_, _, _| {},
         )
         .unwrap();
         for (position, ct) in ks.iter().enumerate() {

@@ -467,6 +467,18 @@ impl PackedHheServer {
         nonce: u128,
         counter: u64,
     ) -> Result<FheCiphertext, FheError> {
+        self.keystream_packed_rounds(ctx, nonce, counter, &mut |_, _| {})
+    }
+
+    /// [`PackedHheServer::keystream_packed`], with `on_round` seeing the
+    /// state after every round's S-box (`(round, state)`).
+    pub(crate) fn keystream_packed_rounds(
+        &self,
+        ctx: &BfvContext,
+        nonce: u128,
+        counter: u64,
+        on_round: &mut dyn FnMut(usize, &FheCiphertext),
+    ) -> Result<FheCiphertext, FheError> {
         let t = self.params.t();
         let r = self.params.rounds();
         let block = BlockEntry::derive(&self.params, nonce, counter);
@@ -520,6 +532,7 @@ impl PackedHheServer {
                     let sq = ctx.square_relin(&state, &self.relin_key)?;
                     state = ctx.mul_relin(&sq, &state, &self.relin_key)?;
                 }
+                on_round(i, &state);
             }
         }
         // Truncation: keep lanes 0..t.

@@ -37,7 +37,7 @@
 //! [`crate::packed::required_shifts`]).
 
 use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
-use crate::circuit;
+use crate::circuit::{self, RoundHook};
 use crate::client::EncryptedPastaKey;
 use crate::mux::{MuxMember, MuxedBlocks, SlotRange};
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
@@ -125,6 +125,7 @@ impl HheServer {
             &self.relin_key,
             &[BlockEntry::derive(&self.params, nonce, counter)],
             &key.elements,
+            &mut |_, _, _| {},
         )
     }
 
@@ -323,6 +324,17 @@ impl HheServer {
         ctx: &BfvContext,
         members: &[MuxMember<'_>],
     ) -> Result<MuxedBlocks, FheError> {
+        self.transcipher_mux_rounds(ctx, members, &mut |_, _, _| {})
+    }
+
+    /// [`HheServer::transcipher_mux`], with `on_round` seeing the pass's
+    /// state after every round.
+    pub(crate) fn transcipher_mux_rounds(
+        &self,
+        ctx: &BfvContext,
+        members: &[MuxMember<'_>],
+        on_round: &mut RoundHook<'_>,
+    ) -> Result<MuxedBlocks, FheError> {
         let t = self.params.t();
         let ranges = self.layout(members)?;
         let slots_used = ranges.last().map_or(0, |r| r.start + r.blocks);
@@ -354,6 +366,7 @@ impl HheServer {
             &self.relin_key,
             &per_slot,
             key,
+            on_round,
         )?;
 
         // Demux-side subtraction: slot s of position i carries message

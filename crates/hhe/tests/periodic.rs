@@ -11,7 +11,7 @@
 //! server's circuit: every plaintext is a constant polynomial.
 
 use pasta_core::PastaParams;
-use pasta_fhe::noise::transcipher_noise;
+use pasta_fhe::noise::{transcipher_noise, Layout};
 use pasta_fhe::{
     BatchEncoder, BfvContext, BfvParams, BfvSecretKey, Ciphertext as FheCiphertext, NoiseModel,
 };
@@ -169,7 +169,7 @@ fn noise_budget_does_not_shrink_with_the_period_and_beats_the_prediction() {
     let predicted = transcipher_noise(
         4,
         2,
-        true,
+        Layout::Slotted,
         NoiseModel::fresh_for(
             n,
             w.ctx.params().plain_modulus,

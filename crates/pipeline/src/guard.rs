@@ -12,7 +12,7 @@
 
 use crate::error::PipelineError;
 use pasta_core::PastaParams;
-use pasta_fhe::noise::{suggest_prime_count, transcipher_noise, NoiseModel};
+use pasta_fhe::noise::{suggest_prime_count_for, transcipher_noise, Layout, NoiseModel};
 use pasta_fhe::BfvParams;
 
 /// Pre-flight noise check for a transciphering session.
@@ -20,11 +20,13 @@ use pasta_fhe::BfvParams;
 pub struct NoiseBudgetGuard {
     /// Bits of predicted budget that must remain after the circuit.
     pub margin_bits: f64,
-    /// Whether the server evaluates the batched (SIMD) circuit, whose
-    /// plaintext-polynomial multiplications grow noise faster. The
-    /// batched prediction is an envelope, not a derivation: it covers
-    /// mux slots (with one added mask prime) and packed lanes (see
-    /// [`pasta_fhe::noise::transcipher_round_noise`]).
+    /// Whether the server evaluates a batched (SIMD) circuit, whose
+    /// plaintext-polynomial multiplications grow noise faster. A
+    /// batched session is held to the derived counts of both the slotted
+    /// and the packed layout, whichever needs more (see
+    /// [`Layout::guarded`] and
+    /// [`pasta_fhe::noise::transcipher_round_noise`]); a scalar one to
+    /// the scalar count.
     pub batched: bool,
 }
 
@@ -39,17 +41,11 @@ impl Default for NoiseBudgetGuard {
 
 impl NoiseBudgetGuard {
     /// Predicted post-circuit budget (bits) for transciphering `pasta`
-    /// under `bfv`, without judging it.
+    /// under `bfv`, without judging it: the least over the layouts of
+    /// [`Layout::guarded`].
     #[must_use]
     pub fn predicted_budget(&self, pasta: &PastaParams, bfv: &BfvParams) -> f64 {
-        let start = NoiseModel::fresh_for(
-            bfv.n,
-            bfv.plain_modulus,
-            bfv.prime_bits as usize * bfv.prime_count,
-            bfv.prime_bits,
-            bfv.prime_count,
-        );
-        transcipher_noise(pasta.t(), pasta.rounds(), self.batched, start).predicted_budget()
+        predicted_for(Layout::guarded(self.batched), pasta, bfv)
     }
 
     /// Admits or refuses a session.
@@ -61,14 +57,30 @@ impl NoiseBudgetGuard {
     /// the model expects to survive the circuit (or `None` when no
     /// count up to 32 primes would).
     pub fn check(&self, pasta: &PastaParams, bfv: &BfvParams) -> Result<f64, PipelineError> {
-        let predicted = self.predicted_budget(pasta, bfv);
+        self.check_layouts(Layout::guarded(self.batched), pasta, bfv)
+    }
+
+    /// [`NoiseBudgetGuard::check`] against an explicit set of layouts,
+    /// each of which must keep the margin. A shared FHE domain adds
+    /// [`Layout::Mux`] to the guard's own layouts.
+    ///
+    /// # Errors
+    ///
+    /// As [`NoiseBudgetGuard::check`].
+    pub fn check_layouts(
+        &self,
+        layouts: &[Layout],
+        pasta: &PastaParams,
+        bfv: &BfvParams,
+    ) -> Result<f64, PipelineError> {
+        let predicted = predicted_for(layouts, pasta, bfv);
         if predicted >= self.margin_bits {
             return Ok(predicted);
         }
-        let suggested = suggest_prime_count(
+        let suggested = suggest_prime_count_for(
+            layouts,
             pasta.t(),
             pasta.rounds(),
-            self.batched,
             bfv.n,
             bfv.plain_modulus,
             bfv.prime_bits,
@@ -81,6 +93,23 @@ impl NoiseBudgetGuard {
             suggested_prime_count: suggested,
         })
     }
+}
+
+/// The least predicted post-circuit budget over `layouts`.
+fn predicted_for(layouts: &[Layout], pasta: &PastaParams, bfv: &BfvParams) -> f64 {
+    let start = NoiseModel::fresh_for(
+        bfv.n,
+        bfv.plain_modulus,
+        bfv.prime_bits as usize * bfv.prime_count,
+        bfv.prime_bits,
+        bfv.prime_count,
+    );
+    layouts
+        .iter()
+        .map(|&layout| {
+            transcipher_noise(pasta.t(), pasta.rounds(), layout, start).predicted_budget()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]

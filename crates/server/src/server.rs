@@ -42,7 +42,7 @@
 
 use crate::session::SessionTable;
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
-use pasta_fhe::noise::{compact_level, transcipher_noise, NoiseModel};
+use pasta_fhe::noise::{compact_level, transcipher_noise, Layout, NoiseModel};
 use pasta_fhe::{
     BfvContext, BfvParams, BfvRelinKey, BfvSecretKey, Ciphertext as FheCiphertext, FheError,
 };
@@ -249,11 +249,9 @@ impl Domain {
     /// Builds the domain's evaluation state and sizes its compact
     /// results: each finished ciphertext is switched down to the fewest
     /// primes whose predicted budget still meets the admission margin
-    /// ([`compact_level`]). A scalar pass is the scalar circuit from a
-    /// fresh key; a multiplexed pass starts from the composed key, each
-    /// member's key times its 0/1 slot mask (a full plaintext multiply)
-    /// summed over at most `N` members, and runs the slotted circuit,
-    /// which the batched model bounds.
+    /// ([`compact_level`]). A scalar pass follows [`Layout::Scalar`]; a
+    /// multiplexed pass follows [`Layout::Mux`], which starts from the
+    /// composed key and bounds a one-member bucket too.
     fn new(
         pasta: PastaParams,
         bfv: BfvParams,
@@ -263,12 +261,11 @@ impl Domain {
         let ctx = BfvContext::new(bfv)?;
         let hhe = HheServer::new(pasta, &ctx, relin_key)?;
         let fresh = NoiseModel::fresh(&ctx);
-        let level = |batched: bool, start: NoiseModel| {
-            let end = transcipher_noise(pasta.t(), pasta.rounds(), batched, start);
+        let level = |layout: Layout| {
+            let end = transcipher_noise(pasta.t(), pasta.rounds(), layout, fresh);
             compact_level(&ctx, end, margin_bits)
         };
-        let scalar_level = level(false, fresh);
-        let mux_level = level(true, fresh.after_mul_plain().after_sum(bfv.n));
+        let (scalar_level, mux_level) = (level(Layout::Scalar), level(Layout::Mux));
         Ok(Domain {
             pasta,
             ctx,
@@ -569,7 +566,10 @@ impl PastaServer {
 
     /// The noise-budget admission check of [`Self::register_tenant`],
     /// callable on its own so a registrant can be refused before it pays
-    /// for key generation. A refusal counts in `refused_budget`.
+    /// for key generation. A registrant joining a shared FHE domain
+    /// (`shared`) must also carry the domain's mux passes, so it is held
+    /// to [`Layout::Mux`] as well as to the guard's own layouts. A
+    /// refusal counts in `refused_budget`.
     ///
     /// # Errors
     ///
@@ -581,8 +581,14 @@ impl PastaServer {
         &mut self,
         pasta: &PastaParams,
         bfv: &BfvParams,
+        shared: bool,
     ) -> Result<(), PipelineError> {
-        let Err(err) = self.cfg.admission.check(pasta, bfv) else {
+        let guard = &self.cfg.admission;
+        let mut layouts = Layout::guarded(guard.batched).to_vec();
+        if shared {
+            layouts.push(Layout::Mux);
+        }
+        let Err(err) = guard.check_layouts(&layouts, pasta, bfv) else {
             return Ok(());
         };
         self.stats.refused_budget += 1;
@@ -608,7 +614,8 @@ impl PastaServer {
     ///
     /// - [`PipelineError::Refused`] with
     ///   [`RefusalReason::BudgetRefused`] when the admission guard
-    ///   predicts the transciphering circuit would exhaust the noise
+    ///   predicts the transciphering circuit (for a registrant joining a
+    ///   shared domain, the mux circuit too) would exhaust the noise
     ///   budget under the tenant's BFV parameters (the refusal names the
     ///   prime count that would work);
     /// - [`PipelineError::Fhe`] when the BFV parameters are invalid, the
@@ -617,7 +624,7 @@ impl PastaServer {
     ///   (domains must be parameter-homogeneous — bucket members share
     ///   one slot layout and one evaluation circuit).
     pub fn register_tenant(&mut self, prov: TenantProvision) -> Result<TenantId, PipelineError> {
-        self.admit(&prov.pasta, &prov.bfv)?;
+        self.admit(&prov.pasta, &prov.bfv, prov.fhe_domain.is_some())?;
         let domain = match prov.fhe_domain {
             Some(id) => DomainId::Shared(id),
             None => DomainId::Private(self.next_tenant),

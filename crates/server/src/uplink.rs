@@ -426,7 +426,7 @@ impl Cloud {
     /// registers the tenant.
     fn register(cfg: &SessionConfig, bfv: BfvParams) -> Result<Self, PipelineError> {
         let mut server = PastaServer::new(ServerConfig::default());
-        server.admit(&cfg.params, &bfv)?;
+        server.admit(&cfg.params, &bfv, false)?;
         let ctx = BfvContext::new(bfv)?;
         let mut rng = StdRng::seed_from_u64(cfg.channel.seed ^ 0x1F0_C10D);
         let sk = ctx.generate_secret_key(&mut rng);

@@ -5,7 +5,7 @@
 mod common;
 
 use pasta_fhe::BfvParams;
-use pasta_pipeline::PipelineError;
+use pasta_pipeline::{PipelineError, RefusalReason};
 use pasta_server::{
     CompletionResult, MultiplexConfig, PastaServer, ServerConfig, ServerEvent, SubmitOutcome,
 };
@@ -343,4 +343,40 @@ fn a_registrant_on_another_ring_is_refused_and_the_domain_still_serves() {
         panic!("expected one completion, got {events:?}");
     };
     assert_eq!(c.result.retrieve(&side.ctx, &side.sk).unwrap(), msg);
+}
+
+#[test]
+fn a_starved_domain_is_refused_with_the_mux_count() {
+    // The scalar guard admits the tiny circuit on 4 primes, but a shared
+    // domain also runs mux passes over the masked composed key, which
+    // the model sizes to 5: a domain registrant on 4 primes is refused
+    // with that count, and the same ring outside a domain is admitted.
+    let mut server = PastaServer::new(mux_config(MultiplexConfig::default()));
+    let starved = BfvParams::test_tiny();
+    let (mut prov, ..) = common::make_provision(
+        common::tiny_pasta(),
+        starved,
+        starved,
+        81,
+        b"starved domain",
+    );
+    prov.fhe_domain = Some(9);
+    match server.register_tenant(prov) {
+        Err(PipelineError::Refused(RefusalReason::BudgetRefused { suggested_primes })) => {
+            assert_eq!(suggested_primes, Some(5), "the mux count");
+        }
+        other => panic!("expected BudgetRefused, got {other:?}"),
+    }
+    assert_eq!(server.stats().refused_budget, 1);
+    let (private, ..) =
+        common::make_provision(common::tiny_pasta(), starved, starved, 82, b"private");
+    server.register_tenant(private).unwrap();
+    // The suggested ring founds the domain.
+    let suggested = BfvParams {
+        prime_count: 5,
+        ..starved
+    };
+    let sides = common::register_domain(&mut server, 2, 9, suggested, 83);
+    assert_eq!(sides.len(), 2);
+    assert_eq!(server.stats().refused_budget, 1);
 }

@@ -5,7 +5,7 @@
 
 mod common;
 
-use pasta_fhe::noise::{compact_level, transcipher_noise, NoiseModel};
+use pasta_fhe::noise::{compact_level, transcipher_noise, Layout, NoiseModel};
 use pasta_fhe::BfvParams;
 use pasta_hhe::ShardedCacheConfig;
 use pasta_pipeline::{pack, PipelineError, RefusalReason, WireFrame};
@@ -82,7 +82,12 @@ fn scalar_results_are_switched_to_the_fewest_primes_the_margin_allows() {
     };
     // The level the model picks for the scalar circuit.
     let params = fx.side.params;
-    let end = transcipher_noise(params.t(), params.rounds(), false, NoiseModel::fresh(ctx));
+    let end = transcipher_noise(
+        params.t(),
+        params.rounds(),
+        Layout::Scalar,
+        NoiseModel::fresh(ctx),
+    );
     let level = compact_level(ctx, end, margin);
     let top = ctx.basis().len();
     assert!(level < top, "the tiny circuit leaves primes to drop");
