@@ -19,6 +19,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
+/// A duration in seconds as milliseconds, precise enough that the
+/// modes of this scaled ring (a few ms each) can be told apart.
+fn ms(secs: f64) -> String {
+    format!("{:.2} ms", secs * 1e3)
+}
+
+/// A per-block time as a multiple of the scalar one.
+fn ratio(secs: f64, scalar_secs: f64) -> String {
+    format!("{:.2}x", secs / scalar_secs)
+}
+
 fn main() {
     let pasta = PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("valid params");
     // The batched admission guard's ring covers all three modes: it is
@@ -47,6 +58,7 @@ fn main() {
         "wall time (this host)",
         "budget left (bits)",
         "per-block time",
+        "per-block vs scalar",
     ]);
 
     // Scalar and batched passes run on one evaluator.
@@ -65,9 +77,10 @@ fn main() {
         "scalar".to_string(),
         "t = 4".to_string(),
         "1".to_string(),
-        format!("{:.2} s", scalar_time),
+        ms(scalar_time),
         scalar_budget.to_string(),
-        format!("{:.2} s", scalar_time),
+        ms(scalar_time),
+        ratio(scalar_time, scalar_time),
     ]);
 
     // Batched (amortize over 8 blocks): one tenant, one bucket.
@@ -96,9 +109,10 @@ fn main() {
         "batched".to_string(),
         "t = 4 (shared across batch)".to_string(),
         format!("{blocks} (up to {})", server.capacity()),
-        format!("{:.2} s", batched_time),
+        ms(batched_time),
         batched_budget.to_string(),
-        format!("{:.3} s", batched_time / blocks as f64),
+        ms(batched_time / blocks as f64),
+        ratio(batched_time / blocks as f64, scalar_time),
     ]);
 
     // Packed.
@@ -121,9 +135,10 @@ fn main() {
         "packed (hoisted BSGS)".to_string(),
         "1".to_string(),
         "1".to_string(),
-        format!("{:.2} s", packed_time),
+        ms(packed_time),
         packed_budget.to_string(),
-        format!("{:.2} s", packed_time),
+        ms(packed_time),
+        ratio(packed_time, scalar_time),
     ]);
     println!("{}", table.render());
 

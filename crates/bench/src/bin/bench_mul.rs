@@ -3,7 +3,10 @@
 //! Measures BFV ciphertext multiply, square and multiply-relinearize
 //! under the two multiplication backends, plus the S-box's
 //! square-relinearize at the three rings the wall-clock benchmark runs
-//! (N = 1024 with 6, 8 and 11 × 50-bit primes), and renders
+//! (N = 1024 with 6, 8 and 11 × 50-bit primes) and one PASTA-4 affine
+//! row (`BfvContext::dot_periodic` over 32 inputs: period 1, the
+//! scalar pass, at 6 primes, and period 8, a mux pass, at 11), and
+//! renders
 //! `BENCH_mul.json` via [`pasta_bench::report::BenchReport`]. Each entry
 //! is timed over several windows; `ns` is the median window and
 //! `min_ns` the fastest, and the speedup factors divide medians. Every
@@ -17,7 +20,8 @@
 //! - `--phase after` measures the **full-RNS** BEHZ path (what
 //!   [`BfvContext::mul`] runs),
 //!   merging any committed `before` entries so the JSON holds
-//!   before/after pairs plus speedup factors.
+//!   before/after pairs plus speedup factors. The affine rows have no
+//!   oracle and run in this phase only.
 //!
 //! Usage:
 //!
@@ -30,7 +34,7 @@
 
 use pasta_bench::report::BenchReport;
 use pasta_fhe::oracle::MulOracle;
-use pasta_fhe::{BfvContext, BfvParams, Ciphertext};
+use pasta_fhe::{BatchEncoder, BfvContext, BfvParams, Ciphertext, PeriodicPlaintext};
 use pasta_math::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,6 +101,39 @@ enum Ops {
     Products,
     /// `square_relin` only (the S-box product).
     SquareRelin,
+    /// One affine row: `dot_periodic` over 32 inputs (the PASTA-4 `t`)
+    /// with weights of this period.
+    AffineRow(usize),
+}
+
+/// The inputs and weights of one PASTA-4 affine row at period `k`: 32
+/// ciphertexts, in the NTT domain when `k > 1` as the circuit hands
+/// them over.
+fn affine_row(
+    ctx: &BfvContext,
+    k: usize,
+    random_ct: impl Fn(&mut StdRng) -> Ciphertext,
+    rng: &mut StdRng,
+) -> (Vec<Ciphertext>, Vec<PeriodicPlaintext>) {
+    const T: usize = 32;
+    let plain = ctx.params().plain_modulus;
+    let encoder = BatchEncoder::new(plain, ctx.params().n).expect("batching ring");
+    let inputs = (0..T)
+        .map(|_| {
+            let mut ct = random_ct(rng);
+            if k > 1 {
+                ctx.to_ntt_ct(&mut ct);
+            }
+            ct
+        })
+        .collect();
+    let weights = (0..T)
+        .map(|_| {
+            let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..plain.value())).collect();
+            encoder.encode_periodic(&values)
+        })
+        .collect();
+    (inputs, weights)
 }
 
 /// Benchmarks one parameter set on every available backend, pushing
@@ -123,6 +160,11 @@ fn bench_set(
         ctx.encrypt(&pk, &pt, rng)
     };
     let (a, b) = (&random_ct(&mut rng), &random_ct(&mut rng));
+    let (inputs, weights) = match which {
+        Ops::AffineRow(k) => affine_row(ctx, k, random_ct, &mut rng),
+        _ => (Vec::new(), Vec::new()),
+    };
+    let (inputs, weights) = (&inputs, &weights);
     let exact = &MulOracle::new(ctx).expect("oracle");
     let (windows, reps): (usize, u64) = if quick { (3, 1) } else { (9, 5) };
     let mut scalar_out: Vec<(String, Ciphertext)> = Vec::new();
@@ -136,39 +178,45 @@ fn bench_set(
             continue;
         }
         type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
-        let ops: Vec<(&str, Op)> = if phase == "before" {
-            let oracle = |x, y| exact.mul(x, y).expect("mul");
-            vec![
-                ("mul", Box::new(move || oracle(a, b))),
-                // Aliased operands take the oracle's squaring path.
-                ("square", Box::new(move || oracle(a, a))),
-                (
-                    "mul_relin",
-                    Box::new(move || ctx.relinearize(&oracle(a, b), rk).expect("relin")),
-                ),
-                (
-                    "square_relin",
-                    Box::new(move || ctx.relinearize(&oracle(a, a), rk).expect("relin")),
-                ),
-            ]
-        } else {
-            vec![
+        let ops: Vec<(&str, Op)> = match (phase, which) {
+            ("before", Ops::AffineRow(_)) => Vec::new(),
+            ("before", Ops::Products) => {
+                let oracle = |x, y| exact.mul(x, y).expect("mul");
+                vec![
+                    ("mul", Box::new(move || oracle(a, b))),
+                    // Aliased operands take the oracle's squaring path.
+                    ("square", Box::new(move || oracle(a, a))),
+                    (
+                        "mul_relin",
+                        Box::new(move || ctx.relinearize(&oracle(a, b), rk).expect("relin")),
+                    ),
+                ]
+            }
+            ("before", Ops::SquareRelin) => vec![(
+                "square_relin",
+                Box::new(|| {
+                    let sq = exact.mul(a, a).expect("mul");
+                    ctx.relinearize(&sq, rk).expect("relin")
+                }),
+            )],
+            (_, Ops::Products) => vec![
                 ("mul", Box::new(|| ctx.mul(a, b).expect("mul"))),
                 ("square", Box::new(|| ctx.square(a).expect("square"))),
                 (
                     "mul_relin",
                     Box::new(|| ctx.mul_relin(a, b, rk).expect("mul_relin")),
                 ),
-                (
-                    "square_relin",
-                    Box::new(|| ctx.square_relin(a, rk).expect("square_relin")),
-                ),
-            ]
+            ],
+            (_, Ops::SquareRelin) => vec![(
+                "square_relin",
+                Box::new(|| ctx.square_relin(a, rk).expect("square_relin")),
+            )],
+            (_, Ops::AffineRow(_)) => vec![(
+                "affine_row",
+                Box::new(|| ctx.dot_periodic(inputs, weights).expect("affine row")),
+            )],
         };
-        let selected = ops
-            .into_iter()
-            .filter(|(op, _)| (*op == "square_relin") == (which == Ops::SquareRelin));
-        for (op, f) in selected {
+        for (op, f) in ops {
             let (per_window, out) = time_op(windows, reps, f);
             let id = format!("{op}/{tag}");
             report.push_windows(id.clone(), phase, backend.label(), &per_window);
@@ -247,6 +295,23 @@ fn main() {
             },
             &format!("N=1024/k={k}"),
             Ops::SquareRelin,
+        ));
+    }
+
+    // One PASTA-4 affine row (32 inputs): the scalar pass's period 1
+    // at its 6 primes, and a mux pass of 5–8 blocks at 11 primes.
+    for (primes, period) in [(6, 1), (11, 8)] {
+        mismatches.extend(bench_set(
+            &mut report,
+            &opts.phase,
+            opts.quick,
+            BfvParams {
+                n: 1_024,
+                prime_count: primes,
+                ..BfvParams::test_tiny()
+            },
+            &format!("N=1024/k={primes}/period={period}"),
+            Ops::AffineRow(period),
         ));
     }
 

@@ -701,7 +701,7 @@ impl BfvContext {
     }
 
     /// `ct ∘ prep` with the ciphertext already in NTT domain; the result
-    /// stays in NTT domain (affine-layer accumulator seeding).
+    /// stays in NTT domain (seeds the mux key composition's sum).
     ///
     /// # Panics
     ///
@@ -721,7 +721,8 @@ impl BfvContext {
     }
 
     /// Fused `acc += ct ∘ prep` with everything in NTT domain — one pass
-    /// per component, no temporaries. The affine-layer inner loop.
+    /// per component, no temporaries. The mux key composition's
+    /// inner loop.
     ///
     /// # Errors
     ///
@@ -749,8 +750,8 @@ impl BfvContext {
     /// Converts a ciphertext into the reused operand of streamed
     /// plaintext multiplications: every component in NTT domain, with
     /// the Shoup companions of its rows. Pays the companions once for
-    /// the many single-use plaintexts it will meet (the `t` rows of an
-    /// affine layer, the giant groups of a BSGS layer).
+    /// the many single-use plaintexts it will meet (the giant groups of
+    /// a BSGS layer).
     #[must_use]
     pub fn prepare_ciphertext(&self, mut ct: Ciphertext) -> PreparedCiphertext {
         self.to_ntt_ct(&mut ct);
@@ -812,55 +813,124 @@ impl BfvContext {
         Ok(())
     }
 
-    /// [`BfvContext::add_mul_plain_assign`] for a plaintext in the
-    /// sub-ring `Z_t[X^{N/k}]`: per RNS prime, the `k` compact
-    /// coefficients take the `k`-point [`crate::ntt::NttTable::forward_prefix`],
-    /// each value fills its run of `N/k` NTT slots, and the row is
-    /// multiplied into the accumulator against `ct`'s Shoup companions.
-    /// The expanded row is the forward transform of
-    /// [`PeriodicPlaintext::expand`], so the result is bit-identical to
-    /// [`BfvContext::add_mul_plain_assign`] on the expanded plaintext.
+    /// The affine-row kernel: `Σ_j weights[j] ⊙ inputs[j]`, reduced once
+    /// per output coefficient instead of once per term. Per RNS prime,
+    /// each weight's `k` compact coefficients take the `k`-point
+    /// [`crate::ntt::NttTable::forward_prefix`], whose value `m` is the
+    /// weight of the `m`-th run of `N/k` NTT slots, and each run of every
+    /// component row of the output is one [`pasta_math::simd::dot_mod`]
+    /// over the inputs' rows. The sums are the canonical residues a
+    /// [`BfvContext::add_mul_plain_assign`] per term on
+    /// [`PeriodicPlaintext::expand`] accumulates, so the result is
+    /// bit-identical to it.
+    ///
+    /// At period `k = 1` every weight is a constant, which commutes with
+    /// the transform: the kernel works in whatever domain the inputs are
+    /// in (component by component), and so does the output. At `k > 1`
+    /// the inputs must be in NTT domain, and so is the output.
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Incompatible`] on component-count or ring
-    /// degree mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc` is in coefficient domain.
-    pub fn add_mul_periodic_assign(
+    /// Returns [`FheError::Incompatible`] unless there is one weight per
+    /// input (at least one), the weights share one period and the ring
+    /// degree, and the inputs share component count, level and domains,
+    /// NTT at `k > 1`.
+    pub fn dot_periodic(
         &self,
-        acc: &mut Ciphertext,
-        ct: &PreparedCiphertext,
-        pt: &PeriodicPlaintext,
-    ) -> Result<(), FheError> {
-        if acc.polys.len() != ct.polys.len() {
-            return Err(FheError::Incompatible("component count differs".into()));
+        inputs: &[Ciphertext],
+        weights: &[PeriodicPlaintext],
+    ) -> Result<Ciphertext, FheError> {
+        let incompatible = |why: &str| Err(FheError::Incompatible(why.into()));
+        let (Some(first), Some(k)) = (
+            inputs.first(),
+            weights.first().map(PeriodicPlaintext::period),
+        ) else {
+            return incompatible("a dot product needs at least one input");
+        };
+        if inputs.len() != weights.len() {
+            return incompatible("a dot product needs one weight per input");
         }
-        self.top_level_prepared(acc, ct)?;
-        if pt.n != self.params.n {
-            return Err(FheError::Incompatible("plaintext degree differs".into()));
+        if weights
+            .iter()
+            .any(|w| w.period() != k || w.n != self.params.n)
+        {
+            return incompatible("weights differ in period or ring degree");
         }
-        let run = self.params.n / pt.coeffs.len();
-        let mut compact = vec![0u64; pt.coeffs.len()];
-        let mut row = crate::scratch::take_rows(1, self.params.n);
-        for i in 0..self.basis.len() {
+        let domains: Vec<bool> = first.polys.iter().map(RnsPoly::is_ntt).collect();
+        for x in inputs {
+            Self::same_level(first, x)?;
+            if x.polys.len() != domains.len()
+                || x.polys.iter().zip(&domains).any(|(p, &d)| p.is_ntt() != d)
+            {
+                return incompatible("inputs differ in component count or domain");
+            }
+        }
+        if k > 1 && !domains.iter().all(|&d| d) {
+            return incompatible("a periodic weight needs NTT-domain inputs");
+        }
+        let (n, level) = (self.params.n, first.level());
+        let mut out: Vec<Vec<Vec<u64>>> = domains
+            .iter()
+            .map(|_| crate::scratch::take_rows(level, n))
+            .collect();
+        // `dot_mod` wraps at 2¹²⁸: call it on at most `chunk` canonical
+        // products of the widest prime at a time (a whole PASTA row, up
+        // to 128 inputs, is one call on primes below 2⁶⁰).
+        let widest = (0..level).map(|i| self.basis.zp(i).p()).max().unwrap_or(2);
+        let chunk = (u128::MAX / u128::from(widest - 1).pow(2)).min(inputs.len() as u128) as usize;
+        // Row 0: each weight's compact transform; row 1: the same values
+        // run-major, one weight set per run.
+        let mut buf = crate::scratch::take_rows(2, chunk * k);
+        let (compact, set) = buf.split_at_mut(1);
+        let (compact, set) = (&mut compact[0], &mut set[0]);
+        let run = n / k;
+        let mut partial = crate::scratch::take_rows(1, run);
+        let mut src: Vec<&[u64]> = Vec::with_capacity(chunk);
+        let be = pasta_math::simd::backend();
+        for i in 0..level {
             let table = self.basis.table(i);
             let p = table.zp().p();
-            for (c, &v) in compact.iter_mut().zip(&pt.coeffs) {
-                *c = v % p;
-            }
-            table.forward_prefix(&mut compact);
-            for (slots, &v) in row[0].chunks_exact_mut(run).zip(&compact) {
-                slots.fill(v);
-            }
-            for ((a, c), c_shoup) in acc.polys.iter_mut().zip(&ct.polys).zip(&ct.shoup) {
-                a.add_mul_shoup_row_assign(&self.basis, i, &row[0], c, c_shoup);
+            for (g, (xs, ws)) in inputs.chunks(chunk).zip(weights.chunks(chunk)).enumerate() {
+                let r = xs.len();
+                for (dst, w) in compact.chunks_exact_mut(k).zip(ws) {
+                    for (d, &v) in dst.iter_mut().zip(&w.coeffs) {
+                        *d = v % p;
+                    }
+                    table.forward_prefix(dst);
+                }
+                for (j, values) in compact[..r * k].chunks_exact(k).enumerate() {
+                    for (m, &v) in values.iter().enumerate() {
+                        set[m * r + j] = v;
+                    }
+                }
+                for (c, rows) in out.iter_mut().enumerate() {
+                    let runs = set[..r * k]
+                        .chunks_exact(r)
+                        .zip(rows[i].chunks_exact_mut(run));
+                    for (m, (run_set, dst)) in runs.enumerate() {
+                        src.clear();
+                        src.extend(xs.iter().map(|x| &x.polys[c].row(i)[m * run..]));
+                        if g == 0 {
+                            pasta_math::simd::dot_mod_with(be, p, &src, run_set, dst);
+                        } else {
+                            pasta_math::simd::dot_mod_with(be, p, &src, run_set, &mut partial[0]);
+                            for (o, &v) in dst.iter_mut().zip(&partial[0]) {
+                                *o = table.zp().add(*o, v);
+                            }
+                        }
+                    }
+                }
             }
         }
-        crate::scratch::put_rows(row);
-        Ok(())
+        crate::scratch::put_rows(partial);
+        crate::scratch::put_rows(buf);
+        Ok(Ciphertext {
+            polys: out
+                .into_iter()
+                .zip(domains)
+                .map(|(rows, is_ntt)| RnsPoly::from_rows(rows, is_ntt))
+                .collect(),
+        })
     }
 
     /// Multiplies a ciphertext by a plaintext scalar (cheap: no NTT).
@@ -1312,8 +1382,8 @@ impl Plaintext {
 /// dividing `N`), kept as its `k` compact coefficients: `coeffs[i]` is
 /// the coefficient of `X^{i·N/k}`, every other coefficient is zero. Its
 /// slots have period `k`; [`crate::BatchEncoder::encode_periodic`]
-/// builds it and [`BfvContext::add_mul_periodic_assign`] multiplies it
-/// in at `k`-point transform cost.
+/// builds it and [`BfvContext::dot_periodic`] multiplies it in at
+/// `k`-point transform cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeriodicPlaintext {
     /// The `k` compact coefficients (values in `[0, t)`).

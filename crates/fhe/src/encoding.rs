@@ -18,8 +18,8 @@
 //! to a polynomial in the sub-ring `Z_t[X^{N/k}]`, since `ψ^{(2s+1)·N/k}`
 //! depends on `s mod k` only. [`BatchEncoder::encode_periodic`] builds
 //! it from `k` values with a `k`-point transform, and
-//! [`crate::BfvContext::add_mul_periodic_assign`] multiplies it in
-//! with one `k`-point forward transform per RNS prime.
+//! [`crate::BfvContext::dot_periodic`] multiplies it in with one
+//! `k`-point forward transform per RNS prime.
 //!
 //! Galois rotations are implemented and load-bearing: homomorphic
 //! `X ↦ X^g` automorphisms ([`crate::bfv::BfvContext::apply_galois`],
@@ -186,6 +186,7 @@ impl BatchEncoder {
 mod tests {
     use super::*;
     use crate::bfv::{BfvContext, BfvParams};
+    use pasta_math::simd::{force_backend, Backend};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -360,29 +361,136 @@ mod tests {
         }
     }
 
+    /// Encryptions of random slot vectors (coefficient domain) and
+    /// `count` random weights of period `k`.
+    fn dot_operands(
+        ctx: &BfvContext,
+        count: usize,
+        seed: u64,
+    ) -> (
+        Vec<crate::Ciphertext>,
+        impl FnMut(usize) -> Vec<PeriodicPlaintext>,
+    ) {
+        let n = ctx.params().n;
+        let enc = BatchEncoder::new(Modulus::PASTA_17_BIT, n).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+        let sk = ctx.generate_secret_key(&mut rng);
+        let pk = ctx.generate_public_key(&sk, &mut rng);
+        let inputs = (0..count)
+            .map(|_| {
+                let slots: Vec<u64> = (0..n).map(|_| rng.gen_range(0..65_537)).collect();
+                ctx.encrypt(&pk, &enc.encode(&slots), &mut rng)
+            })
+            .collect();
+        let weights = move |k: usize| {
+            (0..count)
+                .map(|_| {
+                    let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..65_537)).collect();
+                    enc.encode_periodic(&values)
+                })
+                .collect()
+        };
+        (inputs, weights)
+    }
+
+    /// The affine-row kernel against the per-term reference: one
+    /// `add_mul_plain_assign` on each expanded weight, for every period
+    /// `k ≤ N`, every available backend and, at `k = 1`, both domains.
     #[test]
     fn periodic_mac_is_bit_identical_to_the_expanded_plaintext() {
+        let backends: Vec<Backend> = Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect();
         for ctx in rings() {
             let n = ctx.params().n;
-            let enc = BatchEncoder::new(Modulus::PASTA_17_BIT, n).unwrap();
-            let mut rng = StdRng::seed_from_u64(0x3AC ^ n as u64);
-            let sk = ctx.generate_secret_key(&mut rng);
-            let pk = ctx.generate_public_key(&sk, &mut rng);
-            let slots: Vec<u64> = (0..n).map(|_| rng.gen_range(0..65_537)).collect();
-            let ct = ctx.prepare_ciphertext(ctx.encrypt(&pk, &enc.encode(&slots), &mut rng));
+            let (coeff, mut weights_of) = dot_operands(&ctx, 5, 0x3AC);
+            let prepared: Vec<_> = coeff
+                .iter()
+                .map(|x| ctx.prepare_ciphertext(x.clone()))
+                .collect();
+            let mut ntt = coeff.clone();
+            ntt.iter_mut().for_each(|x| ctx.to_ntt_ct(x));
             for k in periods(n) {
-                let (mut periodic, mut full) = (ctx.zero_ntt_ct(), ctx.zero_ntt_ct());
-                for _ in 0..2 {
-                    let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..65_537)).collect();
-                    let pt = enc.encode_periodic(&values);
-                    ctx.add_mul_periodic_assign(&mut periodic, &ct, &pt)
-                        .unwrap();
-                    ctx.add_mul_plain_assign(&mut full, &ct, &pt.expand())
-                        .unwrap();
+                let weights = weights_of(k);
+                let mut want = ctx.zero_ntt_ct();
+                for (x, w) in prepared.iter().zip(&weights) {
+                    ctx.add_mul_plain_assign(&mut want, x, &w.expand()).unwrap();
                 }
-                assert_eq!(periodic, full, "n={n} k={k}");
+                let mut want_coeff = want.clone();
+                ctx.to_coeff_ct(&mut want_coeff);
+                for &backend in &backends {
+                    force_backend(Some(backend));
+                    let got = ctx.dot_periodic(&ntt, &weights).unwrap();
+                    assert_eq!(got, want, "n={n} k={k} {backend:?}");
+                    if k == 1 {
+                        let got = ctx.dot_periodic(&coeff, &weights).unwrap();
+                        assert_eq!(got, want_coeff, "coefficient domain n={n} {backend:?}");
+                    }
+                }
+                force_backend(None);
             }
         }
+    }
+
+    /// Near 2⁶² a product of canonical residues nears 2¹²⁴, so 70 of
+    /// them overflow a u128: the kernel must sum such a row in several
+    /// `dot_mod` calls. Every input residue is `p − 1`, and so is the
+    /// constant weight on the first prime; a period-4 weight runs the
+    /// split once per run.
+    #[test]
+    fn dot_periodic_splits_rows_that_could_wrap_u128() {
+        let ctx = BfvContext::new(BfvParams {
+            prime_bits: 62,
+            prime_count: 2,
+            ..BfvParams::test_tiny()
+        })
+        .unwrap();
+        let (n, basis) = (ctx.params().n, ctx.basis());
+        let worst = || crate::Ciphertext {
+            polys: (0..2)
+                .map(|_| {
+                    let rows = (0..basis.len())
+                        .map(|i| vec![basis.zp(i).p() - 1; n])
+                        .collect();
+                    crate::ring::RnsPoly::from_rows(rows, true)
+                })
+                .collect(),
+        };
+        let inputs: Vec<_> = (0..70).map(|_| worst()).collect();
+        let prepared = ctx.prepare_ciphertext(worst());
+        for coeffs in [
+            vec![basis.zp(0).p() - 1],
+            vec![basis.zp(0).p() - 1, 3, 5, 7],
+        ] {
+            let weights = vec![PeriodicPlaintext { coeffs, n }; 70];
+            let mut want = ctx.zero_ntt_ct();
+            for w in &weights {
+                ctx.add_mul_plain_assign(&mut want, &prepared, &w.expand())
+                    .unwrap();
+            }
+            assert_eq!(ctx.dot_periodic(&inputs, &weights).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn dot_periodic_refuses_mismatched_operands() {
+        let ctx = BfvContext::new(BfvParams::test_tiny()).unwrap();
+        let (coeff, mut weights_of) = dot_operands(&ctx, 2, 0xBAD);
+        let mut ntt = coeff.clone();
+        ntt.iter_mut().for_each(|x| ctx.to_ntt_ct(x));
+        let periodic = weights_of(4);
+        // A periodic weight does not commute with the transform.
+        assert!(ctx.dot_periodic(&coeff, &periodic).is_err());
+        assert!(ctx.dot_periodic(&ntt, &periodic).is_ok());
+        let mut mixed = periodic.clone();
+        mixed[1] = weights_of(2).swap_remove(0);
+        assert!(ctx.dot_periodic(&ntt, &mixed).is_err());
+        assert!(ctx.dot_periodic(&ntt, &periodic[..1]).is_err());
+        assert!(ctx.dot_periodic(&[], &[]).is_err());
+        let scalar = weights_of(1);
+        let domains = [ntt[0].clone(), coeff[1].clone()];
+        assert!(ctx.dot_periodic(&domains, &scalar).is_err());
     }
 
     #[test]

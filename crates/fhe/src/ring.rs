@@ -628,39 +628,21 @@ impl RnsPoly {
         b: &RnsPoly,
         b_shoup: &ShoupRows,
     ) {
-        assert!(a.is_ntt, "fused multiply-accumulate requires NTT domain");
-        for (i, a_row) in a.coeffs.iter().enumerate() {
-            self.add_mul_shoup_row_assign(basis, i, a_row, b, b_shoup);
-        }
-    }
-
-    /// Row `i` of [`RnsPoly::add_mul_shoup_assign`]: `self_i += a ∘ b_i`
-    /// for one prime's NTT-domain row `a` (the periodic plaintext
-    /// multiply builds it from a short transform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` or `b` is in coefficient domain.
-    pub(crate) fn add_mul_shoup_row_assign(
-        &mut self,
-        basis: &RnsBasis,
-        i: usize,
-        a: &[u64],
-        b: &RnsPoly,
-        b_shoup: &ShoupRows,
-    ) {
         assert!(
-            self.is_ntt && b.is_ntt,
+            self.is_ntt && a.is_ntt && b.is_ntt,
             "fused multiply-accumulate requires NTT domain"
         );
-        simd::mac_shoup_with(
-            simd::backend(),
-            basis.zp(i).p(),
-            &mut self.coeffs[i],
-            a,
-            &b.coeffs[i],
-            &b_shoup.rows[i],
-        );
+        let be = simd::backend();
+        for (i, (row, a_row)) in self.coeffs.iter_mut().zip(&a.coeffs).enumerate() {
+            simd::mac_shoup_with(
+                be,
+                basis.zp(i).p(),
+                row,
+                a_row,
+                &b.coeffs[i],
+                &b_shoup.rows[i],
+            );
+        }
     }
 
     /// Adds `c[i]` to the constant coefficient of prime row `i` — O(k)

@@ -9,13 +9,16 @@
 //! the per-element circuit, bit for bit. The mux pass
 //! ([`crate::HheServer::transcipher_mux`]) runs a whole bucket per pass
 //! over its composed key.
+//!
+//! Each affine row is one dot product over its layer-half
+//! ([`BfvContext::dot_periodic`]), reduced once per coefficient. A
+//! constant weight commutes with the NTT, so the scalar pass sums its
+//! rows in the coefficient domain and never transforms the state; the
+//! mux pass transforms each input once for the `t` rows that read it.
 
 use crate::cache::BlockEntry;
 use pasta_core::PastaParams;
-use pasta_fhe::{
-    BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError,
-    PreparedCiphertext,
-};
+use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
 
 /// Observes the state after each round's S-box: `(round, X_L, X_R)`,
 /// with `X_R` empty after the last round.
@@ -66,46 +69,47 @@ pub(crate) fn keystream(
 
 /// One affine layer-half: output row `i` is `Σ_j W_ij ⊙ x_j + rc_i`,
 /// where slot `s` of the plaintexts `W_ij` and `rc_i` carries block
-/// `s mod k`'s matrix entry `(i, j)` and round constant `i`. Each input
-/// `x_j` is consumed into its NTT- and Shoup-prepared form once for the
-/// `t` rows that read it; each `W_ij` is periodic-encoded, multiplied
-/// once and dropped; `rc_i` enters as `Δ·m` only. The rows fan out
-/// across the worker pool (`PASTA_THREADS`), bit-exact for any thread
-/// count.
+/// `s mod k`'s matrix entry `(i, j)` and round constant `i`. Row `i` is
+/// one [`BfvContext::dot_periodic`] over the whole half, reduced once
+/// per coefficient: the inputs are moved to the NTT domain once for the
+/// `t` rows that read them at `k > 1`, and stay where they are at
+/// `k = 1`, where every weight is a constant. Each `W_ij` is
+/// periodic-encoded, used once and dropped; `rc_i` enters as `Δ·m`
+/// only. The input transforms and the rows fan out across the worker
+/// pool (`PASTA_THREADS`), bit-exact for any thread count.
 fn affine_half(
     ctx: &BfvContext,
     encoder: &BatchEncoder,
     per_slot: &[BlockEntry],
     layer: usize,
     is_left: bool,
-    half: Vec<FheCiphertext>,
+    mut half: Vec<FheCiphertext>,
 ) -> Result<Vec<FheCiphertext>, FheError> {
     if half.is_empty() {
         return Err(FheError::Incompatible(
             "affine layer applied to an empty state half".into(),
         ));
     }
+    if per_slot.len() > 1 {
+        pasta_par::parallel_for_each_mut(&mut half, |_, ct| ctx.to_ntt_ct(ct));
+    }
     let rows: Vec<usize> = (0..half.len()).collect();
-    let mut cells: Vec<(Option<FheCiphertext>, Option<PreparedCiphertext>)> =
-        half.into_iter().map(|ct| (Some(ct), None)).collect();
-    pasta_par::parallel_for_each_mut(&mut cells, |_, (ct, prepared)| {
-        *prepared = ct.take().map(|ct| ctx.prepare_ciphertext(ct));
-    });
-    let inputs: Vec<PreparedCiphertext> = cells.into_iter().filter_map(|(_, p)| p).collect();
     pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
         let mut slots = vec![0u64; per_slot.len()];
-        let mut acc = ctx.zero_ntt_ct();
-        for (j, x) in inputs.iter().enumerate() {
-            for (v, block) in slots.iter_mut().zip(per_slot) {
-                let m = &block.matrices[layer];
-                *v = if is_left {
-                    m.left.get(i, j)
-                } else {
-                    m.right.get(i, j)
-                };
-            }
-            ctx.add_mul_periodic_assign(&mut acc, x, &encoder.encode_periodic(&slots))?;
-        }
+        let weights: Vec<_> = (0..half.len())
+            .map(|j| {
+                for (v, block) in slots.iter_mut().zip(per_slot) {
+                    let m = &block.matrices[layer];
+                    *v = if is_left {
+                        m.left.get(i, j)
+                    } else {
+                        m.right.get(i, j)
+                    };
+                }
+                encoder.encode_periodic(&slots)
+            })
+            .collect();
+        let mut acc = ctx.dot_periodic(&half, &weights)?;
         ctx.to_coeff_ct(&mut acc);
         for (v, block) in slots.iter_mut().zip(per_slot) {
             let l = &block.material.layers[layer];

@@ -52,11 +52,12 @@
 //! The weight and round-constant plaintexts are single-use (their slots
 //! carry per-block material of a nonce the service never accepts twice),
 //! so nothing about them is stored: each weight is batch-encoded,
-//! lifted, forward-transformed and multiplied into its row's
-//! accumulator inside the task that consumes it, then dropped — the
-//! software analogue of the paper's MatGen feeding MatMul row by row.
-//! The Shoup companions sit on the reused operand instead: each
-//! NTT-domain input ciphertext of a layer-half, which all `t` rows read.
+//! lifted and forward-transformed inside the task of the row that
+//! reads it, then dropped — the software analogue of the paper's MatGen
+//! feeding MatMul row by row. As in the paper's MatMul adder tree, a
+//! row is summed over the `t` NTT-domain inputs of its layer-half and
+//! reduced once per coefficient ([`BfvContext::dot_periodic`]), so no
+//! operand needs Shoup companions.
 //!
 //! **Periodic layout.** A pass over `b` blocks pays for
 //! `k = b.next_power_of_two()` slots, not `N`: every plaintext of the
@@ -66,7 +67,7 @@
 //! lives in the sub-ring `Z_t[X^{N/k}]`, so encoding it and
 //! forward-transforming it per RNS prime are `k`-point transforms
 //! ([`BatchEncoder::encode_periodic`],
-//! [`BfvContext::add_mul_periodic_assign`]). Replica slots compute
+//! [`BfvContext::dot_periodic`]). Replica slots compute
 //! exactly what their class representative computes (the key is the
 //! same in every slot of a class), and the unowned classes stay zero
 //! through every layer, so a replica slot decrypts to nothing its

@@ -2,12 +2,12 @@
 //!
 //! The transcipher hot path spends nearly all of its time in four inner
 //! loops: the Harvey/Shoup lazy NTT butterflies, the Shoup pointwise /
-//! fused-MAC kernels of the cached-material affine paths, the
+//! fused-MAC kernels of the packed and key-composition paths, the
 //! companion-free pointwise products of the ciphertext × ciphertext
-//! tensor, and the BEHZ base-conversion dot products. This module
-//! provides three tiers of each (`std::arch`, zero new dependencies)
-//! behind safe slice-taking wrappers, with the backend selected once at
-//! startup:
+//! tensor, and the dot products of the BEHZ base conversions and the
+//! affine rows. This module provides three tiers of each (`std::arch`,
+//! zero new dependencies) behind safe slice-taking wrappers, with the
+//! backend selected once at startup:
 //!
 //! * **scalar** — the portable reference;
 //! * **avx2** — 4×u64 lanes, the 64×64-bit Shoup products emulated from
@@ -45,7 +45,7 @@
 //!   [`SMALL_MODULUS_BOUND`], where every operand fits 32 bits and the
 //!   whole lazy product collapses to three single-width multiplies.
 //!   Twiddle companions must therefore come from [`twiddle_shoup`].
-//! * The base-conversion dot product and the companion-free products
+//! * The dot product and the companion-free products
 //!   return canonical residues, the unique values every backend agrees
 //!   on. The scalar dot product keeps its wrapped `u128` accumulator and
 //!   reduces it without a division (two lazy Shoup products, by
@@ -548,11 +548,22 @@ pub fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
     mac_mod_with(backend(), p, acc, a, b);
 }
 
-/// BEHZ base-conversion dot product:
+/// Dot product mod `p` with one lazy reduction per output column:
 /// `out[c] = (Σ_i rows[i][c]·weights[i]) mod p` with the sum taken in
-/// 128 bits (wrapping mod 2¹²⁸ exactly like the scalar `u128`
-/// accumulator; callers bound the true sum below 2¹²⁶). Weights must be
-/// canonical (`< p`); rows may hold any `u64`.
+/// 128 bits, wrapping mod 2¹²⁸ exactly like the scalar `u128`
+/// accumulator. Weights must be canonical (`< p`); rows may hold any
+/// `u64`.
+///
+/// It has two callers:
+///
+/// * the BEHZ base conversions of `pasta_fhe::rns_mul`: one row per
+///   prime of the source basis (a few dozen at most), true sums bounded
+///   below 2¹²⁶;
+/// * the affine-layer rows of `pasta_fhe::BfvContext::dot_periodic`:
+///   one canonical row per PASTA state element of a half (`t` = 32 for
+///   PASTA-4, 128 for PASTA-3), one call per run of `N/k` NTT slots of
+///   a `k`-periodic weight; it splits the rows so that no true sum
+///   reaches 2¹²⁸.
 ///
 /// Each `rows[i]` must have at least `out.len()` elements.
 pub fn dot_mod_with(backend: Backend, p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
@@ -567,7 +578,7 @@ pub fn dot_mod_with(backend: Backend, p: u64, rows: &[&[u64]], weights: &[u64], 
     );
 }
 
-/// Base-conversion dot product on the cached global backend.
+/// Dot product on the cached global backend.
 pub fn dot_mod(p: u64, rows: &[&[u64]], weights: &[u64], out: &mut [u64]) {
     dot_mod_with(backend(), p, rows, weights, out);
 }
@@ -820,7 +831,7 @@ mod scalar {
     }
 
     /// Dot product mod `p` over columns `offset..offset + out.len()`:
-    /// the wrapped `u128` accumulator of the BEHZ conversions, reduced
+    /// the wrapped `u128` accumulator, reduced
     /// by [`WideReducer`] instead of a `u128 %`.
     #[inline]
     pub(super) fn dot_mod(
@@ -1428,9 +1439,9 @@ mod avx2 {
         );
     }
 
-    /// Base-conversion dot product: delegates to the scalar u128
-    /// accumulator. The exact 128-bit lane sum needs four `pmuludq`
-    /// partial products plus a full carry chain per row element, and on
+    /// Dot product: delegates to the scalar u128 accumulator. The exact
+    /// 128-bit lane sum needs four `pmuludq` partial products plus a
+    /// full carry chain per row element, and on
     /// every CPU measured that emulation loses to the scalar MULX
     /// pipeline (one native 64×64→128 multiply per cycle) — unlike the
     /// butterflies, there is no lazy slack to trade away, because the
@@ -1914,19 +1925,20 @@ mod ifma {
     /// overflow a u64 lane (see [`dot_mod`]).
     const DOT_MAX_ROWS: usize = 1 << 11;
 
-    /// Base-conversion dot product for `p < 2⁵⁰` and at most
-    /// [`DOT_MAX_ROWS`] rows, exact for any u64 row value.
+    /// Dot product for `p < 2⁵⁰` and at most [`DOT_MAX_ROWS`] rows,
+    /// exact for any u64 row value.
     ///
     /// A row value `x = xh·2⁵² + xl` times a weight `w < p < 2⁵⁰` is
     /// `lo(xl·w) + (hi(xl·w) + lo(xh·w))·2⁵² + hi(xh·w)·2¹⁰⁴`, where
     /// `lo`/`hi` are the 52-bit halves IFMA returns (it reads only the
     /// low 52 bits of `x`, which is `xl`). Three u64 lane accumulators
     /// collect the three columns: at most 2¹¹ terms below 2⁵² and 2⁵³
-    /// stay below 2⁶⁴. Rows are canonical residues in every BEHZ call,
-    /// so `xh = 0`: the first pass adds only the `xl` terms and ORs the
-    /// row values together, and a second pass over the `xh` terms runs
-    /// only when some value reached 2⁵². The true sum is below
-    /// 2¹¹·2⁶⁴·2⁵⁰ < 2¹²⁸, so it is the scalar accumulator's wrapped sum.
+    /// stay below 2⁶⁴. Rows are canonical residues in every call of the
+    /// BEHZ conversions and the affine layers, so `xh = 0`: the first
+    /// pass adds only the `xl` terms and ORs the row values together,
+    /// and a second pass over the `xh` terms runs only when some value
+    /// reached 2⁵². The true sum is below 2¹¹·2⁶⁴·2⁵⁰ < 2¹²⁸, so it is
+    /// the scalar accumulator's wrapped sum.
     ///
     /// The reduction first propagates the carries, leaving
     /// `V = a₀ + a₁·2⁵² + a₂·2¹⁰⁴` with `a₀, a₁ < 2⁵²` and `a₂ < 2²³`,
@@ -2369,6 +2381,31 @@ mod tests {
         }
     }
 
+    /// The worst case of an affine row: every row value and every
+    /// weight `p − 1`, at 32 and 128 rows. `(p − 1)² ≡ 1`, so the sum is
+    /// `rows mod p` wherever it stays below 2¹²⁸ (every test modulus).
+    #[test]
+    fn dot_mod_worst_case_rows_reduce_exactly() {
+        for p in moduli() {
+            for n_rows in [32usize, 128] {
+                assert!(n_rows as u128 * u128::from(p - 1).pow(2) < u128::MAX);
+                for len in [19usize, 64] {
+                    let row = vec![p - 1; len];
+                    let refs = vec![row.as_slice(); n_rows];
+                    let weights = vec![p - 1; n_rows];
+                    for backend in available_backends() {
+                        let mut got = vec![0u64; len];
+                        dot_mod_with(backend, p, &refs, &weights, &mut got);
+                        assert!(
+                            got.iter().all(|&v| v == n_rows as u64 % p),
+                            "p={p} rows={n_rows} len={len} {backend:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -2402,9 +2439,12 @@ mod tests {
         }
 
         /// The dot kernel must equal the scalar u128 accumulator for
-        /// every backend, row count and tail length.
+        /// every backend, row count and tail length: 1–8 rows (the BEHZ
+        /// conversions) and 32 and 128 (an affine row of PASTA-4 and
+        /// PASTA-3).
         #[test]
-        fn prop_dot_mod_bit_identical(seed in any::<u64>(), len in 0usize..19, n_rows in 1usize..9) {
+        fn prop_dot_mod_bit_identical(seed in any::<u64>(), len in 0usize..19, rows_sel in 0usize..10) {
+            let n_rows = [1, 2, 3, 4, 5, 6, 7, 8, 32, 128][rows_sel];
             for vector in vector_backends() {
                 for p in moduli() {
                     let rows: Vec<Vec<u64>> = (0..n_rows)
