@@ -7,7 +7,9 @@
 //! - **batched**: `N` blocks per ciphertext — throughput mode (a
 //!   one-member bucket through [`HheServer::transcipher_mux`]);
 //! - **packed**: one block per ciphertext via the rotation/diagonal
-//!   method — latency/bandwidth mode.
+//!   method — latency/bandwidth mode;
+//! - **mux**: the batched pass over a two-tenant bucket, whose key is
+//!   composed from both tenants' keys under their slot masks.
 
 use pasta_bench::report::{fmt_f64, TextTable};
 use pasta_core::PastaParams;
@@ -140,6 +142,56 @@ fn main() {
         ms(packed_time),
         ratio(packed_time, scalar_time),
     ]);
+    // Mux: two tenants share one pass of the same 8 blocks, 4 each,
+    // over a key composed from both of theirs.
+    let other = HheClient::new(pasta, b"modes, second tenant");
+    let other_key = other.provision_key(&ctx, &pk, &mut rng);
+    let half = long_message.len() / 2;
+    let other_message: Vec<u64> = long_message[..half].iter().map(|v| v + 7).collect();
+    let mine_ct = client
+        .encrypt(0x30DE6, &long_message[half..])
+        .expect("encrypt");
+    let other_ct = other.encrypt(0x30DE7, &other_message).expect("encrypt");
+    let t3 = Instant::now();
+    let muxed = server
+        .transcipher_mux(
+            &ctx,
+            &[
+                MuxMember {
+                    tenant: 0,
+                    encrypted_key: &batched_key,
+                    ct: &mine_ct,
+                },
+                MuxMember {
+                    tenant: 1,
+                    encrypted_key: &other_key,
+                    ct: &other_ct,
+                },
+            ],
+        )
+        .expect("mux transcipher");
+    let mux_time = t3.elapsed().as_secs_f64();
+    let mux_budget = ctx.noise_budget(&sk, &muxed.positions[0]);
+    for (range, expected) in muxed
+        .ranges
+        .iter()
+        .zip([&long_message[half..], &other_message[..]])
+    {
+        assert_eq!(
+            retrieve_muxed(&ctx, &sk, &muxed.positions, *range).expect("retrieve"),
+            expected
+        );
+    }
+    table.row(vec![
+        "mux (2 tenants)".to_string(),
+        "t = 4 (shared across bucket)".to_string(),
+        format!("{blocks} (up to {})", server.capacity()),
+        ms(mux_time),
+        mux_budget.to_string(),
+        ms(mux_time / blocks as f64),
+        ratio(mux_time / blocks as f64, scalar_time),
+    ]);
+
     println!("{}", table.render());
 
     println!(

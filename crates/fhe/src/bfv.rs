@@ -700,53 +700,6 @@ impl BfvContext {
         }
     }
 
-    /// `ct ∘ prep` with the ciphertext already in NTT domain; the result
-    /// stays in NTT domain (seeds the mux key composition's sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any component is in coefficient domain.
-    #[must_use]
-    pub fn mul_plain_prepared_ntt(&self, ct: &Ciphertext, prep: &PreparedPlaintext) -> Ciphertext {
-        let polys = ct
-            .polys
-            .iter()
-            .map(|p| {
-                let mut r = p.clone();
-                r.pointwise_mul_shoup_assign(&self.basis, &prep.ntt, &prep.ntt_shoup);
-                r
-            })
-            .collect();
-        Ciphertext { polys }
-    }
-
-    /// Fused `acc += ct ∘ prep` with everything in NTT domain — one pass
-    /// per component, no temporaries. The mux key composition's
-    /// inner loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Incompatible`] on component-count mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any component is in coefficient domain.
-    pub fn add_mul_plain_ntt_assign(
-        &self,
-        acc: &mut Ciphertext,
-        ct: &Ciphertext,
-        prep: &PreparedPlaintext,
-    ) -> Result<(), FheError> {
-        if acc.polys.len() != ct.polys.len() {
-            return Err(FheError::Incompatible("component count differs".into()));
-        }
-        Self::same_level(acc, ct)?;
-        for (a, c) in acc.polys.iter_mut().zip(ct.polys.iter()) {
-            a.add_mul_shoup_assign(&self.basis, c, &prep.ntt, &prep.ntt_shoup);
-        }
-        Ok(())
-    }
-
     /// Converts a ciphertext into the reused operand of streamed
     /// plaintext multiplications: every component in NTT domain, with
     /// the Shoup companions of its rows. Pays the companions once for
@@ -785,8 +738,8 @@ impl BfvContext {
     /// multiplied into every component of the accumulator and dropped —
     /// nothing is stored. The Shoup companions sit on the reused `ct`,
     /// and the products are the canonical residues a prepared-plaintext
-    /// multiply ([`BfvContext::add_mul_plain_ntt_assign`]) yields, so
-    /// the result is bit-identical to preparing `pt` first.
+    /// multiply ([`BfvContext::mul_plain_prepared`]) yields, so the
+    /// result is bit-identical to preparing `pt` first.
     ///
     /// # Errors
     ///
@@ -1756,18 +1709,10 @@ mod tests {
         let mut added = ct.clone();
         ctx.add_plain_assign(&mut added, &pt);
         assert_eq!(added, ctx.add_plain(&ct, &pt));
-        // NTT-resident fused accumulate vs add(mul_plain(..)).
         let ct2 = ctx.encrypt(&pk, &ctx.encode_scalar(123), &mut rng);
         let expect = ctx
             .add(&ctx.mul_plain(&ct, &pt), &ctx.mul_plain(&ct2, &pt))
             .unwrap();
-        let (mut na, mut nb) = (ct.clone(), ct2.clone());
-        ctx.to_ntt_ct(&mut na);
-        ctx.to_ntt_ct(&mut nb);
-        let mut acc = ctx.mul_plain_prepared_ntt(&na, &prep);
-        ctx.add_mul_plain_ntt_assign(&mut acc, &nb, &prep).unwrap();
-        ctx.to_coeff_ct(&mut acc);
-        assert_eq!(acc, expect);
         // The streamed form — Shoup companions on the ciphertexts, the
         // plaintext lifted per product — yields the same canonical
         // products, so it is bit-identical too.

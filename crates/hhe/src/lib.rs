@@ -20,8 +20,9 @@
 //!   bandwidths, video frames/s) regenerating Fig. 8;
 //! - [`cache`]: [`cache::BlockEntry`], one block's matrices and round
 //!   constants, derived in the pass that reads them and never stored
-//!   (no session nonce recurs); and the per-domain cache of the mux's
-//!   composed keys, the one piece of material kept across passes.
+//!   (no session nonce recurs). Nothing is kept across passes; the
+//!   module's cache types are inert names the wall-clock benchmark
+//!   builds against.
 //!
 //! # Examples
 //!
@@ -64,7 +65,7 @@ mod noise_proof;
 pub mod packed;
 pub mod server;
 
-pub use cache::{approx_composed_key_bytes, MaterialCache, ShardedCache, ShardedCacheConfig};
+pub use cache::{MaterialCache, ShardedCache, ShardedCacheConfig};
 pub use client::{EncryptedPastaKey, HheClient};
 pub use link::{figure8, Fig8Point, PastaLink, Resolution, RiseReference};
 pub use mux::{retrieve_muxed, MuxHheServer, MuxMember, MuxedBlocks, SlotRange};

@@ -87,19 +87,19 @@
 //! layer enforces this by only multiplexing tenants that registered
 //! into the same *FHE domain*, which owns one evaluator.
 //!
-//! The composition runs in the NTT domain: each distinct tenant's key is
-//! forward-transformed once per pass, every member's mask (Shoup-prepared,
-//! since all `2t` key elements read it) is multiplied in and
-//! accumulated, and each composed element is transformed back once. One
-//! mask per member, not one per tenant: a tenant with two sessions in
-//! the bucket gets two masked terms, exactly as the coefficient-domain
-//! sum of per-member products would, so the composed key is
-//! bit-identical to it. The result is memoized per bucket layout in the
-//! domain's [`crate::MaterialCache`], so buckets with a recurring
-//! composition pay the masking multiplies once. The per-slot block
-//! material is not memoized: each slot's matrices and round constants
-//! are derived from the XOF inside the pass that reads them, because a
-//! session nonce is never accepted twice.
+//! The composition is built per pass, one
+//! [`BfvContext::dot_periodic`] per key element: its inputs are the
+//! members' key ciphertexts, forward-transformed once per distinct key
+//! (told apart by identity), and its weights are their `k`-periodic slot
+//! masks. One mask per member, not one per key: a tenant with two
+//! sessions in the bucket gets two masked terms, exactly as the
+//! coefficient-domain sum of per-member products would, so the composed
+//! key is bit-identical to it. The composed key stays in the NTT domain,
+//! where the first affine layer reads it. Nothing of the composition is
+//! kept between passes — a bucket's layout almost never recurs — and
+//! neither is the per-slot block material: each slot's matrices and
+//! round constants are derived from the XOF inside the pass that reads
+//! them, because a session nonce is never accepted twice.
 
 use crate::client::EncryptedPastaKey;
 use crate::server::HheServer;
@@ -116,8 +116,9 @@ pub type MuxHheServer = HheServer;
 /// the tenant's (domain-shared-FHE-key) encrypted PASTA key.
 #[derive(Debug)]
 pub struct MuxMember<'a> {
-    /// Stable tenant id (part of the composed-key cache key; the id must
-    /// bind one-to-one to `encrypted_key` within a cache domain).
+    /// The caller's tenant id, named in errors. The composition tells
+    /// members' keys apart by `encrypted_key`'s identity, so ids need
+    /// not be unique nor bound to one key.
     pub tenant: u64,
     /// The tenant's FHE-encrypted PASTA key (`2t` elements, encrypted
     /// under the domain's analyst key).

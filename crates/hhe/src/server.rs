@@ -36,24 +36,23 @@
 //! plus its rotation keys — O(√t) of them under hoisted BSGS (see
 //! [`crate::packed::required_shifts`]).
 
-use crate::cache::{BlockEntry, ComposedKeyEntry, CompositionKey, MaterialCache};
+use crate::cache::BlockEntry;
 use crate::circuit::{self, RoundHook};
 use crate::client::EncryptedPastaKey;
 use crate::mux::{MuxMember, MuxedBlocks, SlotRange};
 use pasta_core::{Ciphertext as PastaCiphertext, PastaParams};
 use pasta_fhe::{BatchEncoder, BfvContext, BfvRelinKey, Ciphertext as FheCiphertext, FheError};
-use std::sync::Arc;
 
 /// The evaluator of one FHE domain: the PASTA instance, the slot encoder
-/// of the circuit's plaintexts, the domain's relinearization key and the
-/// cache of its mux passes' composed keys. Client keys are not kept:
-/// each call passes the key it runs under.
+/// of the circuit's plaintexts and the domain's relinearization key.
+/// Client keys are not kept, and nothing is kept between passes: each
+/// call passes the key it runs under, and a mux pass composes its key
+/// afresh.
 #[derive(Debug)]
 pub struct HheServer {
     params: PastaParams,
     encoder: BatchEncoder,
     relin_key: BfvRelinKey,
-    cache: Arc<MaterialCache>,
 }
 
 impl HheServer {
@@ -74,7 +73,6 @@ impl HheServer {
             params,
             encoder,
             relin_key,
-            cache: Arc::new(MaterialCache::new()),
         })
     }
 
@@ -160,20 +158,6 @@ impl HheServer {
         Ok(out)
     }
 
-    /// Swaps the composed-key cache in place. The service re-attaches
-    /// the domain's shard before each round, so that shard eviction in
-    /// [`crate::cache::ShardedCache`] releases the memory instead of
-    /// keeping it alive through the server handle.
-    pub fn set_cache(&mut self, cache: Arc<MaterialCache>) {
-        self.cache = cache;
-    }
-
-    /// The composed-key cache in use.
-    #[must_use]
-    pub fn cache(&self) -> &Arc<MaterialCache> {
-        &self.cache
-    }
-
     /// The number of blocks one pass can carry across all members
     /// (`N` slots).
     #[must_use]
@@ -222,87 +206,48 @@ impl HheServer {
     }
 
     /// The composed cross-tenant key for a bucket of two or more
-    /// members: element `j` is `Σ_m mask_m ⊙ key_m[j]` where `mask_m` is
-    /// the 0/1 plaintext of member `m`'s slot range, repeated with the
-    /// pass's period. Memoized per `(tenant, blocks)` layout, which
-    /// fixes the period.
+    /// members, in the NTT domain: element `j` is
+    /// `Σ_m mask_m ⊙ key_m[j]`, one [`BfvContext::dot_periodic`], where
+    /// `mask_m` is the 0/1 plaintext of member `m`'s slot range, periodic
+    /// with the pass's period. Each distinct key — told apart by
+    /// identity, not by the caller's tenant id — is forward-transformed
+    /// once per element.
     fn composed_key(
         &self,
         ctx: &BfvContext,
         members: &[MuxMember<'_>],
         ranges: &[SlotRange],
         slots_used: usize,
-    ) -> Result<Arc<ComposedKeyEntry>, FheError> {
-        let state = self.params.state_size();
-        let key = CompositionKey {
-            pasta: self.params,
-            bfv: *ctx.params(),
-            members: members
-                .iter()
-                .zip(ranges)
-                .map(|(m, r)| (m.tenant, r.blocks))
-                .collect(),
-        };
-        let entry = self.cache.composed_key(&key, || {
-            let masks: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let mut slots = vec![0u64; slots_used];
-                    for s in &mut slots[r.start..r.start + r.blocks] {
-                        *s = 1;
+    ) -> Result<Vec<FheCiphertext>, FheError> {
+        let masks: Vec<_> = ranges
+            .iter()
+            .map(|r| {
+                let mut slots = vec![0u64; slots_used];
+                slots[r.start..r.start + r.blocks].fill(1);
+                self.encoder.encode_periodic(&slots)
+            })
+            .collect();
+        let js: Vec<usize> = (0..self.params.state_size()).collect();
+        pasta_par::parallel_map(&js, |_, &j| {
+            let mut keys: Vec<FheCiphertext> = Vec::with_capacity(members.len());
+            for (m, member) in members.iter().enumerate() {
+                let first = members[..m]
+                    .iter()
+                    .position(|p| std::ptr::eq(p.encrypted_key, member.encrypted_key));
+                let key = match first {
+                    Some(f) => keys[f].clone(),
+                    None => {
+                        let mut ct = member.encrypted_key.elements[j].clone();
+                        ctx.to_ntt_ct(&mut ct);
+                        ct
                     }
-                    ctx.prepare_plaintext(&self.encoder.encode_periodic(&slots).expand())
-                })
-                .collect();
-            // `owner[m]` indexes member m's tenant among the distinct
-            // tenants, whose keys are transformed once per element.
-            let mut tenants: Vec<(u64, &EncryptedPastaKey)> = Vec::new();
-            let owner: Vec<usize> = members
-                .iter()
-                .map(|m| {
-                    tenants
-                        .iter()
-                        .position(|&(id, _)| id == m.tenant)
-                        .unwrap_or_else(|| {
-                            tenants.push((m.tenant, m.encrypted_key));
-                            tenants.len() - 1
-                        })
-                })
-                .collect();
-            let js: Vec<usize> = (0..state).collect();
-            let elements =
-                pasta_par::parallel_map(&js, |_, &j| -> Result<FheCiphertext, FheError> {
-                    let keys: Vec<FheCiphertext> = tenants
-                        .iter()
-                        .map(|(_, key)| {
-                            let mut ct = key.elements[j].clone();
-                            ctx.to_ntt_ct(&mut ct);
-                            ct
-                        })
-                        .collect();
-                    let mut acc = ctx.mul_plain_prepared_ntt(&keys[owner[0]], &masks[0]);
-                    for (&o, mask) in owner.iter().zip(&masks).skip(1) {
-                        ctx.add_mul_plain_ntt_assign(&mut acc, &keys[o], mask)?;
-                    }
-                    ctx.to_coeff_ct(&mut acc);
-                    Ok(acc)
-                })
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>();
-            // The adds can only fail on cross-context dimension
-            // mismatches, which domain registration rules out; an empty
-            // entry is rejected below rather than panicking, and stays
-            // cached (failing every bucket of this layout) until evicted.
-            ComposedKeyEntry {
-                elements: elements.unwrap_or_default(),
+                };
+                keys.push(key);
             }
-        });
-        if entry.elements.len() != state {
-            return Err(FheError::Incompatible(
-                "bucket members span incompatible FHE contexts".into(),
-            ));
-        }
-        Ok(entry)
+            ctx.dot_periodic(&keys, &masks)
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Transciphers a whole bucket in one slot-parallel pass: one shared
@@ -348,7 +293,7 @@ impl HheServer {
             &member.encrypted_key.elements
         } else {
             composed = self.composed_key(ctx, members, &ranges, slots_used)?;
-            &composed.elements
+            &composed
         };
 
         // Slot s carries the material of the member block assigned to s.

@@ -64,8 +64,8 @@ fn batched_transcipher_is_thread_count_invariant() {
     ];
     let bucket_tenants = [0usize, 1, 0];
 
-    // Fresh server for each thread count: a composed-key cache hit from
-    // the serial pass must not mask a scheduling-dependent build.
+    // Fresh keys and server for each thread count, so the set-up runs
+    // under every setting too.
     let build = || {
         let mut rng = StdRng::seed_from_u64(808);
         let sk = ctx.generate_secret_key(&mut rng);

@@ -22,10 +22,11 @@
 //!   with a `Deadline` NACK;
 //! - **fault containment** — worker panics (injected or real) are caught
 //!   inside the `pasta_par` pool and converted to `WorkerFault` NACKs;
-//! - **isolation** — each FHE domain's composed multiplexing keys live
-//!   in its own [`ShardedCache`] shard, evicted under a global memory
-//!   budget, so one domain cannot starve the others; block material is
-//!   derived per pass and never cached (no session nonce recurs);
+//! - **isolation** — each FHE domain owns its own evaluator, and a pass
+//!   keeps nothing once it returns: a bucket's composed key is built in
+//!   the pass and block material is derived per pass (no session nonce
+//!   recurs), so no domain's state grows with its traffic or crowds
+//!   out another's;
 //! - **cross-tenant slot multiplexing** — tenants that registered into
 //!   the same *FHE domain* (one analyst keypair) opt into having their
 //!   queued blocks packed together into the slots of one shared
@@ -114,7 +115,8 @@ pub struct ServerConfig {
     pub service_us_per_block: u64,
     /// Noise-budget admission policy applied at tenant registration.
     pub admission: NoiseBudgetGuard,
-    /// Memory budget for the per-domain composed-key cache shards.
+    /// Ignored: the service caches nothing. Kept only because the
+    /// wall-clock benchmark (`perfbench`) builds against it.
     pub cache: ShardedCacheConfig,
     /// Cross-tenant slot-multiplexing policy.
     pub multiplex: MultiplexConfig,
@@ -481,7 +483,6 @@ pub struct PastaServer {
     cfg: ServerConfig,
     tenants: BTreeMap<TenantId, Tenant>,
     domains: BTreeMap<DomainId, Domain>,
-    cache: ShardedCache,
     next_tenant: TenantId,
     next_seq: u64,
     pool_free_us: u64,
@@ -496,12 +497,10 @@ impl PastaServer {
     /// An empty service.
     #[must_use]
     pub fn new(cfg: ServerConfig) -> Self {
-        let cache = ShardedCache::new(cfg.cache);
         PastaServer {
             cfg,
             tenants: BTreeMap::new(),
             domains: BTreeMap::new(),
-            cache,
             next_tenant: 1,
             next_seq: 1,
             pool_free_us: 0,
@@ -537,11 +536,12 @@ impl PastaServer {
         stats
     }
 
-    /// The per-domain composed-key cache (for inspection of shard
-    /// eviction).
+    /// An inert cache whose counters read zero: the service caches
+    /// nothing. Kept only because the wall-clock benchmark
+    /// (`perfbench`) builds against it.
     #[must_use]
     pub fn cache(&self) -> &ShardedCache {
-        &self.cache
+        &ShardedCache
     }
 
     /// Total requests currently queued across all tenants.
@@ -824,13 +824,6 @@ impl PastaServer {
                     Some(_) => break,
                     // Everything runnable was shed; re-evaluate.
                     None => continue,
-                }
-            }
-            // Re-attach the involved domains' cache shards so shard
-            // eviction between rounds actually frees memory.
-            for bucket in units.iter().filter_map(|u| u.bucket.as_ref()) {
-                if let Some(d) = self.domains.get_mut(&DomainId::Shared(bucket.domain)) {
-                    d.hhe.set_cache(self.cache.shard(bucket.domain));
                 }
             }
             let tenants = &self.tenants;
