@@ -1,98 +1,37 @@
 //! Machine-readable perf record for the RNS ciphertext multiplication.
 //!
-//! Measures BFV ciphertext multiply, square and multiply-relinearize
-//! under the two multiplication backends, plus the S-box's
-//! square-relinearize at the three rings the wall-clock benchmark runs
-//! (N = 1024 with 6, 8 and 11 × 50-bit primes) and one PASTA-4 affine
-//! row (`BfvContext::dot_periodic` over 32 inputs: period 1, the
-//! scalar pass, at 6 primes, and period 8, a mux pass, at 11), and
-//! renders
-//! `BENCH_mul.json` via [`pasta_bench::report::BenchReport`]. Each entry
-//! is timed over several windows; `ns` is the median window and
-//! `min_ns` the fastest, and the speedup factors divide medians. Every
-//! SIMD backend's output is checked against the scalar backend's; a
-//! difference makes the run exit non-zero, so the CI smoke run (`--quick`)
-//! gates backend bit-identity:
-//!
-//! - `--phase before` measures the **bigint oracle** (the retained
-//!   exact CRT-reconstruct / big-integer scaled-rounding path,
-//!   [`MulOracle::mul`], called directly);
-//! - `--phase after` measures the **full-RNS** BEHZ path (what
-//!   [`BfvContext::mul`] runs),
-//!   merging any committed `before` entries so the JSON holds
-//!   before/after pairs plus speedup factors. The affine rows have no
-//!   oracle and run in this phase only.
+//! Measures BFV ciphertext multiply, square and multiply-relinearize,
+//! plus the S-box's square-relinearize at the three rings the
+//! wall-clock benchmark runs (N = 1024 with 6, 8 and 11 × 50-bit
+//! primes) and one PASTA-4 affine row (`BfvContext::dot_periodic` over
+//! 32 inputs: period 1, the scalar pass, at 6 primes, and period 8, a
+//! mux pass, at 11), on every SIMD backend the CPU supports, and renders
+//! `BENCH_mul.json` via [`pasta_bench::report::BenchReport`]. The same
+//! run times the **bigint oracle**'s multiply ([`MulOracle::mul`], the
+//! exact CRT-reconstruct / big-integer scaled-rounding path, called
+//! directly) once, under the scalar backend, as `oracle_mul/…` rows, and
+//! prints its factor over each backend's full-RNS [`BfvContext::mul`].
+//! Each entry is timed over several windows ([`pasta_bench::micro`]);
+//! `ns` is the median window and `min_ns` the fastest, and the factors
+//! divide medians. Every SIMD backend's output is checked against the
+//! scalar backend's; a difference makes the run exit 1, so the CI smoke
+//! run (`--quick`) gates backend bit-identity.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench_mul --phase before            # bigint-oracle baseline
-//! bench_mul --phase after             # RNS path, merge committed baseline
-//! bench_mul --phase after --quick     # CI smoke mode (short windows)
-//! bench_mul --out-dir target/bench    # write JSON elsewhere (default .)
+//! bench_mul                          # write ./BENCH_mul.json
+//! bench_mul --quick                  # CI smoke mode (short windows)
+//! bench_mul --out-dir target/bench   # write JSON elsewhere
 //! ```
 
+use pasta_bench::micro::{time_windows, Options};
 use pasta_bench::report::BenchReport;
 use pasta_fhe::oracle::MulOracle;
 use pasta_fhe::{BatchEncoder, BfvContext, BfvParams, Ciphertext, PeriodicPlaintext};
 use pasta_math::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::hint::black_box;
-use std::time::Instant;
-
-struct Options {
-    phase: String,
-    quick: bool,
-    out_dir: String,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        phase: "after".to_string(),
-        quick: false,
-        out_dir: ".".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--phase" => opts.phase = args.next().unwrap_or_else(|| "after".to_string()),
-            "--quick" => opts.quick = true,
-            "--out-dir" => {
-                if let Some(d) = args.next() {
-                    opts.out_dir = d;
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.phase != "before" && opts.phase != "after" {
-        eprintln!("--phase must be 'before' or 'after', got '{}'", opts.phase);
-        std::process::exit(2);
-    }
-    opts
-}
-
-/// Times `windows` windows of `reps` calls of `f` each, returning ns per
-/// call in every window and the warm-up call's output. One short window
-/// moves by 20–25 % between runs of one build; the report keeps the
-/// median and the minimum over the windows.
-fn time_op(windows: usize, reps: u64, mut f: impl FnMut() -> Ciphertext) -> (Vec<f64>, Ciphertext) {
-    let out = f(); // warm-up (NTT tables, allocator, caches)
-    let per_window = (0..windows)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..reps {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / reps as f64
-        })
-        .collect();
-    (per_window, out)
-}
 
 /// Which operations a parameter set measures.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -141,8 +80,7 @@ fn affine_row(
 /// output on some backend differs from the scalar backend's.
 fn bench_set(
     report: &mut BenchReport,
-    phase: &str,
-    quick: bool,
+    opts: &Options,
     bfv: BfvParams,
     tag: &str,
     which: Ops,
@@ -165,8 +103,7 @@ fn bench_set(
         _ => (Vec::new(), Vec::new()),
     };
     let (inputs, weights) = (&inputs, &weights);
-    let exact = &MulOracle::new(ctx).expect("oracle");
-    let (windows, reps): (usize, u64) = if quick { (3, 1) } else { (9, 5) };
+    let reps: u64 = if opts.quick { 1 } else { 5 };
     let mut scalar_out: Vec<(String, Ciphertext)> = Vec::new();
     let mut mismatches = Vec::new();
 
@@ -178,28 +115,8 @@ fn bench_set(
             continue;
         }
         type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
-        let ops: Vec<(&str, Op)> = match (phase, which) {
-            ("before", Ops::AffineRow(_)) => Vec::new(),
-            ("before", Ops::Products) => {
-                let oracle = |x, y| exact.mul(x, y).expect("mul");
-                vec![
-                    ("mul", Box::new(move || oracle(a, b))),
-                    // Aliased operands take the oracle's squaring path.
-                    ("square", Box::new(move || oracle(a, a))),
-                    (
-                        "mul_relin",
-                        Box::new(move || ctx.relinearize(&oracle(a, b), rk).expect("relin")),
-                    ),
-                ]
-            }
-            ("before", Ops::SquareRelin) => vec![(
-                "square_relin",
-                Box::new(|| {
-                    let sq = exact.mul(a, a).expect("mul");
-                    ctx.relinearize(&sq, rk).expect("relin")
-                }),
-            )],
-            (_, Ops::Products) => vec![
+        let ops: Vec<(&str, Op)> = match which {
+            Ops::Products => vec![
                 ("mul", Box::new(|| ctx.mul(a, b).expect("mul"))),
                 ("square", Box::new(|| ctx.square(a).expect("square"))),
                 (
@@ -207,25 +124,21 @@ fn bench_set(
                     Box::new(|| ctx.mul_relin(a, b, rk).expect("mul_relin")),
                 ),
             ],
-            (_, Ops::SquareRelin) => vec![(
+            Ops::SquareRelin => vec![(
                 "square_relin",
                 Box::new(|| ctx.square_relin(a, rk).expect("square_relin")),
             )],
-            (_, Ops::AffineRow(_)) => vec![(
+            Ops::AffineRow(_) => vec![(
                 "affine_row",
                 Box::new(|| ctx.dot_periodic(inputs, weights).expect("affine row")),
             )],
         };
         for (op, f) in ops {
-            let (per_window, out) = time_op(windows, reps, f);
+            let (windows, out) = time_windows(opts.windows(), reps, f);
             let id = format!("{op}/{tag}");
-            report.push_windows(id.clone(), phase, backend.label(), &per_window);
-            let entry = &report.entries[report.entries.len() - 1];
             println!(
-                "{id}: {:.0} ns/iter median, {:.0} min over {windows} windows [{phase}, {}]",
-                entry.ns,
-                entry.min_ns.unwrap_or(entry.ns),
-                backend.label()
+                "{}",
+                report.push_windows(id.clone(), backend.label(), &windows)
             );
             match scalar_out.iter().find(|(i, _)| *i == id) {
                 Some((_, want)) if *want != out => {
@@ -237,30 +150,38 @@ fn bench_set(
             }
         }
     }
+
+    // The bigint oracle's multiply, once, under the scalar backend: its
+    // output is decrypt-equal to the RNS product, not byte-identical, so
+    // it takes no part in the bit-identity check.
+    if which == Ops::Products {
+        simd::force_backend(Some(simd::Backend::Scalar));
+        let exact = MulOracle::new(ctx).expect("oracle");
+        let (windows, _) = time_windows(opts.windows(), reps, || exact.mul(a, b).expect("mul"));
+        let oracle = report.push_windows(format!("oracle_mul/{tag}"), "scalar", &windows);
+        println!("{oracle}");
+        let oracle_ns = oracle.ns;
+        let mul = format!("mul/{tag}");
+        for e in report.entries.iter().filter(|e| e.id == mul) {
+            println!("oracle/RNS {mul} ({}): {:.2}x", e.backend, oracle_ns / e.ns);
+        }
+    }
     simd::force_backend(None);
     mismatches
 }
 
 fn main() {
-    let opts = parse_args();
-    let path = format!("{}/BENCH_mul.json", opts.out_dir);
-
+    let opts = Options::from_args();
     let mut report = BenchReport::new(
         "mul",
-        "BFV ciphertext multiplication: exact bigint CRT round-trip (before) vs \
-         full-RNS BEHZ base conversion (after); ns per call",
+        "BFV ciphertext multiplication: full-RNS BEHZ per SIMD backend, and the exact \
+         bigint CRT round-trip oracle (oracle_mul, scalar backend); ns per call",
     );
-    if opts.phase == "after" {
-        if let Ok(prev) = std::fs::read_to_string(&path) {
-            report.merge_phase_from(&prev, "before");
-        }
-    }
 
     // Unit-test scale: N = 256, four 50-bit primes.
     let mut mismatches = bench_set(
         &mut report,
-        &opts.phase,
-        opts.quick,
+        &opts,
         BfvParams::test_tiny(),
         "N=256/k=4",
         Ops::Products,
@@ -270,8 +191,7 @@ fn main() {
     // primes, the q used by the end-to-end PASTA workflow.
     mismatches.extend(bench_set(
         &mut report,
-        &opts.phase,
-        opts.quick,
+        &opts,
         BfvParams {
             n: 1_024,
             ..BfvParams::transcipher_demo()
@@ -286,8 +206,7 @@ fn main() {
     for k in [6, 8, 11] {
         mismatches.extend(bench_set(
             &mut report,
-            &opts.phase,
-            opts.quick,
+            &opts,
             BfvParams {
                 n: 1_024,
                 prime_count: k,
@@ -303,8 +222,7 @@ fn main() {
     for (primes, period) in [(6, 1), (11, 8)] {
         mismatches.extend(bench_set(
             &mut report,
-            &opts.phase,
-            opts.quick,
+            &opts,
             BfvParams {
                 n: 1_024,
                 prime_count: primes,
@@ -315,19 +233,15 @@ fn main() {
         ));
     }
 
-    std::fs::write(&path, report.to_json()).expect("write bench report");
-    println!("wrote {path}");
-    for (id, backend, factor) in report.speedups() {
-        println!("speedup {id} ({backend}): {factor:.2}x");
-    }
-    for (id, backend, factor) in report.backend_speedups() {
-        println!("{backend}-vs-scalar {id}: {factor:.2}x");
-    }
     if !mismatches.is_empty() {
         eprintln!(
-            "backend outputs differ from the scalar backend: {}",
+            "backend outputs differ from the scalar backend: {}; no report written",
             mismatches.join(", ")
         );
         std::process::exit(1);
+    }
+    report.write(&opts.path("BENCH_mul.json"));
+    for (id, backend, factor) in report.backend_speedups() {
+        println!("{backend}-vs-scalar {id}: {factor:.2}x");
     }
 }

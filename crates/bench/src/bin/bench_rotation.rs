@@ -1,18 +1,17 @@
 //! Machine-readable perf record for the packed-mode rotation work.
 //!
-//! Measures the packed (one-block-per-ciphertext) transciphering server's
-//! **hoisted baby-step/giant-step** evaluation as the `after` phase and
-//! renders `BENCH_rotation.json` via [`pasta_bench::report::BenchReport`].
-//! The committed `before` rows — the naive one-rotation-per-diagonal
-//! evaluation this path replaced — are merged in, so the JSON holds
-//! before/after pairs plus speedup factors.
+//! Times the packed (one-block-per-ciphertext) transciphering server's
+//! **hoisted baby-step/giant-step** evaluation on a fresh nonce per call
+//! and renders `BENCH_rotation.json` via
+//! [`pasta_bench::report::BenchReport`]. The transcipher entries are
+//! timed over several windows ([`pasta_bench::micro`]): `ns` is the
+//! median window and `min_ns` the fastest.
 //!
 //! Besides wall times, the report records the per-keystream Galois
-//! key-switch counts and the provisioned rotation-key counts under the
-//! same before/after ids — for those entries the `ns` field holds a raw
-//! count and the `speedup` factor is the reduction factor.
+//! key-switch count and the provisioned rotation-key count; for those
+//! entries the `ns` field holds a raw count.
 //!
-//! Every timed transcipher is decrypted after its timing window and
+//! Every timed transcipher is decrypted after its timing windows and
 //! compared with the message; the binary prints the smallest noise
 //! budget it read and exits 1, writing no report, if any result
 //! decrypts wrong.
@@ -20,11 +19,12 @@
 //! Usage:
 //!
 //! ```text
-//! bench_rotation                          # BSGS, merge committed baseline
+//! bench_rotation                          # write ./BENCH_rotation.json
 //! bench_rotation --quick                  # CI smoke mode (short windows)
-//! bench_rotation --out-dir target/bench   # write JSON elsewhere (default .)
+//! bench_rotation --out-dir target/bench   # write JSON elsewhere
 //! ```
 
+use pasta_bench::micro::{time_windows, Options};
 use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
 use pasta_fhe::{suggest_bfv_params, BfvContext, BfvParams, BfvSecretKey};
@@ -33,38 +33,6 @@ use pasta_math::Modulus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// The phase this binary measures.
-const PHASE: &str = "after";
-
-struct Options {
-    quick: bool,
-    out_dir: String,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        quick: false,
-        out_dir: ".".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out-dir" => {
-                if let Some(d) = args.next() {
-                    opts.out_dir = d;
-                }
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 struct Setup {
     ctx: BfvContext,
@@ -100,7 +68,7 @@ fn build(pasta: PastaParams, bfv: BfvParams, seed: u64) -> Setup {
 /// transcipher decrypted to its message.
 fn bench_packed(
     report: &mut BenchReport,
-    quick: bool,
+    opts: &Options,
     pasta: PastaParams,
     bfv: BfvParams,
     tag: &str,
@@ -108,31 +76,29 @@ fn bench_packed(
     let s = build(pasta, bfv, 0xB0B0);
     let t = pasta.t();
     let message: Vec<u64> = (0..t as u64).map(|i| (i * 7_177 + 13) % 65_537).collect();
-    let reps: u64 = if quick { 1 } else { 3 };
 
-    // Cold transcipher: fresh nonce per call, so the per-block material
-    // is derived and every diagonal streamed each time. The results are
-    // kept and decrypted after the timing window.
+    // Cold transcipher: a fresh nonce per call, so the per-block
+    // material is derived and every diagonal streamed each time. The
+    // results are kept and decrypted after the timing windows.
     let mut nonce = 0x4000u128;
-    let warm_up = s.client.encrypt(nonce, &message).expect("encrypt");
-    let mut results = vec![s
-        .server
-        .transcipher_packed(&s.ctx, &warm_up, 0)
-        .expect("transcipher")];
-    let start = Instant::now();
-    for _ in 0..reps {
+    let mut results = Vec::new();
+    let (windows, ()) = time_windows(opts.windows(), 1, || {
         nonce += 1;
         let ct = s.client.encrypt(nonce, &message).expect("encrypt");
-        results.push(black_box(
+        results.push(
             s.server
                 .transcipher_packed(&s.ctx, &ct, 0)
                 .expect("transcipher"),
-        ));
-    }
-    let cold = start.elapsed().as_nanos() as f64 / reps as f64;
-    let id = format!("packed_transcipher/{tag}/cold");
-    println!("{id}: {cold:.0} ns/iter [{PHASE}]");
-    report.push(id, PHASE, cold);
+        );
+    });
+    println!(
+        "{}",
+        report.push_windows(
+            format!("packed_transcipher/{tag}/cold"),
+            pasta_math::simd::backend_label(),
+            &windows
+        )
+    );
     let wrong = results
         .iter()
         .filter(|ct| s.server.decode(&s.ctx, &s.sk, ct, t) != message)
@@ -155,34 +121,28 @@ fn bench_packed(
             .keystream_packed(&s.ctx, 0xF00F, 0)
             .expect("keystream"),
     );
-    let switches = s.server.key_switch_count();
-    let id = format!("key_switches/keystream/{tag}");
-    println!("{id}: {switches} [{PHASE}]");
-    report.push(id, PHASE, switches as f64);
-    let keys = s.server.rotation_key_count();
-    let id = format!("rotation_keys/{tag}");
-    println!("{id}: {keys} [{PHASE}]");
-    report.push(id, PHASE, keys as f64);
+    let switches = s.server.key_switch_count() as f64;
+    println!(
+        "{}",
+        report.push(format!("key_switches/keystream/{tag}"), switches)
+    );
+    let keys = s.server.rotation_key_count() as f64;
+    println!("{}", report.push(format!("rotation_keys/{tag}"), keys));
     wrong == 0
 }
 
 fn main() {
-    let opts = parse_args();
-    let path = format!("{}/BENCH_rotation.json", opts.out_dir);
-
+    let opts = Options::from_args();
     let mut report = BenchReport::new(
         "rotation",
-        "packed transcipher: naive diagonal rotations (before) vs hoisted BSGS (after); \
-         ns per call, except key_switches/* and rotation_keys/* entries which are raw counts",
+        "packed transcipher with hoisted BSGS rotations: ns per call, except \
+         key_switches/* and rotation_keys/* entries which are raw counts",
     );
-    if let Ok(prev) = std::fs::read_to_string(&path) {
-        report.merge_phase_from(&prev, "before");
-    }
 
     // Scaled-down set (the unit-test sizes): PASTA t=4, r=2 on N=256.
     let small_ok = bench_packed(
         &mut report,
-        opts.quick,
+        &opts,
         PastaParams::custom(4, 2, Modulus::PASTA_17_BIT).expect("params"),
         BfvParams {
             prime_count: 8,
@@ -199,7 +159,7 @@ fn main() {
     let pasta3 = PastaParams::pasta3_17bit();
     let paper_ok = bench_packed(
         &mut report,
-        opts.quick,
+        &opts,
         pasta3,
         suggest_bfv_params(pasta3.t(), pasta3.rounds(), true, 1024, 50)
             .expect("the batched guard sizes the paper ring"),
@@ -209,10 +169,5 @@ fn main() {
         eprintln!("a packed transcipher decrypted wrong; no report written");
         std::process::exit(1);
     }
-
-    std::fs::write(&path, report.to_json()).expect("write bench report");
-    println!("wrote {path}");
-    for (id, backend, factor) in report.speedups() {
-        println!("speedup {id} ({backend}): {factor:.2}x");
-    }
+    report.write(&opts.path("BENCH_rotation.json"));
 }

@@ -14,11 +14,14 @@
 //! | `analysis_keccak`      | §IV.B Keccak-budget analysis          |
 //!
 //! The `bench_*` binaries record host wall-clock of the software hot
-//! paths as `BENCH_*.json` through [`report`]; the end-to-end service
-//! benchmark is the separate `perfbench/` package.
+//! paths as `BENCH_*.json`, each row a measurement of the run that
+//! writes the file, through one command line and timer ([`micro`]) and
+//! one report type ([`report`]); the end-to-end service benchmark is
+//! the separate `perfbench/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod micro;
 pub mod priorwork;
 pub mod report;

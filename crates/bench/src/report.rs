@@ -105,13 +105,8 @@ pub fn paper_vs_measured(paper: f64, measured: f64) -> String {
 pub struct BenchEntry {
     /// Benchmark identifier, e.g. `ntt_fwd_inv/60bit/n=1024`.
     pub id: String,
-    /// Measurement phase: `before` (pre-optimization baseline) or `after`.
-    pub phase: String,
     /// SIMD backend (`"scalar"` / `"avx2"` / `"avx512ifma"`) the
     /// measurement ran under.
-    /// Entries parsed from reports predating the backend dimension
-    /// default to `"scalar"` — everything before the SIMD backend
-    /// existed was scalar by construction.
     pub backend: String,
     /// Nanoseconds per iteration (the median over timing windows, where
     /// the bench times several).
@@ -121,23 +116,31 @@ pub struct BenchEntry {
     pub min_ns: Option<f64>,
 }
 
-/// A machine-readable benchmark report (`BENCH_*.json` trajectory files).
-///
-/// The format is deliberately line-oriented — one entry object per line —
-/// so the merge path can re-read committed baselines without a JSON
-/// dependency (the build environment is offline; see `vendor/`).
+impl std::fmt::Display for BenchEntry {
+    /// `id: ns [backend]`, with the median and minimum for windowed
+    /// entries.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.min_ns {
+            Some(min) => write!(
+                f,
+                "{}: {:.0} ns/iter median, {min:.0} min [{}]",
+                self.id, self.ns, self.backend
+            ),
+            None => write!(f, "{}: {} [{}]", self.id, self.ns, self.backend),
+        }
+    }
+}
+
+/// A machine-readable benchmark report (`BENCH_*.json`): every entry is
+/// a measurement of the run that renders it.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Report name (`ntt`, `transcipher`, …).
+    /// Report name (`ntt`, `mul`, …).
     pub bench: String,
     /// Free-text description of what is measured.
     pub description: String,
     /// Entries, in insertion order.
     pub entries: Vec<BenchEntry>,
-    /// Run-level counters rendered as a `"meta"` object — raw JSON
-    /// values keyed by name, in insertion order (a sorted `Vec`, not a
-    /// map, keeps the rendering deterministic).
-    pub meta: Vec<(String, String)>,
 }
 
 impl BenchReport {
@@ -148,50 +151,37 @@ impl BenchReport {
             bench: bench.into(),
             description: description.into(),
             entries: Vec::new(),
-            meta: Vec::new(),
-        }
-    }
-
-    /// Records a run-level counter under `"meta"`. `value` is rendered
-    /// verbatim, so pass a JSON literal (`"0"`, `"\"avx2\""`).
-    /// Re-setting a key replaces its value in place.
-    pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        let (key, value) = (key.into(), value.into());
-        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            self.meta.push((key, value));
         }
     }
 
     /// Appends one measurement under the SIMD backend currently selected
     /// by `pasta_math::simd`, replacing any existing entry with the same
-    /// `(id, phase, backend)` so re-runs update in place.
-    pub fn push(&mut self, id: impl Into<String>, phase: impl Into<String>, ns: f64) {
-        self.push_backend(id, phase, pasta_math::simd::backend_label(), ns);
+    /// `(id, backend)`, and returns the new entry.
+    pub fn push(&mut self, id: impl Into<String>, ns: f64) -> &BenchEntry {
+        self.push_backend(id, pasta_math::simd::backend_label(), ns)
     }
 
     /// Appends one measurement with an explicit backend label, replacing
-    /// any existing entry with the same `(id, phase, backend)`.
+    /// any existing entry with the same `(id, backend)`, and returns the
+    /// new entry.
     pub fn push_backend(
         &mut self,
         id: impl Into<String>,
-        phase: impl Into<String>,
         backend: impl Into<String>,
         ns: f64,
-    ) {
+    ) -> &BenchEntry {
         self.push_entry(BenchEntry {
             id: id.into(),
-            phase: phase.into(),
             backend: backend.into(),
             ns,
             min_ns: None,
-        });
+        })
     }
 
     /// Appends one measurement timed over several windows (ns per
-    /// iteration in each): `ns` is their median and `min_ns` their
-    /// minimum. Replaces any entry with the same `(id, phase, backend)`.
+    /// iteration in each, as [`crate::micro::time_windows`] returns
+    /// them): `ns` is their median and `min_ns` their minimum. Replaces
+    /// any entry with the same `(id, backend)` and returns the new one.
     ///
     /// # Panics
     ///
@@ -199,10 +189,9 @@ impl BenchReport {
     pub fn push_windows(
         &mut self,
         id: impl Into<String>,
-        phase: impl Into<String>,
         backend: impl Into<String>,
         windows: &[f64],
-    ) {
+    ) -> &BenchEntry {
         let mut sorted = windows.to_vec();
         sorted.sort_by(f64::total_cmp);
         let mid = sorted.len() / 2;
@@ -213,83 +202,42 @@ impl BenchReport {
         };
         self.push_entry(BenchEntry {
             id: id.into(),
-            phase: phase.into(),
             backend: backend.into(),
             ns: median,
             min_ns: Some(sorted[0]),
-        });
+        })
     }
 
-    /// Appends `entry`, replacing any with the same `(id, phase, backend)`.
-    fn push_entry(&mut self, entry: BenchEntry) {
-        self.entries.retain(|e| {
-            !(e.id == entry.id && e.phase == entry.phase && e.backend == entry.backend)
-        });
+    /// Appends `entry`, replacing any with the same `(id, backend)`.
+    fn push_entry(&mut self, entry: BenchEntry) -> &BenchEntry {
+        self.entries
+            .retain(|e| !(e.id == entry.id && e.backend == entry.backend));
         self.entries.push(entry);
+        &self.entries[self.entries.len() - 1]
     }
 
-    /// Imports all entries of `phase` from a previously rendered report
-    /// (e.g. carry the committed `before` baseline into a fresh `after`
-    /// run). Unparsable lines are ignored.
-    pub fn merge_phase_from(&mut self, json: &str, phase: &str) {
-        for e in Self::parse_entries(json) {
-            if e.phase == phase {
-                self.push_entry(e);
-            }
-        }
-    }
-
-    /// `before/after` speedup factors as `(id, backend, factor)` for
-    /// every `(id, backend)` present in both phases. An `after` entry
-    /// with no same-backend `before` falls back to the scalar `before`
-    /// baseline — measurements predating the backend dimension were
-    /// scalar by construction, so that is the honest trajectory pairing.
+    /// The median ns of entry `(id, backend)`, if measured.
     #[must_use]
-    pub fn speedups(&self) -> Vec<(String, String, f64)> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            if e.phase != "after" {
-                continue;
-            }
-            let same_backend =
-                |b: &&BenchEntry| b.phase == "before" && b.id == e.id && b.backend == e.backend;
-            let scalar =
-                |b: &&BenchEntry| b.phase == "before" && b.id == e.id && b.backend == "scalar";
-            if let Some(before) = self
-                .entries
-                .iter()
-                .find(same_backend)
-                .or_else(|| self.entries.iter().find(scalar))
-            {
-                if e.ns > 0.0 {
-                    out.push((e.id.clone(), e.backend.clone(), before.ns / e.ns));
-                }
-            }
-        }
-        out
+    pub fn ns(&self, id: &str, backend: &str) -> Option<f64> {
+        self.entries
+            .iter()
+            .find(|e| e.id == id && e.backend == backend)
+            .map(|e| e.ns)
     }
 
-    /// Vector-vs-scalar speedup factors over the `after` phase: for
-    /// every id measured under scalar and a vector backend,
-    /// `(id, backend, scalar_ns / backend_ns)`.
+    /// Vector-vs-scalar speedup factors: for every id measured under
+    /// scalar and a vector backend, `(id, backend, scalar_ns /
+    /// backend_ns)`.
     #[must_use]
     pub fn backend_speedups(&self) -> Vec<(String, String, f64)> {
-        let mut out = Vec::new();
-        for e in &self.entries {
-            if e.phase != "after" || e.backend == "scalar" {
-                continue;
-            }
-            if let Some(s) = self
-                .entries
-                .iter()
-                .find(|s| s.phase == "after" && s.id == e.id && s.backend == "scalar")
-            {
-                if e.ns > 0.0 {
-                    out.push((e.id.clone(), e.backend.clone(), s.ns / e.ns));
-                }
-            }
-        }
-        out
+        self.entries
+            .iter()
+            .filter(|e| e.backend != "scalar" && e.ns > 0.0)
+            .filter_map(|e| {
+                let scalar = self.ns(&e.id, "scalar")?;
+                Some((e.id.clone(), e.backend.clone(), scalar / e.ns))
+            })
+            .collect()
     }
 
     /// Renders the report as JSON (one entry per line).
@@ -300,14 +248,6 @@ impl BenchReport {
         out.push_str(&format!("  \"bench\": \"{}\",\n", self.bench));
         out.push_str(&format!("  \"description\": \"{}\",\n", self.description));
         out.push_str("  \"unit\": \"ns/iter\",\n");
-        if !self.meta.is_empty() {
-            out.push_str("  \"meta\": {\n");
-            for (i, (k, v)) in self.meta.iter().enumerate() {
-                let comma = if i + 1 < self.meta.len() { "," } else { "" };
-                out.push_str(&format!("    \"{k}\": {v}{comma}\n"));
-            }
-            out.push_str("  },\n");
-        }
         out.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
@@ -315,17 +255,8 @@ impl BenchReport {
                 .min_ns
                 .map_or(String::new(), |m| format!(", \"min_ns\": {m:.1}"));
             out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"phase\": \"{}\", \"backend\": \"{}\", \"ns\": {:.1}{min}}}{comma}\n",
-                e.id, e.phase, e.backend, e.ns
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"speedup\": [\n");
-        let ups = self.speedups();
-        for (i, (id, backend, factor)) in ups.iter().enumerate() {
-            let comma = if i + 1 < ups.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"id\": \"{id}\", \"backend\": \"{backend}\", \"factor\": {factor:.2}}}{comma}\n"
+                "    {{\"id\": \"{}\", \"backend\": \"{}\", \"ns\": {:.1}{min}}}{comma}\n",
+                e.id, e.backend, e.ns
             ));
         }
         out.push_str("  ],\n");
@@ -341,31 +272,14 @@ impl BenchReport {
         out
     }
 
-    /// Extracts the `entries` objects from a rendered report. Tolerant:
-    /// scans line by line for the known keys.
-    #[must_use]
-    pub fn parse_entries(json: &str) -> Vec<BenchEntry> {
-        fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-            let start = line.find(&format!("\"{key}\":"))? + key.len() + 3;
-            let rest = line[start..].trim_start();
-            let rest = rest.strip_prefix('"').unwrap_or(rest);
-            let end = rest.find(['"', ',', '}'])?;
-            Some(rest[..end].trim())
-        }
-        json.lines()
-            .filter(|l| l.contains("\"phase\"") && l.contains("\"ns\""))
-            .filter_map(|l| {
-                Some(BenchEntry {
-                    id: field(l, "id")?.to_string(),
-                    phase: field(l, "phase")?.to_string(),
-                    // Reports predating the backend dimension carry no
-                    // backend key; those measurements were scalar.
-                    backend: field(l, "backend").unwrap_or("scalar").to_string(),
-                    ns: field(l, "ns")?.parse().ok()?,
-                    min_ns: field(l, "min_ns").and_then(|m| m.parse().ok()),
-                })
-            })
-            .collect()
+    /// Writes the JSON rendering to `path` and says so on stdout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write(&self, path: &str) {
+        std::fs::write(path, self.to_json()).expect("write bench report");
+        println!("wrote {path}");
     }
 }
 
@@ -374,77 +288,60 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_report_roundtrips_through_json() {
+    fn bench_report_renders_one_line_per_entry() {
         let mut r = BenchReport::new("ntt", "forward+inverse");
-        r.push_backend("ntt/n=1024", "before", "scalar", 1234.5);
-        r.push_backend("ntt/n=1024", "after", "scalar", 400.0);
-        r.push_backend("ntt/n=4096", "before", "scalar", 9000.0);
+        r.push_backend("ntt/n=1024", "scalar", 1234.5);
+        r.push_backend("ntt/n=4096", "scalar", 9000.0);
         let json = r.to_json();
-        let parsed = BenchReport::parse_entries(&json);
-        assert_eq!(parsed, r.entries);
-        assert!(json.contains("\"factor\": 3.09"), "{json}");
+        assert!(
+            json.contains("{\"id\": \"ntt/n=1024\", \"backend\": \"scalar\", \"ns\": 1234.5},\n"),
+            "{json}"
+        );
+        assert!(
+            json.contains("{\"id\": \"ntt/n=4096\", \"backend\": \"scalar\", \"ns\": 9000.0}\n"),
+            "{json}"
+        );
+        assert!(!json.contains("phase"), "{json}");
     }
 
     #[test]
     fn windowed_entries_keep_median_and_min_through_json() {
         let mut r = BenchReport::new("mul", "");
-        r.push_windows("a", "before", "scalar", &[130.0, 100.0, 120.0]);
-        r.push_windows("a", "after", "scalar", &[40.0, 60.0, 50.0, 45.0]);
-        assert_eq!((r.entries[0].ns, r.entries[0].min_ns), (120.0, Some(100.0)));
-        assert_eq!((r.entries[1].ns, r.entries[1].min_ns), (47.5, Some(40.0)));
+        let odd = r.push_windows("a", "scalar", &[130.0, 100.0, 120.0]);
+        assert_eq!((odd.ns, odd.min_ns), (120.0, Some(100.0)));
+        let even = r.push_windows("a", "avx2", &[40.0, 60.0, 50.0, 45.0]);
+        assert_eq!((even.ns, even.min_ns), (47.5, Some(40.0)));
         let json = r.to_json();
-        assert_eq!(BenchReport::parse_entries(&json), r.entries);
+        assert!(json.contains("\"ns\": 120.0, \"min_ns\": 100.0}"), "{json}");
+        assert!(json.contains("\"ns\": 47.5, \"min_ns\": 40.0}"), "{json}");
         // The factor divides medians.
         assert!(json.contains("\"factor\": 2.53"), "{json}");
-        let mut fresh = BenchReport::new("mul", "");
-        fresh.merge_phase_from(&json, "before");
-        assert_eq!(fresh.entries, r.entries[..1]);
     }
 
     #[test]
-    fn bench_report_push_replaces_and_merges() {
-        let mut old = BenchReport::new("x", "");
-        old.push_backend("a", "before", "scalar", 100.0);
-        old.push_backend("a", "after", "scalar", 50.0);
-        let mut fresh = BenchReport::new("x", "");
-        fresh.push_backend("a", "after", "scalar", 25.0);
-        fresh.merge_phase_from(&old.to_json(), "before");
-        assert_eq!(fresh.entries.len(), 2);
-        assert_eq!(
-            fresh.speedups(),
-            vec![("a".to_string(), "scalar".to_string(), 4.0)]
-        );
-        // Re-pushing the same (id, phase, backend) replaces.
-        fresh.push_backend("a", "after", "scalar", 20.0);
-        assert_eq!(
-            fresh.entries.iter().filter(|e| e.phase == "after").count(),
-            1
-        );
-    }
-
-    #[test]
-    fn backend_dimension_defaults_and_speedups() {
-        // A report predating the backend dimension parses as scalar.
-        let legacy = "{\"id\": \"a\", \"phase\": \"before\", \"ns\": 100.0}";
-        let parsed = BenchReport::parse_entries(legacy);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].backend, "scalar");
-
-        // An avx2 `after` with only a scalar `before` pairs with it
-        // (the fallback trajectory), and after-scalar vs after-avx2
-        // shows up in the backend_speedup section.
+    fn bench_report_push_replaces_same_id_and_backend() {
         let mut r = BenchReport::new("x", "");
-        r.push_backend("a", "before", "scalar", 100.0);
-        r.push_backend("a", "after", "scalar", 40.0);
-        r.push_backend("a", "after", "avx2", 20.0);
-        assert_eq!(
-            r.speedups(),
-            vec![
-                ("a".to_string(), "scalar".to_string(), 2.5),
-                ("a".to_string(), "avx2".to_string(), 5.0),
-            ]
-        );
-        r.push_backend("a", "after", "avx512ifma", 10.0);
+        r.push_backend("a", "scalar", 50.0);
+        r.push_backend("a", "avx2", 30.0);
+        r.push_backend("a", "scalar", 20.0);
+        assert_eq!(r.entries.len(), 2);
+        assert_eq!(r.ns("a", "scalar"), Some(20.0));
+        assert_eq!(r.ns("a", "avx2"), Some(30.0));
+        assert_eq!(r.ns("b", "scalar"), None);
+        // push() stamps the live backend label, one of the three.
+        let mut live = BenchReport::new("y", "");
+        live.push("b", 1.0);
+        assert!(["scalar", "avx2", "avx512ifma"].contains(&live.entries[0].backend.as_str()));
+    }
+
+    #[test]
+    fn backend_speedups_divide_rows_of_one_run() {
+        let mut r = BenchReport::new("x", "");
+        r.push_backend("a", "scalar", 40.0);
+        r.push_backend("a", "avx2", 20.0);
+        r.push_backend("a", "avx512ifma", 10.0);
+        // No scalar row, no factor.
+        r.push_backend("b", "avx2", 5.0);
         assert_eq!(
             r.backend_speedups(),
             vec![
@@ -453,29 +350,8 @@ mod tests {
             ]
         );
         let json = r.to_json();
-        assert!(json.contains("\"backend\": \"avx2\""), "{json}");
         assert!(json.contains("\"backend_speedup\""), "{json}");
-        // push() stamps the live backend label — one of the three.
-        let mut live = BenchReport::new("y", "");
-        live.push("b", "after", 1.0);
-        assert!(["scalar", "avx2", "avx512ifma"].contains(&live.entries[0].backend.as_str()));
-    }
-
-    #[test]
-    fn meta_renders_and_does_not_confuse_entry_parsing() {
-        let mut r = BenchReport::new("x", "");
-        r.set_meta("spawn_events", "4");
-        r.set_meta("warm_allocs", "0");
-        r.set_meta("spawn_events", "8"); // replaces in place
-        r.push_backend("a", "after", "scalar", 10.0);
-        let json = r.to_json();
-        assert!(json.contains("\"meta\": {"), "{json}");
-        assert!(json.contains("\"spawn_events\": 8,"), "{json}");
-        assert!(json.contains("\"warm_allocs\": 0\n"), "{json}");
-        // Meta lines are not mistaken for measurement entries.
-        assert_eq!(BenchReport::parse_entries(&json).len(), 1);
-        // A report with no meta renders none.
-        assert!(!BenchReport::new("y", "").to_json().contains("\"meta\""));
+        assert!(!json.contains("\"speedup\""), "{json}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The exact big-integer multiplication oracle, the reference the
 //! full-RNS multiplication ([`crate::rns_mul`]) is checked against.
-//! Tests and `bench_mul --phase before` build it from a context and call
-//! it directly; no runtime path does, so a context does not carry its
-//! extended basis.
+//! Tests and `bench_mul` (which times its multiply in the same run as
+//! the RNS path) build it from a context and call it directly; no
+//! runtime path does, so a context does not carry its extended basis.
 
 use crate::bfv::{BfvContext, Ciphertext, FheError};
 use crate::bigint::UBig;

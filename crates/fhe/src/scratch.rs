@@ -42,8 +42,8 @@
 //! count every freshly allocated coefficient row in a thread-local
 //! [`poly_alloc_count`], and the warm-path tests in `fhe`/`hhe` assert
 //! it stays flat across a warm pass. Release builds keep only the
-//! cheap global [`stats`] counters (hits/misses/evictions), which
-//! `bench_hotpath` reports as `warm_allocs`.
+//! cheap global [`stats`] counters (hits/misses/evictions), which the
+//! wall-clock benchmark (`perfbench`) reports as its scratch miss ratio.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,8 +139,8 @@ pub struct ScratchStats {
     pub local_hits: u64,
     /// Requests served from the global overflow bin.
     pub global_hits: u64,
-    /// Requests that allocated fresh rows — the steady-state
-    /// `warm_allocs` figure; 0 once every working buffer recirculates.
+    /// Requests that allocated fresh rows; 0 in steady state, once
+    /// every working buffer recirculates.
     pub misses: u64,
     /// Bundles freed because a pool exceeded its capacity bound.
     pub evicted_bundles: u64,

@@ -602,7 +602,7 @@ impl Sim {
                 // Dropped on the air: the client sees a retransmit
                 // timeout and backs off.
                 self.report.link_dropped += 1;
-                self.retry(now_us, device, true);
+                self.retry(now_us, device);
             }
         }
     }
@@ -613,18 +613,13 @@ impl Sim {
             SubmitOutcome::Accepted { seq, .. } => {
                 self.pending.insert(seq, device);
             }
-            SubmitOutcome::Refused { reason, nack } => {
-                // The NACK's typed reason survives the (reliable) return
-                // path; untyped legacy NACKs are treated as retryable.
-                let retryable = nack
-                    .refusal_reason()
-                    .is_none_or(RefusalReason::is_retryable);
-                self.on_refusal(now_us, device, reason, retryable);
-            }
+            SubmitOutcome::Refused { reason, .. } => self.on_refusal(now_us, device, reason),
         }
     }
 
-    fn on_refusal(&mut self, now_us: u64, device: usize, reason: RefusalReason, retryable: bool) {
+    /// Reacts to a typed refusal: re-open on an expired session, back
+    /// off on a retryable reason, give up otherwise.
+    fn on_refusal(&mut self, now_us: u64, device: usize, reason: RefusalReason) {
         match reason {
             RefusalReason::SessionExpired => {
                 // Re-establish under a fresh nonce and re-encrypt.
@@ -639,7 +634,7 @@ impl Sim {
                 let backoff = self.backoff_us(self.devices[device].attempts);
                 self.schedule(now_us + backoff, Event::Start { device });
             }
-            _ if retryable => self.retry(now_us, device, false),
+            _ if reason.is_retryable() => self.retry(now_us, device),
             _ => {
                 self.report.gave_up += 1;
                 self.next_request(now_us, device);
@@ -647,9 +642,9 @@ impl Sim {
         }
     }
 
-    /// Client-side retry with exponential backoff; `timeout` marks a
-    /// link-loss retransmission (no NACK was received).
-    fn retry(&mut self, now_us: u64, device: usize, _timeout: bool) {
+    /// Client-side retransmission with exponential backoff, after a
+    /// link loss or a retryable NACK.
+    fn retry(&mut self, now_us: u64, device: usize) {
         let attempts = {
             let d = &mut self.devices[device];
             d.attempts += 1;
@@ -695,7 +690,7 @@ impl Sim {
                     let Some(device) = self.pending.remove(&seq) else {
                         continue;
                     };
-                    self.on_refusal(at_us, device, reason, reason.is_retryable());
+                    self.on_refusal(at_us, device, reason);
                 }
             }
         }

@@ -666,6 +666,13 @@ impl PastaServer {
     /// Opens a session for `tenant` under `nonce` (the session ID; see
     /// [`crate::session`] for the replay rules).
     ///
+    /// The call first sweeps the tenant's sessions idle past
+    /// `idle_timeout_us` at `now_us`, so a tenant holds only the
+    /// sessions opened or touched within one idle timeout. That relies
+    /// on the `open_session`/`submit` stamps of one tenant never
+    /// decreasing (the edge's own clock); `poll` stamps may run ahead of
+    /// them and do not sweep.
+    ///
     /// # Errors
     ///
     /// [`RefusalReason::SessionExpired`] for an unknown tenant or a
@@ -680,6 +687,7 @@ impl PastaServer {
             self.stats.refused_session += 1;
             return Err(RefusalReason::SessionExpired);
         };
+        t.sessions.expire_idle(now_us);
         t.sessions.open(now_us, nonce).inspect_err(|_| {
             self.stats.refused_session += 1;
         })

@@ -28,7 +28,8 @@ pub struct SessionTable {
 
 impl SessionTable {
     /// An empty table; sessions idle longer than `idle_timeout_us` are
-    /// expired on their next touch (or by [`SessionTable::expire_idle`]).
+    /// expired on their next touch or by [`SessionTable::expire_idle`],
+    /// which the server runs on every open.
     #[must_use]
     pub fn new(idle_timeout_us: u64) -> Self {
         SessionTable {
@@ -160,5 +161,25 @@ mod tests {
         assert_eq!(table.active_count(), 1);
         assert_eq!(table.age_us(150, 3), Some(150));
         assert_eq!(table.age_us(150, 0), None);
+    }
+
+    #[test]
+    fn sweep_on_open_bounds_the_table_and_keeps_nonces_burned() {
+        // The server's order: sweep at the open's stamp, then open. With
+        // opens spaced beyond the timeout, only the newest stays active.
+        let timeout = 1_000;
+        let mut table = SessionTable::new(timeout);
+        for nonce in 0..50u128 {
+            let now = nonce as u64 * (timeout + 1);
+            table.expire_idle(now);
+            table.open(now, nonce).unwrap();
+            assert_eq!(table.active_count(), 1);
+        }
+        assert_eq!(table.expired_count(), 49);
+        // A swept session's nonce is still refused on re-open.
+        let now = 50 * (timeout + 1);
+        table.expire_idle(now);
+        assert_eq!(table.open(now, 3), Err(RefusalReason::SessionExpired));
+        assert_eq!(table.open(now, 49), Err(RefusalReason::SessionExpired));
     }
 }

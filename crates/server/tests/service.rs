@@ -173,6 +173,28 @@ fn unknown_tenants_and_sessions_are_refused() {
 }
 
 #[test]
+fn idle_sessions_are_swept_when_the_tenant_opens_another() {
+    let mut fx = common::fixture(ServerConfig {
+        idle_timeout_us: 1_000,
+        ..ServerConfig::default()
+    });
+    let msg = fx.side.message(2);
+    fx.server.open_session(0, fx.side.tenant, 11).unwrap();
+    expect_accept(
+        fx.server
+            .submit(10, fx.side.tenant, &fx.side.data_frame(11, 0, &msg)),
+    );
+    let events = fx.server.poll(100);
+    assert!(matches!(events.as_slice(), [ServerEvent::Completed(_)]));
+    // Served, then never touched again: the next open, past the idle
+    // timeout, sweeps it.
+    assert_eq!(fx.server.stats().sessions_expired, 0);
+    fx.server.open_session(2_000, fx.side.tenant, 12).unwrap();
+    assert_eq!(fx.server.stats().sessions_expired, 1);
+    assert_eq!(fx.server.stats().refused_session, 0);
+}
+
+#[test]
 fn idle_sessions_expire_and_stay_burned() {
     let mut fx = common::fixture(ServerConfig {
         idle_timeout_us: 1_000,
