@@ -3,9 +3,10 @@
 //! Measures BFV ciphertext multiply, square and multiply-relinearize,
 //! plus the S-box's square-relinearize at the three rings the
 //! wall-clock benchmark runs (N = 1024 with 6, 8 and 11 × 50-bit
-//! primes) and one PASTA-4 affine row (`BfvContext::dot_periodic` over
-//! 32 inputs: period 1, the scalar pass, at 6 primes, and period 8, a
-//! mux pass, at 11), on every SIMD backend the CPU supports, and renders
+//! primes) and one PASTA-4 affine layer-half (`BfvContext::dot_periodic`,
+//! 32 rows over 32 inputs: period 1, the scalar pass, at 6 primes, and
+//! period 8, a mux pass, at 11), on every SIMD backend the CPU supports,
+//! and renders
 //! `BENCH_mul.json` via [`pasta_bench::report::BenchReport`]. The same
 //! run times the **bigint oracle**'s multiply ([`MulOracle::mul`], the
 //! exact CRT-reconstruct / big-integer scaled-rounding path, called
@@ -40,20 +41,20 @@ enum Ops {
     Products,
     /// `square_relin` only (the S-box product).
     SquareRelin,
-    /// One affine row: `dot_periodic` over 32 inputs (the PASTA-4 `t`)
-    /// with weights of this period.
-    AffineRow(usize),
+    /// One affine layer-half: `dot_periodic` of 32 rows over 32 inputs
+    /// (the PASTA-4 `t`) with weights of this period.
+    AffineHalf(usize),
 }
 
-/// The inputs and weights of one PASTA-4 affine row at period `k`: 32
-/// ciphertexts, in the NTT domain when `k > 1` as the circuit hands
-/// them over.
-fn affine_row(
+/// The inputs and weight rows of one PASTA-4 affine layer-half at
+/// period `k`: 32 ciphertexts, in the NTT domain when `k > 1` as the
+/// circuit hands them over, and 32 rows of 32 weights.
+fn affine_half(
     ctx: &BfvContext,
     k: usize,
     random_ct: impl Fn(&mut StdRng) -> Ciphertext,
     rng: &mut StdRng,
-) -> (Vec<Ciphertext>, Vec<PeriodicPlaintext>) {
+) -> (Vec<Ciphertext>, Vec<Vec<PeriodicPlaintext>>) {
     const T: usize = 32;
     let plain = ctx.params().plain_modulus;
     let encoder = BatchEncoder::new(plain, ctx.params().n).expect("batching ring");
@@ -66,13 +67,18 @@ fn affine_row(
             ct
         })
         .collect();
-    let weights = (0..T)
+    let rows = (0..T)
         .map(|_| {
-            let values: Vec<u64> = (0..k).map(|_| rng.gen_range(0..plain.value())).collect();
-            encoder.encode_periodic(&values)
+            (0..T)
+                .map(|_| {
+                    let values: Vec<u64> =
+                        (0..k).map(|_| rng.gen_range(0..plain.value())).collect();
+                    encoder.encode_periodic(&values)
+                })
+                .collect()
         })
         .collect();
-    (inputs, weights)
+    (inputs, rows)
 }
 
 /// Benchmarks one parameter set on every available backend, pushing
@@ -98,13 +104,13 @@ fn bench_set(
         ctx.encrypt(&pk, &pt, rng)
     };
     let (a, b) = (&random_ct(&mut rng), &random_ct(&mut rng));
-    let (inputs, weights) = match which {
-        Ops::AffineRow(k) => affine_row(ctx, k, random_ct, &mut rng),
+    let (inputs, rows) = match which {
+        Ops::AffineHalf(k) => affine_half(ctx, k, random_ct, &mut rng),
         _ => (Vec::new(), Vec::new()),
     };
-    let (inputs, weights) = (&inputs, &weights);
+    let (inputs, rows) = (&inputs, &rows);
     let reps: u64 = if opts.quick { 1 } else { 5 };
-    let mut scalar_out: Vec<(String, Ciphertext)> = Vec::new();
+    let mut scalar_out: Vec<(String, Vec<Ciphertext>)> = Vec::new();
     let mut mismatches = Vec::new();
 
     // Measure every available SIMD backend in-process; a backend the
@@ -114,23 +120,23 @@ fn bench_set(
         if simd::force_backend(Some(backend)) != backend {
             continue;
         }
-        type Op<'a> = Box<dyn FnMut() -> Ciphertext + 'a>;
+        type Op<'a> = Box<dyn FnMut() -> Vec<Ciphertext> + 'a>;
         let ops: Vec<(&str, Op)> = match which {
             Ops::Products => vec![
-                ("mul", Box::new(|| ctx.mul(a, b).expect("mul"))),
-                ("square", Box::new(|| ctx.square(a).expect("square"))),
+                ("mul", Box::new(|| vec![ctx.mul(a, b).expect("mul")])),
+                ("square", Box::new(|| vec![ctx.square(a).expect("square")])),
                 (
                     "mul_relin",
-                    Box::new(|| ctx.mul_relin(a, b, rk).expect("mul_relin")),
+                    Box::new(|| vec![ctx.mul_relin(a, b, rk).expect("mul_relin")]),
                 ),
             ],
             Ops::SquareRelin => vec![(
                 "square_relin",
-                Box::new(|| ctx.square_relin(a, rk).expect("square_relin")),
+                Box::new(|| vec![ctx.square_relin(a, rk).expect("square_relin")]),
             )],
-            Ops::AffineRow(_) => vec![(
-                "affine_row",
-                Box::new(|| ctx.dot_periodic(inputs, weights).expect("affine row")),
+            Ops::AffineHalf(_) => vec![(
+                "affine_half",
+                Box::new(|| ctx.dot_periodic(inputs, rows).expect("affine half")),
             )],
         };
         for (op, f) in ops {
@@ -217,8 +223,9 @@ fn main() {
         ));
     }
 
-    // One PASTA-4 affine row (32 inputs): the scalar pass's period 1
-    // at its 6 primes, and a mux pass of 5–8 blocks at 11 primes.
+    // One PASTA-4 affine layer-half (32 rows over 32 inputs): the
+    // scalar pass's period 1 at its 6 primes, and a mux pass of 5–8
+    // blocks at 11 primes.
     for (primes, period) in [(6, 1), (11, 8)] {
         mismatches.extend(bench_set(
             &mut report,
@@ -229,7 +236,7 @@ fn main() {
                 ..BfvParams::test_tiny()
             },
             &format!("N=1024/k={primes}/period={period}"),
-            Ops::AffineRow(period),
+            Ops::AffineHalf(period),
         ));
     }
 

@@ -25,6 +25,11 @@ use rand::Rng;
 use std::error::Error;
 use std::fmt;
 
+/// Column-tile width of [`BfvContext::dot_periodic`]: with a PASTA-4
+/// half's 32 inputs a tile is 32 KiB of input rows, which stays in L1/L2
+/// while every output row of the call reads it.
+pub const DOT_TILE: usize = 128;
+
 /// Errors from the FHE substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -611,24 +616,41 @@ impl BfvContext {
         }
     }
 
-    /// Adds the public scalar `Δ·value` to the ciphertext in place —
-    /// O(k) work (one constant coefficient per prime) instead of a full
-    /// plaintext encode. This is how a symmetric-ciphertext element
-    /// enters `Enc(m) = Δ·c − Enc(KS)`.
+    /// Adds the public scalar `Δ·value` to the ciphertext in place — the
+    /// period-1 [`BfvContext::add_periodic_assign`], one constant
+    /// coefficient per prime instead of a full plaintext encode. This is
+    /// how a symmetric-ciphertext element enters `Enc(m) = Δ·c − Enc(KS)`.
     pub fn add_scalar_assign(&self, ct: &mut Ciphertext, value: u64) {
-        let v = value % self.plain.p();
+        let pt = PeriodicPlaintext {
+            coeffs: vec![value % self.plain.p()],
+            n: self.params.n,
+        };
+        self.add_periodic_assign(ct, &pt);
+    }
+
+    /// Adds `Δ·m` for a periodic plaintext `m` to the ciphertext in
+    /// place: `Δ·c_i` to coefficient `i·N/k` of `c0`, O(k) work per
+    /// prime. The coefficients [`PeriodicPlaintext::expand`] fills with
+    /// zeros add nothing, so this is bit-identical to
+    /// [`BfvContext::add_plain_assign`] on the expansion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plaintext's ring degree is not the context's.
+    pub fn add_periodic_assign(&self, ct: &mut Ciphertext, pt: &PeriodicPlaintext) {
+        assert_eq!(pt.n, self.params.n, "plaintext ring degree mismatch");
         let level = self.level_of(ct);
-        let dv: Vec<u64> = level
+        let dm: Vec<u64> = level
             .delta_rns
             .iter()
             .enumerate()
-            .map(|(i, &d)| {
+            .flat_map(|(i, &d)| {
                 let zp = self.basis.zp(i);
-                zp.mul(d, v % zp.p())
+                pt.coeffs.iter().map(move |&c| zp.mul(d, c % zp.p()))
             })
             .collect();
         ct.polys[0].to_coeff(&self.basis);
-        ct.polys[0].add_assign_coeff0(&level.basis, &dv);
+        ct.polys[0].add_assign_periodic(&level.basis, &dm);
     }
 
     /// Adds a plaintext to a ciphertext (`c0 += Δ·m`).
@@ -766,45 +788,54 @@ impl BfvContext {
         Ok(())
     }
 
-    /// The affine-row kernel: `Σ_j weights[j] ⊙ inputs[j]`, reduced once
-    /// per output coefficient instead of once per term. Per RNS prime,
-    /// each weight's `k` compact coefficients take the `k`-point
+    /// The affine layer-half kernel: output `o` is
+    /// `Σ_j rows[o][j] ⊙ inputs[j]`, reduced once per output coefficient
+    /// instead of once per term, for every row of weights in one pass
+    /// over the inputs. Per RNS prime, each weight's `k` compact
+    /// coefficients take the `k`-point
     /// [`crate::ntt::NttTable::forward_prefix`], whose value `m` is the
-    /// weight of the `m`-th run of `N/k` NTT slots, and each run of every
-    /// component row of the output is one [`pasta_math::simd::dot_mod`]
-    /// over the inputs' rows. The sums are the canonical residues a
+    /// weight of the `m`-th run of `N/k` NTT slots. Each component row
+    /// is then walked in tiles of [`DOT_TILE`] columns inside one run (a
+    /// whole run when `N/k` is narrower): the inputs' rows of a tile are
+    /// gathered once, and every output row makes one
+    /// [`pasta_math::simd::dot_mod`] over them, so the tile is read from
+    /// cache by all rows instead of each row streaming the whole
+    /// layer-half. The sums are the canonical residues a
     /// [`BfvContext::add_mul_plain_assign`] per term on
-    /// [`PeriodicPlaintext::expand`] accumulates, so the result is
-    /// bit-identical to it.
+    /// [`PeriodicPlaintext::expand`] accumulates, so each output is
+    /// bit-identical to it, whatever rows share the call.
     ///
     /// At period `k = 1` every weight is a constant, which commutes with
     /// the transform: the kernel works in whatever domain the inputs are
-    /// in (component by component), and so does the output. At `k > 1`
-    /// the inputs must be in NTT domain, and so is the output.
+    /// in (component by component), and so do the outputs. At `k > 1`
+    /// the inputs must be in NTT domain, and so are the outputs.
     ///
     /// # Errors
     ///
-    /// Returns [`FheError::Incompatible`] unless there is one weight per
-    /// input (at least one), the weights share one period and the ring
-    /// degree, and the inputs share component count, level and domains,
-    /// NTT at `k > 1`.
+    /// Returns [`FheError::Incompatible`] unless there is at least one
+    /// input and one row, every row holds one weight per input, the
+    /// weights share one period and the ring degree, and the inputs
+    /// share component count, level and domains, NTT at `k > 1`.
     pub fn dot_periodic(
         &self,
         inputs: &[Ciphertext],
-        weights: &[PeriodicPlaintext],
-    ) -> Result<Ciphertext, FheError> {
+        rows: &[Vec<PeriodicPlaintext>],
+    ) -> Result<Vec<Ciphertext>, FheError> {
         let incompatible = |why: &str| Err(FheError::Incompatible(why.into()));
         let (Some(first), Some(k)) = (
             inputs.first(),
-            weights.first().map(PeriodicPlaintext::period),
+            rows.first()
+                .and_then(|row| row.first())
+                .map(PeriodicPlaintext::period),
         ) else {
-            return incompatible("a dot product needs at least one input");
+            return incompatible("a dot product needs at least one input and one row");
         };
-        if inputs.len() != weights.len() {
-            return incompatible("a dot product needs one weight per input");
+        if rows.iter().any(|row| row.len() != inputs.len()) {
+            return incompatible("a dot product needs one weight per input in every row");
         }
-        if weights
+        if rows
             .iter()
+            .flatten()
             .any(|w| w.period() != k || w.n != self.params.n)
         {
             return incompatible("weights differ in period or ring degree");
@@ -822,68 +853,84 @@ impl BfvContext {
             return incompatible("a periodic weight needs NTT-domain inputs");
         }
         let (n, level) = (self.params.n, first.level());
-        let mut out: Vec<Vec<Vec<u64>>> = domains
+        let mut out: Vec<Vec<Vec<Vec<u64>>>> = rows
             .iter()
-            .map(|_| crate::scratch::take_rows(level, n))
+            .map(|_| {
+                domains
+                    .iter()
+                    .map(|_| crate::scratch::take_rows(level, n))
+                    .collect()
+            })
             .collect();
         // `dot_mod` wraps at 2¹²⁸: call it on at most `chunk` canonical
-        // products of the widest prime at a time (a whole PASTA row, up
+        // products of the widest prime at a time (a whole PASTA half, up
         // to 128 inputs, is one call on primes below 2⁶⁰).
         let widest = (0..level).map(|i| self.basis.zp(i).p()).max().unwrap_or(2);
         let chunk = (u128::MAX / u128::from(widest - 1).pow(2)).min(inputs.len() as u128) as usize;
-        // Row 0: each weight's compact transform; row 1: the same values
-        // run-major, one weight set per run.
-        let mut buf = crate::scratch::take_rows(2, chunk * k);
-        let (compact, set) = buf.split_at_mut(1);
-        let (compact, set) = (&mut compact[0], &mut set[0]);
-        let run = n / k;
-        let mut partial = crate::scratch::take_rows(1, run);
+        let (run, width) = (n / k, (n / k).min(DOT_TILE));
+        // One weight's compact transform; every row's transformed
+        // weights for one chunk of `r` inputs, run-major per row (the
+        // weight set of row `o`, run `m` is `sets[(o·k + m)·r..][..r]`);
+        // a later chunk's partial sums of one tile.
+        let mut bufs = [
+            crate::scratch::take_rows(1, k),
+            crate::scratch::take_rows(1, rows.len() * chunk * k),
+            crate::scratch::take_rows(1, width),
+        ];
+        let [compact, sets, partial] = bufs.each_mut().map(|b| &mut b[0]);
         let mut src: Vec<&[u64]> = Vec::with_capacity(chunk);
         let be = pasta_math::simd::backend();
         for i in 0..level {
             let table = self.basis.table(i);
-            let p = table.zp().p();
-            for (g, (xs, ws)) in inputs.chunks(chunk).zip(weights.chunks(chunk)).enumerate() {
+            let zp = table.zp();
+            let p = zp.p();
+            for (g, start) in (0..inputs.len()).step_by(chunk).enumerate() {
+                let xs = &inputs[start..inputs.len().min(start + chunk)];
                 let r = xs.len();
-                for (dst, w) in compact.chunks_exact_mut(k).zip(ws) {
-                    for (d, &v) in dst.iter_mut().zip(&w.coeffs) {
-                        *d = v % p;
+                for (o, row) in rows.iter().enumerate() {
+                    for (j, w) in row[start..start + r].iter().enumerate() {
+                        for (d, &v) in compact.iter_mut().zip(&w.coeffs) {
+                            *d = v % p;
+                        }
+                        table.forward_prefix(compact);
+                        for (m, &v) in compact.iter().enumerate() {
+                            sets[(o * k + m) * r + j] = v;
+                        }
                     }
-                    table.forward_prefix(dst);
                 }
-                for (j, values) in compact[..r * k].chunks_exact(k).enumerate() {
-                    for (m, &v) in values.iter().enumerate() {
-                        set[m * r + j] = v;
-                    }
-                }
-                for (c, rows) in out.iter_mut().enumerate() {
-                    let runs = set[..r * k]
-                        .chunks_exact(r)
-                        .zip(rows[i].chunks_exact_mut(run));
-                    for (m, (run_set, dst)) in runs.enumerate() {
+                for c in 0..domains.len() {
+                    for col in (0..n).step_by(width) {
+                        let tile = col..col + width;
                         src.clear();
-                        src.extend(xs.iter().map(|x| &x.polys[c].row(i)[m * run..]));
-                        if g == 0 {
-                            pasta_math::simd::dot_mod_with(be, p, &src, run_set, dst);
-                        } else {
-                            pasta_math::simd::dot_mod_with(be, p, &src, run_set, &mut partial[0]);
-                            for (o, &v) in dst.iter_mut().zip(&partial[0]) {
-                                *o = table.zp().add(*o, v);
+                        src.extend(xs.iter().map(|x| &x.polys[c].row(i)[tile.clone()]));
+                        let m = col / run;
+                        for (o, dst) in out.iter_mut().enumerate() {
+                            let weights = &sets[(o * k + m) * r..][..r];
+                            let dst = &mut dst[c][i][tile.clone()];
+                            if g == 0 {
+                                pasta_math::simd::dot_mod_with(be, p, &src, weights, dst);
+                            } else {
+                                pasta_math::simd::dot_mod_with(be, p, &src, weights, partial);
+                                for (acc, &v) in dst.iter_mut().zip(partial.iter()) {
+                                    *acc = zp.add(*acc, v);
+                                }
                             }
                         }
                     }
                 }
             }
         }
-        crate::scratch::put_rows(partial);
-        crate::scratch::put_rows(buf);
-        Ok(Ciphertext {
-            polys: out
-                .into_iter()
-                .zip(domains)
-                .map(|(rows, is_ntt)| RnsPoly::from_rows(rows, is_ntt))
-                .collect(),
-        })
+        bufs.into_iter().for_each(crate::scratch::put_rows);
+        Ok(out
+            .into_iter()
+            .map(|polys| Ciphertext {
+                polys: polys
+                    .into_iter()
+                    .zip(&domains)
+                    .map(|(rows, &is_ntt)| RnsPoly::from_rows(rows, is_ntt))
+                    .collect(),
+            })
+            .collect())
     }
 
     /// Multiplies a ciphertext by a plaintext scalar (cheap: no NTT).

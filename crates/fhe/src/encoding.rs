@@ -393,7 +393,7 @@ mod tests {
         (inputs, weights)
     }
 
-    /// The affine-row kernel against the per-term reference: one
+    /// A one-row layer-half kernel against the per-term reference: one
     /// `add_mul_plain_assign` on each expanded weight, for every period
     /// `k ≤ N`, every available backend and, at `k = 1`, both domains.
     #[test]
@@ -419,13 +419,18 @@ mod tests {
                 }
                 let mut want_coeff = want.clone();
                 ctx.to_coeff_ct(&mut want_coeff);
+                let row = std::slice::from_ref(&weights);
                 for &backend in &backends {
                     force_backend(Some(backend));
-                    let got = ctx.dot_periodic(&ntt, &weights).unwrap();
-                    assert_eq!(got, want, "n={n} k={k} {backend:?}");
+                    let got = ctx.dot_periodic(&ntt, row).unwrap();
+                    assert_eq!(got, [want.clone()], "n={n} k={k} {backend:?}");
                     if k == 1 {
-                        let got = ctx.dot_periodic(&coeff, &weights).unwrap();
-                        assert_eq!(got, want_coeff, "coefficient domain n={n} {backend:?}");
+                        let got = ctx.dot_periodic(&coeff, row).unwrap();
+                        assert_eq!(
+                            got,
+                            [want_coeff.clone()],
+                            "coefficient domain n={n} {backend:?}"
+                        );
                     }
                 }
                 force_backend(None);
@@ -469,7 +474,7 @@ mod tests {
                 ctx.add_mul_plain_assign(&mut want, &prepared, &w.expand())
                     .unwrap();
             }
-            assert_eq!(ctx.dot_periodic(&inputs, &weights).unwrap(), want);
+            assert_eq!(ctx.dot_periodic(&inputs, &[weights]).unwrap(), [want]);
         }
     }
 
@@ -480,17 +485,119 @@ mod tests {
         let mut ntt = coeff.clone();
         ntt.iter_mut().for_each(|x| ctx.to_ntt_ct(x));
         let periodic = weights_of(4);
+        let row = std::slice::from_ref(&periodic);
         // A periodic weight does not commute with the transform.
-        assert!(ctx.dot_periodic(&coeff, &periodic).is_err());
-        assert!(ctx.dot_periodic(&ntt, &periodic).is_ok());
+        assert!(ctx.dot_periodic(&coeff, row).is_err());
+        assert!(ctx.dot_periodic(&ntt, row).is_ok());
         let mut mixed = periodic.clone();
         mixed[1] = weights_of(2).swap_remove(0);
-        assert!(ctx.dot_periodic(&ntt, &mixed).is_err());
-        assert!(ctx.dot_periodic(&ntt, &periodic[..1]).is_err());
-        assert!(ctx.dot_periodic(&[], &[]).is_err());
+        assert!(ctx.dot_periodic(&ntt, &[mixed]).is_err());
+        assert!(ctx.dot_periodic(&ntt, &[periodic[..1].to_vec()]).is_err());
+        assert!(ctx.dot_periodic(&[], &[vec![]]).is_err());
         let scalar = weights_of(1);
         let domains = [ntt[0].clone(), coeff[1].clone()];
-        assert!(ctx.dot_periodic(&domains, &scalar).is_err());
+        assert!(ctx.dot_periodic(&domains, &[scalar]).is_err());
+        // Rows of unequal length, a period mixed across rows, and no
+        // rows at all.
+        let ragged = [periodic.clone(), periodic[..1].to_vec()];
+        assert!(ctx.dot_periodic(&ntt, &ragged).is_err());
+        assert!(ctx
+            .dot_periodic(&ntt, &[periodic.clone(), weights_of(2)])
+            .is_err());
+        assert!(ctx.dot_periodic(&ntt, &[]).is_err());
+        assert!(ctx
+            .dot_periodic(&ntt, &[periodic.clone(), periodic])
+            .is_ok());
+    }
+
+    /// The layer-half kernel against one call per row on the scalar
+    /// backend: 1, 3, 32 and 128 rows over 1, 5, 32 and 70 inputs, at
+    /// every period `k ≤ N`, on every backend. The test ring takes all
+    /// sixteen shapes (at N = 256 a column tile is half a run at
+    /// `k = 1` and whole runs from `k = 2`), the paper's N = 1024 ×
+    /// 11-prime ring (tiles inside a run up to `k = 8`) one shape per
+    /// count, and a 62-bit ring the 70-input rows, which the kernel sums
+    /// in several `dot_mod` calls below the u128 bound.
+    #[test]
+    fn dot_periodic_rows_equal_one_call_per_row() {
+        let backends: Vec<Backend> = Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect();
+        let wide = BfvContext::new(BfvParams {
+            prime_bits: 62,
+            prime_count: 2,
+            ..BfvParams::test_tiny()
+        })
+        .unwrap();
+        let [tiny, paper] = rings();
+        let every: Vec<(usize, usize)> = [1, 3, 32, 128]
+            .into_iter()
+            .flat_map(|rows| [1, 5, 32, 70].map(|inputs| (rows, inputs)))
+            .collect();
+        let cases = [
+            (tiny, every),
+            (paper, vec![(1, 70), (3, 5), (32, 32), (128, 1)]),
+            (wide, vec![(3, 70), (128, 70)]),
+        ];
+        for (ctx, shapes) in cases {
+            let n = ctx.params().n;
+            for (rows, count) in shapes {
+                let (mut inputs, mut weights_of) =
+                    dot_operands(&ctx, count, (rows * 97 + count) as u64);
+                inputs.iter_mut().for_each(|x| ctx.to_ntt_ct(x));
+                for k in periods(n) {
+                    let weights: Vec<Vec<PeriodicPlaintext>> =
+                        (0..rows).map(|_| weights_of(k)).collect();
+                    force_backend(Some(Backend::Scalar));
+                    let want: Vec<_> = weights
+                        .iter()
+                        .flat_map(|row| {
+                            ctx.dot_periodic(&inputs, std::slice::from_ref(row))
+                                .unwrap()
+                        })
+                        .collect();
+                    for &backend in &backends {
+                        force_backend(Some(backend));
+                        let got = ctx.dot_periodic(&inputs, &weights).unwrap();
+                        assert!(
+                            got == want,
+                            "n={n} k={k} rows={rows} inputs={count} {backend:?}"
+                        );
+                    }
+                }
+            }
+        }
+        force_backend(None);
+    }
+
+    /// A periodic plaintext adds `Δ·m` on its `k` coefficients only:
+    /// bit-identical to adding its expansion at every period, also on an
+    /// NTT-domain input and below the top level, and
+    /// `add_scalar_assign` is the `k = 1` case.
+    #[test]
+    fn add_periodic_is_the_expanded_plain_add() {
+        for ctx in rings() {
+            let n = ctx.params().n;
+            let (mut inputs, mut weights_of) = dot_operands(&ctx, 2, 0xADD);
+            ctx.to_ntt_ct(&mut inputs[0]);
+            ctx.mod_switch_to(&mut inputs[1], 2).unwrap();
+            for k in periods(n) {
+                let pt = weights_of(k).swap_remove(0);
+                for x in &inputs {
+                    let mut got = x.clone();
+                    ctx.add_periodic_assign(&mut got, &pt);
+                    let mut want = x.clone();
+                    ctx.add_plain_assign(&mut want, &pt.expand());
+                    assert_eq!(got, want, "n={n} k={k}");
+                }
+            }
+            let mut got = inputs[1].clone();
+            ctx.add_scalar_assign(&mut got, 65_537 + 5);
+            let mut want = inputs[1].clone();
+            ctx.add_plain_assign(&mut want, &ctx.encode_scalar(5));
+            assert_eq!(got, want, "n={n} scalar");
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@ use pasta_math::{simd, MathError, Modulus, Zp};
 /// Precomputed NTT tables for one prime and ring degree.
 ///
 /// Twiddles are stored twice: canonical, and in Shoup form
-/// (`w' = ⌊w·2⁶⁴/p⌋`) so the butterflies run Harvey's lazy-reduction
-/// kernel — one high-half multiply per twiddle product, values kept in
-/// `[0, 4p)` (forward) / `[0, 2p)` (inverse) through the transform, with
+/// ([`simd::twiddle_shoup`], radix 2⁵² for the benchmark rings' 50-bit
+/// primes) so the butterflies run Harvey's lazy-reduction kernel — one
+/// high-half multiply per twiddle product, values kept in `[0, 4p)`
+/// (forward) / `[0, 2p)` (inverse) through the transform, with
 /// a single correction pass at the end. Sound because every supported
 /// [`Modulus`] is ≤ 62 bits, so `4p < 2⁶⁴`.
 #[derive(Debug, Clone)]

@@ -645,22 +645,32 @@ impl RnsPoly {
         }
     }
 
-    /// Adds `c[i]` to the constant coefficient of prime row `i` — O(k)
-    /// work, used to inject `Δ·scalar` constants without touching the
-    /// other `N−1` coefficients.
+    /// Adds `c[i·k + m]` to coefficient `m·N/k` of prime row `i`, with
+    /// `k = c.len() / level` — O(k) work per prime, used to inject the
+    /// `Δ·m` of a plaintext `m` in the sub-ring `Z[X^{N/k}]` (a scalar
+    /// at `k = 1`) without touching the other coefficients.
     ///
     /// # Panics
     ///
-    /// Panics in NTT domain (a constant is not slot-constant there) or
-    /// if `c.len() != k`.
-    pub fn add_assign_coeff0(&mut self, basis: &RnsBasis, c: &[u64]) {
+    /// Panics in NTT domain (the coefficients are not slots there) or
+    /// unless `c` holds the same power-of-two count `k ≤ N` of values
+    /// for every prime.
+    pub fn add_assign_periodic(&mut self, basis: &RnsBasis, c: &[u64]) {
         assert!(
             !self.is_ntt,
-            "constant injection requires coefficient domain"
+            "coefficient injection requires coefficient domain"
         );
-        assert_eq!(c.len(), basis.len(), "per-prime scalar count mismatch");
-        for (i, row) in self.coeffs.iter_mut().enumerate() {
-            row[0] = basis.zp(i).add(row[0], c[i]);
+        let k = c.len() / self.coeffs.len().max(1);
+        assert!(
+            k.is_power_of_two() && k * self.coeffs.len() == c.len() && k <= basis.n(),
+            "per-prime coefficient count mismatch"
+        );
+        let stride = basis.n() / k;
+        for (i, (row, ci)) in self.coeffs.iter_mut().zip(c.chunks_exact(k)).enumerate() {
+            let zp = basis.zp(i);
+            for (x, &v) in row.iter_mut().step_by(stride).zip(ci) {
+                *x = zp.add(*x, v);
+            }
         }
     }
 

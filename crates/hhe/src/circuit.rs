@@ -10,11 +10,15 @@
 //! ([`crate::HheServer::transcipher_mux`]) runs a whole bucket per pass
 //! over its composed key.
 //!
-//! Each affine row is one dot product over its layer-half
-//! ([`BfvContext::dot_periodic`]), reduced once per coefficient. A
-//! constant weight commutes with the NTT, so the scalar pass sums its
-//! rows in the coefficient domain and never transforms the state; the
-//! mux pass transforms each input once for the `t` rows that read it.
+//! Each affine row is one dot product over its layer-half, reduced once
+//! per coefficient, and a group of rows is one
+//! [`BfvContext::dot_periodic`], which reads the half's state once, a
+//! cache-sized column tile at a time, for all of the group's rows (the
+//! paper's MatMul unit likewise reads each state element once for all
+//! `t` rows). A constant weight commutes with the NTT, so the scalar
+//! pass sums its rows in the coefficient domain and never transforms
+//! the state; the mux pass transforms each input once for the `t` rows
+//! that read it.
 
 use crate::cache::BlockEntry;
 use pasta_core::PastaParams;
@@ -69,14 +73,20 @@ pub(crate) fn keystream(
 
 /// One affine layer-half: output row `i` is `Σ_j W_ij ⊙ x_j + rc_i`,
 /// where slot `s` of the plaintexts `W_ij` and `rc_i` carries block
-/// `s mod k`'s matrix entry `(i, j)` and round constant `i`. Row `i` is
-/// one [`BfvContext::dot_periodic`] over the whole half, reduced once
-/// per coefficient: the inputs are moved to the NTT domain once for the
-/// `t` rows that read them at `k > 1`, and stay where they are at
-/// `k = 1`, where every weight is a constant. Each `W_ij` is
-/// periodic-encoded, used once and dropped; `rc_i` enters as `Δ·m`
-/// only. The input transforms and the rows fan out across the worker
-/// pool (`PASTA_THREADS`), bit-exact for any thread count.
+/// `s mod k`'s matrix entry `(i, j)` and round constant `i`. Each affine
+/// row is one dot product over its layer-half, reduced once per
+/// coefficient, and the rows are computed in contiguous groups, one
+/// [`BfvContext::dot_periodic`] per group, so each group reads the
+/// half's state once, a cache-sized column tile at a time. The inputs
+/// are moved to the NTT domain once for the `t` rows that read them at
+/// `k > 1`, and stay where they are at `k = 1`, where every weight is a
+/// constant. Each `W_ij` is periodic-encoded, used once and dropped;
+/// `rc_i` enters as `Δ·m` on its `k` coefficients only
+/// ([`BfvContext::add_periodic_assign`]). The input transforms and the
+/// groups, one per worker of the pool (`PASTA_THREADS`), fan out; a
+/// group has at most `2N/k` rows, so its transformed weights per prime
+/// (`rows·t·k` words) stay within the half's own per-prime state. The
+/// result is bit-exact for any thread count.
 fn affine_half(
     ctx: &BfvContext,
     encoder: &BatchEncoder,
@@ -90,36 +100,51 @@ fn affine_half(
             "affine layer applied to an empty state half".into(),
         ));
     }
-    if per_slot.len() > 1 {
+    let k = per_slot.len().next_power_of_two();
+    if k > 1 {
         pasta_par::parallel_for_each_mut(&mut half, |_, ct| ctx.to_ntt_ct(ct));
     }
-    let rows: Vec<usize> = (0..half.len()).collect();
-    pasta_par::parallel_map(&rows, |_, &i| -> Result<FheCiphertext, FheError> {
+    let t = half.len();
+    let cap = (2 * ctx.params().n / k).max(1);
+    let groups = pasta_par::threads().min(t).max(t.div_ceil(cap));
+    let bounds: Vec<(usize, usize)> = (0..groups)
+        .map(|g| (g * t / groups, (g + 1) * t / groups))
+        .collect();
+    let outputs = pasta_par::parallel_map(&bounds, |_, &(lo, hi)| -> Result<_, FheError> {
         let mut slots = vec![0u64; per_slot.len()];
-        let weights: Vec<_> = (0..half.len())
-            .map(|j| {
-                for (v, block) in slots.iter_mut().zip(per_slot) {
-                    let m = &block.matrices[layer];
-                    *v = if is_left {
-                        m.left.get(i, j)
-                    } else {
-                        m.right.get(i, j)
-                    };
-                }
-                encoder.encode_periodic(&slots)
-            })
-            .collect();
-        let mut acc = ctx.dot_periodic(&half, &weights)?;
-        ctx.to_coeff_ct(&mut acc);
-        for (v, block) in slots.iter_mut().zip(per_slot) {
-            let l = &block.material.layers[layer];
-            *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
+        let mut rows = Vec::with_capacity(hi - lo);
+        for i in lo..hi {
+            let row: Vec<_> = (0..t)
+                .map(|j| {
+                    for (v, block) in slots.iter_mut().zip(per_slot) {
+                        let m = &block.matrices[layer];
+                        *v = if is_left {
+                            m.left.get(i, j)
+                        } else {
+                            m.right.get(i, j)
+                        };
+                    }
+                    encoder.encode_periodic(&slots)
+                })
+                .collect();
+            rows.push(row);
         }
-        ctx.add_plain_assign(&mut acc, &encoder.encode_periodic(&slots).expand());
-        Ok(acc)
-    })
-    .into_iter()
-    .collect()
+        let mut accs = ctx.dot_periodic(&half, &rows)?;
+        for (i, acc) in (lo..hi).zip(&mut accs) {
+            ctx.to_coeff_ct(acc);
+            for (v, block) in slots.iter_mut().zip(per_slot) {
+                let l = &block.material.layers[layer];
+                *v = if is_left { l.rc_left[i] } else { l.rc_right[i] };
+            }
+            ctx.add_periodic_assign(acc, &encoder.encode_periodic(&slots));
+        }
+        Ok(accs)
+    });
+    let mut out = Vec::with_capacity(t);
+    for group in outputs {
+        out.extend(group?);
+    }
+    Ok(out)
 }
 
 /// Mix: `(2L + R, 2R + L)` element-wise with additions only.

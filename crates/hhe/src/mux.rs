@@ -52,12 +52,14 @@
 //! The weight and round-constant plaintexts are single-use (their slots
 //! carry per-block material of a nonce the service never accepts twice),
 //! so nothing about them is stored: each weight is batch-encoded,
-//! lifted and forward-transformed inside the task of the row that
+//! lifted and forward-transformed inside the task of the row group that
 //! reads it, then dropped — the software analogue of the paper's MatGen
-//! feeding MatMul row by row. As in the paper's MatMul adder tree, a
-//! row is summed over the `t` NTT-domain inputs of its layer-half and
-//! reduced once per coefficient ([`BfvContext::dot_periodic`]), so no
-//! operand needs Shoup companions.
+//! feeding MatMul. As in the paper's MatMul unit, which reads each state
+//! element once into a multiplier array that feeds all `t` rows, a
+//! group of rows is one [`BfvContext::dot_periodic`] over the `t`
+//! NTT-domain inputs of its layer-half: each column tile of the inputs
+//! is read once for every row of the group, and each row is reduced
+//! once per coefficient, so no operand needs Shoup companions.
 //!
 //! **Periodic layout.** A pass over `b` blocks pays for
 //! `k = b.next_power_of_two()` slots, not `N`: every plaintext of the
@@ -66,8 +68,9 @@
 //! slot `s mod k`, and classes `b..k` carry zeros. Such a plaintext
 //! lives in the sub-ring `Z_t[X^{N/k}]`, so encoding it and
 //! forward-transforming it per RNS prime are `k`-point transforms
-//! ([`BatchEncoder::encode_periodic`],
-//! [`BfvContext::dot_periodic`]). Replica slots compute
+//! ([`BatchEncoder::encode_periodic`], [`BfvContext::dot_periodic`]),
+//! and adding a round constant touches its `k` coefficients only
+//! ([`BfvContext::add_periodic_assign`]). Replica slots compute
 //! exactly what their class representative computes (the key is the
 //! same in every slot of a class), and the unowned classes stay zero
 //! through every layer, so a replica slot decrypts to nothing its
@@ -87,7 +90,7 @@
 //! layer enforces this by only multiplexing tenants that registered
 //! into the same *FHE domain*, which owns one evaluator.
 //!
-//! The composition is built per pass, one
+//! The composition is built per pass, one one-row
 //! [`BfvContext::dot_periodic`] per key element: its inputs are the
 //! members' key ciphertexts, forward-transformed once per distinct key
 //! (told apart by identity), and its weights are their `k`-periodic slot

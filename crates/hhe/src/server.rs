@@ -207,7 +207,7 @@ impl HheServer {
 
     /// The composed cross-tenant key for a bucket of two or more
     /// members, in the NTT domain: element `j` is
-    /// `Σ_m mask_m ⊙ key_m[j]`, one [`BfvContext::dot_periodic`], where
+    /// `Σ_m mask_m ⊙ key_m[j]`, a one-row [`BfvContext::dot_periodic`], where
     /// `mask_m` is the 0/1 plaintext of member `m`'s slot range, periodic
     /// with the pass's period. Each distinct key — told apart by
     /// identity, not by the caller's tenant id — is forward-transformed
@@ -244,7 +244,10 @@ impl HheServer {
                 };
                 keys.push(key);
             }
-            ctx.dot_periodic(&keys, &masks)
+            let mut element = ctx.dot_periodic(&keys, std::slice::from_ref(&masks))?;
+            element
+                .pop()
+                .ok_or_else(|| FheError::Incompatible("no composed key element".into()))
         })
         .into_iter()
         .collect()

@@ -35,16 +35,19 @@
 //! same lazy representative the scalar recurrence produces:
 //!
 //! * The butterflies run the identical lazy recurrence (`mul_shoup_lazy`
-//!   is `a·w − ⌊a·w'/β⌋·p`, a pure function of its u64 inputs), so the
+//!   is `a·w − ⌊a·w'/2⁶⁴⌋·p`, a pure function of its u64 inputs), so the
 //!   intermediate `< 2p` / `< 4p` representatives match word for word.
-//!   All backends pick the same Shoup radix β from the modulus width:
-//!   β = 2⁶⁴ in general (the AVX2 path emulates the 64×64→128 high half
-//!   with four `_mm256_mul_epu32` partial products and a full carry
-//!   chain — no dropped carries, so the quotient is the same integer the
-//!   scalar `u128` shift computes), and β = 2³² below
+//!   All backends pick the same Shoup radix β from the modulus width,
+//!   through the twiddle companion alone: β = 2³² below
 //!   [`SMALL_MODULUS_BOUND`], where every operand fits 32 bits and the
-//!   whole lazy product collapses to three single-width multiplies.
-//!   Twiddle companions must therefore come from [`twiddle_shoup`].
+//!   whole lazy product collapses to three single-width multiplies;
+//!   β = 2⁵² up to [`RADIX52_BOUND`], where the companion
+//!   `⌊w·2⁵²/p⌋·2¹²` makes the radix-2⁶⁴ high half `⌊a·w'/2⁶⁴⌋` the
+//!   radix-2⁵² quotient; and β = 2⁶⁴ above. The AVX2 path emulates the
+//!   64×64→128 high half with four `_mm256_mul_epu32` partial products
+//!   and a full carry chain — no dropped carries, so the quotient is
+//!   the same integer the scalar `u128` shift computes. Twiddle
+//!   companions must therefore come from [`twiddle_shoup`].
 //! * The dot product and the companion-free products
 //!   return canonical residues, the unique values every backend agrees
 //!   on. The scalar dot product keeps its wrapped `u128` accumulator and
@@ -77,30 +80,30 @@
 //!   takes the AVX2 kernel (which hands its own tails to the scalar
 //!   one).
 //!
-//! The stage kernels keep the radix-2⁶⁴ recurrence exactly. With the
-//! twiddle companion split as `w′ = wh·2⁵² + wl` (`wh < 2¹²`,
-//! `wl < 2⁵²`) and a lazy input `y < 2⁵²`,
-//! `y·w′ = hi(y·wh)·2¹⁰⁴ + (lo(y·wh) + hi(y·wl))·2⁵² + lo(y·wl)`, where
-//! `lo`/`hi` are the low/high 52-bit halves. The last term is below 2⁵²,
-//! so adding it to a multiple of 2⁵² cannot reach the next multiple of
-//! 2⁶⁴, and `q = ⌊y·w′/2⁶⁴⌋ = (hi(y·wh) ≪ 40) + ((lo(y·wh) + hi(y·wl)) ≫ 12)`
-//! exactly — the same integer the scalar `u128` shift computes, and
-//! `q ≤ y < 2⁵²`. The remainder `y·w − q·p` lies in `[0, 2p)` and
-//! `2p < 2⁵²`, so it equals `(lo(y·w) − lo(q·p)) mod 2⁵²`. Every lazy
-//! intermediate therefore matches the scalar and AVX2 recurrence word
-//! for word. The element-wise kernels return canonical residues, so
-//! they may use the shorter radix-2⁵² companion `w_shoup ≫ 12`, which
-//! equals `⌊w·2⁵²/p⌋` because the two floor divisions compose; the
-//! Harvey bound `a ≤ 2⁵²` keeps that lazy product `< 2p`, and the
-//! canonical result is the unique residue all backends return. No table
-//! or companion layout depends on the tier.
+//! The stage kernels run the radix-2⁵² recurrence the companion
+//! selects below [`RADIX52_BOUND`]. With `w′ = s·2¹²`,
+//! `s = ⌊w·2⁵²/p⌋ < 2⁵²`, and a lazy input `y < 4p < 2⁵²`, the
+//! quotient `q = ⌊y·w′/2⁶⁴⌋ = ⌊y·s/2⁵²⌋` is `hi(y·s)`, the high 52-bit
+//! half of one IFMA product, where `lo`/`hi` are the low/high 52-bit
+//! halves. The Harvey bound `y ≤ 2⁵²` puts the remainder `y·w − q·p`
+//! in `[0, 2p)` and `2p < 2⁵²`, so it equals
+//! `(lo(y·w) − lo(q·p)) mod 2⁵²`: three `vpmadd52` per vector, and
+//! every lazy intermediate matches the scalar and AVX2 recurrence word
+//! for word. The element-wise kernels take wide-radix `Zp::shoup`
+//! companions and return canonical residues, so they may use the
+//! shorter radix-2⁵² companion `w_shoup ≫ 12`, which equals
+//! `⌊w·2⁵²/p⌋` because the two floor divisions compose; the Harvey
+//! bound `a ≤ 2⁵²` keeps that lazy product `< 2p`, and the canonical
+//! result is the unique residue all backends return. No table or
+//! companion layout depends on the tier.
 //!
 //! The companion-free product `a·b mod p` (canonical `a, b`) is a
 //! radix-2⁵² Barrett reduction: with `n = bits(p)`, the quotient
 //! estimate `hi52(⌊a·b/2ⁿ⁻¹⌋·⌊2ⁿ⁺⁵¹/p⌋)` undershoots by at most 2, so
 //! the remainder is below `3p < 2⁵²` and exact as a low-52-bit
 //! difference. The dot product splits each row value at bit 52 and
-//! keeps three 52-bit-column lane accumulators, then reduces them with
+//! keeps three 52-bit-column lane accumulators, four column vectors side
+//! by side so the multiply–add chains overlap, then reduces them with
 //! one radix-2⁵² Shoup product per column (see `ifma::dot_mod`).
 //!
 //! All `unsafe` stays inside this module: intrinsics are wrapped in
@@ -255,22 +258,36 @@ pub fn force_backend(requested: Option<Backend>) -> Backend {
 /// the wide-radix recurrence. Both the scalar and the vector backend
 /// switch radix on the same bound, so outputs remain bit-identical
 /// across backends at every intermediate stage. This covers the
-/// paper's PASTA plaintext modulus (17-bit) — the wide BFV/NTT primes
-/// (≥ 33 bits) keep the β = 2⁶⁴ radix.
+/// paper's PASTA plaintext modulus (17-bit); the BFV/NTT primes
+/// (≥ 33 bits) take β = 2⁵² below [`RADIX52_BOUND`] and keep β = 2⁶⁴
+/// above it.
 pub const SMALL_MODULUS_BOUND: u64 = 1 << 30;
 
-/// Shoup companion for a butterfly/stage twiddle: `⌊w·β/p⌋` with the
-/// radix the butterfly kernels use for this modulus (β = 2³² below
-/// [`SMALL_MODULUS_BOUND`], β = 2⁶⁴ otherwise). NTT tables must prepare
-/// their twiddle companions with this function — `Zp::shoup` is always
-/// wide-radix and only matches above the bound. The pointwise / MAC /
-/// broadcast-constant kernels are wide-radix for every modulus and keep
-/// taking `Zp::shoup` companions.
+/// Moduli from [`SMALL_MODULUS_BOUND`] up to this bound take the
+/// radix-2⁵² Shoup twiddle companion: every lazy butterfly input is
+/// `< 4p < 2⁵²`, within the Harvey bound `a ≤ β = 2⁵²`, so the lazy
+/// products stay `< 2p`. The companion is stored as `⌊w·2⁵²/p⌋·2¹²`,
+/// so the scalar and AVX2 kernels' `⌊a·w′/2⁶⁴⌋` is that radix's
+/// quotient unchanged, and the IFMA stage kernel reads it with one
+/// `vpmadd52huq` from `w′ ≫ 12`.
+pub const RADIX52_BOUND: u64 = 1 << 50;
+
+/// Shoup companion for a butterfly/stage twiddle, in the radix the
+/// stage kernels use for this modulus: `⌊w·2³²/p⌋` below
+/// [`SMALL_MODULUS_BOUND`] (the narrow-radix kernels shift by 32),
+/// `⌊w·2⁵²/p⌋·2¹²` below [`RADIX52_BOUND`] (so `⌊a·w′/2⁶⁴⌋` is the
+/// radix-2⁵² quotient) and `⌊w·2⁶⁴/p⌋` otherwise. NTT tables must
+/// prepare their twiddle companions with this function — `Zp::shoup`
+/// is always wide-radix and only matches above [`RADIX52_BOUND`]. The
+/// pointwise / MAC / broadcast-constant kernels are wide-radix for
+/// every modulus and keep taking `Zp::shoup` companions.
 #[must_use]
 pub fn twiddle_shoup(p: u64, w: u64) -> u64 {
     debug_assert!(w < p, "twiddle must be canonical");
     if p < SMALL_MODULUS_BOUND {
         ((u128::from(w) << 32) / u128::from(p)) as u64
+    } else if p < RADIX52_BOUND {
+        (((u128::from(w) << 52) / u128::from(p)) as u64) << 12
     } else {
         ((u128::from(w) << 64) / u128::from(p)) as u64
     }
@@ -559,10 +576,12 @@ pub fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
 /// * the BEHZ base conversions of `pasta_fhe::rns_mul`: one row per
 ///   prime of the source basis (a few dozen at most), true sums bounded
 ///   below 2¹²⁶;
-/// * the affine-layer rows of `pasta_fhe::BfvContext::dot_periodic`:
+/// * the affine layer-halves of `pasta_fhe::BfvContext::dot_periodic`:
 ///   one canonical row per PASTA state element of a half (`t` = 32 for
-///   PASTA-4, 128 for PASTA-3), one call per run of `N/k` NTT slots of
-///   a `k`-periodic weight; it splits the rows so that no true sum
+///   PASTA-4, 128 for PASTA-3), one call per output row and column
+///   tile of at most 128 columns inside a run of `N/k` NTT slots of a
+///   `k`-periodic weight, so every output row of a tile reads the same
+///   cache-resident input rows; it splits the rows so that no true sum
 ///   reaches 2¹²⁸.
 ///
 /// Each `rows[i]` must have at least `out.len()` elements.
@@ -1483,17 +1502,17 @@ mod ifma {
         __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
         _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_min_epu64, _mm512_or_si512,
         _mm512_permutex2var_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-        _mm512_setzero_si512, _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi64,
-        _mm512_srlv_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
+        _mm512_setzero_si512, _mm512_sllv_epi64, _mm512_srli_epi64, _mm512_srlv_epi64,
+        _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
     };
 
     const LANES: usize = 8;
     const MASK52: u64 = (1 << 52) - 1;
     /// The IFMA kernels take moduli below this bound: every lazy value
     /// `< 4p` then fits the 52-bit multiplier inputs.
-    const MODULUS_BOUND: u64 = 1 << 50;
+    const MODULUS_BOUND: u64 = super::RADIX52_BOUND;
 
-    /// Whether the stage kernels' radix-2⁶⁴ twiddle companions and lazy
+    /// Whether the stage kernels' radix-2⁵² twiddle companions and lazy
     /// values `< 4p` fit this tier (below 2³⁰ the companions are
     /// radix-2³²).
     fn stage_fits(p: u64) -> bool {
@@ -1547,13 +1566,12 @@ mod ifma {
         _mm512_and_si512(diff, splat(MASK52))
     }
 
-    /// A stage twiddle in lanes: `w` and its radix-2⁶⁴ companion split
-    /// as `w′ = hi·2⁵² + lo`.
+    /// A stage twiddle in lanes: `w` and its radix-2⁵² companion
+    /// `s = w′ ≫ 12 = ⌊w·2⁵²/p⌋`.
     #[derive(Clone, Copy)]
     struct Twiddle {
         w: __m512i,
-        hi: __m512i,
-        lo: __m512i,
+        shoup52: __m512i,
     }
 
     impl Twiddle {
@@ -1562,22 +1580,18 @@ mod ifma {
         fn new(w: __m512i, w_shoup: __m512i) -> Self {
             Twiddle {
                 w,
-                hi: _mm512_srli_epi64::<52>(w_shoup),
-                lo: _mm512_and_si512(w_shoup, splat(MASK52)),
+                shoup52: _mm512_srli_epi64::<12>(w_shoup),
             }
         }
     }
 
     /// Lane-wise scalar `mul_shoup_lazy` for `y < 2⁵²`:
-    /// `y·w − ⌊y·w′/2⁶⁴⌋·p ∈ [0, 2p)`, with the radix-2⁶⁴ quotient
-    /// rebuilt from 52-bit partial products.
+    /// `y·w − ⌊y·s/2⁵²⌋·p ∈ [0, 2p)`, the quotient one high-half
+    /// product.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn mul_shoup_lazy_vec(y: __m512i, tw: Twiddle, p: __m512i) -> __m512i {
-        let zero = _mm512_setzero_si512();
-        let top = _mm512_madd52hi_epu64(zero, y, tw.hi);
-        let mid = _mm512_madd52hi_epu64(_mm512_madd52lo_epu64(zero, y, tw.hi), y, tw.lo);
-        let q = _mm512_add_epi64(_mm512_slli_epi64::<40>(top), _mm512_srli_epi64::<12>(mid));
+        let q = _mm512_madd52hi_epu64(_mm512_setzero_si512(), y, tw.shoup52);
         shoup_remainder(y, tw.w, q, p)
     }
 
@@ -1925,6 +1939,12 @@ mod ifma {
     /// overflow a u64 lane (see [`dot_mod`]).
     const DOT_MAX_ROWS: usize = 1 << 11;
 
+    /// Column vectors the dot product accumulates side by side: each
+    /// row's weight then feeds eight independent multiply–add chains
+    /// instead of two, so a call is bound by IFMA throughput, not by the
+    /// latency of one chain.
+    const DOT_VECTORS: usize = 4;
+
     /// Dot product for `p < 2⁵⁰` and at most [`DOT_MAX_ROWS`] rows,
     /// exact for any u64 row value.
     ///
@@ -1953,62 +1973,108 @@ mod ifma {
             0
         };
         if vec_n > 0 {
+            let red = DotReduction::new(p);
+            let mut c = 0;
+            while c + DOT_VECTORS * LANES <= vec_n {
+                dot_vectors::<DOT_VECTORS>(&red, rows, weights, c, out);
+                c += DOT_VECTORS * LANES;
+            }
+            while c < vec_n {
+                dot_vectors::<1>(&red, rows, weights, c, out);
+                c += LANES;
+            }
+        }
+        super::scalar::dot_mod(p, rows, weights, &mut out[vec_n..], vec_n);
+    }
+
+    /// The lane constants of the dot product's final reduction: the
+    /// three column radices `[2⁵²ⁱ]_p` with their radix-2⁵² companions.
+    struct DotReduction {
+        columns: [(__m512i, __m512i); 3],
+        pv: __m512i,
+        two_pv: __m512i,
+    }
+
+    impl DotReduction {
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn new(p: u64) -> Self {
             let pw = u128::from(p);
             let column = |radix: u128| {
                 let w = (radix % pw) as u64;
                 (splat(w), splat(((u128::from(w) << 52) / pw) as u64))
             };
-            let (c0, c0s) = column(1);
-            let (c1, c1s) = column(1 << 52);
-            let (c2, c2s) = column(1 << 104);
-            let pv = splat(p);
-            let two_pv = splat(2 * p);
-            let mask = splat(MASK52);
-            let mut c = 0;
-            while c < vec_n {
-                let zero = _mm512_setzero_si512();
-                let (mut a0, mut a1, mut a2, mut seen) = (zero, zero, zero, zero);
-                for (row, &w) in rows.iter().zip(weights) {
-                    // SAFETY: c + 8 ≤ vec_n ≤ out.len() ≤ row.len()
-                    // (checked by the dispatcher).
-                    let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c).cast()) };
-                    let wv = splat(w);
-                    a0 = _mm512_madd52lo_epu64(a0, x, wv);
-                    a1 = _mm512_madd52hi_epu64(a1, x, wv);
-                    seen = _mm512_or_si512(seen, x);
-                }
-                if _mm512_test_epi64_mask(seen, splat(!MASK52)) != 0 {
-                    for (row, &w) in rows.iter().zip(weights) {
-                        // SAFETY: as above.
-                        let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c).cast()) };
-                        let xh = _mm512_srli_epi64::<52>(x);
-                        let wv = splat(w);
-                        a1 = _mm512_madd52lo_epu64(a1, xh, wv);
-                        a2 = _mm512_madd52hi_epu64(a2, xh, wv);
-                    }
-                }
-                a1 = _mm512_add_epi64(a1, _mm512_srli_epi64::<52>(a0));
-                a0 = _mm512_and_si512(a0, mask);
-                a2 = _mm512_add_epi64(a2, _mm512_srli_epi64::<52>(a1));
-                a1 = _mm512_and_si512(a1, mask);
-                let r = _mm512_add_epi64(
-                    _mm512_add_epi64(
-                        mul_shoup52_vec(a0, c0, c0s, pv),
-                        mul_shoup52_vec(a1, c1, c1s, pv),
-                    ),
-                    mul_shoup52_vec(a2, c2, c2s, pv),
-                );
-                // SAFETY: c + 8 ≤ vec_n ≤ out.len().
-                unsafe {
-                    _mm512_storeu_si512(
-                        out.as_mut_ptr().add(c).cast(),
-                        cond_sub(cond_sub(r, two_pv), pv),
-                    );
-                }
-                c += LANES;
+            DotReduction {
+                columns: [column(1), column(1 << 52), column(1 << 104)],
+                pv: splat(p),
+                two_pv: splat(2 * p),
             }
         }
-        super::scalar::dot_mod(p, rows, weights, &mut out[vec_n..], vec_n);
+
+        /// Canonical `(a₀ + a₁·2⁵² + a₂·2¹⁰⁴) mod p` of the three lane
+        /// accumulators.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn reduce(&self, a0: __m512i, a1: __m512i, a2: __m512i) -> __m512i {
+            let mask = splat(MASK52);
+            let a1 = _mm512_add_epi64(a1, _mm512_srli_epi64::<52>(a0));
+            let a2 = _mm512_add_epi64(a2, _mm512_srli_epi64::<52>(a1));
+            let [(c0, c0s), (c1, c1s), (c2, c2s)] = self.columns;
+            let r = _mm512_add_epi64(
+                _mm512_add_epi64(
+                    mul_shoup52_vec(_mm512_and_si512(a0, mask), c0, c0s, self.pv),
+                    mul_shoup52_vec(_mm512_and_si512(a1, mask), c1, c1s, self.pv),
+                ),
+                mul_shoup52_vec(a2, c2, c2s, self.pv),
+            );
+            cond_sub(cond_sub(r, self.two_pv), self.pv)
+        }
+    }
+
+    /// Columns `c .. c + 8·V` of the dot product, `V` column vectors
+    /// side by side.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn dot_vectors<const V: usize>(
+        red: &DotReduction,
+        rows: &[&[u64]],
+        weights: &[u64],
+        c: usize,
+        out: &mut [u64],
+    ) {
+        let zero = _mm512_setzero_si512();
+        let (mut a0, mut a1, mut a2, mut seen) = ([zero; V], [zero; V], [zero; V], zero);
+        for (row, &w) in rows.iter().zip(weights) {
+            let wv = splat(w);
+            for v in 0..V {
+                // SAFETY: c + 8·V ≤ vec_n ≤ out.len() ≤ row.len()
+                // (checked by the dispatcher).
+                let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c + v * LANES).cast()) };
+                a0[v] = _mm512_madd52lo_epu64(a0[v], x, wv);
+                a1[v] = _mm512_madd52hi_epu64(a1[v], x, wv);
+                seen = _mm512_or_si512(seen, x);
+            }
+        }
+        if _mm512_test_epi64_mask(seen, splat(!MASK52)) != 0 {
+            for (row, &w) in rows.iter().zip(weights) {
+                let wv = splat(w);
+                for v in 0..V {
+                    // SAFETY: as above.
+                    let x = unsafe { _mm512_loadu_si512(row.as_ptr().add(c + v * LANES).cast()) };
+                    let xh = _mm512_srli_epi64::<52>(x);
+                    a1[v] = _mm512_madd52lo_epu64(a1[v], xh, wv);
+                    a2[v] = _mm512_madd52hi_epu64(a2[v], xh, wv);
+                }
+            }
+        }
+        for v in 0..V {
+            // SAFETY: c + 8·V ≤ vec_n ≤ out.len().
+            unsafe {
+                _mm512_storeu_si512(
+                    out.as_mut_ptr().add(c + v * LANES).cast(),
+                    red.reduce(a0[v], a1[v], a2[v]),
+                );
+            }
+        }
     }
 }
 
@@ -2308,6 +2374,69 @@ mod tests {
         }
     }
 
+    /// The radix-2⁵² stage recurrence at its edges: the first prime at or
+    /// above [`SMALL_MODULUS_BOUND`] and the last below [`RADIX52_BOUND`]
+    /// (whose `4p − 1` inputs reach the 52-bit Harvey bound), plus the
+    /// first wide-radix prime above it, with every lazy input at its
+    /// maximum (`4p − 1` forward, `2p − 1` inverse) and the twiddle
+    /// `p − 1`. Every backend's stage output must equal the scalar one,
+    /// stay within the lazy bounds and be the butterfly mod `p`.
+    #[test]
+    fn stage_kernels_agree_at_the_radix_boundaries() {
+        let prime_from = |mut p: u64, step: i64| {
+            while !crate::prime::is_prime_u64(p) {
+                p = p.wrapping_add_signed(step);
+            }
+            p
+        };
+        let primes = [
+            prime_from(SMALL_MODULUS_BOUND + 1, 2),
+            prime_from(RADIX52_BOUND - 1, -2),
+            prime_from(RADIX52_BOUND + 1, 2),
+        ];
+        for p in primes {
+            let zp = zp_for(p);
+            let w = p - 1;
+            for t in [1usize, 2, 4, 8, 16] {
+                let m = 5;
+                let ws = vec![twiddle_shoup(p, w); m];
+                let tw = vec![w; m];
+                let fwd0 = vec![4 * p - 1; 2 * t * m];
+                // Upper inputs 0 make the inverse product's input
+                // `x + 2p − y` its maximum, `4p − 1`.
+                let inv0: Vec<u64> = (0..2 * t * m)
+                    .map(|i| if i % (2 * t) < t { 2 * p - 1 } else { 0 })
+                    .collect();
+                let (mut fwd_want, mut inv_want) = (fwd0.clone(), inv0.clone());
+                fwd_stage_with(Backend::Scalar, p, &tw, &ws, t, &mut fwd_want);
+                inv_stage_with(Backend::Scalar, p, &tw, &ws, t, &mut inv_want);
+                let x = (4 * p - 1) % p;
+                let (sum, diff) = (zp.add(x, zp.mul(w, x)), zp.sub(x, zp.mul(w, x)));
+                for (i, &v) in fwd_want.iter().enumerate() {
+                    assert!(v < 4 * p, "fwd lazy bound p={p} t={t}");
+                    let want = if i % (2 * t) < t { sum } else { diff };
+                    assert_eq!(v % p, want, "fwd p={p} t={t} i={i}");
+                }
+                for (i, &v) in inv_want.iter().enumerate() {
+                    assert!(v < 2 * p, "inv lazy bound p={p} t={t}");
+                    let want = if i % (2 * t) < t {
+                        p - 1
+                    } else {
+                        zp.mul(w, p - 1)
+                    };
+                    assert_eq!(v % p, want, "inv p={p} t={t} i={i}");
+                }
+                for backend in vector_backends() {
+                    let (mut fwd, mut inv) = (fwd0.clone(), inv0.clone());
+                    fwd_stage_with(backend, p, &tw, &ws, t, &mut fwd);
+                    inv_stage_with(backend, p, &tw, &ws, t, &mut inv);
+                    assert_eq!(fwd, fwd_want, "fwd p={p} t={t} {backend:?}");
+                    assert_eq!(inv, inv_want, "inv p={p} t={t} {backend:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn kernels_match_zp_semantics() {
         // The scalar kernels must agree with the Zp reference ops —
@@ -2384,12 +2513,14 @@ mod tests {
     /// The worst case of an affine row: every row value and every
     /// weight `p − 1`, at 32 and 128 rows. `(p − 1)² ≡ 1`, so the sum is
     /// `rows mod p` wherever it stays below 2¹²⁸ (every test modulus).
+    /// Length 56 takes the IFMA kernel's four-vector block, then its
+    /// single vectors.
     #[test]
     fn dot_mod_worst_case_rows_reduce_exactly() {
         for p in moduli() {
             for n_rows in [32usize, 128] {
                 assert!(n_rows as u128 * u128::from(p - 1).pow(2) < u128::MAX);
-                for len in [19usize, 64] {
+                for len in [19usize, 56, 64] {
                     let row = vec![p - 1; len];
                     let refs = vec![row.as_slice(); n_rows];
                     let weights = vec![p - 1; n_rows];
