@@ -1,12 +1,13 @@
 //! Machine-readable perf record for the RNS ciphertext multiplication.
 //!
 //! Measures BFV ciphertext multiply, square and multiply-relinearize,
-//! plus the S-box's square-relinearize at the three rings the
-//! wall-clock benchmark runs (N = 1024 with 6, 8 and 11 × 50-bit
-//! primes) and one PASTA-4 affine layer-half (`BfvContext::dot_periodic`,
-//! 32 rows over 32 inputs: period 1, the scalar pass, at 6 primes, and
-//! period 8, a mux pass, at 11), on every SIMD backend the CPU supports,
-//! and renders
+//! plus the S-box's square-relinearize and the relinearization (one
+//! special-modulus key switch) on its own at the three rings the
+//! wall-clock benchmark runs (N = 1024 with 6, 7 and 10 × 50-bit
+//! primes) and at 11, and one PASTA-4 affine layer-half
+//! (`BfvContext::dot_periodic`, 32 rows over 32 inputs: period 1, the
+//! scalar pass, at 6 primes, and period 8, a mux pass, at 10), on every
+//! SIMD backend the CPU supports, and renders
 //! `BENCH_mul.json` via [`pasta_bench::report::BenchReport`]. The same
 //! run times the **bigint oracle**'s multiply ([`MulOracle::mul`], the
 //! exact CRT-reconstruct / big-integer scaled-rounding path, called
@@ -39,7 +40,8 @@ use rand::{Rng, SeedableRng};
 enum Ops {
     /// `mul`, `square` and `mul_relin`.
     Products,
-    /// `square_relin` only (the S-box product).
+    /// `square_relin` (the S-box product) and `relinearize` of a
+    /// square (its key switch alone).
     SquareRelin,
     /// One affine layer-half: `dot_periodic` of 32 rows over 32 inputs
     /// (the PASTA-4 `t`) with weights of this period.
@@ -104,6 +106,7 @@ fn bench_set(
         ctx.encrypt(&pk, &pt, rng)
     };
     let (a, b) = (&random_ct(&mut rng), &random_ct(&mut rng));
+    let squared = &ctx.square(a).expect("square");
     let (inputs, rows) = match which {
         Ops::AffineHalf(k) => affine_half(ctx, k, random_ct, &mut rng),
         _ => (Vec::new(), Vec::new()),
@@ -130,10 +133,16 @@ fn bench_set(
                     Box::new(|| vec![ctx.mul_relin(a, b, rk).expect("mul_relin")]),
                 ),
             ],
-            Ops::SquareRelin => vec![(
-                "square_relin",
-                Box::new(|| vec![ctx.square_relin(a, rk).expect("square_relin")]),
-            )],
+            Ops::SquareRelin => vec![
+                (
+                    "square_relin",
+                    Box::new(|| vec![ctx.square_relin(a, rk).expect("square_relin")]),
+                ),
+                (
+                    "relinearize",
+                    Box::new(|| vec![ctx.relinearize(squared, rk).expect("relinearize")]),
+                ),
+            ],
             Ops::AffineHalf(_) => vec![(
                 "affine_half",
                 Box::new(|| ctx.dot_periodic(inputs, rows).expect("affine half")),
@@ -206,10 +215,10 @@ fn main() {
         Ops::Products,
     ));
 
-    // The S-box product at the wall-clock benchmark's rings: N = 1024
-    // with 6 (scalar PASTA-4), 8 (packed PASTA-3) and 11 (mux PASTA-4)
-    // 50-bit primes.
-    for k in [6, 8, 11] {
+    // The S-box product and its key switch at the wall-clock benchmark's
+    // rings, N = 1024 with 6 (scalar PASTA-4), 7 (packed PASTA-3) and 10
+    // (mux PASTA-4) 50-bit primes, and at 11.
+    for k in [6, 7, 10, 11] {
         mismatches.extend(bench_set(
             &mut report,
             &opts,
@@ -225,8 +234,8 @@ fn main() {
 
     // One PASTA-4 affine layer-half (32 rows over 32 inputs): the
     // scalar pass's period 1 at its 6 primes, and a mux pass of 5–8
-    // blocks at 11 primes.
-    for (primes, period) in [(6, 1), (11, 8)] {
+    // blocks at 10 primes.
+    for (primes, period) in [(6, 1), (10, 8)] {
         mismatches.extend(bench_set(
             &mut report,
             &opts,

@@ -1,18 +1,21 @@
 //! Machine-readable perf record for the packed-mode rotation work.
 //!
 //! Times the packed (one-block-per-ciphertext) transciphering server's
-//! **hoisted baby-step/giant-step** evaluation on a fresh nonce per call
-//! and renders `BENCH_rotation.json` via
-//! [`pasta_bench::report::BenchReport`]. The transcipher entries are
-//! timed over several windows ([`pasta_bench::micro`]): `ns` is the
-//! median window and `min_ns` the fastest.
+//! **hoisted baby-step/giant-step** evaluation on a fresh nonce per call,
+//! and the Galois key-switch entry points it is built from
+//! (`apply_galois`, `hoist`, `apply_galois_hoisted`) on the packed
+//! PASTA-3 ring, and renders `BENCH_rotation.json` via
+//! [`pasta_bench::report::BenchReport`]. The timed entries are timed
+//! over several windows ([`pasta_bench::micro`]): `ns` is the median
+//! window and `min_ns` the fastest.
 //!
 //! Besides wall times, the report records the per-keystream Galois
 //! key-switch count and the provisioned rotation-key count; for those
 //! entries the `ns` field holds a raw count.
 //!
 //! Every timed transcipher is decrypted after its timing windows and
-//! compared with the message; the binary prints the smallest noise
+//! compared with the message, and the classic and hoisted rotations with
+//! the plaintext automorphism; the binary prints the smallest noise
 //! budget it read and exits 1, writing no report, if any result
 //! decrypts wrong.
 //!
@@ -27,7 +30,7 @@
 use pasta_bench::micro::{time_windows, Options};
 use pasta_bench::report::BenchReport;
 use pasta_core::PastaParams;
-use pasta_fhe::{suggest_bfv_params, BfvContext, BfvParams, BfvSecretKey};
+use pasta_fhe::{suggest_bfv_params, BatchEncoder, BfvContext, BfvParams, BfvSecretKey};
 use pasta_hhe::{HheClient, PackedHheServer};
 use pasta_math::Modulus;
 use rand::rngs::StdRng;
@@ -131,6 +134,65 @@ fn bench_packed(
     wrong == 0
 }
 
+/// Times one Galois rotation (`g = 3`) of a fresh encryption three
+/// ways under `tag`: `apply_galois`, `hoist`, and `apply_galois_hoisted`
+/// of one hoisted ciphertext. Returns whether both rotations decrypt to
+/// the plaintext automorphism.
+fn bench_galois(report: &mut BenchReport, opts: &Options, bfv: BfvParams, tag: &str) -> bool {
+    const G: usize = 3;
+    let ctx = BfvContext::new(bfv).expect("context");
+    let mut rng = StdRng::seed_from_u64(0x6A10);
+    let sk = ctx.generate_secret_key(&mut rng);
+    let pk = ctx.generate_public_key(&sk, &mut rng);
+    let gk = ctx
+        .generate_galois_key(&sk, G, &mut rng)
+        .expect("Galois key");
+    let encoder = BatchEncoder::new(bfv.plain_modulus, bfv.n).expect("batching ring");
+    let slots: Vec<u64> = (0..bfv.n as u64)
+        .map(|i| (i * 7_177 + 13) % 65_537)
+        .collect();
+    let pt = encoder.encode(&slots);
+    let ct = ctx.encrypt(&pk, &pt, &mut rng);
+    let hoisted = ctx.hoist(&ct).expect("hoist");
+    let reps: u64 = if opts.quick { 2 } else { 20 };
+    let label = pasta_math::simd::backend_label();
+    let (windows, classic) = time_windows(opts.windows(), reps, || {
+        ctx.apply_galois(black_box(&ct), &gk).expect("apply_galois")
+    });
+    println!(
+        "{}",
+        report.push_windows(format!("apply_galois/{tag}"), label, &windows)
+    );
+    let (windows, _) = time_windows(opts.windows(), reps, || {
+        ctx.hoist(black_box(&ct)).expect("hoist")
+    });
+    println!(
+        "{}",
+        report.push_windows(format!("hoist/{tag}"), label, &windows)
+    );
+    let (windows, mut fast) = time_windows(opts.windows(), reps, || {
+        ctx.apply_galois_hoisted(black_box(&hoisted), &gk)
+            .expect("apply_galois_hoisted")
+    });
+    println!(
+        "{}",
+        report.push_windows(format!("apply_galois_hoisted/{tag}"), label, &windows)
+    );
+    ctx.to_coeff_ct(&mut fast);
+    let want = encoder.plaintext_automorphism(&pt, G);
+    let right = [&classic, &fast]
+        .iter()
+        .filter(|ct| ctx.decrypt(&sk, ct) == want)
+        .count();
+    let budget = ctx
+        .noise_budget(&sk, &classic)
+        .min(ctx.noise_budget(&sk, &fast));
+    println!(
+        "verify {tag}: {right} of 2 rotations decrypted right, min noise budget {budget} bits"
+    );
+    right == 2
+}
+
 fn main() {
     let opts = Options::from_args();
     let mut report = BenchReport::new(
@@ -153,20 +215,18 @@ fn main() {
 
     // The paper's PASTA-3 parameter set: t = 128, 3 rounds. N = 1024
     // gives a 512-lane orbit, which the 2t = 256-lane state divides. The
-    // ring is the batched admission guard's (8 × 50-bit primes), so the
+    // ring is the batched admission guard's (7 × 50-bit primes), so the
     // decryption check below runs the packed path on the guard's own
     // count.
     let pasta3 = PastaParams::pasta3_17bit();
-    let paper_ok = bench_packed(
-        &mut report,
-        &opts,
-        pasta3,
-        suggest_bfv_params(pasta3.t(), pasta3.rounds(), true, 1024, 50)
-            .expect("the batched guard sizes the paper ring"),
-        "t=128/N=1024",
-    );
-    if !(small_ok && paper_ok) {
-        eprintln!("a packed transcipher decrypted wrong; no report written");
+    let paper_ring = suggest_bfv_params(pasta3.t(), pasta3.rounds(), true, 1024, 50)
+        .expect("the batched guard sizes the paper ring");
+    let paper_ok = bench_packed(&mut report, &opts, pasta3, paper_ring, "t=128/N=1024");
+    // The rotations the packed PASTA-3 pass is made of, on its ring.
+    let galois_tag = format!("N=1024/k={}", paper_ring.prime_count);
+    let galois_ok = bench_galois(&mut report, &opts, paper_ring, &galois_tag);
+    if !(small_ok && paper_ok && galois_ok) {
+        eprintln!("a packed transcipher or rotation decrypted wrong; no report written");
         std::process::exit(1);
     }
     report.write(&opts.path("BENCH_rotation.json"));

@@ -26,30 +26,44 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses the process arguments; exits with status 2 on an unknown
-    /// argument.
+    /// Parses the process arguments; on an unknown argument or an
+    /// output directory that does not exist, prints why and exits with
+    /// status 2 before anything is timed.
     #[must_use]
     pub fn from_args() -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|why| {
+            eprintln!("{why}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` (without the program name) and checks that the
+    /// output directory exists, so a run that could not write its
+    /// report fails at once instead of after its timing windows. The
+    /// error names the unknown argument, the missing `--out-dir` value
+    /// or the output directory that is not a directory.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = Options {
             quick: false,
             out_dir: ".".to_string(),
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => opts.quick = true,
                 "--out-dir" => {
-                    if let Some(d) = args.next() {
-                        opts.out_dir = d;
-                    }
+                    opts.out_dir = args.next().ok_or("--out-dir needs a directory")?;
                 }
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        opts
+        if !std::path::Path::new(&opts.out_dir).is_dir() {
+            return Err(format!(
+                "output directory {} does not exist or is not a directory",
+                opts.out_dir
+            ));
+        }
+        Ok(opts)
     }
 
     /// Timing windows per entry: 9, or 3 under `--quick`. One short
@@ -86,4 +100,29 @@ pub fn time_windows<T>(windows: usize, reps: u64, mut f: impl FnMut() -> T) -> (
         })
         .collect();
     (per_window, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        Options::parse(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn parses_quick_and_an_existing_out_dir() {
+        let dir = std::env::temp_dir();
+        let dir = dir.to_str().expect("UTF-8 temp dir");
+        let opts = parse(&["--quick", "--out-dir", dir]).unwrap();
+        assert!(opts.quick);
+        assert_eq!(opts.path("BENCH_x.json"), format!("{dir}/BENCH_x.json"));
+        assert_eq!(parse(&[]).unwrap().out_dir, ".");
+    }
+
+    #[test]
+    fn refuses_unknown_and_incomplete_arguments() {
+        assert!(parse(&["--out-dir"]).unwrap_err().contains("--out-dir"));
+        assert!(parse(&["--fast"]).unwrap_err().contains("--fast"));
+    }
 }

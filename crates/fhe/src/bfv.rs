@@ -1,12 +1,21 @@
 //! The BFV fully homomorphic encryption scheme (textbook BFV with RNS
-//! ciphertexts, full-RNS ciphertext multiplication, and
-//! RNS-decomposition relinearization).
+//! ciphertexts, full-RNS ciphertext multiplication, and key switching on
+//! a special modulus).
 //!
 //! Ciphertext multiplication runs the BEHZ fast-base-conversion path of
 //! [`crate::rns_mul`] — per-prime 64-bit arithmetic end to
 //! end. The original exact big-integer tensor path is retained as
 //! [`crate::oracle::MulOracle`], the reference implementation the tests
 //! check decrypt-equality against by calling it directly.
+//!
+//! Relinearization and every Galois rotation share one key switch in the
+//! style of Gentry–Halevi–Smart ("Homomorphic Evaluation of the AES
+//! Circuit", CRYPTO 2012) and SEAL: the switched polynomial is one digit,
+//! raised from `Q` to `Q ∪ P` (ModUp, the BEHZ lift into the auxiliary
+//! basis `P` of [`crate::rns_mul`]), multiplied by a key over `Q ∪ P`
+//! that encrypts `P·target`, and divided by `P` again (ModDown, one
+//! fast base conversion per `Q` prime). The switch adds only the
+//! ModDown's rounding to the noise.
 //!
 //! This is the server-side substrate of the HHE workflow (paper Fig. 1):
 //! the client FHE-encrypts the PASTA key once; the server homomorphically
@@ -20,8 +29,9 @@ use crate::bigint::UBig;
 use crate::ntt::galois_slot_permutation;
 use crate::ring::{RnsBasis, RnsPoly, ShoupRows};
 use crate::rns_mul::RnsMulContext;
-use pasta_math::{MathError, Modulus, Zp};
+use pasta_math::{simd, MathError, Modulus, Zp};
 use rand::Rng;
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -111,7 +121,7 @@ impl BfvParams {
     }
 }
 
-/// The BFV context: basis, plaintext field, Δ, relinearization and
+/// The BFV context: basis, plaintext field, Δ, key-switch and
 /// multiplication precomputation.
 ///
 /// A ciphertext's **level** is the number of primes it is held over: a
@@ -128,11 +138,19 @@ impl BfvParams {
 pub struct BfvContext {
     params: BfvParams,
     basis: RnsBasis,
-    /// Fast base conversion for full-RNS multiplication.
+    /// Fast base conversion for full-RNS multiplication; its auxiliary
+    /// basis is the key switch's special modulus `P`.
     rns_mul: RnsMulContext,
+    /// The key-switch basis `Q ∪ P`: the ciphertext primes, then `P`.
+    qp: RnsBasis,
+    /// Per `P` prime `p_j`, `[(P/p_j)^{-1}]_{p_j}` with its Shoup
+    /// companion: the first half of the ModDown base conversion.
+    p_hat_inv_shoup: Vec<u64>,
+    /// Per ciphertext prime `q_i`, the ModDown weights
+    /// `([−p_j^{-1}]_{q_i} for every j, [P^{-1}]_{q_i}, 1, 1)`; see
+    /// [`BfvContext::mod_down`].
+    mod_down_dot: Vec<Vec<u64>>,
     plain: Zp,
-    /// `γ_j mod q_i` where `γ_j = q̂_j·[q̂_j^{-1}]_{q_j}` (relin bases).
-    gamma_rns: Vec<Vec<u64>>,
     /// Levels `1 … k`, index `ℓ − 1`; the last is the top level.
     levels: Vec<Level>,
 }
@@ -153,7 +171,7 @@ struct Level {
 
 impl BfvContext {
     /// Builds a context (generates RNS primes, NTT tables, CRT and
-    /// relinearization constants).
+    /// key-switch constants).
     ///
     /// # Errors
     ///
@@ -169,20 +187,32 @@ impl BfvContext {
         let basis =
             RnsBasis::with_generated_primes(params.n, params.prime_bits, params.prime_count)
                 .map_err(FheError::from)?;
-        let rns_mul =
+        let mut rns_mul =
             RnsMulContext::new(&basis, params.plain_modulus.value()).map_err(FheError::from)?;
+        let k = basis.len();
+        // One copy of every NTT table: `Q` and `P` are the two parts of
+        // the key-switch basis `Q ∪ P`.
+        let qp = basis.concat(rns_mul.aux())?;
+        let basis = qp.prefix(k)?;
+        rns_mul.share_aux_tables(qp.suffix(k)?);
 
         let plain = Zp::new(params.plain_modulus).map_err(FheError::from)?;
-        // γ_j = q̂_j · [q̂_j^{-1}]_{q_j}: reconstruct via CRT of the unit
-        // vector e_j.
-        let k = basis.len();
-        let mut gamma_rns = Vec::with_capacity(k);
-        for j in 0..k {
-            let mut unit = vec![0u64; k];
-            unit[j] = 1;
-            let gamma = basis.crt_reconstruct(&unit);
-            gamma_rns.push(basis.reduce_bigint(&gamma));
-        }
+        let special = rns_mul.aux();
+        let p_hat_inv_shoup = (0..special.len())
+            .map(|j| special.zp(j).shoup(special.q_hat_inv(j)))
+            .collect();
+        let mod_down_dot = (0..k)
+            .map(|i| -> Result<Vec<u64>, FheError> {
+                let zp = basis.zp(i);
+                let mut row = special
+                    .primes()
+                    .iter()
+                    .map(|p| Ok(zp.neg(zp.inv(zp.from_u64(p.value()))?)))
+                    .collect::<Result<Vec<u64>, MathError>>()?;
+                row.extend([zp.inv(special.q().rem_u64(zp.p()))?, 1, 1]);
+                Ok(row)
+            })
+            .collect::<Result<_, _>>()?;
         let levels = (1..=k)
             .map(|len| -> Result<Level, FheError> {
                 let prefix = basis.prefix(len)?;
@@ -210,8 +240,10 @@ impl BfvContext {
             params,
             basis,
             rns_mul,
+            qp,
+            p_hat_inv_shoup,
+            mod_down_dot,
             plain,
-            gamma_rns,
             levels,
         })
     }
@@ -341,11 +373,12 @@ impl BfvContext {
         self.basis.q().bits()
     }
 
-    /// Generates a secret key (ternary).
+    /// Generates a secret key (ternary), held over `Q ∪ P` so the
+    /// key-switch keys can be made from it.
     #[must_use]
     pub fn generate_secret_key<R: Rng>(&self, rng: &mut R) -> BfvSecretKey {
-        let mut s = RnsPoly::random_ternary(&self.basis, rng);
-        s.to_ntt(&self.basis);
+        let mut s = RnsPoly::random_ternary(&self.qp, rng);
+        s.to_ntt(&self.qp);
         BfvSecretKey { s }
     }
 
@@ -364,30 +397,38 @@ impl BfvContext {
         BfvPublicKey { b, a }
     }
 
-    /// Generates a relinearization key (RNS decomposition, one component
-    /// per ciphertext prime).
+    /// Generates a relinearization key: a key switch from `s²` to `s`.
     #[must_use]
     pub fn generate_relin_key<R: Rng>(&self, sk: &BfvSecretKey, rng: &mut R) -> BfvRelinKey {
-        let s2 = sk.s.mul(&self.basis, &sk.s);
-        let mut components = Vec::with_capacity(self.basis.len());
-        for gamma in &self.gamma_rns {
-            let mut a = RnsPoly::random_uniform(&self.basis, rng);
-            a.to_ntt(&self.basis);
-            let mut e = RnsPoly::random_error(&self.basis, rng);
-            e.to_ntt(&self.basis);
-            // b = -(a·s + e) + γ_j·s²
-            let b = s2
-                .mul_scalar_rns(&self.basis, gamma)
-                .sub(&self.basis, &a.mul(&self.basis, &sk.s).add(&self.basis, &e));
-            components.push((b, a));
-        }
-        let components_shoup = components
-            .iter()
-            .map(|(b, a)| (b.shoup_rows(&self.basis), a.shoup_rows(&self.basis)))
-            .collect();
+        let s2 = sk.s.mul(&self.qp, &sk.s);
         BfvRelinKey {
-            components,
-            components_shoup,
+            key: self.generate_switch_key(sk, &s2, rng),
+        }
+    }
+
+    /// A key switching from `target` (NTT domain over `Q ∪ P`) to `s`:
+    /// `(b, a) = (−(a·s + e) + P·target, a)` over `Q ∪ P`, with `P ≡ 0`
+    /// on the `P` rows.
+    fn generate_switch_key<R: Rng>(
+        &self,
+        sk: &BfvSecretKey,
+        target: &RnsPoly,
+        rng: &mut R,
+    ) -> SwitchKey {
+        let qp = &self.qp;
+        let mut a = RnsPoly::random_uniform(qp, rng);
+        a.to_ntt(qp);
+        let mut e = RnsPoly::random_error(qp, rng);
+        e.to_ntt(qp);
+        let p_mod = qp.reduce_bigint(self.rns_mul.aux().q());
+        let b = target
+            .mul_scalar_rns(qp, &p_mod)
+            .sub(qp, &a.mul(qp, &sk.s).add(qp, &e));
+        SwitchKey {
+            b_shoup: b.shoup_rows(qp),
+            a_shoup: a.shoup_rows(qp),
+            b,
+            a,
         }
     }
 
@@ -476,6 +517,13 @@ impl BfvContext {
     /// The decryption phase `[c0 + c1·s (+ c2·s²)]_q` as big integers,
     /// over the ciphertext's level (the key's rows are a superset).
     fn phase(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> Vec<UBig> {
+        self.phase_poly(sk, ct)
+            .to_bigint_coeffs(&self.level_of(ct).basis)
+    }
+
+    /// [`BfvContext::phase`] as a coefficient-domain polynomial over the
+    /// ciphertext's level.
+    fn phase_poly(&self, sk: &BfvSecretKey, ct: &Ciphertext) -> RnsPoly {
         assert!(
             (2..=3).contains(&ct.polys.len()),
             "ciphertext must have 2 or 3 components"
@@ -489,11 +537,11 @@ impl BfvContext {
         if ct.polys.len() == 3 {
             let mut c2 = ct.polys[2].clone();
             c2.to_ntt(basis);
-            let s2 = sk.s.mul(&self.basis, &sk.s);
+            let s2 = sk.s.mul(&self.qp, &sk.s);
             acc = acc.add(basis, &c2.mul(basis, &s2));
         }
         acc.to_coeff(basis);
-        acc.to_bigint_coeffs(basis)
+        acc
     }
 
     /// The invariant noise budget in bits, at the ciphertext's level:
@@ -1063,12 +1111,15 @@ impl BfvContext {
         }
     }
 
-    /// Relinearizes a 3-component ciphertext back to 2 components.
+    /// Relinearizes a 3-component ciphertext back to 2 components: one
+    /// special-modulus key switch of `c2` from `s²` to `s` (see the
+    /// module docs), with `c0` and `c1` folded into its ModDown. The
+    /// result is in coefficient domain.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::Incompatible`] unless the input has exactly
-    /// three components.
+    /// three components at the top level, or for a key of another ring.
     pub fn relinearize(&self, ct: &Ciphertext, rk: &BfvRelinKey) -> Result<Ciphertext, FheError> {
         if ct.polys.len() != 3 {
             return Err(FheError::Incompatible(
@@ -1076,41 +1127,14 @@ impl BfvContext {
             ));
         }
         self.top_level(ct, "relinearize")?;
-        let mut c2 = ct.polys[2].clone();
-        c2.to_coeff(&self.basis);
-        // The key switch accumulates in NTT domain from zero; only its two
-        // accumulators return to coefficients, where `c0` and `c1` (the
-        // scaled tensor's coefficient-domain output) are added. The
-        // transforms are linear and every residue canonical, so this
-        // equals transforming `c0`, `c1` forward and back around the MAC.
-        let mut out0 = self.zero_ntt_poly();
-        let mut out1 = self.zero_ntt_poly();
-        self.key_switch_mac(
-            &rk.components,
-            &rk.components_shoup,
-            |j| RnsPoly::from_u64_coeffs(&self.basis, c2.row(j)),
-            &mut out0,
-            &mut out1,
-        );
-        drop(c2);
-        for (out, c) in [(&mut out0, &ct.polys[0]), (&mut out1, &ct.polys[1])] {
-            out.to_coeff(&self.basis);
-            if c.is_ntt() {
-                let mut c = c.clone();
-                c.to_coeff(&self.basis);
-                out.add_assign(&self.basis, &c);
-            } else {
-                out.add_assign(&self.basis, c);
-            }
-        }
-        Ok(Ciphertext {
-            polys: vec![out0, out1],
-        })
+        self.key_shape(&rk.key, "relinearization")?;
+        let digit = self.mod_up(&self.in_coeff(&ct.polys[2]));
+        let (c0, c1) = (self.in_coeff(&ct.polys[0]), self.in_coeff(&ct.polys[1]));
+        Ok(self.key_switch(digit, &rk.key, &c0, Some(&c1)))
     }
 
-    /// Generates a Galois key for the automorphism `X ↦ X^g`
-    /// (RNS decomposition, like the relinearization key but encrypting
-    /// `γ_j·σ(s)`).
+    /// Generates a Galois key for the automorphism `X ↦ X^g`: a key
+    /// switch from `σ_g(s)` to `s`, like the relinearization key.
     ///
     /// # Errors
     ///
@@ -1127,39 +1151,23 @@ impl BfvContext {
             )));
         }
         let mut s = sk.s.clone();
-        s.to_coeff(&self.basis);
-        let mut sigma_s = s.automorphism(&self.basis, g);
-        sigma_s.to_ntt(&self.basis);
-        let mut components = Vec::with_capacity(self.basis.len());
-        for gamma in &self.gamma_rns {
-            let mut a = RnsPoly::random_uniform(&self.basis, rng);
-            a.to_ntt(&self.basis);
-            let mut e = RnsPoly::random_error(&self.basis, rng);
-            e.to_ntt(&self.basis);
-            let b = sigma_s
-                .mul_scalar_rns(&self.basis, gamma)
-                .sub(&self.basis, &a.mul(&self.basis, &sk.s).add(&self.basis, &e));
-            components.push((b, a));
-        }
-        let components_shoup = components
-            .iter()
-            .map(|(b, a)| (b.shoup_rows(&self.basis), a.shoup_rows(&self.basis)))
-            .collect();
+        s.to_coeff(&self.qp);
+        let mut sigma_s = s.automorphism(&self.qp, g);
+        sigma_s.to_ntt(&self.qp);
         Ok(BfvGaloisKey {
             g,
-            components,
-            components_shoup,
+            key: self.generate_switch_key(sk, &sigma_s, rng),
             ntt_perm: galois_slot_permutation(self.params.n, g % (2 * self.params.n)),
         })
     }
 
-    /// Decomposes a 2-component ciphertext into its hoisted form: the
-    /// RNS digits of `c1` are extracted and forward-transformed **once**,
-    /// so any number of subsequent [`BfvContext::apply_galois_hoisted`]
-    /// calls skip the decompose + NTT work entirely (Halevi–Shoup
-    /// hoisting). Use when rotating the same ciphertext by several
-    /// Galois elements — e.g. the baby steps of a BSGS matrix–vector
-    /// product.
+    /// Hoists a 2-component ciphertext for repeated rotation: `c0` is
+    /// forward-transformed and `c1` raised to `Q ∪ P` (ModUp) and
+    /// forward-transformed **once**, so any number of subsequent
+    /// [`BfvContext::apply_galois_hoisted`] calls skip that work
+    /// (Halevi–Shoup hoisting). Use when rotating the same ciphertext by
+    /// several Galois elements — e.g. the baby steps of a BSGS
+    /// matrix–vector product.
     ///
     /// # Errors
     ///
@@ -1171,64 +1179,47 @@ impl BfvContext {
         }
         self.top_level(ct, "hoist")?;
         let mut c0 = ct.polys[0].clone();
-        let mut c1 = ct.polys[1].clone();
         c0.to_ntt(&self.basis);
-        c1.to_coeff(&self.basis);
-        let digits = (0..self.basis.len())
-            .map(|j| {
-                let mut d = RnsPoly::from_u64_coeffs(&self.basis, c1.row(j));
-                d.to_ntt(&self.basis);
-                d
-            })
-            .collect();
-        Ok(HoistedCiphertext { c0, digits })
+        Ok(HoistedCiphertext {
+            c0,
+            c1: self.mod_up(&self.in_coeff(&ct.polys[1])),
+        })
     }
 
-    /// Applies the automorphism `X ↦ X^g` to a hoisted ciphertext:
-    /// an O(kN) slot permutation of the cached digits plus the fused
-    /// multiply–accumulate against the key — no per-rotation NTTs.
+    /// Applies the automorphism `X ↦ X^g` to a hoisted ciphertext: an
+    /// O((k + |P|)·N) slot permutation of the cached rows, the two key
+    /// products and a ModDown that transforms only the `P` rows back and
+    /// the converted rows forward.
     ///
     /// The result is returned in **NTT domain** (rotations are almost
     /// always followed by plaintext multiplications; call
     /// [`BfvContext::to_coeff_ct`] if coefficients are needed). It
     /// decrypts identically to [`BfvContext::apply_galois`] on the
-    /// original ciphertext — the digit decomposition is taken before
-    /// rather than after σ, which changes the digit vectors but not the
-    /// value `Σ_j σ(d_j)·γ_j ≡ σ(c1) (mod q)` they represent, and the
-    /// key-switch noise `Σ_j σ(d_j)·e_j` has the same per-digit bound.
+    /// original ciphertext: the lift is taken before rather than after
+    /// σ, which may change the lifted integer by a multiple of `q` but
+    /// not the value mod `q` it represents, and the switch's noise has
+    /// the same bound.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::Incompatible`] if the key was generated by a
-    /// context with a different digit count.
+    /// context over another ring.
     pub fn apply_galois_hoisted(
         &self,
         hoisted: &HoistedCiphertext,
         gk: &BfvGaloisKey,
     ) -> Result<Ciphertext, FheError> {
-        if gk.components.len() != self.basis.len() || gk.ntt_perm.len() != self.params.n {
-            return Err(FheError::Incompatible(
-                "Galois key shape does not match context".into(),
-            ));
-        }
-        let mut out0 = hoisted.c0.permute_slots(&self.basis, &gk.ntt_perm);
-        let mut out1 = self.zero_ntt_poly();
-        self.key_switch_mac(
-            &gk.components,
-            &gk.components_shoup,
-            |j| hoisted.digits[j].permute_slots(&self.basis, &gk.ntt_perm),
-            &mut out0,
-            &mut out1,
-        );
-        Ok(Ciphertext {
-            polys: vec![out0, out1],
-        })
+        self.galois_key_shape(gk)?;
+        let digit = hoisted.c1.permute_slots(&self.qp, &gk.ntt_perm);
+        let c0 = hoisted.c0.permute_slots(&self.basis, &gk.ntt_perm);
+        Ok(self.key_switch(digit, &gk.key, &c0, None))
     }
 
     /// Applies the automorphism `X ↦ X^g` homomorphically: the result
     /// encrypts `σ_g(m)` — a fixed permutation of the batching slots.
-    /// The digits of `σ(c1)` are key-switched through the same
-    /// Shoup-fused loop as relinearization.
+    /// `σ(c1)` is key-switched from `σ(s)` to `s` by the same switch as
+    /// relinearization, with `σ(c0)` folded into its ModDown. The result
+    /// is in coefficient domain.
     ///
     /// # Errors
     ///
@@ -1241,32 +1232,10 @@ impl BfvContext {
             ));
         }
         self.top_level(ct, "apply_galois")?;
-        if gk.components.len() != self.basis.len() {
-            return Err(FheError::Incompatible(
-                "Galois key shape does not match context".into(),
-            ));
-        }
-        let mut c0 = ct.polys[0].clone();
-        let mut c1 = ct.polys[1].clone();
-        c0.to_coeff(&self.basis);
-        c1.to_coeff(&self.basis);
-        let sigma_c1 = c1.automorphism(&self.basis, gk.g);
-        let mut out0 = c0.automorphism(&self.basis, gk.g);
-        out0.to_ntt(&self.basis);
-        let mut out1 = self.zero_ntt_poly();
-        // Key-switch σ(c1)·σ(s) onto s via the RNS digits of σ(c1).
-        self.key_switch_mac(
-            &gk.components,
-            &gk.components_shoup,
-            |j| RnsPoly::from_u64_coeffs(&self.basis, sigma_c1.row(j)),
-            &mut out0,
-            &mut out1,
-        );
-        out0.to_coeff(&self.basis);
-        out1.to_coeff(&self.basis);
-        Ok(Ciphertext {
-            polys: vec![out0, out1],
-        })
+        self.galois_key_shape(gk)?;
+        let sigma = |c: &RnsPoly| self.in_coeff(c).automorphism(&self.basis, gk.g);
+        let digit = self.mod_up(&sigma(&ct.polys[1]));
+        Ok(self.key_switch(digit, &gk.key, &sigma(&ct.polys[0]), None))
     }
 
     /// Generates the Galois key set for [`BfvContext::sum_slots`]:
@@ -1314,28 +1283,147 @@ impl BfvContext {
         Ok(acc)
     }
 
-    /// The key-switch inner loop every entry point shares
-    /// ([`BfvContext::relinearize`], [`BfvContext::apply_galois`],
-    /// [`BfvContext::apply_galois_hoisted`]): for each RNS digit `d_j`
-    /// (`digit(j)`, forward-transformed unless already in NTT domain),
-    /// `acc0 += d_j·b_j` and `acc1 += d_j·a_j` through the SIMD Shoup MAC
-    /// against the key's precomputed companion rows. The products are
-    /// canonical residues, so seeding an accumulator with zero equals
-    /// starting it at the first product.
-    fn key_switch_mac(
-        &self,
-        components: &[(RnsPoly, RnsPoly)],
-        components_shoup: &KeyShoupRows,
-        mut digit: impl FnMut(usize) -> RnsPoly,
-        acc0: &mut RnsPoly,
-        acc1: &mut RnsPoly,
-    ) {
-        for (j, ((b, a), (b_sh, a_sh))) in components.iter().zip(components_shoup).enumerate() {
-            let mut d = digit(j);
-            d.to_ntt(&self.basis);
-            acc0.add_mul_shoup_assign(&self.basis, &d, b, b_sh);
-            acc1.add_mul_shoup_assign(&self.basis, &d, a, a_sh);
+    /// Refuses a key-switch key made by a context over another ring
+    /// (its rows would not line up with `Q ∪ P`).
+    fn key_shape(&self, key: &SwitchKey, op: &str) -> Result<(), FheError> {
+        if key.b.level() == self.qp.len() {
+            return Ok(());
         }
+        Err(FheError::Incompatible(format!(
+            "{op} key has {} rows, the context's Q ∪ P has {}",
+            key.b.level(),
+            self.qp.len()
+        )))
+    }
+
+    /// [`BfvContext::key_shape`] for a Galois key, whose slot
+    /// permutation must also match the ring degree.
+    fn galois_key_shape(&self, gk: &BfvGaloisKey) -> Result<(), FheError> {
+        if gk.ntt_perm.len() != self.params.n {
+            return Err(FheError::Incompatible(
+                "Galois key shape does not match context".into(),
+            ));
+        }
+        self.key_shape(&gk.key, "Galois")
+    }
+
+    /// `c` in coefficient domain, cloned only if it must be transformed.
+    fn in_coeff<'a>(&self, c: &'a RnsPoly) -> Cow<'a, RnsPoly> {
+        if !c.is_ntt() {
+            return Cow::Borrowed(c);
+        }
+        let mut c = c.clone();
+        c.to_coeff(&self.basis);
+        Cow::Owned(c)
+    }
+
+    /// ModUp: the coefficient-domain `x` over `Q` as the near-centred
+    /// integer `x̃ ≡ x (mod Q)` over `Q ∪ P` (its own `Q` rows, then
+    /// [`RnsMulContext::lift_to_aux`]'s rows), forward-transformed.
+    /// `|x̃|` stays within `(Q/2)·(1 + 2⁻¹⁵)`, so no multiple of `Q`
+    /// enters the switch.
+    fn mod_up(&self, x: &RnsPoly) -> RnsPoly {
+        let k = self.basis.len();
+        let mut rows = crate::scratch::take_rows(self.qp.len(), self.params.n);
+        let (q_rows, p_rows) = rows.split_at_mut(k);
+        for (i, row) in q_rows.iter_mut().enumerate() {
+            row.copy_from_slice(x.row(i));
+        }
+        self.rns_mul.lift_into(&self.basis, x, p_rows);
+        let mut up = RnsPoly::from_rows(rows, false);
+        up.to_ntt(&self.qp);
+        up
+    }
+
+    /// The key switch every entry point shares
+    /// ([`BfvContext::relinearize`], [`BfvContext::apply_galois`],
+    /// [`BfvContext::apply_galois_hoisted`]): the ModUp'ed `digit` (NTT
+    /// domain over `Q ∪ P`) times the key's `b` and `a` rows through the
+    /// SIMD Shoup product, then a ModDown of each product, with `c0`
+    /// (and `c1`, if given) added. `(out0, out1)` then decrypts to
+    /// `c0 + c1·s + x·target` with `x` the digit.
+    ///
+    /// The result is in `c0`'s domain, which `c1` shares: in NTT domain
+    /// the products stay there, otherwise both return to coefficients.
+    fn key_switch(
+        &self,
+        digit: RnsPoly,
+        key: &SwitchKey,
+        c0: &RnsPoly,
+        c1: Option<&RnsPoly>,
+    ) -> Ciphertext {
+        let mut acc0 = digit.clone();
+        acc0.pointwise_mul_shoup_assign(&self.qp, &key.b, &key.b_shoup);
+        let mut acc1 = digit;
+        acc1.pointwise_mul_shoup_assign(&self.qp, &key.a, &key.a_shoup);
+        if !c0.is_ntt() {
+            acc0.to_coeff(&self.qp);
+            acc1.to_coeff(&self.qp);
+        }
+        Ciphertext {
+            polys: vec![self.mod_down(acc0, Some(c0)), self.mod_down(acc1, c1)],
+        }
+    }
+
+    /// ModDown: `acc` over `Q ∪ P` divided by `P` onto `Q`, plus
+    /// `addend` (over `Q`, in `acc`'s domain). The `P` rows become
+    /// `ξ_j = [acc_j·(P/p_j)^{-1}]_{p_j}`, whose fast base conversion
+    /// `Σ_j ξ_j·P/p_j` is `[acc]_P + u·P` with `0 ≤ u < |P|`; every `Q`
+    /// row is then `(acc_i − Σ_j ξ_j·P/p_j)·P^{-1} + addend_i`, i.e.
+    /// `⌊acc/P⌋ − u + addend` — one [`simd::dot_mod`] over
+    /// `(ξ_0 … ξ_{|P|−1}, acc_i, addend_i)` with the weights
+    /// `([−p_j^{-1}]_{q_i}, [P^{-1}]_{q_i}, 1)`. Every term is a product
+    /// of canonical residues below 2⁶² · 2⁶², so the `u128` sum of the
+    /// few dozen terms never wraps.
+    ///
+    /// In NTT domain only the `P` rows are inverse-transformed; the
+    /// conversion `Σ_j ξ_j·[−p_j^{-1}]_{q_i}` is forward-transformed and
+    /// then combined with `acc_i·P^{-1}` and `addend_i` slot-wise, so the
+    /// result stays in NTT domain.
+    fn mod_down(&self, mut acc: RnsPoly, addend: Option<&RnsPoly>) -> RnsPoly {
+        let (k, n) = (self.basis.len(), self.params.n);
+        let ntt = acc.is_ntt();
+        let special = self.rns_mul.aux();
+        let be = simd::backend();
+        let (q_rows, p_rows) = acc.rows_mut().split_at_mut(k);
+        for (j, row) in p_rows.iter_mut().enumerate() {
+            if ntt {
+                special.table(j).inverse(row);
+            }
+            let p = special.zp(j).p();
+            let w = special.q_hat_inv(j);
+            simd::mul_const_shoup_with(be, p, w, self.p_hat_inv_shoup[j], row);
+        }
+        let np = p_rows.len();
+        let mut src: Vec<&[u64]> = p_rows.iter().map(Vec::as_slice).collect();
+        let mut out = crate::scratch::take_rows(k, n);
+        let rows = out
+            .iter_mut()
+            .zip(q_rows.iter().map(Vec::as_slice))
+            .enumerate();
+        if ntt {
+            let mut conv = crate::scratch::take_rows(1, n);
+            for (i, (dst, acc_i)) in rows {
+                let (p, w) = (self.basis.zp(i).p(), &self.mod_down_dot[i]);
+                simd::dot_mod_with(be, p, &src, &w[..np], &mut conv[0]);
+                self.basis.table(i).forward(&mut conv[0]);
+                let conv = conv[0].as_slice();
+                match addend {
+                    Some(c) => simd::dot_mod_with(be, p, &[acc_i, c.row(i), conv], &w[np..], dst),
+                    None => simd::dot_mod_with(be, p, &[acc_i, conv], &w[np..np + 2], dst),
+                }
+            }
+            crate::scratch::put_rows(conv);
+        } else {
+            for (i, (dst, acc_i)) in rows {
+                let (p, w) = (self.basis.zp(i).p(), &self.mod_down_dot[i]);
+                src.truncate(np);
+                src.push(acc_i);
+                src.extend(addend.map(|c| c.row(i)));
+                simd::dot_mod_with(be, p, &src, &w[..src.len()], dst);
+            }
+        }
+        RnsPoly::from_rows(out, ntt)
     }
 
     /// Multiplication followed by relinearization.
@@ -1436,7 +1524,8 @@ pub struct PreparedCiphertext {
     shoup: Vec<ShoupRows>,
 }
 
-/// A BFV secret key (ternary, stored in NTT domain).
+/// A BFV secret key (ternary, stored in NTT domain over `Q ∪ P`: the
+/// ciphertext primes read its first rows, the key-switch keys all).
 #[derive(Clone)]
 pub struct BfvSecretKey {
     s: RnsPoly,
@@ -1455,31 +1544,34 @@ pub struct BfvPublicKey {
     a: RnsPoly,
 }
 
-/// Per-component Shoup companions `(b_shoup, a_shoup)` of a key-switch
-/// key's rows: for each component, one companion row per RNS prime.
-type KeyShoupRows = Vec<(ShoupRows, ShoupRows)>;
-
-/// A relinearization key: one `(b_j, a_j)` pair per RNS prime.
+/// A key switching a polynomial from `target` to `s`: the pair
+/// `(b, a) = (−(a·s + e) + P·target, a)` over `Q ∪ P` in NTT domain,
+/// with the Shoup companions of its rows precomputed at keygen so the
+/// switch runs the SIMD Shoup product.
 #[derive(Debug, Clone)]
-pub struct BfvRelinKey {
-    components: Vec<(RnsPoly, RnsPoly)>,
-    /// Shoup companions of the key rows, precomputed at keygen so the
-    /// key-switch inner loop runs the SIMD Shoup MAC kernel.
-    components_shoup: KeyShoupRows,
+struct SwitchKey {
+    b: RnsPoly,
+    a: RnsPoly,
+    b_shoup: ShoupRows,
+    a_shoup: ShoupRows,
 }
 
-/// A Galois key for the automorphism `X ↦ X^g` (slot permutations),
-/// stored NTT-prepared: the `(b_j, a_j)` pairs live in NTT domain and
-/// the slot permutation realizing σ_g on NTT-domain polynomials is
-/// precomputed at key generation, so both the classic and the hoisted
-/// rotation paths touch no transform tables per application.
+/// A relinearization key: one key switch from `s²` to `s` over `Q ∪ P`
+/// (see [`BfvContext::relinearize`]).
+#[derive(Debug, Clone)]
+pub struct BfvRelinKey {
+    key: SwitchKey,
+}
+
+/// A Galois key for the automorphism `X ↦ X^g` (slot permutations): one
+/// key switch from `σ_g(s)` to `s` over `Q ∪ P`, stored NTT-prepared,
+/// plus the slot permutation realizing σ_g on NTT-domain polynomials,
+/// precomputed at key generation so the hoisted rotation touches no
+/// transform tables for it.
 #[derive(Debug, Clone)]
 pub struct BfvGaloisKey {
     g: usize,
-    components: Vec<(RnsPoly, RnsPoly)>,
-    /// Per-component Shoup companions `(b_shoup, a_shoup)`; see
-    /// [`BfvRelinKey::components_shoup`].
-    components_shoup: KeyShoupRows,
+    key: SwitchKey,
     /// `NTT(σ_g(a))[i] = NTT(a)[ntt_perm[i]]` (see
     /// [`galois_slot_permutation`]).
     ntt_perm: Vec<usize>,
@@ -1499,18 +1591,18 @@ impl BfvGaloisKey {
     }
 }
 
-/// A ciphertext pre-decomposed for repeated rotation (see
-/// [`BfvContext::hoist`]): `c0` and the RNS key-switching digits of
-/// `c1`, all in NTT domain. Producing one costs the same as the
-/// decomposition inside a single [`BfvContext::apply_galois`]; every
-/// rotation applied to it afterwards is transform-free.
+/// A ciphertext prepared for repeated rotation (see
+/// [`BfvContext::hoist`]): `c0` over `Q` and the ModUp of `c1` over
+/// `Q ∪ P`, both in NTT domain. Producing one costs the ModUp and
+/// forward transforms of a single [`BfvContext::apply_galois`]; every
+/// rotation applied to it afterwards forward-transforms only the `2k`
+/// rows its ModDown converts.
 #[derive(Debug, Clone)]
 pub struct HoistedCiphertext {
     /// `c0` in NTT domain.
     c0: RnsPoly,
-    /// Digit `j` of `c1` (the residue row lifted to all primes),
-    /// forward-transformed.
-    digits: Vec<RnsPoly>,
+    /// `c1` lifted to `Q ∪ P`, forward-transformed.
+    c1: RnsPoly,
 }
 
 /// A BFV ciphertext (2 components; 3 transiently after multiplication).
@@ -2091,6 +2183,91 @@ mod tests {
         }
     }
 
+    /// The paper ring N = 1024 with `primes` × 50-bit primes.
+    fn ring_1024(primes: usize) -> BfvParams {
+        BfvParams {
+            n: 1_024,
+            prime_count: primes,
+            ..BfvParams::test_tiny()
+        }
+    }
+
+    /// `log₂` of the largest coefficient of `after`'s phase minus
+    /// `want`: the noise one key switch added, in the units of
+    /// [`crate::noise::NoiseModel::log2_noise`].
+    fn added_noise_log2(ctx: &BfvContext, after: &RnsPoly, want: &RnsPoly) -> f64 {
+        after
+            .sub(&ctx.basis, want)
+            .to_bigint_coeffs(&ctx.basis)
+            .iter()
+            .map(|d| {
+                let d = ctx.basis.centered_magnitude(d);
+                assert!(d.bits() <= 64, "switch noise of {} bits", d.bits());
+                (d.low_u64() as f64).log2()
+            })
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    #[test]
+    fn one_key_switch_adds_no_more_than_the_models_term() {
+        // The phase after a switch minus the phase it switched is the
+        // noise the switch added: relinearization against the
+        // 3-component phase, a rotation against σ of the input's phase.
+        // Each stays within the model's per-switch term,
+        // (|P| + 1)(1 + δ_R).
+        for params in [BfvParams::test_tiny(), ring_1024(7), ring_1024(10)] {
+            let ctx = BfvContext::new(params).unwrap();
+            let mut rng = StdRng::seed_from_u64(0x5317);
+            let sk = ctx.generate_secret_key(&mut rng);
+            let pk = ctx.generate_public_key(&sk, &mut rng);
+            let rk = ctx.generate_relin_key(&sk, &mut rng);
+            let gk = ctx.generate_galois_key(&sk, 3, &mut rng).unwrap();
+            let mut term = crate::noise::NoiseModel::fresh(&ctx);
+            term.log2_noise = f64::NEG_INFINITY;
+            let term = term.after_key_switch().log2_noise;
+            let ct = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+            let three = ctx.square(&ct).unwrap();
+            let relin = ctx.relinearize(&three, &rk).unwrap();
+            let rotated_in = ctx.phase_poly(&sk, &ct).automorphism(&ctx.basis, 3);
+            let mut hoisted = ctx
+                .apply_galois_hoisted(&ctx.hoist(&ct).unwrap(), &gk)
+                .unwrap();
+            ctx.to_coeff_ct(&mut hoisted);
+            let classic = ctx.apply_galois(&ct, &gk).unwrap();
+            for (what, after, want) in [
+                ("relinearize", &relin, ctx.phase_poly(&sk, &three)),
+                ("apply_galois", &classic, rotated_in.clone()),
+                ("apply_galois_hoisted", &hoisted, rotated_in),
+            ] {
+                let added = added_noise_log2(&ctx, &ctx.phase_poly(&sk, after), &want);
+                assert!(
+                    added <= term,
+                    "k = {}: {what} added 2^{added:.2}, the model charges 2^{term:.2}",
+                    params.prime_count
+                );
+            }
+            assert_eq!(ctx.decrypt(&sk, &hoisted), ctx.decrypt(&sk, &classic));
+        }
+    }
+
+    #[test]
+    fn switch_keys_from_another_ring_are_refused() {
+        let (ctx, _, pk, rk, mut rng) = setup();
+        let wide = BfvContext::new(BfvParams {
+            prime_count: ctx.params().prime_count + 1,
+            ..*ctx.params()
+        })
+        .unwrap();
+        let wide_rk = wide.generate_relin_key(&wide.generate_secret_key(&mut rng), &mut rng);
+        let a = ctx.encrypt(&pk, &ctx.encode_scalar(3), &mut rng);
+        let three = ctx.square(&a).unwrap();
+        assert!(matches!(
+            ctx.relinearize(&three, &wide_rk),
+            Err(FheError::Incompatible(_))
+        ));
+        assert!(ctx.relinearize(&three, &rk).is_ok());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -2155,6 +2332,26 @@ mod tests {
                     let oracle_sq = exact.mul(&a, &a).unwrap();
                     assert_eq!(ctx.decrypt(sk, &fast_sq), ctx.decrypt(sk, &oracle_sq));
                 });
+            }
+
+            #[test]
+            fn prop_relinearize_keeps_the_plaintext_at_the_benchmark_rings(seed in any::<u64>()) {
+                // The rings the benchmark workloads run: 6 (scalar
+                // PASTA-4), 7 (packed PASTA-3) and 10 (mux PASTA-4)
+                // primes at N = 1024.
+                for primes in [6, 7, 10] {
+                    let ctx = BfvContext::new(ring_1024(primes)).unwrap();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let sk = ctx.generate_secret_key(&mut rng);
+                    let pk = ctx.generate_public_key(&sk, &mut rng);
+                    let rk = ctx.generate_relin_key(&sk, &mut rng);
+                    let a = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+                    let b = ctx.encrypt(&pk, &random_plaintext(&ctx, &mut rng), &mut rng);
+                    let three = ctx.mul(&a, &b).unwrap();
+                    let relin = ctx.relinearize(&three, &rk).unwrap();
+                    prop_assert_eq!(relin.components(), 2);
+                    prop_assert_eq!(ctx.decrypt(&sk, &relin), ctx.decrypt(&sk, &three));
+                }
             }
 
             #[test]

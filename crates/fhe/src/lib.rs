@@ -18,8 +18,9 @@
 //!   multiplication never leaves RNS;
 //! - [`bfv`]: key generation, encryption, decryption, addition,
 //!   plaintext/scalar multiplication, tensor-product ciphertext
-//!   multiplication and RNS-decomposition relinearization, with an exact
-//!   noise-budget meter;
+//!   multiplication, and relinearization and Galois rotations through
+//!   one key switch on a special modulus, with an exact noise-budget
+//!   meter;
 //! - [`encoding`]: SIMD batching over `Z_t` slots (`t = 65537`).
 //!
 //! Parameters are sized for *functional* noise budgets, not security —

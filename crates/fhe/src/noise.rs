@@ -30,8 +30,16 @@
 //! holds here: one factor of every product is a secret, an error, a
 //! uniform ciphertext polynomial, a key-switch digit or a pseudorandom
 //! plaintext (the affine weights, the masks). The worst case is `N`.
+//!
+//! **Key switching.** Relinearization and every Galois rotation switch
+//! one digit over `Q ∪ P` and divide by the special modulus `P` (see
+//! [`crate::bfv`]). The key's error, multiplied by a digit below `Q/2`
+//! and divided by `P > t·N·Q·2⁴`, is below one; what remains is the
+//! ModDown's rounding, so a switch adds `(|P| + 1)·(1 + δ_R)` and no
+//! term that grows with the prime size or count.
 
 use crate::bfv::{BfvContext, BfvParams};
+use crate::rns_mul::aux_basis_len;
 use pasta_math::Modulus;
 
 /// Upper bound on fresh error magnitude (centered binomial, parameter 4).
@@ -54,8 +62,8 @@ pub struct NoiseModel {
     q_bits: f64,
     /// `log2 δ_R`.
     log2_delta: f64,
-    /// `log2` of the noise one key-switch adds (relinearization or a
-    /// Galois rotation).
+    /// `log2` of the noise one key switch adds (relinearization or a
+    /// Galois rotation): the ModDown rounding.
     key_switch: f64,
     /// `log2` of what a multiplication adds on top of its tensor terms:
     /// the scale's rounding and the relinearization key-switch.
@@ -70,21 +78,16 @@ impl NoiseModel {
             ctx.params().n,
             ctx.params().plain_modulus,
             ctx.q_bits(),
-            ctx.params().prime_bits,
             ctx.params().prime_count,
         )
     }
 
     /// Noise model from raw parameters (used by the sizing search before
-    /// a context exists).
+    /// a context exists). `q_bits` also sizes the special modulus `P`,
+    /// so an upper bound on it gives a conservative model.
     #[must_use]
-    pub fn fresh_for(
-        n: usize,
-        plain_modulus: Modulus,
-        q_bits: usize,
-        prime_bits: u32,
-        prime_count: usize,
-    ) -> Self {
+    pub fn fresh_for(n: usize, plain_modulus: Modulus, q_bits: usize, prime_count: usize) -> Self {
+        let special = aux_basis_len(n, q_bits, plain_modulus.value()) as f64;
         let n = n as f64;
         let t = plain_modulus.value() as f64;
         let delta = 2.0 * n.sqrt();
@@ -92,8 +95,9 @@ impl NoiseModel {
         // pk encryption: phase noise e₁ − e·u + e₂·s ≤ B(1 + 2δ_R), plus
         // the Δ rounding term (q mod t)·m/t < t.
         let log2_noise = (ERROR_BOUND * (1.0 + 2.0 * delta) + t).log2();
-        // RNS key-switch: Σ_j d_j·e_j over k digits d_j < q_j.
-        let key_switch = k.log2() + f64::from(prime_bits) + (delta * ERROR_BOUND).log2();
+        // Key switch: the ModDown ⌊acc/P⌋ − u (0 ≤ u < |P|) of each of
+        // (c₀, c₁), weighted by (1, s), plus the key error x̃·e/P < 1.
+        let key_switch = ((special + 1.0) * (1.0 + delta)).log2();
         // The scale ⌊t·c/q⌋ − α (α < k, see `rns_mul`) rounds each of
         // (c₀, c₁, c₂) by less than k + 1, weighted by (1, s, s²).
         let rounding = ((k + 1.0) * (1.0 + delta + delta * delta)).log2();
@@ -147,8 +151,9 @@ impl NoiseModel {
         self
     }
 
-    /// After a key-switch (a Galois rotation, classic or hoisted): the
-    /// automorphism keeps `‖·‖∞`, and the switch adds its digit noise.
+    /// After a key switch (a Galois rotation, classic or hoisted): the
+    /// automorphism keeps `‖·‖∞`, and the switch adds its ModDown
+    /// rounding.
     #[must_use]
     pub fn after_key_switch(mut self) -> Self {
         self.log2_noise = log2_sum(self.log2_noise, self.key_switch);
@@ -394,7 +399,7 @@ pub fn suggest_prime_count_for(
 ) -> Option<usize> {
     (2..=32).find(|&count| {
         let q_bits = count * prime_bits as usize;
-        let start = NoiseModel::fresh_for(n, plain_modulus, q_bits, prime_bits, count);
+        let start = NoiseModel::fresh_for(n, plain_modulus, q_bits, count);
         layouts.iter().all(|&layout| {
             transcipher_noise(t_pasta, rounds, layout, start).predicted_budget() >= margin_bits
         })
@@ -602,6 +607,10 @@ mod tests {
         // N = 1024, 50-bit primes, 12-bit margin: the rings each layout's
         // derived count sizes. The batched guard takes the larger of the
         // slotted and packed counts; a shared domain adds the mux count.
+        // The packed counts (and so the batched guard) fell by one prime,
+        // 10 → 9 and 8 → 7, when the key switch moved onto the special
+        // modulus: a rotation no longer adds a digit noise of
+        // `k·q_i·δ_R·B`, only the ModDown rounding.
         let suggest = |t, rounds, layouts: &[Layout]| {
             suggest_prime_count_for(layouts, t, rounds, 1_024, Modulus::PASTA_17_BIT, 50, 12.0)
         };
@@ -610,16 +619,16 @@ mod tests {
         assert_eq!(pasta4(Layout::Scalar), Some(6), "PASTA-4 scalar");
         assert_eq!(pasta4(Layout::Slotted), Some(7), "PASTA-4 slotted");
         assert_eq!(pasta4(Layout::Mux), Some(8), "PASTA-4 mux");
-        assert_eq!(pasta4(Layout::Packed), Some(10), "PASTA-4 packed");
+        assert_eq!(pasta4(Layout::Packed), Some(9), "PASTA-4 packed");
         assert_eq!(pasta3(Layout::Scalar), Some(6), "PASTA-3 scalar");
         assert_eq!(pasta3(Layout::Slotted), Some(6), "PASTA-3 slotted");
         assert_eq!(pasta3(Layout::Mux), Some(7), "PASTA-3 mux");
-        assert_eq!(pasta3(Layout::Packed), Some(8), "PASTA-3 packed");
+        assert_eq!(pasta3(Layout::Packed), Some(7), "PASTA-3 packed");
         let guarded = |t, rounds, batched| {
             suggest_prime_count(t, rounds, batched, 1_024, Modulus::PASTA_17_BIT, 50, 12.0)
         };
-        assert_eq!(guarded(32, 4, true), Some(10), "PASTA-4 batched");
-        assert_eq!(guarded(128, 3, true), Some(8), "PASTA-3 batched");
+        assert_eq!(guarded(32, 4, true), Some(9), "PASTA-4 batched");
+        assert_eq!(guarded(128, 3, true), Some(7), "PASTA-3 batched");
         assert_eq!(guarded(32, 4, false), pasta4(Layout::Scalar));
     }
 
@@ -674,7 +683,7 @@ mod tests {
 
     #[test]
     fn budget_never_negative() {
-        let m = NoiseModel::fresh_for(256, Modulus::PASTA_17_BIT, 60, 50, 1);
+        let m = NoiseModel::fresh_for(256, Modulus::PASTA_17_BIT, 60, 1);
         let end = transcipher_noise(8, 4, Layout::Packed, m);
         assert_eq!(end.predicted_budget(), 0.0);
     }

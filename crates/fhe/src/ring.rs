@@ -14,13 +14,16 @@ use std::sync::Arc;
 
 /// The RNS basis: primes, NTT tables and CRT precomputation.
 ///
-/// A [`RnsBasis::prefix`] shares its parent's NTT tables; only the CRT
-/// constants of the shorter product are its own.
+/// A [`RnsBasis::prefix`] (or a suffix, the `P` part of the key-switch
+/// basis) shares its parent's NTT tables; only the CRT constants of the
+/// shorter product are its own.
 #[derive(Debug, Clone)]
 pub struct RnsBasis {
     n: usize,
     primes: Vec<Modulus>,
     tables: Arc<[NttTable]>,
+    /// Index in `tables` of the table of prime 0.
+    offset: usize,
     /// `q = Π q_i`.
     q: UBig,
     /// `q̂_i = q / q_i`.
@@ -44,7 +47,7 @@ impl RnsBasis {
             }
             tables.push(NttTable::new(p, n)?);
         }
-        Self::with_tables(n, primes, tables.into())
+        Self::with_tables(n, primes, tables.into(), 0)
     }
 
     /// The basis of the first `len` primes (`1 ≤ len ≤ k`): a BFV level.
@@ -62,15 +65,61 @@ impl RnsBasis {
             self.n,
             self.primes[..len].to_vec(),
             Arc::clone(&self.tables),
+            self.offset,
         )
     }
 
-    /// CRT precomputation over `primes`, whose tables are the first
-    /// `primes.len()` of `tables`.
+    /// The basis of the primes from index `from` on (`from < k`), with
+    /// the NTT tables shared with `self`: the `P` part of a key-switch
+    /// basis `Q ∪ P`.
+    ///
+    /// # Errors
+    ///
+    /// [`MathError::UnsupportedWidth`] for `from` outside `0..k`.
+    pub(crate) fn suffix(&self, from: usize) -> Result<Self, MathError> {
+        if from >= self.len() {
+            return Err(MathError::UnsupportedWidth(from as u32));
+        }
+        Self::with_tables(
+            self.n,
+            self.primes[from..].to_vec(),
+            Arc::clone(&self.tables),
+            self.offset + from,
+        )
+    }
+
+    /// The basis of `self`'s primes followed by `other`'s (a key-switch
+    /// basis `Q ∪ P`), with copies of both bases' NTT tables; its
+    /// [`RnsBasis::prefix`] and [`RnsBasis::suffix`] then stand for the
+    /// two parts without a second copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the two bases share a prime or differ in
+    /// ring degree.
+    pub(crate) fn concat(&self, other: &RnsBasis) -> Result<Self, MathError> {
+        if other.n != self.n {
+            return Err(MathError::UnsupportedWidth(other.n as u32));
+        }
+        if let Some(p) = other.primes.iter().find(|p| self.primes.contains(p)) {
+            return Err(MathError::NotPrime(p.value()));
+        }
+        let primes = self.primes.iter().chain(&other.primes).copied().collect();
+        let tables = (0..self.len())
+            .map(|i| self.table(i))
+            .chain((0..other.len()).map(|j| other.table(j)))
+            .cloned()
+            .collect();
+        Self::with_tables(self.n, primes, tables, 0)
+    }
+
+    /// CRT precomputation over `primes`, whose tables are the
+    /// `primes.len()` of `tables` from `offset` on.
     fn with_tables(
         n: usize,
         primes: Vec<Modulus>,
         tables: Arc<[NttTable]>,
+        offset: usize,
     ) -> Result<Self, MathError> {
         let mut q = UBig::one();
         for p in &primes {
@@ -90,6 +139,7 @@ impl RnsBasis {
             n,
             primes,
             tables,
+            offset,
             q,
             q_hats,
             q_hat_invs,
@@ -141,13 +191,13 @@ impl RnsBasis {
     /// The NTT table for prime `i`.
     #[must_use]
     pub fn table(&self, i: usize) -> &NttTable {
-        &self.tables[i]
+        &self.tables[self.offset + i]
     }
 
     /// Field context for prime `i`.
     #[must_use]
     pub fn zp(&self, i: usize) -> &Zp {
-        self.tables[i].zp()
+        self.tables[self.offset + i].zp()
     }
 
     /// `q̂_i = q / q_i` for prime `i` (the CRT garner constant).
@@ -332,6 +382,14 @@ impl RnsPoly {
             coeffs: rows,
             is_ntt,
         }
+    }
+
+    /// The residue rows, mutable: the key-switch ModDown transforms and
+    /// rescales some rows of a polynomial it then consumes. Residues
+    /// must stay canonical; a polynomial whose rows left the domain its
+    /// flag states must not be used again.
+    pub(crate) fn rows_mut(&mut self) -> &mut [Vec<u64>] {
+        &mut self.coeffs
     }
 
     /// Builds from small unsigned coefficients (e.g. a plaintext poly,
@@ -855,6 +913,36 @@ mod tests {
 
     fn basis() -> RnsBasis {
         RnsBasis::with_generated_primes(64, 50, 3).unwrap()
+    }
+
+    #[test]
+    fn concat_splits_back_into_prefix_and_suffix() {
+        let q = basis();
+        let primes = generate_ntt_primes(50, 7, 6).unwrap();
+        let other: Vec<Modulus> = primes
+            .into_iter()
+            .filter(|p| !q.primes().contains(p))
+            .take(2)
+            .collect();
+        let p = RnsBasis::new(64, other).unwrap();
+        let qp = q.concat(&p).unwrap();
+        assert_eq!(qp.len(), 5);
+        assert_eq!(qp.q(), &q.q().mul(p.q()));
+        for (part, whole) in [
+            (q.clone(), qp.prefix(3).unwrap()),
+            (p.clone(), qp.suffix(3).unwrap()),
+        ] {
+            assert_eq!(part.primes(), whole.primes());
+            assert_eq!(part.q(), whole.q());
+            // The same transform through either basis's tables.
+            let mut a = RnsPoly::from_u64_coeffs(&part, &(1..=64).collect::<Vec<u64>>());
+            let mut b = a.clone();
+            a.to_ntt(&part);
+            b.to_ntt(&whole);
+            assert_eq!(a, b);
+        }
+        assert!(q.concat(&q).is_err(), "a shared prime is refused");
+        assert!(qp.suffix(5).is_err());
     }
 
     #[test]

@@ -70,6 +70,22 @@ fn ceil_log2(x: usize) -> u32 {
     usize::BITS - x.saturating_sub(1).leading_zeros()
 }
 
+/// The number of auxiliary primes (`B ∪ {m_sk}`) [`RnsMulContext::new`]
+/// builds for ring degree `n`, a ciphertext modulus of `q_bits` bits and
+/// plaintext modulus `t`. The same primes are the special modulus `P`
+/// of the BFV key switch, so this is also `|P|`, which the noise model
+/// charges per switch.
+///
+/// `P_B = Π_{j<l} p_j` must hold `⌊t·c/q⌋ − α` for `|c| ≤ N·q²/2` (the
+/// worst tensor coefficient), and every auxiliary prime is above 2⁴⁹:
+/// `bits(P_B) ≥ bits(q) + bits(t) + log2(N) + margin`, plus `m_sk`.
+#[must_use]
+pub(crate) fn aux_basis_len(n: usize, q_bits: usize, t: u64) -> usize {
+    let t_bits = (64 - t.leading_zeros()) as usize;
+    let needed_p_bits = q_bits + t_bits + ceil_log2(n) as usize + 4;
+    needed_p_bits.div_ceil(AUX_PRIME_BITS as usize - 1) + 1
+}
+
 /// Precomputed material for full-RNS ciphertext multiplication over a
 /// given ciphertext basis `q = Π q_i` and plaintext modulus `t`.
 ///
@@ -142,13 +158,8 @@ impl RnsMulContext {
             .map(pasta_math::Modulus::bits)
             .max()
             .unwrap_or(0);
-        // P = Π_{j<l} p_j must hold ⌊t·c/q⌋ − α for |c| ≤ N·q²/2 (the
-        // worst tensor coefficient), and every aux prime is above 2⁴⁹:
-        // bits(P) ≥ bits(q) + bits(t) + log2(N) + margin.
         let aux_bits = AUX_PRIME_BITS;
-        let t_bits = (64 - t.leading_zeros()) as usize;
-        let needed_p_bits = basis.q().bits() + t_bits + ceil_log2(n) as usize + 4;
-        let l = needed_p_bits.div_ceil(aux_bits as usize - 1);
+        let l = aux_basis_len(n, basis.q().bits(), t) - 1;
         // u128 accumulator guard for the conversion inner loops: Σ over
         // the widest dot (k + 2 or l + 1 rows) of (q-prime × aux-prime)
         // products.
@@ -258,6 +269,18 @@ impl RnsMulContext {
         &self.aux
     }
 
+    /// Replaces the auxiliary basis by `aux`, the same primes whose NTT
+    /// tables live elsewhere (the `P` suffix of a key-switch basis
+    /// `Q ∪ P`), so a context keeps one copy of every table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aux` holds other primes.
+    pub(crate) fn share_aux_tables(&mut self, aux: RnsBasis) {
+        assert_eq!(aux.primes(), self.aux.primes(), "auxiliary primes differ");
+        self.aux = aux;
+    }
+
     /// Number of primes in `B` (the auxiliary basis without `m_sk`).
     #[must_use]
     pub fn aux_b_len(&self) -> usize {
@@ -300,6 +323,20 @@ impl RnsMulContext {
     /// Panics if `poly` is in NTT domain.
     #[must_use]
     pub fn lift_to_aux(&self, basis: &RnsBasis, poly: &RnsPoly) -> RnsPoly {
+        let mut rows = scratch::take_rows(self.aux.len(), basis.n());
+        self.lift_into(basis, poly, &mut rows);
+        RnsPoly::from_rows(rows, false)
+    }
+
+    /// [`RnsMulContext::lift_to_aux`] into caller-provided rows, one per
+    /// auxiliary prime: the `P` rows of a key switch's ModUp, which sit
+    /// after the digit's own `q` rows in one bundle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `poly` is in NTT domain or `out` holds fewer rows than
+    /// the auxiliary basis.
+    pub(crate) fn lift_into(&self, basis: &RnsBasis, poly: &RnsPoly, out: &mut [Vec<u64>]) {
         assert!(!poly.is_ntt(), "lift requires coefficient domain");
         let k = basis.len();
         // Rows (ξ_0 … ξ_{k−1}, r̃, [r̃ > m̃/2]): the operands of every
@@ -327,12 +364,10 @@ impl RnsMulContext {
         let be = simd::backend();
         let src: Vec<&[u64]> = src_rows.iter().map(Vec::as_slice).collect();
         // `dot_mod_with` fully overwrites each recycled row.
-        let mut rows = scratch::take_rows(self.aux.len(), basis.n());
-        for (j, row) in rows.iter_mut().enumerate() {
+        for (j, row) in out[..self.aux.len()].iter_mut().enumerate() {
             simd::dot_mod_with(be, self.aux.zp(j).p(), &src, &self.lift_dot[j], row);
         }
         scratch::put_rows(src_rows);
-        RnsPoly::from_rows(rows, false)
     }
 
     /// Computes `⌊t·c/q⌋ − α` (with `α ∈ [0, k)`) residue-wise, where

@@ -30,9 +30,9 @@
 //!   `⌈2t/B⌉ − 1` giant rotations, O(√t) key-switches instead of
 //!   `2t − 1`;
 //! - **hoisting**: the baby rotations all act on the *same* input, so
-//!   its key-switch digit decomposition and forward NTTs are computed
-//!   once ([`BfvContext::hoist`]) and each baby rotation degenerates to
-//!   a slot permutation plus multiply–accumulate
+//!   its key-switch ModUp to `Q ∪ P` and forward NTTs are computed once
+//!   ([`BfvContext::hoist`]) and each baby rotation degenerates to a
+//!   slot permutation, two key products and an NTT-domain ModDown
 //!   ([`BfvContext::apply_galois_hoisted`]).
 //!
 //! A pass is bit-deterministic for any `PASTA_THREADS`. The tests keep
@@ -374,9 +374,10 @@ impl PackedHheServer {
 
     /// Evaluates one affine layer by hoisted baby-step/giant-step:
     ///
-    /// 1. hoist `state` once (one digit decomposition + forward NTTs);
+    /// 1. hoist `state` once (one ModUp + forward NTTs);
     /// 2. produce the `B` baby rotations from it (fanned over the worker
-    ///    pool; each is a slot permutation + multiply–accumulate) and
+    ///    pool; each is a slot permutation, two key products and a
+    ///    ModDown) and
     ///    Shoup-prepare each, since every giant group reads it;
     /// 3. per giant group `g`, encode each diagonal `k = g·B + b` at lane
     ///    offset `g·B` (the plaintext pre-rotation that lets one giant

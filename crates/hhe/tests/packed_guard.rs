@@ -4,10 +4,15 @@
 //! Each paper parameter set transciphers one full block through
 //! [`PackedHheServer::transcipher_packed`] at N = 1024 on the prime
 //! count of the batched guard (`suggest_prime_count(.., true, ..)` with
-//! 50-bit primes and the guard's 12-bit margin): 10 primes for PASTA-4
-//! and 8 for PASTA-3. The result must decode to the message and keep at
+//! 50-bit primes and the guard's 12-bit margin): 9 primes for PASTA-4
+//! and 7 for PASTA-3. The result must decode to the message and keep at
 //! least the margin of measured invariant budget
 //! ([`BfvContext::noise_budget`], which reads 0 on a wrong decryption).
+//!
+//! The counts were 10 and 8 while a key switch summed one digit product
+//! per prime; the special-modulus switch adds only its ModDown rounding,
+//! so the guard sizes one prime fewer for each. On the new rings the
+//! results decrypt with 103 (PASTA-4) and 56 (PASTA-3) bits left.
 
 use pasta_core::PastaParams;
 use pasta_fhe::noise::suggest_prime_count;
@@ -70,10 +75,10 @@ fn decrypts_on_the_guard_ring(params: PastaParams, expected_primes: usize) {
 
 #[test]
 fn packed_pasta4_decrypts_on_the_guard_ring() {
-    decrypts_on_the_guard_ring(PastaParams::pasta4_17bit(), 10);
+    decrypts_on_the_guard_ring(PastaParams::pasta4_17bit(), 9);
 }
 
 #[test]
 fn packed_pasta3_decrypts_on_the_guard_ring() {
-    decrypts_on_the_guard_ring(PastaParams::pasta3_17bit(), 8);
+    decrypts_on_the_guard_ring(PastaParams::pasta3_17bit(), 7);
 }

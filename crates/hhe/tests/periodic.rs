@@ -174,7 +174,6 @@ fn noise_budget_does_not_shrink_with_the_period_and_beats_the_prediction() {
             n,
             w.ctx.params().plain_modulus,
             w.ctx.q_bits(),
-            w.ctx.params().prime_bits,
             w.ctx.params().prime_count,
         ),
     )

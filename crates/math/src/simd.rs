@@ -571,11 +571,14 @@ pub fn mac_mod(p: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
 /// accumulator. Weights must be canonical (`< p`); rows may hold any
 /// `u64`.
 ///
-/// It has two callers:
+/// It has three callers:
 ///
 /// * the BEHZ base conversions of `pasta_fhe::rns_mul`: one row per
 ///   prime of the source basis (a few dozen at most), true sums bounded
 ///   below 2¹²⁶;
+/// * the key-switch ModDown of `pasta_fhe::BfvContext`: one row per
+///   special prime plus the accumulator and addend rows, canonical
+///   residues below 2⁶², so the sums stay below 2¹²⁶;
 /// * the affine layer-halves of `pasta_fhe::BfvContext::dot_periodic`:
 ///   one canonical row per PASTA state element of a half (`t` = 32 for
 ///   PASTA-4, 128 for PASTA-3), one call per output row and column

@@ -101,7 +101,6 @@ fn predicted_for(layouts: &[Layout], pasta: &PastaParams, bfv: &BfvParams) -> f6
         bfv.n,
         bfv.plain_modulus,
         bfv.prime_bits as usize * bfv.prime_count,
-        bfv.prime_bits,
         bfv.prime_count,
     );
     layouts
